@@ -1,13 +1,7 @@
-//! Chaos/resilience bench: hardening-overhead A/B plus a deterministic
-//! fault-schedule export.
+//! Chaos/resilience bench: a deterministic fault-schedule export.
 //!
-//! Phase 1 (faults disarmed): interleaved best-of-N timing of
-//! `SaccsService::rank_unguarded` vs `rank_request` on the same
-//! utterance batch — the hardening-overhead headline quoted in
-//! EXPERIMENTS.md.
-//!
-//! Phase 2 (chaos export): arm the seeded scenario and drive a fixed
-//! request batch through `rank_request`, writing one JSON line per
+//! Arm the seeded scenario and drive a fixed request batch through
+//! `SaccsService::rank_request`, writing one JSON line per
 //! request (ranking with score *bits*, degradation events) plus a final
 //! `fault.*` counter-delta line. With an error-only scenario the file is
 //! a pure function of `(seed, scenario)`; `scripts/ci.sh` runs the bin
@@ -21,7 +15,6 @@
 //! Environment: `SACCS_CHAOS_SEED` (default 2024),
 //! `SACCS_CHAOS_SCENARIO` (default `algo1.probe=err@p=0.9`),
 //! `SACCS_CHAOS_OUT` (default `CHAOS_report.jsonl`),
-//! `SACCS_CHAOS_REPS` (timing repetitions, default 200),
 //! `SACCS_OBS=json` to emit `BENCH_chaos.json`.
 
 use saccs_core::{RankRequest, SaccsBuilder, SearchApi, TrainedSaccs};
@@ -30,8 +23,6 @@ use saccs_fault::{arm_guard, Scenario};
 use saccs_text::{Domain, Lexicon};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
 
 const UTTERANCES: [&str; 3] = [
     "I want a restaurant with delicious food and a nice staff",
@@ -95,12 +86,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Per-call cost is ~100µs; fewer reps than this and the best-of-N
-    // minimum has not converged, which reads as phantom overhead.
-    let reps: usize = env_or("SACCS_CHAOS_REPS", "200").parse().unwrap_or(200);
     let out_path = env_or("SACCS_CHAOS_OUT", "CHAOS_report.jsonl");
 
-    println!("Chaos bench: rank_unguarded vs rank_request, then seeded fault replay");
+    println!("Chaos bench: seeded fault replay through rank_request");
     println!("  (seed={seed} scenario={scenario} requests={CHAOS_REQUESTS})\n");
     let (corpus, trained) = build();
     let api = SearchApi::new(&corpus.entities);
@@ -109,36 +97,6 @@ fn main() {
         .map(|u| RankRequest::utterance(*u))
         .collect();
 
-    // Phase 1: hardening overhead with no faults armed. Interleaved
-    // best-of-N over the whole batch so host noise cannot bias a side.
-    let mut t_plain = f64::INFINITY;
-    let mut t_resilient = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for r in &requests {
-            black_box(trained.service.rank_unguarded(r, &api).ok());
-        }
-        t_plain = t_plain.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for r in &requests {
-            black_box(trained.service.rank_request(r, &api));
-        }
-        t_resilient = t_resilient.min(t0.elapsed().as_secs_f64());
-    }
-    let overhead_pct = (t_resilient / t_plain - 1.0) * 100.0;
-    println!(
-        "{:<16} {:>12} {:>16} {:>10}",
-        "batch", "rank ms", "resilient ms", "overhead"
-    );
-    println!(
-        "{:<16} {:>12.3} {:>16.3} {:>9.2}%",
-        format!("{} utterances", UTTERANCES.len()),
-        t_plain * 1e3,
-        t_resilient * 1e3,
-        overhead_pct
-    );
-
-    // Phase 2: the deterministic export under an armed schedule.
     let before = fault_counters();
     let mut report = String::new();
     let _ = writeln!(
@@ -196,7 +154,6 @@ fn main() {
     saccs_bench::obs_finish(
         "chaos",
         &[
-            ("overhead_pct", overhead_pct),
             ("chaos_requests", CHAOS_REQUESTS as f64),
             ("degraded_requests", degraded as f64),
         ],

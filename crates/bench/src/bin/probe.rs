@@ -18,12 +18,7 @@
 //! fold vs the old per-entity BTreeMap — on a synthetic hit stream; both
 //! must produce bit-identical rankings (same per-entity addition order).
 //!
-//! Phase 5 (embedding path): f32-vs-int8 MiniBert phrase embeddings on a
-//! scaled-down corpus (throughput + max cosine error), then the graph
-//! ANN A/B under the embedding similarity — *approximate*, so its
-//! recall@10 is measured, not asserted.
-//!
-//! Phase 6 (export): probe rankings (score bits) and corpus stats go to
+//! Phase 5 (export): probe rankings (score bits) and corpus stats go to
 //! `SACCS_PROBE_OUT` as JSON lines; the file is a pure function of the
 //! build and `scripts/ci.sh` byte-diffs two runs.
 //!
@@ -31,11 +26,8 @@
 //! `SACCS_PROBE_OUT` (default `PROBE_report.jsonl`), `SACCS_OBS=json`
 //! to emit `BENCH_probe.json`.
 
-use saccs_core::EmbeddingSimilarity;
 use saccs_data::synthetic_tags;
-use saccs_embed::{build_vocab, EncoderPrecision, MiniBert, MiniBertConfig};
 use saccs_index::index::{IndexConfig, SubjectiveIndex};
-use saccs_text::metrics::cosine;
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -311,99 +303,10 @@ fn main() {
         sparse_vec * 1e3
     );
 
-    // Phase 5: the embedding path — int8 encoder A/B, then the graph ANN
-    // under the embedding similarity. Cosine rescaled to [0,1] clusters
-    // high, so the probe threshold is raised to keep the filter active.
-    let g_n = tags.len().min(2000);
-    let g_tags = &tags[..g_n];
-    let mut universe: Vec<SubjectiveTag> = g_tags.to_vec();
-    universe.extend(probes.iter().cloned());
-    let bert = MiniBert::new(
-        build_vocab(&[Domain::Restaurants]),
-        MiniBertConfig::default(),
-    );
-    let t0 = Instant::now();
-    let emb_f32 = EmbeddingSimilarity::precompute_with(&bert, &universe, EncoderPrecision::F32);
-    let t_f32 = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let emb_int8 = EmbeddingSimilarity::precompute_with(&bert, &universe, EncoderPrecision::Int8);
-    let t_int8 = t0.elapsed().as_secs_f64();
-    let int8_embed_speedup = t_f32 / t_int8;
-    let mut int8_max_cos_err = 0.0f64;
-    for tag in &universe {
-        let phrase = tag.phrase();
-        let (a, b) = (
-            emb_f32.phrase_vector(&phrase).expect("f32 vector"),
-            emb_int8.phrase_vector(&phrase).expect("int8 vector"),
-        );
-        int8_max_cos_err = int8_max_cos_err.max(1.0 - f64::from(cosine(a, b)));
-    }
-    println!(
-        "\nint8 encoder A/B ({} phrases, {} kernel):\n  \
-         f32  {:.2} ms\n  int8 {:.2} ms   ({int8_embed_speedup:.2}x, max cosine error {int8_max_cos_err:.2e})",
-        universe.len(),
-        saccs_nn::quant_kernel_name(),
-        t_f32 * 1e3,
-        t_int8 * 1e3
-    );
-
-    let g_snap = synthetic_snapshot(g_tags);
-    let g_config = IndexConfig {
-        theta_filter: 0.8,
-        // ~100 of the 2000 tags clear θ=0.8 per probe; a 256-wide beam
-        // covers them with headroom, a 64-wide one truncates the
-        // per-entity sums and recall collapses. Denser links (m=16) keep
-        // the graph connected under the anisotropic untrained-encoder
-        // embedding distribution.
-        ann_ef: 256,
-        ann_m: 16,
-        ..IndexConfig::default()
-    };
-    let mk_graph = |ann: bool| {
-        let mut idx = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-            IndexConfig {
-                ann_enabled: ann,
-                ..g_config.clone()
-            },
-        )
-        .with_custom_similarity(emb_f32.clone())
-        .with_tag_vectors(emb_f32.clone());
-        idx.restore(g_snap.as_bytes())
-            .expect("graph snapshot restores");
-        idx
-    };
-    let g_scan_idx = mk_graph(false);
-    let g_ann_idx = mk_graph(true);
-    let mut graph_recall = 0.0;
-    for probe in &probes {
-        let scan = g_scan_idx.probe_readonly(probe);
-        let ann = g_ann_idx.probe_readonly(probe);
-        graph_recall += recall_at_10(&ann, &scan);
-        let ids: Vec<String> = ann.iter().take(10).map(|&(e, _)| e.to_string()).collect();
-        let _ = writeln!(
-            report,
-            "{{\"graph_probe\":\"{}\",\"matches\":{},\"top\":[{}]}}",
-            probe.phrase(),
-            ann.len(),
-            ids.join(",")
-        );
-    }
-    graph_recall /= probes.len() as f64;
-    let t_g_scan = time_probes(&g_scan_idx, &probes, "probe.graph.scan.latency");
-    let t_g_ann = time_probes(&g_ann_idx, &probes, "probe.graph.ann.latency");
-    let graph_speedup = t_g_scan / t_g_ann;
-    println!(
-        "\ngraph ANN under embedding similarity ({g_n} tags, θ=0.8, approximate):\n  \
-         recall@10 {graph_recall:.3}\n  scan {:.2} ms, ann {:.2} ms   ({graph_speedup:.2}x)",
-        t_g_scan * 1e3,
-        t_g_ann * 1e3
-    );
-
-    // Phase 6: the deterministic export (timings excluded by design).
+    // Phase 5: the deterministic export (timings excluded by design).
     let _ = writeln!(
         report,
-        "{{\"corpus\":{{\"tags\":{},\"entities\":{N_ENTITIES},\"graph_tags\":{g_n}}}}}",
+        "{{\"corpus\":{{\"tags\":{},\"entities\":{N_ENTITIES}}}}}",
         tags.len()
     );
     match std::fs::write(&out_path, &report) {
@@ -422,10 +325,6 @@ fn main() {
             ("semantic_speedup", semantic_speedup),
             ("semantic_speedup_default_theta", default_speedup),
             ("rankhits_speedup", rankhits_speedup),
-            ("int8_embed_speedup", int8_embed_speedup),
-            ("int8_max_cosine_err", int8_max_cos_err),
-            ("graph_recall_at10", graph_recall),
-            ("graph_speedup", graph_speedup),
         ],
     );
 }

@@ -227,7 +227,7 @@ fn main() {
         for q in short_queries {
             let _ = saccs
                 .service
-                .rank_unguarded(&RankRequest::utterance(q.utterance()), &api);
+                .rank_request(&RankRequest::utterance(q.utterance()), &api);
         }
     }
     saccs_bench::obs_finish(

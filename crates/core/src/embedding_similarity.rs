@@ -9,16 +9,14 @@
 //! encoder's interior mutability is not `Sync`, but the finished table
 //! is), so the resulting measure can drive the index's parallel builder.
 
-use saccs_embed::{EncoderPrecision, MiniBert, QuantizedEncoder};
-use saccs_index::TagVectorSource;
+use saccs_embed::MiniBert;
 use saccs_text::metrics::cosine;
 use saccs_text::{SubjectiveTag, TagSimilarity};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Precomputed phrase-embedding similarity. Cloning is cheap (the
-/// embedding table is shared), so one precompute pass can feed both the
-/// index's custom similarity and its ANN [`TagVectorSource`].
+/// embedding table is shared).
 #[derive(Clone)]
 pub struct EmbeddingSimilarity {
     table: Arc<HashMap<String, Vec<f32>>>,
@@ -26,40 +24,18 @@ pub struct EmbeddingSimilarity {
 
 impl EmbeddingSimilarity {
     /// Embed every tag in `universe` (index tags, review tags, and any
-    /// query tags the caller will probe with) with the default f32
-    /// encoder path.
+    /// query tags the caller will probe with).
     pub fn precompute<'a>(
         bert: &MiniBert,
         universe: impl IntoIterator<Item = &'a SubjectiveTag>,
     ) -> Self {
-        Self::precompute_with(bert, universe, EncoderPrecision::F32)
-    }
-
-    /// Like [`EmbeddingSimilarity::precompute`], with an explicit
-    /// encoder precision. [`EncoderPrecision::F32`] runs MiniBert's own
-    /// forward (bitwise identical to `precompute`);
-    /// [`EncoderPrecision::Int8`] snapshots the weights once into a
-    /// [`QuantizedEncoder`] and embeds every phrase through the int8
-    /// projection path.
-    pub fn precompute_with<'a>(
-        bert: &MiniBert,
-        universe: impl IntoIterator<Item = &'a SubjectiveTag>,
-        precision: EncoderPrecision,
-    ) -> Self {
-        let quantized = match precision {
-            EncoderPrecision::F32 => None,
-            EncoderPrecision::Int8 => Some(QuantizedEncoder::from_bert(bert)),
-        };
         let mut table = HashMap::new();
         for tag in universe {
             let phrase = tag.phrase();
             table.entry(phrase.clone()).or_insert_with(|| {
                 let tokens: Vec<String> =
                     phrase.split_whitespace().map(|w| w.to_string()).collect();
-                match &quantized {
-                    Some(qe) => qe.phrase_embedding(&bert.ids(&tokens)),
-                    None => bert.phrase_embedding(&tokens),
-                }
+                bert.phrase_embedding(&tokens)
             });
         }
         EmbeddingSimilarity {
@@ -74,18 +50,6 @@ impl EmbeddingSimilarity {
 
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
-    }
-
-    /// The cached embedding for `phrase`, if it was in the universe.
-    pub fn phrase_vector(&self, phrase: &str) -> Option<&[f32]> {
-        self.table.get(phrase).map(Vec::as_slice)
-    }
-}
-
-/// Feeds the cached embeddings to the index's graph-ANN probe path.
-impl TagVectorSource for EmbeddingSimilarity {
-    fn vector(&self, tag: &SubjectiveTag) -> Option<Vec<f32>> {
-        self.table.get(&tag.phrase()).cloned()
     }
 }
 
@@ -160,140 +124,6 @@ mod tests {
         let known = SubjectiveTag::new("delicious", "food");
         let unknown = SubjectiveTag::new("zorgle", "blarf");
         assert_eq!(s.similarity(&known, &unknown), 0.0);
-    }
-
-    #[test]
-    fn f32_precision_is_bitwise_identical_to_default_precompute() {
-        let vocab = build_vocab(&[Domain::Restaurants]);
-        let bert = MiniBert::new(
-            vocab,
-            MiniBertConfig {
-                dim: 16,
-                heads: 2,
-                layers: 2,
-                max_len: 16,
-                seed: 4,
-            },
-        );
-        let universe = vec![
-            SubjectiveTag::new("delicious", "food"),
-            SubjectiveTag::new("tasty", "food"),
-            SubjectiveTag::new("nice", "staff"),
-        ];
-        let default = EmbeddingSimilarity::precompute(&bert, &universe);
-        let f32_mode = EmbeddingSimilarity::precompute_with(
-            &bert,
-            &universe,
-            saccs_embed::EncoderPrecision::F32,
-        );
-        for tag in &universe {
-            let a = default.phrase_vector(&tag.phrase()).unwrap();
-            let b = f32_mode.phrase_vector(&tag.phrase()).unwrap();
-            assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
-    }
-
-    #[test]
-    fn int8_precision_stays_close_and_feeds_the_vector_source() {
-        let vocab = build_vocab(&[Domain::Restaurants]);
-        let bert = MiniBert::new(
-            vocab,
-            MiniBertConfig {
-                dim: 16,
-                heads: 2,
-                layers: 2,
-                max_len: 16,
-                seed: 4,
-            },
-        );
-        let universe = vec![
-            SubjectiveTag::new("delicious", "food"),
-            SubjectiveTag::new("tasty", "food"),
-        ];
-        let f32_mode = EmbeddingSimilarity::precompute(&bert, &universe);
-        let int8 = EmbeddingSimilarity::precompute_with(
-            &bert,
-            &universe,
-            saccs_embed::EncoderPrecision::Int8,
-        );
-        for tag in &universe {
-            let a = f32_mode.phrase_vector(&tag.phrase()).unwrap();
-            let b = int8.phrase_vector(&tag.phrase()).unwrap();
-            let cos = cosine(a, b);
-            assert!(cos > 0.999, "int8-vs-f32 cosine {cos} for {tag:?}");
-            // The TagVectorSource view hands out the same cached vector.
-            let via_source = TagVectorSource::vector(&int8, tag).unwrap();
-            assert_eq!(via_source, b);
-        }
-        assert!(TagVectorSource::vector(&int8, &SubjectiveTag::new("zorgle", "blarf")).is_none());
-    }
-
-    #[test]
-    fn graph_ann_probe_matches_scan_on_small_embedding_corpus() {
-        use saccs_index::index::{EntityEvidence, IndexConfig, SubjectiveIndex};
-        use saccs_text::{ConceptualSimilarity, Domain as D, Lexicon};
-
-        let vocab = build_vocab(&[Domain::Restaurants]);
-        let bert = MiniBert::new(
-            vocab,
-            MiniBertConfig {
-                dim: 16,
-                heads: 2,
-                layers: 2,
-                max_len: 16,
-                seed: 4,
-            },
-        );
-        let tags: Vec<SubjectiveTag> = [
-            ("delicious", "food"),
-            ("tasty", "food"),
-            ("nice", "staff"),
-            ("friendly", "service"),
-            ("cozy", "ambiance"),
-            ("cheap", "price"),
-        ]
-        .iter()
-        .map(|(o, a)| SubjectiveTag::new(o, a))
-        .collect();
-        let probe = SubjectiveTag::new("great", "meal");
-        let mut universe = tags.clone();
-        universe.push(probe.clone());
-        let emb = EmbeddingSimilarity::precompute(&bert, &universe);
-
-        let build = |ann: bool| {
-            let mut idx = SubjectiveIndex::new(
-                ConceptualSimilarity::new(Lexicon::new(D::Restaurants)),
-                IndexConfig {
-                    // Cosine rescaled to [0,1] clusters high; raise θ so
-                    // the probe actually filters.
-                    theta_filter: 0.6,
-                    ann_enabled: ann,
-                    // ef ≥ tag count: the beam covers the whole graph, so
-                    // the approximate search degenerates to exact.
-                    ann_ef: 64,
-                    ..IndexConfig::default()
-                },
-            )
-            .with_custom_similarity(emb.clone())
-            .with_tag_vectors(emb.clone());
-            for e in 0..6usize {
-                idx.register_entity(EntityEvidence {
-                    entity_id: e,
-                    review_count: 1 + e % 3,
-                    review_tags: vec![tags[e].clone(), tags[(e + 1) % tags.len()].clone()],
-                });
-            }
-            idx.index_tags(&tags);
-            idx
-        };
-        let scan = build(false).probe_readonly(&probe);
-        let ann = build(true).probe_readonly(&probe);
-        assert!(!scan.is_empty());
-        assert_eq!(scan.len(), ann.len());
-        for ((ea, sa), (eb, sb)) in scan.iter().zip(&ann) {
-            assert_eq!(ea, eb);
-            assert_eq!(sa.to_bits(), sb.to_bits());
-        }
     }
 
     #[test]

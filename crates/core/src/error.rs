@@ -2,8 +2,8 @@
 //!
 //! Algorithm 1's stages historically had no failure model at all — any
 //! infrastructure error was a panic. `SaccsError` names the ways a
-//! stage can fail so the resilient serving path
-//! ([`crate::service::SaccsService::rank_resilient`]) can decide, per
+//! stage can fail so the serving path
+//! ([`crate::service::SaccsService::rank_request`]) can decide, per
 //! error, where on the degradation ladder to land (retry → drop the
 //! tag → objective-only → partial results).
 

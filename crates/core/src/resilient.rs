@@ -46,7 +46,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Tuning for [`crate::service::SaccsService::rank_resilient`].
+/// Tuning for [`crate::service::SaccsService::rank_request`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceConfig {
     /// Retry policy shared by all stages.

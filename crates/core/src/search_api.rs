@@ -49,8 +49,8 @@ impl<'a> SearchApi<'a> {
 
     /// Fallible [`SearchApi::search`] behind the `algo1.search_api`
     /// failpoint. The in-memory stand-in cannot fail on its own, but a
-    /// network-backed API will; the resilient service path
-    /// (`SaccsService::rank_resilient`) calls this so chaos tests can
+    /// network-backed API will; the service's rank path
+    /// (`SaccsService::rank_request`) calls this so chaos tests can
     /// exercise retries and degradation today.
     pub fn try_search(&self, slots: &Slots) -> Result<Vec<usize>, saccs_fault::FaultError> {
         saccs_fault::failpoint!("algo1.search_api")?;

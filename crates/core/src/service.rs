@@ -20,7 +20,8 @@
 //! The whole rank path is `&self`: a single `SaccsService` behind an
 //! `Arc` serves any number of threads. The moving parts that make that
 //! true live elsewhere — the index records probe history behind a
-//! mutex, the stage breakers are lock-free atomics
+//! mutex (a live backend's snapshots all share one), the stage breakers
+//! are lock-free atomics
 //! ([`saccs_fault::SharedBreaker`]), and the (non-`Sync`) neural
 //! extractor is shared as a [`crate::SharedExtractor`] blueprint with
 //! bitwise-identical per-thread replicas. The canonical entry point is
@@ -260,12 +261,18 @@ impl SaccsService {
     ///
     /// Tags-input requests skip the extraction stage entirely (no
     /// extractor required, no extract breaker touched). With no faults
-    /// armed (or the `fault` feature off) the results are bitwise
-    /// identical to [`SaccsService::rank_unguarded`] and the overhead is
-    /// one closed-breaker check per stage. Every retry, breaker
-    /// transition, degradation and deadline miss is counted on the
-    /// `fault.*` metrics; `fault.degraded_requests` increments at most
-    /// once per request.
+    /// armed (or the `fault` feature off) the cost of the hardening is
+    /// one closed-breaker check per stage. Callers that want a stage
+    /// failure as an error read [`RankResponse::degradation`]: an
+    /// unevaluable filter is an [`SaccsError::InvalidRequest`] event, a
+    /// missing extractor an [`SaccsError::Unavailable`] one. Every retry,
+    /// breaker transition, degradation and deadline miss is counted on
+    /// the `fault.*` metrics; `fault.degraded_requests` increments at
+    /// most once per request.
+    ///
+    /// Each stage runs under its own `saccs-obs` span (`algo1.search_api`,
+    /// `algo1.filter`, `algo1.extract`, `algo1.probe`, `algo1.aggregate`,
+    /// `algo1.pad`), all nested inside `algo1.rank`.
     pub fn rank_request(&self, request: &RankRequest, api: &SearchApi<'_>) -> RankResponse {
         self.rank_request_at(request, api, DeadlineClock::start(self.resilience.deadline))
     }
@@ -280,7 +287,7 @@ impl SaccsService {
         api: &SearchApi<'_>,
         clock: DeadlineClock,
     ) -> RankResponse {
-        let _rank = saccs_obs::span!("algo1.rank_resilient");
+        let _rank = saccs_obs::span!("algo1.rank");
         let config = request.config.as_ref().unwrap_or(&self.config);
         let mut degradation = Degradation::default();
         let finish =
@@ -313,10 +320,12 @@ impl SaccsService {
             }
         };
 
-        // One pin for the whole request: the filter compiles against the
-        // exact segment set the probes below will answer from, however
-        // much is ingested mid-flight.
-        let pinned = self.pin_live();
+        // One index for the whole request: on a live backend, one pinned
+        // snapshot, so the filter compiles against the exact segment set
+        // the probes below will answer from, however much is ingested
+        // mid-flight.
+        let pinned: Option<Arc<LiveSnapshot>> = self.live.as_ref().map(|live| live.pin());
+        let index = pinned.as_deref().map_or(&self.index, LiveSnapshot::index);
 
         // Stage 1b: the subjective filter, compiled against the pinned
         // snapshot and applied as a pure selection on the objective
@@ -327,7 +336,7 @@ impl SaccsService {
         if let Some(filter) = &request.filter {
             let _filter = saccs_obs::span!("algo1.filter");
             let candidates = api_results.len() as u32;
-            match self.try_filter(filter, pinned.as_deref(), api) {
+            match Self::try_filter(filter, index, api) {
                 Ok(compiled) => {
                     api_results.retain(|&e| compiled.contains(e));
                     saccs_obs::trace::record(saccs_obs::trace::TraceEvent::FilterPlan {
@@ -435,9 +444,7 @@ impl SaccsService {
                     break;
                 }
                 let w = weights.as_ref().map_or(1.0, |ws| ws[i]);
-                match call_with_retry(Stage::Probe, retry, breaker, &clock, || {
-                    self.try_probe_at(pinned.as_deref(), t)
-                }) {
+                match call_with_retry(Stage::Probe, retry, breaker, &clock, || index.try_probe(t)) {
                     Ok(scores) => {
                         per_tag.push(scores.into_iter().map(|(e, s)| (e, s * w)).collect())
                     }
@@ -471,67 +478,6 @@ impl SaccsService {
         )
     }
 
-    /// Algorithm 1 over a typed request with *no* resilience machinery:
-    /// no retries, no breakers, no deadline — a stage failure is the
-    /// caller's problem. This is the fully-observable baseline the
-    /// resilient path is measured against (each stage runs under its own
-    /// `saccs-obs` span: `algo1.search_api`, `algo1.extract`,
-    /// `algo1.probe`, `algo1.aggregate`, `algo1.pad`, all nested inside
-    /// `algo1.rank`). Utterance input on an extractor-less service is
-    /// [`SaccsError::NoExtractor`]; an unevaluable filter is
-    /// [`SaccsError::InvalidRequest`] — no degradation here.
-    pub fn rank_unguarded(
-        &self,
-        request: &RankRequest,
-        api: &SearchApi<'_>,
-    ) -> Result<RankResponse, SaccsError> {
-        let _rank = saccs_obs::span!("algo1.rank");
-        let clock = DeadlineClock::start(None);
-        let mut api_results = {
-            let _search = saccs_obs::span!("algo1.search_api");
-            api.search(&request.slots)
-        };
-        let pinned = self.pin_live();
-        if let Some(filter) = &request.filter {
-            let _filter = saccs_obs::span!("algo1.filter");
-            let candidates = api_results.len() as u32;
-            let compiled = self.try_filter(filter, pinned.as_deref(), api)?;
-            api_results.retain(|&e| compiled.contains(e));
-            saccs_obs::trace::record(saccs_obs::trace::TraceEvent::FilterPlan {
-                leaves: compiled.summary().leaves,
-                candidates,
-                passed: api_results.len() as u32,
-            });
-        }
-        let tags: Vec<SubjectiveTag> = match &request.input {
-            RankInput::Tags(tags) => tags.clone(),
-            RankInput::Utterance(utterance) => {
-                let _extract = saccs_obs::span!("algo1.extract");
-                let shared = self.extractor.as_ref().ok_or(SaccsError::NoExtractor)?;
-                shared.with_replica(|ex| ex.extract(utterance))
-            }
-        };
-        let config = request.config.as_ref().unwrap_or(&self.config);
-        let weights: Option<Vec<f32>> = request.profile.as_ref().map(|(profile, boost)| {
-            tags.iter()
-                .map(|t| profile.weight(t, self.index.similarity(), *boost))
-                .collect()
-        });
-        let results = self.rank_core(
-            &tags,
-            &api_results,
-            weights.as_deref(),
-            config,
-            pinned.as_deref(),
-        );
-        Ok(RankResponse {
-            results,
-            degradation: Degradation::default(),
-            elapsed: clock.elapsed(),
-            timings: saccs_obs::trace::current_stage_timings(),
-        })
-    }
-
     /// Extract tags from an utterance without ranking (for inspection).
     /// `Err(NoExtractor)` if the service was built
     /// [`SaccsService::index_only`].
@@ -549,27 +495,16 @@ impl SaccsService {
         api.iter().take(k).map(|&e| (e, 0.0)).collect()
     }
 
-    /// One pinned live snapshot for a request, or `None` on the static
-    /// path.
-    fn pin_live(&self) -> Option<Arc<LiveSnapshot>> {
-        self.live.as_ref().map(|l| l.pin())
-    }
-
-    /// Compile the request's filter against the same pinned snapshot the
-    /// probes read (or the static index), with the search API as the
-    /// objective catalog. Behind the `algo1.filter` failpoint so chaos
-    /// scenarios can force the unfiltered degradation rung.
+    /// Compile the request's filter against the index the probes read,
+    /// with the search API as the objective catalog. Behind the
+    /// `algo1.filter` failpoint so chaos scenarios can force the
+    /// unfiltered degradation rung.
     fn try_filter(
-        &self,
         filter: &Filter,
-        pinned: Option<&LiveSnapshot>,
+        index: &SubjectiveIndex,
         api: &SearchApi<'_>,
     ) -> Result<CompiledFilter, SaccsError> {
         saccs_fault::failpoint!("algo1.filter")?;
-        let index = match (&self.live, pinned) {
-            (Some(_), Some(snap)) => snap.index(),
-            _ => &self.index,
-        };
         compile(filter, index, api, JoinOrder::RarestFirst).map_err(|e| {
             SaccsError::InvalidRequest {
                 field: "filter",
@@ -578,67 +513,11 @@ impl SaccsService {
         })
     }
 
-    /// Probe against the request's pinned snapshot (live backend) or the
-    /// static index.
-    fn probe_at(&self, pinned: Option<&LiveSnapshot>, tag: &SubjectiveTag) -> Vec<(usize, f32)> {
-        match (&self.live, pinned) {
-            (Some(live), Some(snap)) => live.probe_pinned(snap, tag),
-            _ => self.index.probe(tag),
-        }
-    }
-
-    /// Fallible [`SaccsService::probe_at`] — both backends share the
-    /// `algo1.probe` failpoint, so chaos scenarios hit them alike.
-    fn try_probe_at(
-        &self,
-        pinned: Option<&LiveSnapshot>,
-        tag: &SubjectiveTag,
-    ) -> Result<Vec<(usize, f32)>, saccs_fault::FaultError> {
-        match (&self.live, pinned) {
-            (Some(live), Some(snap)) => live.try_probe_pinned(snap, tag),
-            _ => self.index.try_probe(tag),
-        }
-    }
-
-    /// Shared Algorithm-1 core: filter, aggregate, rank, with optional
-    /// per-tag weights (the personalization hook). `config` is the
-    /// *effective* config — the service's, or the request's override.
-    /// `pinned` is the request's snapshot pin, shared with the filter
-    /// stage so both read one consistent segment set.
-    fn rank_core(
-        &self,
-        tags: &[SubjectiveTag],
-        api_results: &[usize],
-        weights: Option<&[f32]>,
-        config: &SaccsConfig,
-        pinned: Option<&LiveSnapshot>,
-    ) -> Vec<(usize, f32)> {
-        if tags.is_empty() {
-            // No subjective signal: return the API order as-is.
-            return Self::passthrough(api_results, config.top_k);
-        }
-        // Per-tag score maps (lines 7–10), optionally profile-weighted.
-        let mut per_tag: Vec<HashMap<usize, f32>> = Vec::with_capacity(tags.len());
-        {
-            let _probe = saccs_obs::span!("algo1.probe");
-            for (i, t) in tags.iter().enumerate() {
-                let w = weights.map_or(1.0, |ws| ws[i]);
-                per_tag.push(
-                    self.probe_at(pinned, t)
-                        .into_iter()
-                        .map(|(e, s)| (e, s * w))
-                        .collect(),
-                );
-            }
-        }
-        self.aggregate_and_pad(api_results, &per_tag, config)
-    }
-
     /// Algorithm 1 lines 11–12 over already-probed tag score maps:
     /// intersect, aggregate, pad, rank. `per_tag` holds one map per
-    /// *successfully probed* tag — the resilient path hands over fewer
-    /// maps than extracted tags when probes were dropped, and the
-    /// full/partial split then applies to the surviving tags only.
+    /// *successfully probed* tag — fewer maps than extracted tags when
+    /// probes were dropped, and the full/partial split then applies to
+    /// the surviving tags only.
     fn aggregate_and_pad(
         &self,
         api_results: &[usize],
@@ -858,14 +737,8 @@ mod tests {
     }
 
     #[test]
-    fn unguarded_utterance_on_index_only_service_is_no_extractor() {
+    fn extract_tags_on_index_only_service_is_no_extractor() {
         let s = service();
-        let ents = entities(3);
-        let api = SearchApi::new(&ents);
-        let err = s
-            .rank_unguarded(&RankRequest::utterance("delicious food"), &api)
-            .expect_err("index_only service cannot extract");
-        assert_eq!(err, SaccsError::NoExtractor);
         assert_eq!(
             s.extract_tags("delicious food"),
             Err(SaccsError::NoExtractor)
@@ -948,22 +821,46 @@ mod tests {
     }
 
     #[test]
-    fn profiled_request_agrees_with_unguarded_path() {
-        // The resilient and unguarded paths share the probe/aggregate
-        // core; with no faults armed they must agree bitwise.
-        let s = service();
-        let ents = entities(3);
-        let api = SearchApi::new(&ents);
-        let tags = vec![tag("delicious", "food"), tag("nice", "staff")];
-        let mut profile = UserProfile::new();
-        for _ in 0..8 {
-            profile.observe(&[tag("friendly", "staff")]);
+    fn live_and_static_backends_share_one_probe_path() {
+        // The same reviews served statically and through a live index
+        // rank bitwise identically, and an unknown tag lands in the
+        // backend's one pending history either way.
+        use saccs_index::LiveConfig;
+        let reviews = [
+            (0, vec![tag("delicious", "food"), tag("friendly", "staff")]),
+            (1, vec![tag("delicious", "food")]),
+            (2, vec![tag("friendly", "staff")]),
+        ];
+        let index_tags = [tag("delicious", "food"), tag("nice", "staff")];
+        let sim = ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants));
+        let mut idx = SubjectiveIndex::new(sim.clone(), IndexConfig::default());
+        let live = Arc::new(LiveIndex::new(
+            sim,
+            IndexConfig::default(),
+            LiveConfig::default(),
+        ));
+        for (entity_id, review_tags) in &reviews {
+            idx.register_entity(EntityEvidence {
+                entity_id: *entity_id,
+                review_count: 1,
+                review_tags: review_tags.clone(),
+            });
+            live.add_review(*entity_id, review_tags);
         }
-        let request = RankRequest::tags(tags).with_profile(profile, 2.0);
-        let resilient = s.rank_request(&request, &api);
-        let unguarded = s.rank_unguarded(&request, &api).expect("tags input");
-        assert_eq!(resilient.results, unguarded.results);
-        assert!(resilient.is_full_fidelity());
+        idx.index_tags(&index_tags);
+        live.add_tags(&index_tags);
+        let frozen = SaccsService::index_only(idx, SaccsConfig::default());
+        let served = SaccsService::with_live_index(Arc::clone(&live), SaccsConfig::default());
+
+        let tags = vec![tag("delicious", "food"), tag("scrumptious", "food")];
+        let ranked = rank_tags(&frozen, tags.clone(), &[0, 1, 2]);
+        assert!(!ranked.is_empty());
+        let bits = |r: &[(usize, f32)]| -> Vec<(usize, u32)> {
+            r.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+        };
+        assert_eq!(bits(&ranked), bits(&rank_tags(&served, tags, &[0, 1, 2])));
+        assert_eq!(frozen.index().history().len(), 1);
+        assert_eq!(live.pending_count(), 1);
     }
 
     fn entities(n: usize) -> Vec<saccs_data::Entity> {
@@ -978,8 +875,8 @@ mod tests {
 
     #[test]
     fn utterance_request_without_extractor_is_objective_only() {
-        // `index_only` services have no extractor; the unguarded path
-        // errors, the resilient path degrades to the objective order.
+        // `index_only` services have no extractor: the request degrades
+        // to the objective order and says why.
         let ents = entities(3);
         let api = SearchApi::new(&ents);
         let s = service();
@@ -1038,16 +935,15 @@ mod tests {
             "{ids:?}"
         );
 
-        // An unknown attribute cannot compile: the resilient path ranks
-        // unfiltered on the mildest rung, the unguarded path errors.
+        // An unknown attribute cannot compile: the request ranks
+        // unfiltered on the mildest rung and reports the invalid filter.
         let bad =
             RankRequest::tags(vec![tag("delicious", "food")]).with_filter_dsl("Parking=garage");
         let out = s.rank_request(&bad, &api);
         assert_eq!(out.degradation.worst(), Some(DegradeAction::Unfiltered));
         assert!(!out.results.is_empty());
-        let err = s.rank_unguarded(&bad, &api).expect_err("unknown attribute");
         assert!(matches!(
-            err,
+            out.degradation.events[0].error,
             SaccsError::InvalidRequest {
                 field: "filter",
                 ..

@@ -28,12 +28,8 @@
 pub mod model;
 /// Masked-LM pretraining, domain post-training and fine-tuning.
 pub mod pretrain;
-/// Int8-quantized frozen forward for probe-side embeddings.
-pub mod quantized;
 
 /// The encoder and its hyperparameters.
 pub use model::{MiniBert, MiniBertConfig};
 /// Pretraining entry points.
 pub use pretrain::{build_vocab, eval_mlm, finetune_tagging, general_corpus, train_mlm, MlmConfig};
-/// The int8 probe-side encoder and its precision switch.
-pub use quantized::{EncoderPrecision, QuantizedEncoder};

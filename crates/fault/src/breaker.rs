@@ -609,8 +609,13 @@ mod tests {
     fn shared_breaker_conserves_permits_under_contention() {
         use std::sync::atomic::{AtomicI64, AtomicU64 as Au64};
 
+        // Each worker's own call sequence fails twice in a row, so the
+        // breaker trips under any schedule. With a threshold of 3, a pool
+        // busy with a concurrent test runs the tasks on the calling thread
+        // in LIFO order, where every worker boundary joins at most two
+        // failures and the breaker never trips.
         let b = SharedBreaker::new(BreakerConfig {
-            failure_threshold: 3,
+            failure_threshold: 2,
             open_calls: 2,
             half_open_permits: 2,
             success_to_close: 2,

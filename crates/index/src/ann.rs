@@ -1,31 +1,21 @@
-//! Deterministic ANN candidate structures for the θ_filter fallback probe.
+//! Deterministic candidate index for the θ_filter fallback probe.
 //!
 //! The §3.2 fallback answers an unknown tag by scanning **every** index
-//! tag; this module makes that probe sublinear while keeping the ranking
-//! contract intact. Two structures, picked by the index at build time:
+//! tag; [`SemanticCandidateIndex`] makes that probe sublinear while
+//! keeping the ranking contract intact. Tags are bucketed into cells
+//! keyed by their *resolution* (aspect concept × opinion group) under the
+//! lexicon-backed
+//! [`ConceptualSimilarity`](saccs_text::ConceptualSimilarity); a probe
+//! prunes whole cells whose similarity **upper bound** cannot clear
+//! θ_filter and exactly rescores the rest. Because the bound is sound (see
+//! `ConceptualSimilarity::aspect_upper_bound`), the candidate set is a
+//! strict superset of the scan's matching tags.
 //!
-//! * [`SemanticCandidateIndex`] — for the default lexicon-backed
-//!   [`ConceptualSimilarity`]. Tags are bucketed into cells keyed by
-//!   their *resolution* (aspect concept × opinion group); a probe prunes
-//!   whole cells whose similarity **upper bound** cannot clear θ_filter
-//!   and exactly rescores the rest. Because the bound is sound (see
-//!   `ConceptualSimilarity::aspect_upper_bound`), the candidate set is a
-//!   strict superset of the scan's matching tags, and rescoring them in
-//!   ascending tag order replays the scan's exact float-addition
-//!   sequence — results are **bitwise identical** to the scan.
-//! * [`GraphAnnIndex`] — for custom similarity measures (embedding
-//!   cosine) where no algebraic bound exists. A deterministic HNSW-style
-//!   layered graph over tag embedding vectors: node levels derive from a
-//!   content hash of the tag phrase (never wallclock or thread-dependent
-//!   randomness), construction always runs over the lexicographically
-//!   sorted tag list (so it is independent of insertion order), and all
-//!   ties break by node id. Search is approximate; candidates are
-//!   exactly rescored, and honest recall is measured in `BENCH_probe`.
-//!
-//! Both structures return candidate tag ids in **ascending order**,
-//! which equals the `BTreeMap` iteration order of the index — the probe
-//! rescore therefore visits surviving tags in exactly the order the
-//! exhaustive scan would have.
+//! Candidate tag ids come back in **ascending order**, which equals the
+//! `BTreeMap` iteration order of the index — the probe rescore therefore
+//! visits surviving tags in exactly the order the exhaustive scan would
+//! have, replays its float-addition sequence, and returns results
+//! **bitwise identical** to the scan.
 
 use saccs_text::lexicon::OpinionGroup;
 use saccs_text::similarity::SimilarityConfig;
@@ -37,21 +27,12 @@ use std::collections::BTreeMap;
 /// `powf` combine on either side of the comparison.
 const PRUNE_MARGIN: f32 = 1e-5;
 
-/// Supplies embedding vectors for tags, for [`GraphAnnIndex`]
-/// construction and probe-side queries. Implemented by
-/// `saccs-core::EmbeddingSimilarity` over its precomputed table.
-pub trait TagVectorSource: Send + Sync {
-    /// The vector for `tag`, or `None` when the source cannot embed it
-    /// (the probe then falls back to the exhaustive scan).
-    fn vector(&self, tag: &SubjectiveTag) -> Option<Vec<f32>>;
-}
-
 /// Candidate tag ids plus the work accounting a probe reports.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateSet {
     /// Candidate tag ids, ascending (= index iteration order).
     pub ids: Vec<u32>,
-    /// Cells or graph nodes examined while searching.
+    /// Cells examined while searching.
     pub visited: u32,
 }
 
@@ -120,7 +101,7 @@ impl SemanticCandidateIndex {
 
     /// Every tag whose similarity to `probe` *could* exceed `theta`: all
     /// members of cells whose upper bound clears `theta` (within
-    /// [`PRUNE_MARGIN`]). A superset of the scan's matches by bound
+    /// `PRUNE_MARGIN`). A superset of the scan's matches by bound
     /// soundness; pruned tags satisfy `sim ≤ θ` and would contribute
     /// nothing to the scan either.
     pub fn candidates(
@@ -236,283 +217,6 @@ fn combine(cfg: &SimilarityConfig, a: f32, o: f32) -> f32 {
     (a.powf(w) * o.powf(1.0 - w)).clamp(0.0, 1.0)
 }
 
-/// Total order on (distance, node): `total_cmp` then id, so heap
-/// behaviour is deterministic even across equal distances.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Scored {
-    dist: f32,
-    node: u32,
-}
-
-impl Eq for Scored {}
-
-impl Ord for Scored {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then(self.node.cmp(&other.node))
-    }
-}
-
-impl PartialOrd for Scored {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Deterministic HNSW-style graph over tag embedding vectors.
-pub struct GraphAnnIndex {
-    dim: usize,
-    /// Row-major L2-normalized vectors, one row per graph node.
-    vectors: Vec<f32>,
-    /// node → tag id (nodes cover only the tags the source could embed).
-    tag_of_node: Vec<u32>,
-    /// Tags with no vector: appended to every candidate set so they are
-    /// never silently unreachable.
-    always: Vec<u32>,
-    /// neighbors[node][level] = adjacent node ids (ascending).
-    neighbors: Vec<Vec<Vec<u32>>>,
-    /// Entry node for search (highest level; ties → lowest node id).
-    entry: u32,
-    max_level: usize,
-    /// Max neighbors per node per level.
-    m: usize,
-}
-
-/// Level of a node from an FNV-1a + splitmix64 finalize of the tag
-/// phrase: geometric with p = 1/4 per level. Content-derived, so the
-/// graph shape is a pure function of the tag set — no RNG state, no
-/// wallclock, nothing that varies with thread count.
-fn node_level(phrase: &str, cap: usize) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in phrase.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    ((h.trailing_ones() as usize) / 2).min(cap)
-}
-
-impl GraphAnnIndex {
-    /// Build over `tags` in their given (lexicographic) order. Returns
-    /// `None` when the source embeds no tag at all.
-    pub fn build(
-        source: &dyn TagVectorSource,
-        tags: &[SubjectiveTag],
-        m: usize,
-        ef_construction: usize,
-    ) -> Option<Self> {
-        let m = m.max(2);
-        let ef_c = ef_construction.max(2 * m);
-        let mut dim = 0usize;
-        let mut vectors: Vec<f32> = Vec::new();
-        let mut tag_of_node: Vec<u32> = Vec::new();
-        let mut always: Vec<u32> = Vec::new();
-        for (i, tag) in tags.iter().enumerate() {
-            match source.vector(tag) {
-                Some(v) if !v.is_empty() && (dim == 0 || v.len() == dim) => {
-                    dim = v.len();
-                    let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-                    if norm > 0.0 {
-                        vectors.extend(v.iter().map(|x| x / norm));
-                    } else {
-                        vectors.extend(v.iter());
-                    }
-                    tag_of_node.push(i as u32);
-                }
-                _ => always.push(i as u32),
-            }
-        }
-        let n = tag_of_node.len();
-        if n == 0 {
-            return None;
-        }
-        // Level cap ~ log4(n): deep enough for descent, bounded memory.
-        let cap = ((usize::BITS - n.leading_zeros()) / 2) as usize;
-        let levels: Vec<usize> = tag_of_node
-            .iter()
-            .map(|&t| node_level(&tags[t as usize].phrase(), cap))
-            .collect();
-        let mut g = GraphAnnIndex {
-            dim,
-            vectors,
-            tag_of_node,
-            always,
-            neighbors: (0..n).map(|i| vec![Vec::new(); levels[i] + 1]).collect(),
-            entry: 0,
-            max_level: levels[0],
-            m,
-        };
-        for node in 1..n as u32 {
-            g.insert(node, levels[node as usize], ef_c);
-            if levels[node as usize] > g.max_level {
-                g.max_level = levels[node as usize];
-                g.entry = node;
-            }
-        }
-        Some(g)
-    }
-
-    fn vec_of(&self, node: u32) -> &[f32] {
-        let i = node as usize * self.dim;
-        &self.vectors[i..i + self.dim]
-    }
-
-    /// Cosine distance between normalized rows: `1 - dot`.
-    fn dist(&self, a: u32, q: &[f32]) -> f32 {
-        let v = self.vec_of(a);
-        let mut dot = 0.0f32;
-        for i in 0..self.dim {
-            dot += v[i] * q[i];
-        }
-        1.0 - dot
-    }
-
-    /// Greedy 1-NN descent at `level` starting from `ep`.
-    fn greedy(&self, q: &[f32], mut ep: u32, level: usize) -> u32 {
-        let mut best = self.dist(ep, q);
-        loop {
-            let mut improved = false;
-            for &nb in &self.neighbors[ep as usize][level] {
-                let d = self.dist(nb, q);
-                if (d, nb) < (best, ep) {
-                    best = d;
-                    ep = nb;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return ep;
-            }
-        }
-    }
-
-    /// Best-first ef-bounded search at `level`. Returns up to `ef`
-    /// nearest nodes (ascending by (dist, id)) and the visit count.
-    fn search_layer(&self, q: &[f32], ep: u32, level: usize, ef: usize) -> (Vec<Scored>, u32) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut seen: Vec<bool> = vec![false; self.neighbors.len()];
-        seen[ep as usize] = true;
-        let start = Scored {
-            dist: self.dist(ep, q),
-            node: ep,
-        };
-        let mut frontier: BinaryHeap<Reverse<Scored>> = BinaryHeap::new();
-        frontier.push(Reverse(start));
-        let mut results: BinaryHeap<Scored> = BinaryHeap::new();
-        results.push(start);
-        let mut visited = 1u32;
-        while let Some(Reverse(cand)) = frontier.pop() {
-            let worst = results.peek().map(|s| s.dist).unwrap_or(f32::INFINITY);
-            if results.len() >= ef && cand.dist > worst {
-                break;
-            }
-            for &nb in &self.neighbors[cand.node as usize][level] {
-                if seen[nb as usize] {
-                    continue;
-                }
-                seen[nb as usize] = true;
-                visited += 1;
-                let d = self.dist(nb, q);
-                let worst = results.peek().map(|s| s.dist).unwrap_or(f32::INFINITY);
-                if results.len() < ef || d < worst {
-                    let s = Scored { dist: d, node: nb };
-                    frontier.push(Reverse(s));
-                    results.push(s);
-                    if results.len() > ef {
-                        results.pop();
-                    }
-                }
-            }
-        }
-        let mut out = results.into_vec();
-        out.sort_unstable();
-        (out, visited)
-    }
-
-    fn insert(&mut self, node: u32, level: usize, ef_c: usize) {
-        let q: Vec<f32> = self.vec_of(node).to_vec();
-        let mut ep = self.entry;
-        let top = self.max_level;
-        for lc in ((level + 1)..=top).rev() {
-            ep = self.greedy(&q, ep, lc);
-        }
-        for lc in (0..=level.min(top)).rev() {
-            let (near, _) = self.search_layer(&q, ep, lc, ef_c);
-            if let Some(best) = near.first() {
-                ep = best.node;
-            }
-            let picked: Vec<u32> = near.iter().take(self.m).map(|s| s.node).collect();
-            for &nb in &picked {
-                self.neighbors[node as usize][lc].push(nb);
-                self.neighbors[nb as usize][lc].push(node);
-                self.prune(nb, lc);
-            }
-            self.neighbors[node as usize][lc].sort_unstable();
-            self.neighbors[node as usize][lc].dedup();
-        }
-    }
-
-    /// Keep a node's `m` nearest neighbors at `level` (ties by id),
-    /// stored ascending by id for deterministic iteration.
-    fn prune(&mut self, node: u32, level: usize) {
-        let list = &self.neighbors[node as usize][level];
-        if list.len() <= self.m {
-            return;
-        }
-        let q: Vec<f32> = self.vec_of(node).to_vec();
-        let mut scored: Vec<Scored> = list
-            .iter()
-            .map(|&nb| Scored {
-                dist: self.dist(nb, &q),
-                node: nb,
-            })
-            .collect();
-        scored.sort_unstable();
-        scored.dedup_by_key(|s| s.node);
-        let mut kept: Vec<u32> = scored.into_iter().take(self.m).map(|s| s.node).collect();
-        kept.sort_unstable();
-        self.neighbors[node as usize][level] = kept;
-    }
-
-    /// Candidate tag ids for a probe vector: the `ef` approximate nearest
-    /// tags by embedding cosine, plus every vectorless tag. Ascending.
-    pub fn candidates(&self, probe_vec: &[f32], ef: usize) -> Option<CandidateSet> {
-        if probe_vec.len() != self.dim {
-            return None;
-        }
-        let norm = probe_vec.iter().map(|x| x * x).sum::<f32>().sqrt();
-        let q: Vec<f32> = if norm > 0.0 {
-            probe_vec.iter().map(|x| x / norm).collect()
-        } else {
-            probe_vec.to_vec()
-        };
-        let mut ep = self.entry;
-        for lc in (1..=self.max_level).rev() {
-            ep = self.greedy(&q, ep, lc);
-        }
-        let (near, visited) = self.search_layer(&q, ep, 0, ef.max(1));
-        let mut ids: Vec<u32> = near
-            .iter()
-            .map(|s| self.tag_of_node[s.node as usize])
-            .collect();
-        ids.extend_from_slice(&self.always);
-        ids.sort_unstable();
-        ids.dedup();
-        Some(CandidateSet { ids, visited })
-    }
-
-    /// Number of graph nodes (tags the source could embed).
-    pub fn node_count(&self) -> usize {
-        self.tag_of_node.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,79 +325,5 @@ mod tests {
             assert!(!cand.ids.contains(&d), "unrelated cell not pruned");
         }
         assert!(cand.ids.len() < tags.len());
-    }
-
-    struct HashVectors;
-    impl TagVectorSource for HashVectors {
-        fn vector(&self, tag: &SubjectiveTag) -> Option<Vec<f32>> {
-            // Deterministic pseudo-embedding from the phrase bytes.
-            let mut h = 0x9e37_79b9_7f4a_7c15u64;
-            for b in tag.phrase().into_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            Some(
-                (0..8)
-                    .map(|i| {
-                        let mut x = h.wrapping_add(i as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                        x ^= x >> 31;
-                        (x % 1000) as f32 / 500.0 - 1.0
-                    })
-                    .collect(),
-            )
-        }
-    }
-
-    #[test]
-    fn graph_build_is_insertion_order_independent_and_deterministic() {
-        let tags = tags();
-        let g1 = GraphAnnIndex::build(&HashVectors, &tags, 4, 16);
-        let g2 = GraphAnnIndex::build(&HashVectors, &tags, 4, 16);
-        let (g1, g2) = match (g1, g2) {
-            (Some(a), Some(b)) => (a, b),
-            _ => panic!("graph build failed"),
-        };
-        assert_eq!(g1.neighbors, g2.neighbors);
-        assert_eq!(g1.entry, g2.entry);
-        let probe = HashVectors
-            .vector(&SubjectiveTag::new("great", "meal"))
-            .expect("probe vector");
-        let c1 = g1.candidates(&probe, 8).expect("candidates");
-        let c2 = g2.candidates(&probe, 8).expect("candidates");
-        assert_eq!(c1.ids, c2.ids);
-        assert_eq!(c1.visited, c2.visited);
-        assert!(c1.ids.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn graph_search_finds_the_exact_nearest_on_small_sets() {
-        // With ef >= n the layered search degenerates to exact k-NN.
-        let tags = tags();
-        let g = match GraphAnnIndex::build(&HashVectors, &tags, 4, 16) {
-            Some(g) => g,
-            None => panic!("graph build failed"),
-        };
-        let probe = HashVectors
-            .vector(&SubjectiveTag::new("great", "meal"))
-            .expect("probe vector");
-        let c = g.candidates(&probe, tags.len()).expect("candidates");
-        assert_eq!(c.ids.len(), tags.len(), "ef >= n must reach every tag");
-    }
-
-    #[test]
-    fn node_levels_are_content_derived() {
-        let a = node_level("good food", 8);
-        assert_eq!(a, node_level("good food", 8));
-        // Distribution sanity: levels stay within cap and most phrases
-        // stay at level 0 (p = 1/4 per extra level).
-        let mut zero = 0;
-        for i in 0..64 {
-            let l = node_level(&format!("tag number {i}"), 8);
-            assert!(l <= 8);
-            if l == 0 {
-                zero += 1;
-            }
-        }
-        assert!(zero > 32);
     }
 }

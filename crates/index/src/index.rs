@@ -1,13 +1,13 @@
 //! The inverted index and Equation 1.
 
-use crate::ann::{GraphAnnIndex, SemanticCandidateIndex, TagVectorSource};
+use crate::ann::SemanticCandidateIndex;
 use crate::history::UserTagHistory;
 use parking_lot::Mutex;
 use saccs_text::{ConceptualSimilarity, SubjectiveTag, TagSimilarity};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::MutexGuard;
+use std::sync::{Arc, MutexGuard};
 
 /// One entity mapping under an index tag.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,19 +64,12 @@ pub struct IndexConfig {
     /// matchers under the generic bridge) use a raised threshold, while
     /// specific in-lexicon tags probe with a slightly lowered one.
     pub dynamic_thresholds: bool,
-    /// Answer fallback probes through the deterministic ANN candidate
-    /// structures in [`crate::ann`] instead of the exhaustive scan. With
-    /// the default conceptual similarity the results stay bitwise
-    /// identical to the scan (sound upper-bound pruning + exact rescore);
-    /// with a custom similarity the graph search is approximate and its
-    /// recall is measured honestly in `BENCH_probe`.
+    /// Answer fallback probes through the resolution-cell candidate
+    /// index in [`crate::ann`] instead of the exhaustive scan. Results
+    /// stay bitwise identical to the scan (sound upper-bound pruning +
+    /// exact rescore). Only the default conceptual similarity has cells;
+    /// an index with a custom similarity keeps scanning.
     pub ann_enabled: bool,
-    /// Graph-search beam width (candidates returned per probe). Also the
-    /// floor of the construction beam. Ignored by the semantic cells.
-    pub ann_ef: usize,
-    /// Max neighbors per graph node per level. Ignored by the semantic
-    /// cells.
-    pub ann_m: usize,
     /// Equality mode for the paper tables: run *both* the exhaustive scan
     /// and the ANN probe, count bitwise mismatches
     /// (`index.probe.ann.mismatch`), and always return the scan result.
@@ -91,8 +84,6 @@ impl Default for IndexConfig {
             degree_formula: DegreeFormula::Equation1,
             dynamic_thresholds: false,
             ann_enabled: false,
-            ann_ef: 64,
-            ann_m: 8,
             ann_verify: false,
         }
     }
@@ -125,10 +116,9 @@ pub struct SubjectiveIndex {
     /// The user tag history is the only probe-path state that mutates at
     /// serving time, so it sits behind its own mutex: probes stay `&self`
     /// and many serving threads can record unknown tags concurrently.
-    history: Mutex<UserTagHistory>,
-    /// Embedding vectors for tags, enabling the graph ANN when a custom
-    /// (embedding) similarity is installed.
-    vector_source: Option<Box<dyn TagVectorSource>>,
+    /// Every snapshot a `crate::LiveIndex` publishes shares that live
+    /// index's one pending history through this `Arc`.
+    history: Arc<Mutex<UserTagHistory>>,
     /// ANN sidecar, rebuilt eagerly by every `&mut` entry mutation when
     /// `ann_enabled` — probes stay `&self`.
     ann: Option<AnnState>,
@@ -136,29 +126,34 @@ pub struct SubjectiveIndex {
 
 /// The ANN sidecar: the lexicographic tag list candidate ids index into,
 /// its posting lists (cloned at rebuild so a rescore is one indexed read
-/// instead of a string-keyed tree lookup per candidate), plus whichever
-/// candidate structure fits the similarity in use.
+/// instead of a string-keyed tree lookup per candidate), and the
+/// resolution cells.
 struct AnnState {
     tags: Vec<SubjectiveTag>,
     postings: Vec<Vec<IndexEntry>>,
-    kind: AnnKind,
-}
-
-enum AnnKind {
-    Semantic(SemanticCandidateIndex),
-    Graph(GraphAnnIndex),
+    cells: SemanticCandidateIndex,
 }
 
 impl SubjectiveIndex {
     pub fn new(similarity: ConceptualSimilarity, config: IndexConfig) -> Self {
+        Self::with_history(similarity, config, Arc::default())
+    }
+
+    /// An empty index whose probes record unknown tags into `history`,
+    /// shared with whoever else holds it (the live-ingest publish path
+    /// hands every snapshot its live index's pending history).
+    pub(crate) fn with_history(
+        similarity: ConceptualSimilarity,
+        config: IndexConfig,
+        history: Arc<Mutex<UserTagHistory>>,
+    ) -> Self {
         SubjectiveIndex {
             config,
             similarity,
             custom_similarity: None,
             entries: BTreeMap::new(),
             evidence: Vec::new(),
-            history: Mutex::new(UserTagHistory::new()),
-            vector_source: None,
+            history,
             ann: None,
         }
     }
@@ -167,15 +162,6 @@ impl SubjectiveIndex {
     /// conceptual-vs-cosine ablation hook). Call before `index_tags`.
     pub fn with_custom_similarity(mut self, similarity: impl TagSimilarity + 'static) -> Self {
         self.custom_similarity = Some(Box::new(similarity));
-        self
-    }
-
-    /// Install a vector source for tag embeddings. Required for the
-    /// graph ANN path (custom similarity + `ann_enabled`); the default
-    /// conceptual similarity builds its semantic cells without vectors.
-    /// Call before `index_tags`.
-    pub fn with_tag_vectors(mut self, source: impl TagVectorSource + 'static) -> Self {
-        self.vector_source = Some(Box::new(source));
         self
     }
 
@@ -216,33 +202,18 @@ impl SubjectiveIndex {
     /// the thread count.
     fn rebuild_ann(&mut self) {
         self.ann = None;
-        if !self.config.ann_enabled || self.entries.is_empty() {
+        // A custom similarity has no upper bounds to prune cells by:
+        // fallback probes keep scanning.
+        if !self.config.ann_enabled || self.entries.is_empty() || self.custom_similarity.is_some() {
             return;
         }
         let tags: Vec<SubjectiveTag> = self.entries.keys().cloned().collect();
         let postings: Vec<Vec<IndexEntry>> = self.entries.values().cloned().collect();
-        let kind = if self.custom_similarity.is_none() {
-            Some(AnnKind::Semantic(SemanticCandidateIndex::build(
-                &self.similarity,
-                &tags,
-            )))
-        } else if let Some(source) = &self.vector_source {
-            GraphAnnIndex::build(
-                source.as_ref(),
-                &tags,
-                self.config.ann_m,
-                self.config.ann_ef,
-            )
-            .map(AnnKind::Graph)
-        } else {
-            // Custom similarity without vectors: nothing to search by,
-            // fallback probes keep scanning.
-            None
-        };
-        self.ann = kind.map(|kind| AnnState {
+        let cells = SemanticCandidateIndex::build(&self.similarity, &tags);
+        self.ann = Some(AnnState {
             tags,
             postings,
-            kind,
+            cells,
         });
     }
 
@@ -493,31 +464,21 @@ impl SubjectiveIndex {
         saccs_obs::counter!("index.probe.fallback").inc();
         saccs_obs::trace::record(saccs_obs::trace::TraceEvent::Probe { exact: false });
         let theta = self.theta_filter_for(tag);
-        if let Some(state) = &self.ann {
-            if self.config.ann_verify {
-                // Equality mode: answer from the scan, run the ANN probe
-                // alongside, and account every bitwise divergence.
-                let scan = self.probe_scan(tag, theta);
-                match self.probe_ann(state, tag, theta) {
-                    Some(ann) if Self::ranked_bitwise_eq(&scan, &ann) => {
-                        saccs_obs::counter!("index.probe.ann.verified").inc();
-                    }
-                    Some(_) => {
-                        saccs_obs::counter!("index.probe.ann.mismatch").inc();
-                    }
-                    None => {}
-                }
-                return scan;
-            }
-            match self.probe_ann(state, tag, theta) {
-                Some(out) => return out,
-                // No probe vector for this tag: scan rather than lie.
-                None => {
-                    saccs_obs::counter!("index.probe.ann.scan_fallback").inc();
-                }
-            }
+        let Some(state) = &self.ann else {
+            return self.probe_scan(tag, theta);
+        };
+        if !self.config.ann_verify {
+            return self.probe_ann(state, tag, theta);
         }
-        self.probe_scan(tag, theta)
+        // Equality mode: answer from the scan, run the ANN probe
+        // alongside, and account every bitwise divergence.
+        let scan = self.probe_scan(tag, theta);
+        if Self::ranked_bitwise_eq(&scan, &self.probe_ann(state, tag, theta)) {
+            saccs_obs::counter!("index.probe.ann.verified").inc();
+        } else {
+            saccs_obs::counter!("index.probe.ann.mismatch").inc();
+        }
+        scan
     }
 
     /// The exhaustive θ_filter fallback: score every index tag.
@@ -535,50 +496,28 @@ impl SubjectiveIndex {
     }
 
     /// ANN fallback: fetch candidates, exactly rescore them in ascending
-    /// tag order (= the scan's iteration order), and rank. With the
-    /// semantic cells the candidate set is a superset of the scan's
-    /// matches, so the surviving `(tag, posting)` sequence — and with it
-    /// every f32 addition — is identical to the scan's and the ranking
-    /// is bitwise equal. `None` when the probe tag cannot be embedded.
-    fn probe_ann(
-        &self,
-        state: &AnnState,
-        tag: &SubjectiveTag,
-        theta: f32,
-    ) -> Option<Vec<(usize, f32)>> {
+    /// tag order (= the scan's iteration order), and rank. The candidate
+    /// set is a superset of the scan's matches, so the surviving `(tag,
+    /// posting)` sequence — and with it every f32 addition — is identical
+    /// to the scan's and the ranking is bitwise equal.
+    fn probe_ann(&self, state: &AnnState, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
         let mut hits: Vec<(usize, f32)> = Vec::new();
         let mut rescored = 0u32;
-        let (candidates, visited) = match &state.kind {
-            AnnKind::Semantic(cells) => {
-                // Fused candidate + per-cell exact rescore: scores come
-                // back bitwise equal to `sim()` without paying a lexicon
-                // resolution per candidate.
-                let sc = cells.rescore(&self.similarity, tag, theta, &state.tags);
-                for &(id, sim) in &sc.scored {
-                    if sim > theta {
-                        rescored += 1;
-                        for e in &state.postings[id as usize] {
-                            hits.push((e.entity_id, sim * e.degree_of_truth));
-                        }
-                    }
+        // Fused candidate + per-cell exact rescore: scores come back
+        // bitwise equal to `sim()` without paying a lexicon resolution
+        // per candidate.
+        let sc = state
+            .cells
+            .rescore(&self.similarity, tag, theta, &state.tags);
+        for &(id, sim) in &sc.scored {
+            if sim > theta {
+                rescored += 1;
+                for e in &state.postings[id as usize] {
+                    hits.push((e.entity_id, sim * e.degree_of_truth));
                 }
-                (sc.scored.len() as u32, sc.visited)
             }
-            AnnKind::Graph(graph) => {
-                let v = self.vector_source.as_ref()?.vector(tag)?;
-                let cand = graph.candidates(&v, self.config.ann_ef)?;
-                for &id in &cand.ids {
-                    let sim = self.sim(tag, &state.tags[id as usize]);
-                    if sim > theta {
-                        rescored += 1;
-                        for e in &state.postings[id as usize] {
-                            hits.push((e.entity_id, sim * e.degree_of_truth));
-                        }
-                    }
-                }
-                (cand.ids.len() as u32, cand.visited)
-            }
-        };
+        }
+        let (candidates, visited) = (sc.scored.len() as u32, sc.visited);
         saccs_obs::counter!("index.probe.ann.candidates").add(u64::from(candidates));
         saccs_obs::counter!("index.probe.ann.rescored").add(u64::from(rescored));
         saccs_obs::counter!("index.probe.ann.visited").add(u64::from(visited));
@@ -587,7 +526,7 @@ impl SubjectiveIndex {
             rescored,
             visited,
         });
-        Some(Self::rank_hits(hits))
+        Self::rank_hits(hits)
     }
 
     /// Collapse `(entity, sim × degree)` hits — recorded in tag-major

@@ -18,7 +18,7 @@
 //! extractor lives in `saccs-core`), so this crate stays a pure data
 //! structure with no model dependencies.
 
-/// Deterministic ANN candidate structures for the fallback probe.
+/// Deterministic candidate index for the fallback probe.
 pub mod ann;
 /// Aho-Corasick-style tag automaton for fast mention scans.
 pub mod automaton;
@@ -34,13 +34,9 @@ pub mod live;
 pub mod robust;
 /// Mem/sealed segments, merge, and the on-disk segment store.
 pub mod segment;
-/// Concurrent serving wrapper (RwLock + pending queue).
-pub mod shared;
 
-/// ANN candidate structures and the probe-side vector source hook.
-pub use ann::{
-    CandidateSet, GraphAnnIndex, ScoredCandidates, SemanticCandidateIndex, TagVectorSource,
-};
+/// The resolution-cell candidate index and its probe results.
+pub use ann::{CandidateSet, ScoredCandidates, SemanticCandidateIndex};
 /// Multi-tag mention scanning.
 pub use automaton::TagAutomaton;
 /// Unknown tags users asked about.
@@ -58,5 +54,3 @@ pub use segment::{
     merge_segments, LoadedStore, Manifest, MemSegment, ReviewRecord, SealedSegment, SegmentStore,
     StoreError,
 };
-/// Thread-safe index handle.
-pub use shared::SharedIndex;

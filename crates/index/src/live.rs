@@ -35,9 +35,10 @@
 //! account for.
 //!
 //! The live path always scores with the lexicon-backed
-//! [`ConceptualSimilarity`] (a pure function of lexicon and config, so
-//! snapshot clones score identically); custom embedding similarities
-//! remain a frozen-index feature.
+//! [`ConceptualSimilarity`](saccs_text::ConceptualSimilarity) (a pure
+//! function of lexicon and config, so snapshot clones score
+//! identically); custom embedding similarities remain a frozen-index
+//! feature.
 
 use crate::history::UserTagHistory;
 use crate::index::{
@@ -94,7 +95,10 @@ pub struct IngestReceipt {
 /// [`SubjectiveIndex`] over a consistent segment set. Probing a pinned
 /// snapshot goes through exactly the frozen-index code paths (exact,
 /// θ_filter fallback, dynamic thresholds, ANN), so live serving inherits
-/// their determinism guarantees wholesale.
+/// their determinism guarantees wholesale. Every snapshot's index shares
+/// its live index's pending history, so [`SubjectiveIndex::probe`] on a
+/// pinned view records unknown tags for the next
+/// [`LiveIndex::reindex_pending`] round.
 pub struct LiveSnapshot {
     index: SubjectiveIndex,
     ingested: u64,
@@ -277,16 +281,21 @@ struct LiveInner {
     writer: Mutex<Writer>,
     published: RwLock<Arc<LiveSnapshot>>,
     /// Unknown tags recorded by pinned probes, drained by
-    /// [`LiveIndex::reindex_pending`]. Lock order: `writer` before
-    /// `pending` (never the reverse while `writer` is held elsewhere).
-    pending: Mutex<UserTagHistory>,
+    /// [`LiveIndex::reindex_pending`]. Shared with every published
+    /// snapshot's index. Lock order: `writer` before `pending` (never the
+    /// reverse while `writer` is held elsewhere).
+    pending: Arc<Mutex<UserTagHistory>>,
     comp: CompactorSignal,
 }
 
 impl LiveInner {
     /// Publish the writer's current state as a fresh immutable snapshot.
     fn publish_locked(&self, w: &Writer) {
-        let mut index = SubjectiveIndex::new(self.similarity.clone(), self.config.clone());
+        let mut index = SubjectiveIndex::with_history(
+            self.similarity.clone(),
+            self.config.clone(),
+            Arc::clone(&self.pending),
+        );
         index.replace_entries(w.entries.clone());
         let snapshot = LiveSnapshot {
             index,
@@ -526,7 +535,7 @@ impl LiveIndex {
                 ingested: 0,
                 segments: 0,
             })),
-            pending: Mutex::new(pending),
+            pending: Arc::new(Mutex::new(pending)),
             comp: CompactorSignal::default(),
         });
         {
@@ -641,26 +650,11 @@ impl LiveIndex {
         Arc::clone(&self.inner.published.read())
     }
 
-    /// Probe a pinned snapshot, recording tags the snapshot doesn't
-    /// know in the live pending history (the Figure-1 adaptation loop),
-    /// exactly like [`SubjectiveIndex::probe`] does on the frozen path.
+    /// Probe a pinned snapshot: [`SubjectiveIndex::probe`] on its index,
+    /// which records tags the snapshot doesn't know in the shared pending
+    /// history (the Figure-1 adaptation loop).
     pub fn probe_pinned(&self, snapshot: &LiveSnapshot, tag: &SubjectiveTag) -> Vec<(usize, f32)> {
-        if snapshot.index.lookup(tag).is_none() {
-            self.inner.pending.lock().record(tag.clone());
-        }
-        snapshot.index.probe_readonly(tag)
-    }
-
-    /// Fallible [`LiveIndex::probe_pinned`] behind the `algo1.probe`
-    /// failpoint (the same site the frozen index uses, so serve-layer
-    /// chaos scenarios hit live and frozen backends alike).
-    pub fn try_probe_pinned(
-        &self,
-        snapshot: &LiveSnapshot,
-        tag: &SubjectiveTag,
-    ) -> Result<Vec<(usize, f32)>, saccs_fault::FaultError> {
-        saccs_fault::failpoint!("algo1.probe")?;
-        Ok(self.probe_pinned(snapshot, tag))
+        snapshot.index().probe(tag)
     }
 
     /// Distinct unknown tags recorded by probes since the last round.

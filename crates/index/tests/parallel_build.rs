@@ -1,5 +1,5 @@
 //! Bitwise thread-count invariance of parallel index construction and
-//! batched probes. Posting lists are pure functions of `(tag, evidence)`
+//! the probes answered from it. Posting lists are pure functions of `(tag, evidence)`
 //! and come back positionally from the `saccs-rt` fan-out, so the index
 //! an 8-wide pool builds must equal the serial one bit for bit.
 //!
@@ -7,7 +7,6 @@
 //! and process-global, so the width-1 build must run before widening.
 
 use saccs_index::index::{EntityEvidence, IndexConfig, SubjectiveIndex};
-use saccs_index::SharedIndex;
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 
 fn tag(op: &str, asp: &str) -> SubjectiveTag {
@@ -88,12 +87,7 @@ fn parallel_build_and_probes_bitwise_identical_across_widths() {
             );
         }
 
-        // Batched probes through the shared handle match the serial ones
-        // and queue exactly the unknown tags, in input order.
-        let shared = SharedIndex::new(idx);
-        let many = shared.probe_many(&probes);
-        assert_eq!(many, base_probes, "probe_many diverged at width {width}");
-        let unknown = probes.iter().filter(|t| base.lookup(t).is_none()).count();
-        assert_eq!(shared.pending_count(), unknown);
+        let probed: Vec<_> = probes.iter().map(|t| idx.probe_readonly(t)).collect();
+        assert_eq!(probed, base_probes, "probes diverged at width {width}");
     }
 }

@@ -12,13 +12,13 @@
 //! * AVX2+FMA: 6×16 tile with a small store-through buffer;
 //! * portable: 4×8 tile in scalar Rust (autovectorizes to SSE2).
 //!
-//! Above [`PAR_MIN_FLOPS`] the row dimension is split into `MR`-aligned
+//! Above `PAR_MIN_FLOPS` the row dimension is split into `MR`-aligned
 //! blocks across the `saccs-rt` pool; below it the same kernel runs on
 //! the calling thread. Every output element is a pure function of its
 //! row of `A` and the shared packed `B` with a fixed k-ascending
 //! accumulation order, so serial and parallel runs (and any two thread
 //! counts) are **bitwise identical** — see `tests/parallel_determinism`.
-//! Matrices smaller than [`BLOCK_MIN_FLOPS`] skip packing entirely and
+//! Matrices smaller than `BLOCK_MIN_FLOPS` skip packing entirely and
 //! use the plain i-k-j zero-skip reference loop: below that size `B`
 //! fits in L1, the axpy inner loop autovectorizes, and the pack step
 //! costs more than blocking saves.

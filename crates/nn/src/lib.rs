@@ -23,8 +23,6 @@ pub mod layers;
 pub mod matrix;
 /// SGD and Adam optimizers.
 pub mod optim;
-/// Int8-quantized linear layers for probe-side inference.
-pub mod quant;
 /// The SNN1 weight codec.
 pub mod serialize;
 /// Reverse-mode autograd variables.
@@ -40,8 +38,6 @@ pub use layers::{
 pub use matrix::{log_sum_exp, Matrix};
 /// Parameter update rules.
 pub use optim::{zero_grads, Adam, Sgd};
-/// Int8 inference path: quantized linear + kernel label.
-pub use quant::{quant_kernel_name, QuantizedLinear, QuantizedRow};
 /// Weight (de)serialization.
 pub use serialize::{decode_state, encode_state, CodecError};
 /// A node in the autograd graph.

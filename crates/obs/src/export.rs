@@ -1,8 +1,8 @@
 //! Pluggable exporters and the global observability gate.
 //!
 //! At most one [`Exporter`] is installed process-wide. The gate is a
-//! single relaxed [`AtomicU64`] packing two facts: bit 0 says an
-//! exporter is installed, and every [`TRACE_UNIT`] above it counts one
+//! single relaxed [`AtomicU64`](std::sync::atomic::AtomicU64) packing two facts: bit 0 says an
+//! exporter is installed, and every `TRACE_UNIT` above it counts one
 //! live [`TraceContext`](crate::trace::TraceContext). Span enters and
 //! call sites that want to skip expensive measurement (gradient norms,
 //! per-candidate stats) consult the word with one relaxed load: zero

@@ -19,12 +19,12 @@
 //!    select one via the `SACCS_OBS` env var and dump the registry as
 //!    `BENCH_<bin>.json` through [`json::bench_snapshot`].
 //! 4. **Request traces** ([`trace`]): a per-request
-//!    [`TraceContext`](trace::TraceContext) with a deterministic u64 id
-//!    and a bounded buffer of typed [`TraceEvent`](trace::TraceEvent)s
+//!    [`TraceContext`] with a deterministic u64 id
+//!    and a bounded buffer of typed [`TraceEvent`]s
 //!    (stage enter/exit, probe hit-vs-fallback, retry/breaker/deadline/
 //!    degradation, admission/shed, queue wait). Contexts are installed
 //!    per thread, propagated across `saccs-rt` spawn seams, and folded
-//!    into a deterministic [`ObsReport`](report::ObsReport) by the
+//!    into a deterministic [`ObsReport`] by the
 //!    `saccs-serve` flight recorder.
 //!
 //! **Zero-cost guarantee**: with no exporter installed *and no live

@@ -2,7 +2,7 @@
 //! RAII exit guards.
 //!
 //! A span is entered with [`SpanGuard::enter`] (or the
-//! [`span!`](crate::span) macro) and exits when the guard drops. While an
+//! [`span!`](crate::span!) macro) and exits when the guard drops. While an
 //! exporter is installed ([`crate::install`]), entering pushes the
 //! thread-local depth, notifies the exporter, and the exit records the
 //! span's wall duration both to the exporter and to the global histogram

@@ -6,10 +6,10 @@
 //! (derived from request content or assigned by the caller — never from
 //! wallclock), handed across concurrency seams as an `Arc`, and
 //! installed into a thread-local slot with [`install`] for the duration
-//! of a scope. Instrumented code records events through [`record`],
+//! of a scope. Instrumented code records events through [`record`](crate::trace::record),
 //! which is one relaxed atomic load when no context is alive anywhere
 //! in the process (the same packed gate word spans consult, see
-//! `export.rs`). Stage spans whose name carries a [`STAGE_PREFIXES`]
+//! `export.rs`). Stage spans whose name carries a [`STAGE_PREFIXES`](crate::trace::STAGE_PREFIXES)
 //! prefix are forwarded into the active context by `span.rs`; everything
 //! else (pool-worker kernels, per-sentence encoders) stays out of the
 //! buffer so the event sequence of a request is a deterministic function

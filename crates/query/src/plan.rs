@@ -10,9 +10,10 @@
 //! whole universe, which is what "not post-filtered" buys.
 //!
 //! The cost model is deliberately small: per-tag posting lengths from
-//! [`SubjectiveIndex::posting_stats`]-style statistics estimate each
-//! leaf's cardinality, and `AND` nodes intersect rarest-first
-//! (ties broken by original position, so plans are deterministic).
+//! [`SubjectiveIndex::posting_stats`](saccs_index::SubjectiveIndex::posting_stats)-style
+//! statistics estimate each leaf's cardinality, and `AND` nodes
+//! intersect rarest-first (ties broken by original position, so plans
+//! are deterministic).
 //! [`naive_matches`] is the reference evaluator the property tests and
 //! the `BENCH_query` bin compare against.
 

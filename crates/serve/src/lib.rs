@@ -19,7 +19,7 @@
 //!   unbatched extraction are bitwise identical (the batch kernel's
 //!   contract), so batching changes throughput, never results.
 //! * **Admission-time deadlines.** The per-request
-//!   [`DeadlineClock`](saccs_core::resilient::DeadlineClock) starts
+//!   [`DeadlineClock`] starts
 //!   when the request is *admitted*, not when a worker picks it up —
 //!   time spent queued counts against the budget configured in the
 //!   service's `ResilienceConfig`, so an overloaded server degrades to

@@ -16,7 +16,7 @@
 //! * `∂NLL/∂transition[i,j] = Σ_t P(y_t = i, y_{t+1} = j | z) − #(i→j in y)`
 //! * `∂NLL/∂start[j] = P(y_0 = j | z) − 1{y_0 = j}`
 //!
-//! plugged into the autograd graph through [`Var::custom`], so the BiLSTM
+//! plugged into the autograd graph through [`Var::custom`](saccs_nn::Var::custom), so the BiLSTM
 //! below trains end to end.
 
 use rand::rngs::StdRng;

@@ -27,10 +27,9 @@ impl Lint for AssertInHotPath {
         path.starts_with("crates/nn/src/")
             || path.starts_with("crates/tagger/src/")
             || path.starts_with("crates/rt/src/")
-            // The ANN candidate search and the quantized encoder forward
-            // run per-candidate/per-row inner loops on the probe path.
+            // The ANN candidate search runs per-cell/per-candidate inner
+            // loops on the probe path.
             || path == "crates/index/src/ann.rs"
-            || path == "crates/embed/src/quantized.rs"
             // The live-ingestion fold, the posting-list codec and the
             // segment merge run per-record/per-posting inner loops on
             // the ingest and recovery paths.
@@ -130,7 +129,6 @@ mod tests {
         assert!(AssertInHotPath.applies("crates/tagger/src/crf.rs"));
         assert!(AssertInHotPath.applies("crates/rt/src/lib.rs"));
         assert!(AssertInHotPath.applies("crates/index/src/ann.rs"));
-        assert!(AssertInHotPath.applies("crates/embed/src/quantized.rs"));
         assert!(AssertInHotPath.applies("crates/index/src/live.rs"));
         assert!(AssertInHotPath.applies("crates/index/src/codec.rs"));
         assert!(AssertInHotPath.applies("crates/index/src/segment.rs"));

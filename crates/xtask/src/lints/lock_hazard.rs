@@ -125,7 +125,7 @@ mod tests {
     use super::*;
 
     fn run_on(src: &str) -> Vec<Violation> {
-        LockHazard.run(&SourceFile::parse("crates/index/src/shared.rs", src))
+        LockHazard.run(&SourceFile::parse("crates/index/src/live.rs", src))
     }
 
     #[test]

@@ -190,7 +190,7 @@ mod tests {
             "# comment\n\
              \n\
              no-unwrap-in-lib crates/core/src/persist.rs header.len()\n\
-             lock-hazard shared.rs\n",
+             lock-hazard live.rs\n",
         );
         assert_eq!(entries.len(), 2);
         let v = Violation {

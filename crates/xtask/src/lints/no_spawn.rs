@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn quiet_in_tests_and_on_pool_usage() {
         let v = run_on(
-            "crates/index/src/shared.rs",
+            "crates/index/src/live.rs",
             "fn build(&self) {\n\
              \x20   saccs_rt::scope(|s| s.spawn(|| work()));\n\
              }\n\

@@ -1,6 +1,6 @@
 //! Validator for flight-recorder reports (`xtask check-report`).
 //!
-//! The serve bench dumps the recorder's [`ObsReport`] rendered through
+//! The serve bench dumps the recorder's `ObsReport` rendered through
 //! `ObsReport::render`; CI byte-diffs two normalized dumps from
 //! identical runs and feeds one through this validator to catch emitter
 //! regressions (truncated writes, broken escaping, dropped sections)

@@ -9,25 +9,26 @@
 #   2. lint      cargo run -p xtask -- check
 #   3. audit     xtask audit --json twice, reports byte-diffed, gated on
 #                the ratchet baseline, report validated by check-audit
-#   4. build     cargo build --workspace --release
-#   5. test      cargo test -q --workspace
-#   6. sanitize  cargo test -q --features saccs-nn/sanitize
-#   7. bench-obs SACCS_OBS=json table3 + xtask check-bench on the snapshot
-#   8. perf      SACCS_OBS=json matmul microbench + xtask check-bench
-#   9. chaos     seeded fault suite + double chaos-bin run, exports diffed
-#  10. serve     concurrent-serving suite + double serve-bin run, exports
+#   4. doc       cargo doc --no-deps --workspace with warnings denied
+#   5. build     cargo build --workspace --release
+#   6. test      cargo test -q --workspace
+#   7. sanitize  cargo test -q --features saccs-nn/sanitize
+#   8. bench-obs SACCS_OBS=json table3 + xtask check-bench on the snapshot
+#   9. perf      SACCS_OBS=json matmul microbench + xtask check-bench
+#  10. chaos     seeded fault suite + double chaos-bin run, exports diffed
+#  11. serve     concurrent-serving suite + double serve-bin run, exports
 #                AND normalized flight-recorder reports diffed,
 #                BENCH_serve.json + the recorder report validated
-#  11. trace     request-tracing suite (five-stage coverage, fault events
+#  12. trace     request-tracing suite (five-stage coverage, fault events
 #                in the owning trace, recorder-on/off bitwise equality)
-#  12. probe     ANN equality suite + double probe-bin run on a reduced
+#  13. probe     ANN equality suite + double probe-bin run on a reduced
 #                synthetic corpus, deterministic exports byte-diffed,
 #                BENCH_probe.json validated
-#  13. ingest    segmented-index suites (proptests, ingest-while-serving
+#  14. ingest    segmented-index suites (proptests, ingest-while-serving
 #                equivalence, crash recovery) + double ingest-bin run,
 #                deterministic exports byte-diffed, BENCH_ingest.json
 #                validated
-#  14. query     query-language suites (planner proptests, filtered
+#  15. query     query-language suites (planner proptests, filtered
 #                serving equivalence) + double query-bin run, match-set
 #                exports byte-diffed, BENCH_query.json validated
 
@@ -69,6 +70,11 @@ cargo run "${OFFLINE[@]}" -q -p xtask -- audit --json AUDIT_b.json >/dev/null ||
 diff AUDIT_a.json AUDIT_b.json || fail audit
 cargo run "${OFFLINE[@]}" -q -p xtask -- check-audit AUDIT_a.json || fail audit
 rm -f AUDIT_a.json AUDIT_b.json
+
+# Rustdoc gate: every intra-doc link resolves and no doc comment
+# warns, so the rendered API docs cannot silently rot.
+stage doc "cargo doc --no-deps --workspace, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc "${OFFLINE[@]}" --no-deps --workspace || fail doc
 
 stage build "cargo build --workspace --release"
 cargo build "${OFFLINE[@]}" --workspace --release || fail build
@@ -144,9 +150,9 @@ cargo test "${OFFLINE[@]}" -q --features fault --test trace || fail trace
 
 # Probe gate: the ANN-vs-scan equality suite, then the probe bin run
 # twice on a reduced synthetic corpus — its JSON-lines export (per-probe
-# rankings as score bits, match counts, graph recall rows; no timings)
-# must be byte-identical or the candidate search is not deterministic —
-# and the BENCH_probe snapshot validated. The full 100k acceptance run
+# rankings as score bits and match counts; no timings) must be
+# byte-identical or the candidate search is not deterministic — and the
+# BENCH_probe snapshot validated. The full 100k acceptance run
 # stays a manual `SACCS_PROBE_TAGS=100000` invocation (see README).
 stage probe "ann suite + double probe run, exports diffed"
 cargo test "${OFFLINE[@]}" -q -p saccs-index --test ann || fail probe

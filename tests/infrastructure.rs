@@ -1,15 +1,14 @@
-//! Integration tests for the infrastructure extensions: the concurrent
-//! SharedIndex, the trie search automaton, CoNLL interop and the
-//! extractor persistence codec — all through the public facade.
+//! Integration tests for the infrastructure extensions: concurrent
+//! probing of the live index, the trie search automaton, CoNLL interop
+//! and the extractor persistence codec — all through the public facade.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saccs::data::generator::{GeneratorConfig, SentenceGenerator};
 use saccs::data::{from_conll, to_conll};
 use saccs::index::index::{EntityEvidence, IndexConfig};
-use saccs::index::{SharedIndex, SubjectiveIndex};
+use saccs::index::{LiveConfig, LiveIndex, SubjectiveIndex};
 use saccs::text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
-use std::sync::Arc;
 
 fn tag(op: &str, asp: &str) -> SubjectiveTag {
     SubjectiveTag::new(op, asp)
@@ -40,30 +39,70 @@ fn populated_index() -> SubjectiveIndex {
 }
 
 #[test]
-fn shared_index_survives_a_probe_storm() {
-    let shared = Arc::new(SharedIndex::new(populated_index()));
-    let before = shared.len();
+fn live_index_survives_a_probe_storm() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    const THREADS: usize = 8;
+    const TAGS_PER_THREAD: usize = 40;
+    let live = LiveIndex::new(
+        ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
+        IndexConfig::default(),
+        LiveConfig::default(),
+    );
+    for e in 0..10 {
+        live.add_review(e, &[tag("delicious", "food"), tag("nice", "staff")]);
+    }
+    live.add_tags(&[tag("delicious", "food"), tag("nice", "staff")]);
+    let initial = live.tag_count();
+    let unknown = |t: usize, i: usize| tag(&format!("oddword{t}x{i}"), &format!("aspect{t}"));
+    let added = AtomicUsize::new(0);
+    let start = Barrier::new(THREADS);
     crossbeam::thread::scope(|scope| {
-        for t in 0..6 {
-            let shared = Arc::clone(&shared);
+        for t in 0..THREADS {
+            let (live, added, start) = (&live, &added, &start);
             scope.spawn(move |_| {
-                for i in 0..100 {
-                    let _ = shared.probe(&tag("delicious", "food"));
-                    let _ = shared.probe(&tag("scrumptious", "pasta"));
-                    let _ = shared.probe(&tag("romantic", "ambiance"));
-                    if t == 0 && i % 25 == 0 {
-                        shared.reindex_pending();
+                start.wait();
+                for i in 0..TAGS_PER_THREAD {
+                    // Each thread probes its own distinct unknown tags (twice,
+                    // so the pending history sees repeats), a shared unknown
+                    // tag and a known one, every probe on a fresh pin; every
+                    // thread also runs re-indexing rounds, so drains race
+                    // both the probes and each other.
+                    let _ = live.probe_pinned(&live.pin(), &unknown(t, i));
+                    let _ = live.probe_pinned(&live.pin(), &unknown(t, i));
+                    let _ = live.probe_pinned(&live.pin(), &tag("scrumptious", "pasta"));
+                    assert!(!live
+                        .probe_pinned(&live.pin(), &tag("delicious", "food"))
+                        .is_empty());
+                    if i % 7 == t % 7 {
+                        added.fetch_add(live.reindex_pending(), Ordering::Relaxed);
                     }
                 }
             });
         }
     })
     .unwrap();
-    shared.reindex_pending();
-    assert_eq!(shared.len(), before + 2, "both unknown tags end up indexed");
-    assert_eq!(shared.pending_count(), 0);
-    // And the newly indexed tags answer directly.
-    assert!(!shared.probe(&tag("scrumptious", "pasta")).is_empty());
+    added.fetch_add(live.reindex_pending(), Ordering::Relaxed);
+    assert_eq!(live.pending_count(), 0);
+    // Exact accounting: every distinct unknown tag is indexed exactly
+    // once — none lost to a racing drain, none added twice.
+    let distinct = THREADS * TAGS_PER_THREAD + 1;
+    assert_eq!(added.into_inner(), distinct);
+    assert_eq!(live.tag_count(), initial + distinct);
+    let snapshot = live.pin();
+    for t in 0..THREADS {
+        for i in 0..TAGS_PER_THREAD {
+            assert!(
+                snapshot.index().lookup(&unknown(t, i)).is_some(),
+                "lost tag oddword{t}x{i}"
+            );
+        }
+    }
+    // And a promoted tag now answers from its own postings.
+    assert!(snapshot
+        .index()
+        .lookup(&tag("scrumptious", "pasta"))
+        .is_some());
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! tree.
 //!
 //! Builds a quick-profile service, installs the in-memory collector, and
-//! drives one full `SaccsService::rank_unguarded` call (utterance → search API →
-//! extraction → index probe → aggregation → padding), asserting the
+//! drives one full `SaccsService::rank_request` call (utterance → search
+//! API → extraction → index probe → aggregation → padding), asserting the
 //! collector records every stage with the right nesting — names and
 //! structure, not timings, which are machine-dependent.
 //!
@@ -36,18 +36,16 @@ fn rank_call_produces_the_five_stage_span_tree() {
     let collector = Arc::new(InMemoryCollector::new());
     saccs::obs::install(collector.clone());
     let api = SearchApi::new(&corpus.entities);
-    let ranked = trained
-        .service
-        .rank_unguarded(
-            &RankRequest::utterance("I want a restaurant with delicious food and a nice staff"),
-            &api,
-        )
-        .expect("extractor present");
+    let ranked = trained.service.rank_request(
+        &RankRequest::utterance("I want a restaurant with delicious food and a nice staff"),
+        &api,
+    );
     saccs::obs::uninstall();
     assert!(
         !ranked.results.is_empty(),
         "rank returned nothing to observe"
     );
+    assert!(ranked.is_full_fidelity(), "{:?}", ranked.degradation.events);
 
     // Stage names and nesting: the five Algorithm-1 stages as direct
     // children of the root span, in execution order.

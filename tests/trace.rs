@@ -61,7 +61,7 @@ const UTTERANCES: [&str; 3] = [
 const REQUESTS: usize = 12;
 
 /// The five Algorithm-1 stages every full-fidelity utterance trace must
-/// cover (`algo1.rank_resilient` wraps them and is present too).
+/// cover (`algo1.rank` wraps them and is present too).
 const STAGES: [&str; 5] = [
     "algo1.search_api",
     "algo1.extract",
