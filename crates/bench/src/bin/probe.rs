@@ -14,11 +14,7 @@
 //! Phase 3 (speedup): wall-clock A/B of the same probes, scan vs ANN,
 //! best-of-N. The ≥10x headline quoted in EXPERIMENTS.md.
 //!
-//! Phase 4 (rank-hits micro): the probe accumulator — stable-sorted Vec
-//! fold vs the old per-entity BTreeMap — on a synthetic hit stream; both
-//! must produce bit-identical rankings (same per-entity addition order).
-//!
-//! Phase 5 (export): probe rankings (score bits) and corpus stats go to
+//! Phase 4 (export): probe rankings (score bits) and corpus stats go to
 //! `SACCS_PROBE_OUT` as JSON lines; the file is a pure function of the
 //! build and `scripts/ci.sh` byte-diffs two runs.
 //!
@@ -29,7 +25,6 @@
 use saccs_data::synthetic_tags;
 use saccs_index::index::{IndexConfig, SubjectiveIndex};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -131,41 +126,6 @@ fn time_probes(idx: &SubjectiveIndex, probes: &[SubjectiveTag], histogram: &str)
     best
 }
 
-/// The index's probe accumulator: stable sort by entity, then one
-/// left-to-right fold per run (see `SubjectiveIndex::rank_hits`).
-fn rank_vec(mut hits: Vec<(usize, f32)>) -> Vec<(usize, f32)> {
-    hits.sort_by_key(|&(e, _)| e);
-    let mut ranked: Vec<(usize, f32)> = Vec::new();
-    for (e, s) in hits {
-        match ranked.last_mut() {
-            Some((le, ls)) if *le == e => *ls += s,
-            _ => ranked.push((e, s)),
-        }
-    }
-    ranked.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    ranked
-}
-
-/// The pre-refactor accumulator: per-entity BTreeMap, same addition
-/// order per entity (grouped encounter order), so bit-identical output.
-fn rank_btree(hits: &[(usize, f32)]) -> Vec<(usize, f32)> {
-    let mut scores: BTreeMap<usize, f32> = BTreeMap::new();
-    for &(e, s) in hits {
-        *scores.entry(e).or_insert(0.0) += s;
-    }
-    let mut ranked: Vec<(usize, f32)> = scores.into_iter().collect();
-    ranked.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    ranked
-}
-
 fn main() {
     saccs_bench::obs_init();
     let n_tags: usize = env_or("SACCS_PROBE_TAGS", "100000")
@@ -260,50 +220,7 @@ fn main() {
         }
     }
 
-    // Phase 4: rank-hits accumulator micro-benchmark, on two hit
-    // shapes: *dense* (this bench's 200-entity corpus — few keys, the
-    // BTreeMap's best case) and *sparse* (100k entities — the scaling
-    // regime this PR targets, where per-key tree nodes lose to one
-    // contiguous sort). Both accumulators must agree bit for bit.
-    let micro = |entities: usize| -> (f64, f64) {
-        let hits: Vec<(usize, f32)> = (0..200_000)
-            .map(|i| ((i * 31) % entities, 0.4 + (i % 13) as f32 / 20.0))
-            .collect();
-        let want = rank_btree(&hits);
-        if bits(&rank_vec(hits.clone())) != bits(&want) {
-            println!("DIVERGENCE: Vec accumulator differs from BTreeMap accumulator");
-            std::process::exit(1);
-        }
-        let mut t_vec = f64::INFINITY;
-        let mut t_btree = f64::INFINITY;
-        for _ in 0..5 {
-            let input = hits.clone();
-            let t0 = Instant::now();
-            let r = rank_vec(input);
-            t_vec = t_vec.min(t0.elapsed().as_secs_f64());
-            assert_eq!(r.len(), want.len());
-            let t0 = Instant::now();
-            let r = rank_btree(&hits);
-            t_btree = t_btree.min(t0.elapsed().as_secs_f64());
-            assert_eq!(r.len(), want.len());
-        }
-        (t_btree, t_vec)
-    };
-    let (dense_btree, dense_vec) = micro(N_ENTITIES);
-    let (sparse_btree, sparse_vec) = micro(100_000);
-    let rankhits_speedup = sparse_btree / sparse_vec;
-    println!(
-        "\nrank-hits accumulator (200k hits, best of 5, outputs bit-identical):\n  \
-         dense  ({N_ENTITIES} entities): btree {:.2} ms, vec {:.2} ms   ({:.2}x)\n  \
-         sparse (100000 entities): btree {:.2} ms, vec {:.2} ms   ({rankhits_speedup:.2}x)",
-        dense_btree * 1e3,
-        dense_vec * 1e3,
-        dense_btree / dense_vec,
-        sparse_btree * 1e3,
-        sparse_vec * 1e3
-    );
-
-    // Phase 5: the deterministic export (timings excluded by design).
+    // Phase 4: the deterministic export (timings excluded by design).
     let _ = writeln!(
         report,
         "{{\"corpus\":{{\"tags\":{},\"entities\":{N_ENTITIES}}}}}",
@@ -324,7 +241,6 @@ fn main() {
             ("semantic_recall_at10", semantic_recall),
             ("semantic_speedup", semantic_speedup),
             ("semantic_speedup_default_theta", default_speedup),
-            ("rankhits_speedup", rankhits_speedup),
         ],
     );
 }

@@ -41,7 +41,6 @@ use crate::shared_extractor::SharedExtractor;
 use saccs_index::{IngestReceipt, LiveIndex, LiveSnapshot, SubjectiveIndex};
 use saccs_query::{compile, CompiledFilter, Filter, JoinOrder};
 use saccs_text::SubjectiveTag;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Score aggregation across tags (§3.3).
@@ -423,8 +422,12 @@ impl SaccsService {
 
         // Stage 3: per-tag probes. Each failing tag is dropped on its
         // own; the deadline is re-checked between tags so a lapsed
-        // budget truncates the probe list instead of blocking.
-        let mut per_tag: Vec<HashMap<usize, f32>> = Vec::with_capacity(tags.len());
+        // budget truncates the probe list instead of blocking. Each
+        // probed tag's weighted scores land in a dense slot vector over
+        // `0..=max candidate id`; entities outside it are never
+        // aggregated, so they are dropped here.
+        let slots = api_results.iter().max().map_or(0, |&id| id + 1);
+        let mut per_tag: Vec<Vec<Option<f32>>> = Vec::with_capacity(tags.len());
         let mut probe_failures: Vec<SaccsError> = Vec::new();
         {
             let _probe = saccs_obs::span!("algo1.probe");
@@ -446,7 +449,13 @@ impl SaccsService {
                 let w = weights.as_ref().map_or(1.0, |ws| ws[i]);
                 match call_with_retry(Stage::Probe, retry, breaker, &clock, || index.try_probe(t)) {
                     Ok(scores) => {
-                        per_tag.push(scores.into_iter().map(|(e, s)| (e, s * w)).collect())
+                        let mut dense = vec![None; slots];
+                        for (e, s) in scores {
+                            if let Some(slot) = dense.get_mut(e) {
+                                *slot = Some(s * w);
+                            }
+                        }
+                        per_tag.push(dense);
                     }
                     Err(err) => probe_failures.push(err),
                 }
@@ -513,15 +522,16 @@ impl SaccsService {
         })
     }
 
-    /// Algorithm 1 lines 11–12 over already-probed tag score maps:
-    /// intersect, aggregate, pad, rank. `per_tag` holds one map per
-    /// *successfully probed* tag — fewer maps than extracted tags when
-    /// probes were dropped, and the full/partial split then applies to
-    /// the surviving tags only.
+    /// Algorithm 1 lines 11–12 over already-probed tag scores:
+    /// intersect, aggregate, pad, rank. `per_tag` holds one dense slot
+    /// vector (indexed by entity id, covering every candidate in
+    /// `api_results`) per *successfully probed* tag — fewer vectors than
+    /// extracted tags when probes were dropped, and the full/partial
+    /// split then applies to the surviving tags only.
     fn aggregate_and_pad(
         &self,
         api_results: &[usize],
-        per_tag: &[HashMap<usize, f32>],
+        per_tag: &[Vec<Option<f32>>],
         config: &SaccsConfig,
     ) -> Vec<(usize, f32)> {
         // Line 11: strict intersection, plus optional partial matches.
@@ -529,8 +539,16 @@ impl SaccsService {
         let mut partial: Vec<(usize, f32, usize)> = Vec::new();
         {
             let _aggregate = saccs_obs::span!("algo1.aggregate");
+            // One buffer for every candidate's present scores, in tag
+            // order — the order the operators fold them in.
+            let mut scores: Vec<f32> = Vec::with_capacity(per_tag.len());
             for &e in api_results {
-                let scores: Vec<f32> = per_tag.iter().filter_map(|m| m.get(&e)).copied().collect();
+                scores.clear();
+                scores.extend(
+                    per_tag
+                        .iter()
+                        .filter_map(|slots| slots.get(e).copied().flatten()),
+                );
                 if scores.len() == per_tag.len() {
                     full.push((e, config.aggregation.combine(&scores)));
                 } else if !scores.is_empty() && config.pad_partial_matches {
@@ -554,15 +572,31 @@ impl SaccsService {
         if full.is_empty() && partial.is_empty() {
             return Self::passthrough(api_results, config.top_k);
         }
-        full.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        partial.sort_by(|a, b| b.2.cmp(&a.2).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0)));
         let mut out = full;
-        if out.len() < config.top_k {
+        top_k_sorted(&mut out, config.top_k, |a, b| {
+            b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+        });
+        let room = config.top_k.saturating_sub(out.len());
+        if room > 0 {
+            top_k_sorted(&mut partial, room, |a, b| {
+                b.2.cmp(&a.2).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0))
+            });
             out.extend(partial.into_iter().map(|(e, s, _)| (e, s)));
         }
-        out.truncate(config.top_k);
         out
     }
+}
+
+/// Keep the `k` first elements of `v` under `cmp`, in order, in
+/// O(n + k log k). `cmp` breaks every tie by entity id, so it is a
+/// total order and the result equals a full sort followed by
+/// `truncate(k)`.
+fn top_k_sorted<T>(v: &mut Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> std::cmp::Ordering) {
+    if v.len() > k {
+        v.select_nth_unstable_by(k, &cmp);
+        v.truncate(k);
+    }
+    v.sort_by(cmp);
 }
 
 #[cfg(test)]
@@ -949,5 +983,26 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    proptest::proptest! {
+        /// Top-k selection equals a full sort and `truncate(k)`, bit for
+        /// bit, under the ranking order (tied scores, signed zeros).
+        #[test]
+        fn top_k_sorted_equals_sort_then_truncate(
+            scores in proptest::collection::vec(0usize..6, 0..300),
+            k in 0usize..40,
+        ) {
+            const PALETTE: [f32; 6] = [0.0, -0.0, 0.5, 0.5, 1.25, -2.0];
+            let cmp = |a: &(usize, f32), b: &(usize, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+            let mut want: Vec<(usize, f32)> =
+                scores.iter().enumerate().map(|(e, &s)| (e, PALETTE[s])).collect();
+            let mut got = want.clone();
+            want.sort_by(cmp);
+            want.truncate(k);
+            top_k_sorted(&mut got, k, cmp);
+            let bits = |v: &[(usize, f32)]| v.iter().map(|&(e, s)| (e, s.to_bits())).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 }

@@ -483,16 +483,14 @@ impl SubjectiveIndex {
 
     /// The exhaustive θ_filter fallback: score every index tag.
     fn probe_scan(&self, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
-        let mut hits: Vec<(usize, f32)> = Vec::new();
+        let mut matches = Matches::default();
         for (index_tag, postings) in &self.entries {
             let sim = self.sim(tag, index_tag);
             if sim > theta {
-                for e in postings {
-                    hits.push((e.entity_id, sim * e.degree_of_truth));
-                }
+                matches.push(sim, postings);
             }
         }
-        Self::rank_hits(hits)
+        matches.rank()
     }
 
     /// ANN fallback: fetch candidates, exactly rescore them in ascending
@@ -501,7 +499,7 @@ impl SubjectiveIndex {
     /// posting)` sequence — and with it every f32 addition — is identical
     /// to the scan's and the ranking is bitwise equal.
     fn probe_ann(&self, state: &AnnState, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
-        let mut hits: Vec<(usize, f32)> = Vec::new();
+        let mut matches = Matches::default();
         let mut rescored = 0u32;
         // Fused candidate + per-cell exact rescore: scores come back
         // bitwise equal to `sim()` without paying a lexicon resolution
@@ -512,9 +510,7 @@ impl SubjectiveIndex {
         for &(id, sim) in &sc.scored {
             if sim > theta {
                 rescored += 1;
-                for e in &state.postings[id as usize] {
-                    hits.push((e.entity_id, sim * e.degree_of_truth));
-                }
+                matches.push(sim, &state.postings[id as usize]);
             }
         }
         let (candidates, visited) = (sc.scored.len() as u32, sc.visited);
@@ -526,26 +522,7 @@ impl SubjectiveIndex {
             rescored,
             visited,
         });
-        Self::rank_hits(hits)
-    }
-
-    /// Collapse `(entity, sim × degree)` hits — recorded in tag-major
-    /// scan order — into the ranked `(entity, score)` list. The stable
-    /// sort keeps each entity's contributions in encounter order, so the
-    /// left-to-right fold adds them in exactly the sequence the previous
-    /// `BTreeMap` accumulation did: scores are bit-for-bit unchanged,
-    /// without a tree lookup per hit (`BENCH_probe` measures the win).
-    fn rank_hits(mut hits: Vec<(usize, f32)>) -> Vec<(usize, f32)> {
-        hits.sort_by_key(|&(id, _)| id);
-        let mut out: Vec<(usize, f32)> = Vec::with_capacity(hits.len());
-        for (id, v) in hits {
-            match out.last_mut() {
-                Some((last, acc)) if *last == id => *acc += v,
-                _ => out.push((id, v)),
-            }
-        }
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+        matches.rank()
     }
 
     /// Exact (id, score-bits, order) equality of two rankings.
@@ -715,10 +692,211 @@ pub(crate) fn finalize_postings(postings: &mut [IndexEntry]) {
     }
 }
 
+/// The posting lists one θ_filter fallback probe matched, as
+/// `(sim, postings)` in ascending tag order (the scan's iteration
+/// order, which the ANN rescore replays), plus the slot-array size.
+#[derive(Default)]
+struct Matches<'a> {
+    lists: Vec<(f32, &'a [IndexEntry])>,
+    /// One past the largest entity id in `lists`.
+    slots: usize,
+}
+
+impl<'a> Matches<'a> {
+    fn push(&mut self, sim: f32, postings: &'a [IndexEntry]) {
+        for e in postings {
+            self.slots = self.slots.max(e.entity_id + 1);
+        }
+        self.lists.push((sim, postings));
+    }
+
+    /// Fold the matches into the ranked `(entity, Σ sim × degree)` list
+    /// through one dense slot array of scores indexed by entity id, plus
+    /// the list of touched ids: O(H + U log U) for H hits over U
+    /// distinct entities. An entity's first contribution *seeds* its
+    /// slot (never `0.0 + v`, which would turn a `-0.0` into `+0.0`) and
+    /// later ones add in tag-major encounter order — the same f32
+    /// additions, in the same order, as a stable sort of the hits by
+    /// entity followed by a left-to-right fold, so scores are
+    /// bit-for-bit those of that fold.
+    fn rank(self) -> Vec<(usize, f32)> {
+        let mut scores: Vec<Option<f32>> = vec![None; self.slots];
+        let mut touched: Vec<usize> = Vec::new();
+        for (sim, postings) in self.lists {
+            for e in postings {
+                let v = sim * e.degree_of_truth;
+                match &mut scores[e.entity_id] {
+                    Some(score) => *score += v,
+                    slot @ None => {
+                        *slot = Some(v);
+                        touched.push(e.entity_id);
+                    }
+                }
+            }
+        }
+        let mut out: Vec<(usize, f32)> = touched
+            .into_iter()
+            .filter_map(|id| scores[id].map(|s| (id, s)))
+            .collect();
+        // Ids are distinct, so the unstable sort is still deterministic.
+        out.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use saccs_text::{Domain, Lexicon};
+
+    /// The reference the dense fold must reproduce: stable-sort the
+    /// `(entity, sim × degree)` hits — recorded in tag-major order — by
+    /// entity, fold each run left to right (seeded with its first
+    /// value), then rank by `(score desc, id asc)`.
+    fn rank_hits(mut hits: Vec<(usize, f32)>) -> Vec<(usize, f32)> {
+        hits.sort_by_key(|&(id, _)| id);
+        let mut out: Vec<(usize, f32)> = Vec::with_capacity(hits.len());
+        for (id, v) in hits {
+            match out.last_mut() {
+                Some((last, acc)) if *last == id => *acc += v,
+                _ => out.push((id, v)),
+            }
+        }
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
+    }
+
+    fn ranked_bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
+        ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+    }
+
+    /// Similarities with ties; the last slot draws a random one.
+    const SIMS: &[f32] = &[0.5, 0.5, 0.75, 1.0, 0.46];
+
+    /// Degrees with signed zeros, subnormals and ties; the last slot
+    /// draws a random one.
+    const DEGREES: &[f32] = &[
+        0.0,
+        -0.0,
+        1e-40,
+        -1e-40,
+        f32::MIN_POSITIVE,
+        0.25,
+        0.25,
+        1.0,
+        -1.0,
+        3.5,
+    ];
+
+    fn pick(palette: &[f32], i: usize, random: f32) -> f32 {
+        palette.get(i).copied().unwrap_or(random)
+    }
+
+    proptest! {
+        #![proptest_config(prop::test_runner::Config::with_cases(256))]
+
+        /// The dense accumulator against the sort-based reference, on
+        /// matched lists of 0–40 tags over a pool of sparse entity ids:
+        /// entities repeat within and across tags, yet a few hits per
+        /// entity keep single-hit `-0.0` scores common. Ids, score bits
+        /// and order must all agree.
+        #[test]
+        fn dense_fold_matches_the_sort_fold_reference(
+            pool in prop::collection::vec(0usize..1_000_001, 1..48),
+            raw in prop::collection::vec(
+                (
+                    0usize..SIMS.len() + 1,
+                    0.0f32..1.0,
+                    prop::collection::vec(
+                        (0usize..64, 0usize..DEGREES.len() + 1, -4.0f32..4.0),
+                        0..8,
+                    ),
+                ),
+                0..41,
+            ),
+        ) {
+            let lists: Vec<(f32, Vec<IndexEntry>)> = raw
+                .iter()
+                .map(|(s, s_rand, postings)| {
+                    let postings = postings
+                        .iter()
+                        .map(|&(k, d, d_rand)| IndexEntry {
+                            entity_id: pool[k % pool.len()],
+                            degree_of_truth: pick(DEGREES, d, d_rand),
+                            normalized: 0.0,
+                        })
+                        .collect();
+                    (pick(SIMS, *s, *s_rand), postings)
+                })
+                .collect();
+            let mut matches = Matches::default();
+            let mut hits: Vec<(usize, f32)> = Vec::new();
+            for (sim, postings) in &lists {
+                matches.push(*sim, postings);
+                hits.extend(postings.iter().map(|e| (e.entity_id, sim * e.degree_of_truth)));
+            }
+            prop_assert_eq!(ranked_bits(&matches.rank()), ranked_bits(&rank_hits(hits)));
+        }
+    }
+
+    proptest! {
+        /// A fallback probe through `install_postings` equals the fold
+        /// computed here from `lookup` and `tag_similarity`, scan and
+        /// ANN alike. Entity ids are sparse (multiples of 15625 up to
+        /// 984375) and repeat across tags.
+        #[test]
+        fn fallback_probe_equals_an_in_test_fold(
+            raw in prop::collection::vec(
+                prop::collection::vec((0usize..64, 0usize..DEGREES.len() + 1, 0.0f32..4.0), 0..12),
+                INSTALLED.len()..INSTALLED.len() + 1,
+            ),
+            ann in prop::bool::ANY,
+        ) {
+            let mut idx = SubjectiveIndex::new(
+                ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
+                IndexConfig { ann_enabled: ann, ..Default::default() },
+            );
+            for (&(op, asp), postings) in INSTALLED.iter().zip(&raw) {
+                let pairs = postings
+                    .iter()
+                    .map(|&(k, d, d_rand)| (k * 15_625, pick(DEGREES, d, d_rand)))
+                    .collect();
+                idx.install_postings(tag(op, asp), pairs);
+            }
+            for probe in [tag("scrumptious", "pizza"), tag("delicious", "meal"), tag("friendly", "waiters")] {
+                prop_assert!(idx.lookup(&probe).is_none());
+                let theta = idx.theta_filter_for(&probe);
+                let mut hits: Vec<(usize, f32)> = Vec::new();
+                for t in idx.tags() {
+                    let sim = idx.similarity().tag_similarity(&probe, t);
+                    if sim > theta {
+                        let postings = idx.lookup(t).unwrap_or_default();
+                        hits.extend(postings.iter().map(|e| (e.entity_id, sim * e.degree_of_truth)));
+                    }
+                }
+                prop_assert_eq!(
+                    ranked_bits(&idx.probe_readonly(&probe)),
+                    ranked_bits(&rank_hits(hits)),
+                    "probe {:?} ann={}",
+                    probe,
+                    ann
+                );
+            }
+        }
+    }
+
+    /// Index tags for the probe-level fold test: near neighbours of its
+    /// probes, so every probe matches several of them.
+    const INSTALLED: &[(&str, &str)] = &[
+        ("delicious", "food"),
+        ("tasty", "pasta"),
+        ("good", "food"),
+        ("great", "pizza"),
+        ("nice", "staff"),
+        ("friendly", "service"),
+        ("cozy", "ambiance"),
+    ];
 
     fn index() -> SubjectiveIndex {
         SubjectiveIndex::new(

@@ -579,6 +579,12 @@ impl LiveIndex {
     /// the touched posting lists, and publish a fresh snapshot. Seals
     /// (and persists) the mem-segment when it reaches `seal_every`, and
     /// triggers compaction when the sealed count reaches `max_segments`.
+    ///
+    /// `entity_id` is assumed to be the entity's position in the served
+    /// catalog, so ids stay small and dense: fallback probes allocate an
+    /// accumulator slot per id up to the largest one in their matched
+    /// postings. Nothing here checks it; `saccs-serve` rejects ids
+    /// outside its entity table before admission.
     pub fn add_review(&self, entity_id: usize, tags: &[SubjectiveTag]) -> IngestReceipt {
         let inner = &self.inner;
         let mut w = inner.writer.lock();

@@ -447,11 +447,23 @@ impl SaccsServer {
     /// `SaccsError::Unavailable { stage: Admission }`. On a service
     /// without a live backend the job is admitted and then fails with
     /// `Unavailable { stage: Ingest }`.
+    ///
+    /// An `entity_id` that is not in the server's entity table is
+    /// rejected before admission as `SaccsError::InvalidRequest { field:
+    /// "entity_id" }`, counted neither as submitted nor as shed: no
+    /// request could ever rank that review, and the index sizes its
+    /// probe accumulators by the largest entity id it holds.
     pub fn submit_ingest(
         &self,
         entity_id: usize,
         review_tags: Vec<SubjectiveTag>,
     ) -> Result<IngestReceipt, SaccsError> {
+        if !self.shared.entities.iter().any(|e| e.id == entity_id) {
+            return Err(SaccsError::InvalidRequest {
+                field: "entity_id",
+                reason: format!("entity {entity_id} is not in the served catalog"),
+            });
+        }
         self.shared.submit_ingest(entity_id, review_tags)
     }
 

@@ -21,9 +21,10 @@
 #                BENCH_serve.json + the recorder report validated
 #  12. trace     request-tracing suite (five-stage coverage, fault events
 #                in the owning trace, recorder-on/off bitwise equality)
-#  13. probe     ANN equality suite + double probe-bin run on a reduced
-#                synthetic corpus, deterministic exports byte-diffed,
-#                BENCH_probe.json validated
+#  13. probe     ANN equality suite + fold-reference proptests + double
+#                probe-bin run on a reduced synthetic corpus,
+#                deterministic exports byte-diffed, BENCH_probe.json
+#                validated
 #  14. ingest    segmented-index suites (proptests, ingest-while-serving
 #                equivalence, crash recovery) + double ingest-bin run,
 #                deterministic exports byte-diffed, BENCH_ingest.json
@@ -148,14 +149,17 @@ cargo run "${OFFLINE[@]}" -q -p xtask -- check-bench BENCH_serve.json || fail se
 stage trace "cargo test --features fault --test trace"
 cargo test "${OFFLINE[@]}" -q --features fault --test trace || fail trace
 
-# Probe gate: the ANN-vs-scan equality suite, then the probe bin run
-# twice on a reduced synthetic corpus — its JSON-lines export (per-probe
-# rankings as score bits and match counts; no timings) must be
-# byte-identical or the candidate search is not deterministic — and the
-# BENCH_probe snapshot validated. The full 100k acceptance run
+# Probe gate: the ANN-vs-scan equality suite and the fold-reference
+# proptests (the dense fallback accumulator against the sort-based
+# reference fold: the `fold` unit tests in `index.rs`), then the probe
+# bin run twice on a reduced synthetic corpus — its JSON-lines export
+# (per-probe rankings as score bits and match counts; no timings) must
+# be byte-identical or the candidate search is not deterministic — and
+# the BENCH_probe snapshot validated. The full 100k acceptance run
 # stays a manual `SACCS_PROBE_TAGS=100000` invocation (see README).
-stage probe "ann suite + double probe run, exports diffed"
+stage probe "ann + fold suites + double probe run, exports diffed"
 cargo test "${OFFLINE[@]}" -q -p saccs-index --test ann || fail probe
+cargo test "${OFFLINE[@]}" -q -p saccs-index --lib fold || fail probe
 rm -f PROBE_a.jsonl PROBE_b.jsonl BENCH_probe.json
 SACCS_OBS=json SACCS_PROBE_TAGS=20000 SACCS_PROBE_OUT=PROBE_a.jsonl \
     cargo run "${OFFLINE[@]}" -q --release -p saccs-bench --bin probe \

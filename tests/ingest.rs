@@ -12,12 +12,13 @@
 //! queue-sharing, not a side channel.
 //!
 //! Also covered: serve-level ingest accounting ([`ServeStats`]), the
-//! `Stage::Ingest` rejection on a static (non-live) service, and the
-//! `ingest:buffered` / `ingest:sealed` trace events.
+//! `Stage::Ingest` rejection on a static (non-live) service, the
+//! admission-time rejection of entity ids outside the served catalog,
+//! and the `ingest:buffered` / `ingest:sealed` trace events.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saccs::core::{RankRequest, SaccsConfig, SaccsService, SearchApi, Stage};
+use saccs::core::{RankRequest, SaccsConfig, SaccsError, SaccsService, SearchApi, Stage};
 use saccs::data::Entity;
 use saccs::index::index::{EntityEvidence, IndexConfig};
 use saccs::index::{LiveConfig, LiveIndex, ReviewRecord, SubjectiveIndex};
@@ -272,6 +273,46 @@ fn static_service_rejects_ingest_at_the_ingest_stage() {
         .submit_ingest(0, vec![tag("delicious", "food")])
         .expect_err("served ingest must surface the same refusal");
     assert_eq!(err.stage(), Stage::Ingest);
+}
+
+/// A review for an entity outside the server's table is a typed
+/// rejection before admission: counted neither as submitted nor as
+/// shed, and never applied to the live index.
+#[test]
+fn ingest_for_an_unknown_entity_is_rejected_before_admission() {
+    let _serial = global_lock();
+    let (live, _config) = live_index(false);
+    let (server, ents) = live_server(&live, 2);
+    for entity_id in [ents.len(), 1 << 40, usize::MAX] {
+        let err = server
+            .submit_ingest(entity_id, vec![tag("delicious", "food")])
+            .expect_err("unknown entity must be rejected");
+        assert!(
+            matches!(
+                err,
+                SaccsError::InvalidRequest {
+                    field: "entity_id",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(err.stage(), Stage::Admission);
+    }
+    let stats = server.stats();
+    assert_eq!((stats.submitted, stats.shed, stats.ingested), (0, 0, 0));
+    assert!(live.review_log().is_empty());
+    // A catalog entity is still admitted, and the next fallback probe
+    // answers normally.
+    let receipt = server
+        .submit_ingest(ents.len() - 1, vec![tag("delicious", "food")])
+        .expect("catalog entity admitted");
+    assert_eq!(receipt.seq, 0);
+    let response = server
+        .submit(RankRequest::tags(vec![tag("tasty", "meal")]))
+        .expect("rank admitted");
+    assert!(response.is_full_fidelity());
+    assert_eq!(server.stats().submitted, 2);
 }
 
 /// Every ingest records a trace event on the caller's context:
