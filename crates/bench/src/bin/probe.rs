@@ -3,15 +3,17 @@
 //! Phase 1 (corpus): a deterministic 100k-tag synthetic corpus
 //! (`saccs_data::synthetic_tags` — lexicon pairs plus fuzzy-resolvable
 //! typo variants) is loaded through the snapshot `restore` path into two
-//! indexes that differ only in `ann_enabled`.
+//! indexes: the default one, whose fallback probes go through its cell
+//! index, and the scan reference, the same similarity fed in as a custom
+//! one.
 //!
 //! Phase 2 (equality + recall): every fallback probe must come back from
-//! the ANN index bitwise identical to the exhaustive scan — the semantic
-//! candidate cells prune with sound upper bounds and rescore with the
-//! exact similarity, so recall@10 is 1.0 by construction and any
-//! divergence exits non-zero.
+//! the cell index bitwise identical to the exhaustive scan — the
+//! semantic candidate cells prune with sound upper bounds and rescore
+//! with the exact similarity, so recall@10 is 1.0 by construction and
+//! any divergence exits non-zero.
 //!
-//! Phase 3 (speedup): wall-clock A/B of the same probes, scan vs ANN,
+//! Phase 3 (speedup): wall-clock A/B of the same probes, scan vs cells,
 //! best-of-N. The ≥10x headline quoted in EXPERIMENTS.md.
 //!
 //! Phase 4 (export): probe rankings (score bits) and corpus stats go to
@@ -68,11 +70,14 @@ fn synthetic_snapshot(tags: &[SubjectiveTag]) -> String {
     snap
 }
 
-fn restore_index(snap: &str, config: IndexConfig) -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(
-        ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-        config,
-    );
+/// Restore `snap` into the default index, or with `scan` into the scan
+/// reference.
+fn restore_index(snap: &str, config: IndexConfig, scan: bool) -> SubjectiveIndex {
+    let sim = ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants));
+    let mut idx = SubjectiveIndex::new(sim.clone(), config);
+    if scan {
+        idx = idx.with_custom_similarity(sim);
+    }
     let n = idx
         .restore(snap.as_bytes())
         .expect("synthetic snapshot restores");
@@ -145,7 +150,7 @@ fn main() {
     );
 
     // Phases 2+3, per θ_filter: bitwise equality (and therefore exact
-    // recall), then the scan-vs-ANN wall clock. θ=0.45 is the paper
+    // recall), then the scan-vs-cells wall clock. θ=0.45 is the paper
     // default: shared-applicability cells (upper bound exactly 0.45)
     // survive the strict `> θ` filter, a probe matches a sizeable slice
     // of the corpus, and the achievable speedup is bounded by output
@@ -156,7 +161,7 @@ fn main() {
     let mut semantic_speedup = 0.0;
     let mut default_speedup = 0.0;
     let probes = {
-        let probe_idx = restore_index(&snap, IndexConfig::default());
+        let probe_idx = restore_index(&snap, IndexConfig::default(), false);
         fallback_probes(&lexicon, &probe_idx, 8)
     };
     for theta in [0.45f32, 0.55] {
@@ -164,24 +169,18 @@ fn main() {
             theta_filter: theta,
             ..IndexConfig::default()
         };
-        let scan_idx = restore_index(&snap, config.clone());
-        let ann_idx = restore_index(
-            &snap,
-            IndexConfig {
-                ann_enabled: true,
-                ..config
-            },
-        );
+        let scan_idx = restore_index(&snap, config.clone(), true);
+        let cell_idx = restore_index(&snap, config, false);
         let mut recall = 0.0;
         for probe in &probes {
             let scan = scan_idx.probe_readonly(probe);
-            let ann = ann_idx.probe_readonly(probe);
-            if bits(&ann) != bits(&scan) {
-                println!("DIVERGENCE: ANN probe for {probe:?} differs from scan at θ={theta}");
+            let cells = cell_idx.probe_readonly(probe);
+            if bits(&cells) != bits(&scan) {
+                println!("DIVERGENCE: cell probe for {probe:?} differs from scan at θ={theta}");
                 std::process::exit(1);
             }
-            recall += recall_at_10(&ann, &scan);
-            let ranking: Vec<String> = ann
+            recall += recall_at_10(&cells, &scan);
+            let ranking: Vec<String> = cells
                 .iter()
                 .take(20)
                 .map(|&(e, s)| format!("[{e},{}]", s.to_bits()))
@@ -190,7 +189,7 @@ fn main() {
                 report,
                 "{{\"theta\":\"{theta}\",\"probe\":\"{}\",\"matches\":{},\"ranking\":[{}]}}",
                 probe.phrase(),
-                ann.len(),
+                cells.len(),
                 ranking.join(",")
             );
         }
@@ -200,14 +199,14 @@ fn main() {
             &probes,
             &format!("probe.scan.t{}", theta * 100.0),
         );
-        let t_ann = time_probes(&ann_idx, &probes, &format!("probe.ann.t{}", theta * 100.0));
-        let speedup = t_scan / t_ann;
+        let t_cells = time_probes(&cell_idx, &probes, &format!("probe.ann.t{}", theta * 100.0));
+        let speedup = t_scan / t_cells;
         println!(
             "θ={theta}: {} fallback probes bitwise identical to scan (recall@10 = {recall:.3})\n  \
-             scan {:.2} ms\n  ann  {:.2} ms   ({speedup:.1}x, best of {TIMING_REPS})",
+             scan  {:.2} ms\n  cells {:.2} ms   ({speedup:.1}x, best of {TIMING_REPS})",
             probes.len(),
             t_scan * 1e3,
-            t_ann * 1e3
+            t_cells * 1e3
         );
         if theta == 0.45 {
             default_speedup = speedup;
@@ -215,7 +214,7 @@ fn main() {
             semantic_speedup = speedup;
             semantic_recall = recall;
             if speedup < 10.0 {
-                println!("WARNING: ANN speedup {speedup:.1}x below the 10x acceptance bar");
+                println!("WARNING: cell speedup {speedup:.1}x below the 10x acceptance bar");
             }
         }
     }

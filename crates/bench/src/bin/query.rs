@@ -115,7 +115,7 @@ fn build_index(universe: usize) -> SubjectiveIndex {
             .filter(|id| id % k == 0)
             .map(|id| (id, 0.05 + ((id * 7 + t * 13) % 90) as f32 / 100.0))
             .collect();
-        idx.install_postings(SubjectiveTag::new(*opinion, *aspect), raw);
+        idx.install_postings(SubjectiveTag::new(opinion, aspect), raw);
     }
     idx
 }

@@ -105,15 +105,7 @@ fn build() -> (YelpCorpus, Arc<SaccsService>) {
             ..Default::default()
         },
     );
-    let mut builder = SaccsBuilder::quick();
-    // SACCS_SERVE_ANN=1 serves every fallback probe through the ANN
-    // index; the double-run byte-diff in ci.sh then checks the whole
-    // front end stays deterministic — and the report stays byte-equal to
-    // the scan's because the rescore is exact.
-    if env_or("SACCS_SERVE_ANN", "0") == "1" {
-        builder.index.ann_enabled = true;
-    }
-    let trained = builder.build(&corpus);
+    let trained = SaccsBuilder::quick().build(&corpus);
     let service = Arc::new(trained.service);
     (corpus, service)
 }

@@ -27,15 +27,6 @@ use std::collections::BTreeMap;
 /// `powf` combine on either side of the comparison.
 const PRUNE_MARGIN: f32 = 1e-5;
 
-/// Candidate tag ids plus the work accounting a probe reports.
-#[derive(Debug, Clone, Default)]
-pub struct CandidateSet {
-    /// Candidate tag ids, ascending (= index iteration order).
-    pub ids: Vec<u32>,
-    /// Cells examined while searching.
-    pub visited: u32,
-}
-
 /// Exactly-scored candidates plus the work accounting a probe reports.
 #[derive(Debug, Clone, Default)]
 pub struct ScoredCandidates {
@@ -94,42 +85,12 @@ impl SemanticCandidateIndex {
         SemanticCandidateIndex { cells }
     }
 
-    /// Number of resolution cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Every tag whose similarity to `probe` *could* exceed `theta`: all
-    /// members of cells whose upper bound clears `theta` (within
-    /// `PRUNE_MARGIN`). A superset of the scan's matches by bound
-    /// soundness; pruned tags satisfy `sim ≤ θ` and would contribute
-    /// nothing to the scan either.
-    pub fn candidates(
-        &self,
-        sim: &ConceptualSimilarity,
-        probe: &SubjectiveTag,
-        theta: f32,
-    ) -> CandidateSet {
-        let probe_aspect = sim.resolve_aspect(&probe.aspect);
-        let probe_opinion = sim.resolve_opinion(&probe.opinion);
-        let mut ids: Vec<u32> = Vec::new();
-        let mut visited = 0u32;
-        for ((cell_aspect, _), cell) in &self.cells {
-            visited += 1;
-            let a_ub = sim.aspect_upper_bound(probe_aspect, *cell_aspect);
-            let o_ub = sim.opinion_upper_bound(probe_opinion, cell.opinion);
-            if sim.tag_upper_bound(a_ub, o_ub) + PRUNE_MARGIN > theta {
-                ids.extend_from_slice(&cell.tag_ids);
-            }
-        }
-        // Cells come out in key order, not id order; the rescore contract
-        // wants ascending ids (= scan order).
-        ids.sort_unstable();
-        CandidateSet { ids, visited }
-    }
-
-    /// [`Self::candidates`] fused with the exact rescore. Within a cell
-    /// every tag shares its resolution, so for fully-resolved pairs
+    /// Every tag whose similarity to `probe` *could* exceed `theta`,
+    /// exactly scored: all members of cells whose upper bound clears
+    /// `theta` (within `PRUNE_MARGIN`). A superset of the scan's matches
+    /// by bound soundness; pruned tags satisfy `sim ≤ θ` and would
+    /// contribute nothing to the scan either. Within a cell every tag
+    /// shares its resolution, so for fully-resolved pairs
     /// `tag_similarity(probe, t)` can take at most four values — one per
     /// combination of the two surface-identity shortcuts (`t.aspect ==
     /// probe.aspect`, `t.opinion == probe.opinion`). Each combination is
@@ -202,6 +163,8 @@ impl SemanticCandidateIndex {
                 }
             }
         }
+        // Cells come out in key order, not id order; the probe wants
+        // ascending ids (= scan order).
         scored.sort_unstable_by_key(|&(id, _)| id);
         ScoredCandidates { scored, visited }
     }
@@ -239,8 +202,12 @@ mod tests {
         v
     }
 
+    fn ids(sc: &ScoredCandidates) -> Vec<u32> {
+        sc.scored.iter().map(|&(id, _)| id).collect()
+    }
+
     #[test]
-    fn semantic_candidates_superset_of_scan_matches() {
+    fn rescore_candidates_are_a_superset_of_scan_matches() {
         let s = sim();
         let tags = tags();
         let idx = SemanticCandidateIndex::build(&s, &tags);
@@ -251,18 +218,17 @@ mod tests {
             SubjectiveTag::new("weird", "blarg"),
         ] {
             for theta in [0.2f32, 0.45, 0.7, 0.9] {
-                let cand = idx.candidates(&s, &probe, theta);
+                let ids = ids(&idx.rescore(&s, &probe, theta, &tags));
                 // Ascending ids.
-                assert!(cand.ids.windows(2).all(|w| w[0] < w[1]));
-                let matched: Vec<u32> = tags
+                assert!(ids.windows(2).all(|w| w[0] < w[1]));
+                let matched = tags
                     .iter()
                     .enumerate()
                     .filter(|(_, t)| s.tag_similarity(&probe, t) > theta)
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                for id in &matched {
+                    .map(|(i, _)| i as u32);
+                for id in matched {
                     assert!(
-                        cand.ids.contains(id),
+                        ids.contains(&id),
                         "probe {probe} theta {theta}: match {id} pruned"
                     );
                 }
@@ -290,12 +256,7 @@ mod tests {
         ] {
             for theta in [0.2f32, 0.45, 0.55, 0.7] {
                 let sc = idx.rescore(&s, &probe, theta, &tags);
-                // Ascending ids, same set as the unfused candidate pass.
-                assert!(sc.scored.windows(2).all(|w| w[0].0 < w[1].0));
-                let cand = idx.candidates(&s, &probe, theta);
-                let ids: Vec<u32> = sc.scored.iter().map(|&(id, _)| id).collect();
-                assert_eq!(ids, cand.ids, "probe {probe} theta {theta}");
-                assert_eq!(sc.visited, cand.visited);
+                assert!(!sc.scored.is_empty(), "probe {probe} theta {theta}");
                 for &(id, score) in &sc.scored {
                     let exact = s.tag_similarity(&probe, &tags[id as usize]);
                     assert_eq!(
@@ -316,14 +277,14 @@ mod tests {
         let idx = SemanticCandidateIndex::build(&s, &tags);
         // At the default θ a same-polarity-only cell ("fast delivery" vs
         // a food-opinion probe) must be pruned.
-        let cand = idx.candidates(&s, &SubjectiveTag::new("delicious", "food"), 0.45);
+        let ids = ids(&idx.rescore(&s, &SubjectiveTag::new("delicious", "food"), 0.45, &tags));
         let delivery = tags
             .iter()
             .position(|t| t.aspect == "delivery")
             .map(|i| i as u32);
         if let Some(d) = delivery {
-            assert!(!cand.ids.contains(&d), "unrelated cell not pruned");
+            assert!(!ids.contains(&d), "unrelated cell not pruned");
         }
-        assert!(cand.ids.len() < tags.len());
+        assert!(ids.len() < tags.len());
     }
 }

@@ -47,6 +47,11 @@ pub enum DegreeFormula {
     PureMean,
 }
 
+/// Posting lists by index tag. Each list is an immutable column behind
+/// an `Arc`, so cloning the map — a live-ingest publish, the fallback
+/// probe's cell index — shares every list instead of copying it.
+pub type PostingColumns = BTreeMap<SubjectiveTag, Arc<[IndexEntry]>>;
+
 /// Index construction/query parameters.
 #[derive(Debug, Clone)]
 pub struct IndexConfig {
@@ -64,16 +69,6 @@ pub struct IndexConfig {
     /// matchers under the generic bridge) use a raised threshold, while
     /// specific in-lexicon tags probe with a slightly lowered one.
     pub dynamic_thresholds: bool,
-    /// Answer fallback probes through the resolution-cell candidate
-    /// index in [`crate::ann`] instead of the exhaustive scan. Results
-    /// stay bitwise identical to the scan (sound upper-bound pruning +
-    /// exact rescore). Only the default conceptual similarity has cells;
-    /// an index with a custom similarity keeps scanning.
-    pub ann_enabled: bool,
-    /// Equality mode for the paper tables: run *both* the exhaustive scan
-    /// and the ANN probe, count bitwise mismatches
-    /// (`index.probe.ann.mismatch`), and always return the scan result.
-    pub ann_verify: bool,
 }
 
 impl Default for IndexConfig {
@@ -83,8 +78,6 @@ impl Default for IndexConfig {
             theta_filter: 0.45,
             degree_formula: DegreeFormula::Equation1,
             dynamic_thresholds: false,
-            ann_enabled: false,
-            ann_verify: false,
         }
     }
 }
@@ -107,10 +100,10 @@ pub struct SubjectiveIndex {
     /// ablation). The lexicon-backed [`ConceptualSimilarity`] stays in
     /// place for dynamic thresholds and profile weighting. `Send + Sync`
     /// so a service built on this index can be shared across serving
-    /// threads.
+    /// threads. An index with one answers fallback probes by scan.
     custom_similarity: Option<Box<dyn TagSimilarity + Send + Sync>>,
     /// Index tag → entity mappings, sorted by descending degree of truth.
-    entries: BTreeMap<SubjectiveTag, Vec<IndexEntry>>,
+    entries: PostingColumns,
     /// Evidence retained for incremental re-indexing rounds.
     evidence: Vec<EntityEvidence>,
     /// The user tag history is the only probe-path state that mutates at
@@ -119,49 +112,58 @@ pub struct SubjectiveIndex {
     /// Every snapshot a `crate::LiveIndex` publishes shares that live
     /// index's one pending history through this `Arc`.
     history: Arc<Mutex<UserTagHistory>>,
-    /// ANN sidecar, rebuilt eagerly by every `&mut` entry mutation when
-    /// `ann_enabled` — probes stay `&self`.
-    ann: Option<AnnState>,
+    /// The cell index answering θ_filter fallback probes, rebuilt eagerly
+    /// by every `&mut` entry mutation so probes stay `&self`. `None` for
+    /// an empty index and for one with a custom similarity, which scans.
+    cells: Option<CellIndex>,
 }
 
-/// The ANN sidecar: the lexicographic tag list candidate ids index into,
-/// its posting lists (cloned at rebuild so a rescore is one indexed read
-/// instead of a string-keyed tree lookup per candidate), and the
-/// resolution cells.
-struct AnnState {
+/// The fallback probe's cell index: the ascending tag list candidate ids
+/// index into, each tag's posting column (an `Arc` clone of the index's
+/// own, so a rescore is one indexed read instead of a string-keyed tree
+/// lookup per candidate), and the resolution cells.
+struct CellIndex {
     tags: Vec<SubjectiveTag>,
-    postings: Vec<Vec<IndexEntry>>,
+    columns: Vec<Arc<[IndexEntry]>>,
     cells: SemanticCandidateIndex,
 }
 
 impl SubjectiveIndex {
     pub fn new(similarity: ConceptualSimilarity, config: IndexConfig) -> Self {
-        Self::with_history(similarity, config, Arc::default())
+        Self::with_columns(similarity, config, Arc::default(), PostingColumns::new())
     }
 
-    /// An empty index whose probes record unknown tags into `history`,
-    /// shared with whoever else holds it (the live-ingest publish path
-    /// hands every snapshot its live index's pending history).
-    pub(crate) fn with_history(
+    /// An index over `entries` whose probes record unknown tags into
+    /// `history`, shared with whoever else holds it (the live-ingest
+    /// publish path hands every snapshot its writer's columns and its
+    /// live index's pending history).
+    pub(crate) fn with_columns(
         similarity: ConceptualSimilarity,
         config: IndexConfig,
         history: Arc<Mutex<UserTagHistory>>,
+        entries: PostingColumns,
     ) -> Self {
-        SubjectiveIndex {
+        let mut index = SubjectiveIndex {
             config,
             similarity,
             custom_similarity: None,
-            entries: BTreeMap::new(),
+            entries,
             evidence: Vec::new(),
             history,
-            ann: None,
-        }
+            cells: None,
+        };
+        index.rebuild_cells();
+        index
     }
 
     /// Replace the similarity measure used for degrees and probes (the
     /// conceptual-vs-cosine ablation hook). Call before `index_tags`.
+    /// Fallback probes then scan, whatever was built before: fed a
+    /// [`ConceptualSimilarity`], this is the scan reference the cell
+    /// index is tested against, as it scores bit for bit alike.
     pub fn with_custom_similarity(mut self, similarity: impl TagSimilarity + 'static) -> Self {
         self.custom_similarity = Some(Box::new(similarity));
+        self.rebuild_cells();
         self
     }
 
@@ -189,30 +191,23 @@ impl SubjectiveIndex {
         self.config.degree_formula = formula;
     }
 
-    /// Toggle the ANN fallback probe on an already-built index (the
-    /// scan-vs-ANN A/B hook), rebuilding or dropping the sidecar.
-    pub fn set_ann_enabled(&mut self, enabled: bool) {
-        self.config.ann_enabled = enabled;
-        self.rebuild_ann();
-    }
-
-    /// Rebuild the ANN sidecar from the current entries. Always runs over
+    /// Rebuild the cell index from the current entries. Always runs over
     /// the lexicographically sorted tag list, so the structure is a pure
     /// function of the tag set — independent of insertion order and of
     /// the thread count.
-    fn rebuild_ann(&mut self) {
-        self.ann = None;
+    fn rebuild_cells(&mut self) {
+        self.cells = None;
         // A custom similarity has no upper bounds to prune cells by:
-        // fallback probes keep scanning.
-        if !self.config.ann_enabled || self.entries.is_empty() || self.custom_similarity.is_some() {
+        // fallback probes scan.
+        if self.entries.is_empty() || self.custom_similarity.is_some() {
             return;
         }
         let tags: Vec<SubjectiveTag> = self.entries.keys().cloned().collect();
-        let postings: Vec<Vec<IndexEntry>> = self.entries.values().cloned().collect();
+        let columns: Vec<Arc<[IndexEntry]>> = self.entries.values().cloned().collect();
         let cells = SemanticCandidateIndex::build(&self.similarity, &tags);
-        self.ann = Some(AnnState {
+        self.cells = Some(CellIndex {
             tags,
-            postings,
+            columns,
             cells,
         });
     }
@@ -273,15 +268,6 @@ impl SubjectiveIndex {
         postings
     }
 
-    /// Replace the entries map wholesale (the live-ingest publish path:
-    /// `crate::live` computes posting lists incrementally and installs
-    /// them here so a snapshot index probes exactly like a from-scratch
-    /// build). Rebuilds the ANN sidecar for the new segment set.
-    pub(crate) fn replace_entries(&mut self, entries: BTreeMap<SubjectiveTag, Vec<IndexEntry>>) {
-        self.entries = entries;
-        self.rebuild_ann();
-    }
-
     /// (Re)index the given tags against all registered evidence. Existing
     /// tags are recomputed; construction fans out one task per tag across
     /// the `saccs-rt` pool. Posting lists come back positionally and each
@@ -293,9 +279,9 @@ impl SubjectiveIndex {
         let this = &*self;
         let postings = saccs_rt::parallel_map(tags.len(), 4, |i| this.build_postings(&tags[i]));
         for (tag, postings) in tags.iter().zip(postings) {
-            self.entries.insert(tag.clone(), postings);
+            self.entries.insert(tag.clone(), postings.into());
         }
-        self.rebuild_ann();
+        self.rebuild_cells();
     }
 
     /// Fallible [`SubjectiveIndex::index_tags`] behind the `index.build`
@@ -332,7 +318,7 @@ impl SubjectiveIndex {
     /// Table-2 runs to evaluate 6/12/18-tag index states on one pipeline.
     pub fn clear_tags(&mut self) {
         self.entries.clear();
-        self.ann = None;
+        self.cells = None;
     }
 
     /// Number of index tags.
@@ -353,12 +339,12 @@ impl SubjectiveIndex {
     /// (the §7 search-automaton alternative: exact/prefix/fuzzy surface
     /// lookups in O(|phrase|)).
     pub fn to_automaton(&self) -> crate::TagAutomaton {
-        crate::TagAutomaton::build(self.entries.iter().map(|(t, p)| (t.clone(), p.clone())))
+        crate::TagAutomaton::build(self.entries.iter().map(|(t, p)| (t.clone(), p.to_vec())))
     }
 
     /// Exact posting-list lookup.
     pub fn lookup(&self, tag: &SubjectiveTag) -> Option<&[IndexEntry]> {
-        self.entries.get(tag).map(|v| v.as_slice())
+        self.entries.get(tag).map(|v| &v[..])
     }
 
     /// Exact posting-list length for a tag (`0` when the tag is not
@@ -389,8 +375,8 @@ impl SubjectiveIndex {
             })
             .collect();
         finalize_postings(&mut postings);
-        self.entries.insert(tag, postings);
-        self.rebuild_ann();
+        self.entries.insert(tag, postings.into());
+        self.rebuild_cells();
     }
 
     /// Effective θ_filter for a probe tag (the §7 dynamic-threshold
@@ -464,24 +450,14 @@ impl SubjectiveIndex {
         saccs_obs::counter!("index.probe.fallback").inc();
         saccs_obs::trace::record(saccs_obs::trace::TraceEvent::Probe { exact: false });
         let theta = self.theta_filter_for(tag);
-        let Some(state) = &self.ann else {
-            return self.probe_scan(tag, theta);
-        };
-        if !self.config.ann_verify {
-            return self.probe_ann(state, tag, theta);
+        match &self.cells {
+            Some(index) => self.probe_cells(index, tag, theta),
+            None => self.probe_scan(tag, theta),
         }
-        // Equality mode: answer from the scan, run the ANN probe
-        // alongside, and account every bitwise divergence.
-        let scan = self.probe_scan(tag, theta);
-        if Self::ranked_bitwise_eq(&scan, &self.probe_ann(state, tag, theta)) {
-            saccs_obs::counter!("index.probe.ann.verified").inc();
-        } else {
-            saccs_obs::counter!("index.probe.ann.mismatch").inc();
-        }
-        scan
     }
 
-    /// The exhaustive θ_filter fallback: score every index tag.
+    /// The exhaustive θ_filter fallback: score every index tag. The only
+    /// path a custom similarity allows.
     fn probe_scan(&self, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
         let mut matches = Matches::default();
         for (index_tag, postings) in &self.entries {
@@ -493,24 +469,25 @@ impl SubjectiveIndex {
         matches.rank()
     }
 
-    /// ANN fallback: fetch candidates, exactly rescore them in ascending
-    /// tag order (= the scan's iteration order), and rank. The candidate
-    /// set is a superset of the scan's matches, so the surviving `(tag,
-    /// posting)` sequence — and with it every f32 addition — is identical
-    /// to the scan's and the ranking is bitwise equal.
-    fn probe_ann(&self, state: &AnnState, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
+    /// The cell-index fallback: fetch candidates, exactly rescore them in
+    /// ascending tag order (= the scan's iteration order), and rank. The
+    /// candidate set is a superset of the scan's matches, so the
+    /// surviving `(tag, posting)` sequence — and with it every f32
+    /// addition — is identical to the scan's and the ranking is bitwise
+    /// equal.
+    fn probe_cells(&self, index: &CellIndex, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
         let mut matches = Matches::default();
         let mut rescored = 0u32;
         // Fused candidate + per-cell exact rescore: scores come back
         // bitwise equal to `sim()` without paying a lexicon resolution
         // per candidate.
-        let sc = state
+        let sc = index
             .cells
-            .rescore(&self.similarity, tag, theta, &state.tags);
+            .rescore(&self.similarity, tag, theta, &index.tags);
         for &(id, sim) in &sc.scored {
             if sim > theta {
                 rescored += 1;
-                matches.push(sim, &state.postings[id as usize]);
+                matches.push(sim, &index.columns[id as usize]);
             }
         }
         let (candidates, visited) = (sc.scored.len() as u32, sc.visited);
@@ -523,14 +500,6 @@ impl SubjectiveIndex {
             visited,
         });
         matches.rank()
-    }
-
-    /// Exact (id, score-bits, order) equality of two rankings.
-    fn ranked_bitwise_eq(a: &[(usize, f32)], b: &[(usize, f32)]) -> bool {
-        a.len() == b.len()
-            && a.iter()
-                .zip(b)
-                .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
     }
 
     /// Pending unknown tags (user tag history). Returns the guard; the
@@ -576,12 +545,12 @@ impl SubjectiveIndex {
 
     /// Rebuild the posting lists from a [`SubjectiveIndex::snapshot`]
     /// byte image, replacing the current entries (registered evidence is
-    /// untouched) and rebuilding the ANN sidecar. Returns the number of
+    /// untouched) and rebuilding the cell index. Returns the number of
     /// restored tags. `f32` values round-trip exactly: `Display` prints
     /// the shortest decimal that parses back to the same bits.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<usize, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| format!("snapshot is not UTF-8: {e}"))?;
-        let mut entries: BTreeMap<SubjectiveTag, Vec<IndexEntry>> = BTreeMap::new();
+        let mut entries = PostingColumns::new();
         let mut history = UserTagHistory::new();
         for (ln, line) in text.lines().enumerate() {
             if line.is_empty() {
@@ -621,12 +590,12 @@ impl SubjectiveIndex {
                     _ => return Err(bad("posting needs id:degree:norm")),
                 }
             }
-            entries.insert(tag, postings);
+            entries.insert(tag, postings.into());
         }
         let restored = entries.len();
         self.entries = entries;
         *self.history.lock() = history;
-        self.rebuild_ann();
+        self.rebuild_cells();
         Ok(restored)
     }
 
@@ -694,7 +663,7 @@ pub(crate) fn finalize_postings(postings: &mut [IndexEntry]) {
 
 /// The posting lists one θ_filter fallback probe matched, as
 /// `(sim, postings)` in ascending tag order (the scan's iteration
-/// order, which the ANN rescore replays), plus the slot-array size.
+/// order, which the cell-index rescore replays), plus the slot-array size.
 #[derive(Default)]
 struct Matches<'a> {
     lists: Vec<(f32, &'a [IndexEntry])>,
@@ -842,21 +811,18 @@ mod tests {
 
     proptest! {
         /// A fallback probe through `install_postings` equals the fold
-        /// computed here from `lookup` and `tag_similarity`, scan and
-        /// ANN alike. Entity ids are sparse (multiples of 15625 up to
-        /// 984375) and repeat across tags.
+        /// computed here from `lookup` and `tag_similarity`, through the
+        /// cell index and the scan alike. Entity ids are sparse
+        /// (multiples of 15625 up to 984375) and repeat across tags.
         #[test]
         fn fallback_probe_equals_an_in_test_fold(
             raw in prop::collection::vec(
                 prop::collection::vec((0usize..64, 0usize..DEGREES.len() + 1, 0.0f32..4.0), 0..12),
                 INSTALLED.len()..INSTALLED.len() + 1,
             ),
-            ann in prop::bool::ANY,
+            scan in prop::bool::ANY,
         ) {
-            let mut idx = SubjectiveIndex::new(
-                ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-                IndexConfig { ann_enabled: ann, ..Default::default() },
-            );
+            let mut idx = if scan { scan_index() } else { index() };
             for (&(op, asp), postings) in INSTALLED.iter().zip(&raw) {
                 let pairs = postings
                     .iter()
@@ -878,9 +844,9 @@ mod tests {
                 prop_assert_eq!(
                     ranked_bits(&idx.probe_readonly(&probe)),
                     ranked_bits(&rank_hits(hits)),
-                    "probe {:?} ann={}",
+                    "probe {:?} scan={}",
                     probe,
-                    ann
+                    scan
                 );
             }
         }
@@ -903,6 +869,12 @@ mod tests {
             ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
             IndexConfig::default(),
         )
+    }
+
+    /// The scan reference: the same similarity, fed in as a custom one.
+    fn scan_index() -> SubjectiveIndex {
+        let sim = ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants));
+        SubjectiveIndex::new(sim.clone(), IndexConfig::default()).with_custom_similarity(sim)
     }
 
     fn tag(op: &str, asp: &str) -> SubjectiveTag {
@@ -1107,14 +1079,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_and_preserves_ann_vs_scan_equality() {
-        let mut idx = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-            IndexConfig {
-                ann_enabled: true,
-                ..Default::default()
-            },
-        );
+    fn snapshot_restore_round_trips_and_preserves_cells_vs_scan_equality() {
+        let mut idx = index();
         idx.register_entity(evidence(0, 3, &[("good", "food"), ("nice", "staff")]));
         idx.register_entity(evidence(
             1,
@@ -1131,13 +1097,7 @@ mod tests {
         ]);
         let bytes = idx.snapshot();
 
-        let mut restored = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-            IndexConfig {
-                ann_enabled: true,
-                ..Default::default()
-            },
-        );
+        let mut restored = index();
         assert_eq!(restored.restore(&bytes).unwrap(), idx.len());
         // Postings round-trip bit-exactly (Display → parse is lossless).
         for t in idx.tags() {
@@ -1150,14 +1110,17 @@ mod tests {
                 assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
             }
         }
-        // And the re-derived ANN sidecar answers fallback probes bitwise
-        // identically to the exhaustive scan on the restored index.
+        // And the re-derived cell index answers fallback probes bitwise
+        // identically to a scan over the same restored image.
+        let mut scan = scan_index();
+        scan.restore(&bytes).unwrap();
         for probe in [tag("delicious", "food"), tag("friendly", "waiters")] {
-            let theta = restored.theta_filter_for(&probe);
-            let ann = restored.probe_readonly(&probe);
-            let scan = restored.probe_scan(&probe, theta);
-            assert!(SubjectiveIndex::ranked_bitwise_eq(&ann, &scan));
-            assert!(!ann.is_empty());
+            let cells = restored.probe_readonly(&probe);
+            assert_eq!(
+                ranked_bits(&cells),
+                ranked_bits(&scan.probe_readonly(&probe))
+            );
+            assert!(!cells.is_empty());
         }
         // A second snapshot of the restored index is byte-identical.
         assert_eq!(bytes, restored.snapshot());

@@ -36,13 +36,13 @@ pub mod robust;
 pub mod segment;
 
 /// The resolution-cell candidate index and its probe results.
-pub use ann::{CandidateSet, ScoredCandidates, SemanticCandidateIndex};
+pub use ann::{ScoredCandidates, SemanticCandidateIndex};
 /// Multi-tag mention scanning.
 pub use automaton::TagAutomaton;
 /// Unknown tags users asked about.
 pub use history::UserTagHistory;
 /// The index and its tuning knobs.
-pub use index::{DegreeFormula, IndexConfig, IndexEntry, SubjectiveIndex};
+pub use index::{DegreeFormula, IndexConfig, IndexEntry, PostingColumns, SubjectiveIndex};
 /// Live-ingestion handle, its tuning knobs, pinned snapshots, receipts.
 pub use live::{IngestReceipt, LiveConfig, LiveIndex, LiveSnapshot};
 /// Evidence construction with fraud filtering.

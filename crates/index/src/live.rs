@@ -7,7 +7,7 @@
 //!
 //! * **Snapshot isolation.** Readers call [`LiveIndex::pin`] to get an
 //!   `Arc` of the currently published [`LiveSnapshot`] — a fully built
-//!   [`SubjectiveIndex`] (ANN sidecar included) over one consistent
+//!   [`SubjectiveIndex`] (cell index included) over one consistent
 //!   segment set. Writers publish new snapshots by swapping the `Arc`;
 //!   a pinned reader keeps probing its frozen view for as long as it
 //!   holds the pin, never observing a half-applied review.
@@ -42,7 +42,8 @@
 
 use crate::history::UserTagHistory;
 use crate::index::{
-    degree_value, finalize_postings, EntityEvidence, IndexConfig, IndexEntry, SubjectiveIndex,
+    degree_value, finalize_postings, EntityEvidence, IndexConfig, IndexEntry, PostingColumns,
+    SubjectiveIndex,
 };
 use crate::segment::{
     merge_segments, Manifest, MemSegment, ReviewRecord, SealedSegment, SegmentStore, StoreError,
@@ -94,11 +95,12 @@ pub struct IngestReceipt {
 /// One published, immutable view of the live index: a fully built
 /// [`SubjectiveIndex`] over a consistent segment set. Probing a pinned
 /// snapshot goes through exactly the frozen-index code paths (exact,
-/// θ_filter fallback, dynamic thresholds, ANN), so live serving inherits
-/// their determinism guarantees wholesale. Every snapshot's index shares
-/// its live index's pending history, so [`SubjectiveIndex::probe`] on a
-/// pinned view records unknown tags for the next
-/// [`LiveIndex::reindex_pending`] round.
+/// θ_filter fallback through the cell index, dynamic thresholds), so
+/// live serving inherits their determinism guarantees wholesale. Every
+/// snapshot's index shares its live index's pending history, so
+/// [`SubjectiveIndex::probe`] on a pinned view records unknown tags for
+/// the next [`LiveIndex::reindex_pending`] round, and the writer's
+/// posting columns, so a publish copies no posting list.
 pub struct LiveSnapshot {
     index: SubjectiveIndex,
     ingested: u64,
@@ -106,6 +108,26 @@ pub struct LiveSnapshot {
 }
 
 impl LiveSnapshot {
+    /// The writer's current state as a snapshot: its columns shared by
+    /// reference count, its pending history shared outright.
+    fn of(
+        w: &Writer,
+        similarity: &ConceptualSimilarity,
+        config: &IndexConfig,
+        pending: &Arc<Mutex<UserTagHistory>>,
+    ) -> Self {
+        LiveSnapshot {
+            index: SubjectiveIndex::with_columns(
+                similarity.clone(),
+                config.clone(),
+                Arc::clone(pending),
+                w.entries.clone(),
+            ),
+            ingested: w.ingested,
+            segments: w.sealed.len(),
+        }
+    }
+
     /// The probeable index view.
     pub fn index(&self) -> &SubjectiveIndex {
         &self.index
@@ -154,9 +176,9 @@ struct Writer {
     /// Per index tag, the partial fold per evidence slot (aligned with
     /// `evidence`; missing trailing slots mean `n == 0`).
     accums: BTreeMap<SubjectiveTag, Vec<TagAccum>>,
-    /// The canonical posting lists, updated incrementally; publishes
-    /// clone this map into a fresh snapshot index.
-    entries: BTreeMap<SubjectiveTag, Vec<IndexEntry>>,
+    /// The canonical posting lists, updated incrementally. A touched
+    /// tag gets a fresh column; publishes share the rest.
+    entries: PostingColumns,
 }
 
 /// Fold `tags` into the accumulator columns for one entity slot and
@@ -218,18 +240,17 @@ fn postings_from_accums(
     let mut postings: Vec<IndexEntry> = accs
         .iter()
         .zip(evidence)
-        .filter_map(|(acc, ev)| {
-            (acc.n > 0).then(|| IndexEntry {
-                entity_id: ev.entity_id,
-                degree_of_truth: degree_value(
-                    config.degree_formula,
-                    acc.sum,
-                    acc.n as usize,
-                    ev.review_count,
-                    ev.review_tags.len(),
-                ),
-                normalized: 0.0,
-            })
+        .filter(|(acc, _)| acc.n > 0)
+        .map(|(acc, ev)| IndexEntry {
+            entity_id: ev.entity_id,
+            degree_of_truth: degree_value(
+                config.degree_formula,
+                acc.sum,
+                acc.n as usize,
+                ev.review_count,
+                ev.review_tags.len(),
+            ),
+            normalized: 0.0,
         })
         .collect();
     finalize_postings(&mut postings);
@@ -291,17 +312,7 @@ struct LiveInner {
 impl LiveInner {
     /// Publish the writer's current state as a fresh immutable snapshot.
     fn publish_locked(&self, w: &Writer) {
-        let mut index = SubjectiveIndex::with_history(
-            self.similarity.clone(),
-            self.config.clone(),
-            Arc::clone(&self.pending),
-        );
-        index.replace_entries(w.entries.clone());
-        let snapshot = LiveSnapshot {
-            index,
-            ingested: w.ingested,
-            segments: w.sealed.len(),
-        };
+        let snapshot = LiveSnapshot::of(w, &self.similarity, &self.config, &self.pending);
         *self.published.write() = Arc::new(snapshot);
     }
 
@@ -470,14 +481,14 @@ impl LiveIndex {
                     w.ingested += 1;
                 }
             }
-            let tags: Vec<SubjectiveTag> = w.accums.keys().cloned().collect();
-            for tag in tags {
-                let postings = match w.accums.get(&tag) {
-                    Some(accs) => postings_from_accums(accs, &w.evidence, &config),
-                    None => Vec::new(),
-                };
-                w.entries.insert(tag, postings);
-            }
+            w.entries = w
+                .accums
+                .iter()
+                .map(|(tag, accs)| {
+                    let postings = postings_from_accums(accs, &w.evidence, &config);
+                    (tag.clone(), postings.into())
+                })
+                .collect();
             if let Some(checkpointed) = &loaded.postings {
                 if *checkpointed != w.entries {
                     return Err(StoreError::Corrupt(
@@ -519,29 +530,18 @@ impl LiveIndex {
         pending: UserTagHistory,
     ) -> Self {
         let background = live.background_compaction;
+        let pending = Arc::new(Mutex::new(pending));
+        let first = LiveSnapshot::of(&writer, &similarity, &config, &pending);
         let inner = Arc::new(LiveInner {
             similarity,
             config,
             live,
             store,
             writer: Mutex::new(writer),
-            published: RwLock::new(Arc::new(LiveSnapshot {
-                index: SubjectiveIndex::new(
-                    ConceptualSimilarity::new(saccs_text::Lexicon::new(
-                        saccs_text::Domain::Restaurants,
-                    )),
-                    IndexConfig::default(),
-                ),
-                ingested: 0,
-                segments: 0,
-            })),
-            pending: Arc::new(Mutex::new(pending)),
+            published: RwLock::new(Arc::new(first)),
+            pending,
             comp: CompactorSignal::default(),
         });
-        {
-            let w = inner.writer.lock();
-            inner.publish_locked(&w);
-        }
         let compactor = background.then(|| {
             let worker = Arc::clone(&inner);
             saccs_rt::spawn_worker("index-compact", move || loop {
@@ -602,7 +602,7 @@ impl LiveIndex {
                 Some(accs) => postings_from_accums(accs, &w.evidence, &inner.config),
                 None => Vec::new(),
             };
-            w.entries.insert(tag, postings);
+            w.entries.insert(tag, postings.into());
         }
         saccs_obs::counter!("index.ingest.reviews").inc();
         let sealed = inner.live.seal_every > 0
@@ -639,7 +639,7 @@ impl LiveIndex {
             let accs = accum_column(&w.evidence, tag, &inner.similarity, &inner.config);
             let postings = postings_from_accums(&accs, &w.evidence, &inner.config);
             w.accums.insert(tag.clone(), accs);
-            w.entries.insert(tag.clone(), postings);
+            w.entries.insert(tag.clone(), postings.into());
             added += 1;
         }
         if added > 0 {
@@ -782,9 +782,12 @@ mod tests {
     }
 
     /// From-scratch comparator: replay the log into a frozen index the
-    /// way a batch pipeline would (entities in first-seen order).
+    /// way a batch pipeline would (entities in first-seen order). It
+    /// scores through the custom-similarity hook, so its fallback probes
+    /// scan while the live snapshots answer through their cell index.
     fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
-        let mut idx = SubjectiveIndex::new(sim(), IndexConfig::default());
+        let mut idx =
+            SubjectiveIndex::new(sim(), IndexConfig::default()).with_custom_similarity(sim());
         let mut evidence: Vec<EntityEvidence> = Vec::new();
         for record in log {
             match evidence
@@ -924,6 +927,28 @@ mod tests {
             live.probe_pinned(&live.pin(), &tag("good", "food")).len(),
             2
         );
+    }
+
+    #[test]
+    fn publish_shares_untouched_columns_with_earlier_snapshots() {
+        let live = LiveIndex::new(sim(), IndexConfig::default(), LiveConfig::default());
+        live.add_tags(&index_tags());
+        live.add_review(0, &[tag("romantic", "ambiance")]);
+        let before = live.pin();
+        // Entity 1 says nothing near "romantic ambiance": that column is
+        // untouched, the "good food" one is rebuilt.
+        live.add_review(1, &[tag("good", "food")]);
+        let after = live.pin();
+        let untouched = tag("romantic", "ambiance");
+        let (a, b) = (
+            before.index().lookup(&untouched).unwrap(),
+            after.index().lookup(&untouched).unwrap(),
+        );
+        assert_eq!(a.len(), 1);
+        assert!(std::ptr::eq(a, b), "publish copied an untouched column");
+        let touched = tag("good", "food");
+        assert_eq!(before.index().lookup(&touched).unwrap().len(), 0);
+        assert_eq!(after.index().lookup(&touched).unwrap().len(), 1);
     }
 
     #[test]

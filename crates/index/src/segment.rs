@@ -18,9 +18,8 @@
 //! crashes the recovery invariants are supposed to survive.
 
 use crate::codec::{self, CodecError};
-use crate::index::IndexEntry;
+use crate::index::PostingColumns;
 use saccs_text::SubjectiveTag;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// File magic for a sealed segment image.
@@ -365,7 +364,7 @@ pub struct LoadedStore {
     /// The committed segments, in manifest order (seq order).
     pub segments: Vec<SealedSegment>,
     /// The checkpointed posting lists, when the manifest references one.
-    pub postings: Option<BTreeMap<SubjectiveTag, Vec<IndexEntry>>>,
+    pub postings: Option<PostingColumns>,
 }
 
 /// The on-disk segment directory: segment files, optional posting
@@ -413,10 +412,7 @@ impl SegmentStore {
     /// manifest. Content addressing makes the write idempotent and
     /// guarantees an already-committed manifest never sees its
     /// referenced image change underneath it.
-    pub fn write_postings(
-        &self,
-        entries: &BTreeMap<SubjectiveTag, Vec<IndexEntry>>,
-    ) -> Result<String, StoreError> {
+    pub fn write_postings(&self, entries: &PostingColumns) -> Result<String, StoreError> {
         let mut out = Vec::new();
         out.extend_from_slice(POSTINGS_MAGIC);
         codec::put_varint(&mut out, entries.len() as u64);
@@ -432,10 +428,7 @@ impl SegmentStore {
         Ok(name)
     }
 
-    fn read_postings(
-        &self,
-        name: &str,
-    ) -> Result<BTreeMap<SubjectiveTag, Vec<IndexEntry>>, StoreError> {
+    fn read_postings(&self, name: &str) -> Result<PostingColumns, StoreError> {
         let bytes = std::fs::read(self.dir.join(name))?;
         if bytes.len() < POSTINGS_MAGIC.len() + 8 {
             return Err(StoreError::Corrupt("postings file too short".into()));
@@ -451,12 +444,12 @@ impl SegmentStore {
         }
         let mut pos = POSTINGS_MAGIC.len();
         let count = codec::get_varint(body, &mut pos)? as usize;
-        let mut entries = BTreeMap::new();
+        let mut entries = PostingColumns::new();
         for _ in 0..count {
             let opinion = codec::get_str(body, &mut pos)?;
             let aspect = codec::get_str(body, &mut pos)?;
             let postings = codec::get_postings(body, &mut pos)?;
-            entries.insert(SubjectiveTag { opinion, aspect }, postings);
+            entries.insert(SubjectiveTag { opinion, aspect }, postings.into());
         }
         if pos != body.len() {
             return Err(StoreError::Corrupt("trailing bytes after postings".into()));
@@ -542,6 +535,7 @@ impl SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::IndexEntry;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tag(op: &str, asp: &str) -> SubjectiveTag {
@@ -629,14 +623,15 @@ mod tests {
         let store = temp_store("roundtrip");
         let seg = sample_segment();
         store.persist_segment(&seg).unwrap();
-        let mut entries = BTreeMap::new();
+        let mut entries = PostingColumns::new();
         entries.insert(
             tag("good", "food"),
             vec![IndexEntry {
                 entity_id: 0,
                 degree_of_truth: 1.5,
                 normalized: 1.0,
-            }],
+            }]
+            .into(),
         );
         let postings_file = store.write_postings(&entries).unwrap();
         let manifest = Manifest {

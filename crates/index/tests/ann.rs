@@ -1,9 +1,11 @@
-//! ANN-enabled fallback probes must be *exactly* the exhaustive scan:
-//! same entity ids, same score bits, same order. With the default
-//! conceptual similarity the semantic candidate cells prune only tags
-//! whose upper bound is below θ_filter, and the rescore replays the
-//! scan's addition sequence, so the equality is bitwise — across random
-//! corpora, θ values, dynamic thresholds, and `saccs-rt` widths.
+//! Fallback probes through the cell index must be *exactly* the
+//! exhaustive scan: same entity ids, same score bits, same order. With
+//! the default conceptual similarity the semantic candidate cells prune
+//! only tags whose upper bound is below θ_filter, and the rescore
+//! replays the scan's addition sequence, so the equality is bitwise —
+//! across random corpora, θ values, dynamic thresholds, and `saccs-rt`
+//! widths. The scan reference is the same index built with the same
+//! similarity fed in as a custom one, which scans by construction.
 
 use proptest::prelude::*;
 use saccs_index::index::{EntityEvidence, IndexConfig, SubjectiveIndex};
@@ -42,12 +44,19 @@ fn mk_tag(&(o, a): &(usize, usize)) -> SubjectiveTag {
     SubjectiveTag::new(OPINIONS[o % OPINIONS.len()], ASPECTS[a % ASPECTS.len()])
 }
 
+/// Build an index over `entities` and `tags`: the default one, whose
+/// fallback probes go through the cell index, or with `scan` the scan
+/// reference.
 fn build(
     config: IndexConfig,
     entities: &[(usize, Vec<SubjectiveTag>)],
     tags: &[SubjectiveTag],
+    scan: bool,
 ) -> SubjectiveIndex {
     let mut idx = SubjectiveIndex::new(sim(), config);
+    if scan {
+        idx = idx.with_custom_similarity(sim());
+    }
     for (e, (reviews, review_tags)) in entities.iter().enumerate() {
         idx.register_entity(EntityEvidence {
             entity_id: e,
@@ -59,9 +68,9 @@ fn build(
     idx
 }
 
-fn assert_ranked_bitwise_eq(ann: &[(usize, f32)], scan: &[(usize, f32)], ctx: &str) {
-    assert_eq!(ann.len(), scan.len(), "{ctx}: lengths differ");
-    for (i, ((ea, sa), (eb, sb))) in ann.iter().zip(scan).enumerate() {
+fn assert_ranked_bitwise_eq(cells: &[(usize, f32)], scan: &[(usize, f32)], ctx: &str) {
+    assert_eq!(cells.len(), scan.len(), "{ctx}: lengths differ");
+    for (i, ((ea, sa), (eb, sb))) in cells.iter().zip(scan).enumerate() {
         assert_eq!(ea, eb, "{ctx}: entity at rank {i}");
         assert_eq!(
             sa.to_bits(),
@@ -74,10 +83,11 @@ fn assert_ranked_bitwise_eq(ann: &[(usize, f32)], scan: &[(usize, f32)], ctx: &s
 proptest! {
     #![proptest_config(prop::test_runner::Config::with_cases(48))]
 
-    /// The core tentpole invariant, fuzzed: for any corpus, θ_filter and
-    /// dynamic-threshold setting, ANN probes equal scan probes bitwise.
+    /// The core invariant, fuzzed: for any corpus, θ_filter and
+    /// dynamic-threshold setting, cell-index probes equal scan probes
+    /// bitwise.
     #[test]
-    fn ann_probe_equals_scan_probe_bitwise(
+    fn cell_probe_equals_scan_probe_bitwise(
         raw_entities in prop::collection::vec(
             (1usize..5, prop::collection::vec((0usize..64, 0usize..64), 1..6)),
             1..10,
@@ -99,17 +109,13 @@ proptest! {
             dynamic_thresholds: dynamic,
             ..IndexConfig::default()
         };
-        let scan_idx = build(config.clone(), &entities, &tags);
-        let ann_idx = build(
-            IndexConfig { ann_enabled: true, ..config },
-            &entities,
-            &tags,
-        );
+        let scan_idx = build(config.clone(), &entities, &tags, true);
+        let cell_idx = build(config, &entities, &tags, false);
         for probe in &probes {
             let scan = scan_idx.probe_readonly(probe);
-            let ann = ann_idx.probe_readonly(probe);
+            let cells = cell_idx.probe_readonly(probe);
             assert_ranked_bitwise_eq(
-                &ann,
+                &cells,
                 &scan,
                 &format!("probe {probe:?} θ={theta} dynamic={dynamic}"),
             );
@@ -117,56 +123,12 @@ proptest! {
     }
 }
 
-/// Verify mode runs both paths, returns the scan, and records zero
-/// mismatches (the mismatch counter is asserted indirectly: results are
-/// the scan's results bit for bit).
-#[test]
-fn verify_mode_returns_scan_results() {
-    let entities: Vec<(usize, Vec<SubjectiveTag>)> = (0..8)
-        .map(|e| {
-            let t = (0..3)
-                .map(|k| {
-                    SubjectiveTag::new(
-                        OPINIONS[(e * 3 + k) % OPINIONS.len()],
-                        ASPECTS[(e + k * 2) % ASPECTS.len()],
-                    )
-                })
-                .collect();
-            (1 + e % 4, t)
-        })
-        .collect();
-    let tags: Vec<SubjectiveTag> = (0..10)
-        .map(|i| SubjectiveTag::new(OPINIONS[i % OPINIONS.len()], ASPECTS[i % ASPECTS.len()]))
-        .collect();
-    let scan_idx = build(IndexConfig::default(), &entities, &tags);
-    let verify_idx = build(
-        IndexConfig {
-            ann_enabled: true,
-            ann_verify: true,
-            ..IndexConfig::default()
-        },
-        &entities,
-        &tags,
-    );
-    for probe in [
-        SubjectiveTag::new("scrumptious", "pizza"),
-        SubjectiveTag::new("delicious", "waiters"),
-        SubjectiveTag::new("zorgle", "zzplace"),
-    ] {
-        assert_ranked_bitwise_eq(
-            &verify_idx.probe_readonly(&probe),
-            &scan_idx.probe_readonly(&probe),
-            &format!("verify-mode probe {probe:?}"),
-        );
-    }
-}
-
 /// Width sweep: one test function on purpose — `saccs_rt::set_threads`
 /// is grow-only and process-global, so the width-1 pass must run first.
-/// ANN-enabled probes must match both the scan *and* the width-1
+/// Cell-index probes must match both the scan *and* the width-1
 /// baseline bit for bit at widths 1, 2 and 8.
 #[test]
-fn ann_probes_bitwise_identical_across_widths() {
+fn cell_probes_bitwise_identical_across_widths() {
     let entities: Vec<(usize, Vec<SubjectiveTag>)> = (0..16)
         .map(|e| {
             let t = (0..4)
@@ -198,20 +160,13 @@ fn ann_probes_bitwise_identical_across_widths() {
     let mut baseline: Option<Vec<Vec<(usize, f32)>>> = None;
     for width in [1usize, 2, 8] {
         saccs_rt::set_threads(width);
-        let scan_idx = build(IndexConfig::default(), &entities, &tags);
-        let ann_idx = build(
-            IndexConfig {
-                ann_enabled: true,
-                ..IndexConfig::default()
-            },
-            &entities,
-            &tags,
-        );
+        let scan_idx = build(IndexConfig::default(), &entities, &tags, true);
+        let cell_idx = build(IndexConfig::default(), &entities, &tags, false);
         let results: Vec<Vec<(usize, f32)>> =
-            probes.iter().map(|p| ann_idx.probe_readonly(p)).collect();
-        for (probe, ann) in probes.iter().zip(&results) {
+            probes.iter().map(|p| cell_idx.probe_readonly(p)).collect();
+        for (probe, cells) in probes.iter().zip(&results) {
             assert_ranked_bitwise_eq(
-                ann,
+                cells,
                 &scan_idx.probe_readonly(probe),
                 &format!("width {width} probe {probe:?}"),
             );
@@ -229,4 +184,40 @@ fn ann_probes_bitwise_identical_across_widths() {
             }
         }
     }
+}
+
+/// The scan reference scans whatever order it was built in: a custom
+/// similarity set after `index_tags` drops the cell index that call
+/// built. A cell-index probe records a `probe_ann` trace event; a scan
+/// records none.
+#[test]
+fn custom_similarity_drops_cells_built_before_it() {
+    let entities = vec![(3, vec![SubjectiveTag::new("delicious", "food")])];
+    let tags = [SubjectiveTag::new("delicious", "food")];
+    let probe = SubjectiveTag::new("tasty", "meal");
+    let cell_idx = build(IndexConfig::default(), &entities, &tags, false);
+    let scan_idx =
+        build(IndexConfig::default(), &entities, &tags, false).with_custom_similarity(sim());
+    let probe_ann_events = |idx: &SubjectiveIndex| {
+        let ctx = saccs_obs::TraceContext::new(1);
+        let ranked = {
+            let _scope = saccs_obs::trace::install(std::sync::Arc::clone(&ctx));
+            idx.probe_readonly(&probe)
+        };
+        assert!(
+            !ranked.is_empty(),
+            "the probe must match through the fallback"
+        );
+        ctx.events()
+            .iter()
+            .filter(|e| matches!(e, saccs_obs::trace::TraceEvent::ProbeAnn { .. }))
+            .count()
+    };
+    assert_eq!(probe_ann_events(&cell_idx), 1);
+    assert_eq!(probe_ann_events(&scan_idx), 0);
+    assert_ranked_bitwise_eq(
+        &cell_idx.probe_readonly(&probe),
+        &scan_idx.probe_readonly(&probe),
+        "cells vs late-built scan reference",
+    );
 }

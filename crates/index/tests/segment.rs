@@ -12,7 +12,8 @@
 //! * **Incremental = from-scratch** — a [`LiveIndex`] fed an arbitrary
 //!   review stream answers every probe with exactly the bits a frozen
 //!   [`SubjectiveIndex`] built from the same evidence answers, at every
-//!   prefix of the stream.
+//!   prefix of the stream. The frozen side scans; the live side answers
+//!   fallback probes through its cell index.
 
 use proptest::prelude::*;
 use saccs_index::codec::{
@@ -49,9 +50,10 @@ fn bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
 
 /// The from-scratch comparator: replay `log` the way a batch pipeline
 /// would (entities registered in first-seen order, review tags
-/// concatenated in arrival order) and index the same tag set.
-fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag], config: &IndexConfig) -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(sim(), config.clone());
+/// concatenated in arrival order) and index the same tag set. Built
+/// with the similarity as a custom one, its fallback probes scan.
+fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
+    let mut idx = SubjectiveIndex::new(sim(), IndexConfig::default()).with_custom_similarity(sim());
     let mut evidence: Vec<EntityEvidence> = Vec::new();
     for record in log {
         match evidence
@@ -218,14 +220,12 @@ proptest! {
         raw_tags in prop::collection::vec((0usize..8, 0usize..6), 1..6),
         raw_probes in prop::collection::vec((0usize..8, 0usize..6), 1..4),
         seal_every in 0usize..5,
-        ann in prop::bool::ANY,
     ) {
         let tags: Vec<SubjectiveTag> = raw_tags.iter().map(mk_tag).collect();
         let probes: Vec<SubjectiveTag> = raw_probes.iter().map(mk_tag).collect();
-        let config = IndexConfig { ann_enabled: ann, ..IndexConfig::default() };
         let live = LiveIndex::new(
             sim(),
-            config.clone(),
+            IndexConfig::default(),
             LiveConfig {
                 seal_every,
                 max_segments: 3,
@@ -238,14 +238,14 @@ proptest! {
             let review_tags: Vec<SubjectiveTag> = review.iter().map(mk_tag).collect();
             let receipt = live.add_review(*entity_id, &review_tags);
             log.push(ReviewRecord { seq: receipt.seq, entity_id: *entity_id, tags: review_tags });
-            let frozen = rebuild(&log, &tags, &config);
+            let frozen = rebuild(&log, &tags);
             let snapshot = live.pin();
             for probe in &probes {
                 prop_assert_eq!(
                     bits(&live.probe_pinned(&snapshot, probe)),
                     bits(&frozen.probe_readonly(probe)),
-                    "prefix {} probe {:?} (seal_every {}, ann {})",
-                    i, probe, seal_every, ann
+                    "prefix {} probe {:?} (seal_every {})",
+                    i, probe, seal_every
                 );
             }
         }

@@ -25,7 +25,7 @@
 //! one front door: the serve path, resilience ladder, tracing and live
 //! pinned snapshots get it without any new entry point. The planner is
 //! deterministic — identical plans and bitwise-identical results at any
-//! serve width, ANN on or off, across interleaved ingestion states —
+//! serve width, across interleaved ingestion states —
 //! and [`plan::naive_matches`] is the reference evaluator the property
 //! tests hold it to.
 

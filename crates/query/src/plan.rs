@@ -3,11 +3,10 @@
 //! Each subjective leaf materializes an entity bitmap from the
 //! snapshot's posting lists (degree-of-truth thresholding folded into
 //! the posting iteration; unindexed tags go through the same θ_filter
-//! similarity fallback a probe uses, so ANN on/off stays bitwise
-//! invisible here too). Objective leaves test the catalog directly and
-//! are folded into the same plan — under an `AND` they only ever
-//! iterate the ids the subjective leaves already admitted, never the
-//! whole universe, which is what "not post-filtered" buys.
+//! similarity fallback a probe uses). Objective leaves test the catalog
+//! directly and are folded into the same plan — under an `AND` they only
+//! ever iterate the ids the subjective leaves already admitted, never
+//! the whole universe, which is what "not post-filtered" buys.
 //!
 //! The cost model is deliberately small: per-tag posting lengths from
 //! [`SubjectiveIndex::posting_stats`](saccs_index::SubjectiveIndex::posting_stats)-style
@@ -259,7 +258,6 @@ fn eval(expr: &FilterExpr, ctx: &Ctx<'_>, restrict: Option<&EntityBitmap>) -> En
                 // Unknown (or indexed-empty) tag: the same θ_filter
                 // similarity fallback a ranking probe uses, so a filter
                 // never disagrees with ranking about what a tag means.
-                // ANN on/off is bitwise invisible by the probe contract.
                 _ => {
                     for (id, score) in ctx.index.probe_readonly(tag) {
                         if score > *theta {
@@ -530,7 +528,10 @@ mod tests {
         }
     }
 
-    fn index_with(postings: &[(&str, &str, &[(usize, f32)])]) -> SubjectiveIndex {
+    /// One installed tag: `(opinion, aspect, raw (entity, degree) pairs)`.
+    type Installed<'a> = (&'a str, &'a str, &'a [(usize, f32)]);
+
+    fn index_with(postings: &[Installed<'_>]) -> SubjectiveIndex {
         let mut ix = SubjectiveIndex::new(
             ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
             IndexConfig::default(),

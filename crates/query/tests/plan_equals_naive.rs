@@ -1,7 +1,7 @@
 //! Property tests: every compiled plan equals the naive tree-walking
 //! evaluator over random corpora × random ASTs × random θ thresholds,
-//! under both join orders, with ANN on and off, and under random
-//! permutations of `AND`/`OR` children (join-order invariance).
+//! under both join orders, and under random permutations of `AND`/`OR`
+//! children (join-order invariance).
 
 use proptest::prelude::*;
 use saccs_index::{IndexConfig, SubjectiveIndex};
@@ -79,12 +79,10 @@ impl ObjectiveCatalog for SynthCatalog {
     }
 }
 
-fn build_index(g: &mut Gen, universe: usize, ann: bool) -> SubjectiveIndex {
-    let mut config = IndexConfig::default();
-    config.ann_enabled = ann;
+fn build_index(g: &mut Gen, universe: usize) -> SubjectiveIndex {
     let mut ix = SubjectiveIndex::new(
         ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-        config,
+        IndexConfig::default(),
     );
     // Index a random subset of the vocabulary (so some query tags are
     // unknown and exercise the probe fallback), with random posting
@@ -197,17 +195,14 @@ fn permute(expr: &FilterExpr, g: &mut Gen) -> FilterExpr {
 proptest! {
     #![proptest_config(prop::test_runner::Config::with_cases(96))]
 
-    /// Planner == naive evaluator, both join orders, ANN on and off,
-    /// and invariant under random permutations of connective children.
+    /// Planner == naive evaluator, both join orders, and invariant under
+    /// random permutations of connective children.
     #[test]
     fn plan_equals_naive(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
         let universe = 2 + g.below(63) as usize;
-        let corpus_seed = g.next();
-        let mut cg = Gen(corpus_seed);
-        let ix = build_index(&mut cg, universe, false);
-        let mut cg_ann = Gen(corpus_seed);
-        let ix_ann = build_index(&mut cg_ann, universe, true);
+        let mut cg = Gen(g.next());
+        let ix = build_index(&mut cg, universe);
         let catalog = SynthCatalog { universe, salt: g.next() };
 
         let filter = Filter::from_expr(gen_expr(&mut g, 3));
@@ -224,14 +219,6 @@ proptest! {
             .to_vec();
         prop_assert_eq!(&rarest, &naive, "rarest-first vs naive, filter {}", filter.normal());
         prop_assert_eq!(&ltr, &naive, "left-to-right vs naive, filter {}", filter.normal());
-
-        // ANN on: identical postings, identical result sets (the probe
-        // fallback is bitwise-equal by the index contract).
-        let rarest_ann = compile(&filter, &ix_ann, &catalog, JoinOrder::RarestFirst)
-            .expect("compiles")
-            .bitmap()
-            .to_vec();
-        prop_assert_eq!(&rarest_ann, &naive, "ANN on vs naive, filter {}", filter.normal());
 
         // Join-order invariance: any permutation of AND/OR children
         // yields the same result set.

@@ -160,8 +160,10 @@ impl ReplySlot {
 /// The work carried by an admitted job: a rank request, or a review to
 /// ingest into the service's live index. Both kinds flow through the
 /// same bounded queue, so overload sheds rank and ingest traffic alike.
+/// The rank request is boxed so a queued ingest job does not carry a
+/// rank request's footprint.
 enum JobInput {
-    Rank(RankRequest),
+    Rank(Box<RankRequest>),
     Ingest {
         entity_id: usize,
         review_tags: Vec<SubjectiveTag>,
@@ -255,7 +257,7 @@ impl Shared {
     }
 
     fn submit(&self, request: RankRequest) -> Result<RankResponse, SaccsError> {
-        match self.admit(JobInput::Rank(request))? {
+        match self.admit(JobInput::Rank(Box::new(request)))? {
             Reply::Rank(response) => Ok(response),
             // A rank job always completes with a rank reply; treat a
             // mismatch as a shed rather than panicking a caller thread.
@@ -726,18 +728,17 @@ mod tests {
     }
 
     #[test]
-    fn ann_enabled_serving_is_bitwise_identical_to_scan_across_worker_counts() {
+    fn cell_index_serving_is_bitwise_identical_to_scan_across_worker_counts() {
         // An unknown probe tag forces the θ_filter fallback on every
-        // request; the ANN-enabled service must serve bit-for-bit what
-        // the exhaustive scan serves, at every worker count.
-        let build = |ann: bool| {
-            let mut idx = SubjectiveIndex::new(
-                ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-                IndexConfig {
-                    ann_enabled: ann,
-                    ..IndexConfig::default()
-                },
-            );
+        // request; the default index answers it through its cell index
+        // and must serve bit-for-bit what the scan reference (the same
+        // similarity as a custom one) serves, at every worker count.
+        let build = |scan: bool| {
+            let sim = ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants));
+            let mut idx = SubjectiveIndex::new(sim.clone(), IndexConfig::default());
+            if scan {
+                idx = idx.with_custom_similarity(sim);
+            }
             for (entity_id, tags) in [
                 (0, vec![tag("delicious", "food"), tag("friendly", "staff")]),
                 (1, vec![tag("delicious", "food"), tag("cozy", "ambiance")]),
@@ -764,12 +765,12 @@ mod tests {
         let ents = entities(4);
         let expected = {
             let api = SearchApi::new(&ents);
-            build(false).rank_request(&probe_request(), &api).results
+            build(true).rank_request(&probe_request(), &api).results
         };
         assert!(!expected.is_empty(), "fallback probe must match something");
         for workers in [1usize, 2, 8] {
             let server = Arc::new(SaccsServer::start(
-                build(true),
+                build(false),
                 ents.clone(),
                 ServeConfig {
                     workers,
@@ -783,7 +784,7 @@ mod tests {
                 .map(|i| {
                     let server = Arc::clone(&server);
                     let tx = tx.clone();
-                    saccs_rt::spawn_worker(&format!("test-ann-{workers}-{i}"), move || {
+                    saccs_rt::spawn_worker(&format!("test-cells-{workers}-{i}"), move || {
                         let results = server.submit(probe_request()).expect("admitted").results;
                         tx.send(results).expect("send results");
                     })
@@ -797,7 +798,7 @@ mod tests {
                 assert_eq!(
                     results.len(),
                     expected.len(),
-                    "ann/scan length diverged at {workers} workers"
+                    "cells/scan length diverged at {workers} workers"
                 );
                 for ((ea, sa), (eb, sb)) in results.iter().zip(&expected) {
                     assert_eq!(ea, eb, "entity order diverged at {workers} workers");

@@ -6,30 +6,32 @@
 #
 # Stages:
 #   1. fmt       cargo fmt --check        (skipped if rustfmt is absent)
-#   2. lint      cargo run -p xtask -- check
-#   3. audit     xtask audit --json twice, reports byte-diffed, gated on
+#   2. clippy    cargo clippy --workspace --all-targets, warnings denied
+#                (skipped if clippy is absent)
+#   3. lint      cargo run -p xtask -- check
+#   4. audit     xtask audit --json twice, reports byte-diffed, gated on
 #                the ratchet baseline, report validated by check-audit
-#   4. doc       cargo doc --no-deps --workspace with warnings denied
-#   5. build     cargo build --workspace --release
-#   6. test      cargo test -q --workspace
-#   7. sanitize  cargo test -q --features saccs-nn/sanitize
-#   8. bench-obs SACCS_OBS=json table3 + xtask check-bench on the snapshot
-#   9. perf      SACCS_OBS=json matmul microbench + xtask check-bench
-#  10. chaos     seeded fault suite + double chaos-bin run, exports diffed
-#  11. serve     concurrent-serving suite + double serve-bin run, exports
+#   5. doc       cargo doc --no-deps --workspace with warnings denied
+#   6. build     cargo build --workspace --release
+#   7. test      cargo test -q --workspace
+#   8. sanitize  cargo test -q --features saccs-nn/sanitize
+#   9. bench-obs SACCS_OBS=json table3 + xtask check-bench on the snapshot
+#  10. perf      SACCS_OBS=json matmul microbench + xtask check-bench
+#  11. chaos     seeded fault suite + double chaos-bin run, exports diffed
+#  12. serve     concurrent-serving suite + double serve-bin run, exports
 #                AND normalized flight-recorder reports diffed,
 #                BENCH_serve.json + the recorder report validated
-#  12. trace     request-tracing suite (five-stage coverage, fault events
+#  13. trace     request-tracing suite (five-stage coverage, fault events
 #                in the owning trace, recorder-on/off bitwise equality)
-#  13. probe     ANN equality suite + fold-reference proptests + double
-#                probe-bin run on a reduced synthetic corpus,
-#                deterministic exports byte-diffed, BENCH_probe.json
-#                validated
-#  14. ingest    segmented-index suites (proptests, ingest-while-serving
+#  14. probe     cell-index-vs-scan equality suite + fold-reference
+#                proptests + double probe-bin run on a reduced synthetic
+#                corpus, deterministic exports byte-diffed,
+#                BENCH_probe.json validated
+#  15. ingest    segmented-index suites (proptests, ingest-while-serving
 #                equivalence, crash recovery) + double ingest-bin run,
 #                deterministic exports byte-diffed, BENCH_ingest.json
 #                validated
-#  15. query     query-language suites (planner proptests, filtered
+#  16. query     query-language suites (planner proptests, filtered
 #                serving equivalence) + double query-bin run, match-set
 #                exports byte-diffed, BENCH_query.json validated
 
@@ -55,6 +57,13 @@ if command -v rustfmt >/dev/null 2>&1; then
     cargo fmt --all -- --check || fail fmt
 else
     stage fmt "skipped: rustfmt not installed"
+fi
+
+if cargo clippy --version >/dev/null 2>&1; then
+    stage clippy "cargo clippy --workspace --all-targets -- -D warnings"
+    cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings || fail clippy
+else
+    stage clippy "skipped: clippy not installed"
 fi
 
 stage lint "cargo run -p xtask -- check"
@@ -149,15 +158,18 @@ cargo run "${OFFLINE[@]}" -q -p xtask -- check-bench BENCH_serve.json || fail se
 stage trace "cargo test --features fault --test trace"
 cargo test "${OFFLINE[@]}" -q --features fault --test trace || fail trace
 
-# Probe gate: the ANN-vs-scan equality suite and the fold-reference
-# proptests (the dense fallback accumulator against the sort-based
-# reference fold: the `fold` unit tests in `index.rs`), then the probe
-# bin run twice on a reduced synthetic corpus — its JSON-lines export
-# (per-probe rankings as score bits and match counts; no timings) must
-# be byte-identical or the candidate search is not deterministic — and
-# the BENCH_probe snapshot validated. The full 100k acceptance run
-# stays a manual `SACCS_PROBE_TAGS=100000` invocation (see README).
-stage probe "ann + fold suites + double probe run, exports diffed"
+# Probe gate: the equality suite, which holds every index's fallback
+# probe through its cell index to the scan reference (the same
+# similarity fed in as a custom one, which scans), and the
+# fold-reference proptests (the dense fallback accumulator against the
+# sort-based reference fold: the `fold` unit tests in `index.rs`), then
+# the probe bin run twice on a reduced synthetic corpus — its JSON-lines
+# export (per-probe rankings as score bits and match counts; no
+# timings) must be byte-identical or the candidate search is not
+# deterministic — and the BENCH_probe snapshot validated. The full 100k
+# acceptance run stays a manual `SACCS_PROBE_TAGS=100000` invocation
+# (see README).
+stage probe "cells-vs-scan + fold suites + double probe run, exports diffed"
 cargo test "${OFFLINE[@]}" -q -p saccs-index --test ann || fail probe
 cargo test "${OFFLINE[@]}" -q -p saccs-index --lib fold || fail probe
 rm -f PROBE_a.jsonl PROBE_b.jsonl BENCH_probe.json
@@ -194,7 +206,8 @@ cargo run "${OFFLINE[@]}" -q -p xtask -- check-bench BENCH_ingest.json || fail i
 
 # Query gate: the planner property suite (plan == naive evaluator, join-
 # order invariance) and the filtered-serving suite (bitwise stability
-# across widths/ANN/ingest states, degradation + admission paths); then
+# across widths and ingest states against a scanning rebuild,
+# degradation + admission paths); then
 # the query bin run twice — its JSON-lines export (match counts and
 # entity sets per corpus size; no timings) must be byte-identical or the
 # plans are not deterministic — and the planner-speedup snapshot

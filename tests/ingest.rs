@@ -3,11 +3,11 @@
 //!
 //! The contract under test is the ingestion PR's headline claim: a
 //! server whose service fronts a [`LiveIndex`] answers every rank
-//! request — at any worker count, with ANN on or off — **bitwise
-//! identically** to a frozen `SubjectiveIndex` rebuilt from scratch
-//! over the same review log, at *every* intermediate state of the
-//! stream: mid mem-segment, right after a seal, and right after a
-//! compaction merge. Ingestion rides the same bounded admission queue
+//! request — at any worker count — **bitwise identically** to a frozen
+//! `SubjectiveIndex` rebuilt from scratch over the same review log, at
+//! *every* intermediate state of the stream: mid mem-segment, right
+//! after a seal, and right after a compaction merge. The live side
+//! answers fallback probes through its cell index, the rebuild scans. Ingestion rides the same bounded admission queue
 //! as rank traffic, so the interleaving here exercises real
 //! queue-sharing, not a side channel.
 //!
@@ -90,9 +90,10 @@ fn rank_requests() -> Vec<RankRequest> {
 }
 
 /// The from-scratch comparator: replay the log the way the batch
-/// pipeline would and index the same tag set.
-fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag], config: &IndexConfig) -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(sim(), config.clone());
+/// pipeline would and index the same tag set. The similarity goes in as
+/// a custom one, so its fallback probes scan.
+fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
+    let mut idx = SubjectiveIndex::new(sim(), IndexConfig::default()).with_custom_similarity(sim());
     let mut evidence: Vec<EntityEvidence> = Vec::new();
     for record in log {
         match evidence
@@ -117,14 +118,10 @@ fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag], config: &IndexConfig) -
     idx
 }
 
-fn live_index(ann: bool) -> (Arc<LiveIndex>, IndexConfig) {
-    let config = IndexConfig {
-        ann_enabled: ann,
-        ..IndexConfig::default()
-    };
+fn live_index() -> Arc<LiveIndex> {
     let live = LiveIndex::new(
         sim(),
-        config.clone(),
+        IndexConfig::default(),
         LiveConfig {
             seal_every: 2,
             max_segments: 3,
@@ -132,7 +129,7 @@ fn live_index(ann: bool) -> (Arc<LiveIndex>, IndexConfig) {
         },
     );
     live.add_tags(&index_tags());
-    (Arc::new(live), config)
+    Arc::new(live)
 }
 
 fn live_server(live: &Arc<LiveIndex>, workers: usize) -> (Arc<SaccsServer>, Vec<Entity>) {
@@ -156,62 +153,57 @@ fn live_server(live: &Arc<LiveIndex>, workers: usize) -> (Arc<SaccsServer>, Vec<
 
 /// The tentpole: interleave ingest and rank traffic through the served
 /// admission queue and demand bitwise equality with a from-scratch
-/// rebuild at every seal/merge state, at serve widths 1, 2 and 8, with
-/// the ANN sidecar on and off.
+/// rebuild at every seal/merge state, at serve widths 1, 2 and 8.
 #[test]
 fn interleaved_ingest_and_rank_matches_rebuild_at_every_state() {
     let _serial = global_lock();
-    for ann in [false, true] {
-        for workers in [1usize, 2, 8] {
-            let (live, config) = live_index(ann);
-            let (server, ents) = live_server(&live, workers);
-            let api = SearchApi::new(&ents);
-            let mut log: Vec<ReviewRecord> = Vec::new();
-            let mut seals = 0usize;
-            for (entity_id, review_tags) in stream() {
-                let receipt = server
-                    .submit_ingest(entity_id, review_tags.clone())
-                    .expect("ingest admitted");
-                if receipt.sealed {
-                    seals += 1;
-                }
-                log.push(ReviewRecord {
-                    seq: receipt.seq,
-                    entity_id,
-                    tags: review_tags,
-                });
-                let frozen = SaccsService::index_only(
-                    rebuild(&log, &index_tags(), &config),
-                    SaccsConfig::default(),
-                );
-                for (served, reference) in rank_requests()
-                    .into_iter()
-                    .zip(rank_requests().iter().map(|r| frozen.rank_request(r, &api)))
-                {
-                    let response = server.submit(served).expect("rank admitted");
-                    assert!(response.is_full_fidelity());
-                    assert_eq!(
-                        bits(&response.results),
-                        bits(&reference.results),
-                        "served ranking diverged from rebuild after {} reviews \
-                         (workers={workers}, ann={ann}, segments={})",
-                        log.len(),
-                        live.segment_count(),
-                    );
-                }
+    for workers in [1usize, 2, 8] {
+        let live = live_index();
+        let (server, ents) = live_server(&live, workers);
+        let api = SearchApi::new(&ents);
+        let mut log: Vec<ReviewRecord> = Vec::new();
+        let mut seals = 0usize;
+        for (entity_id, review_tags) in stream() {
+            let receipt = server
+                .submit_ingest(entity_id, review_tags.clone())
+                .expect("ingest admitted");
+            if receipt.sealed {
+                seals += 1;
             }
-            // The cadence actually exercised seals and compaction: 10
-            // reviews at seal_every=2 seal five times, and max_segments=3
-            // forces at least one inline merge, so the final sealed set
-            // is smaller than the number of seals.
-            assert_eq!(seals, 5, "workers={workers} ann={ann}");
-            assert!(
-                live.segment_count() < seals,
-                "compaction never merged (workers={workers}, ann={ann}, segments={})",
-                live.segment_count(),
-            );
-            assert_eq!(live.review_log(), log, "workers={workers} ann={ann}");
+            log.push(ReviewRecord {
+                seq: receipt.seq,
+                entity_id,
+                tags: review_tags,
+            });
+            let frozen =
+                SaccsService::index_only(rebuild(&log, &index_tags()), SaccsConfig::default());
+            for (served, reference) in rank_requests()
+                .into_iter()
+                .zip(rank_requests().iter().map(|r| frozen.rank_request(r, &api)))
+            {
+                let response = server.submit(served).expect("rank admitted");
+                assert!(response.is_full_fidelity());
+                assert_eq!(
+                    bits(&response.results),
+                    bits(&reference.results),
+                    "served ranking diverged from rebuild after {} reviews \
+                     (workers={workers}, segments={})",
+                    log.len(),
+                    live.segment_count(),
+                );
+            }
         }
+        // The cadence actually exercised seals and compaction: 10
+        // reviews at seal_every=2 seal five times, and max_segments=3
+        // forces at least one inline merge, so the final sealed set
+        // is smaller than the number of seals.
+        assert_eq!(seals, 5, "workers={workers}");
+        assert!(
+            live.segment_count() < seals,
+            "compaction never merged (workers={workers}, segments={})",
+            live.segment_count(),
+        );
+        assert_eq!(live.review_log(), log, "workers={workers}");
     }
 }
 
@@ -221,7 +213,7 @@ fn interleaved_ingest_and_rank_matches_rebuild_at_every_state() {
 #[test]
 fn serve_stats_attribute_ingest_and_rank_separately() {
     let _serial = global_lock();
-    let (live, _config) = live_index(false);
+    let live = live_index();
     let (server, _ents) = live_server(&live, 2);
     let early = live.pin();
     let early_bits = bits(&live.probe_pinned(&early, &tag("delicious", "food")));
@@ -252,10 +244,7 @@ fn serve_stats_attribute_ingest_and_rank_separately() {
 #[test]
 fn static_service_rejects_ingest_at_the_ingest_stage() {
     let _serial = global_lock();
-    let frozen = SaccsService::index_only(
-        rebuild(&[], &index_tags(), &IndexConfig::default()),
-        SaccsConfig::default(),
-    );
+    let frozen = SaccsService::index_only(rebuild(&[], &index_tags()), SaccsConfig::default());
     let err = frozen
         .ingest(0, &[tag("delicious", "food")])
         .expect_err("static service must refuse ingest");
@@ -263,7 +252,7 @@ fn static_service_rejects_ingest_at_the_ingest_stage() {
 
     let server = SaccsServer::start(
         Arc::new(SaccsService::index_only(
-            rebuild(&[], &index_tags(), &IndexConfig::default()),
+            rebuild(&[], &index_tags()),
             SaccsConfig::default(),
         )),
         entities(3),
@@ -281,7 +270,7 @@ fn static_service_rejects_ingest_at_the_ingest_stage() {
 #[test]
 fn ingest_for_an_unknown_entity_is_rejected_before_admission() {
     let _serial = global_lock();
-    let (live, _config) = live_index(false);
+    let live = live_index();
     let (server, ents) = live_server(&live, 2);
     for entity_id in [ents.len(), 1 << 40, usize::MAX] {
         let err = server
@@ -321,7 +310,7 @@ fn ingest_for_an_unknown_entity_is_rejected_before_admission() {
 #[test]
 fn ingest_emits_buffered_and_sealed_trace_events() {
     let _serial = global_lock();
-    let (live, _config) = live_index(false);
+    let live = live_index();
     let svc = SaccsService::with_live_index(Arc::clone(&live), SaccsConfig::default());
     let ctx = TraceContext::new(42);
     let normals: Vec<String> = {

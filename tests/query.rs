@@ -4,9 +4,10 @@
 //! [`RankRequest::with_filter`] flows unchanged through the serving
 //! front end, compiles against the same pinned snapshot the probes
 //! read, and yields **bitwise identical** filtered rankings at serve
-//! widths 1, 2 and 8, with the ANN sidecar on or off, at every
-//! intermediate state of an interleaved ingest stream — always equal
-//! to a frozen index rebuilt from scratch over the same review log.
+//! widths 1, 2 and 8, at every intermediate state of an interleaved
+//! ingest stream — always equal to a frozen index rebuilt from scratch
+//! over the same review log, which scans where the live index answers
+//! fallback probes through its cell index.
 //!
 //! Also covered: planner join-order invariance (rarest-first ==
 //! left-to-right == the naive per-entity evaluator), the unfiltered
@@ -104,9 +105,10 @@ fn filtered_requests() -> Vec<RankRequest> {
 }
 
 /// The from-scratch comparator: replay the log the way the batch
-/// pipeline would and index the same tag set.
-fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag], config: &IndexConfig) -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(sim(), config.clone());
+/// pipeline would and index the same tag set. The similarity goes in as
+/// a custom one, so its fallback probes scan.
+fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
+    let mut idx = SubjectiveIndex::new(sim(), IndexConfig::default()).with_custom_similarity(sim());
     let mut evidence: Vec<EntityEvidence> = Vec::new();
     for record in log {
         match evidence
@@ -131,14 +133,10 @@ fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag], config: &IndexConfig) -
     idx
 }
 
-fn live_index(ann: bool) -> (Arc<LiveIndex>, IndexConfig) {
-    let config = IndexConfig {
-        ann_enabled: ann,
-        ..IndexConfig::default()
-    };
+fn live_index() -> Arc<LiveIndex> {
     let live = LiveIndex::new(
         sim(),
-        config.clone(),
+        IndexConfig::default(),
         LiveConfig {
             seal_every: 2,
             max_segments: 3,
@@ -146,7 +144,7 @@ fn live_index(ann: bool) -> (Arc<LiveIndex>, IndexConfig) {
         },
     );
     live.add_tags(&index_tags());
-    (Arc::new(live), config)
+    Arc::new(live)
 }
 
 fn live_server(live: &Arc<LiveIndex>, workers: usize) -> (Arc<SaccsServer>, Vec<Entity>) {
@@ -171,54 +169,50 @@ fn live_server(live: &Arc<LiveIndex>, workers: usize) -> (Arc<SaccsServer>, Vec<
 /// The tentpole: filtered requests through the served admission queue,
 /// interleaved with ingest traffic, must answer bitwise identically to
 /// a frozen rebuild at every ingestion state, at serve widths 1, 2 and
-/// 8, with ANN on and off.
+/// 8: the live side through its cell index, the rebuild by scan.
 #[test]
 fn filtered_rankings_are_bitwise_stable_across_widths_ann_and_ingest_states() {
     let _serial = global_lock();
-    for ann in [false, true] {
-        for workers in [1usize, 2, 8] {
-            let (live, config) = live_index(ann);
-            let (server, ents) = live_server(&live, workers);
-            let api = SearchApi::new(&ents);
-            let mut log: Vec<ReviewRecord> = Vec::new();
-            for (entity_id, review_tags) in stream() {
-                let receipt = server
-                    .submit_ingest(entity_id, review_tags.clone())
-                    .expect("ingest admitted");
-                log.push(ReviewRecord {
-                    seq: receipt.seq,
-                    entity_id,
-                    tags: review_tags,
-                });
-                let frozen = SaccsService::index_only(
-                    rebuild(&log, &index_tags(), &config),
-                    SaccsConfig::default(),
+    for workers in [1usize, 2, 8] {
+        let live = live_index();
+        let (server, ents) = live_server(&live, workers);
+        let api = SearchApi::new(&ents);
+        let mut log: Vec<ReviewRecord> = Vec::new();
+        for (entity_id, review_tags) in stream() {
+            let receipt = server
+                .submit_ingest(entity_id, review_tags.clone())
+                .expect("ingest admitted");
+            log.push(ReviewRecord {
+                seq: receipt.seq,
+                entity_id,
+                tags: review_tags,
+            });
+            let frozen =
+                SaccsService::index_only(rebuild(&log, &index_tags()), SaccsConfig::default());
+            for (served, reference) in filtered_requests().into_iter().zip(
+                filtered_requests()
+                    .iter()
+                    .map(|r| frozen.rank_request(r, &api)),
+            ) {
+                let dsl = served
+                    .filter
+                    .as_ref()
+                    .and_then(|f| f.source())
+                    .unwrap_or("<none>")
+                    .to_string();
+                let response = server.submit(served).expect("rank admitted");
+                assert!(
+                    response.is_full_fidelity(),
+                    "filter `{dsl}` degraded (workers={workers})"
                 );
-                for (served, reference) in filtered_requests().into_iter().zip(
-                    filtered_requests()
-                        .iter()
-                        .map(|r| frozen.rank_request(r, &api)),
-                ) {
-                    let dsl = served
-                        .filter
-                        .as_ref()
-                        .and_then(|f| f.source())
-                        .unwrap_or("<none>")
-                        .to_string();
-                    let response = server.submit(served).expect("rank admitted");
-                    assert!(
-                        response.is_full_fidelity(),
-                        "filter `{dsl}` degraded (workers={workers}, ann={ann})"
-                    );
-                    assert_eq!(
-                        bits(&response.results),
-                        bits(&reference.results),
-                        "served filtered ranking diverged from rebuild for `{dsl}` \
-                         after {} reviews (workers={workers}, ann={ann}, segments={})",
-                        log.len(),
-                        live.segment_count(),
-                    );
-                }
+                assert_eq!(
+                    bits(&response.results),
+                    bits(&reference.results),
+                    "served filtered ranking diverged from rebuild for `{dsl}` \
+                     after {} reviews (workers={workers}, segments={})",
+                    log.len(),
+                    live.segment_count(),
+                );
             }
         }
     }
@@ -240,7 +234,7 @@ fn planner_join_order_never_changes_the_match_set() {
             tags,
         })
         .collect();
-    let idx = rebuild(&log, &index_tags(), &IndexConfig::default());
+    let idx = rebuild(&log, &index_tags());
     let ents = entities(5);
     let api = SearchApi::new(&ents);
     for dsl in filter_dsls() {
@@ -267,7 +261,7 @@ fn planner_join_order_never_changes_the_match_set() {
 #[test]
 fn uncompilable_filter_degrades_to_unfiltered_through_the_server() {
     let _serial = global_lock();
-    let (live, _config) = live_index(false);
+    let live = live_index();
     let (server, _ents) = live_server(&live, 2);
     for (entity_id, review_tags) in stream() {
         server
@@ -294,7 +288,7 @@ fn uncompilable_filter_degrades_to_unfiltered_through_the_server() {
 #[test]
 fn malformed_filter_dsl_is_rejected_at_admission() {
     let _serial = global_lock();
-    let (live, _config) = live_index(false);
+    let live = live_index();
     let (server, _ents) = live_server(&live, 1);
     let before = server.stats();
     let err = server
@@ -326,10 +320,7 @@ fn filter_stage_emits_a_plan_trace_event() {
             tags,
         })
         .collect();
-    let svc = SaccsService::index_only(
-        rebuild(&log, &index_tags(), &IndexConfig::default()),
-        SaccsConfig::default(),
-    );
+    let svc = SaccsService::index_only(rebuild(&log, &index_tags()), SaccsConfig::default());
     let ents = entities(5);
     let api = SearchApi::new(&ents);
     let ctx = TraceContext::new(7);
