@@ -161,7 +161,6 @@ fn main() {
         LiveConfig {
             seal_every: 16,
             max_segments: 4,
-            background_compaction: false,
         },
     ) {
         Ok(live) => live,
@@ -202,7 +201,6 @@ fn main() {
         LiveConfig {
             seal_every: 16,
             max_segments: 4,
-            background_compaction: false,
         },
     ) {
         Ok(live) => live,
@@ -239,7 +237,6 @@ fn main() {
             LiveConfig {
                 seal_every,
                 max_segments: 0,
-                background_compaction: false,
             },
         );
         live.add_tags(&index_tags);

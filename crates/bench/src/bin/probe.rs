@@ -2,7 +2,7 @@
 //!
 //! Phase 1 (corpus): a deterministic 100k-tag synthetic corpus
 //! (`saccs_data::synthetic_tags` — lexicon pairs plus fuzzy-resolvable
-//! typo variants) is loaded through the snapshot `restore` path into two
+//! typo variants) is bulk-loaded through `install_postings` into two
 //! indexes: the default one, whose fallback probes go through its cell
 //! index, and the scan reference, the same similarity fed in as a custom
 //! one.
@@ -51,37 +51,38 @@ fn recall_at_10(got: &[(usize, f32)], want: &[(usize, f32)]) -> f64 {
     hit as f64 / top.len() as f64
 }
 
-/// Deterministic snapshot image: one posting line per tag, entities and
-/// degrees a pure function of the tag's position.
-fn synthetic_snapshot(tags: &[SubjectiveTag]) -> String {
-    let mut snap = String::new();
-    for (i, tag) in tags.iter().enumerate() {
-        let _ = write!(snap, "{}|{}\t", tag.opinion, tag.aspect);
-        for p in 0..1 + i % 3 {
-            if p > 0 {
-                snap.push(',');
-            }
-            let e = (i * 7 + p * 31) % N_ENTITIES;
-            let d = 0.05 + ((i + p * 13) % 97) as f32 / 100.0;
-            let _ = write!(snap, "{e}:{d}:{d}");
-        }
-        snap.push('\n');
-    }
-    snap
+/// Deterministic posting columns: entities and degrees a pure function
+/// of the tag's position.
+fn synthetic_postings(tags: &[SubjectiveTag]) -> Vec<(SubjectiveTag, Vec<(usize, f32)>)> {
+    tags.iter()
+        .enumerate()
+        .map(|(i, tag)| {
+            let raw = (0..1 + i % 3)
+                .map(|p| {
+                    let e = (i * 7 + p * 31) % N_ENTITIES;
+                    let d = 0.05 + ((i + p * 13) % 97) as f32 / 100.0;
+                    (e, d)
+                })
+                .collect();
+            (tag.clone(), raw)
+        })
+        .collect()
 }
 
-/// Restore `snap` into the default index, or with `scan` into the scan
+/// Load `postings` into the default index, or with `scan` into the scan
 /// reference.
-fn restore_index(snap: &str, config: IndexConfig, scan: bool) -> SubjectiveIndex {
+fn load_index(
+    postings: &[(SubjectiveTag, Vec<(usize, f32)>)],
+    config: IndexConfig,
+    scan: bool,
+) -> SubjectiveIndex {
     let sim = ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants));
     let mut idx = SubjectiveIndex::new(sim.clone(), config);
     if scan {
         idx = idx.with_custom_similarity(sim);
     }
-    let n = idx
-        .restore(snap.as_bytes())
-        .expect("synthetic snapshot restores");
-    assert_eq!(n, snap.lines().count());
+    idx.install_postings(postings.iter().cloned());
+    assert_eq!(idx.len(), postings.len());
     idx
 }
 
@@ -139,10 +140,10 @@ fn main() {
     let out_path = env_or("SACCS_PROBE_OUT", "PROBE_report.jsonl");
     let lexicon = Lexicon::new(Domain::Restaurants);
 
-    // Phase 1: the synthetic corpus through the snapshot path.
+    // Phase 1: the synthetic corpus as posting columns.
     let t0 = Instant::now();
     let tags = synthetic_tags(&lexicon, n_tags, 0x5EED);
-    let snap = synthetic_snapshot(&tags);
+    let postings = synthetic_postings(&tags);
     println!(
         "Probe bench: {} tags, {N_ENTITIES} entities (generated in {:.2}s)\n",
         tags.len(),
@@ -161,7 +162,7 @@ fn main() {
     let mut semantic_speedup = 0.0;
     let mut default_speedup = 0.0;
     let probes = {
-        let probe_idx = restore_index(&snap, IndexConfig::default(), false);
+        let probe_idx = load_index(&postings, IndexConfig::default(), false);
         fallback_probes(&lexicon, &probe_idx, 8)
     };
     for theta in [0.45f32, 0.55] {
@@ -169,8 +170,8 @@ fn main() {
             theta_filter: theta,
             ..IndexConfig::default()
         };
-        let scan_idx = restore_index(&snap, config.clone(), true);
-        let cell_idx = restore_index(&snap, config, false);
+        let scan_idx = load_index(&postings, config.clone(), true);
+        let cell_idx = load_index(&postings, config, false);
         let mut recall = 0.0;
         for probe in &probes {
             let scan = scan_idx.probe_readonly(probe);

@@ -110,13 +110,13 @@ fn build_index(universe: usize) -> SubjectiveIndex {
         ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
         IndexConfig::default(),
     );
-    for (t, (opinion, aspect, k)) in VOCAB.iter().enumerate() {
+    idx.install_postings(VOCAB.iter().enumerate().map(|(t, (opinion, aspect, k))| {
         let raw: Vec<(usize, f32)> = (0..universe)
             .filter(|id| id % k == 0)
             .map(|id| (id, 0.05 + ((id * 7 + t * 13) % 90) as f32 / 100.0))
             .collect();
-        idx.install_postings(SubjectiveTag::new(opinion, aspect), raw);
-    }
+        (SubjectiveTag::new(opinion, aspect), raw)
+    }));
     idx
 }
 

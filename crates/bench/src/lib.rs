@@ -26,16 +26,25 @@ use saccs_index::SubjectiveIndex;
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 use std::rc::Rc;
 
+/// The `SACCS_OBS=json` exporter. The snapshot is cut from the metrics
+/// registry at [`obs_finish`], and installing any exporter is what turns
+/// span timing (and with it the span-duration histograms) on, so the
+/// span events themselves are dropped: nothing is buffered and no span
+/// takes a lock here.
+struct RegistryOnly;
+
+impl saccs_obs::Exporter for RegistryOnly {
+    fn span_enter(&self, _name: &'static str, _depth: usize) {}
+
+    fn span_exit(&self, _name: &'static str, _depth: usize, _nanos: u64) {}
+}
+
 /// Install the exporter selected by `SACCS_OBS` (see the crate docs).
 /// Call at the top of every bench `main`; pair with [`obs_finish`].
 pub fn obs_init() {
     match std::env::var("SACCS_OBS").as_deref() {
         Ok("json") => {
-            // The snapshot is cut from the metrics registry at
-            // obs_finish; installing any exporter turns span timing on.
-            // Span events themselves go to the in-memory collector (the
-            // tree is not re-read, but event streaming must stay cheap).
-            saccs_obs::install(std::sync::Arc::new(saccs_obs::InMemoryCollector::new()));
+            saccs_obs::install(std::sync::Arc::new(RegistryOnly));
         }
         Ok("stderr") => {
             saccs_obs::install(std::sync::Arc::new(saccs_obs::StderrTree));

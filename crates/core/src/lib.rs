@@ -19,8 +19,6 @@
 
 /// One-call construction of a trained service from a corpus.
 pub mod builder;
-/// Validating builders for the service and resilience configs.
-pub mod config;
 /// Multi-turn conversation state over the service.
 pub mod conversation;
 /// Rule-based NLU: intents and slots for the dialog loop.
@@ -31,8 +29,6 @@ pub mod embedding_similarity;
 pub mod error;
 /// The neural tag extractor (tagger + pairing pipeline).
 pub mod extractor;
-/// Saving and loading extractor weights (SNN1 codec).
-pub mod persist;
 /// Per-user interest profiles accumulated across turns.
 pub mod profile;
 /// The typed rank request/response surface.
@@ -48,8 +44,6 @@ pub mod shared_extractor;
 
 /// Build a fully trained SACCS stack from a corpus.
 pub use builder::{SaccsBuilder, TrainedSaccs};
-/// Validating config builders and their rejection reasons.
-pub use config::{ConfigError, ResilienceConfigBuilder, SaccsConfigBuilder};
 /// Conversation state machine and per-turn outcomes.
 pub use conversation::{Conversation, TurnEffect};
 /// Rule-based intent/slot analysis of user turns.
@@ -60,8 +54,6 @@ pub use embedding_similarity::EmbeddingSimilarity;
 pub use error::{SaccsError, Stage};
 /// Utterance to subjective tags, end to end.
 pub use extractor::TagExtractor;
-/// Extractor weight persistence.
-pub use persist::{load_extractor_weights, save_extractor, PersistError};
 /// A user's accumulated subjective interests.
 pub use profile::UserProfile;
 /// The typed rank request/response surface.

@@ -244,9 +244,6 @@ pub struct RankResponse {
     pub degradation: Degradation,
     /// Wall-clock time from admission (or call) to completion.
     pub elapsed: Duration,
-    /// Per-stage wall-time summary, present when the request ran under
-    /// an active trace context (e.g. the serve flight recorder).
-    pub timings: Option<saccs_obs::trace::StageTimings>,
 }
 
 impl RankResponse {

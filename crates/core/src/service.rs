@@ -77,19 +77,13 @@ impl Aggregation {
     }
 }
 
-/// Service parameters. Prefer [`crate::SaccsConfigBuilder`] for
-/// validated construction; the fields stay public for tests and
-/// ablations.
+/// Service parameters, set per service or overridden per request
+/// ([`RankRequest::with_config`], checked by [`RankRequest::validate`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaccsConfig {
     pub aggregation: Aggregation,
     /// Number of results to return.
     pub top_k: usize,
-    /// When the strict intersection of Algorithm 1 yields fewer than
-    /// `top_k` entities, pad with partially-matching entities (those found
-    /// under a subset of the tags), ranked below full matches. Without
-    /// padding, short candidate lists waste NDCG@k mass.
-    pub pad_partial_matches: bool,
 }
 
 impl Default for SaccsConfig {
@@ -97,7 +91,6 @@ impl Default for SaccsConfig {
         SaccsConfig {
             aggregation: Aggregation::Mean,
             top_k: 10,
-            pad_partial_matches: true,
         }
     }
 }
@@ -231,10 +224,6 @@ impl SaccsService {
         &self.config
     }
 
-    pub fn set_aggregation(&mut self, aggregation: Aggregation) {
-        self.config.aggregation = aggregation;
-    }
-
     // ------------------------------------------------------------------
     // Canonical request-shaped API
     // ------------------------------------------------------------------
@@ -298,7 +287,6 @@ impl SaccsService {
                     results,
                     degradation,
                     elapsed: clock.elapsed(),
-                    timings: saccs_obs::trace::current_stage_timings(),
                 }
             };
 
@@ -534,7 +522,7 @@ impl SaccsService {
         per_tag: &[Vec<Option<f32>>],
         config: &SaccsConfig,
     ) -> Vec<(usize, f32)> {
-        // Line 11: strict intersection, plus optional partial matches.
+        // Line 11: strict intersection, plus partial matches to pad with.
         let mut full: Vec<(usize, f32)> = Vec::new();
         let mut partial: Vec<(usize, f32, usize)> = Vec::new();
         {
@@ -551,7 +539,11 @@ impl SaccsService {
                 );
                 if scores.len() == per_tag.len() {
                     full.push((e, config.aggregation.combine(&scores)));
-                } else if !scores.is_empty() && config.pad_partial_matches {
+                } else if !scores.is_empty() {
+                    // When the strict intersection yields fewer than
+                    // `top_k` entities, entities found under a subset of
+                    // the tags pad the list below the full matches
+                    // (short candidate lists would waste NDCG@k mass).
                     // Partials score as the aggregate of the *present* tags
                     // discounted by coverage. Under Mean this equals the
                     // zero-padded mean; under Product/Min it keeps partials
@@ -719,22 +711,10 @@ mod tests {
     }
 
     #[test]
-    fn padding_can_be_disabled() {
-        let mut s = service();
-        s.config.pad_partial_matches = false;
-        let ranked = rank_tags(
-            &s,
-            vec![tag("delicious", "food"), tag("nice", "staff")],
-            &[0, 1, 2],
-        );
-        assert_eq!(ranked.len(), 1);
-    }
-
-    #[test]
     fn per_request_config_overrides_service_config() {
-        // The service pads; the request turns padding off and shrinks
-        // top_k. Tags-input requests need no extractor and no live API
-        // entities beyond the candidate gate.
+        // The service returns its default top_k; the request shrinks it.
+        // Tags-input requests need no extractor and no live API entities
+        // beyond the candidate gate.
         let s = service();
         let ents = entities(3);
         let api = SearchApi::new(&ents);
@@ -746,16 +726,17 @@ mod tests {
         let strict = s.rank_request(
             &RankRequest::tags(vec![tag("delicious", "food"), tag("nice", "staff")]).with_config(
                 SaccsConfig {
-                    pad_partial_matches: false,
+                    top_k: 1,
                     ..SaccsConfig::default()
                 },
             ),
             &api,
         );
         assert_eq!(strict.results.len(), 1, "{:?}", strict.results);
+        assert_eq!(strict.results[0], padded.results[0]);
         assert!(strict.is_full_fidelity());
         // The service's own config is untouched by the override.
-        assert!(s.config().pad_partial_matches);
+        assert_eq!(s.config().top_k, SaccsConfig::default().top_k);
     }
 
     #[test]
@@ -810,9 +791,9 @@ mod tests {
         let mut s = service();
         let tags = vec![tag("delicious", "food"), tag("nice", "staff")];
         let mean = rank_tags(&s, tags.clone(), &[0, 1, 2]);
-        s.set_aggregation(Aggregation::Product);
+        s.config.aggregation = Aggregation::Product;
         let product = rank_tags(&s, tags.clone(), &[0, 1, 2]);
-        s.set_aggregation(Aggregation::Min);
+        s.config.aggregation = Aggregation::Min;
         let min = rank_tags(&s, tags, &[0, 1, 2]);
         // Same top entity (0 matches everything), but different scores.
         assert_eq!(mean[0].0, 0);

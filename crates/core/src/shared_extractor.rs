@@ -14,10 +14,9 @@
 //!   thread-local, keyed by the blueprint's unique id.
 //!
 //! Replicas are *bitwise faithful*: construction is
-//! same-shape-then-`load_state`, the exact mechanism the persistence
-//! round-trip test pins (`persist::tests::
-//! save_load_roundtrip_restores_extractions`), so every thread's
-//! replica extracts identical tags with identical float bits. The
+//! same-shape-then-`load_state` over the `saccs-nn` state codec, so
+//! every thread's replica extracts identical tags with identical float
+//! bits (pinned by this module's replica tests). The
 //! thread that builds the blueprint adopts the original extractor into
 //! its own cache, keeping the single-threaded path allocation-free.
 

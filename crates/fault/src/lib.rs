@@ -5,9 +5,8 @@
 //!
 //! 1. **Failpoints** ([`failpoint!`], [`check`]): named sites threaded
 //!    through the pipeline's hot seams (`algo1.search_api`,
-//!    `algo1.extract`, `algo1.probe`, `index.build`,
-//!    `embed.features_batch`, `tagger.train_step`, `persist.load`,
-//!    `persist.save`) and the live-ingestion seams of the segmented
+//!    `algo1.extract`, `algo1.probe`, `embed.features_batch`,
+//!    `tagger.train_step`) and the live-ingestion seams of the segmented
 //!    index (`index.seal` defers sealing the mem-segment, `index.persist`
 //!    tears a segment write mid-file, `index.merge` aborts compaction
 //!    between the merged write and the manifest commit). Without the

@@ -16,7 +16,7 @@
 //! algo1.probe=err@2..4               # fail probe calls 2 and 3
 //! algo1.search_api=delay(30ms)       # delay every objective search
 //! embed.features_batch=err(corrupt)@p=0.25   # fail ~25% of batches
-//! persist.load=err(timeout)@1        # fail only the first load
+//! index.persist=err(timeout)@1       # fail only the first segment write
 //! ```
 //!
 //! `Display` prints the canonical form of the same grammar, so a test
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn parse_roundtrips_through_display() {
         let text = "algo1.probe=err@2..4;algo1.search_api=delay(30ms);\
-                    embed.features_batch=err(corrupt)@p=0.25;persist.load=err(timeout)@1";
+                    embed.features_batch=err(corrupt)@p=0.25;index.persist=err(timeout)@1";
         let scenario = Scenario::parse(text).expect("parses");
         assert_eq!(scenario.rules.len(), 4);
         let printed = scenario.to_string();

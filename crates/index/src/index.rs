@@ -6,7 +6,6 @@ use parking_lot::Mutex;
 use saccs_text::{ConceptualSimilarity, SubjectiveTag, TagSimilarity};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, MutexGuard};
 
 /// One entity mapping under an index tag.
@@ -284,19 +283,6 @@ impl SubjectiveIndex {
         self.rebuild_cells();
     }
 
-    /// Fallible [`SubjectiveIndex::index_tags`] behind the `index.build`
-    /// failpoint. A failed call leaves the index exactly as it was (the
-    /// fault fires before any posting list is rebuilt), so callers can
-    /// retry the whole round.
-    pub fn try_index_tags(
-        &mut self,
-        tags: &[SubjectiveTag],
-    ) -> Result<(), saccs_fault::FaultError> {
-        saccs_fault::failpoint!("index.build")?;
-        self.index_tags(tags);
-        Ok(())
-    }
-
     /// Run an indexing round over the accumulated user tag history
     /// (Figure 1's "next indexing round"): every tag users asked about and
     /// the index didn't know becomes a first-class index tag. Returns how
@@ -360,22 +346,28 @@ impl SubjectiveIndex {
         self.entries.iter().map(|(t, v)| (t, v.len()))
     }
 
-    /// Install a precomputed posting list for one tag from raw
-    /// `(entity_id, degree)` pairs, ordered and normalized exactly like
-    /// an indexing round (shared `finalize_postings`). Benches and
-    /// property tests use this to assemble synthetic corpora of known
-    /// posting shapes without fabricating review evidence.
-    pub fn install_postings(&mut self, tag: SubjectiveTag, raw: Vec<(usize, f32)>) {
-        let mut postings: Vec<IndexEntry> = raw
-            .into_iter()
-            .map(|(entity_id, degree_of_truth)| IndexEntry {
-                entity_id,
-                degree_of_truth,
-                normalized: 0.0,
-            })
-            .collect();
-        finalize_postings(&mut postings);
-        self.entries.insert(tag, postings.into());
+    /// Install precomputed posting lists from raw `(entity_id, degree)`
+    /// pairs per tag, each ordered and normalized exactly like an
+    /// indexing round (shared `finalize_postings`), then build the cell
+    /// index once. A tag installed twice keeps its last list. Benches
+    /// and property tests use this to assemble synthetic corpora of
+    /// known posting shapes without fabricating review evidence.
+    pub fn install_postings(
+        &mut self,
+        columns: impl IntoIterator<Item = (SubjectiveTag, Vec<(usize, f32)>)>,
+    ) {
+        for (tag, raw) in columns {
+            let mut postings: Vec<IndexEntry> = raw
+                .into_iter()
+                .map(|(entity_id, degree_of_truth)| IndexEntry {
+                    entity_id,
+                    degree_of_truth,
+                    normalized: 0.0,
+                })
+                .collect();
+            finalize_postings(&mut postings);
+            self.entries.insert(tag, postings.into());
+        }
         self.rebuild_cells();
     }
 
@@ -508,95 +500,6 @@ impl SubjectiveIndex {
     /// history record.
     pub fn history(&self) -> MutexGuard<'_, UserTagHistory> {
         self.history.lock()
-    }
-
-    /// Serialize the posting lists to bytes: one `opinion|aspect\t
-    /// id:degree:norm,...` line per tag, straight off the entries map —
-    /// no intermediate keyed map, no posting-list clones. The user tag
-    /// history follows as `#history\topinion|aspect\tcount` lines, so a
-    /// snapshot taken mid-flight (unknown tags recorded but not yet
-    /// re-indexed) restores with those in-flight requests intact instead
-    /// of silently dropping the next indexing round's input.
-    pub fn snapshot(&self) -> bytes::Bytes {
-        let mut out = String::new();
-        for (tag, entries) in &self.entries {
-            out.push_str(&tag.opinion);
-            out.push('|');
-            out.push_str(&tag.aspect);
-            out.push('\t');
-            for (i, e) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{}:{}:{}",
-                    e.entity_id, e.degree_of_truth, e.normalized
-                );
-            }
-            out.push('\n');
-        }
-        let history = self.history.lock();
-        for (tag, count) in history.entries() {
-            let _ = writeln!(out, "#history\t{}|{}\t{count}", tag.opinion, tag.aspect);
-        }
-        bytes::Bytes::from(out.into_bytes())
-    }
-
-    /// Rebuild the posting lists from a [`SubjectiveIndex::snapshot`]
-    /// byte image, replacing the current entries (registered evidence is
-    /// untouched) and rebuilding the cell index. Returns the number of
-    /// restored tags. `f32` values round-trip exactly: `Display` prints
-    /// the shortest decimal that parses back to the same bits.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<usize, String> {
-        let text = std::str::from_utf8(bytes).map_err(|e| format!("snapshot is not UTF-8: {e}"))?;
-        let mut entries = PostingColumns::new();
-        let mut history = UserTagHistory::new();
-        for (ln, line) in text.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let bad = |what: &str| format!("snapshot line {}: {what}", ln + 1);
-            let (key, rest) = line.split_once('\t').ok_or_else(|| bad("missing tab"))?;
-            if key == "#history" {
-                let (tag_key, count) = rest
-                    .split_once('\t')
-                    .ok_or_else(|| bad("history line needs tag\\tcount"))?;
-                let (opinion, aspect) = tag_key
-                    .split_once('|')
-                    .ok_or_else(|| bad("missing | in history tag"))?;
-                history.set_count(
-                    SubjectiveTag::new(opinion, aspect),
-                    count.parse().map_err(|_| bad("bad history count"))?,
-                );
-                continue;
-            }
-            let (opinion, aspect) = key
-                .split_once('|')
-                .ok_or_else(|| bad("missing | in tag key"))?;
-            let tag = SubjectiveTag {
-                opinion: opinion.to_string(),
-                aspect: aspect.to_string(),
-            };
-            let mut postings: Vec<IndexEntry> = Vec::new();
-            for part in rest.split(',').filter(|p| !p.is_empty()) {
-                let mut fields = part.splitn(3, ':');
-                match (fields.next(), fields.next(), fields.next()) {
-                    (Some(id), Some(degree), Some(norm)) => postings.push(IndexEntry {
-                        entity_id: id.parse().map_err(|_| bad("bad entity id"))?,
-                        degree_of_truth: degree.parse().map_err(|_| bad("bad degree"))?,
-                        normalized: norm.parse().map_err(|_| bad("bad normalized"))?,
-                    }),
-                    _ => return Err(bad("posting needs id:degree:norm")),
-                }
-            }
-            entries.insert(tag, postings.into());
-        }
-        let restored = entries.len();
-        self.entries = entries;
-        *self.history.lock() = history;
-        self.rebuild_cells();
-        Ok(restored)
     }
 
     /// Render the Table-1 view of the index (tags with their top entities
@@ -823,13 +726,13 @@ mod tests {
             scan in prop::bool::ANY,
         ) {
             let mut idx = if scan { scan_index() } else { index() };
-            for (&(op, asp), postings) in INSTALLED.iter().zip(&raw) {
+            idx.install_postings(INSTALLED.iter().zip(&raw).map(|(&(op, asp), postings)| {
                 let pairs = postings
                     .iter()
                     .map(|&(k, d, d_rand)| (k * 15_625, pick(DEGREES, d, d_rand)))
                     .collect();
-                idx.install_postings(tag(op, asp), pairs);
-            }
+                (tag(op, asp), pairs)
+            }));
             for probe in [tag("scrumptious", "pizza"), tag("delicious", "meal"), tag("friendly", "waiters")] {
                 prop_assert!(idx.lookup(&probe).is_none());
                 let theta = idx.theta_filter_for(&probe);
@@ -1068,18 +971,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_contains_all_tags() {
-        let mut idx = index();
-        idx.register_entity(evidence(0, 1, &[("good", "food")]));
-        idx.index_tags(&[tag("good", "food"), tag("nice", "staff")]);
-        let bytes = idx.snapshot();
-        let text = String::from_utf8(bytes.to_vec()).unwrap();
-        assert!(text.contains("good|food"));
-        assert!(text.contains("nice|staff"));
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_and_preserves_cells_vs_scan_equality() {
+    fn installed_postings_round_trip_and_keep_cells_vs_scan_equality() {
         let mut idx = index();
         idx.register_entity(evidence(0, 3, &[("good", "food"), ("nice", "staff")]));
         idx.register_entity(evidence(
@@ -1095,14 +987,27 @@ mod tests {
             tag("quick", "service"),
             tag("romantic", "ambiance"),
         ]);
-        let bytes = idx.snapshot();
+        let raw = || {
+            idx.tags()
+                .map(|t| {
+                    let postings = idx.lookup(t).unwrap_or_default();
+                    let pairs = postings
+                        .iter()
+                        .map(|e| (e.entity_id, e.degree_of_truth))
+                        .collect();
+                    (t.clone(), pairs)
+                })
+                .collect::<Vec<(SubjectiveTag, Vec<(usize, f32)>)>>()
+        };
 
-        let mut restored = index();
-        assert_eq!(restored.restore(&bytes).unwrap(), idx.len());
-        // Postings round-trip bit-exactly (Display → parse is lossless).
+        let mut installed = index();
+        installed.install_postings(raw());
+        assert_eq!(installed.len(), idx.len());
+        // Re-finalizing an indexing round's own lists reproduces them
+        // bit for bit, normalized column included.
         for t in idx.tags() {
             let a = idx.lookup(t).unwrap();
-            let b = restored.lookup(t).unwrap();
+            let b = installed.lookup(t).unwrap();
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b) {
                 assert_eq!(x.entity_id, y.entity_id);
@@ -1110,44 +1015,18 @@ mod tests {
                 assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
             }
         }
-        // And the re-derived cell index answers fallback probes bitwise
-        // identically to a scan over the same restored image.
+        // And the cell index built by the one bulk load answers fallback
+        // probes bitwise identically to a scan over the same columns.
         let mut scan = scan_index();
-        scan.restore(&bytes).unwrap();
+        scan.install_postings(raw());
         for probe in [tag("delicious", "food"), tag("friendly", "waiters")] {
-            let cells = restored.probe_readonly(&probe);
+            let cells = installed.probe_readonly(&probe);
             assert_eq!(
                 ranked_bits(&cells),
                 ranked_bits(&scan.probe_readonly(&probe))
             );
             assert!(!cells.is_empty());
         }
-        // A second snapshot of the restored index is byte-identical.
-        assert_eq!(bytes, restored.snapshot());
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_pending_history() {
-        // Regression: snapshots used to drop the user tag history, so a
-        // save/restore cycle lost every in-flight unknown-tag request
-        // (the Figure-1 adaptation loop restarted from zero). The
-        // `#history` lines now carry the counts across.
-        let mut idx = index();
-        idx.register_entity(evidence(0, 2, &[("good", "food")]));
-        idx.index_tags(&[tag("good", "food")]);
-        let _ = idx.probe(&tag("zorgle", "zzplace"));
-        let _ = idx.probe(&tag("zorgle", "zzplace"));
-        let _ = idx.probe(&tag("quiet", "place"));
-        assert_eq!(idx.history().len(), 2);
-        let bytes = idx.snapshot();
-
-        let mut restored = index();
-        restored.restore(&bytes).unwrap();
-        assert_eq!(restored.history().len(), 2);
-        assert_eq!(restored.history().count(&tag("zorgle", "zzplace")), 2);
-        assert_eq!(restored.history().count(&tag("quiet", "place")), 1);
-        // The round trip stays byte-stable with history present.
-        assert_eq!(bytes, restored.snapshot());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * a user tag history feeding dynamic re-indexing rounds (§3.1,
 //!   Figure 1), which is how SACCS "adapts to new user needs",
 //! * parallel construction over index tags (the `saccs-rt` pool),
-//! * serde snapshots.
+//! * live ingestion over checksummed, manifest-committed segments
+//!   ([`LiveIndex`]).
 //!
 //! The index is deliberately decoupled from the neural extractor: callers
 //! feed it per-entity bags of already-extracted [`SubjectiveTag`]s (the

@@ -52,7 +52,7 @@ use parking_lot::{Mutex, RwLock};
 use saccs_text::{ConceptualSimilarity, SubjectiveTag};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 
 /// Live-ingestion tuning knobs.
 #[derive(Debug, Clone)]
@@ -61,14 +61,10 @@ pub struct LiveConfig {
     /// with a store, persisted). `0` disables auto-sealing — only
     /// [`LiveIndex::checkpoint`] seals then.
     pub seal_every: usize,
-    /// Sealed-segment count that triggers compaction. `0` disables
-    /// automatic compaction — only [`LiveIndex::compact_now`] merges.
+    /// Sealed-segment count that triggers compaction, run inline by the
+    /// ingesting call. `0` disables automatic compaction — only
+    /// [`LiveIndex::compact_now`] merges.
     pub max_segments: usize,
-    /// Run compaction on a dedicated `saccs-rt` worker thread instead
-    /// of inline on the ingesting thread. Rankings are unaffected
-    /// either way (posting lists are a pure function of the ingested
-    /// record set, not of the segment layout).
-    pub background_compaction: bool,
 }
 
 impl Default for LiveConfig {
@@ -76,7 +72,6 @@ impl Default for LiveConfig {
         LiveConfig {
             seal_every: 64,
             max_segments: 8,
-            background_compaction: false,
         }
     }
 }
@@ -282,19 +277,9 @@ fn accum_column(
         .collect()
 }
 
-#[derive(Default)]
-struct CompactorFlags {
-    requested: bool,
-    shutdown: bool,
-}
-
-#[derive(Default)]
-struct CompactorSignal {
-    flags: Mutex<CompactorFlags>,
-    cv: Condvar,
-}
-
-struct LiveInner {
+/// The live, ingesting index handle. See the module docs for the
+/// isolation / equivalence / durability contract.
+pub struct LiveIndex {
     similarity: ConceptualSimilarity,
     config: IndexConfig,
     live: LiveConfig,
@@ -306,138 +291,6 @@ struct LiveInner {
     /// snapshot's index. Lock order: `writer` before `pending` (never the
     /// reverse while `writer` is held elsewhere).
     pending: Arc<Mutex<UserTagHistory>>,
-    comp: CompactorSignal,
-}
-
-impl LiveInner {
-    /// Publish the writer's current state as a fresh immutable snapshot.
-    fn publish_locked(&self, w: &Writer) {
-        let snapshot = LiveSnapshot::of(w, &self.similarity, &self.config, &self.pending);
-        *self.published.write() = Arc::new(snapshot);
-    }
-
-    /// Seal the mem-segment (behind the `index.seal` failpoint — an
-    /// injected fault defers the seal and the mem-segment keeps
-    /// growing) and, with a store, persist + commit the durable prefix.
-    fn seal_locked(&self, w: &mut Writer) -> bool {
-        if saccs_fault::failpoint!("index.seal").is_err() {
-            saccs_obs::counter!("index.ingest.seal_deferred").inc();
-            return false;
-        }
-        let Some(segment) = w.mem.seal() else {
-            return false;
-        };
-        w.sealed.push((segment, false));
-        saccs_obs::counter!("index.ingest.seals").inc();
-        saccs_obs::gauge!("index.segments").set(w.sealed.len() as f64);
-        if self.store.is_some() {
-            // Persistence failures are a durability gap, not an ingest
-            // failure: counted, retried at the next seal/checkpoint.
-            let _ = self.commit_locked(w, false);
-        }
-        true
-    }
-
-    /// Persist every not-yet-persisted sealed segment in seq order,
-    /// then commit a manifest referencing the contiguous durable
-    /// prefix (plus the tag set and pending history). Optionally
-    /// checkpoints the posting lists alongside. Returns the first
-    /// persist error, if any — the manifest still commits whatever
-    /// prefix did persist.
-    fn commit_locked(&self, w: &mut Writer, with_postings: bool) -> Result<(), StoreError> {
-        let Some(store) = &self.store else {
-            return Ok(());
-        };
-        let mut first_err = None;
-        for (segment, persisted) in w.sealed.iter_mut() {
-            if *persisted {
-                continue;
-            }
-            match store.persist_segment(segment) {
-                Ok(()) => *persisted = true,
-                Err(e) => {
-                    saccs_obs::counter!("index.ingest.persist_failed").inc();
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        let durable: Vec<(u64, u64)> = w
-            .sealed
-            .iter()
-            .take_while(|(_, persisted)| *persisted)
-            .map(|(s, _)| (s.first_seq(), s.last_seq()))
-            .collect();
-        let postings_file = if with_postings && first_err.is_none() {
-            match store.write_postings(&w.entries) {
-                Ok(name) => Some(name),
-                Err(e) => {
-                    first_err = Some(e);
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        let manifest = Manifest {
-            next_seq: durable.last().map(|&(_, last)| last + 1).unwrap_or(0),
-            segments: durable,
-            postings_file,
-            tags: w.entries.keys().cloned().collect(),
-            pending: self
-                .pending
-                .lock()
-                .entries()
-                .map(|(t, c)| (t.clone(), c))
-                .collect(),
-        };
-        store.commit(&manifest)?;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Merge all sealed segments into one. The `index.merge` failpoint
-    /// sits between writing the merged image and swapping/committing:
-    /// an abort there leaves the old segments live and the merged file
-    /// an unreferenced orphan (swept at the next commit).
-    fn compact(&self) -> Result<bool, StoreError> {
-        let mut w = self.writer.lock();
-        if w.sealed.len() < 2 {
-            return Ok(false);
-        }
-        let segments: Vec<SealedSegment> = w.sealed.iter().map(|(s, _)| s.clone()).collect();
-        let Some(merged) = merge_segments(&segments) else {
-            return Ok(false);
-        };
-        let mut persisted = false;
-        if let Some(store) = &self.store {
-            if let Err(e) = store.persist_segment(&merged) {
-                saccs_obs::counter!("index.ingest.merge_aborted").inc();
-                return Err(e);
-            }
-            persisted = true;
-        }
-        if let Err(fault) = saccs_fault::failpoint!("index.merge") {
-            saccs_obs::counter!("index.ingest.merge_aborted").inc();
-            return Err(StoreError::Fault(fault));
-        }
-        w.sealed = vec![(merged, persisted)];
-        saccs_obs::counter!("index.ingest.merges").inc();
-        saccs_obs::gauge!("index.segments").set(1.0);
-        let committed = self.commit_locked(&mut w, false);
-        self.publish_locked(&w);
-        drop(w);
-        committed.map(|_| true)
-    }
-}
-
-/// The live, ingesting index handle. See the module docs for the
-/// isolation / equivalence / durability contract.
-pub struct LiveIndex {
-    inner: Arc<LiveInner>,
-    compactor: Option<std::thread::JoinHandle<()>>,
 }
 
 impl LiveIndex {
@@ -529,10 +382,9 @@ impl LiveIndex {
         writer: Writer,
         pending: UserTagHistory,
     ) -> Self {
-        let background = live.background_compaction;
         let pending = Arc::new(Mutex::new(pending));
         let first = LiveSnapshot::of(&writer, &similarity, &config, &pending);
-        let inner = Arc::new(LiveInner {
+        LiveIndex {
             similarity,
             config,
             live,
@@ -540,38 +392,141 @@ impl LiveIndex {
             writer: Mutex::new(writer),
             published: RwLock::new(Arc::new(first)),
             pending,
-            comp: CompactorSignal::default(),
-        });
-        let compactor = background.then(|| {
-            let worker = Arc::clone(&inner);
-            saccs_rt::spawn_worker("index-compact", move || loop {
-                let mut flags = worker.comp.flags.lock();
-                while !flags.requested && !flags.shutdown {
-                    flags = worker
-                        .comp
-                        .cv
-                        .wait(flags)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                if flags.shutdown {
+        }
+    }
+
+    /// Publish the writer's current state as a fresh immutable snapshot.
+    fn publish_locked(&self, w: &Writer) {
+        let snapshot = LiveSnapshot::of(w, &self.similarity, &self.config, &self.pending);
+        *self.published.write() = Arc::new(snapshot);
+    }
+
+    /// Seal the mem-segment (behind the `index.seal` failpoint — an
+    /// injected fault defers the seal and the mem-segment keeps
+    /// growing) and, with a store, persist + commit the durable prefix.
+    fn seal_locked(&self, w: &mut Writer) -> bool {
+        if saccs_fault::failpoint!("index.seal").is_err() {
+            saccs_obs::counter!("index.ingest.seal_deferred").inc();
+            return false;
+        }
+        let Some(segment) = w.mem.seal() else {
+            return false;
+        };
+        w.sealed.push((segment, false));
+        saccs_obs::counter!("index.ingest.seals").inc();
+        saccs_obs::gauge!("index.segments").set(w.sealed.len() as f64);
+        if self.store.is_some() {
+            // Persistence failures are a durability gap, not an ingest
+            // failure: counted, retried at the next seal/checkpoint.
+            let _ = self.commit_locked(w, false);
+        }
+        true
+    }
+
+    /// Persist every not-yet-persisted sealed segment in seq order,
+    /// then commit a manifest referencing the contiguous durable
+    /// prefix (plus the tag set and pending history). Optionally
+    /// checkpoints the posting lists alongside. Returns the first
+    /// persist error, if any — the manifest still commits whatever
+    /// prefix did persist.
+    fn commit_locked(&self, w: &mut Writer, with_postings: bool) -> Result<(), StoreError> {
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
+        let mut first_err = None;
+        for (segment, persisted) in w.sealed.iter_mut() {
+            if *persisted {
+                continue;
+            }
+            match store.persist_segment(segment) {
+                Ok(()) => *persisted = true,
+                Err(e) => {
+                    saccs_obs::counter!("index.ingest.persist_failed").inc();
+                    first_err = Some(e);
                     break;
                 }
-                flags.requested = false;
-                drop(flags);
-                let _ = worker.compact();
-            })
-        });
-        LiveIndex { inner, compactor }
+            }
+        }
+        let durable: Vec<(u64, u64)> = w
+            .sealed
+            .iter()
+            .take_while(|(_, persisted)| *persisted)
+            .map(|(s, _)| (s.first_seq(), s.last_seq()))
+            .collect();
+        let postings_file = if with_postings && first_err.is_none() {
+            match store.write_postings(&w.entries) {
+                Ok(name) => Some(name),
+                Err(e) => {
+                    first_err = Some(e);
+                    None
+                }
+            }
+        } else {
+            None
+        };
+        let manifest = Manifest {
+            next_seq: durable.last().map(|&(_, last)| last + 1).unwrap_or(0),
+            segments: durable,
+            postings_file,
+            tags: w.entries.keys().cloned().collect(),
+            pending: self
+                .pending
+                .lock()
+                .entries()
+                .map(|(t, c)| (t.clone(), c))
+                .collect(),
+        };
+        store.commit(&manifest)?;
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    /// Merge all sealed segments into one now, synchronously. Returns
+    /// whether a merge happened (needs at least two sealed segments).
+    /// The `index.merge` failpoint sits between writing the merged image
+    /// and swapping/committing: an abort there leaves the old segments
+    /// live and the merged file an unreferenced orphan (swept at the
+    /// next commit).
+    pub fn compact_now(&self) -> Result<bool, StoreError> {
+        let mut w = self.writer.lock();
+        if w.sealed.len() < 2 {
+            return Ok(false);
+        }
+        let segments: Vec<SealedSegment> = w.sealed.iter().map(|(s, _)| s.clone()).collect();
+        let Some(merged) = merge_segments(&segments) else {
+            return Ok(false);
+        };
+        let mut persisted = false;
+        if let Some(store) = &self.store {
+            if let Err(e) = store.persist_segment(&merged) {
+                saccs_obs::counter!("index.ingest.merge_aborted").inc();
+                return Err(e);
+            }
+            persisted = true;
+        }
+        if let Err(fault) = saccs_fault::failpoint!("index.merge") {
+            saccs_obs::counter!("index.ingest.merge_aborted").inc();
+            return Err(StoreError::Fault(fault));
+        }
+        w.sealed = vec![(merged, persisted)];
+        saccs_obs::counter!("index.ingest.merges").inc();
+        saccs_obs::gauge!("index.segments").set(1.0);
+        let committed = self.commit_locked(&mut w, false);
+        self.publish_locked(&w);
+        drop(w);
+        committed.map(|_| true)
     }
 
     /// The similarity measure scoring ingested reviews and probes.
     pub fn similarity(&self) -> &ConceptualSimilarity {
-        &self.inner.similarity
+        &self.similarity
     }
 
     /// The index configuration snapshots are built with.
     pub fn config(&self) -> &IndexConfig {
-        &self.inner.config
+        &self.config
     }
 
     /// Ingest one review: assign it the next global seq, extend the
@@ -586,8 +541,7 @@ impl LiveIndex {
     /// postings. Nothing here checks it; `saccs-serve` rejects ids
     /// outside its entity table before admission.
     pub fn add_review(&self, entity_id: usize, tags: &[SubjectiveTag]) -> IngestReceipt {
-        let inner = &self.inner;
-        let mut w = inner.writer.lock();
+        let mut w = self.writer.lock();
         let seq = w.next_seq;
         w.next_seq += 1;
         w.ingested += 1;
@@ -596,28 +550,24 @@ impl LiveIndex {
             entity_id,
             tags: tags.to_vec(),
         });
-        let touched = apply_review(&mut w, entity_id, tags, &inner.similarity, &inner.config);
+        let touched = apply_review(&mut w, entity_id, tags, &self.similarity, &self.config);
         for tag in touched {
             let postings = match w.accums.get(&tag) {
-                Some(accs) => postings_from_accums(accs, &w.evidence, &inner.config),
+                Some(accs) => postings_from_accums(accs, &w.evidence, &self.config),
                 None => Vec::new(),
             };
             w.entries.insert(tag, postings.into());
         }
         saccs_obs::counter!("index.ingest.reviews").inc();
-        let sealed = inner.live.seal_every > 0
-            && w.mem.len() >= inner.live.seal_every
-            && inner.seal_locked(&mut w);
-        inner.publish_locked(&w);
+        let sealed = self.live.seal_every > 0
+            && w.mem.len() >= self.live.seal_every
+            && self.seal_locked(&mut w);
+        self.publish_locked(&w);
         let segments = w.sealed.len();
         drop(w);
         saccs_obs::trace::record(saccs_obs::trace::TraceEvent::Ingest { sealed });
-        if sealed && inner.live.max_segments > 0 && segments >= inner.live.max_segments {
-            if inner.live.background_compaction {
-                self.request_compaction();
-            } else {
-                let _ = inner.compact();
-            }
+        if sealed && self.live.max_segments > 0 && segments >= self.live.max_segments {
+            let _ = self.compact_now();
         }
         IngestReceipt {
             seq,
@@ -629,22 +579,21 @@ impl LiveIndex {
     /// Add index tags (initial vocabulary or a re-indexing round).
     /// Already-indexed tags are skipped; returns how many were new.
     pub fn add_tags(&self, tags: &[SubjectiveTag]) -> usize {
-        let inner = &self.inner;
-        let mut w = inner.writer.lock();
+        let mut w = self.writer.lock();
         let mut added = 0usize;
         for tag in tags {
             if w.entries.contains_key(tag) {
                 continue;
             }
-            let accs = accum_column(&w.evidence, tag, &inner.similarity, &inner.config);
-            let postings = postings_from_accums(&accs, &w.evidence, &inner.config);
+            let accs = accum_column(&w.evidence, tag, &self.similarity, &self.config);
+            let postings = postings_from_accums(&accs, &w.evidence, &self.config);
             w.accums.insert(tag.clone(), accs);
             w.entries.insert(tag.clone(), postings.into());
             added += 1;
         }
         if added > 0 {
-            inner.publish_locked(&w);
-            let _ = inner.commit_locked(&mut w, false);
+            self.publish_locked(&w);
+            let _ = self.commit_locked(&mut w, false);
         }
         added
     }
@@ -653,7 +602,7 @@ impl LiveIndex {
     /// clone under a read lock — cheap, non-blocking for writers — and
     /// the returned view stays frozen however much is ingested after.
     pub fn pin(&self) -> Arc<LiveSnapshot> {
-        Arc::clone(&self.inner.published.read())
+        Arc::clone(&self.published.read())
     }
 
     /// Probe a pinned snapshot: [`SubjectiveIndex::probe`] on its index,
@@ -665,13 +614,13 @@ impl LiveIndex {
 
     /// Distinct unknown tags recorded by probes since the last round.
     pub fn pending_count(&self) -> usize {
-        self.inner.pending.lock().len()
+        self.pending.lock().len()
     }
 
     /// Run a re-indexing round over the pending unknown tags (most
     /// requested first). Returns how many new tags were indexed.
     pub fn reindex_pending(&self) -> usize {
-        let drained = self.inner.pending.lock().drain();
+        let drained = self.pending.lock().drain();
         if drained.is_empty() {
             return 0;
         }
@@ -681,36 +630,20 @@ impl LiveIndex {
         added
     }
 
-    /// Merge all sealed segments into one now, synchronously. Returns
-    /// whether a merge happened (needs at least two sealed segments).
-    pub fn compact_now(&self) -> Result<bool, StoreError> {
-        self.inner.compact()
-    }
-
-    /// Ask the background compactor to run (no-op signal when
-    /// `background_compaction` is off).
-    pub fn request_compaction(&self) {
-        let mut flags = self.inner.comp.flags.lock();
-        flags.requested = true;
-        drop(flags);
-        self.inner.comp.cv.notify_one();
-    }
-
     /// Seal-aware checkpoint: seals the in-flight mem-segment (so
     /// unsealed writes are covered — the gap the snapshot regression
     /// test pins), persists every outstanding segment, writes the
     /// posting-list image, and commits the manifest. No-op persistence
     /// without a store.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
-        let inner = &self.inner;
-        let mut w = inner.writer.lock();
+        let mut w = self.writer.lock();
         if let Some(segment) = w.mem.seal() {
             w.sealed.push((segment, false));
             saccs_obs::counter!("index.ingest.seals").inc();
             saccs_obs::gauge!("index.segments").set(w.sealed.len() as f64);
         }
-        let committed = inner.commit_locked(&mut w, true);
-        inner.publish_locked(&w);
+        let committed = self.commit_locked(&mut w, true);
+        self.publish_locked(&w);
         committed
     }
 
@@ -718,7 +651,7 @@ impl LiveIndex {
     /// mem-segment) — the replay input a from-scratch equivalence
     /// rebuild starts from.
     pub fn review_log(&self) -> Vec<ReviewRecord> {
-        let w = self.inner.writer.lock();
+        let w = self.writer.lock();
         let mut log: Vec<ReviewRecord> = Vec::with_capacity(w.ingested as usize);
         for (segment, _) in &w.sealed {
             log.extend(segment.records().iter().cloned());
@@ -729,30 +662,17 @@ impl LiveIndex {
 
     /// Total reviews ingested (including ones still in the mem-segment).
     pub fn ingested(&self) -> u64 {
-        self.inner.writer.lock().ingested
+        self.writer.lock().ingested
     }
 
     /// Current sealed-segment count.
     pub fn segment_count(&self) -> usize {
-        self.inner.writer.lock().sealed.len()
+        self.writer.lock().sealed.len()
     }
 
     /// Number of index tags.
     pub fn tag_count(&self) -> usize {
-        self.inner.writer.lock().entries.len()
-    }
-}
-
-impl Drop for LiveIndex {
-    fn drop(&mut self) {
-        if let Some(handle) = self.compactor.take() {
-            {
-                let mut flags = self.inner.comp.flags.lock();
-                flags.shutdown = true;
-            }
-            self.inner.comp.cv.notify_all();
-            let _ = handle.join();
-        }
+        self.writer.lock().entries.len()
     }
 }
 
@@ -850,7 +770,6 @@ mod tests {
             LiveConfig {
                 seal_every: 3,
                 max_segments: 0,
-                background_compaction: false,
             },
         );
         live.add_tags(&index_tags());
@@ -875,7 +794,6 @@ mod tests {
             LiveConfig {
                 seal_every: 2,
                 max_segments: 0,
-                background_compaction: false,
             },
         );
         live.add_tags(&index_tags());
@@ -963,7 +881,6 @@ mod tests {
                 LiveConfig {
                     seal_every: 3,
                     max_segments: 0,
-                    background_compaction: false,
                 },
             )
             .unwrap();
@@ -1005,7 +922,6 @@ mod tests {
                 LiveConfig {
                     seal_every: 1000, // never auto-seals: every write stays in-flight
                     max_segments: 0,
-                    background_compaction: false,
                 },
             )
             .unwrap();
@@ -1026,42 +942,6 @@ mod tests {
             1
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn background_compactor_merges_on_signal_and_shuts_down() {
-        let live = LiveIndex::new(
-            sim(),
-            IndexConfig::default(),
-            LiveConfig {
-                seal_every: 1,
-                max_segments: 4,
-                background_compaction: true,
-            },
-        );
-        live.add_tags(&index_tags());
-        for (entity, tags) in STREAM {
-            let review: Vec<SubjectiveTag> = tags.iter().map(|(o, a)| tag(o, a)).collect();
-            live.add_review(entity, &review);
-        }
-        // The compactor runs asynchronously; poll its effect through the
-        // writer state (bounded spin, no sleeps).
-        for _ in 0..10_000 {
-            if live.segment_count() <= 4 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert!(live.segment_count() <= 4);
-        let frozen = rebuild(&live.review_log(), &index_tags());
-        let snapshot = live.pin();
-        for (o, a) in PROBES {
-            assert_eq!(
-                bits(&live.probe_pinned(&snapshot, &tag(o, a))),
-                bits(&frozen.probe_readonly(&tag(o, a)))
-            );
-        }
-        drop(live); // Drop joins the compactor: must not hang.
     }
 
     #[test]

@@ -229,7 +229,6 @@ proptest! {
             LiveConfig {
                 seal_every,
                 max_segments: 3,
-                background_compaction: false,
             },
         );
         live.add_tags(&tags);

@@ -131,45 +131,6 @@ impl Exporter for StderrTree {
     }
 }
 
-/// Streams one JSON object per span event to any writer (a file, a
-/// `Vec<u8>` in tests): `{"ev":"enter",...}` / `{"ev":"exit",...}`.
-pub struct JsonLines<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLines<W> {
-    /// Wrap `out`; every event becomes one line of JSON on it.
-    pub fn new(out: W) -> JsonLines<W> {
-        JsonLines {
-            out: Mutex::new(out),
-        }
-    }
-}
-
-impl<W: Write + Send> Exporter for JsonLines<W> {
-    fn span_enter(&self, name: &'static str, depth: usize) {
-        let mut out = self.out.lock();
-        let _ = writeln!(
-            out,
-            "{{\"ev\":\"enter\",\"span\":\"{}\",\"depth\":{depth}}}",
-            crate::json::escape(name),
-        );
-    }
-
-    fn span_exit(&self, name: &'static str, depth: usize, nanos: u64) {
-        let mut out = self.out.lock();
-        let _ = writeln!(
-            out,
-            "{{\"ev\":\"exit\",\"span\":\"{}\",\"depth\":{depth},\"ns\":{nanos}}}",
-            crate::json::escape(name),
-        );
-    }
-
-    fn flush(&self) {
-        let _ = self.out.lock().flush();
-    }
-}
-
 /// One recorded span lifecycle event (see [`InMemoryCollector`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanEvent {
@@ -239,65 +200,6 @@ impl Exporter for InMemoryCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_lines_emit_valid_objects() {
-        let sink = JsonLines::new(Vec::new());
-        sink.span_enter("stage.\"a\"", 0);
-        sink.span_exit("stage.\"a\"", 0, 1500);
-        let text = String::from_utf8(sink.out.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"ev\":\"enter\",\"span\":\"stage.\\\"a\\\"\",\"depth\":0}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"ev\":\"exit\",\"span\":\"stage.\\\"a\\\"\",\"depth\":0,\"ns\":1500}"
-        );
-    }
-
-    #[test]
-    fn json_lines_survive_eight_writer_threads_untorn() {
-        // 8 threads hammer one JsonLines sink; every output line must be
-        // exactly one well-formed event object (no torn or interleaved
-        // writes) and nothing may be lost. The sink serializes each event
-        // under its mutex with a single `writeln!`, which this pins.
-        const THREADS: usize = 8;
-        const PER_THREAD: usize = 500;
-        let sink = std::sync::Arc::new(JsonLines::new(Vec::new()));
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let sink = std::sync::Arc::clone(&sink);
-                s.spawn(move || {
-                    let name: &'static str = ["t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"][t];
-                    for i in 0..PER_THREAD {
-                        sink.span_enter(name, t);
-                        sink.span_exit(name, t, i as u64);
-                    }
-                });
-            }
-        });
-        let sink = std::sync::Arc::into_inner(sink).expect("all writer threads joined");
-        let text = String::from_utf8(sink.out.into_inner()).expect("utf8 output");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), THREADS * PER_THREAD * 2);
-        let mut enters = 0usize;
-        for line in lines {
-            assert!(
-                line.starts_with("{\"ev\":\"enter\",\"span\":\"t")
-                    || line.starts_with("{\"ev\":\"exit\",\"span\":\"t"),
-                "torn line: {line:?}"
-            );
-            assert!(line.ends_with('}'), "torn line: {line:?}");
-            assert_eq!(line.matches("{\"ev\":").count(), 1, "interleaved: {line:?}");
-            if line.contains("\"enter\"") {
-                enters += 1;
-            }
-        }
-        assert_eq!(enters, THREADS * PER_THREAD);
-    }
 
     #[test]
     fn collector_preserves_order_and_tree() {

@@ -14,10 +14,10 @@
 //!    Counters are always on (one relaxed atomic add); expensive
 //!    measurements (grad norms, per-LF stats) gate on [`enabled`].
 //! 3. **Exporters** ([`install`]): a human-readable stderr tree
-//!    ([`StderrTree`]), a JSON-lines stream ([`JsonLines`]), and an
-//!    in-memory collector for tests ([`InMemoryCollector`]). Bench bins
-//!    select one via the `SACCS_OBS` env var and dump the registry as
-//!    `BENCH_<bin>.json` through [`json::bench_snapshot`].
+//!    ([`StderrTree`]) and an in-memory collector for tests
+//!    ([`InMemoryCollector`]). Bench bins select their exporter via the
+//!    `SACCS_OBS` env var and dump the registry as `BENCH_<bin>.json`
+//!    through [`json::bench_snapshot`].
 //! 4. **Request traces** ([`trace`]): a per-request
 //!    [`TraceContext`] with a deterministic u64 id
 //!    and a bounded buffer of typed [`TraceEvent`]s
@@ -34,7 +34,7 @@
 //! skipped entirely, so default builds pay only stray counter
 //! increments.
 
-/// Exporter trait, the packed observability gate, and the three
+/// Exporter trait, the packed observability gate, and the two
 /// built-in exporters.
 pub mod export;
 /// Minimal JSON serialization for `BENCH_<bin>.json` snapshots.
@@ -60,8 +60,6 @@ pub use export::uninstall;
 pub use export::Exporter;
 /// Test exporter recording every span event in order.
 pub use export::InMemoryCollector;
-/// Streaming one-JSON-object-per-event exporter.
-pub use export::JsonLines;
 /// A recorded span enter/exit event.
 pub use export::SpanEvent;
 /// Human-readable indented span tree on stderr.

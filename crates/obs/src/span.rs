@@ -144,10 +144,19 @@ macro_rules! span {
 mod tests {
     use super::*;
     use crate::export::{install, uninstall, InMemoryCollector, SpanEvent};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+    /// The exporter slot is process-global: one test installs an
+    /// exporter that the others must not see (and whose collector must
+    /// not see their spans), so these tests run one at a time.
+    fn exporter_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _serial = exporter_lock();
         // No exporter installed: no depth tracking, inactive guard.
         let g = SpanGuard::enter("noop");
         assert!(!g.is_active());
@@ -156,6 +165,7 @@ mod tests {
 
     #[test]
     fn stage_spans_forward_into_the_active_trace_without_an_exporter() {
+        let _serial = exporter_lock();
         let ctx = crate::trace::TraceContext::new(11);
         let _scope = crate::trace::install(Arc::clone(&ctx));
         {
@@ -180,6 +190,7 @@ mod tests {
 
     #[test]
     fn nesting_tracks_depth_and_restores_it() {
+        let _serial = exporter_lock();
         let collector = Arc::new(InMemoryCollector::new());
         install(collector.clone());
         {

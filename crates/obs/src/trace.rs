@@ -190,24 +190,6 @@ impl TraceEvent {
     }
 }
 
-/// Per-stage wall-time totals extracted from a trace, in first-exit
-/// order. Attached to `RankResponse` when a request runs under a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StageTimings {
-    /// `(span name, summed nanoseconds)` per distinct stage span.
-    pub stages: Vec<(&'static str, u64)>,
-}
-
-impl StageTimings {
-    /// Summed nanoseconds recorded for `name`, if the stage ran.
-    pub fn nanos(&self, name: &str) -> Option<u64> {
-        self.stages
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-}
-
 /// A request's trace: deterministic id plus a bounded event buffer.
 ///
 /// Creating a context bumps the process-wide gate so instrumented code
@@ -272,21 +254,6 @@ impl TraceContext {
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
-
-    /// Fold `StageExit` events into per-stage totals (first-exit order).
-    pub fn stage_timings(&self) -> StageTimings {
-        let events = self.events.lock();
-        let mut stages: Vec<(&'static str, u64)> = Vec::new();
-        for event in events.iter() {
-            if let TraceEvent::StageExit { name, nanos } = event {
-                match stages.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, total)) => *total += nanos,
-                    None => stages.push((name, *nanos)),
-                }
-            }
-        }
-        StageTimings { stages }
-    }
 }
 
 impl Drop for TraceContext {
@@ -348,12 +315,6 @@ pub fn record(event: TraceEvent) {
             ctx.record(event);
         }
     });
-}
-
-/// Stage timings of the thread's current context ([`current`] +
-/// [`TraceContext::stage_timings`]), or `None` when untraced.
-pub fn current_stage_timings() -> Option<StageTimings> {
-    current().map(|ctx| ctx.stage_timings())
 }
 
 /// Whether `name` is a stage span that should be forwarded into the
@@ -426,30 +387,6 @@ mod tests {
         ctx.record(TraceEvent::Admitted);
         assert_eq!(ctx.events().len(), 2);
         assert_eq!(ctx.dropped(), 2);
-    }
-
-    #[test]
-    fn stage_timings_fold_exits_in_first_exit_order() {
-        let ctx = TraceContext::new(9);
-        ctx.record(TraceEvent::StageEnter {
-            name: "algo1.probe",
-        });
-        ctx.record(TraceEvent::StageExit {
-            name: "algo1.probe",
-            nanos: 10,
-        });
-        ctx.record(TraceEvent::StageExit {
-            name: "algo1.rank",
-            nanos: 5,
-        });
-        ctx.record(TraceEvent::StageExit {
-            name: "algo1.probe",
-            nanos: 7,
-        });
-        let t = ctx.stage_timings();
-        assert_eq!(t.stages, vec![("algo1.probe", 17), ("algo1.rank", 5)]);
-        assert_eq!(t.nanos("algo1.rank"), Some(5));
-        assert_eq!(t.nanos("algo1.pad"), None);
     }
 
     #[test]

@@ -536,9 +536,11 @@ mod tests {
             ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
             IndexConfig::default(),
         );
-        for (op, asp, raw) in postings {
-            ix.install_postings(SubjectiveTag::new(op, asp), raw.to_vec());
-        }
+        ix.install_postings(
+            postings
+                .iter()
+                .map(|(op, asp, raw)| (SubjectiveTag::new(op, asp), raw.to_vec())),
+        );
         ix
     }
 

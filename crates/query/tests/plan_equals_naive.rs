@@ -87,6 +87,7 @@ fn build_index(g: &mut Gen, universe: usize) -> SubjectiveIndex {
     // Index a random subset of the vocabulary (so some query tags are
     // unknown and exercise the probe fallback), with random posting
     // densities per tag.
+    let mut columns = Vec::new();
     for (op, asp) in VOCAB {
         if g.below(4) == 0 {
             continue; // leave this tag unindexed
@@ -98,8 +99,9 @@ fn build_index(g: &mut Gen, universe: usize) -> SubjectiveIndex {
                 raw.push((id, 0.05 + 0.95 * g.unit()));
             }
         }
-        ix.install_postings(SubjectiveTag::new(op, asp), raw);
+        columns.push((SubjectiveTag::new(op, asp), raw));
     }
+    ix.install_postings(columns);
     ix
 }
 

@@ -819,11 +819,7 @@ mod tests {
             entities(3),
             ServeConfig::default().with_recorder(RecorderConfig::default()),
         );
-        let response = server.submit(request().with_trace_id(7)).expect("admitted");
-        assert!(
-            response.timings.is_some(),
-            "recorder on must attach per-stage timings"
-        );
+        server.submit(request().with_trace_id(7)).expect("admitted");
         let report = server.obs_report().expect("recorder installed");
         assert_eq!(report.requests, 1);
         let trace = &report.traces[0];

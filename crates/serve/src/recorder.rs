@@ -175,7 +175,6 @@ mod tests {
             results: vec![(1, 0.5)],
             degradation: Degradation::default(),
             elapsed: Duration::from_nanos(elapsed_ns),
-            timings: None,
         }
     }
 

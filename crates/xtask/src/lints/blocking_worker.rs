@@ -29,10 +29,10 @@ impl Lint for BlockingInWorker {
     fn applies(&self, path: &str) -> bool {
         path.starts_with("crates/serve/src/")
             || path.starts_with("crates/rt/src/")
-            // The live index runs on serve workers and owns a background
-            // compactor thread: all of its IO must flow through the
-            // SegmentStore seams (failpoint-guarded, manifest-committed),
-            // never inline fs calls or sleeps.
+            // The live index ingests, seals and compacts on serve
+            // workers: all of its IO must flow through the SegmentStore
+            // seams (failpoint-guarded, manifest-committed), never
+            // inline fs calls or sleeps.
             || path == "crates/index/src/live.rs"
     }
 

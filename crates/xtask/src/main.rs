@@ -24,38 +24,42 @@ use scan::{rust_files, SourceFile};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Checks one JSON document's syntax, envelope and per-section shape,
+/// returning one line per problem found.
+type Validator = fn(&str) -> Vec<String>;
+
+/// The `check-*` subcommands: name, the document argument in the usage
+/// line, and its validator. `check-bench` takes a `BENCH_<bin>.json`
+/// snapshot a bench bin wrote under `SACCS_OBS=json`, `check-audit` a
+/// report from `xtask audit --json`, `check-report` a flight-recorder
+/// report dumped by the serve bench.
+const JSON_CHECKS: [(&str, &str, Validator); 3] = [
+    ("check-bench", "BENCH_<bin>.json", benchjson::validate),
+    ("check-audit", "AUDIT.json", auditjson::validate),
+    ("check-report", "REPORT.json", reportjson::validate),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let command = args.first().map(String::as_str);
+    if let Some(&(name, doc, validate)) = JSON_CHECKS.iter().find(|c| Some(c.0) == command) {
+        return match args.get(1) {
+            Some(path) => check_json(name, path, validate),
+            None => {
+                eprintln!("usage: cargo run -p xtask -- {name} {doc}");
+                ExitCode::from(2)
+            }
+        };
+    }
+    match command {
         Some("check") => check(),
         Some("audit") => audit::run(&args[1..]),
-        Some("check-bench") => match args.get(1) {
-            Some(path) => check_bench(path),
-            None => {
-                eprintln!("usage: cargo run -p xtask -- check-bench BENCH_<bin>.json");
-                ExitCode::from(2)
-            }
-        },
-        Some("check-audit") => match args.get(1) {
-            Some(path) => check_audit(path),
-            None => {
-                eprintln!("usage: cargo run -p xtask -- check-audit AUDIT.json");
-                ExitCode::from(2)
-            }
-        },
-        Some("check-report") => match args.get(1) {
-            Some(path) => check_report(path),
-            None => {
-                eprintln!("usage: cargo run -p xtask -- check-report REPORT.json");
-                ExitCode::from(2)
-            }
-        },
         _ => {
             eprintln!("usage: cargo run -p xtask -- check");
             eprintln!("       cargo run -p xtask -- audit [--json PATH] [--update-baseline]");
-            eprintln!("       cargo run -p xtask -- check-bench BENCH_<bin>.json");
-            eprintln!("       cargo run -p xtask -- check-audit AUDIT.json");
-            eprintln!("       cargo run -p xtask -- check-report REPORT.json");
+            for (name, doc, _) in JSON_CHECKS {
+                eprintln!("       cargo run -p xtask -- {name} {doc}");
+            }
             eprintln!();
             eprintln!("check lints:");
             for lint in all_lints() {
@@ -70,67 +74,23 @@ fn main() -> ExitCode {
     }
 }
 
-/// Validate one audit report written by `xtask audit --json` (syntax,
-/// required sections, per-violation shape, count consistency).
-fn check_audit(path: &str) -> ExitCode {
+/// Read the JSON document at `path` and validate it, printing
+/// `xtask <name>: <path> ok` or one line per problem found.
+fn check_json(name: &str, path: &str, validate: Validator) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("xtask check-audit: cannot read {path}: {e}");
+            eprintln!("xtask {name}: cannot read {path}: {e}");
             return ExitCode::from(2);
         }
     };
-    let problems = auditjson::validate(&text);
+    let problems = validate(&text);
     if problems.is_empty() {
-        println!("xtask check-audit: {path} ok");
+        println!("xtask {name}: {path} ok");
         ExitCode::SUCCESS
     } else {
         for p in &problems {
-            eprintln!("xtask check-audit: {path}: {p}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-/// Validate one flight-recorder report dumped by the serve bench
-/// (syntax, envelope, section shapes, per-trace shape).
-fn check_report(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask check-report: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let problems = reportjson::validate(&text);
-    if problems.is_empty() {
-        println!("xtask check-report: {path} ok");
-        ExitCode::SUCCESS
-    } else {
-        for p in &problems {
-            eprintln!("xtask check-report: {path}: {p}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-/// Validate one `BENCH_<bin>.json` snapshot emitted by a bench bin under
-/// `SACCS_OBS=json` (syntax, required sections, histogram shape).
-fn check_bench(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask check-bench: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let problems = benchjson::validate(&text);
-    if problems.is_empty() {
-        println!("xtask check-bench: {path} ok");
-        ExitCode::SUCCESS
-    } else {
-        for p in &problems {
-            eprintln!("xtask check-bench: {path}: {p}");
+            eprintln!("xtask {name}: {path}: {p}");
         }
         ExitCode::FAILURE
     }

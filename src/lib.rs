@@ -27,7 +27,7 @@
 //! }
 //! ```
 
-/// Service assembly: Algorithm 1, the builder, dialog glue and persistence.
+/// Service assembly: Algorithm 1, the builder and dialog glue.
 pub use saccs_core as core;
 /// Synthetic corpora with known ground truth (S1-S4, Yelp-style entities, crowd sim).
 pub use saccs_data as data;

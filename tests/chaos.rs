@@ -453,7 +453,6 @@ mod ingest_recovery {
         LiveConfig {
             seal_every: 2,
             max_segments: 0,
-            background_compaction: false,
         }
     }
 

@@ -125,7 +125,6 @@ fn live_index() -> Arc<LiveIndex> {
         LiveConfig {
             seal_every: 2,
             max_segments: 3,
-            background_compaction: false,
         },
     );
     live.add_tags(&index_tags());
