@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the neural stack: MiniBert encoding, tagger
-//! inference (Viterbi + beam), one clean and one FGSM training step, and
-//! the pairing classifier.
+//! inference, one clean and one FGSM training step, and CRF Viterbi,
+//! beam and forward-backward passes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

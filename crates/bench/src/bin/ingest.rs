@@ -8,8 +8,8 @@
 //! the same review log, and any divergence exits non-zero. The store is
 //! then checkpointed, reopened, and the recovered index must reproduce
 //! the same bits. Rankings (score bits) and segment counts go to
-//! `SACCS_INGEST_OUT` as JSON lines; the file is a pure function of the
-//! build and `scripts/ci.sh` byte-diffs two runs.
+//! `INGEST_report.jsonl` as JSON lines; the file is a pure function of
+//! the build and `scripts/ci.sh` byte-diffs two runs.
 //!
 //! Phase 2 (throughput A/B): reviews/sec and pinned-probe latency as the
 //! seal cadence sweeps `{16, 64, 256}` with compaction off — three
@@ -18,12 +18,12 @@
 //! and land in the `BENCH_ingest.json` headline, never in the export.
 //!
 //! Environment: `SACCS_INGEST_REVIEWS` (phase-2 stream length, default
-//! 3000), `SACCS_INGEST_OUT` (default `INGEST_report.jsonl`),
-//! `SACCS_INGEST_DIR` (default `target/ingest-bench`, wiped at start),
-//! `SACCS_OBS=json` to emit `BENCH_ingest.json`.
+//! 3000), `SACCS_INGEST_DIR` (default `target/ingest-bench`, wiped at
+//! start), `SACCS_OBS=json` to emit `BENCH_ingest.json`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use saccs_bench::{bits, ranking_json, write_export};
 use saccs_data::synthetic_tags;
 use saccs_index::index::{EntityEvidence, IndexConfig};
 use saccs_index::{LiveConfig, LiveIndex, ReviewRecord, SubjectiveIndex};
@@ -37,16 +37,8 @@ const EQ_CHECK_EVERY: usize = 64;
 const TIMING_REPS: usize = 3;
 const SEED: u64 = 0x1A6E57;
 
-fn env_or(name: &str, default: &str) -> String {
-    std::env::var(name).unwrap_or_else(|_| default.to_string())
-}
-
 fn sim() -> ConceptualSimilarity {
     ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants))
-}
-
-fn bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
-    ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
 }
 
 /// The seeded review stream: `n` reviews over [`N_ENTITIES`] entities,
@@ -116,29 +108,21 @@ fn check_equivalence(
             );
             std::process::exit(1);
         }
-        let ranking: Vec<String> = got
-            .iter()
-            .take(20)
-            .map(|&(e, b)| format!("[{e},{b}]"))
-            .collect();
         let _ = writeln!(
             report,
-            "{{\"checkpoint\":\"{label}\",\"reviews\":{},\"segments\":{},\"probe\":\"{}\",\"ranking\":[{}]}}",
+            "{{\"checkpoint\":\"{label}\",\"reviews\":{},\"segments\":{},\"probe\":\"{}\",\"ranking\":{}}}",
             log.len(),
             live.segment_count(),
             probe.phrase(),
-            ranking.join(",")
+            ranking_json(&got[..got.len().min(20)])
         );
     }
 }
 
 fn main() {
     saccs_bench::obs_init();
-    let n_perf: usize = env_or("SACCS_INGEST_REVIEWS", "3000")
-        .parse()
-        .unwrap_or(3000);
-    let out_path = env_or("SACCS_INGEST_OUT", "INGEST_report.jsonl");
-    let dir = env_or("SACCS_INGEST_DIR", "target/ingest-bench");
+    let n_perf = saccs_bench::env_usize("SACCS_INGEST_REVIEWS", 3000);
+    let dir = std::env::var("SACCS_INGEST_DIR").unwrap_or_else(|_| "target/ingest-bench".into());
     let lexicon = Lexicon::new(Domain::Restaurants);
 
     // The shared vocabulary: review tags are drawn from all of it, the
@@ -274,13 +258,7 @@ fn main() {
         headline.push((format!("segments_s{seal_every}"), segments as f64));
     }
 
-    match std::fs::write(&out_path, &report) {
-        Ok(()) => println!("\nwrote {out_path} ({} probes)", probes.len()),
-        Err(e) => {
-            println!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_export("INGEST_report.jsonl", &report);
     let headline_refs: Vec<(&str, f64)> = headline.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     saccs_bench::obs_finish("ingest", &headline_refs);
 }

@@ -17,13 +17,13 @@
 //! best-of-N. The ≥10x headline quoted in EXPERIMENTS.md.
 //!
 //! Phase 4 (export): probe rankings (score bits) and corpus stats go to
-//! `SACCS_PROBE_OUT` as JSON lines; the file is a pure function of the
-//! build and `scripts/ci.sh` byte-diffs two runs.
+//! `PROBE_report.jsonl` as JSON lines; the file is a pure function of
+//! the build and `scripts/ci.sh` byte-diffs two runs.
 //!
 //! Environment: `SACCS_PROBE_TAGS` (corpus size, default 100000),
-//! `SACCS_PROBE_OUT` (default `PROBE_report.jsonl`), `SACCS_OBS=json`
-//! to emit `BENCH_probe.json`.
+//! `SACCS_OBS=json` to emit `BENCH_probe.json`.
 
+use saccs_bench::{bits, ranking_json, write_export};
 use saccs_data::synthetic_tags;
 use saccs_index::index::{IndexConfig, SubjectiveIndex};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
@@ -32,14 +32,6 @@ use std::time::Instant;
 
 const N_ENTITIES: usize = 200;
 const TIMING_REPS: usize = 3;
-
-fn env_or(name: &str, default: &str) -> String {
-    std::env::var(name).unwrap_or_else(|_| default.to_string())
-}
-
-fn bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
-    ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
-}
 
 /// Top-10 entity-overlap recall of `got` against `want`.
 fn recall_at_10(got: &[(usize, f32)], want: &[(usize, f32)]) -> f64 {
@@ -134,10 +126,7 @@ fn time_probes(idx: &SubjectiveIndex, probes: &[SubjectiveTag], histogram: &str)
 
 fn main() {
     saccs_bench::obs_init();
-    let n_tags: usize = env_or("SACCS_PROBE_TAGS", "100000")
-        .parse()
-        .unwrap_or(100_000);
-    let out_path = env_or("SACCS_PROBE_OUT", "PROBE_report.jsonl");
+    let n_tags = saccs_bench::env_usize("SACCS_PROBE_TAGS", 100_000);
     let lexicon = Lexicon::new(Domain::Restaurants);
 
     // Phase 1: the synthetic corpus as posting columns.
@@ -176,22 +165,18 @@ fn main() {
         for probe in &probes {
             let scan = scan_idx.probe_readonly(probe);
             let cells = cell_idx.probe_readonly(probe);
-            if bits(&cells) != bits(&scan) {
+            let cell_bits = bits(&cells);
+            if cell_bits != bits(&scan) {
                 println!("DIVERGENCE: cell probe for {probe:?} differs from scan at θ={theta}");
                 std::process::exit(1);
             }
             recall += recall_at_10(&cells, &scan);
-            let ranking: Vec<String> = cells
-                .iter()
-                .take(20)
-                .map(|&(e, s)| format!("[{e},{}]", s.to_bits()))
-                .collect();
             let _ = writeln!(
                 report,
-                "{{\"theta\":\"{theta}\",\"probe\":\"{}\",\"matches\":{},\"ranking\":[{}]}}",
+                "{{\"theta\":\"{theta}\",\"probe\":\"{}\",\"matches\":{},\"ranking\":{}}}",
                 probe.phrase(),
                 cells.len(),
-                ranking.join(",")
+                ranking_json(&cell_bits[..cell_bits.len().min(20)])
             );
         }
         recall /= probes.len() as f64;
@@ -226,13 +211,7 @@ fn main() {
         "{{\"corpus\":{{\"tags\":{},\"entities\":{N_ENTITIES}}}}}",
         tags.len()
     );
-    match std::fs::write(&out_path, &report) {
-        Ok(()) => println!("\nwrote {out_path} ({} probes)", probes.len()),
-        Err(e) => {
-            println!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_export("PROBE_report.jsonl", &report);
 
     saccs_bench::obs_finish(
         "probe",

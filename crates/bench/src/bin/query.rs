@@ -15,8 +15,8 @@
 //! quoted in EXPERIMENTS.md, plus rarest-first vs left-to-right.
 //!
 //! Phase 4 (export): match counts and entity sets go to
-//! `SACCS_QUERY_OUT` as JSON lines; the file is a pure function of the
-//! build and `scripts/ci.sh` byte-diffs two runs. `SACCS_OBS=json`
+//! `QUERY_report.jsonl` as JSON lines; the file is a pure function of
+//! the build and `scripts/ci.sh` byte-diffs two runs. `SACCS_OBS=json`
 //! emits `BENCH_query.json`.
 
 use saccs_index::index::{IndexConfig, SubjectiveIndex};
@@ -55,10 +55,6 @@ const QUERIES: [(&str, &str); 4] = [
     ("objective", "friendly staff AND price<=2 AND rating>=2.5"),
     ("obj_first", "price<=2 AND rating>=2.5 AND romantic vibe"),
 ];
-
-fn env_or(name: &str, default: &str) -> String {
-    std::env::var(name).unwrap_or_else(|_| default.to_string())
-}
 
 /// Objective attributes as pure functions of entity id — the bench
 /// never allocates 100k entities, it answers from arithmetic.
@@ -139,7 +135,6 @@ fn best_of<T>(histogram: &str, mut f: impl FnMut() -> T) -> (T, f64) {
 
 fn main() {
     saccs_bench::obs_init();
-    let out_path = env_or("SACCS_QUERY_OUT", "QUERY_report.jsonl");
     let mut report = String::new();
     let mut headline: Vec<(String, f64)> = Vec::new();
 
@@ -198,13 +193,7 @@ fn main() {
         }
     }
 
-    match std::fs::write(&out_path, &report) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => {
-            println!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    saccs_bench::write_export("QUERY_report.jsonl", &report);
     let metrics: Vec<(&str, f64)> = headline.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     saccs_bench::obs_finish("query", &metrics);
 }

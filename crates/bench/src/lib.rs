@@ -12,6 +12,9 @@
 //!   instrumentation on its zero-cost path.
 //!
 //! All runs are seeded; identical settings regenerate identical tables.
+//! Bins with a deterministic export (`chaos`, `probe`, `ingest`,
+//! `query`) write it as `<BIN>_*.json[l]` into the current directory,
+//! beside `BENCH_<bin>.json`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,6 +79,38 @@ pub fn obs_finish(bin: &str, headline: &[(&str, f64)]) -> Option<String> {
     }
 }
 
+/// A ranking with each score as its raw `f32` bits: the form the bench
+/// bins compare, so equality means bitwise equality.
+pub fn bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
+    ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+}
+
+/// Render a [`bits`] ranking as a JSON array of `[entity, score bits]`
+/// pairs, the form every deterministic export records.
+pub fn ranking_json(ranked: &[(usize, u32)]) -> String {
+    let pairs: Vec<String> = ranked.iter().map(|(e, b)| format!("[{e},{b}]")).collect();
+    format!("[{}]", pairs.join(","))
+}
+
+/// Write a deterministic export (`<BIN>_*.json[l]`) into the current
+/// directory, exiting non-zero if the write fails.
+pub fn write_export(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        println!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
+}
+
+/// Parse a `usize` environment variable, `default` when unset or
+/// unparseable.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Parse `SACCS_SCALE` with a per-binary default.
 pub fn scale(default: f64) -> f64 {
     std::env::var("SACCS_SCALE")
@@ -87,10 +122,7 @@ pub fn scale(default: f64) -> f64 {
 
 /// Parse `SACCS_EPOCHS` (default 15, the paper's §6.3 setting).
 pub fn epochs(default: usize) -> usize {
-    std::env::var("SACCS_EPOCHS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_usize("SACCS_EPOCHS", default)
 }
 
 /// The bench-grade MiniBert: larger grid, heavier MLM, with optional

@@ -18,7 +18,6 @@
 //! **bitwise identical** to the scan.
 
 use saccs_text::lexicon::OpinionGroup;
-use saccs_text::similarity::SimilarityConfig;
 use saccs_text::{ConceptualSimilarity, SubjectiveTag};
 use std::collections::BTreeMap;
 
@@ -94,8 +93,8 @@ impl SemanticCandidateIndex {
     /// `tag_similarity(probe, t)` can take at most four values — one per
     /// combination of the two surface-identity shortcuts (`t.aspect ==
     /// probe.aspect`, `t.opinion == probe.opinion`). Each combination is
-    /// computed once from the same branch constants and the same
-    /// `powf` combine as `tag_similarity` (bit-identical inputs → bit-
+    /// computed once through the same resolved scores and the same
+    /// `combine` as `tag_similarity` (bit-identical inputs → bit-
     /// identical f32s), and every member tag then costs two string
     /// compares instead of two lexicon resolutions behind a mutex. Cells
     /// with an unresolved side lean on the surface-string edit fallback,
@@ -107,8 +106,6 @@ impl SemanticCandidateIndex {
         theta: f32,
         tags: &[SubjectiveTag],
     ) -> ScoredCandidates {
-        let cfg = sim.config();
-        let lex = sim.lexicon();
         let probe_aspect = sim.resolve_aspect(&probe.aspect);
         let probe_opinion = sim.resolve_opinion(&probe.opinion);
         let mut scored: Vec<(u32, f32)> = Vec::new();
@@ -117,32 +114,15 @@ impl SemanticCandidateIndex {
             visited += 1;
             let a_ub = sim.aspect_upper_bound(probe_aspect, *cell_aspect);
             let o_ub = sim.opinion_upper_bound(probe_opinion, cell.opinion);
-            if sim.tag_upper_bound(a_ub, o_ub) + PRUNE_MARGIN <= theta {
+            if sim.combine(a_ub, o_ub) + PRUNE_MARGIN <= theta {
                 continue;
             }
             match (probe_aspect, *cell_aspect, probe_opinion, cell.opinion) {
                 (Some(pa), Some(ca), Some(pg), Some(cg)) => {
                     // The aspect/opinion scores when the surface strings
-                    // differ — exactly `aspect_similarity`'s and
-                    // `opinion_similarity`'s resolved branches.
-                    let a_far = if pa == ca {
-                        cfg.same_concept
-                    } else if lex.aspects_related(pa, ca) {
-                        cfg.related_concept
-                    } else {
-                        0.0
-                    };
-                    let o_far = if pg.canonical == cg.canonical {
-                        cfg.same_group
-                    } else if pg.polarity != cg.polarity {
-                        0.0
-                    } else if pg.generic || cg.generic {
-                        cfg.generic_bridge
-                    } else if pg.aspects.iter().any(|a| cg.aspects.contains(a)) {
-                        cfg.shared_applicability
-                    } else {
-                        cfg.same_polarity
-                    };
+                    // differ.
+                    let a_far = sim.resolved_aspect_score(pa, ca);
+                    let o_far = sim.resolved_opinion_score(pg, cg);
                     let mut combo = [[f32::NAN; 2]; 2];
                     for &id in &cell.tag_ids {
                         let t = &tags[id as usize];
@@ -151,7 +131,7 @@ impl SemanticCandidateIndex {
                         if combo[ae][oe].is_nan() {
                             let a = if ae == 1 { 1.0 } else { a_far };
                             let o = if oe == 1 { 1.0 } else { o_far };
-                            combo[ae][oe] = combine(cfg, a, o);
+                            combo[ae][oe] = sim.combine(a, o);
                         }
                         scored.push((id, combo[ae][oe]));
                     }
@@ -168,16 +148,6 @@ impl SemanticCandidateIndex {
         scored.sort_unstable_by_key(|&(id, _)| id);
         ScoredCandidates { scored, visited }
     }
-}
-
-/// `tag_similarity`'s combine step on precomputed per-side scores: hard
-/// zero on either side, else the weighted geometric mean, clamped.
-fn combine(cfg: &SimilarityConfig, a: f32, o: f32) -> f32 {
-    if a <= 0.0 || o <= 0.0 {
-        return 0.0;
-    }
-    let w = cfg.aspect_weight;
-    (a.powf(w) * o.powf(1.0 - w)).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -264,6 +234,66 @@ mod tests {
                         exact.to_bits(),
                         "probe {probe} vs {}: fused {score} != exact {exact}",
                         tags[id as usize]
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every lexicon tag (each aspect member × each opinion variant)
+    /// against one probe per (concept, group) pair, at θ = 0 so no cell
+    /// is pruned: each fused score equals `tag_similarity` bit for bit,
+    /// and the tag bound never falls below the exact score.
+    #[test]
+    fn rescore_and_bounds_match_tag_similarity_over_the_lexicon() {
+        let s = sim();
+        let lex = s.lexicon();
+        let mut tags: Vec<SubjectiveTag> = lex
+            .aspects()
+            .iter()
+            .flat_map(|c| c.members)
+            .flat_map(|&m| {
+                lex.opinion_groups()
+                    .iter()
+                    .flat_map(|g| g.variants)
+                    .map(move |&v| SubjectiveTag::new(v, m))
+            })
+            .collect();
+        tags.sort();
+        tags.dedup();
+        assert_eq!(tags.len(), 82 * 142);
+        let resolved: Vec<_> = tags
+            .iter()
+            .map(|t| (s.resolve_aspect(&t.aspect), s.resolve_opinion(&t.opinion)))
+            .collect();
+        let idx = SemanticCandidateIndex::build(&s, &tags);
+        for concept in lex.aspects() {
+            for group in lex.opinion_groups() {
+                let probe = SubjectiveTag::new(group.variants[0], concept.members[0]);
+                let probe_aspect = s.resolve_aspect(&probe.aspect);
+                let probe_opinion = s.resolve_opinion(&probe.opinion);
+                let sc = idx.rescore(&s, &probe, 0.0, &tags);
+                assert_eq!(
+                    sc.scored.len(),
+                    tags.len(),
+                    "probe {probe}: a cell was pruned"
+                );
+                for &(id, score) in &sc.scored {
+                    let t = &tags[id as usize];
+                    let exact = s.tag_similarity(&probe, t);
+                    assert_eq!(
+                        score.to_bits(),
+                        exact.to_bits(),
+                        "probe {probe} vs {t}: fused {score} != exact {exact}"
+                    );
+                    let (aspect, opinion) = resolved[id as usize];
+                    let bound = s.combine(
+                        s.aspect_upper_bound(probe_aspect, aspect),
+                        s.opinion_upper_bound(probe_opinion, opinion),
+                    );
+                    assert!(
+                        bound >= exact,
+                        "probe {probe} vs {t}: bound {bound} < {exact}"
                     );
                 }
             }

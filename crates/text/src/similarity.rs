@@ -83,50 +83,34 @@ pub trait TagSimilarity: Send + Sync {
     fn similarity(&self, a: &SubjectiveTag, b: &SubjectiveTag) -> f32;
 }
 
-/// Tunable weights of the similarity blend. Defaults reproduce the paper's
-/// qualitative behaviour (see module docs and `EXPERIMENTS.md`).
-#[derive(Debug, Clone)]
-pub struct SimilarityConfig {
-    /// Geometric weight of the aspect side; `1 - aspect_weight` goes to the
-    /// opinion side.
-    pub aspect_weight: f32,
-    /// Score for two distinct surface terms of the same aspect concept.
-    pub same_concept: f32,
-    /// Score for terms of *related* concepts (food ↔ cooking).
-    pub related_concept: f32,
-    /// Score for two distinct phrases of the same opinion group.
-    pub same_group: f32,
-    /// Score when either opinion is a generic evaluative of equal polarity.
-    pub generic_bridge: f32,
-    /// Score for same-polarity opinions that share an applicable aspect.
-    pub shared_applicability: f32,
-    /// Score for same-polarity opinions with nothing else in common.
-    pub same_polarity: f32,
-    /// Edit-similarity threshold above which an out-of-lexicon term is
-    /// fuzzily identified with an in-lexicon one (typo absorption).
-    pub typo_threshold: f32,
-}
-
-impl Default for SimilarityConfig {
-    fn default() -> Self {
-        SimilarityConfig {
-            aspect_weight: 0.5,
-            same_concept: 0.90,
-            related_concept: 0.55,
-            same_group: 0.85,
-            generic_bridge: 0.70,
-            shared_applicability: 0.45,
-            same_polarity: 0.20,
-            typo_threshold: 0.75,
-        }
-    }
-}
+/// Score for two distinct surface terms of the same aspect concept.
+const SAME_CONCEPT: f32 = 0.90;
+/// Score for terms of *related* concepts (food ↔ cooking).
+const RELATED_CONCEPT: f32 = 0.55;
+/// Score for two distinct phrases of the same opinion group.
+const SAME_GROUP: f32 = 0.85;
+/// Score when either opinion is a generic evaluative of equal polarity.
+const GENERIC_BRIDGE: f32 = 0.70;
+/// Score for same-polarity opinions that share an applicable aspect.
+const SHARED_APPLICABILITY: f32 = 0.45;
+/// Score for same-polarity opinions with nothing else in common.
+const SAME_POLARITY: f32 = 0.20;
+/// Edit-similarity threshold above which an out-of-lexicon term is
+/// fuzzily identified with an in-lexicon one (typo absorption).
+const TYPO_THRESHOLD: f32 = 0.75;
 
 /// The similarity checker of Figure 1.
 #[derive(Debug)]
 pub struct ConceptualSimilarity {
     lexicon: Lexicon,
-    config: SimilarityConfig,
+    /// Geometric weight of the aspect side in [`Self::combine`]; `1 -
+    /// aspect_weight` goes to the opinion side. Always 0.5, but kept a
+    /// runtime value on purpose: with a literal 0.5 the compiler lowers
+    /// `powf(x, 0.5)` to a square-root instruction, glibc's `powf(x, 0.5)`
+    /// differs from the correctly rounded square root in the last bit on
+    /// about 0.06% of `f32` inputs, and every exported score is pinned
+    /// bit for bit.
+    aspect_weight: f32,
     /// Memo for fuzzy canonicalization: OOV terms recur constantly in the
     /// index hot loops (every typo'd review tag is compared against every
     /// index tag), and each miss otherwise costs a full lexicon scan.
@@ -137,7 +121,7 @@ impl Clone for ConceptualSimilarity {
     fn clone(&self) -> Self {
         ConceptualSimilarity {
             lexicon: self.lexicon.clone(),
-            config: self.config.clone(),
+            aspect_weight: self.aspect_weight,
             fuzzy_cache: std::sync::Mutex::new(std::collections::HashMap::new()),
         }
     }
@@ -145,24 +129,15 @@ impl Clone for ConceptualSimilarity {
 
 impl ConceptualSimilarity {
     pub fn new(lexicon: Lexicon) -> Self {
-        Self::with_config(lexicon, SimilarityConfig::default())
-    }
-
-    pub fn with_config(lexicon: Lexicon, config: SimilarityConfig) -> Self {
         ConceptualSimilarity {
             lexicon,
-            config,
+            aspect_weight: 0.5,
             fuzzy_cache: std::sync::Mutex::new(std::collections::HashMap::new()),
         }
     }
 
     pub fn lexicon(&self) -> &Lexicon {
         &self.lexicon
-    }
-
-    /// The active weight configuration (read-only).
-    pub fn config(&self) -> &SimilarityConfig {
-        &self.config
     }
 
     /// Resolve an aspect term to its canonical concept name, absorbing
@@ -186,6 +161,45 @@ impl ConceptualSimilarity {
         })
     }
 
+    /// Similarity of two *distinct* aspect terms resolved to concepts
+    /// `c1` and `c2`: the same concept, related concepts, or 0.
+    pub fn resolved_aspect_score(&self, c1: &str, c2: &str) -> f32 {
+        if c1 == c2 {
+            SAME_CONCEPT
+        } else if self.lexicon.aspects_related(c1, c2) {
+            RELATED_CONCEPT
+        } else {
+            0.0
+        }
+    }
+
+    /// Similarity of two *distinct* opinion phrases resolved to groups
+    /// `g1` and `g2`. Opposite polarity is a hard zero.
+    pub fn resolved_opinion_score(&self, g1: &OpinionGroup, g2: &OpinionGroup) -> f32 {
+        if g1.canonical == g2.canonical {
+            SAME_GROUP
+        } else if g1.polarity != g2.polarity {
+            0.0
+        } else if g1.generic || g2.generic {
+            GENERIC_BRIDGE
+        } else if g1.aspects.iter().any(|a| g2.aspects.contains(a)) {
+            SHARED_APPLICABILITY
+        } else {
+            SAME_POLARITY
+        }
+    }
+
+    /// Combine an aspect-side and an opinion-side score (or upper bound)
+    /// into a tag score: the weighted geometric mean, so a hard zero on
+    /// either side zeroes the whole score.
+    pub fn combine(&self, aspect: f32, opinion: f32) -> f32 {
+        if aspect <= 0.0 || opinion <= 0.0 {
+            return 0.0;
+        }
+        let w = self.aspect_weight;
+        (aspect.powf(w) * opinion.powf(1.0 - w)).clamp(0.0, 1.0)
+    }
+
     /// Upper bound on `aspect_similarity(p, t)` over *every* pair of terms
     /// whose resolutions are `probe_concept` and `cand_concept` (`None` =
     /// unresolved after fuzzy canonicalization).
@@ -195,7 +209,7 @@ impl ConceptualSimilarity {
     /// the score comes from the edit fallback `(edit_sim - 0.5).max(0) <=
     /// 0.5`. Two terms resolved to the same concept may still be the
     /// identical string, hence 1.0 there; two terms resolved to *different*
-    /// concepts score exactly `related_concept` or 0.
+    /// concepts score exactly their [`Self::resolved_aspect_score`].
     pub fn aspect_upper_bound(
         &self,
         probe_concept: Option<&str>,
@@ -203,8 +217,7 @@ impl ConceptualSimilarity {
     ) -> f32 {
         match (probe_concept, cand_concept) {
             (Some(p), Some(c)) if p == c => 1.0,
-            (Some(p), Some(c)) if self.lexicon.aspects_related(p, c) => self.config.related_concept,
-            (Some(_), Some(_)) => 0.0,
+            (Some(p), Some(c)) => self.resolved_aspect_score(p, c),
             (None, None) => 1.0,
             _ => 0.5,
         }
@@ -221,39 +234,16 @@ impl ConceptualSimilarity {
         cand_group: Option<&OpinionGroup>,
     ) -> f32 {
         match (probe_group, cand_group) {
-            (Some(g1), Some(g2)) => {
-                if g1.canonical == g2.canonical {
-                    return 1.0;
-                }
-                if g1.polarity != g2.polarity {
-                    return 0.0;
-                }
-                if g1.generic || g2.generic {
-                    return self.config.generic_bridge;
-                }
-                if g1.aspects.iter().any(|a| g2.aspects.contains(a)) {
-                    return self.config.shared_applicability;
-                }
-                self.config.same_polarity
-            }
+            (Some(g1), Some(g2)) if g1.canonical == g2.canonical => 1.0,
+            (Some(g1), Some(g2)) => self.resolved_opinion_score(g1, g2),
             (None, None) => 1.0,
             _ => 0.5,
         }
     }
 
-    /// Combine per-side upper bounds exactly as [`Self::tag_similarity`]
-    /// combines per-side scores (weighted geometric mean, hard zero).
-    pub fn tag_upper_bound(&self, aspect_ub: f32, opinion_ub: f32) -> f32 {
-        if aspect_ub <= 0.0 || opinion_ub <= 0.0 {
-            return 0.0;
-        }
-        let w = self.config.aspect_weight;
-        (aspect_ub.powf(w) * opinion_ub.powf(1.0 - w)).clamp(0.0, 1.0)
-    }
-
     /// Absorb small typos: map an out-of-lexicon word to the best known
-    /// aspect member / opinion variant when the edit similarity clears the
-    /// configured threshold.
+    /// aspect member / opinion variant when the edit similarity clears
+    /// [`TYPO_THRESHOLD`].
     fn fuzzy_canonicalize(&self, term: &str, aspect_side: bool) -> Option<&'static str> {
         if let Some(&hit) = self
             .fuzzy_cache
@@ -266,7 +256,7 @@ impl ConceptualSimilarity {
         let mut best: Option<(&'static str, f32)> = None;
         let mut consider = |cand: &'static str| {
             let s = edit_similarity(term, cand);
-            if s >= self.config.typo_threshold && best.is_none_or(|(_, b)| s > b) {
+            if s >= TYPO_THRESHOLD && best.is_none_or(|(_, b)| s > b) {
                 best = Some((cand, s));
             }
         };
@@ -297,11 +287,7 @@ impl ConceptualSimilarity {
             return 1.0;
         }
         match (self.resolve_aspect(a1), self.resolve_aspect(a2)) {
-            (Some(c1), Some(c2)) if c1 == c2 => self.config.same_concept,
-            (Some(c1), Some(c2)) if self.lexicon.aspects_related(c1, c2) => {
-                self.config.related_concept
-            }
-            (Some(_), Some(_)) => 0.0,
+            (Some(c1), Some(c2)) => self.resolved_aspect_score(c1, c2),
             // Out-of-lexicon on at least one side: weak lexical fallback so
             // novel-but-identical user vocabulary still clusters.
             _ => (edit_similarity(a1, a2) - 0.5).max(0.0),
@@ -315,36 +301,19 @@ impl ConceptualSimilarity {
             return 1.0;
         }
         match (self.resolve_opinion(o1), self.resolve_opinion(o2)) {
-            (Some(g1), Some(g2)) => {
-                if g1.canonical == g2.canonical {
-                    return self.config.same_group;
-                }
-                if g1.polarity != g2.polarity {
-                    return 0.0;
-                }
-                if g1.generic || g2.generic {
-                    return self.config.generic_bridge;
-                }
-                if g1.aspects.iter().any(|a| g2.aspects.contains(a)) {
-                    return self.config.shared_applicability;
-                }
-                self.config.same_polarity
-            }
+            (Some(g1), Some(g2)) => self.resolved_opinion_score(g1, g2),
             _ => (edit_similarity(o1, o2) - 0.5).max(0.0),
         }
     }
 
-    /// Similarity of two subjective tags: the weighted geometric mean of the
-    /// aspect- and opinion-side similarities, so a hard zero on either side
-    /// (e.g. opposite polarity) zeroes the whole score.
+    /// Similarity of two subjective tags: the aspect- and opinion-side
+    /// similarities through [`Self::combine`], so a hard zero on either
+    /// side (e.g. opposite polarity) zeroes the whole score.
     pub fn tag_similarity(&self, t1: &SubjectiveTag, t2: &SubjectiveTag) -> f32 {
-        let a = self.aspect_similarity(&t1.aspect, &t2.aspect);
-        let o = self.opinion_similarity(&t1.opinion, &t2.opinion);
-        if a <= 0.0 || o <= 0.0 {
-            return 0.0;
-        }
-        let w = self.config.aspect_weight;
-        (a.powf(w) * o.powf(1.0 - w)).clamp(0.0, 1.0)
+        self.combine(
+            self.aspect_similarity(&t1.aspect, &t2.aspect),
+            self.opinion_similarity(&t1.opinion, &t2.opinion),
+        )
     }
 
     /// Convenience over surface phrases; returns 0 for unparseable phrases.
@@ -540,7 +509,7 @@ mod tests {
                 "opinion sim({o1},{o2}) exceeds ub {o_ub}");
             let t1 = SubjectiveTag::new(&o1, &p1);
             let t2 = SubjectiveTag::new(&o2, &p2);
-            prop_assert!(s.tag_similarity(&t1, &t2) <= s.tag_upper_bound(a_ub, o_ub) + 1e-5);
+            prop_assert!(s.tag_similarity(&t1, &t2) <= s.combine(a_ub, o_ub) + 1e-5);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! equivalent `registry().counter(..)`-style calls) receive anything
 //! other than a string literal as the name. Name plumbing inside
 //! `saccs-obs` itself and the bench harness (which legitimately derives
-//! per-configuration series like `serve.latency.w{n}`) is exempt.
+//! per-configuration series like `probe.scan.t{θ}`) is exempt.
 
 use super::{Lint, Violation};
 use crate::scan::{is_ident, is_punct, SourceFile, TokenKind};
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn obs_and_bench_plumbing_are_exempt() {
         assert!(!MetricNameLiteral.applies("crates/obs/src/metrics.rs"));
-        assert!(!MetricNameLiteral.applies("crates/bench/src/bin/serve.rs"));
+        assert!(!MetricNameLiteral.applies("crates/bench/src/bin/probe.rs"));
         assert!(!MetricNameLiteral.applies("crates/xtask/src/main.rs"));
         assert!(MetricNameLiteral.applies("crates/core/src/service.rs"));
         assert!(MetricNameLiteral.applies("crates/serve/src/recorder.rs"));

@@ -32,7 +32,7 @@ type Validator = fn(&str) -> Vec<String>;
 /// line, and its validator. `check-bench` takes a `BENCH_<bin>.json`
 /// snapshot a bench bin wrote under `SACCS_OBS=json`, `check-audit` a
 /// report from `xtask audit --json`, `check-report` a flight-recorder
-/// report dumped by the serve bench.
+/// report dumped by the chaos bench.
 const JSON_CHECKS: [(&str, &str, Validator); 3] = [
     ("check-bench", "BENCH_<bin>.json", benchjson::validate),
     ("check-audit", "AUDIT.json", auditjson::validate),

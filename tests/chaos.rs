@@ -367,7 +367,10 @@ mod armed {
         let scenario = Scenario::parse("algo1.probe=err@p=0.9").expect("scenario parses");
         println!("chaos replay: seed={SEED} scenario={scenario}");
 
-        let run = |seed: u64| -> Vec<(Vec<(usize, u32)>, Vec<String>)> {
+        // One replayed request: its ranking as score bits and its
+        // degradation events.
+        type Replayed = (Vec<(usize, u32)>, Vec<String>);
+        let run = |seed: u64| -> Vec<Replayed> {
             let trained = saccs();
             let api = SearchApi::new(&corpus().entities);
             let _faults = arm_guard(&scenario, seed);
