@@ -6,10 +6,9 @@
 //!   (default varies per binary; `1.0` = exact paper sizes);
 //! * `SACCS_EPOCHS` — training epochs for the tagger sweeps (default 15,
 //!   the paper's setting);
-//! * `SACCS_OBS` — observability mode: `json` writes a
-//!   `BENCH_<bin>.json` registry snapshot (and enables span timing),
-//!   `stderr` prints the live span tree, anything else (or unset) leaves
-//!   instrumentation on its zero-cost path.
+//! * `SACCS_OBS` — `json` turns span timing on and writes a
+//!   `BENCH_<bin>.json` registry snapshot; anything else (or unset)
+//!   leaves instrumentation on its zero-cost path.
 //!
 //! All runs are seeded; identical settings regenerate identical tables.
 //! Bins with a deterministic export (`chaos`, `probe`, `ingest`,
@@ -29,30 +28,12 @@ use saccs_index::SubjectiveIndex;
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 use std::rc::Rc;
 
-/// The `SACCS_OBS=json` exporter. The snapshot is cut from the metrics
-/// registry at [`obs_finish`], and installing any exporter is what turns
-/// span timing (and with it the span-duration histograms) on, so the
-/// span events themselves are dropped: nothing is buffered and no span
-/// takes a lock here.
-struct RegistryOnly;
-
-impl saccs_obs::Exporter for RegistryOnly {
-    fn span_enter(&self, _name: &'static str, _depth: usize) {}
-
-    fn span_exit(&self, _name: &'static str, _depth: usize, _nanos: u64) {}
-}
-
-/// Install the exporter selected by `SACCS_OBS` (see the crate docs).
-/// Call at the top of every bench `main`; pair with [`obs_finish`].
+/// Under `SACCS_OBS=json`, turn span timing (and with it the
+/// span-duration histograms) on. Call at the top of every bench `main`;
+/// pair with [`obs_finish`].
 pub fn obs_init() {
-    match std::env::var("SACCS_OBS").as_deref() {
-        Ok("json") => {
-            saccs_obs::install(std::sync::Arc::new(RegistryOnly));
-        }
-        Ok("stderr") => {
-            saccs_obs::install(std::sync::Arc::new(saccs_obs::StderrTree));
-        }
-        _ => {}
+    if std::env::var("SACCS_OBS").as_deref() == Ok("json") {
+        saccs_obs::set_enabled(true);
     }
 }
 
@@ -61,7 +42,6 @@ pub fn obs_init() {
 /// histograms) plus the bin's headline quality numbers. Returns the path
 /// written, if any.
 pub fn obs_finish(bin: &str, headline: &[(&str, f64)]) -> Option<String> {
-    saccs_obs::flush();
     if std::env::var("SACCS_OBS").as_deref() != Ok("json") {
         return None;
     }

@@ -1,7 +1,7 @@
 //! The armed-schedule registry behind [`failpoint!`](crate::failpoint).
 //!
 //! Exactly one [`Scenario`] can be armed at a time, process-wide (like
-//! the `saccs-obs` exporter). Arming replaces any previous scenario and
+//! the `saccs-obs` span-timing switch). Arming replaces any previous scenario and
 //! resets all call counters, so tests that arm must serialize on a
 //! mutex within a binary — the same discipline the obs tests follow.
 //!

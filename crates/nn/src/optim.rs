@@ -30,10 +30,6 @@ impl Sgd {
         self
     }
 
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     pub fn step(&mut self, params: &[Var]) {
         if self.velocity.is_empty() {
             self.velocity = params
@@ -110,10 +106,6 @@ impl Adam {
     pub fn with_clip(mut self, c: f32) -> Self {
         self.clip = Some(c);
         self
-    }
-
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
     }
 
     pub fn step(&mut self, params: &[Var]) {

@@ -182,24 +182,7 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Fold another histogram into this one. Merging is commutative and
-    /// associative (bucket-wise addition, min/max of extrema), so shards
-    /// recorded on different threads can be combined in any order.
-    pub fn merge_from(&self, other: &Histogram) {
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Per-bucket counts (for tests and merge verification).
+    /// Per-bucket counts (for tests).
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
@@ -312,15 +295,6 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect()
-    }
-
-    /// Drop every registered instrument (benchmark/test isolation).
-    /// `Arc`s handed out earlier keep recording into detached
-    /// instruments; subsequent lookups start fresh.
-    pub fn reset(&self) {
-        self.counters.write().clear();
-        self.gauges.write().clear();
-        self.histograms.write().clear();
     }
 }
 
@@ -511,8 +485,6 @@ mod tests {
         r.histogram("h").record(7);
         assert_eq!(r.histogram("h").count(), 1);
         assert_eq!(r.counter_values(), vec![("a".to_string(), 2)]);
-        r.reset();
-        assert_eq!(r.counter("a").get(), 0);
     }
 
     fn from_values(values: &[u64]) -> Histogram {
@@ -555,67 +527,6 @@ mod tests {
             if idx + 1 < BUCKET_COUNT {
                 prop_assert!(v < bucket_lower_bound(idx + 1));
             }
-        }
-
-        /// (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c) bucket-for-bucket.
-        #[test]
-        fn prop_merge_associative(
-            a in proptest::collection::vec(0u64..1_000_000, 0..50),
-            b in proptest::collection::vec(0u64..1_000_000, 0..50),
-            c in proptest::collection::vec(0u64..1_000_000, 0..50),
-        ) {
-            let (ha, hb, hc) = (from_values(&a), from_values(&b), from_values(&c));
-            let left = Histogram::new();
-            left.merge_from(&ha);
-            left.merge_from(&hb); // (a ⊕ b)
-            left.merge_from(&hc); // ⊕ c
-            let bc = Histogram::new();
-            bc.merge_from(&hb);
-            bc.merge_from(&hc); // (b ⊕ c)
-            let right = Histogram::new();
-            right.merge_from(&ha);
-            right.merge_from(&bc); // a ⊕
-            prop_assert_eq!(left.bucket_counts(), right.bucket_counts());
-            prop_assert_eq!(left.snapshot(), right.snapshot());
-        }
-
-        /// a ⊕ b == b ⊕ a: identical buckets and identical
-        /// `HistogramSnapshot` (count/sum/min/max and every quantile).
-        #[test]
-        fn prop_merge_commutative(
-            a in proptest::collection::vec(0u64..1_000_000, 0..50),
-            b in proptest::collection::vec(0u64..1_000_000, 0..50),
-        ) {
-            let (ha, hb) = (from_values(&a), from_values(&b));
-            let ab = Histogram::new();
-            ab.merge_from(&ha);
-            ab.merge_from(&hb);
-            let ba = Histogram::new();
-            ba.merge_from(&hb);
-            ba.merge_from(&ha);
-            prop_assert_eq!(ab.bucket_counts(), ba.bucket_counts());
-            prop_assert_eq!(ab.snapshot(), ba.snapshot());
-            prop_assert_eq!(
-                (ab.quantile(0.5), ab.quantile(0.95), ab.quantile(0.99)),
-                (ba.quantile(0.5), ba.quantile(0.95), ba.quantile(0.99))
-            );
-        }
-
-        /// Merging equals recording the concatenated sample set directly
-        /// (same buckets ⇒ same quantiles), for any split of the samples.
-        #[test]
-        fn prop_merge_matches_direct_recording(
-            a in proptest::collection::vec(0u64..1_000_000, 0..50),
-            b in proptest::collection::vec(0u64..1_000_000, 0..50),
-        ) {
-            let merged = Histogram::new();
-            merged.merge_from(&from_values(&a));
-            merged.merge_from(&from_values(&b));
-            let mut all = a.clone();
-            all.extend_from_slice(&b);
-            let direct = from_values(&all);
-            prop_assert_eq!(merged.bucket_counts(), direct.bucket_counts());
-            prop_assert_eq!(merged.snapshot(), direct.snapshot());
         }
     }
 }

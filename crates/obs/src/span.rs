@@ -1,43 +1,30 @@
-//! Hierarchical spans: thread-local depth tracking, monotonic timing and
-//! RAII exit guards.
+//! Spans: monotonic timing and RAII exit guards.
 //!
 //! A span is entered with [`SpanGuard::enter`] (or the
-//! [`span!`](crate::span!) macro) and exits when the guard drops. While an
-//! exporter is installed ([`crate::install`]), entering pushes the
-//! thread-local depth, notifies the exporter, and the exit records the
-//! span's wall duration both to the exporter and to the global histogram
-//! registered under the span's name. Stage spans (names under
+//! [`span!`](crate::span!) macro) and exits when the guard drops. While
+//! span timing is on ([`crate::set_enabled`]), the exit records the
+//! span's wall duration into the global histogram registered under the
+//! span's name. Stage spans (names under
 //! [`crate::trace::STAGE_PREFIXES`]) additionally forward enter/exit
 //! events — with elapsed nanoseconds — into the thread's current
 //! [`TraceContext`](crate::trace::TraceContext), so a traced request
-//! keeps timing even when no exporter is installed; trace-only spans
-//! skip the registry entirely (the duration rides in the `StageExit`
-//! event). With **no exporter installed and no live trace the whole
-//! path is one relaxed atomic load and a `None` guard** — no clock
-//! read, no allocation, no registry lookup — so instrumented hot paths
-//! cost nothing in default builds.
+//! keeps timing even with span timing off; trace-only spans skip the
+//! registry entirely (the duration rides in the `StageExit` event).
+//! With **timing off and no live trace the whole path is one relaxed
+//! atomic load and a `None` guard** — no clock read, no allocation, no
+//! registry lookup — so instrumented hot paths cost nothing in default
+//! builds.
 
-use crate::export::{gate_load, with_exporter, EXPORTER_BIT, TRACE_UNIT};
+use crate::gate::{gate_load, TIMING_BIT, TRACE_UNIT};
 use crate::trace::{self, TraceContext, TraceEvent};
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
-
-thread_local! {
-    static DEPTH: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Depth of the innermost active span on this thread (0 = top level).
-pub fn current_depth() -> usize {
-    DEPTH.with(Cell::get)
-}
 
 struct ActiveSpan {
     name: &'static str,
     start: Instant,
-    depth: usize,
-    /// An exporter was installed at enter time.
-    exported: bool,
+    /// Span timing was on at enter time.
+    timed: bool,
     /// Stage span: the trace context captured at enter time. Exit
     /// records into this same context even if the thread's slot changes
     /// mid-span.
@@ -50,8 +37,8 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Enter a span named `name`. Near-free when no exporter is
-    /// installed and no trace is live (returns an inert guard).
+    /// Enter a span named `name`. Near-free when span timing is off and
+    /// no trace is live (returns an inert guard).
     #[inline]
     pub fn enter(name: &'static str) -> SpanGuard {
         let gate = gate_load();
@@ -62,22 +49,14 @@ impl SpanGuard {
     }
 
     fn enter_observed(name: &'static str, gate: u64) -> SpanGuard {
-        let exported = gate & EXPORTER_BIT != 0;
+        let timed = gate & TIMING_BIT != 0;
         let trace = if gate >= TRACE_UNIT && trace::is_stage(name) {
             trace::current()
         } else {
             None
         };
-        if !exported && trace.is_none() {
+        if !timed && trace.is_none() {
             return SpanGuard { active: None };
-        }
-        let depth = DEPTH.with(|d| {
-            let v = d.get();
-            d.set(v + 1);
-            v
-        });
-        if exported {
-            with_exporter(|e| e.span_enter(name, depth));
         }
         if let Some(ctx) = trace.as_deref() {
             ctx.record(TraceEvent::StageEnter { name });
@@ -86,15 +65,14 @@ impl SpanGuard {
             active: Some(ActiveSpan {
                 name,
                 start: Instant::now(),
-                depth,
-                exported,
+                timed,
                 trace,
             }),
         }
     }
 
-    /// Whether this guard is actually timing (an exporter was installed
-    /// at enter time).
+    /// Whether this guard is actually timing (span timing was on, or a
+    /// trace was live for this stage span, at enter time).
     pub fn is_active(&self) -> bool {
         self.active.is_some()
     }
@@ -106,15 +84,14 @@ impl Drop for SpanGuard {
             return;
         };
         let nanos = u64::try_from(span.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        DEPTH.with(|d| d.set(span.depth));
-        if span.exported {
-            // The registry lookup is exporter-only: a trace-only span
-            // already carries its duration in the StageExit event, and
-            // skipping the global map keeps recorder overhead low.
+        if span.timed {
+            // The registry lookup waits on the timing switch: a
+            // trace-only span already carries its duration in the
+            // StageExit event, and skipping the global map keeps
+            // recorder overhead low.
             crate::metrics::registry()
                 .histogram(span.name)
                 .record(nanos);
-            with_exporter(|e| e.span_exit(span.name, span.depth, nanos));
         }
         if let Some(ctx) = span.trace {
             ctx.record(TraceEvent::StageExit {
@@ -143,29 +120,35 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{install, uninstall, InMemoryCollector, SpanEvent};
-    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+    use crate::gate::set_enabled;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    /// The exporter slot is process-global: one test installs an
-    /// exporter that the others must not see (and whose collector must
-    /// not see their spans), so these tests run one at a time.
-    fn exporter_lock() -> MutexGuard<'static, ()> {
+    /// Span timing is process-global: one test switches it on, which the
+    /// others must not see (and whose histograms must not see their
+    /// spans), so these tests run one at a time.
+    fn timing_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    fn samples(name: &str) -> u64 {
+        crate::metrics::registry().histogram(name).count()
+    }
+
     #[test]
     fn disabled_spans_are_inert() {
-        let _serial = exporter_lock();
-        // No exporter installed: no depth tracking, inactive guard.
+        let _serial = timing_lock();
+        // Timing off, no trace: inactive guard, no registry sample.
         let g = SpanGuard::enter("noop");
         assert!(!g.is_active());
-        assert_eq!(current_depth(), 0);
+        drop(g);
+        assert_eq!(samples("noop"), 0);
     }
 
     #[test]
     fn stage_spans_forward_into_the_active_trace_without_an_exporter() {
-        let _serial = exporter_lock();
+        let _serial = timing_lock();
+        let probe_samples = samples("algo1.probe");
         let ctx = crate::trace::TraceContext::new(11);
         let _scope = crate::trace::install(Arc::clone(&ctx));
         {
@@ -186,43 +169,27 @@ mod tests {
                 ..
             }
         ));
+        // Trace-only: the duration rode in the event, not the registry.
+        assert_eq!(samples("algo1.probe"), probe_samples);
     }
 
     #[test]
-    fn nesting_tracks_depth_and_restores_it() {
-        let _serial = exporter_lock();
-        let collector = Arc::new(InMemoryCollector::new());
-        install(collector.clone());
+    fn timed_spans_record_histograms_until_timing_is_switched_off() {
+        let _serial = timing_lock();
+        let before = (samples("outer"), samples("inner"));
+        set_enabled(true);
         {
-            let _outer = span!("outer");
-            assert_eq!(current_depth(), 1);
-            {
-                let _inner = span!("inner");
-                assert_eq!(current_depth(), 2);
-            }
-            assert_eq!(current_depth(), 1);
+            let outer = span!("outer");
+            let inner = span!("inner");
+            assert!(outer.is_active() && inner.is_active());
         }
-        assert_eq!(current_depth(), 0);
-        uninstall();
-        let enters: Vec<(&str, usize)> = collector
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                SpanEvent::Enter { name, depth } => Some((*name, *depth)),
-                SpanEvent::Exit { .. } => None,
-            })
-            .collect();
-        assert_eq!(enters, vec![("outer", 0), ("inner", 1)]);
-        // Inner exits before outer, and durations land in the registry.
-        let exits: Vec<&str> = collector
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                SpanEvent::Exit { name, .. } => Some(*name),
-                SpanEvent::Enter { .. } => None,
-            })
-            .collect();
-        assert_eq!(exits, vec!["inner", "outer"]);
-        assert!(crate::metrics::registry().histogram("outer").count() >= 1);
+        set_enabled(false);
+        let after = (samples("outer"), samples("inner"));
+        assert_eq!(after, (before.0 + 1, before.1 + 1));
+        // Switched off again: inert guards, no further samples.
+        let g = span!("outer");
+        assert!(!g.is_active());
+        drop(g);
+        assert_eq!(samples("outer"), after.0);
     }
 }

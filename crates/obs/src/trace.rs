@@ -5,11 +5,11 @@
 //! A context is created per request with a **deterministic** u64 id
 //! (derived from request content or assigned by the caller — never from
 //! wallclock), handed across concurrency seams as an `Arc`, and
-//! installed into a thread-local slot with [`install`] for the duration
+//! installed into a thread-local slot with [`install`](crate::trace::install) for the duration
 //! of a scope. Instrumented code records events through [`record`](crate::trace::record),
 //! which is one relaxed atomic load when no context is alive anywhere
 //! in the process (the same packed gate word spans consult, see
-//! `export.rs`). Stage spans whose name carries a [`STAGE_PREFIXES`](crate::trace::STAGE_PREFIXES)
+//! `gate.rs`). Stage spans whose name carries a [`STAGE_PREFIXES`](crate::trace::STAGE_PREFIXES)
 //! prefix are forwarded into the active context by `span.rs`; everything
 //! else (pool-worker kernels, per-sentence encoders) stays out of the
 //! buffer so the event sequence of a request is a deterministic function
@@ -19,7 +19,7 @@
 //! event ([`TraceEvent::normal`]) excludes them, so normalized event
 //! sequences are byte-identical across repeated seeded runs.
 
-use crate::export::{gate_trace_dec, gate_trace_inc, tracing_possible};
+use crate::gate::{gate_trace_dec, gate_trace_inc, tracing_possible};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::fmt::Write as _;

@@ -103,6 +103,6 @@ mod tests {
         assert!(!EnvReadInLib.applies("crates/bench/src/bin/table2.rs"));
         assert!(!EnvReadInLib.applies("crates/xtask/src/main.rs"));
         assert!(EnvReadInLib.applies("crates/core/src/builder.rs"));
-        assert!(EnvReadInLib.applies("crates/obs/src/export.rs"));
+        assert!(EnvReadInLib.applies("crates/obs/src/gate.rs"));
     }
 }

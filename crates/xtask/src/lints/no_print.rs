@@ -2,7 +2,7 @@
 //!
 //! `println!` / `eprintln!` (and their non-newline forms) in library
 //! crates bypass the observability layer: they cannot be disabled,
-//! captured by an exporter, or attributed to a span, and they corrupt
+//! captured by a trace, or attributed to a span, and they corrupt
 //! the stdout of any binary that treats its output as data (the bench
 //! bins emit parseable tables; `SACCS_OBS=json` emits JSON). Library
 //! code should record through `saccs-obs` (spans, counters, gauges) or
@@ -59,7 +59,7 @@ mod tests {
     use super::*;
 
     fn run_on(src: &str) -> Vec<Violation> {
-        NoPrintInLib.run(&SourceFile::parse("crates/obs/src/export.rs", src))
+        NoPrintInLib.run(&SourceFile::parse("crates/obs/src/gate.rs", src))
     }
 
     #[test]
@@ -112,7 +112,7 @@ mod tests {
     fn bench_crate_is_exempt_and_scope_is_lib_sources() {
         assert!(!NoPrintInLib.applies("crates/bench/src/lib.rs"));
         assert!(!NoPrintInLib.applies("crates/bench/src/bin/table2.rs"));
-        assert!(NoPrintInLib.applies("crates/obs/src/export.rs"));
+        assert!(NoPrintInLib.applies("crates/obs/src/gate.rs"));
         assert!(NoPrintInLib.applies("crates/core/src/service.rs"));
         assert!(NoPrintInLib.applies("src/lib.rs"));
         assert!(!NoPrintInLib.applies("vendor/rand/src/lib.rs"));

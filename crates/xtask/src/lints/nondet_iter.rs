@@ -259,7 +259,7 @@ mod tests {
         assert!(NondetIteration.applies("crates/text/src/vocab.rs"));
         assert!(NondetIteration.applies("crates/index/src/index.rs"));
         assert!(NondetIteration.applies("crates/query/src/plan.rs"));
-        assert!(!NondetIteration.applies("crates/obs/src/export.rs"));
+        assert!(!NondetIteration.applies("crates/obs/src/gate.rs"));
         assert!(!NondetIteration.applies("crates/serve/src/lib.rs"));
     }
 }

@@ -20,12 +20,14 @@
 #  10. perf      matmul microbench once, its BENCH_matmul.json validated
 #  11. chaos     fault suite + serving suite, then the chaos bin twice
 #  12. trace     request-tracing suite
-#  13. probe     cells-vs-scan + fold suites, then the probe bin twice
-#  14. ingest    segmented-index suites, then the ingest bin twice
-#  15. query     query-language suites, then the query bin twice
+#  13. probe     the probe bin twice
+#  14. ingest    the ingest bin twice
+#  15. query     the query bin twice
 #
 # Every bench bin runs through `bench`: each run in its own directory
-# under target/ci/<bin>/, so no stage touches the working tree.
+# under target/ci/<bin>/, so no stage touches the working tree. Each
+# test suite runs once per feature set: `test` runs every suite with
+# default features, `chaos` and `trace` the `fault` ones.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -122,7 +124,7 @@ cargo test "${OFFLINE[@]}" -q --workspace || fail test
 stage sanitize "cargo test -q --features saccs-nn/sanitize"
 cargo test "${OFFLINE[@]}" -q --features saccs-nn/sanitize || fail sanitize
 
-# The cheapest bench bin with the JSON exporter: its snapshot is
+# The cheapest bench bin under SACCS_OBS=json: its snapshot is
 # validated (syntax + required keys).
 stage bench-obs "table3 -> xtask check-bench"
 bench bench-obs table3 1
@@ -149,29 +151,17 @@ bench chaos chaos 2 --features fault
 stage trace "cargo test --features fault --test trace"
 cargo test "${OFFLINE[@]}" -q --features fault --test trace || fail trace
 
-# Probe gate: the cells-vs-scan equality suite and the fold-reference
-# unit tests, then the probe bin twice on a reduced corpus (the 100k
+# Probe gate: the probe bin twice on a reduced corpus (the 100k
 # acceptance run is a manual `SACCS_PROBE_TAGS=100000` invocation).
-stage probe "cells-vs-scan + fold suites, probe bin x2"
-cargo test "${OFFLINE[@]}" -q -p saccs-index --test ann || fail probe
-cargo test "${OFFLINE[@]}" -q -p saccs-index --lib fold || fail probe
+stage probe "probe bin x2"
 SACCS_PROBE_TAGS=20000 bench probe probe 2
 
-# Ingest gate: the segmented-index property suite, the ingest-while-
-# serving equivalence suite and the crash-recovery chaos tests, then
-# the ingest bin twice.
-stage ingest "ingest suites, ingest bin x2"
-cargo test "${OFFLINE[@]}" -q -p saccs-index --test segment || fail ingest
-cargo test "${OFFLINE[@]}" -q --test ingest || fail ingest
-cargo test "${OFFLINE[@]}" -q --features fault --test chaos ingest_recovery || fail ingest
+# Ingest gate: the ingest bin twice.
+stage ingest "ingest bin x2"
 bench ingest ingest 2
 
-# Query gate: the planner property suite (plan == naive evaluator,
-# join-order invariance) and the filtered-serving suite, then the query
-# bin twice.
-stage query "query suites, query bin x2"
-cargo test "${OFFLINE[@]}" -q -p saccs-query || fail query
-cargo test "${OFFLINE[@]}" -q --test query || fail query
+# Query gate: the query bin twice.
+stage query "query bin x2"
 bench query query 2
 
 printf '\n=== CI green: all stages passed ===\n'

@@ -43,7 +43,7 @@ pub use saccs_index as index;
 pub use saccs_ir as ir;
 /// Reverse-mode autograd, matrices, layers and optimizers.
 pub use saccs_nn as nn;
-/// Zero-dependency tracing spans, metrics registry and exporters.
+/// Zero-dependency tracing spans, metrics registry and request traces.
 pub use saccs_obs as obs;
 /// Aspect-opinion pairing: heuristics, labeling functions and classifiers.
 pub use saccs_pairing as pairing;

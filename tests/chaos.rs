@@ -14,10 +14,10 @@
 //! Every armed test prints its `(seed, scenario)` pair; replaying a
 //! failure is `arm_guard(&Scenario::parse(printed)?, printed_seed)`.
 //!
-//! The fault registry, the obs exporter slot and the metrics registry
+//! The fault registry, the span-timing switch and the metrics registry
 //! are process-global, so every test takes the file-wide mutex and
-//! asserts on counter *deltas* (the `counter!` macro caches handles, so
-//! `registry().reset()` would detach live call sites).
+//! asserts on counter *deltas*: instruments live as long as the
+//! process, so earlier tests have already moved them.
 
 use saccs::core::{RankRequest, SaccsBuilder, SearchApi, Slots, TrainedSaccs};
 use saccs::data::yelp::{YelpConfig, YelpCorpus};
@@ -43,8 +43,8 @@ fn saccs() -> TrainedSaccs {
     SaccsBuilder::quick().build(corpus())
 }
 
-/// Serialize the whole file: armed schedules, the exporter slot and the
-/// metrics registry are shared process state. A panicking test must not
+/// Serialize the whole file: armed schedules, the span-timing switch and
+/// the metrics registry are shared process state. A panicking test must not
 /// wedge the rest, so poison is swallowed.
 fn global_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -153,8 +153,8 @@ fn rank_resilient_is_bitwise_identical_to_rank_without_faults() {
 /// Satellite regression: an utterance with no subjective signal (and
 /// empty slots) must pass the API order through verbatim — and must do
 /// so via the early passthrough, never reaching the pad stage. The
-/// `algo1.pad` histogram (spans record durations there while an
-/// exporter is installed) pins that: its sample count may not move.
+/// `algo1.pad` histogram (spans record durations there while span
+/// timing is on) pins that: its sample count may not move.
 #[test]
 fn tag_free_rank_passes_api_order_through_without_padding() {
     let _serial = global_lock();
@@ -169,14 +169,13 @@ fn tag_free_rank_passes_api_order_through_without_padding() {
         "empty utterance extracted tags"
     );
 
-    let collector = std::sync::Arc::new(saccs::obs::InMemoryCollector::new());
-    saccs::obs::install(collector);
+    saccs::obs::set_enabled(true);
     let pad_before = saccs::obs::registry().histogram("algo1.pad").count();
     let rank_before = saccs::obs::registry().histogram("algo1.rank").count();
     let ranked = trained
         .service
         .rank_request(&RankRequest::utterance(""), &api);
-    saccs::obs::uninstall();
+    saccs::obs::set_enabled(false);
     assert!(ranked.is_full_fidelity(), "{:?}", ranked.degradation.events);
 
     let top_k = trained.service.config().top_k;

@@ -1,18 +1,21 @@
-//! Integration: the observability layer sees the real Algorithm-1 span
-//! tree.
+//! Integration: the observability layer sees the real Algorithm-1 stage
+//! sequence.
 //!
-//! Builds a quick-profile service, installs the in-memory collector, and
-//! drives one full `SaccsService::rank_request` call (utterance → search
-//! API → extraction → index probe → aggregation → padding), asserting the
-//! collector records every stage with the right nesting — names and
-//! structure, not timings, which are machine-dependent.
+//! Builds a quick-profile service, switches span timing on, and drives
+//! one full `SaccsService::rank_request` call (utterance → search API →
+//! extraction → index probe → aggregation → padding) under a
+//! `TraceContext`, asserting the trace records every stage enter and
+//! exit with the right nesting — names and order, not timings, which
+//! are machine-dependent — and that the timed spans and probe counters
+//! landed in the registry.
 //!
-//! The exporter slot is process-global, so this file keeps exactly one
+//! Span timing is process-global, so this file keeps exactly one
 //! `#[test]`; Cargo gives each integration-test file its own process.
 
 use saccs::core::{RankRequest, SaccsBuilder, SearchApi};
 use saccs::data::yelp::{YelpConfig, YelpCorpus};
-use saccs::obs::{InMemoryCollector, SpanEvent};
+use saccs::obs::trace::install;
+use saccs::obs::{TraceContext, TraceEvent};
 use saccs::text::{Domain, Lexicon};
 use std::sync::Arc;
 
@@ -27,61 +30,53 @@ fn rank_call_produces_the_five_stage_span_tree() {
             ..Default::default()
         },
     );
-    // Build BEFORE installing the exporter: training emits its own spans
-    // (tagger.train, pairing.fit, ...) and the assertion below wants the
-    // tree of one rank call only.
+    // Build BEFORE switching timing on, so only the rank call below is
+    // timed: training emits its own spans (tagger.train, pairing.fit,
+    // ...).
     let trained = SaccsBuilder::quick().build(&corpus);
-    assert!(!saccs::obs::enabled(), "exporter leaked in from elsewhere");
-
-    let collector = Arc::new(InMemoryCollector::new());
-    saccs::obs::install(collector.clone());
-    let api = SearchApi::new(&corpus.entities);
-    let ranked = trained.service.rank_request(
-        &RankRequest::utterance("I want a restaurant with delicious food and a nice staff"),
-        &api,
+    assert!(
+        !saccs::obs::enabled(),
+        "span timing leaked in from elsewhere"
     );
-    saccs::obs::uninstall();
+
+    saccs::obs::set_enabled(true);
+    let api = SearchApi::new(&corpus.entities);
+    let ctx = TraceContext::new(1);
+    let ranked = {
+        let _scope = install(Arc::clone(&ctx));
+        trained.service.rank_request(
+            &RankRequest::utterance("I want a restaurant with delicious food and a nice staff"),
+            &api,
+        )
+    };
+    saccs::obs::set_enabled(false);
     assert!(
         !ranked.results.is_empty(),
         "rank returned nothing to observe"
     );
     assert!(ranked.is_full_fidelity(), "{:?}", ranked.degradation.events);
 
-    // Stage names and nesting: the five Algorithm-1 stages as direct
-    // children of the root span, in execution order.
-    let tree = collector.enter_tree();
-    assert_eq!(
-        tree,
-        vec![
-            ("algo1.rank", 0),
-            ("algo1.search_api", 1),
-            ("algo1.extract", 1),
-            ("algo1.probe", 1),
-            ("algo1.aggregate", 1),
-            ("algo1.pad", 1),
-        ],
-        "unexpected span tree"
-    );
-
-    // Every enter has a matching exit at the same depth, innermost first.
-    let events = collector.events();
-    let enters = events
+    // Stage names and nesting: the five Algorithm-1 stages entered and
+    // exited in execution order as direct children of the root span,
+    // which exits last.
+    let stages: Vec<String> = ctx
+        .events()
         .iter()
-        .filter(|e| matches!(e, SpanEvent::Enter { .. }))
-        .count();
-    let exits: Vec<(&str, usize)> = events
-        .iter()
-        .filter_map(|e| match e {
-            SpanEvent::Exit { name, depth, .. } => Some((*name, *depth)),
-            _ => None,
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::StageEnter { .. } | TraceEvent::StageExit { .. }
+            )
         })
+        .map(TraceEvent::normal)
         .collect();
-    assert_eq!(enters, exits.len(), "unbalanced span events: {events:?}");
-    assert_eq!(
-        exits.last(),
-        Some(&("algo1.rank", 0)),
-        "root span must exit last"
-    );
+    let mut expected = vec!["stage_enter:algo1.rank".to_string()];
+    for stage in ["search_api", "extract", "probe", "aggregate", "pad"] {
+        expected.push(format!("stage_enter:algo1.{stage}"));
+        expected.push(format!("stage_exit:algo1.{stage}"));
+    }
+    expected.push("stage_exit:algo1.rank".to_string());
+    assert_eq!(stages, expected, "unexpected stage sequence");
 
     // The probe stage really hit the index: per-stage histograms and the
     // exact-hit/fallback counters landed in the global registry.

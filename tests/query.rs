@@ -15,69 +15,17 @@
 //! rejection of malformed filter DSL at the `sanitized()` seam, and
 //! the `algo1.filter` stage span + `filter:` plan event in traces.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+mod common;
+
+use common::{
+    bits, entities, global_lock, index_tags, live_index, live_server, rebuild, stream, tag,
+};
 use saccs::core::{DegradeAction, RankRequest, SaccsConfig, SaccsError, SaccsService, SearchApi};
-use saccs::data::Entity;
-use saccs::index::index::{EntityEvidence, IndexConfig};
-use saccs::index::{LiveConfig, LiveIndex, ReviewRecord, SubjectiveIndex};
+use saccs::index::ReviewRecord;
 use saccs::obs::trace::install;
 use saccs::obs::TraceContext;
 use saccs::query::{compile, naive_matches, Filter, JoinOrder};
-use saccs::serve::{SaccsServer, ServeConfig};
-use saccs::text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Metrics and (under the `fault` feature) the failpoint registry are
-/// process-global, so the tests serialize exactly like `tests/serve.rs`.
-fn global_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn sim() -> ConceptualSimilarity {
-    ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants))
-}
-
-fn tag(op: &str, asp: &str) -> SubjectiveTag {
-    SubjectiveTag::new(op, asp)
-}
-
-fn bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
-    ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
-}
-
-fn entities(n: usize) -> Vec<Entity> {
-    let lex = Lexicon::new(Domain::Restaurants);
-    let mut rng = StdRng::seed_from_u64(5);
-    (0..n).map(|i| Entity::sample(i, &lex, &mut rng)).collect()
-}
-
-fn index_tags() -> Vec<SubjectiveTag> {
-    vec![
-        tag("delicious", "food"),
-        tag("friendly", "staff"),
-        tag("cozy", "ambiance"),
-    ]
-}
-
-/// The interleaved review stream (same cadence as `tests/ingest.rs`:
-/// seals and at least one compaction merge at `seal_every=2`,
-/// `max_segments=3`).
-fn stream() -> Vec<(usize, Vec<SubjectiveTag>)> {
-    vec![
-        (0, vec![tag("delicious", "food"), tag("friendly", "staff")]),
-        (1, vec![tag("tasty", "meal")]),
-        (2, vec![tag("cozy", "ambiance"), tag("great", "service")]),
-        (0, vec![tag("deliciouz", "food")]),
-        (3, vec![tag("friendly", "staff"), tag("cozy", "ambiance")]),
-        (1, vec![tag("zorgle", "zzplace")]),
-        (4, vec![tag("delicious", "food")]),
-        (2, vec![tag("friendly", "service")]),
-        (3, vec![tag("tasty", "food"), tag("great", "staff")]),
-        (4, vec![tag("cozy", "ambiance"), tag("delicious", "meal")]),
-    ]
-}
+use std::sync::Arc;
 
 /// Filter DSL shapes spanning the grammar: bare opinion, thresholded
 /// tag, boolean connectives, negation, and objective predicates folded
@@ -102,67 +50,6 @@ fn filtered_requests() -> Vec<RankRequest> {
                 .with_filter_dsl(dsl)
         })
         .collect()
-}
-
-/// The from-scratch comparator: replay the log the way the batch
-/// pipeline would and index the same tag set. The similarity goes in as
-/// a custom one, so its fallback probes scan.
-fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(sim(), IndexConfig::default()).with_custom_similarity(sim());
-    let mut evidence: Vec<EntityEvidence> = Vec::new();
-    for record in log {
-        match evidence
-            .iter_mut()
-            .find(|e| e.entity_id == record.entity_id)
-        {
-            Some(ev) => {
-                ev.review_count += 1;
-                ev.review_tags.extend(record.tags.iter().cloned());
-            }
-            None => evidence.push(EntityEvidence {
-                entity_id: record.entity_id,
-                review_count: 1,
-                review_tags: record.tags.clone(),
-            }),
-        }
-    }
-    for ev in evidence {
-        idx.register_entity(ev);
-    }
-    idx.index_tags(tags);
-    idx
-}
-
-fn live_index() -> Arc<LiveIndex> {
-    let live = LiveIndex::new(
-        sim(),
-        IndexConfig::default(),
-        LiveConfig {
-            seal_every: 2,
-            max_segments: 3,
-        },
-    );
-    live.add_tags(&index_tags());
-    Arc::new(live)
-}
-
-fn live_server(live: &Arc<LiveIndex>, workers: usize) -> (Arc<SaccsServer>, Vec<Entity>) {
-    let svc = Arc::new(SaccsService::with_live_index(
-        Arc::clone(live),
-        SaccsConfig::default(),
-    ));
-    let ents = entities(5);
-    let server = Arc::new(SaccsServer::start(
-        svc,
-        ents.clone(),
-        ServeConfig {
-            workers,
-            queue_depth: 64,
-            batch: 4,
-            ..ServeConfig::default()
-        },
-    ));
-    (server, ents)
 }
 
 /// The tentpole: filtered requests through the served admission queue,
