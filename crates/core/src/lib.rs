@@ -57,7 +57,7 @@ pub use extractor::TagExtractor;
 /// A user's accumulated subjective interests.
 pub use profile::UserProfile;
 /// The typed rank request/response surface.
-pub use request::{RankInput, RankRequest, RankResponse, RankResult};
+pub use request::{RankInput, RankRequest, RankResponse};
 /// Resilient-serving primitives and the degraded-response report.
 pub use resilient::{Degradation, DegradationEvent, DegradeAction, ResilienceConfig, RetryPolicy};
 /// The subjective query language, re-exported so request builders can

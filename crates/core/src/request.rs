@@ -258,11 +258,6 @@ impl RankResponse {
     }
 }
 
-/// Errors surfaced to serving callers before Algorithm 1 even runs
-/// (admission shed, index-only services asked for extraction); the
-/// resilient ladder itself degrades instead of erroring.
-pub type RankResult = Result<RankResponse, SaccsError>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

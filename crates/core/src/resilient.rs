@@ -140,6 +140,8 @@ impl Degradation {
 /// open the gate in front of a healthy index. The breakers are
 /// [`SharedBreaker`]s — atomic, `&self`-driven — so many serving threads
 /// can share one service instance and one consistent breaker state.
+/// Admission and ingest are gated by the serving queue depth, and filter
+/// compilation is pure compute, so none of the three has a breaker.
 #[derive(Debug)]
 pub struct StageBreakers {
     pub search_api: SharedBreaker,
@@ -154,23 +156,6 @@ impl StageBreakers {
             search_api: SharedBreaker::new(config),
             extract: SharedBreaker::new(config),
             probe: SharedBreaker::new(config),
-        }
-    }
-
-    /// The breaker guarding `stage`; `None` for [`Stage::Admission`]
-    /// and [`Stage::Ingest`], which are gated by the serving queue
-    /// depth, not a breaker (a failed ingest persist stays buffered and
-    /// is retried at the next seal, so tripping a breaker would only
-    /// block the in-memory path that still works).
-    pub fn for_stage(&self, stage: Stage) -> Option<&SharedBreaker> {
-        match stage {
-            // Filter compilation is pure in-memory compute over the
-            // pinned snapshot — its only failure mode is a bad request,
-            // which no breaker can shield the next request from.
-            Stage::Admission | Stage::Ingest | Stage::Filter => None,
-            Stage::SearchApi => Some(&self.search_api),
-            Stage::Extract => Some(&self.extract),
-            Stage::Probe => Some(&self.probe),
         }
     }
 }
@@ -395,15 +380,9 @@ mod tests {
             failure_threshold: 1,
             ..BreakerConfig::default()
         });
-        b.for_stage(Stage::Extract)
-            .expect("extract has a breaker")
-            .on_failure();
+        b.extract.on_failure();
         assert_eq!(b.extract.state(), BreakerState::Open);
         assert_eq!(b.search_api.state(), BreakerState::Closed);
         assert_eq!(b.probe.state(), BreakerState::Closed);
-        assert!(
-            b.for_stage(Stage::Admission).is_none(),
-            "admission is queue-gated, not breaker-gated"
-        );
     }
 }

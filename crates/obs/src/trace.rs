@@ -39,7 +39,7 @@ pub const DEFAULT_EVENT_CAP: usize = 256;
 
 /// One typed event in a request's trace. All string payloads are
 /// `&'static str` (enforced workspace-wide by the `metric-name-literal`
-/// audit pass), keeping cardinality bounded and recording allocation-free.
+/// lint pass), keeping cardinality bounded and recording allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// The request passed admission into the serve queue.

@@ -39,7 +39,7 @@ pub fn jaccard<'a>(
 ) -> f32 {
     // BTreeSet so the set algebra below iterates in token order — the
     // counts are order-free, but keeping the walk ordered means a future
-    // change that *consumes* the elements stays deterministic (audit:
+    // change that *consumes* the elements stays deterministic (lint:
     // nondet-iteration).
     use std::collections::BTreeSet;
     let sa: BTreeSet<&str> = a.into_iter().collect();

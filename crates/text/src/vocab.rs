@@ -32,7 +32,7 @@ impl Vocab {
     pub fn build<'a, I: IntoIterator<Item = &'a str>>(tokens: I, min_freq: usize) -> Self {
         // BTreeMap so the pre-sort walk below is already ordered — ties
         // in the (freq, lexicographic) sort never depend on hash order
-        // (audit: nondet-iteration).
+        // (lint: nondet-iteration).
         let mut freq: BTreeMap<&str, usize> = BTreeMap::new();
         for t in tokens {
             *freq.entry(t).or_insert(0) += 1;

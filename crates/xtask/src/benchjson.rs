@@ -1,12 +1,13 @@
 //! Validator for `BENCH_<bin>.json` snapshots (`xtask check-bench`).
 //!
 //! The bench bins emit their observability snapshot through
-//! `saccs_obs::json::bench_snapshot`; CI runs one fast bin with
-//! `SACCS_OBS=json` and feeds the file through this validator to catch
-//! emitter regressions (truncated writes, broken escaping, dropped
-//! sections) without taking a serde dependency. The parser is a minimal
-//! recursive-descent pass over the full JSON grammar — strict enough to
-//! reject malformed output, small enough to audit.
+//! `saccs_obs::json::bench_snapshot`; CI runs every bench bin's first
+//! run under `SACCS_OBS=json` and feeds its snapshot through this
+//! validator to catch emitter regressions (truncated writes, broken
+//! escaping, dropped sections) without taking a serde dependency. The
+//! parser is a minimal recursive-descent pass over the full JSON
+//! grammar — strict enough to reject malformed output, small enough to
+//! audit.
 
 /// A parsed JSON value; only the shapes the validator inspects are
 /// retained structurally (objects), the rest collapse to leaves.
@@ -85,8 +86,8 @@ fn type_name(v: &Value) -> &'static str {
     }
 }
 
-/// Minimal JSON parser, shared with the audit-report validator
-/// (`auditjson`).
+/// Minimal JSON parser, shared with the flight-recorder report
+/// validator (`reportjson`).
 pub(crate) struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

@@ -1,25 +1,23 @@
-//! Workspace lint & audit driver: `cargo run -p xtask -- check | audit`.
+//! Workspace lint driver: `cargo run -p xtask -- check`.
 //!
-//! `check` runs the repo-specific correctness passes (see `lints/`)
-//! over every `.rs` file in `crates/*/src` and the root `src/`,
-//! honouring inline `// lint:allow(<id>): reason` waivers and the
-//! committed `crates/xtask/allowlist.txt`, and exits non-zero if any
-//! un-waived violation remains. `audit` additionally runs the
-//! determinism/concurrency analyses and gates their counts on the
-//! ratcheted baseline (`crates/xtask/audit_baseline.txt`); see
-//! `audit.rs`. Both match on a real token stream (see `scan.rs`), so
-//! patterns inside strings and comments can never fire. `cargo clippy`
-//! handles general Rust style; this driver enforces the rules specific
-//! to a deterministic serving-path search stack.
+//! `check` runs every repo-specific correctness pass (see `lints/`):
+//! the hygiene rules and the determinism/concurrency analyses that guard
+//! bitwise-identical rankings. It scans every `.rs` file in
+//! `crates/*/src` and the root `src/`, honours inline
+//! `// lint:allow(<id>): reason` waivers, and exits non-zero if any
+//! unwaived violation remains. Passes match on a real token stream (see
+//! `scan.rs`), so patterns inside strings and comments can never fire.
+//! `cargo clippy` handles general Rust style; this driver enforces the
+//! rules specific to a deterministic serving-path search stack.
+//! `check-bench` and `check-report` validate the JSON documents the
+//! bench bins write.
 
-mod audit;
-mod auditjson;
 mod benchjson;
 mod lints;
 mod reportjson;
 mod scan;
 
-use lints::{all_lints, audit_passes, entry_matches, parse_allowlist, waivers_for, Violation};
+use lints::{all_lints, waivers_for};
 use scan::{rust_files, SourceFile};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -30,12 +28,10 @@ type Validator = fn(&str) -> Vec<String>;
 
 /// The `check-*` subcommands: name, the document argument in the usage
 /// line, and its validator. `check-bench` takes a `BENCH_<bin>.json`
-/// snapshot a bench bin wrote under `SACCS_OBS=json`, `check-audit` a
-/// report from `xtask audit --json`, `check-report` a flight-recorder
-/// report dumped by the chaos bench.
-const JSON_CHECKS: [(&str, &str, Validator); 3] = [
+/// snapshot a bench bin wrote under `SACCS_OBS=json`, `check-report` a
+/// flight-recorder report dumped by the chaos bench.
+const JSON_CHECKS: [(&str, &str, Validator); 2] = [
     ("check-bench", "BENCH_<bin>.json", benchjson::validate),
-    ("check-audit", "AUDIT.json", auditjson::validate),
     ("check-report", "REPORT.json", reportjson::validate),
 ];
 
@@ -53,21 +49,15 @@ fn main() -> ExitCode {
     }
     match command {
         Some("check") => check(),
-        Some("audit") => audit::run(&args[1..]),
         _ => {
             eprintln!("usage: cargo run -p xtask -- check");
-            eprintln!("       cargo run -p xtask -- audit [--json PATH] [--update-baseline]");
             for (name, doc, _) in JSON_CHECKS {
                 eprintln!("       cargo run -p xtask -- {name} {doc}");
             }
             eprintln!();
-            eprintln!("check lints:");
+            eprintln!("check passes:");
             for lint in all_lints() {
                 eprintln!("  {}", lint.id());
-            }
-            eprintln!("extra audit passes:");
-            for pass in audit_passes().iter().skip(all_lints().len()) {
-                eprintln!("  {}", pass.id());
             }
             ExitCode::from(2)
         }
@@ -96,23 +86,12 @@ fn check_json(name: &str, path: &str, validate: Validator) -> ExitCode {
     }
 }
 
-/// Parse the committed allowlist (missing file = empty).
-fn load_allowlist(root: &Path) -> Vec<lints::AllowEntry> {
-    std::fs::read_to_string(root.join("crates/xtask/allowlist.txt"))
-        .map(|t| parse_allowlist(&t))
-        .unwrap_or_default()
-}
-
 fn check() -> ExitCode {
     let root = workspace_root();
-    let allowlist = load_allowlist(&root);
-
     let lints = all_lints();
     let mut files_scanned = 0usize;
     let mut reported: Vec<String> = Vec::new();
     let mut waived = 0usize;
-    let mut allowlisted = 0usize;
-    let mut used_entries = vec![false; allowlist.len()];
 
     for rel in workspace_sources(&root) {
         let file = match SourceFile::read(&root, &rel) {
@@ -128,25 +107,12 @@ fn check() -> ExitCode {
                 continue;
             }
             for v in lint.run(&file) {
-                match classify(&file, &v, &allowlist, &mut used_entries) {
-                    Disposition::Waived => waived += 1,
-                    Disposition::Allowlisted => allowlisted += 1,
-                    Disposition::Report => {
-                        reported.push(format!("{}:{}: [{}] {}", v.path, v.line, v.lint, v.message))
-                    }
+                if waivers_for(&file, v.line - 1).iter().any(|id| id == v.lint) {
+                    waived += 1;
+                } else {
+                    reported.push(format!("{}:{}: [{}] {}", v.path, v.line, v.lint, v.message));
                 }
             }
-        }
-    }
-
-    // Entries for audit-only passes are matched by `audit`, not here.
-    let check_ids: Vec<&str> = lints.iter().map(|l| l.id()).collect();
-    for (entry, used) in allowlist.iter().zip(&used_entries) {
-        if !used && check_ids.iter().any(|id| *id == entry.lint) {
-            eprintln!(
-                "xtask: warning: stale allowlist entry `{} {} {}`",
-                entry.lint, entry.path, entry.needle
-            );
         }
     }
 
@@ -154,42 +120,17 @@ fn check() -> ExitCode {
         println!("{line}");
     }
     println!(
-        "xtask check: {} files, {} violation(s), {} waived inline, {} allowlisted",
+        "xtask check: {} files, {} passes, {} violation(s), {} waived inline",
         files_scanned,
+        lints.len(),
         reported.len(),
-        waived,
-        allowlisted
+        waived
     );
     if reported.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
-}
-
-enum Disposition {
-    Report,
-    Waived,
-    Allowlisted,
-}
-
-fn classify(
-    file: &SourceFile,
-    v: &Violation,
-    allowlist: &[lints::AllowEntry],
-    used: &mut [bool],
-) -> Disposition {
-    if waivers_for(file, v.line - 1).iter().any(|id| id == v.lint) {
-        return Disposition::Waived;
-    }
-    let raw = &file.lines[v.line - 1].raw;
-    for (i, entry) in allowlist.iter().enumerate() {
-        if entry_matches(entry, v, raw) {
-            used[i] = true;
-            return Disposition::Allowlisted;
-        }
-    }
-    Disposition::Report
 }
 
 /// All workspace-relative scan targets: `crates/*/src` (except this

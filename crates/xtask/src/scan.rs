@@ -1,4 +1,4 @@
-//! Token-level source model for the lint and audit passes.
+//! Token-level source model for the `xtask check` passes.
 //!
 //! The driver deliberately carries its own lexer: no `syn`, no parsing
 //! crates, so it builds instantly offline and survives rustc syntax it
@@ -11,8 +11,7 @@
 //! `#[cfg(test)]` / `#[test]` regions (mod *and* fn granularity),
 //! enclosing-loop depth and `fn` boundaries, and stamps each token with
 //! all four. Every pass is still a heuristic — anything it gets wrong
-//! can be waived inline (`// lint:allow(<id>): reason`) or in
-//! `crates/xtask/allowlist.txt`.
+//! can be waived inline (`// lint:allow(<id>): reason`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
