@@ -101,10 +101,7 @@ fn served_pass(service: &Arc<SaccsService>, corpus: &YelpCorpus, api: &SearchApi
             workers: WORKERS,
             queue_depth: 256,
             batch: 4,
-            recorder: Some(RecorderConfig {
-                ring: 256,
-                ..RecorderConfig::default()
-            }),
+            recorder: Some(RecorderConfig { ring: 256 }),
         },
     ));
     let mut served = String::new();

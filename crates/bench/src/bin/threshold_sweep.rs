@@ -42,7 +42,6 @@ fn main() {
                     theta_index: ti,
                     theta_filter: tf,
                     degree_formula: DegreeFormula::PureRate,
-                    ..Default::default()
                 },
                 18,
             );

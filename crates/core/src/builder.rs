@@ -184,8 +184,7 @@ impl SaccsBuilder {
             self.pipeline.clone(),
         );
 
-        let extractor = TagExtractor::new(tagger, pairing)
-            .with_lexicon_repair(Lexicon::new(Domain::Restaurants));
+        let extractor = TagExtractor::new(tagger, pairing, Lexicon::new(Domain::Restaurants));
 
         // 6: extract review tags and build the index.
         let mut index = SubjectiveIndex::new(

@@ -11,30 +11,26 @@ use saccs_text::{tokenize_lower, Lexicon, Span, SpanKind, SubjectiveTag};
 pub struct TagExtractor {
     tagger: Tagger,
     pairing: PairingPipeline,
-    /// Optional gazetteer used for span repair (see
-    /// [`TagExtractor::with_lexicon_repair`]).
-    repair_lexicon: Option<Lexicon>,
+    /// The gazetteer behind span repair and the dictionary fallback.
+    lexicon: Lexicon,
 }
 
 impl TagExtractor {
-    pub fn new(tagger: Tagger, pairing: PairingPipeline) -> Self {
+    /// An extractor over a trained tagger and pairing pipeline, with
+    /// `lexicon` as its gazetteer. Lexicon-guided span repair splits a
+    /// decoded multiword span whose prefix is a known opinion phrase and
+    /// whose suffix is a known aspect term into the two spans. This is
+    /// standard gazetteer-constrained decoding; it fixes the frequent
+    /// neural-tagger failure of fusing an adjacent opinion+aspect bigram
+    /// ("delicious food") into one span. A sentence the neural pipeline
+    /// extracts nothing from falls back to dictionary matching over the
+    /// same lexicon.
+    pub fn new(tagger: Tagger, pairing: PairingPipeline, lexicon: Lexicon) -> Self {
         TagExtractor {
             tagger,
             pairing,
-            repair_lexicon: None,
+            lexicon,
         }
-    }
-
-    /// Enable lexicon-guided span repair: a decoded multiword *aspect*
-    /// span whose prefix is a known opinion phrase and whose suffix is a
-    /// known aspect term is split into the two spans (and symmetrically
-    /// for opinion spans ending in an aspect term). This is standard
-    /// gazetteer-constrained decoding; it fixes the frequent neural-tagger
-    /// failure of fusing an adjacent opinion+aspect bigram ("delicious
-    /// food") into one span.
-    pub fn with_lexicon_repair(mut self, lexicon: Lexicon) -> Self {
-        self.repair_lexicon = Some(lexicon);
-        self
     }
 
     /// Deterministic gazetteer extraction, used as a fallback when the
@@ -45,19 +41,17 @@ impl TagExtractor {
     /// token) and aspect-then-opinion across a short gap ("the food is
     /// delicious").
     fn lexicon_fallback(&self, tokens: &[String]) -> Vec<SubjectiveTag> {
-        let Some(lex) = &self.repair_lexicon else {
-            return Vec::new();
-        };
-        let mut out = self.fallback_opinion_first(tokens, lex);
+        let mut out = self.fallback_opinion_first(tokens);
         if out.is_empty() {
-            out = self.fallback_aspect_first(tokens, lex);
+            out = self.fallback_aspect_first(tokens);
         }
         out
     }
 
     /// "the food is delicious": known aspect term, then a known opinion
     /// phrase within a 3-token window.
-    fn fallback_aspect_first(&self, tokens: &[String], lex: &Lexicon) -> Vec<SubjectiveTag> {
+    fn fallback_aspect_first(&self, tokens: &[String]) -> Vec<SubjectiveTag> {
+        let lex = &self.lexicon;
         let mut out = Vec::new();
         let n = tokens.len();
         let mut i = 0usize;
@@ -100,7 +94,8 @@ impl TagExtractor {
     }
 
     /// "delicious food": known opinion phrase, then a known aspect term.
-    fn fallback_opinion_first(&self, tokens: &[String], lex: &Lexicon) -> Vec<SubjectiveTag> {
+    fn fallback_opinion_first(&self, tokens: &[String]) -> Vec<SubjectiveTag> {
+        let lex = &self.lexicon;
         let mut out = Vec::new();
         let n = tokens.len();
         let mut i = 0usize;
@@ -148,9 +143,7 @@ impl TagExtractor {
 
     /// Apply the gazetteer split rule to one span list.
     fn repair(&self, tokens: &[String], spans: Vec<Span>) -> Vec<Span> {
-        let Some(lex) = &self.repair_lexicon else {
-            return spans;
-        };
+        let lex = &self.lexicon;
         let mut out = Vec::with_capacity(spans.len());
         for s in spans {
             if s.len() < 2 {
@@ -185,9 +178,9 @@ impl TagExtractor {
         &self.pairing
     }
 
-    /// The lexicon used for boundary repair, if one was attached.
-    pub fn repair_lexicon(&self) -> Option<&Lexicon> {
-        self.repair_lexicon.as_ref()
+    /// The gazetteer behind span repair and the dictionary fallback.
+    pub fn lexicon(&self) -> &Lexicon {
+        &self.lexicon
     }
 
     /// Extract subjective tags from one sentence's tokens.
@@ -290,9 +283,8 @@ mod tests {
     use saccs_text::Domain;
     use std::rc::Rc;
 
-    /// Minimal (barely trained) extractor with lexicon repair enabled —
-    /// these tests exercise the deterministic fallback paths, not model
-    /// quality.
+    /// Minimal (barely trained) extractor — these tests exercise the
+    /// deterministic fallback paths, not model quality.
     fn tiny_extractor() -> TagExtractor {
         let vocab = build_vocab(&[Domain::Restaurants, Domain::Electronics, Domain::Hotels]);
         let bert = Rc::new(MiniBert::new(
@@ -327,8 +319,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        TagExtractor::new(tagger, pairing)
-            .with_lexicon_repair(saccs_text::Lexicon::new(Domain::Restaurants))
+        TagExtractor::new(tagger, pairing, Lexicon::new(Domain::Restaurants))
     }
 
     fn toks(s: &str) -> Vec<String> {
@@ -342,13 +333,12 @@ mod tests {
     fn fallback_recognizes_both_surface_orders() {
         let ex = tiny_extractor();
         // Force the fallback by calling it directly on in-lexicon phrases.
-        let lex = saccs_text::Lexicon::new(Domain::Restaurants);
-        let opinion_first = ex.fallback_opinion_first(&toks("any place with delicious food"), &lex);
+        let opinion_first = ex.fallback_opinion_first(&toks("any place with delicious food"));
         assert!(
             opinion_first.contains(&SubjectiveTag::new("delicious", "food")),
             "{opinion_first:?}"
         );
-        let aspect_first = ex.fallback_aspect_first(&toks("the food is really good here"), &lex);
+        let aspect_first = ex.fallback_aspect_first(&toks("the food is really good here"));
         assert!(
             aspect_first
                 .iter()
@@ -360,12 +350,11 @@ mod tests {
     #[test]
     fn fallback_ignores_out_of_lexicon_junk() {
         let ex = tiny_extractor();
-        let lex = saccs_text::Lexicon::new(Domain::Restaurants);
         assert!(ex
-            .fallback_opinion_first(&toks("zorgle blarf wibble"), &lex)
+            .fallback_opinion_first(&toks("zorgle blarf wibble"))
             .is_empty());
         assert!(ex
-            .fallback_aspect_first(&toks("zorgle blarf wibble"), &lex)
+            .fallback_aspect_first(&toks("zorgle blarf wibble"))
             .is_empty());
     }
 
@@ -390,10 +379,9 @@ mod tests {
     #[test]
     fn multiword_fallback_matches() {
         let ex = tiny_extractor();
-        let lex = saccs_text::Lexicon::new(Domain::Restaurants);
         // "really good" is a 2-token opinion variant; "wine list" a 2-token
         // aspect member.
-        let tags = ex.fallback_opinion_first(&toks("really good wine list"), &lex);
+        let tags = ex.fallback_opinion_first(&toks("really good wine list"));
         assert!(
             tags.contains(&SubjectiveTag::new("really good", "wine list")),
             "{tags:?}"

@@ -59,7 +59,7 @@ pub use profile::UserProfile;
 /// The typed rank request/response surface.
 pub use request::{RankInput, RankRequest, RankResponse};
 /// Resilient-serving primitives and the degraded-response report.
-pub use resilient::{Degradation, DegradationEvent, DegradeAction, ResilienceConfig, RetryPolicy};
+pub use resilient::{Degradation, DegradationEvent, DegradeAction, ResilienceConfig};
 /// The subjective query language, re-exported so request builders can
 /// construct filters without a direct `saccs-query` dependency.
 pub use saccs_query::{Filter, FilterExpr};

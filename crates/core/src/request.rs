@@ -15,7 +15,7 @@ use crate::error::SaccsError;
 use crate::profile::UserProfile;
 use crate::resilient::Degradation;
 use crate::service::SaccsConfig;
-use saccs_query::Filter;
+use saccs_query::{Filter, QueryError};
 use saccs_text::SubjectiveTag;
 use std::time::Duration;
 
@@ -49,15 +49,18 @@ pub struct RankRequest {
     /// as a pure selection on the objective candidates before ranking.
     /// A filter that cannot be compiled degrades the request to
     /// unfiltered (with a `Degradation` record) rather than erroring.
+    /// `None` after a [`with_filter_dsl`](Self::with_filter_dsl) whose
+    /// source did not parse.
     pub filter: Option<Filter>,
     /// Caller-assigned trace id for request-scoped tracing. `None` lets
     /// the serving layer derive one deterministically from the request
     /// content ([`trace_key`](Self::trace_key)) — never from wallclock.
     pub trace_id: Option<u64>,
-    /// A filter DSL string that failed to parse, retained so
-    /// [`sanitized`](Self::sanitized) can report the original error
-    /// (builders stay infallible; validation has one seam).
-    bad_dsl: Option<String>,
+    /// A filter DSL source that failed to parse, and its parse error:
+    /// [`validate`](Self::validate) reports the error, the rank path
+    /// degrades on it, and the source feeds the trace key (builders stay
+    /// infallible; validation has one seam).
+    bad_dsl: Option<(String, QueryError)>,
 }
 
 impl RankRequest {
@@ -111,30 +114,33 @@ impl RankRequest {
     /// ladder, the `saccs-serve` workers, and the trace pipeline.
     pub fn with_filter(mut self, filter: Filter) -> Self {
         self.filter = Some(filter);
+        self.bad_dsl = None;
         self
     }
 
     /// Parse `dsl` and attach the resulting filter. Parse errors are
     /// *not* surfaced here (builders stay infallible); they are
     /// reported — with byte-offset spans — by [`sanitized`](Self::sanitized)
-    /// as [`SaccsError::InvalidRequest`].
-    pub fn with_filter_dsl(self, dsl: &str) -> Self {
+    /// as [`SaccsError::InvalidRequest`], and a request ranked without
+    /// that check degrades to unfiltered with the same error.
+    pub fn with_filter_dsl(mut self, dsl: &str) -> Self {
         match Filter::parse(dsl) {
             Ok(filter) => self.with_filter(filter),
-            // Keep the malformed source so sanitized() can report the
-            // original parse error instead of silently dropping it.
-            Err(_) => self
-                .with_filter(Filter::from_expr(saccs_query::FilterExpr::Opinion {
-                    word: String::new(),
-                    theta: 0.0,
-                }))
-                .with_bad_dsl(dsl),
+            Err(e) => {
+                self.filter = None;
+                self.bad_dsl = Some((dsl.to_string(), e));
+                self
+            }
         }
     }
 
-    fn with_bad_dsl(mut self, dsl: &str) -> Self {
-        self.bad_dsl = Some(dsl.to_string());
-        self
+    /// What the filter stage works from: `None` without a filter, the
+    /// filter, or the parse error of a DSL that did not parse.
+    pub(crate) fn filter_stage(&self) -> Option<Result<&Filter, SaccsError>> {
+        match &self.bad_dsl {
+            Some((_, e)) => Some(Err(invalid_filter(e))),
+            None => self.filter.as_ref().map(Ok),
+        }
     }
 
     /// Validate the request without consuming it. Everything funnels
@@ -143,21 +149,8 @@ impl RankRequest {
     /// filter, a non-finite profile boost or a zero `top_k` override
     /// all come back as typed [`SaccsError::InvalidRequest`].
     pub fn validate(&self) -> Result<(), SaccsError> {
-        if let Some(dsl) = &self.bad_dsl {
-            let reason = match Filter::parse(dsl) {
-                Err(e) => e.to_string(),
-                Ok(_) => "filter DSL failed to parse".to_string(),
-            };
-            return Err(SaccsError::InvalidRequest {
-                field: "filter",
-                reason,
-            });
-        }
-        if let Some(filter) = &self.filter {
-            filter.validate().map_err(|e| SaccsError::InvalidRequest {
-                field: "filter",
-                reason: e.to_string(),
-            })?;
+        if let Some(filter) = self.filter_stage() {
+            filter?.validate().map_err(|e| invalid_filter(&e))?;
         }
         if let Some((_, boost)) = &self.profile {
             if !boost.is_finite() || *boost < 0.0 {
@@ -223,13 +216,26 @@ impl RankRequest {
                 h = saccs_obs::trace::hash_bytes(h, v.as_bytes());
             }
         }
-        if let Some(filter) = &self.filter {
+        if let Some((dsl, _)) = &self.bad_dsl {
+            // A DSL that did not parse has no normal form: its source.
+            h = saccs_obs::trace::hash_bytes(h, b"d:");
+            h = saccs_obs::trace::hash_bytes(h, dsl.as_bytes());
+        } else if let Some(filter) = &self.filter {
             // The canonical normal form, not the surface DSL: two
             // spellings of the same filter share a trace key.
             h = saccs_obs::trace::hash_bytes(h, b"f:");
             h = saccs_obs::trace::hash_bytes(h, filter.normal().as_bytes());
         }
         h
+    }
+}
+
+/// A filter that did not parse, validate or compile, as the request
+/// error every filter check reports.
+pub(crate) fn invalid_filter(e: &QueryError) -> SaccsError {
+    SaccsError::InvalidRequest {
+        field: "filter",
+        reason: e.to_string(),
     }
 }
 
@@ -310,6 +316,11 @@ mod tests {
                 .with_filter_dsl("quiet and not expensive")
                 .trace_key(),
             "the normal form is hashed, not the surface spelling"
+        );
+        assert_ne!(
+            a.clone().with_filter_dsl("price<=nine").trace_key(),
+            a.clone().with_filter_dsl("price<=ten").trace_key(),
+            "a malformed DSL hashes its own source"
         );
     }
 

@@ -1,11 +1,12 @@
-//! Resilience primitives for the serving path: retry policy, per-stage
+//! Resilience primitives for the serving path: bounded retries, per-stage
 //! circuit breakers, deadline budget, and the degradation report.
 //!
 //! The degradation ladder, top to bottom (each rung gives up less than
 //! the one below it):
 //!
-//! 1. **Retry** — transient stage failures are retried under
-//!    deterministic exponential backoff with bounded jitter.
+//! 1. **Retry** — transient stage failures are retried, up to three
+//!    attempts in all, under deterministic exponential backoff with
+//!    bounded jitter.
 //! 2. **Unfiltered** — the request's subjective filter could not be
 //!    compiled or evaluated; the full ranking comes back with the
 //!    filter dropped.
@@ -28,31 +29,22 @@ use saccs_fault::{
 };
 use std::time::{Duration, Instant};
 
-/// Per-stage retry policy: how many attempts, spaced how.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per logical call (1 = no retries).
-    pub max_attempts: u32,
-    /// Delay schedule between attempts.
-    pub backoff: Backoff,
+/// Attempts per logical stage call, the first included.
+const MAX_ATTEMPTS: u32 = 3;
+
+/// The delay before retry `attempt` (0-based): 1 ms doubling up to a
+/// 50 ms cap, each stretched by up to 50% of deterministic jitter.
+fn backoff_delay(attempt: u32) -> Duration {
+    Backoff::new(Duration::from_millis(1), Duration::from_millis(50))
+        .jitter(0.5)
+        .delay(attempt)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Backoff::new(Duration::from_millis(1), Duration::from_millis(50)).jitter(0.5),
-        }
-    }
-}
-
-/// Tuning for [`crate::service::SaccsService::rank_request`].
+/// Tuning for [`crate::service::SaccsService::rank_request`]. Retries
+/// (three attempts) and the stage breakers ([`StageBreakers`]) are
+/// fixed; the deadline is per service.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceConfig {
-    /// Retry policy shared by all stages.
-    pub retry: RetryPolicy,
-    /// Breaker configuration (each stage gets its own breaker instance).
-    pub breaker: BreakerConfig,
     /// Per-request wall-clock budget; `None` disables deadline checks.
     pub deadline: Option<Duration>,
 }
@@ -149,9 +141,10 @@ pub struct StageBreakers {
     pub probe: SharedBreaker,
 }
 
-impl StageBreakers {
-    /// Fresh (closed) breakers with the given shared config.
-    pub fn new(config: BreakerConfig) -> StageBreakers {
+impl Default for StageBreakers {
+    /// Fresh (closed) breakers, each with `BreakerConfig::default()`.
+    fn default() -> StageBreakers {
+        let config = BreakerConfig::default();
         StageBreakers {
             search_api: SharedBreaker::new(config),
             extract: SharedBreaker::new(config),
@@ -226,16 +219,15 @@ fn note_transition(stage: Stage, transition: BreakerTransition) {
 }
 
 /// Run `op` for `stage` under the full protection stack: breaker gate,
-/// bounded retries with deterministic backoff, deadline checks. One
-/// breaker permit spans the whole logical call (retries included) and
-/// is settled by exactly one `on_success`/`on_failure`.
+/// up to three attempts with deterministic backoff, deadline checks.
+/// One breaker permit spans the whole logical call (retries included)
+/// and is settled by exactly one `on_success`/`on_failure`.
 ///
 /// Takes `&SharedBreaker`: concurrent callers share one breaker state.
 /// On the fault-free path this is one closed-breaker CAS and one `op`
 /// call — no sleeps, no counters.
 pub fn call_with_retry<T>(
     stage: Stage,
-    policy: &RetryPolicy,
     breaker: &SharedBreaker,
     deadline: &DeadlineClock,
     mut op: impl FnMut() -> Result<T, FaultError>,
@@ -262,7 +254,7 @@ pub fn call_with_retry<T>(
                 return Ok(v);
             }
             Err(fault) => {
-                if attempt + 1 >= policy.max_attempts || deadline.expired() {
+                if attempt + 1 >= MAX_ATTEMPTS || deadline.expired() {
                     note_transition(stage, breaker.on_failure());
                     return Err(SaccsError::RetriesExhausted {
                         stage,
@@ -275,7 +267,7 @@ pub fn call_with_retry<T>(
                     stage: stage.label(),
                     attempt: attempt + 1,
                 });
-                std::thread::sleep(policy.backoff.delay(attempt));
+                std::thread::sleep(backoff_delay(attempt));
                 attempt += 1;
             }
         }
@@ -287,13 +279,6 @@ mod tests {
     use super::*;
     use saccs_fault::FaultKind;
 
-    fn fast_policy() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Backoff::new(Duration::ZERO, Duration::ZERO),
-        }
-    }
-
     fn fault(n: u64) -> FaultError {
         FaultError::new("algo1.probe", FaultKind::Unavailable, n)
     }
@@ -303,7 +288,7 @@ mod tests {
         let breaker = SharedBreaker::new(BreakerConfig::default());
         let clock = DeadlineClock::start(None);
         let mut calls = 0u64;
-        let out = call_with_retry(Stage::Probe, &fast_policy(), &breaker, &clock, || {
+        let out = call_with_retry(Stage::Probe, &breaker, &clock, || {
             calls += 1;
             if calls < 3 {
                 Err(fault(calls))
@@ -323,12 +308,12 @@ mod tests {
         });
         let clock = DeadlineClock::start(None);
         let run = |breaker: &SharedBreaker| {
-            call_with_retry(Stage::Probe, &fast_policy(), breaker, &clock, || {
-                Err::<(), _>(fault(1))
-            })
+            call_with_retry(Stage::Probe, breaker, &clock, || Err::<(), _>(fault(1)))
         };
         match run(&breaker) {
-            Err(SaccsError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 3),
+            Err(SaccsError::RetriesExhausted { attempts, .. }) => {
+                assert_eq!(attempts, MAX_ATTEMPTS)
+            }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
         assert_eq!(breaker.state(), BreakerState::Closed, "one logical failure");
@@ -345,7 +330,7 @@ mod tests {
         let breaker = SharedBreaker::new(BreakerConfig::default());
         let clock = DeadlineClock::start(Some(Duration::ZERO));
         let mut called = false;
-        let out = call_with_retry(Stage::Extract, &fast_policy(), &breaker, &clock, || {
+        let out = call_with_retry(Stage::Extract, &breaker, &clock, || {
             called = true;
             Ok(())
         });
@@ -376,10 +361,12 @@ mod tests {
 
     #[test]
     fn stage_breakers_are_independent() {
-        let b = StageBreakers::new(BreakerConfig {
-            failure_threshold: 1,
-            ..BreakerConfig::default()
-        });
+        let b = StageBreakers::default();
+        let threshold = BreakerConfig::default().failure_threshold;
+        for _ in 1..threshold {
+            b.extract.on_failure();
+        }
+        assert_eq!(b.extract.state(), BreakerState::Closed);
         b.extract.on_failure();
         assert_eq!(b.extract.state(), BreakerState::Open);
         assert_eq!(b.search_api.state(), BreakerState::Closed);

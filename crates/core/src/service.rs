@@ -32,7 +32,7 @@
 
 use crate::error::{SaccsError, Stage};
 use crate::extractor::TagExtractor;
-use crate::request::{RankInput, RankRequest, RankResponse};
+use crate::request::{invalid_filter, RankInput, RankRequest, RankResponse};
 use crate::resilient::{
     call_with_retry, DeadlineClock, Degradation, DegradeAction, ResilienceConfig, StageBreakers,
 };
@@ -113,15 +113,13 @@ impl SaccsService {
     /// extractor is adopted into a [`SharedExtractor`] so the service
     /// can be shared across serving threads.
     pub fn new(index: SubjectiveIndex, extractor: TagExtractor, config: SaccsConfig) -> Self {
-        let resilience = ResilienceConfig::default();
-        let breakers = StageBreakers::new(resilience.breaker);
         SaccsService {
             index,
             live: None,
             extractor: Some(SharedExtractor::adopt(extractor)),
             config,
-            resilience,
-            breakers,
+            resilience: ResilienceConfig::default(),
+            breakers: StageBreakers::default(),
         }
     }
 
@@ -130,15 +128,13 @@ impl SaccsService {
     /// the resilient path), tags-input requests work normally. Useful
     /// for index-only experiments and tests.
     pub fn index_only(index: SubjectiveIndex, config: SaccsConfig) -> Self {
-        let resilience = ResilienceConfig::default();
-        let breakers = StageBreakers::new(resilience.breaker);
         SaccsService {
             index,
             live: None,
             extractor: None,
             config,
-            resilience,
-            breakers,
+            resilience: ResilienceConfig::default(),
+            breakers: StageBreakers::default(),
         }
     }
 
@@ -149,8 +145,6 @@ impl SaccsService {
     /// utterance requests degrade to objective-only like
     /// [`SaccsService::index_only`].
     pub fn with_live_index(live: Arc<LiveIndex>, config: SaccsConfig) -> Self {
-        let resilience = ResilienceConfig::default();
-        let breakers = StageBreakers::new(resilience.breaker);
         // The static index is only the similarity/config carrier (for
         // profile weights); probes never touch it while `live` is set.
         let index = SubjectiveIndex::new(live.similarity().clone(), live.config().clone());
@@ -159,15 +153,15 @@ impl SaccsService {
             live: Some(live),
             extractor: None,
             config,
-            resilience,
-            breakers,
+            resilience: ResilienceConfig::default(),
+            breakers: StageBreakers::default(),
         }
     }
 
-    /// Replace the resilience tuning (retries, breakers, deadline) used
-    /// by the resilient rank path. Resets the stage breakers.
+    /// Replace the resilience tuning (the deadline) used by the
+    /// resilient rank path. Resets the stage breakers.
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.breakers = StageBreakers::new(resilience.breaker);
+        self.breakers = StageBreakers::default();
         self.resilience = resilience;
         self
     }
@@ -183,6 +177,11 @@ impl SaccsService {
         &self.breakers
     }
 
+    /// The static index probes read. On a service built
+    /// [`SaccsService::with_live_index`] it is an empty index that only
+    /// carries the live index's similarity and config; read that
+    /// service's postings through `pin()` on
+    /// [`live_index`](Self::live_index).
     pub fn index(&self) -> &SubjectiveIndex {
         &self.index
     }
@@ -294,9 +293,8 @@ impl SaccsService {
         // unreachable there is nothing left to serve.
         let mut api_results = {
             let _search = saccs_obs::span!("algo1.search_api");
-            let retry = &self.resilience.retry;
             let breaker = &self.breakers.search_api;
-            match call_with_retry(Stage::SearchApi, retry, breaker, &clock, || {
+            match call_with_retry(Stage::SearchApi, breaker, &clock, || {
                 api.try_search(&request.slots)
             }) {
                 Ok(results) => results,
@@ -317,13 +315,13 @@ impl SaccsService {
         // Stage 1b: the subjective filter, compiled against the pinned
         // snapshot and applied as a pure selection on the objective
         // candidates. A filter that cannot be compiled (malformed DSL
-        // admitted past `sanitized()`, unknown attribute, armed
+        // ranked without `sanitized()`, unknown attribute, armed
         // failpoint) costs only itself: the request continues unfiltered
         // on the mildest ladder rung.
-        if let Some(filter) = &request.filter {
+        if let Some(filter) = request.filter_stage() {
             let _filter = saccs_obs::span!("algo1.filter");
             let candidates = api_results.len() as u32;
-            match Self::try_filter(filter, index, api) {
+            match filter.and_then(|filter| Self::try_filter(filter, index, api)) {
                 Ok(compiled) => {
                     api_results.retain(|&e| compiled.contains(e));
                     saccs_obs::trace::record(saccs_obs::trace::TraceEvent::FilterPlan {
@@ -371,9 +369,8 @@ impl SaccsService {
                             Vec::new()
                         }
                         Some(shared) => {
-                            let retry = &self.resilience.retry;
                             let breaker = &self.breakers.extract;
-                            match call_with_retry(Stage::Extract, retry, breaker, &clock, || {
+                            match call_with_retry(Stage::Extract, breaker, &clock, || {
                                 shared.with_replica(|ex| ex.try_extract(utterance))
                             }) {
                                 Ok(tags) => tags,
@@ -419,7 +416,6 @@ impl SaccsService {
         let mut probe_failures: Vec<SaccsError> = Vec::new();
         {
             let _probe = saccs_obs::span!("algo1.probe");
-            let retry = &self.resilience.retry;
             let breaker = &self.breakers.probe;
             for (i, t) in tags.iter().enumerate() {
                 if clock.expired() {
@@ -435,7 +431,7 @@ impl SaccsService {
                     break;
                 }
                 let w = weights.as_ref().map_or(1.0, |ws| ws[i]);
-                match call_with_retry(Stage::Probe, retry, breaker, &clock, || index.try_probe(t)) {
+                match call_with_retry(Stage::Probe, breaker, &clock, || index.try_probe(t)) {
                     Ok(scores) => {
                         let mut dense = vec![None; slots];
                         for (e, s) in scores {
@@ -502,12 +498,7 @@ impl SaccsService {
         api: &SearchApi<'_>,
     ) -> Result<CompiledFilter, SaccsError> {
         saccs_fault::failpoint!("algo1.filter")?;
-        compile(filter, index, api, JoinOrder::RarestFirst).map_err(|e| {
-            SaccsError::InvalidRequest {
-                field: "filter",
-                reason: e.to_string(),
-            }
-        })
+        compile(filter, index, api, JoinOrder::RarestFirst).map_err(|e| invalid_filter(&e))
     }
 
     /// Algorithm 1 lines 11–12 over already-probed tag scores:
@@ -911,7 +902,6 @@ mod tests {
         let api = SearchApi::new(&ents);
         let s = service().with_resilience(ResilienceConfig {
             deadline: Some(std::time::Duration::ZERO),
-            ..ResilienceConfig::default()
         });
         let out = s.rank_request(&RankRequest::utterance("delicious food"), &api);
         assert!(out.results.is_empty());
@@ -964,6 +954,21 @@ mod tests {
                 ..
             }
         ));
+
+        // A DSL that does not parse, ranked without the `sanitized()`
+        // admission check, degrades the same way with its parse error.
+        let malformed =
+            RankRequest::tags(vec![tag("delicious", "food")]).with_filter_dsl("price<=nine");
+        let out = s.rank_request(&malformed, &api);
+        assert_eq!(out.degradation.worst(), Some(DegradeAction::Unfiltered));
+        assert!(!out.results.is_empty());
+        match &out.degradation.events[0].error {
+            SaccsError::InvalidRequest { field, reason } => {
+                assert_eq!(*field, "filter");
+                assert_eq!(reason, "bad price literal \"nine\" (at bytes 7..11)");
+            }
+            other => panic!("expected InvalidRequest, got {other:?}"),
+        }
     }
 
     proptest::proptest! {

@@ -60,7 +60,7 @@ pub struct SharedExtractor {
     tagger_state: Vec<u8>,
     pipeline_config: PipelineConfig,
     pairer_state: Vec<u8>,
-    repair_lexicon: Option<Lexicon>,
+    lexicon: Lexicon,
 }
 
 impl SharedExtractor {
@@ -83,7 +83,7 @@ impl SharedExtractor {
             pipeline_config: extractor.pairing().config().clone(),
             pairer_state: encode_state(&extractor.pairing().discriminative_model().state())
                 .to_vec(),
-            repair_lexicon: extractor.repair_lexicon().cloned(),
+            lexicon: extractor.lexicon().clone(),
         };
         REPLICAS.with(|cache| {
             let mut cache = cache.borrow_mut();
@@ -144,11 +144,7 @@ impl SharedExtractor {
             Err(e) => unreachable!("blueprint pairer state decodes: {e}"),
         }
         let pairing = PairingPipeline::serving(pairer, self.pipeline_config.clone());
-        let extractor = TagExtractor::new(tagger, pairing);
-        match &self.repair_lexicon {
-            Some(lex) => extractor.with_lexicon_repair(lex.clone()),
-            None => extractor,
-        }
+        TagExtractor::new(tagger, pairing, self.lexicon.clone())
     }
 }
 
@@ -205,7 +201,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        TagExtractor::new(tagger, pairing).with_lexicon_repair(Lexicon::new(Domain::Restaurants))
+        TagExtractor::new(tagger, pairing, Lexicon::new(Domain::Restaurants))
     }
 
     const PROBES: [&str; 3] = [

@@ -62,12 +62,6 @@ pub struct IndexConfig {
     pub theta_filter: f32,
     /// Degree-of-truth formula.
     pub degree_formula: DegreeFormula,
-    /// §7 future-work extension: adjust θ_filter "dynamically depending on
-    /// the semantics of the subjective tags being compared". When enabled,
-    /// probes for tags with *generic* opinions (good/bad — promiscuous
-    /// matchers under the generic bridge) use a raised threshold, while
-    /// specific in-lexicon tags probe with a slightly lowered one.
-    pub dynamic_thresholds: bool,
 }
 
 impl Default for IndexConfig {
@@ -76,7 +70,6 @@ impl Default for IndexConfig {
             theta_index: 0.45,
             theta_filter: 0.45,
             degree_formula: DegreeFormula::Equation1,
-            dynamic_thresholds: false,
         }
     }
 }
@@ -97,9 +90,9 @@ pub struct SubjectiveIndex {
     /// Optional override for the tag-similarity measure used in degree
     /// computation and probes (e.g. embedding cosine for the footnote-2
     /// ablation). The lexicon-backed [`ConceptualSimilarity`] stays in
-    /// place for dynamic thresholds and profile weighting. `Send + Sync`
-    /// so a service built on this index can be shared across serving
-    /// threads. An index with one answers fallback probes by scan.
+    /// place for profile weighting. `Send + Sync` so a service built on
+    /// this index can be shared across serving threads. An index with
+    /// one answers fallback probes by scan.
     custom_similarity: Option<Box<dyn TagSimilarity + Send + Sync>>,
     /// Index tag → entity mappings, sorted by descending degree of truth.
     entries: PostingColumns,
@@ -371,23 +364,6 @@ impl SubjectiveIndex {
         self.rebuild_cells();
     }
 
-    /// Effective θ_filter for a probe tag (the §7 dynamic-threshold
-    /// extension; equals the configured θ_filter when disabled).
-    pub fn theta_filter_for(&self, tag: &SubjectiveTag) -> f32 {
-        if !self.config.dynamic_thresholds {
-            return self.config.theta_filter;
-        }
-        let lex = self.similarity.lexicon();
-        let base = self.config.theta_filter;
-        match lex.opinion_group(&tag.opinion) {
-            // Never *loosen* a generic probe, even when the configured
-            // base already sits above the 0.95 cap.
-            Some(g) if g.generic => (base + 0.15).min(0.95).max(base),
-            Some(_) if lex.aspect_concept(&tag.aspect).is_some() => (base - 0.05).max(0.05),
-            _ => base,
-        }
-    }
-
     /// Probe the index for a (possibly unknown) tag, per §3.2:
     ///
     /// * known tag → its postings verbatim;
@@ -441,7 +417,7 @@ impl SubjectiveIndex {
         // rate under real query traffic.
         saccs_obs::counter!("index.probe.fallback").inc();
         saccs_obs::trace::record(saccs_obs::trace::TraceEvent::Probe { exact: false });
-        let theta = self.theta_filter_for(tag);
+        let theta = self.config.theta_filter;
         match &self.cells {
             Some(index) => self.probe_cells(index, tag, theta),
             None => self.probe_scan(tag, theta),
@@ -735,7 +711,7 @@ mod tests {
             }));
             for probe in [tag("scrumptious", "pizza"), tag("delicious", "meal"), tag("friendly", "waiters")] {
                 prop_assert!(idx.lookup(&probe).is_none());
-                let theta = idx.theta_filter_for(&probe);
+                let theta = idx.config().theta_filter;
                 let mut hits: Vec<(usize, f32)> = Vec::new();
                 for t in idx.tags() {
                     let sim = idx.similarity().tag_similarity(&probe, t);
@@ -1039,45 +1015,6 @@ mod tests {
         assert!(table.contains("good food"));
         assert!(table.contains("Entity-0"));
         assert!(table.contains("(1.00)"));
-    }
-
-    #[test]
-    fn dynamic_thresholds_raise_the_bar_for_generic_opinions() {
-        let mut idx = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-            IndexConfig {
-                dynamic_thresholds: true,
-                ..Default::default()
-            },
-        );
-        let base = idx.config().theta_filter;
-        // Generic opinion → raised threshold.
-        assert!(idx.theta_filter_for(&tag("good", "lasagna")) > base);
-        // Specific in-lexicon tag → lowered threshold.
-        assert!(idx.theta_filter_for(&tag("romantic", "ambiance")) < base);
-        // Out-of-lexicon → unchanged.
-        assert_eq!(idx.theta_filter_for(&tag("zorgly", "blarg")), base);
-        // Disabled → always the base.
-        let idx2 = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-            IndexConfig::default(),
-        );
-        assert_eq!(idx2.theta_filter_for(&tag("good", "lasagna")), base);
-        // And the raised bar actually filters: a generic probe that would
-        // match under the static threshold matches fewer tags.
-        idx.register_entity(evidence(0, 1, &[("delicious", "food")]));
-        idx.register_entity(evidence(1, 1, &[("fresh", "ingredients")]));
-        idx.index_tags(&[tag("delicious", "food"), tag("fresh", "ingredients")]);
-        let dynamic_hits = idx.probe_readonly(&tag("great", "meal")).len();
-        let mut static_idx = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-            IndexConfig::default(),
-        );
-        static_idx.register_entity(evidence(0, 1, &[("delicious", "food")]));
-        static_idx.register_entity(evidence(1, 1, &[("fresh", "ingredients")]));
-        static_idx.index_tags(&[tag("delicious", "food"), tag("fresh", "ingredients")]);
-        let static_hits = static_idx.probe_readonly(&tag("great", "meal")).len();
-        assert!(dynamic_hits <= static_hits);
     }
 
     #[test]

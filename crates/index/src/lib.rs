@@ -21,7 +21,7 @@
 
 /// Deterministic candidate index for the fallback probe.
 pub mod ann;
-/// Aho-Corasick-style tag automaton for fast mention scans.
+/// Byte-trie tag automaton: exact, prefix and distance-1 lookups.
 pub mod automaton;
 /// Zigzag/varint byte codec for segment persistence.
 pub mod codec;
@@ -38,7 +38,7 @@ pub mod segment;
 
 /// The resolution-cell candidate index and its probe results.
 pub use ann::{ScoredCandidates, SemanticCandidateIndex};
-/// Multi-tag mention scanning.
+/// Exact, prefix and fuzzy tag lookup.
 pub use automaton::TagAutomaton;
 /// Unknown tags users asked about.
 pub use history::UserTagHistory;

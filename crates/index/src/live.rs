@@ -90,7 +90,7 @@ pub struct IngestReceipt {
 /// One published, immutable view of the live index: a fully built
 /// [`SubjectiveIndex`] over a consistent segment set. Probing a pinned
 /// snapshot goes through exactly the frozen-index code paths (exact,
-/// θ_filter fallback through the cell index, dynamic thresholds), so
+/// θ_filter fallback through the cell index), so
 /// live serving inherits their determinism guarantees wholesale. Every
 /// snapshot's index shares its live index's pending history, so
 /// [`SubjectiveIndex::probe`] on a pinned view records unknown tags for

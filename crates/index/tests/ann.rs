@@ -3,9 +3,9 @@
 //! the default conceptual similarity the semantic candidate cells prune
 //! only tags whose upper bound is below θ_filter, and the rescore
 //! replays the scan's addition sequence, so the equality is bitwise —
-//! across random corpora, θ values, dynamic thresholds, and `saccs-rt`
-//! widths. The scan reference is the same index built with the same
-//! similarity fed in as a custom one, which scans by construction.
+//! across random corpora, θ values and `saccs-rt` widths. The scan
+//! reference is the same index built with the same similarity fed in as
+//! a custom one, which scans by construction.
 
 use proptest::prelude::*;
 use saccs_index::index::{EntityEvidence, IndexConfig, SubjectiveIndex};
@@ -83,9 +83,8 @@ fn assert_ranked_bitwise_eq(cells: &[(usize, f32)], scan: &[(usize, f32)], ctx: 
 proptest! {
     #![proptest_config(prop::test_runner::Config::with_cases(48))]
 
-    /// The core invariant, fuzzed: for any corpus, θ_filter and
-    /// dynamic-threshold setting, cell-index probes equal scan probes
-    /// bitwise.
+    /// The core invariant, fuzzed: for any corpus and θ_filter,
+    /// cell-index probes equal scan probes bitwise.
     #[test]
     fn cell_probe_equals_scan_probe_bitwise(
         raw_entities in prop::collection::vec(
@@ -95,7 +94,6 @@ proptest! {
         raw_tags in prop::collection::vec((0usize..64, 0usize..64), 1..14),
         raw_probes in prop::collection::vec((0usize..64, 0usize..64), 1..6),
         theta_pick in 0usize..THETAS.len(),
-        dynamic in prop::bool::ANY,
     ) {
         let theta = THETAS[theta_pick];
         let entities: Vec<(usize, Vec<SubjectiveTag>)> = raw_entities
@@ -106,7 +104,6 @@ proptest! {
         let probes: Vec<SubjectiveTag> = raw_probes.iter().map(mk_tag).collect();
         let config = IndexConfig {
             theta_filter: theta,
-            dynamic_thresholds: dynamic,
             ..IndexConfig::default()
         };
         let scan_idx = build(config.clone(), &entities, &tags, true);
@@ -117,7 +114,7 @@ proptest! {
             assert_ranked_bitwise_eq(
                 &cells,
                 &scan,
-                &format!("probe {probe:?} θ={theta} dynamic={dynamic}"),
+                &format!("probe {probe:?} θ={theta}"),
             );
         }
     }

@@ -65,18 +65,20 @@ pub enum TraceEvent {
     },
     /// An index probe resolved exactly (`true`) or via fallback.
     Probe {
-        /// Whether the probe hit the exact automaton entry.
+        /// Whether the probe tag's own non-empty posting list answered it.
         exact: bool,
     },
-    /// A fallback probe was answered through the ANN candidate index
-    /// instead of the exhaustive scan. All payloads are deterministic
-    /// functions of `(index contents, probe tag)`, never of timing.
+    /// A fallback probe was answered through the resolution-cell
+    /// candidate index, as every fallback that scores with the
+    /// conceptual similarity is; a custom-similarity index scans and
+    /// records none. All payloads are deterministic functions of
+    /// `(index contents, probe tag)`, never of timing.
     ProbeAnn {
-        /// Candidate tags returned by the ANN structure.
+        /// Candidate tags in the cells that survived pruning.
         candidates: u32,
         /// Candidates whose exact rescore cleared θ_filter.
         rescored: u32,
-        /// Cells or graph nodes examined during candidate search.
+        /// Resolution cells examined during candidate search.
         visited: u32,
     },
     /// A retry attempt is about to back off and re-run the stage op.

@@ -15,11 +15,11 @@
 //! tasks, so callers must keep results independent of interleaving. The
 //! workspace does this in two ways: (1) tasks write disjoint output
 //! ranges whose values are pure functions of the inputs (matmul row
-//! blocks, per-tag postings), and (2) reductions run over a *fixed shard
-//! layout* in a fixed order after the parallel phase (tagger gradient
-//! accumulation). Under that contract every result is bitwise identical
-//! at any thread count — see DESIGN.md §9 and the cross-thread-count
-//! proptests in `nn`, `tagger` and `index`.
+//! blocks, per-tag postings, encoded sentences), and (2) any reduction
+//! over task results runs after the parallel phase, in index order.
+//! Under that contract every result is bitwise identical at any thread
+//! count — see DESIGN.md §9 and the cross-thread-count tests in `nn`,
+//! `tagger`, `embed` and `index`.
 //!
 //! The pool size is exported as the `rt.pool.threads` gauge via
 //! `saccs-obs` whenever it changes.

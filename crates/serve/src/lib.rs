@@ -216,18 +216,17 @@ impl Shared {
         // Trace ids are deterministic (caller-assigned or derived from
         // request content) — never wallclock — so recorder reports are a
         // pure function of the request stream.
-        let trace = self.recorder.as_ref().and_then(|rec| match &input {
-            JobInput::Rank(request) => {
-                let ctx =
-                    TraceContext::with_cap(request.trace_key(), rec.config().events_per_trace);
+        let trace = match &input {
+            JobInput::Rank(request) if self.recorder.is_some() => {
+                let ctx = TraceContext::new(request.trace_key());
                 ctx.record(TraceEvent::Admitted);
                 Some(ctx)
             }
             // Ingest jobs are not rank-shaped, so they stay out of the
             // recorder ring; their `ingest` trace events land in
             // whatever context the ingesting caller installs.
-            JobInput::Ingest { .. } => None,
-        });
+            _ => None,
+        };
         {
             let mut st = relock(self.state.lock());
             if st.shutdown || st.queue.len() >= self.config.queue_depth {

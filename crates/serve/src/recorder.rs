@@ -6,8 +6,9 @@
 //! picks the slot); each slot then takes its own uncontended mutex only
 //! to swap the record in, so completing workers never serialize against
 //! each other on a single structure. The exemplar reservoir is
-//! tail-sampling by latency: the `exemplars` slowest traces survive
-//! even after the ring has wrapped past them.
+//! tail-sampling by latency: the eight slowest traces survive even
+//! after the ring has wrapped past them. Each request's trace buffers
+//! up to `saccs_obs::trace::DEFAULT_EVENT_CAP` events.
 
 use saccs_core::RankResponse;
 use saccs_obs::report::ObsReport;
@@ -20,25 +21,19 @@ fn relock<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Slowest-trace reservoir size (survives ring wrap-around).
+const EXEMPLARS: usize = 8;
+
 /// Flight-recorder tuning, attached to `ServeConfig::recorder`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Completed-trace ring capacity (oldest entries are overwritten).
     pub ring: usize,
-    /// Slowest-trace reservoir size (survives ring wrap-around).
-    pub exemplars: usize,
-    /// Per-request trace event buffer cap (overflow is counted, not
-    /// buffered).
-    pub events_per_trace: usize,
 }
 
 impl Default for RecorderConfig {
     fn default() -> Self {
-        RecorderConfig {
-            ring: 128,
-            exemplars: 8,
-            events_per_trace: saccs_obs::trace::DEFAULT_EVENT_CAP,
-        }
+        RecorderConfig { ring: 128 }
     }
 }
 
@@ -46,20 +41,17 @@ impl RecorderConfig {
     pub(crate) fn sanitized(self) -> RecorderConfig {
         RecorderConfig {
             ring: self.ring.max(1),
-            exemplars: self.exemplars.max(1),
-            events_per_trace: self.events_per_trace.max(8),
         }
     }
 }
 
 /// Per-server recorder of completed request traces.
 pub struct FlightRecorder {
-    config: RecorderConfig,
     ring: Vec<Mutex<Option<TraceRecord>>>,
     head: AtomicUsize,
     shed: AtomicU64,
     completed: AtomicU64,
-    /// The `config.exemplars` slowest traces seen so far, sorted by
+    /// The `EXEMPLARS` slowest traces seen so far, sorted by
     /// (total latency desc, trace id asc).
     exemplars: Mutex<Vec<TraceRecord>>,
     queue_hist: Arc<saccs_obs::Histogram>,
@@ -69,7 +61,7 @@ pub struct FlightRecorder {
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("config", &self.config)
+            .field("ring", &self.ring.len())
             .field("completed", &self.completed())
             .field("shed", &self.shed.load(Ordering::Relaxed))
             .finish()
@@ -77,11 +69,10 @@ impl std::fmt::Debug for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// An empty recorder with `config` (already sanitized).
+    /// An empty recorder with `config` (sanitized here).
     pub fn new(config: RecorderConfig) -> FlightRecorder {
         let config = config.sanitized();
         FlightRecorder {
-            config,
             ring: (0..config.ring).map(|_| Mutex::new(None)).collect(),
             head: AtomicUsize::new(0),
             shed: AtomicU64::new(0),
@@ -90,11 +81,6 @@ impl FlightRecorder {
             queue_hist: saccs_obs::registry().histogram("serve.queue_wait"),
             total_hist: saccs_obs::registry().histogram("serve.trace.total"),
         }
-    }
-
-    /// The recorder's (sanitized) configuration.
-    pub fn config(&self) -> RecorderConfig {
-        self.config
     }
 
     /// Requests completed through the recorder so far.
@@ -127,7 +113,7 @@ impl FlightRecorder {
             // Steady-state fast path: a request no slower than the
             // current worst exemplar can't enter a full reservoir, so
             // skip the clone and the re-sort entirely.
-            let qualifies = reservoir.len() < self.config.exemplars
+            let qualifies = reservoir.len() < EXEMPLARS
                 || reservoir.last().is_some_and(|worst| {
                     total_ns > worst.total_ns
                         || (total_ns == worst.total_ns && record.id < worst.id)
@@ -135,10 +121,10 @@ impl FlightRecorder {
             if qualifies {
                 reservoir.push(record.clone());
                 reservoir.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.id.cmp(&b.id)));
-                reservoir.truncate(self.config.exemplars);
+                reservoir.truncate(EXEMPLARS);
             }
         }
-        let slot = self.head.fetch_add(1, Ordering::Relaxed) % self.config.ring;
+        let slot = self.head.fetch_add(1, Ordering::Relaxed) % self.ring.len();
         *relock(self.ring[slot].lock()) = Some(record);
     }
 
@@ -151,11 +137,8 @@ impl FlightRecorder {
             .iter()
             .filter_map(|slot| relock(slot.lock()).clone())
             .collect();
-        let mut report = ObsReport::from_traces(
-            records,
-            self.shed.load(Ordering::Relaxed),
-            self.config.exemplars,
-        );
+        let mut report =
+            ObsReport::from_traces(records, self.shed.load(Ordering::Relaxed), EXEMPLARS);
         // The reservoir outlives ring wrap-around, so it is the
         // authoritative slow-exemplar set.
         report.exemplars = relock(self.exemplars.lock()).clone();
@@ -180,25 +163,28 @@ mod tests {
 
     #[test]
     fn ring_wraps_but_exemplar_reservoir_keeps_the_slowest() {
-        let rec = FlightRecorder::new(RecorderConfig {
-            ring: 2,
-            exemplars: 2,
-            events_per_trace: 16,
-        });
-        // Four requests through a 2-slot ring; the slowest (id 0) is
-        // evicted from the ring but must survive as an exemplar.
-        for (id, total) in [(0u64, 9_000u64), (1, 1_000), (2, 2_000), (3, 3_000)] {
-            let ctx = TraceContext::with_cap(id, 16);
+        let rec = FlightRecorder::new(RecorderConfig { ring: 2 });
+        // Twelve requests through a 2-slot ring, id 0 the slowest and the
+        // rest slower with each id: id 0 is evicted from the ring but
+        // must survive in the reservoir, which drops ids 1–4.
+        let requests = 12u64;
+        for id in 0..requests {
+            let total = if id == 0 { 90_000 } else { id * 1_000 };
+            let ctx = TraceContext::new(id);
             ctx.record(TraceEvent::Admitted);
             rec.complete(&ctx, &response(total), 100);
         }
-        assert_eq!(rec.completed(), 4);
+        assert_eq!(rec.completed(), requests);
         let report = rec.report();
         assert_eq!(report.requests, 2, "ring holds the last two");
         let ring_ids: Vec<u64> = report.traces.iter().map(|t| t.id).collect();
-        assert_eq!(ring_ids, vec![2, 3]);
+        assert_eq!(ring_ids, vec![10, 11]);
         let exemplar_ids: Vec<u64> = report.exemplars.iter().map(|t| t.id).collect();
-        assert_eq!(exemplar_ids, vec![0, 3], "slowest-first, beyond the ring");
+        assert_eq!(
+            exemplar_ids,
+            vec![0, 11, 10, 9, 8, 7, 6, 5],
+            "the {EXEMPLARS} slowest, slowest-first, beyond the ring"
+        );
     }
 
     #[test]

@@ -45,14 +45,6 @@ pub struct TrainConfig {
     pub hidden: usize,
     pub dropout: f32,
     pub seed: u64,
-    /// Examples per optimizer step. `1` (the default) is the paper's
-    /// per-example SGD, updated strictly in shuffle order. Above 1 the
-    /// per-example gradients of a batch are computed data-parallel on the
-    /// `saccs-rt` pool and combined with a fixed-shard tree reduction —
-    /// the result is bitwise independent of the thread count (see
-    /// `DESIGN.md` §9), though numerically distinct from `batch_size: 1`
-    /// (one averaged step per batch instead of one step per example).
-    pub batch_size: usize,
 }
 
 impl Default for TrainConfig {
@@ -65,87 +57,6 @@ impl Default for TrainConfig {
             hidden: 24,
             dropout: 0.1,
             seed: 0x7A66,
-            batch_size: 1,
-        }
-    }
-}
-
-/// Fixed gradient-shard count for batched training. Per-example gradients
-/// land in shard `j % GRAD_SHARDS` (j = position in the batch), each shard
-/// sums its examples in ascending order, and shards merge through a fixed
-/// binary tree — so the reduction order is a function of the batch alone,
-/// never of how many threads happened to run it.
-const GRAD_SHARDS: usize = 8;
-
-/// Distinguishes concurrent/successive `Tagger::train` calls so a worker
-/// thread never reuses a replica that belongs to a different training run.
-static NEXT_TRAIN_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-/// splitmix64-style mixing: decorrelated per-example RNG streams that
-/// depend only on `(seed, epoch, dataset index)` — not on thread count,
-/// batch position, or shuffle history.
-fn mix_seed(seed: u64, epoch: usize, index: usize) -> u64 {
-    let mut z = seed
-        ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (index as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Run the clean or FGSM objective for one example and return
-/// `(loss, ∂loss/∂params)` without touching the optimizer. The gradients
-/// come back as plain matrices so callers can reduce them across models.
-fn example_grads(
-    model: &TaggerModel,
-    f: &Matrix,
-    y: &[IobTag],
-    adversarial: Option<Adversarial>,
-    rng: &mut StdRng,
-) -> (f32, Vec<Matrix>) {
-    let params = model.params();
-    zero_grads(&params);
-    let loss = match adversarial {
-        None => {
-            let loss = model.loss(&Var::leaf(f.clone()), y, true, rng);
-            loss.backward();
-            loss
-        }
-        Some(adv) => {
-            let probe = Var::leaf(f.clone());
-            model.loss(&probe, y, true, rng).backward();
-            let delta = probe.grad().map(|g| {
-                if g == 0.0 {
-                    0.0
-                } else {
-                    adv.epsilon * g.signum()
-                }
-            });
-            zero_grads(&params);
-            let clean = model.loss(&Var::leaf(f.clone()), y, true, rng);
-            let perturbed = model.loss(&Var::leaf(f.add(&delta)), y, true, rng);
-            let combined = clean
-                .scale(adv.alpha)
-                .add(&perturbed.scale(1.0 - adv.alpha));
-            combined.backward();
-            combined
-        }
-    };
-    let grads = params.iter().map(|p| p.grad().clone()).collect();
-    (loss.scalar(), grads)
-}
-
-/// One shard's contribution to a batch: `(loss sum, examples, grad sums)`.
-type ShardGrads = Option<(f32, usize, Vec<Matrix>)>;
-
-/// Merge two shard contributions; the caller controls the merge order.
-fn merge_shards(a: ShardGrads, b: ShardGrads) -> ShardGrads {
-    match (a, b) {
-        (None, b) => b,
-        (a, None) => a,
-        (Some((la, na, ga)), Some((lb, nb, gb))) => {
-            let summed = ga.iter().zip(&gb).map(|(x, y)| x.add(y)).collect();
-            Some((la + lb, na + nb, summed))
         }
     }
 }
@@ -159,7 +70,8 @@ pub struct Tagger {
 impl Tagger {
     /// Train on labeled sentences. MiniBert features are precomputed once
     /// per sentence (the encoder is frozen), then the head trains for
-    /// `config.epochs` passes in shuffled order.
+    /// `config.epochs` passes in shuffled order, one optimizer step per
+    /// example (the paper's per-example SGD).
     pub fn train(bert: Rc<MiniBert>, train_set: &[LabeledSentence], config: &TrainConfig) -> Self {
         assert!(!train_set.is_empty(), "empty training set");
         let _train = saccs_obs::span!("tagger.train");
@@ -178,14 +90,6 @@ impl Tagger {
         let params = model.params();
         let mut opt = Adam::new(config.lr).with_clip(1.0);
         let mut order: Vec<usize> = (0..train_set.len()).collect();
-
-        if config.batch_size > 1 {
-            Self::train_batched(
-                &model, &features, train_set, config, &mut rng, &mut opt, order,
-            );
-            return Tagger { bert, model };
-        }
-
         for _ in 0..config.epochs {
             let _epoch = saccs_obs::span!("tagger.epoch");
             // Loss/norm bookkeeping reads values out of the graph, which
@@ -269,139 +173,6 @@ impl Tagger {
             }
         }
         Tagger { bert, model }
-    }
-
-    /// Batched training (`config.batch_size > 1`): per-example gradients
-    /// of each batch computed data-parallel on per-worker model replicas,
-    /// combined via the fixed-shard tree reduction, one averaged Adam
-    /// step per batch. Bitwise independent of `SACCS_THREADS`.
-    fn train_batched(
-        model: &TaggerModel,
-        features: &[Matrix],
-        train_set: &[LabeledSentence],
-        config: &TrainConfig,
-        rng: &mut StdRng,
-        opt: &mut Adam,
-        mut order: Vec<usize>,
-    ) {
-        thread_local! {
-            // (train call id, step loaded, replica). The structure is
-            // rebuilt per training run; the weights reload once per step.
-            static REPLICA: std::cell::RefCell<Option<(u64, u64, TaggerModel)>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        let call_id = NEXT_TRAIN_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let params = model.params();
-        let dim = match features.iter().find(|f| f.cols() > 0) {
-            Some(f) => f.cols(),
-            None => return,
-        };
-        let mut step = 0u64;
-        for epoch in 0..config.epochs {
-            let _epoch = saccs_obs::span!("tagger.epoch");
-            let observing = saccs_obs::enabled();
-            let mut epoch_loss = 0.0f64;
-            let mut seen = 0usize;
-            order.shuffle(rng);
-            for batch in order.chunks(config.batch_size) {
-                if saccs_fault::failpoint!("tagger.train_step").is_err() {
-                    // Batched mode: the whole batch is one step; an
-                    // injected failure drops it and moves on.
-                    saccs_obs::counter!("fault.train.skipped_steps").inc();
-                    continue;
-                }
-                step += 1;
-                let snapshot = model.state();
-                let shards = saccs_rt::parallel_map(GRAD_SHARDS, 1, |s| -> ShardGrads {
-                    REPLICA.with(|slot| {
-                        let mut slot = slot.borrow_mut();
-                        match &mut *slot {
-                            Some((cid, loaded, m)) if *cid == call_id => {
-                                if *loaded != step {
-                                    m.load_state(&snapshot);
-                                    *loaded = step;
-                                }
-                            }
-                            _ => {
-                                // Seed is irrelevant: weights are replaced
-                                // by the snapshot immediately.
-                                let mut init = StdRng::seed_from_u64(0);
-                                let m = TaggerModel::new(
-                                    config.architecture,
-                                    dim,
-                                    config.hidden,
-                                    config.dropout,
-                                    &mut init,
-                                );
-                                m.load_state(&snapshot);
-                                *slot = Some((call_id, step, m));
-                            }
-                        }
-                        let replica = match &*slot {
-                            Some((_, _, m)) => m,
-                            None => unreachable!("replica slot filled above"),
-                        };
-                        let mut acc: ShardGrads = None;
-                        for (j, &i) in batch.iter().enumerate() {
-                            if j % GRAD_SHARDS != s {
-                                continue;
-                            }
-                            let f = &features[i];
-                            let y = &train_set[i].tags;
-                            if f.rows() != y.len() {
-                                continue;
-                            }
-                            let mut ex_rng = StdRng::seed_from_u64(mix_seed(config.seed, epoch, i));
-                            let (loss, grads) =
-                                example_grads(replica, f, y, config.adversarial, &mut ex_rng);
-                            acc = merge_shards(acc, Some((loss, 1, grads)));
-                        }
-                        acc
-                    })
-                });
-                // Fixed binary tree over the shard index: 8 → 4 → 2 → 1.
-                let mut layer = shards;
-                while layer.len() > 1 {
-                    layer = layer
-                        .chunks_mut(2)
-                        .map(|pair| {
-                            let a = pair[0].take();
-                            let b = pair.get_mut(1).and_then(|x| x.take());
-                            merge_shards(a, b)
-                        })
-                        .collect();
-                }
-                let Some(Some((loss_sum, n, grad_sum))) = layer.pop() else {
-                    continue;
-                };
-                zero_grads(&params);
-                let inv = 1.0 / n as f32;
-                for (p, g) in params.iter().zip(&grad_sum) {
-                    p.accumulate_grad(&g.scale(inv));
-                }
-                opt.step(&params);
-                if observing {
-                    epoch_loss += f64::from(loss_sum);
-                    seen += n;
-                    let grad_sq: f32 = grad_sum
-                        .iter()
-                        .map(|g| {
-                            let norm = g.norm() * inv;
-                            norm * norm
-                        })
-                        .sum();
-                    saccs_obs::registry()
-                        .gauge("tagger.grad_norm")
-                        .set(f64::from(grad_sq.sqrt()));
-                }
-            }
-            saccs_obs::counter!("tagger.epochs").inc();
-            if observing && seen > 0 {
-                saccs_obs::registry()
-                    .gauge("tagger.epoch_loss")
-                    .set(epoch_loss / seen as f64);
-            }
-        }
     }
 
     /// Assemble a tagger from an encoder and an already-built head —

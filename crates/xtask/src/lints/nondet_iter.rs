@@ -7,14 +7,17 @@
 //! index build, a vocabulary, a score or a pairing can reorder
 //! floating-point reductions or id assignment between runs — the bug is
 //! invisible until two runs disagree. The pass tracks hash-container
-//! `let` bindings per scope and flags iteration over them (`for … in`,
+//! `let` bindings per scope, and hash-container fn parameters
+//! (`NAME: [&][mut] [path::]HashMap<…>` or `HashSet<…>`) for the body of
+//! their fn, and flags iteration over them (`for … in`,
 //! `.iter()`/`.keys()`/`.values()`/`.drain()`/`.into_iter()`, and the
 //! `HashSet` set-algebra iterators). Keyed lookups (`get`/`insert`/
-//! `entry`/`contains_key`) are order-free and never fire. Use
-//! `BTreeMap`/`BTreeSet`, or sort before consuming.
+//! `entry`/`contains_key`) are order-free and never fire. Struct fields
+//! are not tracked, so `self.map.iter()` over a hash-container field
+//! passes. Use `BTreeMap`/`BTreeSet`, or sort before consuming.
 
 use super::{Lint, Violation};
-use crate::scan::{is_ident, is_punct, seq, SourceFile, TokenKind};
+use crate::scan::{is_ident, is_punct, matching_close, seq, SourceFile, Token, TokenKind};
 
 pub(crate) struct NondetIteration;
 
@@ -60,6 +63,8 @@ impl Lint for NondetIteration {
         let mut out = Vec::new();
         // Hash-container bindings and the brace depth they live at.
         let mut tracked: Vec<(String, usize)> = Vec::new();
+        // Hash-container parameters waiting for their fn body's `{`.
+        let mut params: Vec<(usize, String)> = Vec::new();
         let t = &file.tokens;
 
         for i in 0..t.len() {
@@ -67,6 +72,13 @@ impl Lint for NondetIteration {
                 continue;
             }
             tracked.retain(|(_, d)| *d <= t[i].depth);
+
+            if let Some((body, names)) = hash_params(t, i) {
+                params.extend(names.into_iter().map(|name| (body, name)));
+            }
+            while let Some(k) = params.iter().position(|(body, _)| *body == i) {
+                tracked.push((params.swap_remove(k).1, t[i].depth + 1));
+            }
 
             if let Some(name) = hash_binding(t, i) {
                 tracked.push((name, t[i].depth));
@@ -122,11 +134,8 @@ impl NondetIteration {
 }
 
 /// `let [mut] NAME: …Hash…<` or `let [mut] NAME = …Hash…::` — the bound
-/// name, if this token starts a hash-container binding. The container may
-/// sit anywhere along a qualified path (`std::collections::HashMap::from`),
-/// so the detector walks `Ident(::Ident)*` after the separator instead of
-/// requiring the container to be the first segment.
-fn hash_binding(t: &[crate::scan::Token], i: usize) -> Option<String> {
+/// name, if this token starts a hash-container binding.
+fn hash_binding(t: &[Token], i: usize) -> Option<String> {
     let name_idx = if seq(t, i, &["let", "mut", "*"]).is_some() {
         i + 2
     } else if seq(t, i, &["let", "*"]).is_some() {
@@ -141,28 +150,93 @@ fn hash_binding(t: &[crate::scan::Token], i: usize) -> Option<String> {
     if !(is_punct(sep, ':') || is_punct(sep, '=')) {
         return None;
     }
-    let mut k = name_idx + 2;
     // `let x ::` is not a binding separator.
-    if is_punct(sep, ':') && t.get(k).is_some_and(|n| is_punct(n, ':')) {
+    if is_punct(sep, ':') && t.get(name_idx + 2).is_some_and(|n| is_punct(n, ':')) {
         return None;
     }
+    hash_path(t, name_idx + 2).then(|| t[name_idx].text.clone())
+}
+
+/// `fn NAME[<…>](…) … {` — the fn's hash-container parameters
+/// (`NAME: [&][mut] [path::]HashMap<…>` or `HashSet<…>`) and the index of
+/// its body's `{`, if this token starts a fn with a body.
+fn hash_params(t: &[Token], i: usize) -> Option<(usize, Vec<String>)> {
+    if !is_ident(&t[i], "fn") || t.get(i + 1)?.kind != TokenKind::Ident {
+        return None;
+    }
+    // The parameter list opens at the first `(` outside the generics
+    // (`->` inside them, as in `F: Fn() -> u32`, closes nothing).
+    let mut open = i + 2;
+    let mut angle = 0usize;
     loop {
-        let seg = t.get(k)?;
-        if seg.kind != TokenKind::Ident {
-            return None;
+        let tok = t.get(open)?;
+        if angle == 0 && is_punct(tok, '(') {
+            break;
         }
+        if is_punct(tok, '<') {
+            angle += 1;
+        } else if is_punct(tok, '>') && !is_punct(&t[open - 1], '-') {
+            angle = angle.saturating_sub(1);
+        }
+        open += 1;
+    }
+    let close = matching_close(t, open)?;
+    let mut names = Vec::new();
+    let mut nesting = 0usize;
+    for j in open + 1..close {
+        let (prev, tok) = (&t[j - 1], &t[j]);
+        if is_punct(tok, '(') || is_punct(tok, '[') || is_punct(tok, '<') {
+            nesting += 1;
+        } else if is_punct(tok, ')')
+            || is_punct(tok, ']')
+            || (is_punct(tok, '>') && !is_punct(prev, '-'))
+        {
+            nesting = nesting.saturating_sub(1);
+        }
+        // `NAME:` at the top of the list, after `(`, `,` or `mut`.
+        let named = nesting == 0
+            && tok.kind == TokenKind::Ident
+            && (is_punct(prev, '(') || is_punct(prev, ',') || is_ident(prev, "mut"))
+            && is_punct(&t[j + 1], ':')
+            && !t.get(j + 2).is_some_and(|n| is_punct(n, ':'));
+        if named {
+            let mut k = j + 2;
+            while t.get(k).is_some_and(|n| {
+                is_punct(n, '&') || n.kind == TokenKind::Lifetime || is_ident(n, "mut")
+            }) {
+                k += 1;
+            }
+            if hash_path(t, k) {
+                names.push(tok.text.clone());
+            }
+        }
+    }
+    if names.is_empty() {
+        return None;
+    }
+    // The body is the first `{` after the list; a `;` first means none.
+    let body = (close + 1..t.len()).find(|&k| is_punct(&t[k], '{') || is_punct(&t[k], ';'))?;
+    is_punct(&t[body], '{').then_some((body, names))
+}
+
+/// Whether the path starting at `t[k]` names a hash container followed
+/// by `<` or `::`. The container may sit anywhere along a qualified path
+/// (`std::collections::HashMap::from`), so this walks `Ident(::Ident)*`
+/// instead of requiring the container to be the first segment.
+fn hash_path(t: &[Token], mut k: usize) -> bool {
+    while let Some(seg) = t.get(k).filter(|s| s.kind == TokenKind::Ident) {
         let next_generic = t.get(k + 1).is_some_and(|n| is_punct(n, '<'));
         let next_path = t.get(k + 1).is_some_and(|n| is_punct(n, ':'))
             && t.get(k + 2).is_some_and(|n| is_punct(n, ':'));
         if CONTAINERS.iter().any(|c| is_ident(seg, c)) && (next_generic || next_path) {
-            return Some(t[name_idx].text.clone());
+            return true;
         }
-        if next_path {
-            k += 3;
-        } else {
-            return None;
+        if !next_path {
+            return false;
         }
+        k += 3;
     }
+    false
 }
 
 #[cfg(test)]
@@ -237,6 +311,50 @@ mod tests {
         assert_eq!(v.len(), 2, "unexpected: {v:?}");
         assert!(v[0].message.contains("`m`"));
         assert!(v[1].message.contains("`q`"));
+    }
+
+    #[test]
+    fn fires_on_hash_parameters_iterated_either_way() {
+        let v = run_on(
+            "fn total(weights: &HashMap<String, f32>, mut seen: std::collections::HashSet<u32>) -> f32 {\n\
+             \x20   let mut sum = 0.0;\n\
+             \x20   for (_, w) in weights.iter() { sum += w; }\n\
+             \x20   for id in seen { sum += id as f32; }\n\
+             \x20   sum\n\
+             }\n\
+             fn after(weights: Vec<f32>) -> f32 {\n\
+             \x20   weights.iter().sum()\n\
+             }\n\
+             fn apply<F: Fn(u32) -> u32>(f: F, m: &'a mut HashMap<u32, u32>) -> u32 {\n\
+             \x20   m.values().map(|v| f(*v)).sum()\n\
+             }\n",
+        );
+        assert_eq!(v.len(), 3, "unexpected: {v:?}");
+        assert_eq!(v[0].line, 3, ".iter() over the map parameter");
+        assert!(v[0].message.contains("`weights`"));
+        assert_eq!(v[1].line, 4, "for-in over the set parameter");
+        assert!(v[1].message.contains("`seen`"));
+        assert_eq!(v[2].line, 11, "a parameter after generics with `->`");
+        assert!(v[2].message.contains("`m`"));
+    }
+
+    #[test]
+    fn quiet_on_keyed_access_to_hash_parameters_and_btree_parameters() {
+        let v = run_on(
+            "fn weight(weights: &HashMap<String, f32>, tag: &str) -> f32 {\n\
+             \x20   weights.get(tag).copied().unwrap_or(0.0)\n\
+             }\n\
+             fn ordered(m: &BTreeMap<u32, u32>) -> u32 {\n\
+             \x20   m.iter().map(|(k, v)| k + v).sum()\n\
+             }\n\
+             trait Lookup {\n\
+             \x20   fn probe(&self, m: &HashMap<u32, u32>);\n\
+             }\n\
+             fn unrelated(m: Vec<u32>) -> u32 {\n\
+             \x20   m.iter().sum()\n\
+             }\n",
+        );
+        assert!(v.is_empty(), "unexpected: {v:?}");
     }
 
     #[test]

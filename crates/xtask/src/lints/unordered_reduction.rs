@@ -3,10 +3,10 @@
 //!
 //! `saccs-rt`'s `parallel_for_chunks` / `parallel_map` run their
 //! closures on work-stealing workers in nondeterministic order. The
-//! sanctioned reduction shape (see `tagger::train`) is: accumulate into
-//! a *closure-local* partial, then write it into a fixed shard
-//! (`shards[j % GRAD_SHARDS]`) and tree-reduce the shards in index
-//! order afterwards — bit-stable at every width. Accumulating straight
+//! sanctioned reduction shape is: accumulate into a *closure-local*
+//! partial, return it (or write it into a fixed shard,
+//! `shards[j % K]`), and reduce the partials in index order afterwards
+//! — bit-stable at every width. Accumulating straight
 //! into captured state (`*total += x`, `self.sum += x`) from inside the
 //! closure is either a data race or, for floats, an
 //! order-of-arrival-dependent result. The pass scans the argument

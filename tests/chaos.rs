@@ -303,7 +303,6 @@ mod armed {
         let trained = saccs();
         let service = trained.service.with_resilience(ResilienceConfig {
             deadline: Some(Duration::from_millis(250)),
-            ..ResilienceConfig::default()
         });
         let api = SearchApi::new(&corpus().entities);
         let utterance = UTTERANCES[0];
