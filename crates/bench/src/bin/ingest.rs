@@ -17,6 +17,17 @@
 //! cost of probing across more (smaller) segments. Timings are printed
 //! and land in the `BENCH_ingest.json` headline, never in the export.
 //!
+//! Catalog section (per-review latency at the repository benchmark's
+//! catalog shape): a memory-only [`LiveIndex`] with
+//! `LiveConfig::default()` ingests 20,000 reviews of 1–4 tags over 2,000
+//! entities from `synthetic_tags(lex, 4000, 0x5ACC)`, indexes the first
+//! 200 tags, then times 1,000 more `add_review` calls one by one. Every
+//! posting column is then compared with a from-scratch rebuild of the
+//! same log (entity ids, degree bits, normalized bits; `DIVERGENCE` and
+//! a non-zero exit on any difference). The export gains one line: the
+//! posting count, the mean number of posting lists a timed review
+//! changed, and an FNV-1a digest over every column.
+//!
 //! Environment: `SACCS_INGEST_REVIEWS` (phase-2 stream length, default
 //! 3000), `SACCS_INGEST_DIR` (default `target/ingest-bench`, wiped at
 //! start), `SACCS_OBS=json` to emit `BENCH_ingest.json`.
@@ -25,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saccs_bench::{bits, ranking_json, write_export};
 use saccs_data::synthetic_tags;
-use saccs_index::index::{EntityEvidence, IndexConfig};
+use saccs_index::index::{EntityEvidence, IndexConfig, IndexEntry};
 use saccs_index::{LiveConfig, LiveIndex, ReviewRecord, SubjectiveIndex};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 use std::fmt::Write as _;
@@ -37,17 +48,39 @@ const EQ_CHECK_EVERY: usize = 64;
 const TIMING_REPS: usize = 3;
 const SEED: u64 = 0x1A6E57;
 
+/// The catalog section's shape: the repository benchmark's catalog set-up.
+const CATALOG_ENTITIES: usize = 2000;
+const CATALOG_VOCAB: usize = 4000;
+const CATALOG_SEED: u64 = 0x5ACC;
+const CATALOG_REVIEWS: usize = 20_000;
+const CATALOG_INDEXED: usize = 200;
+const CATALOG_TIMED: usize = 1000;
+/// The spans a memory-only review's time breaks into (`index.ingest.persist`
+/// needs a store).
+const INGEST_PARTS: [&str; 4] = [
+    "index.ingest.apply",
+    "index.ingest.seal",
+    "index.ingest.publish",
+    "index.ingest.compact",
+];
+
 fn sim() -> ConceptualSimilarity {
     ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants))
 }
 
-/// The seeded review stream: `n` reviews over [`N_ENTITIES`] entities,
-/// 1–3 tags each, drawn from the synthetic vocabulary.
-fn stream(vocab: &[SubjectiveTag], n: usize, rng: &mut StdRng) -> Vec<(usize, Vec<SubjectiveTag>)> {
+/// The seeded review stream: `n` reviews over `entities` entities,
+/// 1–`max_tags` tags each, drawn from the synthetic vocabulary.
+fn stream(
+    vocab: &[SubjectiveTag],
+    n: usize,
+    entities: usize,
+    max_tags: usize,
+    rng: &mut StdRng,
+) -> Vec<(usize, Vec<SubjectiveTag>)> {
     (0..n)
         .map(|_| {
-            let entity = rng.gen_range(0..N_ENTITIES);
-            let k = 1 + rng.gen_range(0..3);
+            let entity = rng.gen_range(0..entities);
+            let k = 1 + rng.gen_range(0..max_tags);
             let tags = (0..k)
                 .map(|_| vocab[rng.gen_range(0..vocab.len())].clone())
                 .collect();
@@ -136,7 +169,7 @@ fn main() {
     // Phase 1: equivalence checkpoints on the persistent path.
     let _ = std::fs::remove_dir_all(&dir);
     let mut rng = StdRng::seed_from_u64(SEED);
-    let eq_stream = stream(&vocab, EQ_REVIEWS, &mut rng);
+    let eq_stream = stream(&vocab, EQ_REVIEWS, N_ENTITIES, 3, &mut rng);
     let mut report = String::new();
     let live = match LiveIndex::open(
         &dir,
@@ -211,7 +244,7 @@ fn main() {
     // Phase 2: seal-cadence sweep, compaction off — three segment
     // counts over the same stream.
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xB0B);
-    let perf_stream = stream(&vocab, n_perf, &mut rng);
+    let perf_stream = stream(&vocab, n_perf, N_ENTITIES, 3, &mut rng);
     let mut headline: Vec<(String, f64)> = vec![("reviews".into(), n_perf as f64)];
     println!("Phase 2: {n_perf} reviews per cadence, probe latency best of {TIMING_REPS}");
     for seal_every in [16usize, 64, 256] {
@@ -258,7 +291,108 @@ fn main() {
         headline.push((format!("segments_s{seal_every}"), segments as f64));
     }
 
+    catalog(&lexicon, &mut report, &mut headline);
+
     write_export("INGEST_report.jsonl", &report);
     let headline_refs: Vec<(&str, f64)> = headline.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     saccs_bench::obs_finish("ingest", &headline_refs);
+}
+
+/// The catalog section: per-review `add_review` latency at the
+/// benchmark's catalog shape, then a column-by-column check against a
+/// from-scratch rebuild. Appends one export line and the `catalog_*`
+/// headline numbers.
+fn catalog(lexicon: &Lexicon, report: &mut String, headline: &mut Vec<(String, f64)>) {
+    let vocab = synthetic_tags(lexicon, CATALOG_VOCAB, CATALOG_SEED);
+    let index_tags = &vocab[..CATALOG_INDEXED];
+    let mut rng = StdRng::seed_from_u64(CATALOG_SEED);
+    let setup = stream(&vocab, CATALOG_REVIEWS, CATALOG_ENTITIES, 4, &mut rng);
+    let timed = stream(&vocab, CATALOG_TIMED, CATALOG_ENTITIES, 4, &mut rng);
+
+    let t0 = Instant::now();
+    let live = LiveIndex::new(sim(), IndexConfig::default(), LiveConfig::default());
+    for (entity_id, tags) in &setup {
+        live.add_review(*entity_id, tags);
+    }
+    live.add_tags(index_tags);
+    println!(
+        "\nCatalog: {CATALOG_ENTITIES} entities, {CATALOG_REVIEWS} reviews, \
+         {CATALOG_INDEXED} index tags set up in {:.2}s",
+        t0.elapsed().as_secs_f64()
+    );
+
+    let spliced = || saccs_obs::registry().counter("index.ingest.spliced").get();
+    let part_ns = || INGEST_PARTS.map(|part| saccs_obs::registry().histogram(part).sum());
+    let (spliced0, part_ns0) = (spliced(), part_ns());
+    let mut micros = Vec::with_capacity(CATALOG_TIMED);
+    let t0 = Instant::now();
+    for (entity_id, tags) in &timed {
+        let t1 = Instant::now();
+        live.add_review(*entity_id, tags);
+        micros.push(t1.elapsed().as_secs_f64() * 1e6);
+    }
+    let rps = CATALOG_TIMED as f64 / t0.elapsed().as_secs_f64();
+    let touched = (spliced() - spliced0) as f64 / CATALOG_TIMED as f64;
+    micros.sort_by(f64::total_cmp);
+    let quantile = |q: f64| micros[((micros.len() - 1) as f64 * q).round() as usize];
+    let (p50, p90) = (quantile(0.5), quantile(0.9));
+    println!(
+        "Catalog: {CATALOG_TIMED} reviews timed: p50 {p50:.0} us, p90 {p90:.0} us, \
+         {rps:.0} reviews/s, {touched:.1} posting lists changed per review"
+    );
+    let part_ns1 = part_ns();
+
+    let frozen = rebuild(&live.review_log(), index_tags);
+    let snapshot = live.pin();
+    let mut postings = 0usize;
+    let mut digest = 0u64;
+    for tag in index_tags {
+        let column = column_bits(snapshot.index().lookup(tag).unwrap_or(&[]));
+        if column != column_bits(frozen.lookup(tag).unwrap_or(&[])) {
+            println!(
+                "DIVERGENCE: live posting list for {tag:?} differs from rebuild \
+                 after the catalog stream"
+            );
+            std::process::exit(1);
+        }
+        postings += column.len();
+        for (entity_id, degree, normalized) in column {
+            digest = saccs_obs::trace::hash_bytes(digest, &(entity_id as u64).to_le_bytes());
+            digest = saccs_obs::trace::hash_bytes(digest, &degree.to_le_bytes());
+            digest = saccs_obs::trace::hash_bytes(digest, &normalized.to_le_bytes());
+        }
+    }
+    println!("Catalog: every posting list bitwise identical to a from-scratch rebuild");
+    let _ = writeln!(
+        report,
+        "{{\"checkpoint\":\"catalog\",\"reviews\":{},\"tags\":{CATALOG_INDEXED},\
+         \"postings\":{postings},\"touched_per_review\":{touched:.3},\"digest\":\"{digest:016x}\"}}",
+        CATALOG_REVIEWS + CATALOG_TIMED,
+    );
+    headline.push(("catalog_review_p50_us".into(), p50));
+    headline.push(("catalog_review_p90_us".into(), p90));
+    headline.push(("catalog_reviews_per_s".into(), rps));
+    headline.push(("catalog_touched_per_review".into(), touched));
+    // Span sums move only while span timing is on (`SACCS_OBS=json`).
+    if saccs_obs::enabled() {
+        for ((part, before), after) in INGEST_PARTS.iter().zip(part_ns0).zip(part_ns1) {
+            let us = (after - before) as f64 / 1e3 / CATALOG_TIMED as f64;
+            println!("  {part}: {us:.1} us per timed review");
+            headline.push((format!("catalog_{}_us", &part["index.ingest.".len()..]), us));
+        }
+    }
+}
+
+/// A posting column as `(entity, degree bits, normalized bits)` in order.
+fn column_bits(column: &[IndexEntry]) -> Vec<(usize, u32, u32)> {
+    column
+        .iter()
+        .map(|e| {
+            (
+                e.entity_id,
+                e.degree_of_truth.to_bits(),
+                e.normalized.to_bits(),
+            )
+        })
+        .collect()
 }

@@ -16,9 +16,14 @@
 //!   review's tags. Because f32 addition is folded left-to-right in
 //!   review order — exactly the order a from-scratch
 //!   [`SubjectiveIndex::index_tags`] build walks the concatenated
-//!   review tags — the incremental degrees, posting orders and
-//!   normalized columns are bitwise identical to a rebuild at every
-//!   ingest state.
+//!   review tags — the incremental degrees are bitwise identical to a
+//!   rebuild at every ingest state. A review changes one entry in each
+//!   posting list where its entity has evidence, so ingest *splices*
+//!   that entry: it moves to the position a from-scratch sort would
+//!   give it (degree descending, ties in first-seen entity order), and
+//!   the normalized column is rescaled only when the list's maximum
+//!   changes. Posting orders and normalized columns therefore match a
+//!   rebuild bit for bit as well.
 //! * **Merge independence.** Sealed segments carry records keyed by a
 //!   globally unique ingest seq; compaction merges by sorting on that
 //!   seq ([`crate::segment::merge_segments`]), so merged output — and
@@ -50,6 +55,7 @@ use crate::segment::{
 };
 use parking_lot::{Mutex, RwLock};
 use saccs_text::{ConceptualSimilarity, SubjectiveTag};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -151,6 +157,26 @@ struct TagAccum {
     n: u32,
 }
 
+impl TagAccum {
+    /// Extend the fold for index tag `tag` with review tags `tags`, in
+    /// order (the fold `SubjectiveIndex::degree_of_truth` performs).
+    fn fold(
+        &mut self,
+        tag: &SubjectiveTag,
+        tags: &[SubjectiveTag],
+        similarity: &ConceptualSimilarity,
+        config: &IndexConfig,
+    ) {
+        for t in tags {
+            let sim = similarity.tag_similarity(tag, t);
+            if sim > config.theta_index {
+                self.sum += sim;
+                self.n += 1;
+            }
+        }
+    }
+}
+
 /// Writer-side state, all under one mutex: the open mem-segment, the
 /// sealed segments (with their persistence status), and the incremental
 /// index state the publish step snapshots from.
@@ -169,64 +195,168 @@ struct Writer {
     evidence: Vec<EntityEvidence>,
     entity_slot: BTreeMap<usize, usize>,
     /// Per index tag, the partial fold per evidence slot (aligned with
-    /// `evidence`; missing trailing slots mean `n == 0`).
+    /// `evidence`; missing trailing slots mean `n == 0`). Holds the same
+    /// tag set as `entries`, so the two iterate in lockstep.
     accums: BTreeMap<SubjectiveTag, Vec<TagAccum>>,
-    /// The canonical posting lists, updated incrementally. A touched
-    /// tag gets a fresh column; publishes share the rest.
+    /// The canonical posting lists. A review gives each list it changes
+    /// a fresh column: a copy of the old one with the reviewed entity's
+    /// entry spliced to its new position. Publishes share the rest.
     entries: PostingColumns,
 }
 
-/// Fold `tags` into the accumulator columns for one entity slot and
-/// grow `evidence` bookkeeping. Returns the index tags whose posting
-/// list must be recomputed (any tag with matches for this entity: its
-/// degree inputs — fold, review count, total tag count — changed).
+impl Writer {
+    /// Extend `entity_id`'s evidence with one review, registering the
+    /// entity in the next slot if it is new. Returns its slot.
+    fn observe(&mut self, entity_id: usize, tags: &[SubjectiveTag]) -> usize {
+        let slot = match self.entity_slot.get(&entity_id) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.evidence.len();
+                self.evidence.push(EntityEvidence {
+                    entity_id,
+                    review_count: 0,
+                    review_tags: Vec::new(),
+                });
+                self.entity_slot.insert(entity_id, slot);
+                slot
+            }
+        };
+        self.evidence[slot].review_count += 1;
+        self.evidence[slot].review_tags.extend(tags.iter().cloned());
+        slot
+    }
+}
+
+/// Fold one review into the accumulator columns and the entity's
+/// evidence, leaving the posting lists alone: the recovery replay, which
+/// finalizes every list once at the end.
 fn apply_review(
     w: &mut Writer,
     entity_id: usize,
     tags: &[SubjectiveTag],
     similarity: &ConceptualSimilarity,
     config: &IndexConfig,
-) -> Vec<SubjectiveTag> {
-    let slot = match w.entity_slot.get(&entity_id) {
-        Some(&slot) => slot,
-        None => {
-            let slot = w.evidence.len();
-            w.evidence.push(EntityEvidence {
-                entity_id,
-                review_count: 0,
-                review_tags: Vec::new(),
-            });
-            w.entity_slot.insert(entity_id, slot);
-            slot
-        }
-    };
-    w.evidence[slot].review_count += 1;
-    w.evidence[slot].review_tags.extend(tags.iter().cloned());
+) {
+    let slot = w.observe(entity_id, tags);
     let slots = w.evidence.len();
-    let mut touched = Vec::new();
     for (tag, accs) in w.accums.iter_mut() {
         if accs.len() < slots {
             accs.resize(slots, TagAccum::default());
         }
-        let acc = &mut accs[slot];
-        for t in tags {
-            let sim = similarity.tag_similarity(tag, t);
-            if sim > config.theta_index {
-                acc.sum += sim;
-                acc.n += 1;
-            }
-        }
-        if acc.n > 0 {
-            touched.push(tag.clone());
-        }
+        accs[slot].fold(tag, tags, similarity, config);
     }
-    touched
 }
 
-/// Recompute one tag's posting list from its accumulator column —
+/// Fold one review in and splice the reviewed entity's entry into every
+/// posting list it changes. One lockstep pass over the accumulator and
+/// posting maps: wherever the entity's fold has matches after the
+/// review, its degree inputs (fold, review count, total tag count)
+/// changed, so its entry moves. Returns how many lists were spliced.
+fn splice_review(
+    w: &mut Writer,
+    entity_id: usize,
+    tags: &[SubjectiveTag],
+    similarity: &ConceptualSimilarity,
+    config: &IndexConfig,
+) -> usize {
+    let slot = w.observe(entity_id, tags);
+    let slots = w.evidence.len();
+    let (review_count, total_tags) = (
+        w.evidence[slot].review_count,
+        w.evidence[slot].review_tags.len(),
+    );
+    let mut spliced = 0;
+    for ((tag, accs), (column_tag, column)) in w.accums.iter_mut().zip(w.entries.iter_mut()) {
+        debug_assert_eq!(tag, column_tag, "accumulator and posting maps diverged");
+        if accs.len() < slots {
+            accs.resize(slots, TagAccum::default());
+        }
+        let acc = &mut accs[slot];
+        acc.fold(tag, tags, similarity, config);
+        if acc.n == 0 {
+            continue;
+        }
+        let entry = IndexEntry {
+            entity_id,
+            degree_of_truth: degree_value(
+                config.degree_formula,
+                acc.sum,
+                acc.n as usize,
+                review_count,
+                total_tags,
+            ),
+            normalized: 0.0,
+        };
+        splice(column, entry, slot, &w.entity_slot);
+        spliced += 1;
+    }
+    spliced
+}
+
+/// Move `entry`'s entity to where [`finalize_postings`] would put it in
+/// `column`: degree descending by `total_cmp`, ties in evidence-slot
+/// order (the stable sort's), so entities with bitwise-equal degrees,
+/// and only those, are ordered through `entity_slot`. `column` is
+/// finalized and holds at most one entry for the entity (none on its
+/// first match). A column shared with published snapshots is copied
+/// once and the entries between the old and new positions shift by one;
+/// the snapshots keep the old column. Normalized values are rescaled
+/// across the list only when the bits of its maximum changed.
+fn splice(
+    column: &mut Arc<[IndexEntry]>,
+    entry: IndexEntry,
+    slot: usize,
+    entity_slot: &BTreeMap<usize, usize>,
+) {
+    let degree = entry.degree_of_truth;
+    let old_max = column.first().map(|e| e.degree_of_truth.to_bits());
+    // Everything before `at` sorts before `entry`. The entity's old
+    // entry compares consistently with its neighbours, so the column is
+    // partitioned with it in place.
+    let at = column.partition_point(|e| match e.degree_of_truth.total_cmp(&degree) {
+        Ordering::Greater => true,
+        Ordering::Less => false,
+        Ordering::Equal => entity_slot[&e.entity_id] < slot,
+    });
+    let moved = match column.iter().position(|e| e.entity_id == entry.entity_id) {
+        Some(old) => {
+            let entries = Arc::make_mut(column);
+            if old < at {
+                entries.copy_within(old + 1..at, old);
+                at - 1
+            } else {
+                entries.copy_within(at..old, at + 1);
+                at
+            }
+        }
+        None => {
+            let mut entries = Vec::with_capacity(column.len() + 1);
+            entries.extend_from_slice(&column[..at]);
+            entries.push(entry);
+            entries.extend_from_slice(&column[at..]);
+            *column = entries.into();
+            at
+        }
+    };
+    // Unshared by now: no further copy.
+    let entries = Arc::make_mut(column);
+    entries[moved] = entry;
+    let max = entries[0].degree_of_truth;
+    let scale = |d: f32| if max > 0.0 { d / max } else { 0.0 };
+    if old_max == Some(max.to_bits()) {
+        entries[moved].normalized = scale(degree);
+    } else {
+        for e in entries.iter_mut() {
+            e.normalized = scale(e.degree_of_truth);
+        }
+    }
+}
+
+/// Compute one tag's posting list from its accumulator column —
 /// entities in first-seen order, shared [`degree_value`] /
 /// [`finalize_postings`] math, hence bitwise equal to
-/// `SubjectiveIndex::build_postings` over the same evidence.
+/// `SubjectiveIndex::build_postings` over the same evidence. Used where
+/// a whole list is new: [`LiveIndex::add_tags`] and recovery.
 fn postings_from_accums(
     accs: &[TagAccum],
     evidence: &[EntityEvidence],
@@ -253,8 +383,7 @@ fn postings_from_accums(
 }
 
 /// Build a fresh accumulator column for a newly added index tag by
-/// folding every entity's review tags in order (the same fold
-/// `SubjectiveIndex::degree_of_truth` performs).
+/// folding every entity's review tags in order.
 fn accum_column(
     evidence: &[EntityEvidence],
     tag: &SubjectiveTag,
@@ -265,13 +394,7 @@ fn accum_column(
         .iter()
         .map(|ev| {
             let mut acc = TagAccum::default();
-            for t in &ev.review_tags {
-                let sim = similarity.tag_similarity(tag, t);
-                if sim > config.theta_index {
-                    acc.sum += sim;
-                    acc.n += 1;
-                }
-            }
+            acc.fold(tag, &ev.review_tags, similarity, config);
             acc
         })
         .collect()
@@ -329,8 +452,7 @@ impl LiveIndex {
             }
             for segment in &loaded.segments {
                 for record in segment.records() {
-                    let _ =
-                        apply_review(&mut w, record.entity_id, &record.tags, &similarity, &config);
+                    apply_review(&mut w, record.entity_id, &record.tags, &similarity, &config);
                     w.ingested += 1;
                 }
             }
@@ -397,6 +519,7 @@ impl LiveIndex {
 
     /// Publish the writer's current state as a fresh immutable snapshot.
     fn publish_locked(&self, w: &Writer) {
+        let _span = saccs_obs::span!("index.ingest.publish");
         let snapshot = LiveSnapshot::of(w, &self.similarity, &self.config, &self.pending);
         *self.published.write() = Arc::new(snapshot);
     }
@@ -405,6 +528,7 @@ impl LiveIndex {
     /// injected fault defers the seal and the mem-segment keeps
     /// growing) and, with a store, persist + commit the durable prefix.
     fn seal_locked(&self, w: &mut Writer) -> bool {
+        let _span = saccs_obs::span!("index.ingest.seal");
         if saccs_fault::failpoint!("index.seal").is_err() {
             saccs_obs::counter!("index.ingest.seal_deferred").inc();
             return false;
@@ -433,6 +557,7 @@ impl LiveIndex {
         let Some(store) = &self.store else {
             return Ok(());
         };
+        let _span = saccs_obs::span!("index.ingest.persist");
         let mut first_err = None;
         for (segment, persisted) in w.sealed.iter_mut() {
             if *persisted {
@@ -490,6 +615,7 @@ impl LiveIndex {
     /// live and the merged file an unreferenced orphan (swept at the
     /// next commit).
     pub fn compact_now(&self) -> Result<bool, StoreError> {
+        let _span = saccs_obs::span!("index.ingest.compact");
         let mut w = self.writer.lock();
         if w.sealed.len() < 2 {
             return Ok(false);
@@ -530,10 +656,17 @@ impl LiveIndex {
     }
 
     /// Ingest one review: assign it the next global seq, extend the
-    /// entity's evidence and every index tag's partial fold, recompute
-    /// the touched posting lists, and publish a fresh snapshot. Seals
+    /// entity's evidence and every index tag's partial fold, splice the
+    /// entity's recomputed entry into each posting list where it has
+    /// evidence (a fresh column per changed list, copied from the old one
+    /// with that one entry moved), and publish a fresh snapshot. Seals
     /// (and persists) the mem-segment when it reaches `seal_every`, and
     /// triggers compaction when the sealed count reaches `max_segments`.
+    ///
+    /// The parts are timed as spans: `index.ingest` around the call,
+    /// `index.ingest.apply` (fold and splice), `index.ingest.seal`,
+    /// `index.ingest.persist`, `index.ingest.publish` and
+    /// `index.ingest.compact`. None is a request-trace stage.
     ///
     /// `entity_id` is assumed to be the entity's position in the served
     /// catalog, so ids stay small and dense: fallback probes allocate an
@@ -541,6 +674,7 @@ impl LiveIndex {
     /// postings. Nothing here checks it; `saccs-serve` rejects ids
     /// outside its entity table before admission.
     pub fn add_review(&self, entity_id: usize, tags: &[SubjectiveTag]) -> IngestReceipt {
+        let _span = saccs_obs::span!("index.ingest");
         let mut w = self.writer.lock();
         let seq = w.next_seq;
         w.next_seq += 1;
@@ -550,15 +684,12 @@ impl LiveIndex {
             entity_id,
             tags: tags.to_vec(),
         });
-        let touched = apply_review(&mut w, entity_id, tags, &self.similarity, &self.config);
-        for tag in touched {
-            let postings = match w.accums.get(&tag) {
-                Some(accs) => postings_from_accums(accs, &w.evidence, &self.config),
-                None => Vec::new(),
-            };
-            w.entries.insert(tag, postings.into());
-        }
+        let spliced = {
+            let _apply = saccs_obs::span!("index.ingest.apply");
+            splice_review(&mut w, entity_id, tags, &self.similarity, &self.config)
+        };
         saccs_obs::counter!("index.ingest.reviews").inc();
+        saccs_obs::counter!("index.ingest.spliced").add(spliced as u64);
         let sealed = self.live.seal_every > 0
             && w.mem.len() >= self.live.seal_every
             && self.seal_locked(&mut w);
@@ -760,6 +891,114 @@ mod tests {
 
     fn index_tags() -> Vec<SubjectiveTag> {
         TAGS.iter().map(|(o, a)| tag(o, a)).collect()
+    }
+
+    /// A column as `(entity, degree bits, normalized bits)` in order.
+    fn column_bits(column: &[IndexEntry]) -> Vec<(usize, u32, u32)> {
+        column
+            .iter()
+            .map(|e| {
+                (
+                    e.entity_id,
+                    e.degree_of_truth.to_bits(),
+                    e.normalized.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// Every writer column is bitwise the list a from-scratch finalize
+    /// computes over the writer's own accumulators and evidence.
+    fn assert_columns_match_finalize(live: &LiveIndex) {
+        let w = live.writer.lock();
+        assert_eq!(w.accums.len(), w.entries.len());
+        for (tag, accs) in &w.accums {
+            let want = postings_from_accums(accs, &w.evidence, &live.config);
+            assert_eq!(
+                column_bits(&w.entries[tag]),
+                column_bits(&want),
+                "column {tag:?}"
+            );
+        }
+    }
+
+    /// A small palette with near-synonyms and exact repeats, so reviews
+    /// of different entities often fold to bitwise-equal degrees.
+    const OPINIONS: [&str; 4] = ["good", "delicious", "nice", "friendly"];
+    const ASPECTS: [&str; 3] = ["food", "staff", "waiters"];
+
+    fn palette(picks: &[(usize, usize)]) -> Vec<SubjectiveTag> {
+        picks
+            .iter()
+            .map(|&(o, a)| tag(OPINIONS[o], ASPECTS[a]))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        #[test]
+        fn spliced_columns_equal_a_from_scratch_finalize(
+            early_tags in proptest::collection::vec((0..4usize, 0..3usize), 1..5),
+            late_tags in proptest::collection::vec((0..4usize, 0..3usize), 0..3),
+            stream in proptest::collection::vec(
+                (0..12usize, proptest::collection::vec((0..4usize, 0..3usize), 0..5)),
+                1..41,
+            ),
+            seal_every in 1..5usize,
+        ) {
+            let live = LiveIndex::new(
+                sim(),
+                IndexConfig::default(),
+                LiveConfig {
+                    seal_every,
+                    max_segments: 2,
+                },
+            );
+            live.add_tags(&palette(&early_tags));
+            for (i, (entity, review)) in stream.iter().enumerate() {
+                if i == stream.len() / 2 {
+                    live.add_tags(&palette(&late_tags));
+                }
+                live.add_review(*entity, &palette(review));
+                assert_columns_match_finalize(&live);
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_parts_record_their_spans() {
+        let samples = |name: &str| saccs_obs::registry().histogram(name).count();
+        let parts = [
+            "index.ingest",
+            "index.ingest.apply",
+            "index.ingest.seal",
+            "index.ingest.persist",
+            "index.ingest.publish",
+        ];
+        let dir = temp_dir("spans");
+        let live = LiveIndex::open(
+            &dir,
+            sim(),
+            IndexConfig::default(),
+            LiveConfig {
+                seal_every: 1,
+                max_segments: 0,
+            },
+        )
+        .unwrap();
+        live.add_tags(&index_tags());
+        // Span timing is process-wide: other tests may add samples while
+        // it is on, so only the rise is asserted.
+        let before: Vec<u64> = parts.iter().map(|p| samples(p)).collect();
+        saccs_obs::set_enabled(true);
+        let receipt = live.add_review(0, &[tag("good", "food")]);
+        saccs_obs::set_enabled(false);
+        assert!(receipt.sealed);
+        for (part, before) in parts.iter().zip(before) {
+            assert!(samples(part) > before, "{part} recorded no sample");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

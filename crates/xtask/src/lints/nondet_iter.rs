@@ -7,14 +7,17 @@
 //! index build, a vocabulary, a score or a pairing can reorder
 //! floating-point reductions or id assignment between runs — the bug is
 //! invisible until two runs disagree. The pass tracks hash-container
-//! `let` bindings per scope, and hash-container fn parameters
+//! `let` bindings per scope, hash-container fn parameters
 //! (`NAME: [&][mut] [path::]HashMap<…>` or `HashSet<…>`) for the body of
-//! their fn, and flags iteration over them (`for … in`,
+//! their fn, and hash-container struct fields (`NAME: [path::]HashMap<…>`
+//! or `HashSet<…>`, bare or inside one `Arc`, `Rc` or `Box`) declared in
+//! the same file, and flags iteration over them (`for … in`,
 //! `.iter()`/`.keys()`/`.values()`/`.drain()`/`.into_iter()`, and the
-//! `HashSet` set-algebra iterators). Keyed lookups (`get`/`insert`/
-//! `entry`/`contains_key`) are order-free and never fire. Struct fields
-//! are not tracked, so `self.map.iter()` over a hash-container field
-//! passes. Use `BTreeMap`/`BTreeSet`, or sort before consuming.
+//! `HashSet` set-algebra iterators; a field as `<expr>.NAME`). Keyed
+//! lookups (`get`/`insert`/`entry`/`contains_key`) are order-free and
+//! never fire. A field behind a `Mutex` or `RefCell` is reached only
+//! through a lock or borrow call, which the pass does not follow, so it
+//! stays untracked. Use `BTreeMap`/`BTreeSet`, or sort before consuming.
 
 use super::{Lint, Violation};
 use crate::scan::{is_ident, is_punct, matching_close, seq, SourceFile, Token, TokenKind};
@@ -35,6 +38,9 @@ const SCOPED: [&str; 9] = [
 ];
 
 const CONTAINERS: [&str; 2] = ["HashMap", "HashSet"];
+
+/// Owning pointers a tracked struct field may wrap its container in.
+const WRAPPERS: [&str; 3] = ["Arc", "Rc", "Box"];
 
 /// Methods that yield elements in hash order.
 const ITER_METHODS: [&str; 10] = [
@@ -66,6 +72,7 @@ impl Lint for NondetIteration {
         // Hash-container parameters waiting for their fn body's `{`.
         let mut params: Vec<(usize, String)> = Vec::new();
         let t = &file.tokens;
+        let fields = hash_fields(t);
 
         for i in 0..t.len() {
             if t[i].in_test {
@@ -98,7 +105,21 @@ impl Lint for NondetIteration {
                 continue;
             }
 
-            // `for … in [&]NAME {` — consuming the container directly.
+            // `<expr>.FIELD.method(` on a hash-container field.
+            if is_punct(&t[i], '.')
+                && t.get(i + 1)
+                    .is_some_and(|n| n.kind == TokenKind::Ident && fields.contains(&n.text))
+                && t.get(i + 2).is_some_and(|n| is_punct(n, '.'))
+                && t.get(i + 3)
+                    .is_some_and(|m| ITER_METHODS.iter().any(|im| is_ident(m, im)))
+                && t.get(i + 4).is_some_and(|n| is_punct(n, '('))
+            {
+                out.push(self.violation(file, i + 1, &t[i + 1].text, &t[i + 3].text));
+                continue;
+            }
+
+            // `for … in [&[mut]] NAME {` or `… in [&[mut]] <expr>.FIELD {`
+            // — consuming the container directly.
             if is_ident(&t[i], "in") {
                 let mut j = i + 1;
                 while t
@@ -107,10 +128,22 @@ impl Lint for NondetIteration {
                 {
                     j += 1;
                 }
-                if t.get(j).is_some_and(|n| {
-                    n.kind == TokenKind::Ident && tracked.iter().any(|(nm, _)| nm == &n.text)
-                }) && t.get(j + 1).is_some_and(|n| is_punct(n, '{'))
+                let start = j;
+                while t.get(j).is_some_and(|n| n.kind == TokenKind::Ident)
+                    && t.get(j + 1).is_some_and(|n| is_punct(n, '.'))
+                    && t.get(j + 2).is_some_and(|n| n.kind == TokenKind::Ident)
                 {
+                    j += 2;
+                }
+                let consumed = t.get(j).is_some_and(|n| {
+                    n.kind == TokenKind::Ident
+                        && if j == start {
+                            tracked.iter().any(|(nm, _)| nm == &n.text)
+                        } else {
+                            fields.contains(&n.text)
+                        }
+                });
+                if consumed && t.get(j + 1).is_some_and(|n| is_punct(n, '{')) {
                     out.push(self.violation(file, j, &t[j].text, "for-in"));
                 }
             }
@@ -217,6 +250,72 @@ fn hash_params(t: &[Token], i: usize) -> Option<(usize, Vec<String>)> {
     // The body is the first `{` after the list; a `;` first means none.
     let body = (close + 1..t.len()).find(|&k| is_punct(&t[k], '{') || is_punct(&t[k], ';'))?;
     is_punct(&t[body], '{').then_some((body, names))
+}
+
+/// The names of the hash-container fields declared in the file's
+/// non-test struct bodies: `NAME: [path::]HashMap<…>` or `HashSet<…>`,
+/// bare or inside one [`WRAPPERS`] pointer.
+fn hash_fields(t: &[Token]) -> Vec<String> {
+    let mut fields = Vec::new();
+    for i in 0..t.len() {
+        if t[i].in_test || !is_ident(&t[i], "struct") {
+            continue;
+        }
+        // The body is the first `{` after the name and generics; a `;`
+        // or `(` first means a unit or tuple struct.
+        let Some(open) = (i + 1..t.len())
+            .find(|&k| is_punct(&t[k], '{') || is_punct(&t[k], ';') || is_punct(&t[k], '('))
+        else {
+            continue;
+        };
+        if !is_punct(&t[open], '{') {
+            continue;
+        }
+        let Some(close) = matching_close(t, open) else {
+            continue;
+        };
+        // Field names are the `NAME:` at the top of the body: attributes,
+        // visibility scopes and generic arguments all nest deeper.
+        let mut nesting = 0usize;
+        for j in open + 1..close {
+            let tok = &t[j];
+            if is_punct(tok, '(') || is_punct(tok, '[') || is_punct(tok, '<') {
+                nesting += 1;
+            } else if is_punct(tok, ')')
+                || is_punct(tok, ']')
+                || (is_punct(tok, '>') && !is_punct(&t[j - 1], '-'))
+            {
+                nesting = nesting.saturating_sub(1);
+            }
+            let named = nesting == 0
+                && tok.kind == TokenKind::Ident
+                && t.get(j + 1).is_some_and(|n| is_punct(n, ':'))
+                && !t.get(j + 2).is_some_and(|n| is_punct(n, ':'));
+            if named && hash_field_type(t, j + 2) {
+                fields.push(tok.text.clone());
+            }
+        }
+    }
+    fields
+}
+
+/// Whether the type at `t[k]` is a hash container, bare or as the one
+/// argument of an `Arc`, `Rc` or `Box` (each possibly path-qualified).
+fn hash_field_type(t: &[Token], k: usize) -> bool {
+    if hash_path(t, k) {
+        return true;
+    }
+    let mut last = k;
+    while t.get(last + 1).is_some_and(|n| is_punct(n, ':'))
+        && t.get(last + 2).is_some_and(|n| is_punct(n, ':'))
+        && t.get(last + 3).is_some_and(|n| n.kind == TokenKind::Ident)
+    {
+        last += 3;
+    }
+    t.get(last)
+        .is_some_and(|seg| WRAPPERS.iter().any(|w| is_ident(seg, w)))
+        && t.get(last + 1).is_some_and(|n| is_punct(n, '<'))
+        && hash_path(t, last + 2)
 }
 
 /// Whether the path starting at `t[k]` names a hash container followed
@@ -366,6 +465,55 @@ mod tests {
              }\n\
              fn g(m: &BTreeMap<u32, u32>) {\n\
              \x20   for (k, v) in m.iter() { black_box(k, v); }\n\
+             }\n",
+        );
+        assert!(v.is_empty(), "unexpected: {v:?}");
+    }
+
+    #[test]
+    fn fires_on_hash_fields_iterated_either_way() {
+        let v = run_on(
+            "pub struct Store {\n\
+             \x20   pub(crate) weights: HashMap<String, f32>,\n\
+             \x20   seen: std::sync::Arc<std::collections::HashSet<u32>>,\n\
+             }\n\
+             impl Store {\n\
+             \x20   fn total(&self) -> f32 {\n\
+             \x20       let mut sum = 0.0;\n\
+             \x20       for (_, w) in self.weights.iter() { sum += w; }\n\
+             \x20       for (_, w) in &self.weights { sum += w; }\n\
+             \x20       sum + self.seen.iter().count() as f32\n\
+             \x20   }\n\
+             }\n",
+        );
+        assert_eq!(v.len(), 3, "unexpected: {v:?}");
+        assert_eq!(v[0].line, 8, ".iter() over the map field");
+        assert!(v[0].message.contains("`weights`") && v[0].message.contains("iter"));
+        assert_eq!(v[1].line, 9, "for-in over the map field");
+        assert!(v[1].message.contains("`weights`") && v[1].message.contains("for-in"));
+        assert_eq!(v[2].line, 10, ".iter() over the Arc-wrapped set field");
+        assert!(v[2].message.contains("`seen`"));
+    }
+
+    #[test]
+    fn quiet_on_keyed_access_to_hash_fields_and_ordered_or_locked_fields() {
+        let v = run_on(
+            "struct Store {\n\
+             \x20   weights: HashMap<String, f32>,\n\
+             \x20   ordered: BTreeMap<u32, u32>,\n\
+             \x20   guarded: Mutex<HashMap<u32, u32>>,\n\
+             }\n\
+             impl Store {\n\
+             \x20   fn f(&mut self, k: &str) -> f32 {\n\
+             \x20       self.weights.insert(k.to_string(), 1.0);\n\
+             \x20       let hit = self.weights.get(k).copied().unwrap_or(0.0);\n\
+             \x20       let known = self.weights.contains_key(k);\n\
+             \x20       let n = self.weights.len();\n\
+             \x20       for (a, b) in self.ordered.iter() { black_box(a, b); }\n\
+             \x20       for (a, b) in &self.ordered { black_box(a, b); }\n\
+             \x20       black_box(self.guarded.lock().iter().count(), known, n);\n\
+             \x20       hit\n\
+             \x20   }\n\
              }\n",
         );
         assert!(v.is_empty(), "unexpected: {v:?}");
