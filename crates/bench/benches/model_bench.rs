@@ -29,7 +29,7 @@ fn bench_models(c: &mut Criterion) {
 
     c.bench_function("bert/encode_sentence", |b| {
         let ids = bert.ids(&sentence.tokens);
-        b.iter(|| bert.encode_frozen(&ids))
+        b.iter(|| bert.encode(&ids).value_clone())
     });
 
     let mut rng = StdRng::seed_from_u64(2);

@@ -177,12 +177,7 @@ impl SaccsBuilder {
         // 5: the pairing pipeline (dev = a slice of the tagging data;
         // spans itself as `pairing.fit`).
         let dev: Vec<_> = tagging_data.test.iter().take(60).cloned().collect();
-        let pairing = PairingPipeline::fit(
-            bert.clone(),
-            &tagging_data.train,
-            &dev,
-            self.pipeline.clone(),
-        );
+        let pairing = PairingPipeline::fit(bert, &tagging_data.train, &dev, self.pipeline.clone());
 
         let extractor = TagExtractor::new(tagger, pairing, Lexicon::new(Domain::Restaurants));
 
@@ -193,16 +188,6 @@ impl SaccsBuilder {
         );
         {
             let _extract = saccs_obs::span!("build.extract_reviews");
-            // Warm the whole corpus's frozen features in one deduped,
-            // pool-parallel batch: review sentences repeat heavily (the
-            // generators reuse templates), so the per-sentence extraction
-            // below hits the encoder memo instead of re-running forwards.
-            let all_sentences: Vec<Vec<String>> = corpus
-                .reviews
-                .iter()
-                .flat_map(|r| r.sentences.iter().map(|s| s.tokens.clone()))
-                .collect();
-            extractor.warm_features(&all_sentences);
             for entity in &corpus.entities {
                 let review_ids = corpus.reviews_of(entity.id);
                 let mut review_tags = Vec::new();
@@ -227,7 +212,6 @@ impl SaccsBuilder {
 
         TrainedSaccs {
             service: SaccsService::new(index, extractor, self.service.clone()),
-            bert,
         }
     }
 }
@@ -235,10 +219,6 @@ impl SaccsBuilder {
 /// The result of a full build.
 pub struct TrainedSaccs {
     pub service: SaccsService,
-    /// The trained encoder, exposed so callers can reuse it for further
-    /// components (embedding-similarity ablations, additional taggers)
-    /// without retraining; the service holds its own `Rc` clones.
-    pub bert: Rc<MiniBert>,
 }
 
 impl TrainedSaccs {

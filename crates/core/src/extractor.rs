@@ -1,16 +1,20 @@
 //! The subjective-tag extraction pipeline (Figure 2: tagging → pairing).
 
-use saccs_pairing::PairingPipeline;
-use saccs_tagger::Tagger;
+use saccs_pairing::{FrozenPairer, PairingPipeline};
+use saccs_tagger::{FrozenTagger, Tagger};
+use saccs_text::iob::spans_from_tags;
 use saccs_text::sentence::split_sentences;
 use saccs_text::{tokenize_lower, Lexicon, Span, SpanKind, SubjectiveTag};
+use std::sync::Arc;
 
 /// Extracts subjective tags from free text by tagging aspect/opinion spans
 /// (§4) and pairing them (§5). This is the `extract_tags` function of
-/// Algorithm 1 and the extractor box of Figure 1.
+/// Algorithm 1 and the extractor box of Figure 1. Its models are frozen
+/// off the autograd tape, so one `Send + Sync` instance serves every
+/// thread.
 pub struct TagExtractor {
-    tagger: Tagger,
-    pairing: PairingPipeline,
+    tagger: FrozenTagger,
+    pairing: FrozenPairer,
     /// The gazetteer behind span repair and the dictionary fallback.
     lexicon: Lexicon,
 }
@@ -24,11 +28,20 @@ impl TagExtractor {
     /// neural-tagger failure of fusing an adjacent opinion+aspect bigram
     /// ("delicious food") into one span. A sentence the neural pipeline
     /// extracts nothing from falls back to dictionary matching over the
-    /// same lexicon.
+    /// same lexicon. The taped models are frozen and dropped; the tagger
+    /// and the pairer share one frozen encoder when they were trained over
+    /// the same one.
     pub fn new(tagger: Tagger, pairing: PairingPipeline, lexicon: Lexicon) -> Self {
+        let bert = Arc::new(tagger.bert().freeze());
+        let pairer = pairing.discriminative_model();
+        let pair_bert = if std::ptr::eq(pairer.bert(), tagger.bert()) {
+            Arc::clone(&bert)
+        } else {
+            Arc::new(pairer.bert().freeze())
+        };
         TagExtractor {
-            tagger,
-            pairing,
+            tagger: FrozenTagger::new(bert, tagger.model().freeze()),
+            pairing: pairer.freeze(pair_bert),
             lexicon,
         }
     }
@@ -170,25 +183,29 @@ impl TagExtractor {
         out
     }
 
-    pub fn tagger(&self) -> &Tagger {
+    pub fn tagger(&self) -> &FrozenTagger {
         &self.tagger
     }
 
-    pub fn pairing(&self) -> &PairingPipeline {
+    pub fn pairing(&self) -> &FrozenPairer {
         &self.pairing
     }
 
-    /// The gazetteer behind span repair and the dictionary fallback.
-    pub fn lexicon(&self) -> &Lexicon {
-        &self.lexicon
+    /// Inert, `f(self)`: every thread shares this one `Sync` extractor.
+    /// Kept so existing callers compile.
+    pub fn with_replica<R>(&self, f: impl FnOnce(&TagExtractor) -> R) -> R {
+        f(self)
     }
 
-    /// Extract subjective tags from one sentence's tokens.
+    /// Extract subjective tags from one sentence's tokens. The sentence
+    /// is encoded once; the tagger and the pairer read the same features.
     pub fn extract_from_tokens(&self, tokens: &[String]) -> Vec<SubjectiveTag> {
         if tokens.is_empty() {
             return Vec::new();
         }
-        let spans = self.repair(tokens, self.tagger.extract_spans(tokens));
+        let features = self.tagger.bert().features(tokens);
+        let tags = self.tagger.model().predict(&features);
+        let spans = self.repair(tokens, spans_from_tags(&tags));
         let aspects: Vec<Span> = spans
             .iter()
             .filter(|s| s.kind == SpanKind::Aspect)
@@ -204,7 +221,7 @@ impl TagExtractor {
         }
         let tags: Vec<SubjectiveTag> = self
             .pairing
-            .pair_spans(tokens, &aspects, &opinions)
+            .pair_spans_with(&features, tokens, &aspects, &opinions)
             .into_iter()
             .map(|(a, o)| SubjectiveTag::new(&o.text(tokens), &a.text(tokens)))
             // Spans over punctuation-only tokens normalize to empty parts;
@@ -219,33 +236,17 @@ impl TagExtractor {
         tags
     }
 
-    /// Batch-warm the encoder's frozen-feature memo for `sentences`:
-    /// deduped and fanned out across the `saccs-rt` pool by
-    /// `MiniBert::features_batch`, so the per-sentence tagging that
-    /// follows serves every forward from the cache. A no-op for zero or
-    /// one (non-empty) sentences — nothing to batch.
-    pub fn warm_features(&self, sentences: &[Vec<String>]) {
-        let non_empty: Vec<Vec<String>> = sentences
-            .iter()
-            .filter(|t| !t.is_empty())
-            .cloned()
-            .collect();
-        if non_empty.len() > 1 {
-            let _ = self.tagger.bert().features_batch(&non_empty);
-        }
-    }
+    /// Inert: extraction encodes each sentence once and keeps no memo to
+    /// warm. Kept so existing callers compile.
+    pub fn warm_features(&self, _sentences: &[Vec<String>]) {}
 
     /// Extract subjective tags from free text (reviews or utterances):
-    /// sentence-split, tokenize, batch the tagger's feature forwards,
-    /// then tag and pair per sentence.
+    /// sentence-split, tokenize, then tag and pair per sentence.
     pub fn extract(&self, text: &str) -> Vec<SubjectiveTag> {
-        let sentences = sentence_tokens(text);
-        self.warm_features(&sentences);
-        let mut out = Vec::new();
-        for tokens in &sentences {
-            out.extend(self.extract_from_tokens(tokens));
-        }
-        out
+        sentence_tokens(text)
+            .iter()
+            .flat_map(|tokens| self.extract_from_tokens(tokens))
+            .collect()
     }
 
     /// Fallible [`TagExtractor::extract`] behind the `algo1.extract`
@@ -258,9 +259,8 @@ impl TagExtractor {
 }
 
 /// The exact sentence-splitting + tokenization [`TagExtractor::extract`]
-/// performs on an utterance, exposed so a serving front end can
-/// pre-tokenize *several* queued requests and warm the encoder memo
-/// across all of them in one [`TagExtractor::warm_features`] batch.
+/// performs on an utterance, exposed so callers can run (or time) the
+/// per-sentence stages themselves.
 pub fn sentence_tokens(text: &str) -> Vec<Vec<String>> {
     split_sentences(text)
         .into_iter()
@@ -374,6 +374,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn pool_threads_extract_identically() {
+        const PROBES: [&str; 3] = [
+            "the food is delicious and the staff is friendly",
+            "I want a cozy place with a great atmosphere",
+            "somewhere with tasty pizza and quick service",
+        ];
+        let ex = tiny_extractor();
+        let expected: Vec<_> = PROBES.iter().map(|p| ex.extract(p)).collect();
+        // Widen the pool so the probes run on its worker threads, all
+        // reading the one shared extractor.
+        saccs_rt::set_threads(saccs_rt::threads().max(2));
+        let results: Vec<Vec<_>> =
+            saccs_rt::parallel_map(PROBES.len(), 1, |i| ex.extract(PROBES[i]));
+        assert_eq!(results, expected, "pool threads diverged");
     }
 
     #[test]

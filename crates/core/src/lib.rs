@@ -39,8 +39,6 @@ pub mod resilient;
 pub mod search_api;
 /// Algorithm 1: subjective filtering and ranking.
 pub mod service;
-/// Cross-thread extractor sharing (blueprint + per-thread replicas).
-pub mod shared_extractor;
 
 /// Build a fully trained SACCS stack from a corpus.
 pub use builder::{SaccsBuilder, TrainedSaccs};
@@ -67,5 +65,3 @@ pub use saccs_query::{Filter, FilterExpr};
 pub use search_api::SearchApi;
 /// The ranking service and its configuration.
 pub use service::{Aggregation, SaccsConfig, SaccsService};
-/// `Send + Sync` extractor blueprint with per-thread replicas.
-pub use shared_extractor::SharedExtractor;

@@ -22,9 +22,9 @@
 //! true live elsewhere — the index records probe history behind a
 //! mutex (a live backend's snapshots all share one), the stage breakers
 //! are lock-free atomics
-//! ([`saccs_fault::SharedBreaker`]), and the (non-`Sync`) neural
-//! extractor is shared as a [`crate::SharedExtractor`] blueprint with
-//! bitwise-identical per-thread replicas. The canonical entry point is
+//! ([`saccs_fault::SharedBreaker`]), and the neural extractor holds its
+//! trained models frozen off the autograd tape, so every thread reads
+//! the one [`TagExtractor`]. The canonical entry point is
 //! [`SaccsService::rank_request`] over a [`RankRequest`]; the historical
 //! per-shape methods (`rank`, `rank_utterance`, `rank_with_tags`, …) are
 //! gone — every request shape, including subjective filters, goes
@@ -37,7 +37,6 @@ use crate::resilient::{
     call_with_retry, DeadlineClock, Degradation, DegradeAction, ResilienceConfig, StageBreakers,
 };
 use crate::search_api::SearchApi;
-use crate::shared_extractor::SharedExtractor;
 use saccs_index::{IngestReceipt, LiveIndex, LiveSnapshot, SubjectiveIndex};
 use saccs_query::{compile, CompiledFilter, Filter, JoinOrder};
 use saccs_text::SubjectiveTag;
@@ -102,21 +101,29 @@ pub struct SaccsService {
     /// [`LiveSnapshot`] per request and `self.index` is only the
     /// similarity/config carrier for profile weights.
     live: Option<Arc<LiveIndex>>,
-    extractor: Option<SharedExtractor>,
+    extractor: Option<TagExtractor>,
     config: SaccsConfig,
     resilience: ResilienceConfig,
     breakers: StageBreakers,
 }
 
+// One service behind an `Arc` serves every thread: a field that is not
+// `Send + Sync` (say, a `Var` of the training tape) fails the build here.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<SaccsService>();
+    assert_send_sync::<TagExtractor>();
+    assert_send_sync::<RankRequest>();
+    assert_send_sync::<RankResponse>();
+};
+
 impl SaccsService {
-    /// Build from a populated index and a trained extractor. The
-    /// extractor is adopted into a [`SharedExtractor`] so the service
-    /// can be shared across serving threads.
+    /// Build from a populated index and a trained extractor.
     pub fn new(index: SubjectiveIndex, extractor: TagExtractor, config: SaccsConfig) -> Self {
         SaccsService {
             index,
             live: None,
-            extractor: Some(SharedExtractor::adopt(extractor)),
+            extractor: Some(extractor),
             config,
             resilience: ResilienceConfig::default(),
             breakers: StageBreakers::default(),
@@ -212,10 +219,8 @@ impl SaccsService {
         &mut self.index
     }
 
-    /// The shared extractor blueprint, if this service has one. Serving
-    /// front ends use it to warm per-thread replicas across queued
-    /// requests.
-    pub fn extractor(&self) -> Option<&SharedExtractor> {
+    /// The neural extractor, if this service has one.
+    pub fn extractor(&self) -> Option<&TagExtractor> {
         self.extractor.as_ref()
     }
 
@@ -368,10 +373,10 @@ impl SaccsService {
                             );
                             Vec::new()
                         }
-                        Some(shared) => {
+                        Some(extractor) => {
                             let breaker = &self.breakers.extract;
                             match call_with_retry(Stage::Extract, breaker, &clock, || {
-                                shared.with_replica(|ex| ex.try_extract(utterance))
+                                extractor.try_extract(utterance)
                             }) {
                                 Ok(tags) => tags,
                                 Err(err) => {
@@ -475,8 +480,8 @@ impl SaccsService {
     /// `Err(NoExtractor)` if the service was built
     /// [`SaccsService::index_only`].
     pub fn extract_tags(&self, utterance: &str) -> Result<Vec<SubjectiveTag>, SaccsError> {
-        let shared = self.extractor.as_ref().ok_or(SaccsError::NoExtractor)?;
-        Ok(shared.with_replica(|ex| ex.extract(utterance)))
+        let extractor = self.extractor.as_ref().ok_or(SaccsError::NoExtractor)?;
+        Ok(extractor.extract(utterance))
     }
 
     // ------------------------------------------------------------------
@@ -644,16 +649,6 @@ mod tests {
         });
         idx.index_tags(&[tag("delicious", "food"), tag("nice", "staff")]);
         SaccsService::index_only(idx, SaccsConfig::default())
-    }
-
-    #[test]
-    fn service_is_send_and_sync() {
-        // The whole point of the `&self` migration: one service behind an
-        // `Arc` must be shareable across serving threads.
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SaccsService>();
-        assert_send_sync::<RankRequest>();
-        assert_send_sync::<RankResponse>();
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! The paper uses BERT for three things, all of which MiniBert provides:
 //!
 //! 1. **Contextual embeddings** feeding the BiLSTM-CRF tagger (§4.1,
-//!    Figure 3) — [`MiniBert::encode`] / [`MiniBert::encode_frozen`];
+//!    Figure 3) — [`MiniBert::encode`] / [`MiniBert::features`] on the
+//!    training tape, [`FrozenMiniBert::features`] (from
+//!    [`MiniBert::freeze`]) for inference;
 //! 2. **Domain adaptation** (§4.2): BERT post-trained on restaurant
 //!    reviews understands "la carte" and "a killer" — reproduced by
 //!    [`pretrain::train_mlm`] on a general mixed-domain corpus followed by
@@ -30,6 +32,6 @@ pub mod model;
 pub mod pretrain;
 
 /// The encoder and its hyperparameters.
-pub use model::{MiniBert, MiniBertConfig};
+pub use model::{FrozenMiniBert, MiniBert, MiniBertConfig};
 /// Pretraining entry points.
 pub use pretrain::{build_vocab, eval_mlm, finetune_tagging, general_corpus, train_mlm, MlmConfig};

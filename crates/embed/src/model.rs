@@ -2,12 +2,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saccs_nn::layers::{Embedding, Layer, LayerNorm, Linear, MultiHeadSelfAttention};
+use saccs_nn::layers::{
+    Embedding, FrozenAttention, FrozenLayerNorm, FrozenLinear, Layer, LayerNorm, Linear,
+    MultiHeadSelfAttention,
+};
 use saccs_nn::{Matrix, Var};
 use saccs_text::vocab::{Vocab, CLS};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cap on memoized frozen-feature matrices. The SACCS pipeline re-embeds
 /// the same tag phrases and review sentences thousands of times (degree
@@ -15,11 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// the repeats into clones. At dim 32 and typical sentence lengths this
 /// is a few MiB at the cap.
 const FEATURE_CACHE_CAP: usize = 4096;
-
-/// Distinguishes encoder instances so worker-thread replicas (see
-/// [`MiniBert::parallel_with_replicas`]) never serve weights from a
-/// different model that happens to share a version number.
-static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
 /// Bounded FIFO memo of frozen features keyed by the encoded id sequence.
 #[derive(Default)]
@@ -78,6 +75,37 @@ impl Block {
             .forward(&self.ff1.forward(&self.ln2.forward(&x)).relu());
         x.add(&f)
     }
+
+    fn freeze(&self) -> FrozenBlock {
+        FrozenBlock {
+            attn: self.attn.freeze(),
+            ln1: self.ln1.freeze(),
+            ff1: self.ff1.freeze(),
+            ff2: self.ff2.freeze(),
+            ln2: self.ln2.freeze(),
+        }
+    }
+}
+
+/// A frozen [`Block`].
+struct FrozenBlock {
+    attn: FrozenAttention,
+    ln1: FrozenLayerNorm,
+    ff1: FrozenLinear,
+    ff2: FrozenLinear,
+    ln2: FrozenLayerNorm,
+}
+
+impl FrozenBlock {
+    /// [`Block::forward`]'s ops, in its order, off the tape.
+    fn forward(&self, x: &Matrix) -> Matrix {
+        let a = self.attn.forward(&self.ln1.forward(x));
+        let x = x.add(&a);
+        let f = self
+            .ff2
+            .forward(&self.ff1.forward(&self.ln2.forward(&x)).relu());
+        x.add(&f)
+    }
 }
 
 impl Layer for Block {
@@ -103,13 +131,18 @@ pub struct MiniBert {
     /// Ids of the sequence whose attention matrices are currently stored
     /// in the blocks (see [`MiniBert::ensure_attentions`]).
     attention_key: std::cell::RefCell<Option<Vec<usize>>>,
-    /// Identity of this instance (replica cache key, see
-    /// [`MiniBert::parallel_with_replicas`]).
-    uid: u64,
-    /// Bumped whenever the weights change; invalidates the feature memo
-    /// and any worker-thread replicas.
-    weights_version: Cell<u64>,
     feature_cache: RefCell<FeatureCache>,
+}
+
+/// `[CLS]` followed by each token's id, truncated to `max_len`.
+fn encode_ids(vocab: &Vocab, max_len: usize, tokens: &[String]) -> Vec<usize> {
+    let mut ids = Vec::with_capacity(tokens.len() + 1);
+    ids.push(CLS);
+    for t in tokens {
+        ids.push(vocab.id(t));
+    }
+    ids.truncate(max_len);
+    ids
 }
 
 impl MiniBert {
@@ -130,8 +163,6 @@ impl MiniBert {
             blocks,
             mlm_head,
             attention_key: std::cell::RefCell::new(None),
-            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
-            weights_version: Cell::new(0),
             feature_cache: RefCell::new(FeatureCache::default()),
         }
     }
@@ -151,13 +182,18 @@ impl MiniBert {
     /// Encode token strings to ids, prepending `[CLS]` and truncating to
     /// `max_len`.
     pub fn ids(&self, tokens: &[String]) -> Vec<usize> {
-        let mut ids = Vec::with_capacity(tokens.len() + 1);
-        ids.push(CLS);
-        for t in tokens {
-            ids.push(self.vocab.id(t));
+        encode_ids(&self.vocab, self.config.max_len, tokens)
+    }
+
+    /// The current weights frozen for inference (see [`FrozenMiniBert`]).
+    pub fn freeze(&self) -> FrozenMiniBert {
+        FrozenMiniBert {
+            max_len: self.config.max_len,
+            vocab: self.vocab.clone(),
+            tok_emb: self.tok_emb.table.value_clone(),
+            pos_emb: self.pos_emb.table.value_clone(),
+            blocks: self.blocks.iter().map(Block::freeze).collect(),
         }
-        ids.truncate(self.config.max_len);
-        ids
     }
 
     /// Full differentiable encode: ids → `T×dim` contextual embeddings.
@@ -178,27 +214,23 @@ impl MiniBert {
         x
     }
 
-    /// Encode and detach: a plain matrix of contextual embeddings with no
-    /// graph behind it. This is how the tagger consumes MiniBert (frozen
-    /// feature extractor; the paper fine-tunes full BERT, we freeze for
-    /// tractability — the FGSM perturbation applies to these features
-    /// either way, exactly as in Miyato et al. \[38\]).
-    pub fn encode_frozen(&self, ids: &[usize]) -> Matrix {
-        self.encode(ids).value_clone()
-    }
-
-    /// Convenience: tokens (without `[CLS]`) → frozen features *without*
-    /// the `[CLS]` row, aligned 1:1 with the input tokens.
+    /// Tokens (without `[CLS]`) → frozen features *without* the `[CLS]`
+    /// row, aligned 1:1 with the input tokens: no graph behind them. This
+    /// is how the tagger consumes MiniBert (frozen feature extractor; the
+    /// paper fine-tunes full BERT, we freeze for tractability — the FGSM
+    /// perturbation applies to these features either way, exactly as in
+    /// Miyato et al. \[38\]).
     ///
     /// Results are memoized in a bounded FIFO cache keyed by the encoded
     /// id sequence; the cache is cleared whenever the weights change
-    /// (training, [`MiniBert::load_bytes`]).
+    /// (training, [`MiniBert::load_bytes`]). Serving encodes through
+    /// [`MiniBert::freeze`] instead, with no memo.
     ///
     /// Each cache miss crosses the `embed.features` failpoint, modeling
     /// one round trip to a remote encoder; [`MiniBert::features_batch`]
-    /// crosses its own seam once per *batch*, which is what batched
-    /// warm-up amortizes. The function cannot fail, so an injected error
-    /// here is counted and ignored — only delays are observable.
+    /// crosses its own seam once per *batch*. The function cannot fail,
+    /// so an injected error here is counted and ignored — only delays are
+    /// observable.
     pub fn features(&self, tokens: &[String]) -> Matrix {
         let ids = self.ids(tokens);
         if let Some(hit) = self.feature_cache.borrow().map.get(&ids) {
@@ -209,133 +241,34 @@ impl MiniBert {
             saccs_obs::counter!("fault.ignored.features").inc();
         }
         saccs_obs::counter!("embed.cache.miss").inc();
-        let full = self.encode_frozen(&ids);
+        let full = self.encode(&ids).value_clone();
         let feats = full.slice_rows(1, full.rows());
         self.cache_insert(ids, feats.clone());
         feats
     }
 
-    /// Frozen features for a batch of token sequences, one matrix per
-    /// input, in input order. Cache hits are served directly; each unique
-    /// miss is encoded exactly once, fanned out across the `saccs-rt`
-    /// pool when it is wider than one thread. Replicas carry bit-identical
-    /// weights and the matmul kernel never varies with thread count, so
-    /// the output is bitwise independent of `SACCS_THREADS`.
+    /// [`MiniBert::features`] of each sequence, in input order, fanned out
+    /// across the `saccs-rt` pool over one [`FrozenMiniBert`] shared by
+    /// reference; bitwise independent of `SACCS_THREADS`.
     pub fn features_batch(&self, token_seqs: &[Vec<String>]) -> Vec<Matrix> {
         let _span = saccs_obs::span!("embed.features_batch");
         if saccs_fault::failpoint!("embed.features_batch").is_err() {
             // Degrade instead of failing: the batch fan-out is an
             // optimization, so an injected batch failure falls back to
             // the serial per-sequence path, which produces bitwise
-            // identical features (same weights, same kernel).
+            // identical features.
             saccs_obs::counter!("fault.degraded.features_batch").inc();
             return token_seqs.iter().map(|t| self.features(t)).collect();
         }
-        let keys: Vec<Vec<usize>> = token_seqs.iter().map(|t| self.ids(t)).collect();
-        // Dedupe the misses so repeated sentences cost one forward.
-        let mut miss_keys: Vec<Vec<usize>> = Vec::new();
-        let mut miss_of: HashMap<&[usize], usize> = HashMap::new();
-        {
-            let cache = self.feature_cache.borrow();
-            for key in &keys {
-                if cache.map.contains_key(key) {
-                    saccs_obs::counter!("embed.cache.hit").inc();
-                } else if !miss_of.contains_key(key.as_slice()) {
-                    saccs_obs::counter!("embed.cache.miss").inc();
-                    miss_of.insert(key, miss_keys.len());
-                    miss_keys.push(key.clone());
-                }
-            }
-        }
-        let encoded: Vec<Matrix> = self.parallel_with_replicas(miss_keys.len(), 4, |bert, i| {
-            let full = bert.encode_frozen(&miss_keys[i]);
-            full.slice_rows(1, full.rows())
-        });
-        for (key, feats) in miss_keys.iter().zip(&encoded) {
-            self.cache_insert(key.clone(), feats.clone());
-        }
-        // Serve from the cache but fall back to the freshly encoded list:
-        // a batch larger than the cache cap evicts its own entries. That
-        // includes keys that were *hits* at dedupe time (so they are in
-        // neither the cache nor the miss list); re-encode those serially —
-        // same weights, same kernel, so the output is bitwise identical
-        // to the evicted entry.
-        let served: Vec<Option<Matrix>> = {
-            let cache = self.feature_cache.borrow();
-            keys.iter()
-                .map(|key| {
-                    cache
-                        .map
-                        .get(key)
-                        .cloned()
-                        .or_else(|| miss_of.get(key.as_slice()).map(|&i| encoded[i].clone()))
-                })
-                .collect()
-        };
-        served
-            .into_iter()
-            .zip(&keys)
-            .map(|(m, key)| match m {
-                Some(m) => m,
-                None => {
-                    let full = self.encode_frozen(key);
-                    full.slice_rows(1, full.rows())
-                }
-            })
-            .collect()
-    }
-
-    /// Run `f(replica, i)` for every `i in 0..n`, fanning out across the
-    /// `saccs-rt` pool. Each worker thread lazily rebuilds a private
-    /// replica of this encoder from its serialized weights (keyed by
-    /// instance uid + weights version, so stale replicas are replaced
-    /// after training). Falls back to running `f(self, i)` serially when
-    /// the pool is one thread wide or the batch is below `min_per_task`.
-    /// Results are positional: independent of which thread ran what.
-    pub fn parallel_with_replicas<R, F>(&self, n: usize, min_per_task: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&MiniBert, usize) -> R + Sync,
-    {
-        thread_local! {
-            static REPLICA: RefCell<Option<((u64, u64), MiniBert)>> =
-                const { RefCell::new(None) };
-        }
-        if n == 0 {
-            return Vec::new();
-        }
-        if saccs_rt::threads() == 1 || n <= min_per_task {
-            return (0..n).map(|i| f(self, i)).collect();
-        }
-        let bytes = self.save_bytes();
-        let key = (self.uid, self.weights_version.get());
-        let vocab = &self.vocab;
-        let config = &self.config;
-        saccs_rt::parallel_map(n, min_per_task, |i| {
-            REPLICA.with(|slot| {
-                let mut slot = slot.borrow_mut();
-                let stale = !matches!(&*slot, Some((k, _)) if *k == key);
-                if stale {
-                    let replica = MiniBert::new(vocab.clone(), config.clone());
-                    replica
-                        .load_bytes(&bytes)
-                        .expect("replica rejected weights serialized from the same model");
-                    *slot = Some((key, replica));
-                }
-                match &*slot {
-                    Some((_, replica)) => f(replica, i),
-                    None => unreachable!("replica slot filled above"),
-                }
-            })
+        let frozen = self.freeze();
+        saccs_rt::parallel_map(token_seqs.len(), 4, |i| {
+            frozen.encode_features(&frozen.ids(&token_seqs[i]))
         })
     }
 
-    /// Record that the weights changed: clears the feature memo and
-    /// invalidates worker-thread replicas. Training entry points and
-    /// [`MiniBert::load_bytes`] call this; call it manually after any
-    /// out-of-band parameter mutation through [`Layer::params`].
-    pub fn bump_weights_version(&self) {
-        self.weights_version.set(self.weights_version.get() + 1);
+    /// Record that the weights changed: clears the feature memo. Call it
+    /// after any out-of-band parameter mutation through [`Layer::params`].
+    pub fn weights_changed(&self) {
         let mut cache = self.feature_cache.borrow_mut();
         cache.map.clear();
         cache.order.clear();
@@ -422,8 +355,51 @@ impl MiniBert {
     pub fn load_bytes(&self, bytes: &[u8]) -> Result<(), saccs_nn::CodecError> {
         let state = saccs_nn::decode_state(bytes)?;
         self.load_state(&state);
-        self.bump_weights_version();
+        self.weights_changed();
         Ok(())
+    }
+}
+
+/// A trained [`MiniBert`] frozen for inference: no MLM head, no attention
+/// recording, no memo, so one `Send + Sync` instance serves every thread.
+/// Its features equal [`MiniBert::features`] bit for bit.
+pub struct FrozenMiniBert {
+    max_len: usize,
+    vocab: Vocab,
+    tok_emb: Matrix,
+    pos_emb: Matrix,
+    blocks: Vec<FrozenBlock>,
+}
+
+impl FrozenMiniBert {
+    /// Encode token strings to ids, as [`MiniBert::ids`].
+    pub fn ids(&self, tokens: &[String]) -> Vec<usize> {
+        encode_ids(&self.vocab, self.max_len, tokens)
+    }
+
+    /// [`MiniBert::features`] off the tape. Each call crosses the
+    /// `embed.features` failpoint (a remote encoder's round trip): an
+    /// injected error is counted and ignored; only delays are observable.
+    pub fn features(&self, tokens: &[String]) -> Matrix {
+        let _span = saccs_obs::span!("extract.encode");
+        if saccs_fault::failpoint!("embed.features").is_err() {
+            saccs_obs::counter!("fault.ignored.features").inc();
+        }
+        self.encode_features(&self.ids(tokens))
+    }
+
+    /// Ids (with `[CLS]`) → features without the `[CLS]` row.
+    fn encode_features(&self, ids: &[usize]) -> Matrix {
+        saccs_obs::counter!("embed.forward").inc();
+        let pos: Vec<usize> = (0..ids.len()).collect();
+        let mut x = self
+            .tok_emb
+            .gather_rows(ids)
+            .add(&self.pos_emb.gather_rows(&pos));
+        for b in &self.blocks {
+            x = b.forward(&x);
+        }
+        x.slice_rows(1, x.rows())
     }
 }
 
@@ -541,16 +517,16 @@ mod tests {
     fn save_load_roundtrip() {
         let a = tiny_bert();
         let ids = a.ids(&toks(&["food", "is", "delicious"]));
-        let before = a.encode_frozen(&ids);
+        let before = a.encode(&ids).value_clone();
         let bytes = a.save_bytes();
         // Wreck the weights, then restore.
         use saccs_nn::layers::Layer;
         for p in a.params() {
             p.update_value(|v| *v = v.scale(0.0));
         }
-        assert_ne!(a.encode_frozen(&ids), before);
+        assert_ne!(a.encode(&ids).value_clone(), before);
         a.load_bytes(&bytes).unwrap();
-        assert_eq!(a.encode_frozen(&ids), before);
+        assert_eq!(a.encode(&ids).value_clone(), before);
         // Garbage is rejected.
         assert!(a.load_bytes(b"garbage").is_err());
     }
@@ -566,7 +542,7 @@ mod tests {
         for p in b.params() {
             p.update_value(|v| *v = v.scale(0.0));
         }
-        b.bump_weights_version();
+        b.weights_changed();
         assert_ne!(b.features(&t), first);
     }
 
@@ -576,7 +552,7 @@ mod tests {
         let seqs = vec![
             toks(&["food", "is", "nice"]),
             toks(&["the", "staff"]),
-            toks(&["food", "is", "nice"]), // duplicate: served from memo
+            toks(&["food", "is", "nice"]),
             toks(&["delicious"]),
         ];
         let batch = b.features_batch(&seqs);
@@ -586,32 +562,55 @@ mod tests {
         }
     }
 
+    fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
+        let (r, c) = m.shape();
+        (r, c, m.data().iter().map(|v| v.to_bits()).collect())
+    }
+
     #[test]
-    fn features_batch_survives_cap_eviction_of_dedupe_hits() {
-        let b = tiny_bert();
-        // Prime the cache so this key is a *hit* when the batch dedupes.
-        let hot = toks(&["food", "is", "delicious"]);
-        let expect = b.features(&hot);
-        // More unique misses than the cache cap: the FIFO evicts the hot
-        // entry (and the earliest batch entries) before the serve loop
-        // runs, so the hot key ends up in neither the cache nor the miss
-        // list and must be re-encoded.
+    fn frozen_features_match_taped_bitwise_at_quick_and_paper_shapes() {
+        use rand::Rng;
         let words = ["the", "food", "is", "delicious", "staff", "nice", "."];
-        let mut seqs = vec![hot.clone()];
-        for i in 0..(FEATURE_CACHE_CAP + 8) {
-            let mut n = i;
-            let seq: Vec<String> = (0..5)
-                .map(|_| {
-                    let w = words[n % words.len()].to_string();
-                    n /= words.len();
-                    w
-                })
-                .collect();
-            seqs.push(seq);
+        let mut rng = StdRng::seed_from_u64(5);
+        // 1 token, a typical utterance, and one truncated at max_len.
+        let sentences: Vec<Vec<String>> = [1usize, 12, 70]
+            .iter()
+            .map(|&n| {
+                (0..n)
+                    .map(|_| words[rng.gen_range(0..words.len())].to_string())
+                    .collect()
+            })
+            .collect();
+        // quick() and paper() encoder shapes.
+        for (dim, heads, layers) in [(24, 4, 2), (48, 6, 4)] {
+            let bert = MiniBert::new(
+                tiny_bert().vocab().clone(),
+                MiniBertConfig {
+                    dim,
+                    heads,
+                    layers,
+                    max_len: 48,
+                    seed: 3,
+                },
+            );
+            // Random values in every parameter, norm gains and biases too.
+            for p in bert.params() {
+                let (r, c) = p.shape();
+                p.set_value(Matrix::uniform(r, c, 0.5, &mut rng));
+            }
+            bert.weights_changed();
+            let frozen = bert.freeze();
+            for s in &sentences {
+                let want = bert.features(s);
+                assert_eq!(want.rows(), s.len().min(47));
+                assert_eq!(
+                    bits(&frozen.features(s)),
+                    bits(&want),
+                    "dim {dim}, {} tokens",
+                    s.len()
+                );
+            }
         }
-        let batch = b.features_batch(&seqs);
-        assert_eq!(batch[0], expect);
-        assert_eq!(batch.len(), seqs.len());
     }
 
     #[test]
@@ -619,6 +618,6 @@ mod tests {
         let a = tiny_bert();
         let b = tiny_bert();
         let ids = a.ids(&toks(&["food"]));
-        assert_eq!(a.encode_frozen(&ids), b.encode_frozen(&ids));
+        assert_eq!(a.encode(&ids).value_clone(), b.encode(&ids).value_clone());
     }
 }

@@ -192,7 +192,7 @@ pub fn train_mlm(bert: &MiniBert, sentences: &[Vec<String>], config: &MlmConfig)
                 .set(f64::from(last_epoch_loss));
         }
     }
-    bert.bump_weights_version();
+    bert.weights_changed();
     last_epoch_loss
 }
 
@@ -237,7 +237,7 @@ pub fn finetune_tagging(
         }
         last = total / count.max(1) as f32;
     }
-    bert.bump_weights_version();
+    bert.weights_changed();
     last
 }
 
@@ -245,14 +245,14 @@ pub fn finetune_tagging(
 /// weights (for measuring domain-adaptation gains).
 ///
 /// Each sentence's mask positions derive from `(seed, sentence index)`
-/// and the per-sentence losses are summed in index order, so evaluation
-/// fans out across the `saccs-rt` pool (via per-worker encoder replicas)
-/// with a result that is independent of the thread count.
+/// and the per-sentence losses are summed in index order.
 pub fn eval_mlm(bert: &MiniBert, sentences: &[Vec<String>], mask_prob: f64, seed: u64) -> f32 {
-    let losses = bert.parallel_with_replicas(sentences.len(), 8, |bert, i| {
-        let original = bert.ids(&sentences[i]);
+    let mut total = 0.0;
+    let mut count = 0usize;
+    for (i, tokens) in sentences.iter().enumerate() {
+        let original = bert.ids(tokens);
         if original.len() < 2 {
-            return None;
+            continue;
         }
         let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut masked: Vec<usize> = (1..original.len())
@@ -266,16 +266,10 @@ pub fn eval_mlm(bert: &MiniBert, sentences: &[Vec<String>], mask_prob: f64, seed
             input[p] = MASK;
         }
         let targets: Vec<usize> = masked.iter().map(|&p| original[p]).collect();
-        Some(
-            bert.mlm_logits_rows(&input, &masked)
-                .cross_entropy(&targets)
-                .scalar(),
-        )
-    });
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for loss in losses.into_iter().flatten() {
-        total += loss;
+        total += bert
+            .mlm_logits_rows(&input, &masked)
+            .cross_entropy(&targets)
+            .scalar();
         count += 1;
     }
     total / count.max(1) as f32

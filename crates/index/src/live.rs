@@ -521,7 +521,11 @@ impl LiveIndex {
     fn publish_locked(&self, w: &Writer) {
         let _span = saccs_obs::span!("index.ingest.publish");
         let snapshot = LiveSnapshot::of(w, &self.similarity, &self.config, &self.pending);
-        *self.published.write() = Arc::new(snapshot);
+        // Swap under the lock, drop after it: when no reader still pins
+        // the old snapshot, its teardown would otherwise run while every
+        // `pin()` waits on this lock.
+        let old = std::mem::replace(&mut *self.published.write(), Arc::new(snapshot));
+        drop(old);
     }
 
     /// Seal the mem-segment (behind the `index.seal` failpoint — an

@@ -30,6 +30,11 @@
 /// large products (index build batches, the bench sizes) get packed.
 const BLOCK_MIN_FLOPS: usize = 1_048_576;
 
+/// Whether `m×k · k×n` always runs the zero-skip loop, row by row.
+pub(crate) fn rows_independent(m: usize, k: usize, n: usize) -> bool {
+    m * k * n < BLOCK_MIN_FLOPS
+}
+
 /// `m·k·n` threshold for fanning row blocks out across the pool; under
 /// it the per-scope queue traffic outweighs the win even on wide hosts.
 const PAR_MIN_FLOPS: usize = 2_000_000;

@@ -6,6 +6,10 @@
 //! seeded [`Dropout`]. Each layer exposes its parameters through
 //! [`Layer::params`] for the optimizer and [`Layer::state`] /
 //! [`Layer::load_state`] for serialization.
+//!
+//! Each layer's `freeze()` returns its weights off the tape, as a
+//! `Send + Sync` `Frozen*` counterpart whose forward calls the same
+//! [`Matrix`] ops in the same order, so the two agree bit for bit.
 
 use crate::matrix::Matrix;
 use crate::var::Var;
@@ -55,6 +59,26 @@ impl Linear {
     }
 
     pub fn forward(&self, x: &Var) -> Var {
+        x.matmul(&self.w).add_row_broadcast(&self.b)
+    }
+
+    /// The current weights, off the tape.
+    pub fn freeze(&self) -> FrozenLinear {
+        FrozenLinear {
+            w: self.w.value_clone(),
+            b: self.b.value_clone(),
+        }
+    }
+}
+
+/// A frozen [`Linear`]: `y = x·W + b` on plain matrices.
+pub struct FrozenLinear {
+    w: Matrix,
+    b: Matrix,
+}
+
+impl FrozenLinear {
+    pub fn forward(&self, x: &Matrix) -> Matrix {
         x.matmul(&self.w).add_row_broadcast(&self.b)
     }
 }
@@ -116,10 +140,6 @@ impl Lstm {
         }
     }
 
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
     /// Run over the sequence, returning the `T×hidden` hidden states.
     /// `reverse` encodes right-to-left (the backward half of a BiLSTM).
     pub fn forward(&self, xs: &Var, reverse: bool) -> Var {
@@ -158,6 +178,65 @@ impl Lstm {
         }
         seq
     }
+
+    /// The current weights, off the tape.
+    pub fn freeze(&self) -> FrozenLstm {
+        FrozenLstm {
+            w: self.w.value_clone(),
+            u: self.u.value_clone(),
+            b: self.b.value_clone(),
+        }
+    }
+}
+
+/// A frozen [`Lstm`].
+pub struct FrozenLstm {
+    w: Matrix,
+    u: Matrix,
+    b: Matrix,
+}
+
+impl FrozenLstm {
+    /// [`Lstm::forward`] off the tape: each step adds `h_prev·U`, then
+    /// `b`, to its row of one `X·W`, and writes `h_t` into the output.
+    pub fn forward(&self, xs: &Matrix, reverse: bool) -> Matrix {
+        let (t_len, h) = (xs.rows(), self.u.rows());
+        let xw = self.input_products(xs);
+        let mut seq = Matrix::zeros(t_len, h);
+        let mut h_prev = Matrix::zeros(1, h);
+        let mut c_prev = Matrix::zeros(1, h);
+        for step in 0..t_len {
+            let t = if reverse { t_len - 1 - step } else { step };
+            let gates = xw
+                .slice_rows(t, t + 1)
+                .add(&h_prev.matmul(&self.u))
+                .add_row_broadcast(&self.b);
+            let i = gates.slice_cols(0, h).sigmoid();
+            let f = gates.slice_cols(h, 2 * h).sigmoid();
+            let g = gates.slice_cols(2 * h, 3 * h).tanh();
+            let o = gates.slice_cols(3 * h, 4 * h).sigmoid();
+            let c = f.hadamard(&c_prev).add(&i.hadamard(&g));
+            let h_t = o.hadamard(&c.tanh());
+            seq.row_mut(t).copy_from_slice(h_t.data());
+            h_prev = h_t;
+            c_prev = c;
+        }
+        seq
+    }
+
+    /// `X·W`, one product per row where one product over all rows could
+    /// round differently from the taped step's `x_t·W`.
+    fn input_products(&self, xs: &Matrix) -> Matrix {
+        if crate::kernel::rows_independent(xs.rows(), xs.cols(), self.w.cols()) {
+            return xs.matmul(&self.w);
+        }
+        let mut xw = Matrix::zeros(xs.rows(), self.w.cols());
+        for t in 0..xs.rows() {
+            xw.row_mut(t)
+                .copy_from_slice(xs.slice_rows(t, t + 1).matmul(&self.w).data());
+        }
+        xw
+    }
 }
 
 impl Layer for Lstm {
@@ -189,8 +268,27 @@ impl BiLstm {
             .hstack(&self.bwd.forward(xs, true))
     }
 
-    pub fn output_dim(&self) -> usize {
-        2 * self.fwd.hidden_dim()
+    /// The current weights, off the tape.
+    pub fn freeze(&self) -> FrozenBiLstm {
+        FrozenBiLstm {
+            fwd: self.fwd.freeze(),
+            bwd: self.bwd.freeze(),
+        }
+    }
+}
+
+/// A frozen [`BiLstm`].
+pub struct FrozenBiLstm {
+    fwd: FrozenLstm,
+    bwd: FrozenLstm,
+}
+
+impl FrozenBiLstm {
+    /// `T×in_dim` → `T×2·hidden`, as [`BiLstm::forward`].
+    pub fn forward(&self, xs: &Matrix) -> Matrix {
+        self.fwd
+            .forward(xs, false)
+            .hstack(&self.bwd.forward(xs, true))
     }
 }
 
@@ -232,10 +330,6 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// `T×dim` → `T×dim`; records per-head attention matrices.
     pub fn forward(&self, xs: &Var) -> Var {
         let hd = self.dim / self.heads;
@@ -265,6 +359,51 @@ impl MultiHeadSelfAttention {
     /// The `T×T` attention matrix of head `h` from the last forward pass.
     pub fn last_attention(&self, h: usize) -> Matrix {
         self.last_attention.borrow()[h].clone()
+    }
+
+    /// The current weights, off the tape (no attention recording).
+    pub fn freeze(&self) -> FrozenAttention {
+        FrozenAttention {
+            wq: self.wq.value_clone(),
+            wk: self.wk.value_clone(),
+            wv: self.wv.value_clone(),
+            wo: self.wo.value_clone(),
+            heads: self.heads,
+        }
+    }
+}
+
+/// A frozen [`MultiHeadSelfAttention`].
+pub struct FrozenAttention {
+    wq: Matrix,
+    wk: Matrix,
+    wv: Matrix,
+    wo: Matrix,
+    heads: usize,
+}
+
+impl FrozenAttention {
+    /// `T×dim` → `T×dim`, as [`MultiHeadSelfAttention::forward`].
+    pub fn forward(&self, xs: &Matrix) -> Matrix {
+        let hd = self.wq.cols() / self.heads;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let q = xs.matmul(&self.wq);
+        let k = xs.matmul(&self.wk);
+        let v = xs.matmul(&self.wv);
+        let mut cat = Matrix::zeros(xs.rows(), self.wq.cols());
+        for h in 0..self.heads {
+            let (s, e) = (h * hd, (h + 1) * hd);
+            let att = q
+                .slice_cols(s, e)
+                .matmul(&k.slice_cols(s, e).transpose())
+                .scale(scale)
+                .softmax_rows();
+            let head = att.matmul(&v.slice_cols(s, e));
+            for r in 0..head.rows() {
+                cat.row_mut(r)[s..e].copy_from_slice(head.row(r));
+            }
+        }
+        cat.matmul(&self.wo)
     }
 }
 
@@ -296,6 +435,30 @@ impl LayerNorm {
     }
 
     pub fn forward(&self, x: &Var) -> Var {
+        x.layer_norm_rows(self.eps)
+            .mul_row_broadcast(&self.gain)
+            .add_row_broadcast(&self.bias)
+    }
+
+    /// The current weights, off the tape.
+    pub fn freeze(&self) -> FrozenLayerNorm {
+        FrozenLayerNorm {
+            gain: self.gain.value_clone(),
+            bias: self.bias.value_clone(),
+            eps: self.eps,
+        }
+    }
+}
+
+/// A frozen [`LayerNorm`].
+pub struct FrozenLayerNorm {
+    gain: Matrix,
+    bias: Matrix,
+    eps: f32,
+}
+
+impl FrozenLayerNorm {
+    pub fn forward(&self, x: &Matrix) -> Matrix {
         x.layer_norm_rows(self.eps)
             .mul_row_broadcast(&self.gain)
             .add_row_broadcast(&self.bias)
@@ -415,7 +578,6 @@ mod tests {
         let xs = Var::leaf(Matrix::uniform(5, 3, 1.0, &mut r));
         let out = bi.forward(&xs);
         assert_eq!(out.shape(), (5, 8));
-        assert_eq!(bi.output_dim(), 8);
     }
 
     #[test]
@@ -515,6 +677,54 @@ mod tests {
             .data()
             .iter()
             .all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
+    }
+
+    fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
+        let (r, c) = m.shape();
+        (r, c, m.data().iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn frozen_layers_match_taped_bitwise() {
+        let mut r = rng();
+        let x = Matrix::uniform(7, 8, 1.0, &mut r);
+        let xv = Var::leaf(x.clone());
+        let lin = Linear::new(8, 5, &mut r);
+        assert_eq!(
+            bits(&lin.freeze().forward(&x)),
+            bits(&lin.forward(&xv).value())
+        );
+        let ln = LayerNorm::new(8);
+        ln.gain.set_value(Matrix::uniform(1, 8, 1.0, &mut r));
+        ln.bias.set_value(Matrix::uniform(1, 8, 1.0, &mut r));
+        assert_eq!(
+            bits(&ln.freeze().forward(&x)),
+            bits(&ln.forward(&xv).value())
+        );
+        let att = MultiHeadSelfAttention::new(8, 2, &mut r);
+        assert_eq!(
+            bits(&att.freeze().forward(&x)),
+            bits(&att.forward(&xv).value())
+        );
+        let bi = BiLstm::new(8, 6, &mut r);
+        for xs in [x, Matrix::uniform(1, 8, 1.0, &mut r)] {
+            let taped = bi.forward(&Var::leaf(xs.clone()));
+            assert_eq!(bits(&bi.freeze().forward(&xs)), bits(&taped.value()));
+        }
+    }
+
+    #[test]
+    fn frozen_lstm_matches_taped_above_the_blocked_kernel_bound() {
+        // 48·48·(4·128) flops: one `X·W` would take the blocked kernel,
+        // whose rounding differs from the per-step products.
+        let mut r = rng();
+        let lstm = Lstm::new(48, 128, &mut r);
+        let xs = Matrix::uniform(48, 48, 1.0, &mut r);
+        let taped = lstm.forward(&Var::leaf(xs.clone()), true);
+        assert_eq!(
+            bits(&lstm.freeze().forward(&xs, true)),
+            bits(&taped.value())
+        );
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * [`layers::MultiHeadSelfAttention`] records per-head attention
 //!   matrices each forward pass, which the pairing heuristics of §5.1
 //!   consume;
+//! * every layer freezes into a tape-free `Send + Sync` counterpart
+//!   ([`FrozenLinear`], …) that infers bitwise as the taped one does;
 //! * everything is seeded and deterministic.
 
 /// Blocked/SIMD matmul kernels and their runtime dispatch.
@@ -32,7 +34,8 @@ pub mod var;
 pub use kernel::kernel_name;
 /// Layer building blocks.
 pub use layers::{
-    BiLstm, Dropout, Embedding, Layer, LayerNorm, Linear, Lstm, MultiHeadSelfAttention,
+    BiLstm, Dropout, Embedding, FrozenAttention, FrozenBiLstm, FrozenLayerNorm, FrozenLinear,
+    FrozenLstm, Layer, LayerNorm, Linear, Lstm, MultiHeadSelfAttention,
 };
 /// The matrix type and numerically stable reductions.
 pub use matrix::{log_sum_exp, Matrix};

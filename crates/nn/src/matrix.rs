@@ -356,6 +356,61 @@ impl Matrix {
         out
     }
 
+    /// Multiply every row elementwise by a `1×cols` row vector.
+    pub fn mul_row_broadcast(&self, row: &Matrix) -> Matrix {
+        assert!(
+            row.rows == 1 && row.cols == self.cols,
+            "mul_row_broadcast: shape"
+        );
+        let mut out = self.clone();
+        for r in 0..out.rows {
+            for (v, &w) in out.row_mut(r).iter_mut().zip(&row.data) {
+                *v *= w;
+            }
+        }
+        out
+    }
+
+    /// Elementwise `tanh`.
+    pub fn tanh(&self) -> Matrix {
+        self.map(f32::tanh)
+    }
+
+    /// Elementwise logistic sigmoid.
+    pub fn sigmoid(&self) -> Matrix {
+        self.map(|v| 1.0 / (1.0 + (-v).exp()))
+    }
+
+    /// Elementwise ReLU.
+    pub fn relu(&self) -> Matrix {
+        self.map(|v| v.max(0.0))
+    }
+
+    /// Row-wise layer normalization, `(x − μ) / sqrt(σ² + eps)` per row
+    /// (no learned gain or bias).
+    pub fn layer_norm_rows(&self, eps: f32) -> Matrix {
+        self.layer_norm_parts(eps).0
+    }
+
+    /// [`Matrix::layer_norm_rows`] and each row's `sqrt(σ² + eps)`, which
+    /// the taped op keeps for its backward pass.
+    pub(crate) fn layer_norm_parts(&self, eps: f32) -> (Matrix, Vec<f32>) {
+        let (rows, cols) = self.shape();
+        let mut y = Matrix::zeros(rows, cols);
+        let mut sigmas = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let row = self.row(r);
+            let mu = row.iter().sum::<f32>() / cols as f32;
+            let var = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / cols as f32;
+            let sigma = (var + eps).sqrt();
+            sigmas.push(sigma);
+            for (o, &v) in y.row_mut(r).iter_mut().zip(row) {
+                *o = (v - mu) / sigma;
+            }
+        }
+        (y, sigmas)
+    }
+
     /// Sum of all entries.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -432,6 +487,30 @@ impl Matrix {
             cols: self.cols,
             data: self.data[start * self.cols..end * self.cols].to_vec(),
         }
+    }
+
+    /// Copy of columns `start..end`.
+    pub fn slice_cols(&self, start: usize, end: usize) -> Matrix {
+        assert!(
+            start <= end && end <= self.cols,
+            "slice_cols: [{start}, {end})"
+        );
+        let mut out = Matrix::zeros(self.rows, end - start);
+        for r in 0..self.rows {
+            out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
+        }
+        out
+    }
+
+    /// Gather rows by index, `out[t] = self[ids[t]]`: the embedding
+    /// lookup.
+    pub fn gather_rows(&self, ids: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(ids.len(), self.cols);
+        for (t, &i) in ids.iter().enumerate() {
+            debug_assert!(i < self.rows, "gather_rows: id {i} out of {}", self.rows);
+            out.row_mut(t).copy_from_slice(self.row(i));
+        }
+        out
     }
 
     /// Row-wise softmax (numerically stable).

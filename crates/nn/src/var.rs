@@ -271,36 +271,13 @@ impl Var {
 
     /// Multiply every row of `self` elementwise by a `1×n` row vector.
     pub fn mul_row_broadcast(&self, row: &Var) -> Var {
-        let mut value = self.value().clone();
-        {
-            let r = row.value();
-            assert_eq!(
-                r.rows(),
-                1,
-                "mul_row_broadcast: operand must be a row vector"
-            );
-            assert_eq!(r.cols(), value.cols(), "mul_row_broadcast: column mismatch");
-            for i in 0..value.rows() {
-                for (v, &w) in value.row_mut(i).iter_mut().zip(r.data()) {
-                    *v *= w;
-                }
-            }
-        }
+        let value = self.value().mul_row_broadcast(&row.value());
         Var::from_op(
             "mul_row_broadcast",
             value,
             vec![self.clone(), row.clone()],
             Box::new(move |g, parents| {
-                let mut dx = g.clone();
-                {
-                    let r = parents[1].value();
-                    for i in 0..dx.rows() {
-                        for (v, &w) in dx.row_mut(i).iter_mut().zip(r.data()) {
-                            *v *= w;
-                        }
-                    }
-                }
-                accum(&parents[0], &dx);
+                accum(&parents[0], &g.mul_row_broadcast(&parents[1].value()));
                 let dr = g.hadamard(&parents[0].value()).sum_rows();
                 accum(&parents[1], &dr);
             }),
@@ -336,7 +313,7 @@ impl Var {
 
     /// Elementwise `tanh`.
     pub fn tanh(&self) -> Var {
-        let y = self.value().map(f32::tanh);
+        let y = self.value().tanh();
         let y_c = y.clone();
         Var::from_op(
             "tanh",
@@ -350,7 +327,7 @@ impl Var {
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let y = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
+        let y = self.value().sigmoid();
         let y_c = y.clone();
         Var::from_op(
             "sigmoid",
@@ -364,7 +341,7 @@ impl Var {
 
     /// Elementwise ReLU.
     pub fn relu(&self) -> Var {
-        let y = self.value().map(|v| v.max(0.0));
+        let y = self.value().relu();
         Var::from_op(
             "relu",
             y,
@@ -463,15 +440,8 @@ impl Var {
             value,
             vec![self.clone(), other.clone()],
             Box::new(move |g, parents| {
-                let (rows, cols) = g.shape();
-                let mut gl = Matrix::zeros(rows, left_cols);
-                let mut gr = Matrix::zeros(rows, cols - left_cols);
-                for r in 0..rows {
-                    gl.row_mut(r).copy_from_slice(&g.row(r)[..left_cols]);
-                    gr.row_mut(r).copy_from_slice(&g.row(r)[left_cols..]);
-                }
-                accum(&parents[0], &gl);
-                accum(&parents[1], &gr);
+                accum(&parents[0], &g.slice_cols(0, left_cols));
+                accum(&parents[1], &g.slice_cols(left_cols, g.cols()));
             }),
         )
     }
@@ -497,13 +467,7 @@ impl Var {
     /// Columns `start..end` as a new var (gradient scatters back).
     pub fn slice_cols(&self, start: usize, end: usize) -> Var {
         let (rows, total_cols) = self.shape();
-        let mut value = Matrix::zeros(rows, end - start);
-        {
-            let src = self.value();
-            for r in 0..rows {
-                value.row_mut(r).copy_from_slice(&src.row(r)[start..end]);
-            }
-        }
+        let value = self.value().slice_cols(start, end);
         Var::from_op(
             "slice_cols",
             value,
@@ -522,19 +486,8 @@ impl Var {
     /// lookup; gradients scatter-add into the selected rows.
     pub fn gather_rows(&self, ids: &[usize]) -> Var {
         let (rows, cols) = self.shape();
+        let value = self.value().gather_rows(ids);
         let ids: Vec<usize> = ids.to_vec();
-        for &i in &ids {
-            debug_assert!(i < rows, "gather_rows: id {i} out of {rows}");
-        }
-        let mut value = Matrix::zeros(ids.len(), cols);
-        {
-            // Borrow the source (it can be the whole embedding table —
-            // cloning it per lookup dominated the old forward cost).
-            let src = self.value();
-            for (t, &i) in ids.iter().enumerate() {
-                value.row_mut(t).copy_from_slice(src.row(i));
-            }
-        }
         Var::from_op(
             "gather_rows",
             value,
@@ -565,35 +518,12 @@ impl Var {
         )
     }
 
-    /// Mean of all entries, as a `1×1` var.
-    pub fn mean(&self) -> Var {
-        let n = {
-            let v = self.value();
-            v.len() as f32
-        };
-        self.sum().scale(1.0 / n)
-    }
-
     /// Row-wise layer normalization (no learned gain/bias; compose with
     /// [`Var::mul_row_broadcast`] / [`Var::add_row_broadcast`] for those).
-    #[allow(clippy::needless_range_loop)] // parallel indexing of x/y/sigmas
+    #[allow(clippy::needless_range_loop)] // parallel indexing of g/y/sigmas
     pub fn layer_norm_rows(&self, eps: f32) -> Var {
         let (rows, cols) = self.shape();
-        let mut y = Matrix::zeros(rows, cols);
-        let mut sigmas = vec![0.0f32; rows];
-        {
-            let x = self.value();
-            for r in 0..rows {
-                let row = x.row(r);
-                let mu = row.iter().sum::<f32>() / cols as f32;
-                let var = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / cols as f32;
-                let sigma = (var + eps).sqrt();
-                sigmas[r] = sigma;
-                for (c, &v) in row.iter().enumerate() {
-                    y.set(r, c, (v - mu) / sigma);
-                }
-            }
-        }
+        let (y, sigmas) = self.value().layer_norm_parts(eps);
         let y_c = y.clone();
         Var::from_op(
             "layer_norm_rows",

@@ -10,17 +10,19 @@
 //! beyond the scope of examples fed to the labeling functions" and recover
 //! the recall the heuristics lack (Table 5).
 
+use crate::pipeline::pair_grid;
 use crate::testset::PairingExample;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use saccs_embed::MiniBert;
-use saccs_nn::layers::{Layer, Linear};
+use saccs_embed::{FrozenMiniBert, MiniBert};
+use saccs_nn::layers::{FrozenLinear, Layer, Linear};
 use saccs_nn::optim::{zero_grads, Adam};
 use saccs_nn::{Matrix, Var};
 use saccs_parse::ParseTree;
 use saccs_text::Span;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Number of hand-rolled structural features appended to the embedding
 /// features (see [`DiscriminativePairer`] docs).
@@ -61,15 +63,8 @@ impl DiscriminativePairer {
     /// grid size) stand in for the positional information a full-size
     /// BERT encodes in its embeddings and our MiniBert is too small to —
     /// a documented scale substitution (DESIGN.md §1), not an oracle: all
-    /// six are computed from the raw sentence alone.
-    fn features(bert: &MiniBert, tokens: &[String], aspect: &Span, opinion: &Span) -> Matrix {
-        let ctx = bert.features(tokens);
-        let tree = ParseTree::from_tokens(tokens);
-        Self::features_with(&ctx, &tree, tokens, aspect, opinion)
-    }
-
-    /// Feature assembly from precomputed per-sentence context (encoder
-    /// output + parse tree); see [`DiscriminativePairer::features`].
+    /// six are computed from the raw sentence alone. `ctx` and `tree` are
+    /// the sentence's encoder output and parse tree.
     fn features_with(
         ctx: &Matrix,
         tree: &ParseTree,
@@ -110,20 +105,6 @@ impl DiscriminativePairer {
     fn forward(&self, feat: &Matrix) -> Var {
         let x = Var::leaf(feat.clone());
         self.l2.forward(&self.l1.forward(&x).relu()).sigmoid()
-    }
-
-    /// An untrained same-shaped classifier for the serving-replica path:
-    /// build with the `hidden` width the original was trained with, then
-    /// `load_state` its serialized weights to get a bitwise-identical
-    /// pairer on a fresh (e.g. per-thread) encoder.
-    pub fn replica(bert: Rc<MiniBert>, hidden: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(0);
-        let dim = 3 * bert.dim() + STRUCT_FEATURES;
-        DiscriminativePairer {
-            bert,
-            l1: Linear::new(dim, hidden, &mut rng),
-            l2: Linear::new(hidden, 1, &mut rng),
-        }
     }
 
     /// Train on weakly-labeled examples `(example, label)` — labels come
@@ -177,26 +158,11 @@ impl DiscriminativePairer {
         model
     }
 
-    /// Snapshot the classifier's parameters (persistence).
-    pub fn state(&self) -> Vec<Matrix> {
-        let mut params = self.l1.params();
-        params.extend(self.l2.params());
-        params.iter().map(|p| p.value_clone()).collect()
-    }
-
-    /// Restore parameters from a [`DiscriminativePairer::state`] snapshot.
-    pub fn load_state(&self, state: &[Matrix]) {
-        let mut params = self.l1.params();
-        params.extend(self.l2.params());
-        assert_eq!(params.len(), state.len(), "state tensor count mismatch");
-        for (p, m) in params.iter().zip(state) {
-            p.set_value(m.clone());
-        }
-    }
-
     /// P(correct extraction) for a candidate pair.
     pub fn probability(&self, tokens: &[String], aspect: &Span, opinion: &Span) -> f32 {
-        let feat = Self::features(&self.bert, tokens, aspect, opinion);
+        let ctx = self.bert.features(tokens);
+        let tree = ParseTree::from_tokens(tokens);
+        let feat = Self::features_with(&ctx, &tree, tokens, aspect, opinion);
         self.forward(&feat).scalar()
     }
 
@@ -205,6 +171,72 @@ impl DiscriminativePairer {
     /// returns a positive label").
     pub fn classify(&self, tokens: &[String], aspect: &Span, opinion: &Span) -> bool {
         self.probability(tokens, aspect, opinion) > 0.5
+    }
+
+    /// The encoder whose features this classifier reads.
+    pub fn bert(&self) -> &MiniBert {
+        &self.bert
+    }
+
+    /// The trained classifier frozen for inference over `bert`, which
+    /// must be the frozen form of [`DiscriminativePairer::bert`].
+    pub fn freeze(&self, bert: Arc<FrozenMiniBert>) -> FrozenPairer {
+        FrozenPairer {
+            bert,
+            l1: self.l1.freeze(),
+            l2: self.l2.freeze(),
+        }
+    }
+}
+
+/// A [`DiscriminativePairer`] frozen for inference over a shared frozen
+/// encoder: its probabilities equal the taped ones bit for bit.
+pub struct FrozenPairer {
+    bert: Arc<FrozenMiniBert>,
+    l1: FrozenLinear,
+    l2: FrozenLinear,
+}
+
+impl FrozenPairer {
+    /// P(correct extraction) for a candidate pair, from the sentence's
+    /// encoder features and parse tree.
+    pub fn probability_with(
+        &self,
+        ctx: &Matrix,
+        tree: &ParseTree,
+        tokens: &[String],
+        aspect: &Span,
+        opinion: &Span,
+    ) -> f32 {
+        let feat = DiscriminativePairer::features_with(ctx, tree, tokens, aspect, opinion);
+        let hidden = self.l1.forward(&feat).relu();
+        self.l2.forward(&hidden).sigmoid().get(0, 0)
+    }
+
+    /// [`crate::PairingPipeline::pair_spans`], encoding the sentence once.
+    pub fn pair_spans(
+        &self,
+        tokens: &[String],
+        aspects: &[Span],
+        opinions: &[Span],
+    ) -> Vec<(Span, Span)> {
+        self.pair_spans_with(&self.bert.features(tokens), tokens, aspects, opinions)
+    }
+
+    /// [`FrozenPairer::pair_spans`] over the sentence's encoder features
+    /// (the tagger's), parsing the sentence once.
+    pub fn pair_spans_with(
+        &self,
+        ctx: &Matrix,
+        tokens: &[String],
+        aspects: &[Span],
+        opinions: &[Span],
+    ) -> Vec<(Span, Span)> {
+        let _span = saccs_obs::span!("extract.pair");
+        let tree = ParseTree::from_tokens(tokens);
+        pair_grid(aspects, opinions, |a, o| {
+            self.probability_with(ctx, &tree, tokens, a, o)
+        })
     }
 }
 
@@ -271,6 +303,73 @@ mod tests {
         for e in set.iter().take(10) {
             let p = model.probability(&e.tokens, &e.candidate.0, &e.candidate.1);
             assert!((0.0..=1.0).contains(&p));
+        }
+    }
+
+    #[test]
+    fn frozen_probabilities_match_taped_bitwise() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut set = build_test_set(24, Domain::Restaurants, 25);
+        // A sentence past max_len = 48: its opinion span lies beyond the
+        // encoder's truncation and clamps onto the last row.
+        let mut long = set[0].clone();
+        long.tokens.extend((0..60).map(|_| "and".to_string()));
+        let last = long.tokens.len() - 1;
+        long.tokens[last] = "delicious".to_string();
+        long.candidate.1 = Span::opinion(last, last + 1);
+        long.opinions.push(long.candidate.1);
+        set.push(long);
+        let labeled: Vec<(PairingExample, bool)> =
+            set.iter().map(|e| (e.clone(), e.label)).collect();
+        // The quick() and paper() encoder shapes.
+        for (dim, heads, layers) in [(24, 4, 2), (48, 6, 4)] {
+            let b = Rc::new(MiniBert::new(
+                bert().vocab().clone(),
+                MiniBertConfig {
+                    dim,
+                    heads,
+                    layers,
+                    max_len: 48,
+                    seed: 7,
+                },
+            ));
+            for p in b.params() {
+                let (r, c) = p.shape();
+                p.set_value(Matrix::uniform(r, c, 0.5, &mut rng));
+            }
+            b.weights_changed();
+            let model = DiscriminativePairer::train(
+                b.clone(),
+                &labeled,
+                &DiscriminativeConfig {
+                    epochs: 0,
+                    ..Default::default()
+                },
+            );
+            for p in model.l1.params().into_iter().chain(model.l2.params()) {
+                let (r, c) = p.shape();
+                p.set_value(Matrix::uniform(r, c, 0.5, &mut rng));
+            }
+            let frozen_bert = Arc::new(b.freeze());
+            let frozen = model.freeze(Arc::clone(&frozen_bert));
+            for e in &set {
+                let ctx = frozen_bert.features(&e.tokens);
+                let tree = ParseTree::from_tokens(&e.tokens);
+                let (a, o) = e.candidate;
+                assert_eq!(
+                    frozen
+                        .probability_with(&ctx, &tree, &e.tokens, &a, &o)
+                        .to_bits(),
+                    model.probability(&e.tokens, &a, &o).to_bits(),
+                    "dim {dim}: {:?}",
+                    e.tokens
+                );
+                assert_eq!(
+                    frozen.pair_spans(&e.tokens, &e.aspects, &e.opinions),
+                    pair_grid(&e.aspects, &e.opinions, |a, o| model
+                        .probability(&e.tokens, a, o))
+                );
+            }
         }
     }
 

@@ -29,17 +29,6 @@ pub struct ProbabilisticModel {
 }
 
 impl ProbabilisticModel {
-    /// A flat-prior model with no labeling functions — the placeholder
-    /// for serving-only pipelines, where `pair_spans` consults only the
-    /// discriminative classifier and the generative stage never runs.
-    pub(crate) fn uninformative() -> Self {
-        ProbabilisticModel {
-            prior: 0.5,
-            accuracies: Vec::new(),
-            iterations: 0,
-        }
-    }
-
     /// Fit on a vote matrix (`rows = datapoints`, `cols = LFs`) without any
     /// ground-truth labels.
     pub fn fit(votes: &[Vec<bool>], iterations: usize) -> Self {

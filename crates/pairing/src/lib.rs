@@ -34,8 +34,8 @@ pub mod pipeline;
 /// The balanced pairing benchmark set.
 pub mod testset;
 
-/// The trained pairing classifier.
-pub use discriminative::{DiscriminativeConfig, DiscriminativePairer};
+/// The trained pairing classifier and its frozen inference form.
+pub use discriminative::{DiscriminativeConfig, DiscriminativePairer, FrozenPairer};
 /// Label aggregation models.
 pub use generative::{majority_vote, ProbabilisticModel};
 /// Heuristic pairers and their shared sentence context.

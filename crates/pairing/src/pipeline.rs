@@ -59,7 +59,6 @@ pub struct PairingPipeline {
     lfs: Vec<LabelingFunction>,
     probabilistic: ProbabilisticModel,
     discriminative: DiscriminativePairer,
-    config: PipelineConfig,
 }
 
 /// The full aspect × opinion candidate grid.
@@ -74,20 +73,6 @@ fn candidate_grid(aspects: &[Span], opinions: &[Span]) -> Vec<(Span, Span)> {
 }
 
 impl PairingPipeline {
-    /// A serving-only pipeline around an already-trained discriminative
-    /// classifier. [`PairingPipeline::pair_spans`] and
-    /// [`PairingPipeline::classify`] consult only that classifier, so a
-    /// replica pipeline needs no labeling functions and no generative
-    /// model — both are inert placeholders here.
-    pub fn serving(discriminative: DiscriminativePairer, config: PipelineConfig) -> Self {
-        PairingPipeline {
-            lfs: Vec::new(),
-            probabilistic: ProbabilisticModel::uninformative(),
-            discriminative,
-            config,
-        }
-    }
-
     /// Fit the full pipeline: select heads on `dev`, vote over `train`,
     /// aggregate, and train the discriminative model on the weak labels.
     pub fn fit(
@@ -169,7 +154,6 @@ impl PairingPipeline {
             lfs,
             probabilistic,
             discriminative,
-            config,
         }
     }
 
@@ -183,10 +167,6 @@ impl PairingPipeline {
 
     pub fn discriminative_model(&self) -> &DiscriminativePairer {
         &self.discriminative
-    }
-
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
     }
 
     /// Votes of all LFs on one candidate.
@@ -209,26 +189,39 @@ impl PairingPipeline {
         aspects: &[Span],
         opinions: &[Span],
     ) -> Vec<(Span, Span)> {
-        let mut out = Vec::new();
-        for &a in aspects {
-            let mut best: Option<(f32, Span)> = None;
-            for &o in opinions {
-                let p = self.discriminative.probability(tokens, &a, &o);
-                if p > 0.5 {
-                    out.push((a, o));
-                }
-                if best.is_none_or(|(bp, _)| p > bp) {
-                    best = Some((p, o));
-                }
+        pair_grid(aspects, opinions, |a, o| {
+            self.discriminative.probability(tokens, a, o)
+        })
+    }
+}
+
+/// Keep every `(aspect, opinion)` whose probability exceeds 0.5, and
+/// pair an aspect no candidate accepted with its best-probability
+/// opinion.
+pub(crate) fn pair_grid(
+    aspects: &[Span],
+    opinions: &[Span],
+    mut probability: impl FnMut(&Span, &Span) -> f32,
+) -> Vec<(Span, Span)> {
+    let mut out = Vec::new();
+    for &a in aspects {
+        let mut best: Option<(f32, Span)> = None;
+        for &o in opinions {
+            let p = probability(&a, &o);
+            if p > 0.5 {
+                out.push((a, o));
             }
-            if !out.iter().any(|(pa, _)| *pa == a) {
-                if let Some((_, o)) = best {
-                    out.push((a, o));
-                }
+            if best.is_none_or(|(bp, _)| p > bp) {
+                best = Some((p, o));
             }
         }
-        out
+        if !out.iter().any(|(pa, _)| *pa == a) {
+            if let Some((_, o)) = best {
+                out.push((a, o));
+            }
+        }
     }
+    out
 }
 
 #[cfg(test)]

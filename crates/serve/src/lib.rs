@@ -2,9 +2,10 @@
 //! [`SaccsService`].
 //!
 //! The service's whole rank path is `&self` (atomic breakers, mutexed
-//! probe history, per-thread extractor replicas), so one instance
-//! behind an [`Arc`] can serve any number of threads. This crate adds
-//! the machinery a front end needs on top of that:
+//! probe history, an extractor whose models are frozen off the autograd
+//! tape), so one instance behind an [`Arc`] can serve any number of
+//! threads. This crate adds the machinery a front end needs on top of
+//! that:
 //!
 //! * **Bounded admission.** Requests enter a FIFO queue of configurable
 //!   depth ([`ServeConfig::queue_depth`]). Past the limit the server
@@ -12,12 +13,8 @@
 //!   `SaccsError::Unavailable { stage: Admission }` immediately instead
 //!   of letting the queue (and every queued request's latency) grow
 //!   without bound. Sheds are counted on `serve.shed`.
-//! * **Micro-batched extraction.** Each worker tick claims up to
-//!   [`ServeConfig::batch`] queued requests and pre-warms the encoder's
-//!   feature memo across *all* their utterances in one
-//!   `features_batch` call before serving them one by one. Batched and
-//!   unbatched extraction are bitwise identical (the batch kernel's
-//!   contract), so batching changes throughput, never results.
+//! * **Micro-batched claims.** Each worker tick claims up to
+//!   [`ServeConfig::batch`] queued requests and serves them one by one.
 //! * **Admission-time deadlines.** The per-request
 //!   [`DeadlineClock`] starts
 //!   when the request is *admitted*, not when a worker picks it up —
@@ -41,7 +38,6 @@ pub mod recorder;
 /// the module.
 pub use recorder::{FlightRecorder, RecorderConfig};
 
-use saccs_core::request::RankInput;
 use saccs_core::resilient::DeadlineClock;
 use saccs_core::{RankRequest, RankResponse, SaccsError, SaccsService, SearchApi, Stage};
 use saccs_data::Entity;
@@ -68,7 +64,7 @@ pub struct ServeConfig {
     /// Maximum queued (admitted but not yet claimed) requests; further
     /// submissions are shed.
     pub queue_depth: usize,
-    /// Maximum requests one worker tick claims and warm-batches.
+    /// Maximum requests one worker tick claims.
     pub batch: usize,
     /// Install a flight recorder: every admitted request runs under a
     /// [`TraceContext`] and its completed trace lands in the recorder's
@@ -116,7 +112,8 @@ pub struct ServeStats {
     pub served: u64,
     /// Ingest jobs completed by a worker.
     pub ingested: u64,
-    /// Worker ticks that warm-batched more than one sentence.
+    /// Inert, always 0: workers no longer warm the encoder across a
+    /// claimed batch. Kept so existing readers compile.
     pub batched_warms: u64,
 }
 
@@ -200,7 +197,6 @@ struct Shared {
     shed: AtomicU64,
     served: AtomicU64,
     ingested: AtomicU64,
-    batched_warms: AtomicU64,
     /// Present iff `config.recorder` is set.
     recorder: Option<Arc<FlightRecorder>>,
     /// The report cut at shutdown, after the queue drained.
@@ -283,32 +279,6 @@ impl Shared {
         }
     }
 
-    /// Pre-warm this worker's extractor replica across every utterance
-    /// in the claimed batch: one deduped `features_batch` forward
-    /// instead of per-request singles. Values are bitwise identical
-    /// either way; only the wall-clock changes.
-    fn warm_batch(&self, batch: &[Job]) {
-        if batch.len() < 2 {
-            return;
-        }
-        let Some(extractor) = self.service.extractor() else {
-            return;
-        };
-        let mut sentences: Vec<Vec<String>> = Vec::new();
-        for job in batch {
-            if let JobInput::Rank(request) = &job.input {
-                if let RankInput::Utterance(utterance) = &request.input {
-                    sentences.extend(saccs_core::extractor::sentence_tokens(utterance));
-                }
-            }
-        }
-        if sentences.len() > 1 {
-            self.batched_warms.fetch_add(1, Ordering::Relaxed);
-            saccs_obs::counter!("serve.batched_warm").inc();
-            extractor.with_replica(|ex| ex.warm_features(&sentences));
-        }
-    }
-
     fn worker_loop(&self) {
         let api = SearchApi::new(&self.entities);
         loop {
@@ -327,7 +297,6 @@ impl Shared {
                 st.queue.drain(..n).collect()
             };
             saccs_obs::gauge!("serve.queue.depth").sub(batch.len() as f64);
-            self.warm_batch(&batch);
             for job in batch {
                 let Job {
                     input,
@@ -411,7 +380,6 @@ impl SaccsServer {
             shed: AtomicU64::new(0),
             served: AtomicU64::new(0),
             ingested: AtomicU64::new(0),
-            batched_warms: AtomicU64::new(0),
             recorder,
             final_report: Mutex::new(None),
         });
@@ -485,7 +453,7 @@ impl SaccsServer {
             shed: self.shared.shed.load(Ordering::Relaxed),
             served: self.shared.served.load(Ordering::Relaxed),
             ingested: self.shared.ingested.load(Ordering::Relaxed),
-            batched_warms: self.shared.batched_warms.load(Ordering::Relaxed),
+            batched_warms: 0,
         }
     }
 

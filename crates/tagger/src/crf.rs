@@ -68,14 +68,6 @@ impl Crf {
         vec![self.transitions.clone(), self.start.clone()]
     }
 
-    fn masked_transitions(&self) -> Matrix {
-        self.transitions.value().add(&self.mask)
-    }
-
-    fn masked_start(&self) -> Matrix {
-        self.start.value().add(&self.start_mask)
-    }
-
     /// Exact sequence NLL as a differentiable scalar.
     #[allow(clippy::needless_range_loop)] // lockstep α/β/emission indexing
     pub fn nll(&self, emissions: &Var, targets: &[IobTag]) -> Var {
@@ -84,8 +76,8 @@ impl Crf {
         assert_eq!(l, IobTag::COUNT);
         assert_eq!(t_len, targets.len(), "target length mismatch");
         assert!(t_len > 0);
-        let trans = self.masked_transitions();
-        let start = self.masked_start();
+        let frozen = self.freeze();
+        let (trans, start) = (&frozen.transitions, &frozen.start);
         let y: Vec<usize> = targets.iter().map(|t| t.index()).collect();
 
         // Forward recursion (log alpha).
@@ -168,45 +160,16 @@ impl Crf {
     }
 
     /// Exact Viterbi decoding (Equation 5) under the structural mask.
-    #[allow(clippy::needless_range_loop)] // lockstep indexing of score/back
     pub fn viterbi(&self, emissions: &Matrix) -> Vec<IobTag> {
-        let (t_len, l) = emissions.shape();
-        assert_eq!(l, IobTag::COUNT);
-        if t_len == 0 {
-            return Vec::new();
+        self.freeze().viterbi(emissions)
+    }
+
+    /// The masked potentials, off the tape.
+    pub fn freeze(&self) -> FrozenCrf {
+        FrozenCrf {
+            transitions: self.transitions.value().add(&self.mask),
+            start: self.start.value().add(&self.start_mask),
         }
-        let trans = self.masked_transitions();
-        let start = self.masked_start();
-        let mut score = Matrix::zeros(t_len, l);
-        let mut back = vec![vec![0usize; l]; t_len];
-        for j in 0..l {
-            score.set(0, j, start.get(0, j) + emissions.get(0, j));
-        }
-        for t in 1..t_len {
-            for j in 0..l {
-                let mut best = f32::NEG_INFINITY;
-                let mut arg = 0usize;
-                for i in 0..l {
-                    let v = score.get(t - 1, i) + trans.get(i, j);
-                    if v > best {
-                        best = v;
-                        arg = i;
-                    }
-                }
-                score.set(t, j, best + emissions.get(t, j));
-                back[t][j] = arg;
-            }
-        }
-        let mut cur = (0..l)
-            .max_by(|&a, &b| score.get(t_len - 1, a).total_cmp(&score.get(t_len - 1, b)))
-            // lint:allow(no-unwrap-in-lib): l = IobTag::COUNT >= 1 always
-            .expect("at least one label state");
-        let mut path = vec![cur; t_len];
-        for t in (1..t_len).rev() {
-            cur = back[t][cur];
-            path[t - 1] = cur;
-        }
-        path.into_iter().map(IobTag::from_index).collect()
     }
 
     /// Beam-search decoding with width `beam` (§4.1 mentions "the Viterbi
@@ -221,8 +184,8 @@ impl Crf {
         if t_len == 0 {
             return Vec::new();
         }
-        let trans = self.masked_transitions();
-        let start = self.masked_start();
+        let frozen = self.freeze();
+        let (trans, start) = (&frozen.transitions, &frozen.start);
         // (score, path)
         let mut hyps: Vec<(f32, Vec<usize>)> = (0..l)
             .map(|j| (start.get(0, j) + emissions.get(0, j), vec![j]))
@@ -255,8 +218,8 @@ impl Crf {
             // The empty sequence has exactly one (empty) labeling.
             return 0.0;
         }
-        let trans = self.masked_transitions();
-        let start = self.masked_start();
+        let frozen = self.freeze();
+        let (trans, start) = (&frozen.transitions, &frozen.start);
         let mut alpha: Vec<f32> = (0..l)
             .map(|j| start.get(0, j) + emissions.get(0, j))
             .collect();
@@ -271,6 +234,56 @@ impl Crf {
             }
         }
         log_sum_exp(&alpha)
+    }
+}
+
+/// A frozen [`Crf`]: its transition and start scores with the
+/// structural mask already added, as plain matrices.
+pub struct FrozenCrf {
+    transitions: Matrix,
+    start: Matrix,
+}
+
+impl FrozenCrf {
+    /// Exact Viterbi decoding (Equation 5) under the structural mask.
+    #[allow(clippy::needless_range_loop)] // lockstep indexing of score/back
+    pub fn viterbi(&self, emissions: &Matrix) -> Vec<IobTag> {
+        let (t_len, l) = emissions.shape();
+        assert_eq!(l, IobTag::COUNT);
+        if t_len == 0 {
+            return Vec::new();
+        }
+        let (trans, start) = (&self.transitions, &self.start);
+        let mut score = Matrix::zeros(t_len, l);
+        let mut back = vec![vec![0usize; l]; t_len];
+        for j in 0..l {
+            score.set(0, j, start.get(0, j) + emissions.get(0, j));
+        }
+        for t in 1..t_len {
+            for j in 0..l {
+                let mut best = f32::NEG_INFINITY;
+                let mut arg = 0usize;
+                for i in 0..l {
+                    let v = score.get(t - 1, i) + trans.get(i, j);
+                    if v > best {
+                        best = v;
+                        arg = i;
+                    }
+                }
+                score.set(t, j, best + emissions.get(t, j));
+                back[t][j] = arg;
+            }
+        }
+        let mut cur = (0..l)
+            .max_by(|&a, &b| score.get(t_len - 1, a).total_cmp(&score.get(t_len - 1, b)))
+            // lint:allow(no-unwrap-in-lib): l = IobTag::COUNT >= 1 always
+            .expect("at least one label state");
+        let mut path = vec![cur; t_len];
+        for t in (1..t_len).rev() {
+            cur = back[t][cur];
+            path[t - 1] = cur;
+        }
+        path.into_iter().map(IobTag::from_index).collect()
     }
 }
 

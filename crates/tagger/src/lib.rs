@@ -8,7 +8,8 @@
 //!
 //! * [`crf`] — exact linear-chain CRF with IOB structural constraints,
 //!   forward–backward gradients, Viterbi and beam decoding;
-//! * [`model`] — the two head architectures;
+//! * [`model`] — the two head architectures, and their frozen
+//!   (tape-free, `Send + Sync`) inference form;
 //! * [`train`] — training loops (clean and adversarial), span extraction
 //!   and span-F1 evaluation.
 
@@ -20,8 +21,8 @@ pub mod model;
 pub mod train;
 
 /// The structured decoding layer.
-pub use crf::Crf;
+pub use crf::{Crf, FrozenCrf};
 /// Model assembly.
-pub use model::{Architecture, TaggerModel};
-/// The trainable tagger.
-pub use train::{Adversarial, Tagger, TrainConfig};
+pub use model::{Architecture, FrozenTaggerModel, TaggerModel};
+/// The trainable tagger and its frozen inference form.
+pub use train::{Adversarial, FrozenTagger, Tagger, TrainConfig};

@@ -9,9 +9,9 @@
 //! * [`Architecture::BiLstmCrf`] — SACCS's tagger (Figure 3): BERT →
 //!   BiLSTM → linear-chain CRF.
 
-use crate::crf::Crf;
+use crate::crf::{Crf, FrozenCrf};
 use rand::rngs::StdRng;
-use saccs_nn::layers::{BiLstm, Dropout, Layer, Linear};
+use saccs_nn::layers::{BiLstm, Dropout, FrozenBiLstm, FrozenLinear, Layer, Linear};
 use saccs_nn::{Matrix, Var};
 use saccs_text::IobTag;
 
@@ -24,22 +24,22 @@ pub enum Architecture {
     BiLstmCrf,
 }
 
+/// The layers between the features and the projection, with the
+/// decoder that reads the emissions.
+enum Head<L, B, C> {
+    /// Hidden layer of the OpineDB-style per-token MLP ("a standard
+    /// classifier"; the encoder is frozen here, so the classifier gets
+    /// one nonlinearity of its own), decoded by per-token argmax.
+    TokenSoftmax(L),
+    BiLstmCrf(B, C),
+}
+
 /// A tagger head; input is a `T×input_dim` feature matrix (MiniBert
 /// output), output a `T`-length IOB tag sequence.
 pub struct TaggerModel {
-    arch: Architecture,
-    bilstm: Option<BiLstm>,
-    /// Hidden layer of the OpineDB-style per-token MLP ("a standard
-    /// classifier"; the encoder is frozen here, so the classifier gets one
-    /// nonlinearity of its own).
-    mlp_hidden: Option<Linear>,
+    head: Head<Linear, BiLstm, Crf>,
     proj: Linear,
-    crf: Option<Crf>,
     dropout: Dropout,
-    /// Construction parameters, retained so a same-shaped replica can be
-    /// rebuilt from a serialized state (serving-time model replication).
-    hidden: usize,
-    dropout_p: f32,
 }
 
 impl TaggerModel {
@@ -50,51 +50,31 @@ impl TaggerModel {
         dropout_p: f32,
         rng: &mut StdRng,
     ) -> Self {
-        match arch {
-            Architecture::TokenSoftmax => TaggerModel {
-                arch,
-                bilstm: None,
-                mlp_hidden: Some(Linear::new(input_dim, 2 * hidden, rng)),
-                proj: Linear::new(2 * hidden, IobTag::COUNT, rng),
-                crf: None,
-                dropout: Dropout::new(dropout_p),
-                hidden,
-                dropout_p,
-            },
-            Architecture::BiLstmCrf => TaggerModel {
-                arch,
-                bilstm: Some(BiLstm::new(input_dim, hidden, rng)),
-                mlp_hidden: None,
-                proj: Linear::new(2 * hidden, IobTag::COUNT, rng),
-                crf: Some(Crf::new(rng)),
-                dropout: Dropout::new(dropout_p),
-                hidden,
-                dropout_p,
-            },
+        let (head, proj) = match arch {
+            Architecture::TokenSoftmax => {
+                let mlp = Linear::new(input_dim, 2 * hidden, rng);
+                let proj = Linear::new(2 * hidden, IobTag::COUNT, rng);
+                (Head::TokenSoftmax(mlp), proj)
+            }
+            Architecture::BiLstmCrf => {
+                let bilstm = BiLstm::new(input_dim, hidden, rng);
+                let proj = Linear::new(2 * hidden, IobTag::COUNT, rng);
+                (Head::BiLstmCrf(bilstm, Crf::new(rng)), proj)
+            }
+        };
+        TaggerModel {
+            head,
+            proj,
+            dropout: Dropout::new(dropout_p),
         }
-    }
-
-    pub fn architecture(&self) -> Architecture {
-        self.arch
-    }
-
-    /// Hidden width this head was constructed with.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Dropout probability this head was constructed with.
-    pub fn dropout_p(&self) -> f32 {
-        self.dropout_p
     }
 
     /// Per-token emission scores (`T×5`).
     pub fn emissions(&self, features: &Var, train: bool, rng: &mut StdRng) -> Var {
         let x = self.dropout.forward(features, train, rng);
-        let x = match (&self.bilstm, &self.mlp_hidden) {
-            (Some(bi), _) => bi.forward(&x),
-            (None, Some(h)) => h.forward(&x).relu(),
-            (None, None) => x,
+        let x = match &self.head {
+            Head::BiLstmCrf(bi, _) => bi.forward(&x),
+            Head::TokenSoftmax(h) => h.forward(&x).relu(),
         };
         self.proj.forward(&x)
     }
@@ -103,9 +83,9 @@ impl TaggerModel {
     /// cross-entropy for the OpineDB baseline.
     pub fn loss(&self, features: &Var, targets: &[IobTag], train: bool, rng: &mut StdRng) -> Var {
         let em = self.emissions(features, train, rng);
-        match &self.crf {
-            Some(crf) => crf.nll(&em, targets),
-            None => {
+        match &self.head {
+            Head::BiLstmCrf(_, crf) => crf.nll(&em, targets),
+            Head::TokenSoftmax(_) => {
                 let idx: Vec<usize> = targets.iter().map(|t| t.index()).collect();
                 em.cross_entropy(&idx)
             }
@@ -121,54 +101,79 @@ impl TaggerModel {
         let em = self
             .emissions(&Var::leaf(features.clone()), false, &mut rng)
             .value_clone();
-        match &self.crf {
-            Some(crf) => crf.viterbi(&em),
-            None => {
-                // Independent argmax; downstream span decoding applies the
-                // lenient IOB repair, matching how [31] consumes it.
-                (0..em.rows())
-                    .map(|t| {
-                        let row = em.row(t);
-                        let best = (0..IobTag::COUNT)
-                            .max_by(|&a, &b| row[a].total_cmp(&row[b]))
-                            // lint:allow(no-unwrap-in-lib): IobTag::COUNT >= 1
-                            .expect("at least one IOB label");
-                        IobTag::from_index(best)
-                    })
-                    .collect()
-            }
+        match &self.head {
+            Head::BiLstmCrf(_, crf) => crf.viterbi(&em),
+            Head::TokenSoftmax(_) => argmax_tags(&em),
         }
     }
 
-    /// Snapshot all parameter values (for persistence via
-    /// `saccs_nn::encode_state`).
-    pub fn state(&self) -> Vec<saccs_nn::Matrix> {
-        self.params().iter().map(|p| p.value_clone()).collect()
-    }
-
-    /// Restore parameters from a [`TaggerModel::state`] snapshot; the
-    /// model must have the same architecture and dimensions.
-    pub fn load_state(&self, state: &[saccs_nn::Matrix]) {
-        let params = self.params();
-        assert_eq!(params.len(), state.len(), "state tensor count mismatch");
-        for (p, m) in params.iter().zip(state) {
-            p.set_value(m.clone());
+    /// The trained head frozen for inference (see [`FrozenTaggerModel`]).
+    pub fn freeze(&self) -> FrozenTaggerModel {
+        let head = match &self.head {
+            Head::BiLstmCrf(bi, crf) => Head::BiLstmCrf(bi.freeze(), crf.freeze()),
+            Head::TokenSoftmax(h) => Head::TokenSoftmax(h.freeze()),
+        };
+        FrozenTaggerModel {
+            head,
+            proj: self.proj.freeze(),
         }
     }
 
     pub fn params(&self) -> Vec<Var> {
-        let mut p = Vec::new();
-        if let Some(bi) = &self.bilstm {
-            p.extend(bi.params());
+        match &self.head {
+            Head::BiLstmCrf(bi, crf) => [bi.params(), self.proj.params(), crf.params()].concat(),
+            Head::TokenSoftmax(h) => [h.params(), self.proj.params()].concat(),
         }
-        if let Some(h) = &self.mlp_hidden {
-            p.extend(h.params());
+    }
+}
+
+/// Independent per-token argmax (the OpineDB head); downstream span
+/// decoding applies the lenient IOB repair, matching how \[31\]
+/// consumes it.
+fn argmax_tags(em: &Matrix) -> Vec<IobTag> {
+    (0..em.rows())
+        .map(|t| {
+            let row = em.row(t);
+            let best = (0..IobTag::COUNT)
+                .max_by(|&a, &b| row[a].total_cmp(&row[b]))
+                // lint:allow(no-unwrap-in-lib): IobTag::COUNT >= 1
+                .expect("at least one IOB label");
+            IobTag::from_index(best)
+        })
+        .collect()
+}
+
+/// A [`TaggerModel`] frozen for inference: its emissions and tags equal
+/// the eval-mode taped ones bit for bit.
+pub struct FrozenTaggerModel {
+    head: Head<FrozenLinear, FrozenBiLstm, FrozenCrf>,
+    proj: FrozenLinear,
+}
+
+impl FrozenTaggerModel {
+    /// Per-token emission scores (`T×5`).
+    pub fn emissions(&self, features: &Matrix) -> Matrix {
+        let _span = saccs_obs::span!("extract.emit");
+        let x = match &self.head {
+            Head::BiLstmCrf(bi, _) => bi.forward(features),
+            Head::TokenSoftmax(h) => h.forward(features).relu(),
+        };
+        self.proj.forward(&x)
+    }
+
+    /// Decode a tag sequence for a feature matrix.
+    pub fn predict(&self, features: &Matrix) -> Vec<IobTag> {
+        if features.rows() == 0 {
+            return Vec::new();
         }
-        p.extend(self.proj.params());
-        if let Some(crf) = &self.crf {
-            p.extend(crf.params());
+        let em = self.emissions(features);
+        match &self.head {
+            Head::BiLstmCrf(_, crf) => {
+                let _span = saccs_obs::span!("extract.viterbi");
+                crf.viterbi(&em)
+            }
+            Head::TokenSoftmax(_) => argmax_tags(&em),
         }
-        p
     }
 }
 
@@ -234,18 +239,37 @@ mod tests {
         assert_eq!(m.predict(&f), targets);
     }
 
+    fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
+        let (r, c) = m.shape();
+        (r, c, m.data().iter().map(|v| v.to_bits()).collect())
+    }
+
     #[test]
-    fn state_roundtrip_restores_predictions() {
+    fn frozen_heads_match_taped_bitwise() {
         let mut r = rng();
-        let m = TaggerModel::new(Architecture::BiLstmCrf, 6, 5, 0.0, &mut r);
-        let f = Matrix::uniform(4, 6, 1.0, &mut r);
-        let before = m.predict(&f);
-        let bytes = saccs_nn::encode_state(&m.state());
-        for p in m.params() {
-            p.update_value(|v| *v = v.scale(-1.0));
+        // The quick() and paper() encoder widths under the trainer's
+        // hidden width of 24; 1 token, a typical sentence, and the
+        // max_len − 1 = 47 rows of a truncated one.
+        for input_dim in [24, 48] {
+            for arch in [Architecture::BiLstmCrf, Architecture::TokenSoftmax] {
+                let m = TaggerModel::new(arch, input_dim, 24, 0.1, &mut r);
+                for p in m.params() {
+                    let (rows, cols) = p.shape();
+                    p.set_value(Matrix::uniform(rows, cols, 1.0, &mut r));
+                }
+                let frozen = m.freeze();
+                for t_len in [1, 12, 47] {
+                    let f = Matrix::uniform(t_len, input_dim, 1.0, &mut r);
+                    let taped = m.emissions(&Var::leaf(f.clone()), false, &mut r);
+                    assert_eq!(
+                        bits(&frozen.emissions(&f)),
+                        bits(&taped.value()),
+                        "{arch:?}, dim {input_dim}, {t_len} tokens"
+                    );
+                    assert_eq!(frozen.predict(&f), m.predict(&f));
+                }
+            }
         }
-        m.load_state(&saccs_nn::decode_state(&bytes).unwrap());
-        assert_eq!(m.predict(&f), before);
     }
 
     #[test]
@@ -253,5 +277,6 @@ mod tests {
         let mut r = rng();
         let m = TaggerModel::new(Architecture::BiLstmCrf, 4, 3, 0.0, &mut r);
         assert!(m.predict(&Matrix::zeros(0, 4)).is_empty());
+        assert!(m.freeze().predict(&Matrix::zeros(0, 4)).is_empty());
     }
 }

@@ -14,18 +14,19 @@
 //! losses of Equation 8 combined with weight `α` and backpropagated
 //! together.
 
-use crate::model::{Architecture, TaggerModel};
+use crate::model::{Architecture, FrozenTaggerModel, TaggerModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use saccs_data::LabeledSentence;
-use saccs_embed::MiniBert;
+use saccs_embed::{FrozenMiniBert, MiniBert};
 use saccs_eval::SpanF1;
 use saccs_nn::optim::{zero_grads, Adam};
 use saccs_nn::{Matrix, Var};
 use saccs_text::iob::spans_from_tags;
 use saccs_text::{IobTag, Span};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// FGSM settings; the paper fixes `α = 0.5` and sweeps
 /// `ε ∈ {0.1, 0.2, 0.5, 1.0, 2.0}` (§6.1).
@@ -175,13 +176,6 @@ impl Tagger {
         Tagger { bert, model }
     }
 
-    /// Assemble a tagger from an encoder and an already-built head —
-    /// the serving-replica path: construct a same-shaped [`TaggerModel`]
-    /// and `load_state` trained weights into it instead of training.
-    pub fn from_parts(bert: Rc<MiniBert>, model: TaggerModel) -> Self {
-        Tagger { bert, model }
-    }
-
     pub fn bert(&self) -> &MiniBert {
         &self.bert
     }
@@ -239,6 +233,29 @@ impl Tagger {
             n += 1;
         }
         total / n.max(1) as f32
+    }
+}
+
+/// A trained tagger frozen for inference: the encoder (shared by `Arc`
+/// with other models that read its features) and the head.
+pub struct FrozenTagger {
+    bert: Arc<FrozenMiniBert>,
+    model: FrozenTaggerModel,
+}
+
+impl FrozenTagger {
+    /// `bert` must be the frozen form of the encoder `model` was trained
+    /// over.
+    pub fn new(bert: Arc<FrozenMiniBert>, model: FrozenTaggerModel) -> Self {
+        FrozenTagger { bert, model }
+    }
+
+    pub fn bert(&self) -> &FrozenMiniBert {
+        &self.bert
+    }
+
+    pub fn model(&self) -> &FrozenTaggerModel {
+        &self.model
     }
 }
 

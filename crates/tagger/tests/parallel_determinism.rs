@@ -32,7 +32,13 @@ fn train_states(data: &Dataset) -> Vec<saccs_nn::Matrix> {
         epochs: 2,
         ..Default::default()
     };
-    Tagger::train(bert(), &data.train, &cfg).model().state()
+    let tagger = Tagger::train(bert(), &data.train, &cfg);
+    tagger
+        .model()
+        .params()
+        .iter()
+        .map(|p| p.value_clone())
+        .collect()
 }
 
 #[test]

@@ -14,14 +14,16 @@
 #   4. doc       cargo doc --no-deps --workspace with warnings denied
 #   5. build     cargo build --workspace --release
 #   6. test      cargo test -q --workspace
-#   7. sanitize  cargo test -q --features saccs-nn/sanitize
-#   8. bench-obs table3 once, its BENCH_table3.json validated
-#   9. perf      matmul microbench once, its BENCH_matmul.json validated
-#  10. chaos     fault suite + serving suite, then the chaos bin twice
-#  11. trace     request-tracing suite
-#  12. probe     the probe bin twice
-#  13. ingest    the ingest bin twice
-#  14. query     the query bin twice
+#   7. benchmark the repository benchmark package (its own workspace
+#                under crates/bench/src/bin/benchmark): build + unit tests
+#   8. sanitize  cargo test -q --features saccs-nn/sanitize
+#   9. bench-obs table3 once, its BENCH_table3.json validated
+#  10. perf      matmul microbench once, its BENCH_matmul.json validated
+#  11. chaos     fault suite + serving suite, then the chaos bin twice
+#  12. trace     request-tracing suite
+#  13. probe     the probe bin twice
+#  14. ingest    the ingest bin twice
+#  15. query     the query bin twice
 #
 # Every bench bin runs through `bench`: each run in its own directory
 # under target/ci/<bin>/, so no stage touches the working tree. Each
@@ -110,6 +112,15 @@ cargo build "${OFFLINE[@]}" --workspace --release || fail build
 
 stage test "cargo test -q --workspace"
 cargo test "${OFFLINE[@]}" -q --workspace || fail test
+
+# The repository benchmark compiles against the crates' public API
+# from its own workspace, so the workspace build above does not cover
+# it.
+BENCHMARK=(--manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+    --target-dir target/ci/benchmark)
+stage benchmark "cargo build + test --release, benchmark package"
+cargo build "${OFFLINE[@]}" --release "${BENCHMARK[@]}" || fail benchmark
+cargo test "${OFFLINE[@]}" -q --release "${BENCHMARK[@]}" || fail benchmark
 
 stage sanitize "cargo test -q --features saccs-nn/sanitize"
 cargo test "${OFFLINE[@]}" -q --features saccs-nn/sanitize || fail sanitize

@@ -7,14 +7,18 @@ use saccs::data::generator::{FacetSpec, GeneratorConfig, SentenceGenerator};
 use saccs::data::{Dataset, DatasetId};
 use saccs::embed::{build_vocab, general_corpus, train_mlm, MiniBert, MiniBertConfig, MlmConfig};
 use saccs::pairing::{PairingPipeline, PipelineConfig};
-use saccs::tagger::{Tagger, TrainConfig};
+use saccs::parse::ParseTree;
+use saccs::tagger::{FrozenTagger, Tagger, TrainConfig};
+use saccs::text::iob::spans_from_tags;
 use saccs::text::lexicon::Polarity;
-use saccs::text::{Domain, Lexicon, SubjectiveTag};
+use saccs::text::{Domain, Lexicon, SpanKind, SubjectiveTag};
 use std::rc::Rc;
+use std::sync::Arc;
 
 struct Fixture {
     tagger: Tagger,
     pairing: PairingPipeline,
+    data: Dataset,
 }
 
 fn fixture() -> Fixture {
@@ -49,7 +53,39 @@ fn fixture() -> Fixture {
     );
     let dev: Vec<_> = data.test.iter().take(40).cloned().collect();
     let pairing = PairingPipeline::fit(bert, &data.train, &dev, PipelineConfig::default());
-    Fixture { tagger, pairing }
+    Fixture {
+        tagger,
+        pairing,
+        data,
+    }
+}
+
+/// The served path runs the trained models frozen; on every test
+/// sentence its spans and its pairing probabilities must equal the taped
+/// models' bit for bit.
+#[test]
+fn frozen_extraction_matches_the_taped_models_bitwise() {
+    let fx = fixture();
+    let bert = Arc::new(fx.tagger.bert().freeze());
+    let tagger = FrozenTagger::new(Arc::clone(&bert), fx.tagger.model().freeze());
+    let pairer = fx.pairing.discriminative_model();
+    let frozen_pairer = pairer.freeze(Arc::clone(&bert));
+    let mut candidates = 0;
+    for s in &fx.data.test {
+        let features = tagger.bert().features(&s.tokens);
+        let spans = spans_from_tags(&tagger.model().predict(&features));
+        assert_eq!(spans, fx.tagger.extract_spans(&s.tokens), "{:?}", s.tokens);
+        let tree = ParseTree::from_tokens(&s.tokens);
+        for a in spans.iter().filter(|sp| sp.kind == SpanKind::Aspect) {
+            for o in spans.iter().filter(|sp| sp.kind == SpanKind::Opinion) {
+                let frozen = frozen_pairer.probability_with(&features, &tree, &s.tokens, a, o);
+                let taped = pairer.probability(&s.tokens, a, o);
+                assert_eq!(frozen.to_bits(), taped.to_bits(), "{:?}", s.tokens);
+                candidates += 1;
+            }
+        }
+    }
+    assert!(candidates > 0, "no test sentence reached pairing");
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! `TraceContext`, asserting the trace records every stage enter and
 //! exit with the right nesting — names and order, not timings, which
 //! are machine-dependent — and that the timed spans and probe counters
-//! landed in the registry.
+//! landed in the registry, the extraction sub-spans (`extract.encode`,
+//! `.emit`, `.viterbi`, `.pair`) among them.
 //!
 //! Span timing is process-global, so this file keeps exactly one
 //! `#[test]`; Cargo gives each integration-test file its own process.
@@ -38,6 +39,17 @@ fn rank_call_produces_the_five_stage_span_tree() {
         !saccs::obs::enabled(),
         "span timing leaked in from elsewhere"
     );
+
+    // Registry-only spans inside extraction. Assert that their sample
+    // counts rise rather than their values: the switch is process-wide.
+    const EXTRACT_SPANS: [&str; 4] = [
+        "extract.encode",
+        "extract.emit",
+        "extract.viterbi",
+        "extract.pair",
+    ];
+    let samples = |name: &str| saccs::obs::registry().histogram(name).count();
+    let before: Vec<u64> = EXTRACT_SPANS.iter().map(|n| samples(n)).collect();
 
     saccs::obs::set_enabled(true);
     let api = SearchApi::new(&corpus.entities);
@@ -77,6 +89,12 @@ fn rank_call_produces_the_five_stage_span_tree() {
     }
     expected.push("stage_exit:algo1.rank".to_string());
     assert_eq!(stages, expected, "unexpected stage sequence");
+
+    // They stay out of the request trace (no `algo1.`/`serve.` prefix)
+    // but reach the registry.
+    for (name, was) in EXTRACT_SPANS.iter().zip(&before) {
+        assert!(samples(name) > *was, "{name} recorded no samples");
+    }
 
     // The probe stage really hit the index: per-stage histograms and the
     // exact-hit/fallback counters landed in the global registry.
