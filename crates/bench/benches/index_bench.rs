@@ -16,7 +16,7 @@ fn bench_index(c: &mut Criterion) {
         b.iter(|| gold_index(&corpus, IndexConfig::default(), 18))
     });
 
-    let index = gold_index(&corpus, IndexConfig::default(), 18);
+    let index = gold_index(&corpus, IndexConfig::default(), 18).pin();
     let known = SubjectiveTag::new("delicious", "food");
     c.bench_function("index/probe_known_tag", |b| {
         b.iter(|| index.probe_readonly(&known))
@@ -31,10 +31,10 @@ fn bench_index(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let idx = gold_index(&corpus, IndexConfig::default(), 18);
-                let _ = idx.probe(&SubjectiveTag::new("dreamy", "vibe"));
+                let _ = idx.pin().probe(&SubjectiveTag::new("dreamy", "vibe"));
                 idx
             },
-            |mut idx| idx.reindex_from_history(),
+            |idx| idx.reindex_pending(),
             BatchSize::SmallInput,
         )
     });

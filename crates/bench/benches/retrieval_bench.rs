@@ -61,7 +61,8 @@ fn bench_retrieval(c: &mut Criterion) {
         b.iter(|| ndcg(&ranked, &gains, 10))
     });
 
-    let index = gold_index(&corpus, IndexConfig::default(), 18);
+    let live = gold_index(&corpus, IndexConfig::default(), 18);
+    let index = live.pin();
     // §7 search automaton vs the BTreeMap-backed inverted index.
     let automaton = index.to_automaton();
     let known = SubjectiveTag::new("delicious", "food");
@@ -75,7 +76,7 @@ fn bench_retrieval(c: &mut Criterion) {
     c.bench_function("index/fuzzy_lookup_automaton", |b| {
         b.iter(|| automaton.fuzzy_get(&typo))
     });
-    let service = SaccsService::index_only(index, SaccsConfig::default());
+    let service = SaccsService::with_live_index(live, SaccsConfig::default());
     let api = SearchApi::new(&corpus.entities);
     let tags: Vec<SubjectiveTag> = query.tags.iter().map(|t| t.tag()).collect();
     let request = RankRequest::tags(tags);

@@ -38,7 +38,7 @@ fn main() {
             },
             18,
         );
-        let service = SaccsService::index_only(
+        let service = SaccsService::with_live_index(
             index,
             SaccsConfig {
                 aggregation: agg,

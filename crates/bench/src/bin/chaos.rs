@@ -3,8 +3,7 @@
 //! of the build; `scripts/ci.sh` runs the bin twice and byte-diffs them.
 //!
 //! Pass 1 (served): [`SERVED_REQUESTS`] requests through a
-//! [`WORKERS`]-wide `SaccsServer` with micro-batches of 4 and the flight
-//! recorder on. Every reply must equal serial `rank_request` bit for
+//! [`WORKERS`]-wide `SaccsServer` with the flight recorder on. Every reply must equal serial `rank_request` bit for
 //! bit, or the bin exits non-zero. It writes `CHAOS_served.jsonl`, one
 //! line per request (ranking with score *bits*) plus the server
 //! counters, and `CHAOS_obsreport.json`, the recorder's *normalized*
@@ -100,8 +99,8 @@ fn served_pass(service: &Arc<SaccsService>, corpus: &YelpCorpus, api: &SearchApi
         ServeConfig {
             workers: WORKERS,
             queue_depth: 256,
-            batch: 4,
             recorder: Some(RecorderConfig { ring: 256 }),
+            ..ServeConfig::default()
         },
     ));
     let mut served = String::new();

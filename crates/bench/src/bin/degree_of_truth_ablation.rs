@@ -47,7 +47,7 @@ fn main() {
             },
             18,
         );
-        let service = SaccsService::index_only(index, SaccsConfig::default());
+        let service = SaccsService::with_live_index(index, SaccsConfig::default());
         let values = mean_ndcg_by_level(&sets, &corpus, &crowd, |q, _| {
             let tags: Vec<SubjectiveTag> = q.tags.iter().map(|t| t.tag()).collect();
             service

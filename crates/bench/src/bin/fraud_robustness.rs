@@ -8,35 +8,37 @@
 //!
 //! `cargo run --release -p saccs-bench --bin fraud_robustness`
 
-use saccs_bench::{ndcg_of_ranking, scale, table2_corpus};
+use saccs_bench::{batch_index, first_canonical_tags, ndcg_of_ranking, scale, table2_corpus};
 use saccs_core::{RankRequest, SaccsConfig, SaccsService, SearchApi};
 use saccs_data::fraud::{inject_fraud, FraudCampaign};
 use saccs_data::yelp::YelpCorpus;
 use saccs_data::{canonical_tags, CrowdSimulator};
 use saccs_index::index::IndexConfig;
-use saccs_index::{DegreeFormula, FraudFilter, SubjectiveIndex};
+use saccs_index::{DegreeFormula, FraudFilter};
 use saccs_text::lexicon::Polarity;
-use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
+use std::sync::Arc;
 
+/// A gold-extraction service over every review, or with `filter` over
+/// the reviews it keeps.
 fn build_service(corpus: &YelpCorpus, filter: Option<&FraudFilter>) -> SaccsService {
-    let mut index = SubjectiveIndex::new(
-        ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-        IndexConfig {
-            degree_formula: DegreeFormula::PureRate,
-            ..Default::default()
-        },
-    );
+    let live = batch_index(IndexConfig {
+        degree_formula: DegreeFormula::PureRate,
+        ..Default::default()
+    });
     for e in 0..corpus.entities.len() {
         let profiles = saccs_bench::gold_review_profiles(corpus, e);
-        let evidence = match filter {
-            Some(f) => f.evidence(e, &profiles),
-            None => saccs_index::naive_evidence(e, &profiles),
+        let keep = match filter {
+            Some(f) => f.keep_flags(&profiles),
+            None => vec![true; profiles.len()],
         };
-        index.register_entity(evidence);
+        for (review, kept) in profiles.iter().zip(keep) {
+            if kept {
+                live.add_review(e, &review.tags);
+            }
+        }
     }
-    let tags: Vec<SubjectiveTag> = canonical_tags().iter().map(|t| t.tag()).collect();
-    index.index_tags(&tags);
-    SaccsService::index_only(index, SaccsConfig::default())
+    live.add_tags(&first_canonical_tags(canonical_tags().len()));
+    SaccsService::with_live_index(Arc::new(live), SaccsConfig::default())
 }
 
 fn main() {

@@ -36,10 +36,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saccs_bench::{bits, ranking_json, write_export};
 use saccs_data::synthetic_tags;
-use saccs_index::index::{EntityEvidence, IndexConfig, IndexEntry};
-use saccs_index::{LiveConfig, LiveIndex, ReviewRecord, SubjectiveIndex};
+use saccs_index::index::{IndexConfig, IndexEntry};
+use saccs_index::{LiveConfig, LiveIndex, LiveSnapshot, ReviewRecord};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 const N_ENTITIES: usize = 100;
@@ -89,32 +90,22 @@ fn stream(
         .collect()
 }
 
-/// From-scratch comparator over a review log, identical to the one the
-/// ingest test suites use.
-fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(sim(), IndexConfig::default());
-    let mut evidence: Vec<EntityEvidence> = Vec::new();
+/// From-scratch comparator over a review log: a fresh memory-only
+/// replay, reviews first, then the tags.
+fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> Arc<LiveSnapshot> {
+    let replay = LiveIndex::new(
+        sim(),
+        IndexConfig::default(),
+        LiveConfig {
+            seal_every: 0,
+            max_segments: 0,
+        },
+    );
     for record in log {
-        match evidence
-            .iter_mut()
-            .find(|e| e.entity_id == record.entity_id)
-        {
-            Some(ev) => {
-                ev.review_count += 1;
-                ev.review_tags.extend(record.tags.iter().cloned());
-            }
-            None => evidence.push(EntityEvidence {
-                entity_id: record.entity_id,
-                review_count: 1,
-                review_tags: record.tags.clone(),
-            }),
-        }
+        replay.add_review(record.entity_id, &record.tags);
     }
-    for ev in evidence {
-        idx.register_entity(ev);
-    }
-    idx.index_tags(tags);
-    idx
+    replay.add_tags(tags);
+    replay.pin()
 }
 
 /// Compare every probe on the live index against the rebuild, appending
@@ -127,11 +118,11 @@ fn check_equivalence(
     probes: &[SubjectiveTag],
     report: &mut String,
 ) {
-    let frozen = rebuild(log, index_tags);
+    let replay = rebuild(log, index_tags);
     let snapshot = live.pin();
     for probe in probes {
         let got = bits(&live.probe_pinned(&snapshot, probe));
-        let want = bits(&frozen.probe_readonly(probe));
+        let want = bits(&replay.probe_readonly(probe));
         if got != want {
             println!(
                 "DIVERGENCE: live probe for {probe:?} differs from rebuild at {label} \
@@ -342,13 +333,13 @@ fn catalog(lexicon: &Lexicon, report: &mut String, headline: &mut Vec<(String, f
     );
     let part_ns1 = part_ns();
 
-    let frozen = rebuild(&live.review_log(), index_tags);
+    let replay = rebuild(&live.review_log(), index_tags);
     let snapshot = live.pin();
     let mut postings = 0usize;
     let mut digest = 0u64;
     for tag in index_tags {
         let column = column_bits(snapshot.index().lookup(tag).unwrap_or(&[]));
-        if column != column_bits(frozen.lookup(tag).unwrap_or(&[])) {
+        if column != column_bits(replay.lookup(tag).unwrap_or(&[])) {
             println!(
                 "DIVERGENCE: live posting list for {tag:?} differs from rebuild \
                  after the catalog stream"

@@ -9,13 +9,17 @@
 //!
 //! `cargo run --release -p saccs-bench --bin similarity_ablation`
 
-use saccs_bench::{ndcg_of_ranking, query_gains, scale, table2_corpus, BenchBert};
+use saccs_bench::{
+    batch_index, gold_review_profiles, ndcg_of_ranking, query_gains, scale, table2_corpus,
+    BenchBert,
+};
 use saccs_core::{EmbeddingSimilarity, RankRequest, SaccsConfig, SaccsService, SearchApi};
 use saccs_data::queries::query_sets;
 use saccs_data::{canonical_tags, CrowdSimulator};
 use saccs_index::index::IndexConfig;
-use saccs_index::{DegreeFormula, SubjectiveIndex};
-use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
+use saccs_index::{DegreeFormula, ReviewProfile};
+use saccs_text::{Domain, SubjectiveTag};
+use std::sync::Arc;
 
 fn main() {
     let scale = scale(0.5);
@@ -26,8 +30,12 @@ fn main() {
     let sets = query_sets(100, 0x5141);
     let api = SearchApi::new(&corpus.entities);
 
-    // Collect every entity's gold review tags once.
-    let evidence = saccs_bench::gold_evidence(&corpus);
+    // Collect every entity's gold reviews once.
+    let reviews: Vec<(usize, Vec<ReviewProfile>)> = corpus
+        .entities
+        .iter()
+        .map(|e| (e.id, gold_review_profiles(&corpus, e.id)))
+        .collect();
     let index_tags: Vec<SubjectiveTag> = canonical_tags().iter().map(|t| t.tag()).collect();
 
     eprintln!("Training MiniBert for the embedding measure...");
@@ -35,7 +43,11 @@ fn main() {
     BenchBert::add_domain_knowledge(&bert, Domain::Restaurants, (2000.0 * scale) as usize + 200);
     let universe: Vec<&SubjectiveTag> = index_tags
         .iter()
-        .chain(evidence.iter().flat_map(|ev| ev.review_tags.iter()))
+        .chain(
+            reviews
+                .iter()
+                .flat_map(|(_, profiles)| profiles.iter().flat_map(|r| &r.tags)),
+        )
         .collect();
     let embedding = EmbeddingSimilarity::precompute(&bert, universe);
     eprintln!("  {} phrases embedded", embedding.len());
@@ -45,18 +57,17 @@ fn main() {
         ..Default::default()
     };
     let build = |custom: Option<EmbeddingSimilarity>| -> SaccsService {
-        let mut index = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-            config.clone(),
-        );
+        let mut live = batch_index(config.clone());
         if let Some(c) = custom {
-            index = index.with_custom_similarity(c);
+            live = live.with_custom_similarity(c);
         }
-        for ev in &evidence {
-            index.register_entity(ev.clone());
+        for (entity, profiles) in &reviews {
+            for review in profiles {
+                live.add_review(*entity, &review.tags);
+            }
         }
-        index.index_tags(&index_tags);
-        SaccsService::index_only(index, SaccsConfig::default())
+        live.add_tags(&index_tags);
+        SaccsService::with_live_index(Arc::new(live), SaccsConfig::default())
     };
 
     println!(

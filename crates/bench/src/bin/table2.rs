@@ -88,7 +88,7 @@ fn main() {
     // and the degree_of_truth_ablation bench); the literal-Eq1 row below
     // documents the difference.
     builder.index.degree_formula = DegreeFormula::PureRate;
-    let mut saccs = builder.build(&corpus);
+    let saccs = builder.build(&corpus);
     eprintln!("  trained + indexed in {:.1?}", t0.elapsed());
 
     // Evaluate every system on every difficulty level.
@@ -125,11 +125,11 @@ fn main() {
     }
 
     eprintln!("Evaluating SACCS-18 with the literal Equation-1 degrees...");
+    // The index holds the 18 tags already: re-finalize them under Eq. 1.
     saccs
         .service
-        .index_mut()
+        .live_index()
         .set_degree_formula(DegreeFormula::Equation1);
-    saccs.reindex_canonical(18);
     for (_, queries) in &sets {
         let mut total = 0.0;
         for q in queries {
@@ -184,9 +184,8 @@ fn main() {
         use saccs_eval::bootstrap::bootstrap_ci;
         saccs
             .service
-            .index_mut()
+            .live_index()
             .set_degree_formula(DegreeFormula::PureRate);
-        saccs.reindex_canonical(18);
         let (_, short_queries) = &sets[0];
         let mut saccs18 = Vec::new();
         let mut ir_scores = Vec::new();

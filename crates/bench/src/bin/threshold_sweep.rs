@@ -45,7 +45,7 @@ fn main() {
                 },
                 18,
             );
-            let service = SaccsService::index_only(index, SaccsConfig::default());
+            let service = SaccsService::with_live_index(index, SaccsConfig::default());
             let short_set = [(Difficulty::Short, queries.clone())];
             let values = mean_ndcg_by_level(&short_set, &corpus, &crowd, |q, _| {
                 let tags: Vec<SubjectiveTag> = q.tags.iter().map(|t| t.tag()).collect();

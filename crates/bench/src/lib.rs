@@ -23,10 +23,11 @@ use saccs_embed::{
     build_vocab, finetune_tagging, general_corpus, train_mlm, MiniBert, MiniBertConfig, MlmConfig,
 };
 use saccs_eval::ndcg::ndcg;
-use saccs_index::index::{EntityEvidence, IndexConfig};
-use saccs_index::SubjectiveIndex;
+use saccs_index::index::IndexConfig;
+use saccs_index::{LiveConfig, LiveIndex};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Under `SACCS_OBS=json`, turn span timing (and with it the
 /// span-duration histograms) on. Call at the top of every bench `main`;
@@ -177,32 +178,6 @@ pub fn pairing_bert(scale: f64) -> Rc<MiniBert> {
     Rc::new(bert)
 }
 
-/// Gold evidence for every entity: review tags taken from the generator's
-/// gold pairs instead of the neural extractor.
-pub fn gold_evidence(corpus: &YelpCorpus) -> Vec<EntityEvidence> {
-    corpus
-        .entities
-        .iter()
-        .map(|entity| {
-            let review_ids = corpus.reviews_of(entity.id);
-            let mut review_tags = Vec::new();
-            for &ri in review_ids {
-                for s in &corpus.reviews[ri].sentences {
-                    for (a, o) in &s.pairs {
-                        review_tags
-                            .push(SubjectiveTag::new(&o.text(&s.tokens), &a.text(&s.tokens)));
-                    }
-                }
-            }
-            EntityEvidence {
-                entity_id: entity.id,
-                review_count: review_ids.len(),
-                review_tags,
-            }
-        })
-        .collect()
-}
-
 /// Per-review gold tag profiles for one entity (the fraud-robustness
 /// experiments need review granularity rather than a flat bag).
 pub fn gold_review_profiles(corpus: &YelpCorpus, entity: usize) -> Vec<saccs_index::ReviewProfile> {
@@ -221,25 +196,38 @@ pub fn gold_review_profiles(corpus: &YelpCorpus, entity: usize) -> Vec<saccs_ind
         .collect()
 }
 
-/// Gold-extraction index: [`gold_evidence`] registered and the first
-/// `n_tags` canonical tags indexed. Used by the index/ranking ablation
-/// bins, which isolate Equation-1 / Algorithm-1 behaviour from extraction
-/// quality.
-pub fn gold_index(corpus: &YelpCorpus, config: IndexConfig, n_tags: usize) -> SubjectiveIndex {
-    let mut index = SubjectiveIndex::new(
+/// A memory-only live index over the restaurant lexicon that keeps
+/// every review in its one mem-segment (nothing seals or merges): the
+/// form a batch build takes.
+pub fn batch_index(config: IndexConfig) -> LiveIndex {
+    LiveIndex::new(
         ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
         config,
-    );
-    for evidence in gold_evidence(corpus) {
-        index.register_entity(evidence);
+        LiveConfig {
+            seal_every: 0,
+            max_segments: 0,
+        },
+    )
+}
+
+/// The first `n` of the 18 canonical tags.
+pub fn first_canonical_tags(n: usize) -> Vec<SubjectiveTag> {
+    canonical_tags().iter().take(n).map(|t| t.tag()).collect()
+}
+
+/// Gold-extraction index: every review's gold tags ingested, entities
+/// in catalog order, and the first `n_tags` canonical tags indexed.
+/// Used by the index/ranking ablation bins, which isolate Equation-1 /
+/// Algorithm-1 behaviour from extraction quality.
+pub fn gold_index(corpus: &YelpCorpus, config: IndexConfig, n_tags: usize) -> Arc<LiveIndex> {
+    let live = batch_index(config);
+    for entity in &corpus.entities {
+        for review in gold_review_profiles(corpus, entity.id) {
+            live.add_review(entity.id, &review.tags);
+        }
     }
-    let tags: Vec<SubjectiveTag> = canonical_tags()
-        .iter()
-        .take(n_tags)
-        .map(|t| t.tag())
-        .collect();
-    index.index_tags(&tags);
-    index
+    live.add_tags(&first_canonical_tags(n_tags));
+    Arc::new(live)
 }
 
 /// Mean NDCG@10 per difficulty level of a ranking function over query

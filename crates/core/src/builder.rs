@@ -8,8 +8,9 @@
 //!    pairing heuristic reads, §5.1),
 //! 4. train the BiLSTM-CRF tagger, optionally adversarially (§4.3),
 //! 5. fit the data-programming pairing pipeline (§5.2),
-//! 6. run the extractor over every review and build the subjective-tag
-//!    index (§3.1, Figure 1).
+//! 6. run the extractor over every review, ingest each review's tags into
+//!    a memory-only [`LiveIndex`](saccs_index::LiveIndex) and index the
+//!    canonical tags (§3.1, Figure 1).
 
 use crate::extractor::TagExtractor;
 use crate::service::{SaccsConfig, SaccsService};
@@ -20,12 +21,13 @@ use saccs_data::{canonical_tags, Dataset, DatasetId, YelpCorpus};
 use saccs_embed::{
     build_vocab, finetune_tagging, general_corpus, train_mlm, MiniBert, MiniBertConfig, MlmConfig,
 };
-use saccs_index::index::{EntityEvidence, IndexConfig};
-use saccs_index::SubjectiveIndex;
+use saccs_index::index::IndexConfig;
+use saccs_index::{LiveConfig, LiveIndex};
 use saccs_pairing::{PairingPipeline, PipelineConfig};
 use saccs_tagger::{Tagger, TrainConfig};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// End-to-end build configuration.
 #[derive(Debug, Clone)]
@@ -181,39 +183,40 @@ impl SaccsBuilder {
 
         let extractor = TagExtractor::new(tagger, pairing, Lexicon::new(Domain::Restaurants));
 
-        // 6: extract review tags and build the index.
-        let mut index = SubjectiveIndex::new(
+        // 6: extract each review's tags into a memory-only live index,
+        // entities in catalog order, then index the initial tags. Every
+        // record stays in the one mem-segment: nothing seals or merges.
+        let live = LiveIndex::new(
             ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
             self.index.clone(),
+            LiveConfig {
+                seal_every: 0,
+                max_segments: 0,
+            },
         );
         {
             let _extract = saccs_obs::span!("build.extract_reviews");
             for entity in &corpus.entities {
-                let review_ids = corpus.reviews_of(entity.id);
-                let mut review_tags = Vec::new();
-                for &ri in review_ids {
+                for &ri in corpus.reviews_of(entity.id) {
+                    let mut review_tags = Vec::new();
                     for sentence in &corpus.reviews[ri].sentences {
                         review_tags.extend(extractor.extract_from_tokens(&sentence.tokens));
                     }
+                    live.add_review(entity.id, &review_tags);
                 }
-                index.register_entity(EntityEvidence {
-                    entity_id: entity.id,
-                    review_count: review_ids.len(),
-                    review_tags,
-                });
             }
         }
-        let tags: Vec<SubjectiveTag> = canonical_tags()
-            .iter()
-            .take(self.initial_tags)
-            .map(|t| t.tag())
-            .collect();
-        index.index_tags(&tags);
+        live.add_tags(&canonical(self.initial_tags));
 
         TrainedSaccs {
-            service: SaccsService::new(index, extractor, self.service.clone()),
+            service: SaccsService::new(Arc::new(live), extractor, self.service.clone()),
         }
     }
+}
+
+/// The first `n` of the 18 canonical tags.
+fn canonical(n: usize) -> Vec<SubjectiveTag> {
+    canonical_tags().iter().take(n).map(|t| t.tag()).collect()
 }
 
 /// The result of a full build.
@@ -224,14 +227,9 @@ pub struct TrainedSaccs {
 impl TrainedSaccs {
     /// Re-index with a different number of canonical tags (Table 2's
     /// 6/12/18-tag conditions reuse one trained pipeline).
-    pub fn reindex_canonical(&mut self, n_tags: usize) {
-        let tags: Vec<SubjectiveTag> = canonical_tags()
-            .iter()
-            .take(n_tags)
-            .map(|t| t.tag())
-            .collect();
-        let index = self.service.index_mut();
-        index.clear_tags();
-        index.index_tags(&tags);
+    pub fn reindex_canonical(&self, n_tags: usize) {
+        let live = self.service.live_index();
+        live.clear_tags();
+        live.add_tags(&canonical(n_tags));
     }
 }

@@ -27,8 +27,6 @@ pub enum Stage {
     Filter,
     /// Per-tag index probes.
     Probe,
-    /// Live review ingestion into the segmented index.
-    Ingest,
 }
 
 impl Stage {
@@ -40,7 +38,6 @@ impl Stage {
             Stage::Extract => "extract",
             Stage::Filter => "filter",
             Stage::Probe => "probe",
-            Stage::Ingest => "ingest",
         }
     }
 }
@@ -66,11 +63,12 @@ pub enum SaccsError {
     },
     /// The per-request deadline budget lapsed at this stage.
     DeadlineExceeded { stage: Stage, elapsed: Duration },
-    /// The stage's component is absent (e.g. an `index_only` service
-    /// has no extractor).
+    /// The stage's component is absent (e.g. a service built
+    /// [`crate::service::SaccsService::with_live_index`] has no
+    /// extractor).
     Unavailable { stage: Stage },
     /// The request needs the neural extractor but the service was built
-    /// [`crate::service::SaccsService::index_only`]. Unlike
+    /// [`crate::service::SaccsService::with_live_index`]. Unlike
     /// [`SaccsError::Unavailable`] this is a *caller* error — the request
     /// shape cannot be served by this service configuration, ever — so it
     /// gets its own variant instead of masquerading as an outage.

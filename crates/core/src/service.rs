@@ -19,9 +19,9 @@
 //!
 //! The whole rank path is `&self`: a single `SaccsService` behind an
 //! `Arc` serves any number of threads. The moving parts that make that
-//! true live elsewhere — the index records probe history behind a
-//! mutex (a live backend's snapshots all share one), the stage breakers
-//! are lock-free atomics
+//! true live elsewhere — the one live index publishes immutable
+//! snapshots whose probes record history behind a shared mutex, the
+//! stage breakers are lock-free atomics
 //! ([`saccs_fault::SharedBreaker`]), and the neural extractor holds its
 //! trained models frozen off the autograd tape, so every thread reads
 //! the one [`TagExtractor`]. The canonical entry point is
@@ -96,11 +96,9 @@ impl Default for SaccsConfig {
 
 /// The assembled subjective search service.
 pub struct SaccsService {
-    index: SubjectiveIndex,
-    /// Live-ingestion backend. When present, probes pin one consistent
-    /// [`LiveSnapshot`] per request and `self.index` is only the
-    /// similarity/config carrier for profile weights.
-    live: Option<Arc<LiveIndex>>,
+    /// The one index: every request pins one consistent
+    /// [`LiveSnapshot`] of it, and [`SaccsService::ingest`] feeds it.
+    live: Arc<LiveIndex>,
     extractor: Option<TagExtractor>,
     config: SaccsConfig,
     resilience: ResilienceConfig,
@@ -119,10 +117,9 @@ const _: () = {
 
 impl SaccsService {
     /// Build from a populated index and a trained extractor.
-    pub fn new(index: SubjectiveIndex, extractor: TagExtractor, config: SaccsConfig) -> Self {
+    pub fn new(live: Arc<LiveIndex>, extractor: TagExtractor, config: SaccsConfig) -> Self {
         SaccsService {
-            index,
-            live: None,
+            live,
             extractor: Some(extractor),
             config,
             resilience: ResilienceConfig::default(),
@@ -130,34 +127,16 @@ impl SaccsService {
         }
     }
 
-    /// Build without a neural extractor; utterance-input requests fail
-    /// with [`SaccsError::NoExtractor`] (or degrade to objective-only on
-    /// the resilient path), tags-input requests work normally. Useful
-    /// for index-only experiments and tests.
-    pub fn index_only(index: SubjectiveIndex, config: SaccsConfig) -> Self {
-        SaccsService {
-            index,
-            live: None,
-            extractor: None,
-            config,
-            resilience: ResilienceConfig::default(),
-            breakers: StageBreakers::default(),
-        }
-    }
-
-    /// Build over a live-ingestion backend: probes pin one consistent
+    /// Build without a neural extractor: probes pin one consistent
     /// snapshot of `live` per request (ingest proceeds concurrently
     /// without ever being observed mid-write), and
-    /// [`SaccsService::ingest`] feeds reviews in. No neural extractor —
-    /// utterance requests degrade to objective-only like
-    /// [`SaccsService::index_only`].
+    /// [`SaccsService::ingest`] feeds reviews in. Utterance-input
+    /// requests degrade to objective-only (or, through
+    /// [`SaccsService::extract_tags`], fail with
+    /// [`SaccsError::NoExtractor`]); tags-input requests work normally.
     pub fn with_live_index(live: Arc<LiveIndex>, config: SaccsConfig) -> Self {
-        // The static index is only the similarity/config carrier (for
-        // profile weights); probes never touch it while `live` is set.
-        let index = SubjectiveIndex::new(live.similarity().clone(), live.config().clone());
         SaccsService {
-            index,
-            live: Some(live),
+            live,
             extractor: None,
             config,
             resilience: ResilienceConfig::default(),
@@ -184,39 +163,22 @@ impl SaccsService {
         &self.breakers
     }
 
-    /// The static index probes read. On a service built
-    /// [`SaccsService::with_live_index`] it is an empty index that only
-    /// carries the live index's similarity and config; read that
-    /// service's postings through `pin()` on
-    /// [`live_index`](Self::live_index).
-    pub fn index(&self) -> &SubjectiveIndex {
-        &self.index
+    /// The index requests are served from right now: a pin of the live
+    /// index's published snapshot, which dereferences to its
+    /// [`SubjectiveIndex`]. Later ingests and re-indexing rounds do not
+    /// change a pin already taken.
+    pub fn index(&self) -> Arc<LiveSnapshot> {
+        self.live.pin()
     }
 
-    /// The live-ingestion backend, when the service was built
-    /// [`SaccsService::with_live_index`].
-    pub fn live_index(&self) -> Option<&Arc<LiveIndex>> {
-        self.live.as_ref()
+    /// The live index this service serves and ingests into.
+    pub fn live_index(&self) -> &Arc<LiveIndex> {
+        &self.live
     }
 
-    /// Ingest one review into the live backend. Fails with
-    /// [`SaccsError::Unavailable`] at [`Stage::Ingest`] on a static
-    /// (non-live) service.
-    pub fn ingest(
-        &self,
-        entity_id: usize,
-        review_tags: &[SubjectiveTag],
-    ) -> Result<IngestReceipt, SaccsError> {
-        match &self.live {
-            Some(live) => Ok(live.add_review(entity_id, review_tags)),
-            None => Err(SaccsError::Unavailable {
-                stage: Stage::Ingest,
-            }),
-        }
-    }
-
-    pub fn index_mut(&mut self) -> &mut SubjectiveIndex {
-        &mut self.index
+    /// Ingest one review into the live index.
+    pub fn ingest(&self, entity_id: usize, review_tags: &[SubjectiveTag]) -> IngestReceipt {
+        self.live.add_review(entity_id, review_tags)
     }
 
     /// The neural extractor, if this service has one.
@@ -310,12 +272,11 @@ impl SaccsService {
             }
         };
 
-        // One index for the whole request: on a live backend, one pinned
-        // snapshot, so the filter compiles against the exact segment set
-        // the probes below will answer from, however much is ingested
-        // mid-flight.
-        let pinned: Option<Arc<LiveSnapshot>> = self.live.as_ref().map(|live| live.pin());
-        let index = pinned.as_deref().map_or(&self.index, LiveSnapshot::index);
+        // One index for the whole request: one pinned snapshot, so the
+        // filter compiles against the exact segment set the probes below
+        // will answer from, however much is ingested mid-flight.
+        let pinned = self.live.pin();
+        let index = pinned.index();
 
         // Stage 1b: the subjective filter, compiled against the pinned
         // snapshot and applied as a pure selection on the objective
@@ -344,8 +305,8 @@ impl SaccsService {
         // Stage 2: subjective tags. Pre-extracted tags skip the neural
         // stage entirely; an utterance goes through the extractor —
         // objective-only on failure (an absent extractor degrades
-        // identically: `index_only` services serve objective results
-        // instead of erroring on the resilient path).
+        // identically: services built without one serve objective
+        // results instead of erroring on the resilient path).
         let tags: Vec<SubjectiveTag> = match &request.input {
             RankInput::Tags(tags) => tags.clone(),
             RankInput::Utterance(utterance) => {
@@ -406,7 +367,7 @@ impl SaccsService {
         // single pass.
         let weights: Option<Vec<f32>> = request.profile.as_ref().map(|(profile, boost)| {
             tags.iter()
-                .map(|t| profile.weight(t, self.index.similarity(), *boost))
+                .map(|t| profile.weight(t, self.live.similarity(), *boost))
                 .collect()
         });
 
@@ -478,7 +439,7 @@ impl SaccsService {
 
     /// Extract tags from an utterance without ranking (for inspection).
     /// `Err(NoExtractor)` if the service was built
-    /// [`SaccsService::index_only`].
+    /// [`SaccsService::with_live_index`].
     pub fn extract_tags(&self, utterance: &str) -> Result<Vec<SubjectiveTag>, SaccsError> {
         let extractor = self.extractor.as_ref().ok_or(SaccsError::NoExtractor)?;
         Ok(extractor.extract(utterance))
@@ -591,7 +552,8 @@ fn top_k_sorted<T>(v: &mut Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> std::cmp::O
 mod tests {
     use super::*;
     use crate::profile::UserProfile;
-    use saccs_index::index::{EntityEvidence, IndexConfig};
+    use saccs_index::index::IndexConfig;
+    use saccs_index::LiveConfig;
     use saccs_text::{ConceptualSimilarity, Domain, Lexicon};
 
     fn tag(op: &str, asp: &str) -> SubjectiveTag {
@@ -625,30 +587,29 @@ mod tests {
         s.rank_request(&RankRequest::tags(tags), &api).results
     }
 
-    /// Index with three entities: 0 is great food + nice staff, 1 is
-    /// great food only, 2 is nice staff only.
+    /// Index with three entities of five reviews each: 0 is great food
+    /// + nice staff, 1 is great food only, 2 is nice staff only.
     fn service() -> SaccsService {
-        let mut idx = SubjectiveIndex::new(
+        let live = LiveIndex::new(
             ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
             IndexConfig::default(),
+            LiveConfig {
+                seal_every: 0,
+                max_segments: 0,
+            },
         );
-        idx.register_entity(EntityEvidence {
-            entity_id: 0,
-            review_count: 5,
-            review_tags: vec![tag("delicious", "food"), tag("friendly", "staff")],
-        });
-        idx.register_entity(EntityEvidence {
-            entity_id: 1,
-            review_count: 5,
-            review_tags: vec![tag("delicious", "food")],
-        });
-        idx.register_entity(EntityEvidence {
-            entity_id: 2,
-            review_count: 5,
-            review_tags: vec![tag("friendly", "staff")],
-        });
-        idx.index_tags(&[tag("delicious", "food"), tag("nice", "staff")]);
-        SaccsService::index_only(idx, SaccsConfig::default())
+        for (entity_id, review_tags) in [
+            (0, vec![tag("delicious", "food"), tag("friendly", "staff")]),
+            (1, vec![tag("delicious", "food")]),
+            (2, vec![tag("friendly", "staff")]),
+        ] {
+            live.add_review(entity_id, &review_tags);
+            for _ in 1..5 {
+                live.add_review(entity_id, &[]);
+            }
+        }
+        live.add_tags(&[tag("delicious", "food"), tag("nice", "staff")]);
+        SaccsService::with_live_index(Arc::new(live), SaccsConfig::default())
     }
 
     #[test]
@@ -738,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn extract_tags_on_index_only_service_is_no_extractor() {
+    fn extract_tags_without_an_extractor_is_no_extractor() {
         let s = service();
         assert_eq!(
             s.extract_tags("delicious food"),
@@ -821,49 +782,6 @@ mod tests {
         assert_eq!(neutral.len(), 2);
     }
 
-    #[test]
-    fn live_and_static_backends_share_one_probe_path() {
-        // The same reviews served statically and through a live index
-        // rank bitwise identically, and an unknown tag lands in the
-        // backend's one pending history either way.
-        use saccs_index::LiveConfig;
-        let reviews = [
-            (0, vec![tag("delicious", "food"), tag("friendly", "staff")]),
-            (1, vec![tag("delicious", "food")]),
-            (2, vec![tag("friendly", "staff")]),
-        ];
-        let index_tags = [tag("delicious", "food"), tag("nice", "staff")];
-        let sim = ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants));
-        let mut idx = SubjectiveIndex::new(sim.clone(), IndexConfig::default());
-        let live = Arc::new(LiveIndex::new(
-            sim,
-            IndexConfig::default(),
-            LiveConfig::default(),
-        ));
-        for (entity_id, review_tags) in &reviews {
-            idx.register_entity(EntityEvidence {
-                entity_id: *entity_id,
-                review_count: 1,
-                review_tags: review_tags.clone(),
-            });
-            live.add_review(*entity_id, review_tags);
-        }
-        idx.index_tags(&index_tags);
-        live.add_tags(&index_tags);
-        let frozen = SaccsService::index_only(idx, SaccsConfig::default());
-        let served = SaccsService::with_live_index(Arc::clone(&live), SaccsConfig::default());
-
-        let tags = vec![tag("delicious", "food"), tag("scrumptious", "food")];
-        let ranked = rank_tags(&frozen, tags.clone(), &[0, 1, 2]);
-        assert!(!ranked.is_empty());
-        let bits = |r: &[(usize, f32)]| -> Vec<(usize, u32)> {
-            r.iter().map(|&(e, s)| (e, s.to_bits())).collect()
-        };
-        assert_eq!(bits(&ranked), bits(&rank_tags(&served, tags, &[0, 1, 2])));
-        assert_eq!(frozen.index().history().len(), 1);
-        assert_eq!(live.pending_count(), 1);
-    }
-
     fn entities(n: usize) -> Vec<saccs_data::Entity> {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -876,8 +794,8 @@ mod tests {
 
     #[test]
     fn utterance_request_without_extractor_is_objective_only() {
-        // `index_only` services have no extractor: the request degrades
-        // to the objective order and says why.
+        // A service built without an extractor: the request degrades to
+        // the objective order and says why.
         let ents = entities(3);
         let api = SearchApi::new(&ents);
         let s = service();

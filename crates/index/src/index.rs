@@ -74,30 +74,47 @@ impl Default for IndexConfig {
     }
 }
 
-/// Per-entity evidence handed to the indexer: the bag of subjective tags
-/// the extractor pulled out of the entity's reviews, plus the review count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EntityEvidence {
-    pub entity_id: usize,
-    pub review_count: usize,
-    pub review_tags: Vec<SubjectiveTag>,
+/// The similarity an index scores with: the lexicon-backed
+/// [`ConceptualSimilarity`], which also weights profiles and prunes the
+/// cell index, and an optional override for degrees and probes (e.g.
+/// embedding cosine for the footnote-2 ablation). Both sit behind an
+/// `Arc`, so a live index hands every snapshot it publishes the same
+/// measure, fuzzy memo included.
+#[derive(Clone)]
+pub(crate) struct Scoring {
+    pub(crate) conceptual: Arc<ConceptualSimilarity>,
+    pub(crate) custom: Option<Arc<dyn TagSimilarity>>,
 }
 
-/// The subjective-tag inverted index.
+impl Scoring {
+    pub(crate) fn new(similarity: ConceptualSimilarity) -> Self {
+        Scoring {
+            conceptual: Arc::new(similarity),
+            custom: None,
+        }
+    }
+
+    /// The similarity score used for degrees and probes.
+    pub(crate) fn sim(&self, a: &SubjectiveTag, b: &SubjectiveTag) -> f32 {
+        match &self.custom {
+            Some(s) => s.similarity(a, b),
+            None => self.conceptual.tag_similarity(a, b),
+        }
+    }
+}
+
+/// The subjective-tag inverted index: a read-only view over posting
+/// lists. [`crate::LiveIndex`] computes every list (Equation 1) and
+/// publishes its state as one of these per snapshot;
+/// [`SubjectiveIndex::install_postings`] bulk-loads synthetic lists for
+/// benches and tests.
 pub struct SubjectiveIndex {
     config: IndexConfig,
-    similarity: ConceptualSimilarity,
-    /// Optional override for the tag-similarity measure used in degree
-    /// computation and probes (e.g. embedding cosine for the footnote-2
-    /// ablation). The lexicon-backed [`ConceptualSimilarity`] stays in
-    /// place for profile weighting. `Send + Sync` so a service built on
-    /// this index can be shared across serving threads. An index with
-    /// one answers fallback probes by scan.
-    custom_similarity: Option<Box<dyn TagSimilarity + Send + Sync>>,
+    /// Degrees and probes score through `scoring.sim`; an index with a
+    /// custom similarity answers fallback probes by scan.
+    scoring: Scoring,
     /// Index tag → entity mappings, sorted by descending degree of truth.
     entries: PostingColumns,
-    /// Evidence retained for incremental re-indexing rounds.
-    evidence: Vec<EntityEvidence>,
     /// The user tag history is the only probe-path state that mutates at
     /// serving time, so it sits behind its own mutex: probes stay `&self`
     /// and many serving threads can record unknown tags concurrently.
@@ -122,25 +139,28 @@ struct CellIndex {
 
 impl SubjectiveIndex {
     pub fn new(similarity: ConceptualSimilarity, config: IndexConfig) -> Self {
-        Self::with_columns(similarity, config, Arc::default(), PostingColumns::new())
+        Self::with_columns(
+            Scoring::new(similarity),
+            config,
+            Arc::default(),
+            PostingColumns::new(),
+        )
     }
 
     /// An index over `entries` whose probes record unknown tags into
     /// `history`, shared with whoever else holds it (the live-ingest
-    /// publish path hands every snapshot its writer's columns and its
-    /// live index's pending history).
+    /// publish path hands every snapshot its writer's columns, its
+    /// similarity and its live index's pending history).
     pub(crate) fn with_columns(
-        similarity: ConceptualSimilarity,
+        scoring: Scoring,
         config: IndexConfig,
         history: Arc<Mutex<UserTagHistory>>,
         entries: PostingColumns,
     ) -> Self {
         let mut index = SubjectiveIndex {
             config,
-            similarity,
-            custom_similarity: None,
+            scoring,
             entries,
-            evidence: Vec::new(),
             history,
             cells: None,
         };
@@ -148,23 +168,15 @@ impl SubjectiveIndex {
         index
     }
 
-    /// Replace the similarity measure used for degrees and probes (the
-    /// conceptual-vs-cosine ablation hook). Call before `index_tags`.
-    /// Fallback probes then scan, whatever was built before: fed a
-    /// [`ConceptualSimilarity`], this is the scan reference the cell
-    /// index is tested against, as it scores bit for bit alike.
+    /// Replace the similarity measure used for probes (the
+    /// conceptual-vs-cosine ablation hook). Fallback probes then scan,
+    /// whatever was installed before: fed a [`ConceptualSimilarity`],
+    /// this is the scan reference the cell index is tested against, as
+    /// it scores bit for bit alike.
     pub fn with_custom_similarity(mut self, similarity: impl TagSimilarity + 'static) -> Self {
-        self.custom_similarity = Some(Box::new(similarity));
+        self.scoring.custom = Some(Arc::new(similarity));
         self.rebuild_cells();
         self
-    }
-
-    /// The similarity score used for degrees and probes.
-    fn sim(&self, a: &SubjectiveTag, b: &SubjectiveTag) -> f32 {
-        match &self.custom_similarity {
-            Some(s) => s.similarity(a, b),
-            None => self.similarity.tag_similarity(a, b),
-        }
     }
 
     pub fn config(&self) -> &IndexConfig {
@@ -173,14 +185,7 @@ impl SubjectiveIndex {
 
     /// The similarity checker backing this index.
     pub fn similarity(&self) -> &ConceptualSimilarity {
-        &self.similarity
-    }
-
-    /// Switch the degree formula. Takes effect on the next
-    /// [`SubjectiveIndex::index_tags`] call; existing postings are not
-    /// recomputed automatically.
-    pub fn set_degree_formula(&mut self, formula: DegreeFormula) {
-        self.config.degree_formula = formula;
+        &self.scoring.conceptual
     }
 
     /// Rebuild the cell index from the current entries. Always runs over
@@ -191,113 +196,17 @@ impl SubjectiveIndex {
         self.cells = None;
         // A custom similarity has no upper bounds to prune cells by:
         // fallback probes scan.
-        if self.entries.is_empty() || self.custom_similarity.is_some() {
+        if self.entries.is_empty() || self.scoring.custom.is_some() {
             return;
         }
         let tags: Vec<SubjectiveTag> = self.entries.keys().cloned().collect();
         let columns: Vec<Arc<[IndexEntry]>> = self.entries.values().cloned().collect();
-        let cells = SemanticCandidateIndex::build(&self.similarity, &tags);
+        let cells = SemanticCandidateIndex::build(self.similarity(), &tags);
         self.cells = Some(CellIndex {
             tags,
             columns,
             cells,
         });
-    }
-
-    /// Register extracted evidence for one entity (idempotent per entity:
-    /// later registrations replace earlier ones).
-    pub fn register_entity(&mut self, evidence: EntityEvidence) {
-        if let Some(existing) = self
-            .evidence
-            .iter_mut()
-            .find(|e| e.entity_id == evidence.entity_id)
-        {
-            *existing = evidence;
-        } else {
-            self.evidence.push(evidence);
-        }
-    }
-
-    /// Degree of truth of `tag` for one entity (Equation 1):
-    /// `log(|R_e| + 1) × mean{ Sim(tag, t) : t ∈ T_e, Sim > θ_index }`,
-    /// or `None` when no review tag clears the threshold.
-    fn degree_of_truth(&self, tag: &SubjectiveTag, evidence: &EntityEvidence) -> Option<f32> {
-        let mut sum = 0.0f32;
-        let mut n = 0usize;
-        for t in &evidence.review_tags {
-            let sim = self.sim(tag, t);
-            if sim > self.config.theta_index {
-                sum += sim;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            return None;
-        }
-        Some(degree_value(
-            self.config.degree_formula,
-            sum,
-            n,
-            evidence.review_count,
-            evidence.review_tags.len(),
-        ))
-    }
-
-    /// Compute one tag's posting list from the registered evidence.
-    fn build_postings(&self, tag: &SubjectiveTag) -> Vec<IndexEntry> {
-        let mut postings: Vec<IndexEntry> = self
-            .evidence
-            .iter()
-            .filter_map(|ev| {
-                self.degree_of_truth(tag, ev).map(|d| IndexEntry {
-                    entity_id: ev.entity_id,
-                    degree_of_truth: d,
-                    normalized: 0.0,
-                })
-            })
-            .collect();
-        finalize_postings(&mut postings);
-        postings
-    }
-
-    /// (Re)index the given tags against all registered evidence. Existing
-    /// tags are recomputed; construction fans out one task per tag across
-    /// the `saccs-rt` pool. Posting lists come back positionally and each
-    /// is a pure function of `(tag, evidence)`, so the resulting index is
-    /// bitwise independent of the thread count.
-    pub fn index_tags(&mut self, tags: &[SubjectiveTag]) {
-        let _build = saccs_obs::span!("index.build");
-        saccs_obs::counter!("index.build.tags").add(tags.len() as u64);
-        let this = &*self;
-        let postings = saccs_rt::parallel_map(tags.len(), 4, |i| this.build_postings(&tags[i]));
-        for (tag, postings) in tags.iter().zip(postings) {
-            self.entries.insert(tag.clone(), postings.into());
-        }
-        self.rebuild_cells();
-    }
-
-    /// Run an indexing round over the accumulated user tag history
-    /// (Figure 1's "next indexing round"): every tag users asked about and
-    /// the index didn't know becomes a first-class index tag. Returns how
-    /// many new tags were indexed.
-    pub fn reindex_from_history(&mut self) -> usize {
-        let pending = self.history.lock().drain();
-        let fresh: Vec<SubjectiveTag> = pending
-            .into_iter()
-            .filter(|t| !self.entries.contains_key(t))
-            .collect();
-        saccs_obs::counter!("index.reindex.rounds").inc();
-        saccs_obs::counter!("index.reindex.tags").add(fresh.len() as u64);
-        self.index_tags(&fresh);
-        fresh.len()
-    }
-
-    /// Drop all indexed tags (registered evidence is kept, so a fresh
-    /// `index_tags` call rebuilds from the same extractions). Used by the
-    /// Table-2 runs to evaluate 6/12/18-tag index states on one pipeline.
-    pub fn clear_tags(&mut self) {
-        self.entries.clear();
-        self.cells = None;
     }
 
     /// Number of index tags.
@@ -429,7 +338,7 @@ impl SubjectiveIndex {
     fn probe_scan(&self, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
         let mut matches = Matches::default();
         for (index_tag, postings) in &self.entries {
-            let sim = self.sim(tag, index_tag);
+            let sim = self.scoring.sim(tag, index_tag);
             if sim > theta {
                 matches.push(sim, postings);
             }
@@ -451,7 +360,7 @@ impl SubjectiveIndex {
         // per candidate.
         let sc = index
             .cells
-            .rescore(&self.similarity, tag, theta, &index.tags);
+            .rescore(self.similarity(), tag, theta, &index.tags);
         for &(id, sim) in &sc.scored {
             if sim > theta {
                 rescored += 1;
@@ -501,35 +410,11 @@ impl SubjectiveIndex {
     }
 }
 
-/// The degree-of-truth value for one `(tag, entity)` pair, given the
-/// θ_index-filtered similarity fold `(sum, n)` over the entity's review
-/// tags. Shared by the batch builder above and the incremental live
-/// path (`crate::live`): both feed it the *same* left-fold `sum` (f32
-/// addition in review order), so batch and incremental degrees are
-/// bitwise identical.
-pub(crate) fn degree_value(
-    formula: DegreeFormula,
-    sum: f32,
-    n: usize,
-    review_count: usize,
-    total_tags: usize,
-) -> f32 {
-    let mean = sum / n as f32;
-    let total = total_tags.max(1) as f32;
-    let log_reviews = ((review_count + 1) as f32).ln();
-    match formula {
-        DegreeFormula::Equation1 => log_reviews * mean,
-        DegreeFormula::MatchVolume => ((n + 1) as f32).ln() * mean,
-        DegreeFormula::MentionRate => log_reviews * sum / total,
-        DegreeFormula::PureRate => sum / total,
-        DegreeFormula::PureMean => mean,
-    }
-}
-
 /// Order a freshly computed posting list and fill in the normalized
-/// column: stable sort by descending degree (ties keep evidence order),
-/// then rescale against the max. Shared by batch and live builds so the
-/// posting byte layout cannot drift between the two paths.
+/// column: stable sort by descending degree (ties keep first-seen entity
+/// order), then rescale against the max. Shared by the live writer and
+/// [`SubjectiveIndex::install_postings`], so a bulk-loaded list is laid
+/// out exactly like a computed one.
 pub(crate) fn finalize_postings(postings: &mut [IndexEntry]) {
     postings.sort_by(|a, b| b.degree_of_truth.total_cmp(&a.degree_of_truth));
     let max = postings.first().map(|e| e.degree_of_truth).unwrap_or(0.0);
@@ -595,6 +480,7 @@ impl<'a> Matches<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::{LiveConfig, LiveIndex, LiveSnapshot};
     use proptest::prelude::*;
     use saccs_text::{Domain, Lexicon};
 
@@ -760,12 +646,39 @@ mod tests {
         SubjectiveTag::new(op, asp)
     }
 
-    fn evidence(id: usize, reviews: usize, tags: &[(&str, &str)]) -> EntityEvidence {
-        EntityEvidence {
-            entity_id: id,
-            review_count: reviews,
-            review_tags: tags.iter().map(|(o, a)| tag(o, a)).collect(),
+    /// One entity's reviews: `(id, review count, tags)`.
+    type Evidence<'a> = (usize, usize, &'a [(&'a str, &'a str)]);
+
+    /// The published index of a memory-only live index over `entities`
+    /// (each one review carrying all its tags, then `reviews - 1` empty
+    /// reviews, so counts and folds are the given ones) with `tags`
+    /// indexed.
+    fn built(
+        config: IndexConfig,
+        entities: &[Evidence<'_>],
+        tags: &[SubjectiveTag],
+    ) -> Arc<LiveSnapshot> {
+        let live = LiveIndex::new(
+            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
+            config,
+            LiveConfig {
+                seal_every: 0,
+                max_segments: 0,
+            },
+        );
+        for &(id, reviews, review_tags) in entities {
+            let review: Vec<SubjectiveTag> = review_tags.iter().map(|(o, a)| tag(o, a)).collect();
+            live.add_review(id, &review);
+            for _ in 1..reviews {
+                live.add_review(id, &[]);
+            }
         }
+        live.add_tags(tags);
+        live.pin()
+    }
+
+    fn built_default(entities: &[Evidence<'_>], tags: &[SubjectiveTag]) -> Arc<LiveSnapshot> {
+        built(IndexConfig::default(), entities, tags)
     }
 
     #[test]
@@ -773,11 +686,14 @@ mod tests {
         // E1: "good food", E3: "superb atmosphere", E5: "amazing pizza".
         // Index tags: "good food", "great atmosphere". E1 and E5 must land
         // under "good food"; E3 must not.
-        let mut idx = index();
-        idx.register_entity(evidence(1, 1, &[("good", "food")]));
-        idx.register_entity(evidence(3, 1, &[("superb", "atmosphere")]));
-        idx.register_entity(evidence(5, 1, &[("amazing", "pizza")]));
-        idx.index_tags(&[tag("good", "food"), tag("great", "atmosphere")]);
+        let idx = built_default(
+            &[
+                (1, 1, &[("good", "food")]),
+                (3, 1, &[("superb", "atmosphere")]),
+                (5, 1, &[("amazing", "pizza")]),
+            ],
+            &[tag("good", "food"), tag("great", "atmosphere")],
+        );
 
         let food = idx.lookup(&tag("good", "food")).unwrap();
         let food_ids: Vec<usize> = food.iter().map(|e| e.entity_id).collect();
@@ -795,10 +711,13 @@ mod tests {
 
     #[test]
     fn exact_mention_outranks_similar_mention() {
-        let mut idx = index();
-        idx.register_entity(evidence(0, 3, &[("good", "food"), ("good", "food")]));
-        idx.register_entity(evidence(1, 3, &[("amazing", "pizza")]));
-        idx.index_tags(&[tag("good", "food")]);
+        let idx = built_default(
+            &[
+                (0, 3, &[("good", "food"), ("good", "food")]),
+                (1, 3, &[("amazing", "pizza")]),
+            ],
+            &[tag("good", "food")],
+        );
         let postings = idx.lookup(&tag("good", "food")).unwrap();
         assert_eq!(postings[0].entity_id, 0);
         assert!(postings[0].degree_of_truth > postings[1].degree_of_truth);
@@ -810,10 +729,10 @@ mod tests {
         // Same mention profile, more reviews → higher degree (Eq. 1's
         // log(|R_e|+1) factor: "SACCS privileges the entities having more
         // reviews").
-        let mut idx = index();
-        idx.register_entity(evidence(0, 2, &[("good", "food")]));
-        idx.register_entity(evidence(1, 50, &[("good", "food")]));
-        idx.index_tags(&[tag("good", "food")]);
+        let idx = built_default(
+            &[(0, 2, &[("good", "food")]), (1, 50, &[("good", "food")])],
+            &[tag("good", "food")],
+        );
         let postings = idx.lookup(&tag("good", "food")).unwrap();
         assert_eq!(postings[0].entity_id, 1);
         let ratio = postings[0].degree_of_truth / postings[1].degree_of_truth;
@@ -822,38 +741,37 @@ mod tests {
 
     #[test]
     fn volume_weight_can_be_ablated() {
-        let mut idx = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
+        let idx = built(
             IndexConfig {
                 degree_formula: DegreeFormula::PureMean,
                 ..Default::default()
             },
+            &[(0, 2, &[("good", "food")]), (1, 50, &[("good", "food")])],
+            &[tag("good", "food")],
         );
-        idx.register_entity(evidence(0, 2, &[("good", "food")]));
-        idx.register_entity(evidence(1, 50, &[("good", "food")]));
-        idx.index_tags(&[tag("good", "food")]);
         let postings = idx.lookup(&tag("good", "food")).unwrap();
         assert!((postings[0].degree_of_truth - postings[1].degree_of_truth).abs() < 1e-6);
     }
 
     #[test]
     fn match_count_weight_rewards_mention_rate() {
-        let mut idx = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
+        // Same review volume; entity 1 has three matching mentions, entity
+        // 0 has one.
+        let idx = built(
             IndexConfig {
                 degree_formula: DegreeFormula::MatchVolume,
                 ..Default::default()
             },
+            &[
+                (0, 10, &[("good", "food")]),
+                (
+                    1,
+                    10,
+                    &[("good", "food"), ("good", "food"), ("good", "food")],
+                ),
+            ],
+            &[tag("good", "food")],
         );
-        // Same review volume; entity 1 has three matching mentions, entity
-        // 0 has one.
-        idx.register_entity(evidence(0, 10, &[("good", "food")]));
-        idx.register_entity(evidence(
-            1,
-            10,
-            &[("good", "food"), ("good", "food"), ("good", "food")],
-        ));
-        idx.index_tags(&[tag("good", "food")]);
         let postings = idx.lookup(&tag("good", "food")).unwrap();
         assert_eq!(postings[0].entity_id, 1);
     }
@@ -862,15 +780,18 @@ mod tests {
     fn probe_unknown_tag_unions_similar_tags_and_records_history() {
         // §3.2's walk-through: "delicious food" is absent; it pulls from
         // "good food" and "creative cooking" postings.
-        let mut idx = index();
-        idx.register_entity(evidence(0, 1, &[("good", "food")]));
-        idx.register_entity(evidence(1, 1, &[("creative", "cooking")]));
-        idx.register_entity(evidence(2, 1, &[("fast", "delivery")]));
-        idx.index_tags(&[
-            tag("good", "food"),
-            tag("creative", "cooking"),
-            tag("fast", "delivery"),
-        ]);
+        let idx = built_default(
+            &[
+                (0, 1, &[("good", "food")]),
+                (1, 1, &[("creative", "cooking")]),
+                (2, 1, &[("fast", "delivery")]),
+            ],
+            &[
+                tag("good", "food"),
+                tag("creative", "cooking"),
+                tag("fast", "delivery"),
+            ],
+        );
         let result = idx.probe(&tag("delicious", "food"));
         let ids: Vec<usize> = result.iter().map(|(e, _)| *e).collect();
         assert!(ids.contains(&0), "good food contributor missing");
@@ -884,85 +805,34 @@ mod tests {
 
     #[test]
     fn known_tag_probe_is_verbatim_and_leaves_no_history() {
-        let mut idx = index();
-        idx.register_entity(evidence(0, 1, &[("nice", "staff")]));
-        idx.index_tags(&[tag("nice", "staff")]);
+        let idx = built_default(&[(0, 1, &[("nice", "staff")])], &[tag("nice", "staff")]);
         let result = idx.probe(&tag("nice", "staff"));
         assert_eq!(result.len(), 1);
         assert!(idx.history().is_empty());
     }
 
     #[test]
-    fn reindex_from_history_adds_tags() {
-        let mut idx = index();
-        idx.register_entity(evidence(0, 2, &[("romantic", "ambiance")]));
-        idx.index_tags(&[tag("good", "food")]);
-        assert_eq!(idx.len(), 1);
-        let _ = idx.probe(&tag("romantic", "ambiance")); // unknown → history
-        let added = idx.reindex_from_history();
-        assert_eq!(added, 1);
-        assert_eq!(idx.len(), 2);
-        // Now a first-class tag with direct postings.
-        let postings = idx.lookup(&tag("romantic", "ambiance")).unwrap();
-        assert_eq!(postings[0].entity_id, 0);
-        assert!(idx.history().is_empty());
-    }
-
-    #[test]
     fn opposite_polarity_never_enters_postings() {
-        let mut idx = index();
-        idx.register_entity(evidence(0, 1, &[("bland", "food")]));
-        idx.index_tags(&[tag("delicious", "food")]);
+        let idx = built_default(&[(0, 1, &[("bland", "food")])], &[tag("delicious", "food")]);
         assert!(idx.lookup(&tag("delicious", "food")).unwrap().is_empty());
     }
 
     #[test]
-    fn parallel_and_serial_builds_agree() {
-        let mut idx = index();
-        for i in 0..40 {
-            idx.register_entity(evidence(
-                i,
-                i + 1,
-                &[("good", "food"), ("nice", "staff"), ("quick", "service")],
-            ));
-        }
-        let tags: Vec<SubjectiveTag> = vec![
-            tag("good", "food"),
-            tag("delicious", "food"),
-            tag("nice", "staff"),
-            tag("friendly", "waiters"),
-            tag("quick", "service"),
-            tag("fast", "delivery"),
-        ];
-        idx.index_tags(&tags);
-        for t in &tags {
-            let via_parallel = idx.lookup(t).unwrap().to_vec();
-            let direct = idx.build_postings(t);
-            assert_eq!(via_parallel.len(), direct.len());
-            for (a, b) in via_parallel.iter().zip(&direct) {
-                assert_eq!(a.entity_id, b.entity_id);
-                assert!((a.degree_of_truth - b.degree_of_truth).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
     fn installed_postings_round_trip_and_keep_cells_vs_scan_equality() {
-        let mut idx = index();
-        idx.register_entity(evidence(0, 3, &[("good", "food"), ("nice", "staff")]));
-        idx.register_entity(evidence(
-            1,
-            7,
-            &[("creative", "cooking"), ("quick", "service")],
-        ));
-        idx.register_entity(evidence(2, 2, &[("romantic", "ambiance")]));
-        idx.index_tags(&[
-            tag("good", "food"),
-            tag("nice", "staff"),
-            tag("creative", "cooking"),
-            tag("quick", "service"),
-            tag("romantic", "ambiance"),
-        ]);
+        let idx = built_default(
+            &[
+                (0, 3, &[("good", "food"), ("nice", "staff")]),
+                (1, 7, &[("creative", "cooking"), ("quick", "service")]),
+                (2, 2, &[("romantic", "ambiance")]),
+            ],
+            &[
+                tag("good", "food"),
+                tag("nice", "staff"),
+                tag("creative", "cooking"),
+                tag("quick", "service"),
+                tag("romantic", "ambiance"),
+            ],
+        );
         let raw = || {
             idx.tags()
                 .map(|t| {
@@ -1007,10 +877,10 @@ mod tests {
 
     #[test]
     fn render_table_matches_table1_shape() {
-        let mut idx = index();
-        idx.register_entity(evidence(0, 3, &[("good", "food")]));
-        idx.register_entity(evidence(1, 2, &[("tasty", "pizza")]));
-        idx.index_tags(&[tag("good", "food")]);
+        let idx = built_default(
+            &[(0, 3, &[("good", "food")]), (1, 2, &[("tasty", "pizza")])],
+            &[tag("good", "food")],
+        );
         let table = idx.render_table(3, |id| format!("Entity-{id}"));
         assert!(table.contains("good food"));
         assert!(table.contains("Entity-0"));
@@ -1019,9 +889,10 @@ mod tests {
 
     #[test]
     fn automaton_export_matches_lookup() {
-        let mut idx = index();
-        idx.register_entity(evidence(0, 2, &[("good", "food"), ("nice", "staff")]));
-        idx.index_tags(&[tag("good", "food"), tag("nice", "staff")]);
+        let idx = built_default(
+            &[(0, 2, &[("good", "food"), ("nice", "staff")])],
+            &[tag("good", "food"), tag("nice", "staff")],
+        );
         let automaton = idx.to_automaton();
         assert_eq!(automaton.len(), 2);
         for t in [tag("good", "food"), tag("nice", "staff")] {
@@ -1032,16 +903,5 @@ mod tests {
         // Fuzzy absorbs a one-letter typo the BTreeMap cannot.
         assert!(idx.lookup(&tag("goud", "food")).is_none());
         assert!(!automaton.fuzzy_get(&tag("goud", "food")).is_empty());
-    }
-
-    #[test]
-    fn register_entity_is_idempotent_per_entity() {
-        let mut idx = index();
-        idx.register_entity(evidence(0, 1, &[("good", "food")]));
-        idx.register_entity(evidence(0, 9, &[("good", "food")]));
-        idx.index_tags(&[tag("good", "food")]);
-        let postings = idx.lookup(&tag("good", "food")).unwrap();
-        assert_eq!(postings.len(), 1);
-        assert!((postings[0].degree_of_truth - 10f32.ln()).abs() < 1e-4);
     }
 }

@@ -10,12 +10,13 @@
 //!   example of §3.2),
 //! * a user tag history feeding dynamic re-indexing rounds (§3.1,
 //!   Figure 1), which is how SACCS "adapts to new user needs",
-//! * parallel construction over index tags (the `saccs-rt` pool),
-//! * live ingestion over checksummed, manifest-committed segments
-//!   ([`LiveIndex`]).
+//! * one writer, [`LiveIndex`]: reviews in through `add_review`, index
+//!   tags through `add_tags` (parallel over tags on the `saccs-rt`
+//!   pool), read-only [`SubjectiveIndex`] snapshots out, optionally over
+//!   checksummed, manifest-committed segments.
 //!
 //! The index is deliberately decoupled from the neural extractor: callers
-//! feed it per-entity bags of already-extracted [`SubjectiveTag`]s (the
+//! feed it each review's already-extracted [`SubjectiveTag`]s (the
 //! extractor lives in `saccs-core`), so this crate stays a pure data
 //! structure with no model dependencies.
 
@@ -31,7 +32,7 @@ pub mod history;
 pub mod index;
 /// Live ingestion: snapshot-isolated readers over a segmented index.
 pub mod live;
-/// Fraud-aware evidence filtering.
+/// Fraud-aware review filtering.
 pub mod robust;
 /// Mem/sealed segments, merge, and the on-disk segment store.
 pub mod segment;
@@ -46,8 +47,8 @@ pub use history::UserTagHistory;
 pub use index::{DegreeFormula, IndexConfig, IndexEntry, PostingColumns, SubjectiveIndex};
 /// Live-ingestion handle, its tuning knobs, pinned snapshots, receipts.
 pub use live::{IngestReceipt, LiveConfig, LiveIndex, LiveSnapshot};
-/// Evidence construction with fraud filtering.
-pub use robust::{naive_evidence, FraudFilter, ReviewProfile};
+/// Fraud filtering of per-review tag profiles.
+pub use robust::{FraudFilter, ReviewProfile};
 /// Re-exported tag type used throughout the index API.
 pub use saccs_text::SubjectiveTag;
 /// Segment types, the seq-ordered merge, and the on-disk store.

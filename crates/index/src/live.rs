@@ -1,12 +1,15 @@
-//! Live review ingestion over the segmented index.
+//! Live review ingestion over the segmented index: the one writer of
+//! Equation 1.
 //!
-//! [`LiveIndex`] is the serving-time counterpart of the frozen-corpus
-//! [`SubjectiveIndex`]: reviews arrive through [`LiveIndex::add_review`]
-//! while probes keep answering, with three guarantees the ingest suite
-//! pins down bit for bit:
+//! [`LiveIndex`] computes every posting list. A memory-only one (no
+//! store, `LiveConfig { seal_every: 0, max_segments: 0 }`) is how the
+//! trained service, the table bins and the tests build an index: one
+//! [`LiveIndex::add_review`] per review, then [`LiveIndex::add_tags`].
+//! With a store, reviews arrive while probes keep answering, with three
+//! guarantees the ingest suite pins down bit for bit:
 //!
 //! * **Snapshot isolation.** Readers call [`LiveIndex::pin`] to get an
-//!   `Arc` of the currently published [`LiveSnapshot`] — a fully built
+//!   `Arc` of the currently published [`LiveSnapshot`] — a read-only
 //!   [`SubjectiveIndex`] (cell index included) over one consistent
 //!   segment set. Writers publish new snapshots by swapping the `Arc`;
 //!   a pinned reader keeps probing its frozen view for as long as it
@@ -14,20 +17,23 @@
 //! * **Incremental = from-scratch.** Degrees of truth are maintained as
 //!   per-`(tag, entity)` partial folds `(Σ sim, n)` extended by each new
 //!   review's tags. Because f32 addition is folded left-to-right in
-//!   review order — exactly the order a from-scratch
-//!   [`SubjectiveIndex::index_tags`] build walks the concatenated
-//!   review tags — the incremental degrees are bitwise identical to a
-//!   rebuild at every ingest state. A review changes one entry in each
-//!   posting list where its entity has evidence, so ingest *splices*
-//!   that entry: it moves to the position a from-scratch sort would
-//!   give it (degree descending, ties in first-seen entity order), and
-//!   the normalized column is rescaled only when the list's maximum
-//!   changes. Posting orders and normalized columns therefore match a
-//!   rebuild bit for bit as well.
+//!   review order — exactly the order [`LiveIndex::add_tags`] walks the
+//!   record log when it builds a new tag's column from scratch — the
+//!   incremental degrees are bitwise identical to a replay at every
+//!   ingest state. A review changes one entry in each posting list where
+//!   its entity has evidence, so ingest *splices* that entry: it moves to
+//!   the position a from-scratch sort would give it (degree descending,
+//!   ties in first-seen entity order), and the normalized column is
+//!   rescaled only when the list's maximum changes. Posting orders and
+//!   normalized columns therefore match a replay bit for bit as well.
 //! * **Merge independence.** Sealed segments carry records keyed by a
 //!   globally unique ingest seq; compaction merges by sorting on that
 //!   seq ([`crate::segment::merge_segments`]), so merged output — and
 //!   everything readers see — is independent of merge order and timing.
+//!
+//! Each review's tags are stored once, in the record log (the open
+//! mem-segment and the sealed segments); per entity the writer keeps
+//! only its review and tag counts.
 //!
 //! Durability goes through [`SegmentStore`]: sealed segments persist to
 //! checksummed files and become visible only at a manifest commit, so
@@ -39,24 +45,25 @@
 //! only widen the durability gap, which the `index.ingest.*` counters
 //! account for.
 //!
-//! The live path always scores with the lexicon-backed
-//! [`ConceptualSimilarity`](saccs_text::ConceptualSimilarity) (a pure
-//! function of lexicon and config, so snapshot clones score
-//! identically); custom embedding similarities remain a frozen-index
-//! feature.
+//! The index scores with the lexicon-backed
+//! [`ConceptualSimilarity`](saccs_text::ConceptualSimilarity), or with a
+//! custom measure set by [`LiveIndex::with_custom_similarity`] (whose
+//! snapshots answer fallback probes by scan). Every published snapshot
+//! shares the live index's one similarity by `Arc`.
 
 use crate::history::UserTagHistory;
 use crate::index::{
-    degree_value, finalize_postings, EntityEvidence, IndexConfig, IndexEntry, PostingColumns,
+    finalize_postings, DegreeFormula, IndexConfig, IndexEntry, PostingColumns, Scoring,
     SubjectiveIndex,
 };
 use crate::segment::{
     merge_segments, Manifest, MemSegment, ReviewRecord, SealedSegment, SegmentStore, StoreError,
 };
 use parking_lot::{Mutex, RwLock};
-use saccs_text::{ConceptualSimilarity, SubjectiveTag};
+use saccs_text::{ConceptualSimilarity, SubjectiveTag, TagSimilarity};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -93,15 +100,16 @@ pub struct IngestReceipt {
     pub segments: usize,
 }
 
-/// One published, immutable view of the live index: a fully built
-/// [`SubjectiveIndex`] over a consistent segment set. Probing a pinned
-/// snapshot goes through exactly the frozen-index code paths (exact,
-/// θ_filter fallback through the cell index), so
-/// live serving inherits their determinism guarantees wholesale. Every
-/// snapshot's index shares its live index's pending history, so
-/// [`SubjectiveIndex::probe`] on a pinned view records unknown tags for
-/// the next [`LiveIndex::reindex_pending`] round, and the writer's
-/// posting columns, so a publish copies no posting list.
+/// One published, immutable view of the live index: a read-only
+/// [`SubjectiveIndex`] over a consistent segment set, reachable through
+/// `Deref` or [`LiveSnapshot::index`]. Probing a pinned snapshot goes
+/// through the index's code paths (exact, θ_filter fallback through the
+/// cell index or by scan), so serving inherits their determinism
+/// guarantees wholesale. Every snapshot's index shares its live index's
+/// pending history, so [`SubjectiveIndex::probe`] on a pinned view
+/// records unknown tags for the next [`LiveIndex::reindex_pending`]
+/// round, its similarity, and the writer's posting columns, so a
+/// publish copies no posting list.
 pub struct LiveSnapshot {
     index: SubjectiveIndex,
     ingested: u64,
@@ -110,17 +118,13 @@ pub struct LiveSnapshot {
 
 impl LiveSnapshot {
     /// The writer's current state as a snapshot: its columns shared by
-    /// reference count, its pending history shared outright.
-    fn of(
-        w: &Writer,
-        similarity: &ConceptualSimilarity,
-        config: &IndexConfig,
-        pending: &Arc<Mutex<UserTagHistory>>,
-    ) -> Self {
+    /// reference count, its similarity and pending history shared
+    /// outright.
+    fn of(w: &Writer, scoring: &Scoring, pending: &Arc<Mutex<UserTagHistory>>) -> Self {
         LiveSnapshot {
             index: SubjectiveIndex::with_columns(
-                similarity.clone(),
-                config.clone(),
+                scoring.clone(),
+                w.config.clone(),
                 Arc::clone(pending),
                 w.entries.clone(),
             ),
@@ -146,6 +150,38 @@ impl LiveSnapshot {
     }
 }
 
+impl Deref for LiveSnapshot {
+    type Target = SubjectiveIndex;
+
+    fn deref(&self) -> &SubjectiveIndex {
+        &self.index
+    }
+}
+
+/// The degree-of-truth value for one `(tag, entity)` pair, given the
+/// θ_index-filtered similarity fold `(sum, n)` over the entity's review
+/// tags. A splice and a from-scratch column feed it the *same* left-fold
+/// `sum` (f32 addition in review order), so their degrees are bitwise
+/// identical.
+fn degree_value(
+    formula: DegreeFormula,
+    sum: f32,
+    n: usize,
+    review_count: usize,
+    total_tags: usize,
+) -> f32 {
+    let mean = sum / n as f32;
+    let total = total_tags.max(1) as f32;
+    let log_reviews = ((review_count + 1) as f32).ln();
+    match formula {
+        DegreeFormula::Equation1 => log_reviews * mean,
+        DegreeFormula::MatchVolume => ((n + 1) as f32).ln() * mean,
+        DegreeFormula::MentionRate => log_reviews * sum / total,
+        DegreeFormula::PureRate => sum / total,
+        DegreeFormula::PureMean => mean,
+    }
+}
+
 /// Partial degree fold for one `(tag, entity)` pair: `Σ sim` over the
 /// entity's review tags clearing θ_index, and the match count. Extending
 /// the fold with a new review's tags performs the same f32 additions, in
@@ -159,17 +195,11 @@ struct TagAccum {
 
 impl TagAccum {
     /// Extend the fold for index tag `tag` with review tags `tags`, in
-    /// order (the fold `SubjectiveIndex::degree_of_truth` performs).
-    fn fold(
-        &mut self,
-        tag: &SubjectiveTag,
-        tags: &[SubjectiveTag],
-        similarity: &ConceptualSimilarity,
-        config: &IndexConfig,
-    ) {
+    /// order.
+    fn fold(&mut self, tag: &SubjectiveTag, tags: &[SubjectiveTag], scoring: &Scoring, theta: f32) {
         for t in tags {
-            let sim = similarity.tag_similarity(tag, t);
-            if sim > config.theta_index {
+            let sim = scoring.sim(tag, t);
+            if sim > theta {
                 self.sum += sim;
                 self.n += 1;
             }
@@ -177,11 +207,20 @@ impl TagAccum {
     }
 }
 
+/// One entity's review totals, the degree inputs besides the fold.
+#[derive(Debug, Clone, Copy)]
+struct EntityTotals {
+    entity_id: usize,
+    review_count: usize,
+    total_tags: usize,
+}
+
 /// Writer-side state, all under one mutex: the open mem-segment, the
 /// sealed segments (with their persistence status), and the incremental
 /// index state the publish step snapshots from.
 #[derive(Default)]
 struct Writer {
+    config: IndexConfig,
     mem: MemSegment,
     /// `(segment, persisted)` in seq order. A `false` flag marks a
     /// durability gap (failed persist) retried at the next seal or
@@ -189,13 +228,12 @@ struct Writer {
     sealed: Vec<(SealedSegment, bool)>,
     next_seq: u64,
     ingested: u64,
-    /// Per-entity evidence in first-seen order — the same order a
-    /// from-scratch build registers entities, so posting construction
-    /// walks entities identically.
-    evidence: Vec<EntityEvidence>,
+    /// Per-entity totals in first-seen order: the order posting ties
+    /// fall back to.
+    entities: Vec<EntityTotals>,
     entity_slot: BTreeMap<usize, usize>,
-    /// Per index tag, the partial fold per evidence slot (aligned with
-    /// `evidence`; missing trailing slots mean `n == 0`). Holds the same
+    /// Per index tag, the partial fold per entity slot (aligned with
+    /// `entities`; missing trailing slots mean `n == 0`). Holds the same
     /// tag set as `entries`, so the two iterate in lockstep.
     accums: BTreeMap<SubjectiveTag, Vec<TagAccum>>,
     /// The canonical posting lists. A review gives each list it changes
@@ -205,45 +243,83 @@ struct Writer {
 }
 
 impl Writer {
-    /// Extend `entity_id`'s evidence with one review, registering the
+    /// Count one review of `tags` for `entity_id`, registering the
     /// entity in the next slot if it is new. Returns its slot.
     fn observe(&mut self, entity_id: usize, tags: &[SubjectiveTag]) -> usize {
         let slot = match self.entity_slot.get(&entity_id) {
             Some(&slot) => slot,
             None => {
-                let slot = self.evidence.len();
-                self.evidence.push(EntityEvidence {
+                let slot = self.entities.len();
+                self.entities.push(EntityTotals {
                     entity_id,
                     review_count: 0,
-                    review_tags: Vec::new(),
+                    total_tags: 0,
                 });
                 self.entity_slot.insert(entity_id, slot);
                 slot
             }
         };
-        self.evidence[slot].review_count += 1;
-        self.evidence[slot].review_tags.extend(tags.iter().cloned());
+        self.entities[slot].review_count += 1;
+        self.entities[slot].total_tags += tags.len();
         slot
+    }
+
+    /// Every live record in seq order: the sealed segments, then the
+    /// open mem-segment.
+    fn records(&self) -> impl Iterator<Item = &ReviewRecord> {
+        self.sealed
+            .iter()
+            .flat_map(|(segment, _)| segment.records())
+            .chain(self.mem.records())
+    }
+
+    /// Compute one tag's posting list from its accumulator column —
+    /// entities in first-seen order, then [`finalize_postings`]. Used
+    /// where a whole list is new or re-finalized: [`LiveIndex::add_tags`],
+    /// [`LiveIndex::set_degree_formula`] and recovery.
+    fn postings(&self, accs: &[TagAccum]) -> Vec<IndexEntry> {
+        let mut postings: Vec<IndexEntry> = accs
+            .iter()
+            .zip(&self.entities)
+            .filter(|(acc, _)| acc.n > 0)
+            .map(|(acc, e)| IndexEntry {
+                entity_id: e.entity_id,
+                degree_of_truth: degree_value(
+                    self.config.degree_formula,
+                    acc.sum,
+                    acc.n as usize,
+                    e.review_count,
+                    e.total_tags,
+                ),
+                normalized: 0.0,
+            })
+            .collect();
+        finalize_postings(&mut postings);
+        postings
+    }
+
+    /// Re-finalize every posting list from the accumulators.
+    fn refinalize(&mut self) {
+        self.entries = self
+            .accums
+            .iter()
+            .map(|(tag, accs)| (tag.clone(), self.postings(accs).into()))
+            .collect();
     }
 }
 
 /// Fold one review into the accumulator columns and the entity's
-/// evidence, leaving the posting lists alone: the recovery replay, which
+/// totals, leaving the posting lists alone: the recovery replay, which
 /// finalizes every list once at the end.
-fn apply_review(
-    w: &mut Writer,
-    entity_id: usize,
-    tags: &[SubjectiveTag],
-    similarity: &ConceptualSimilarity,
-    config: &IndexConfig,
-) {
+fn apply_review(w: &mut Writer, entity_id: usize, tags: &[SubjectiveTag], scoring: &Scoring) {
     let slot = w.observe(entity_id, tags);
-    let slots = w.evidence.len();
+    let slots = w.entities.len();
+    let theta = w.config.theta_index;
     for (tag, accs) in w.accums.iter_mut() {
         if accs.len() < slots {
             accs.resize(slots, TagAccum::default());
         }
-        accs[slot].fold(tag, tags, similarity, config);
+        accs[slot].fold(tag, tags, scoring, theta);
     }
 }
 
@@ -256,15 +332,12 @@ fn splice_review(
     w: &mut Writer,
     entity_id: usize,
     tags: &[SubjectiveTag],
-    similarity: &ConceptualSimilarity,
-    config: &IndexConfig,
+    scoring: &Scoring,
 ) -> usize {
     let slot = w.observe(entity_id, tags);
-    let slots = w.evidence.len();
-    let (review_count, total_tags) = (
-        w.evidence[slot].review_count,
-        w.evidence[slot].review_tags.len(),
-    );
+    let slots = w.entities.len();
+    let totals = w.entities[slot];
+    let (theta, formula) = (w.config.theta_index, w.config.degree_formula);
     let mut spliced = 0;
     for ((tag, accs), (column_tag, column)) in w.accums.iter_mut().zip(w.entries.iter_mut()) {
         debug_assert_eq!(tag, column_tag, "accumulator and posting maps diverged");
@@ -272,18 +345,18 @@ fn splice_review(
             accs.resize(slots, TagAccum::default());
         }
         let acc = &mut accs[slot];
-        acc.fold(tag, tags, similarity, config);
+        acc.fold(tag, tags, scoring, theta);
         if acc.n == 0 {
             continue;
         }
         let entry = IndexEntry {
             entity_id,
             degree_of_truth: degree_value(
-                config.degree_formula,
+                formula,
                 acc.sum,
                 acc.n as usize,
-                review_count,
-                total_tags,
+                totals.review_count,
+                totals.total_tags,
             ),
             normalized: 0.0,
         };
@@ -292,9 +365,8 @@ fn splice_review(
     }
     spliced
 }
-
 /// Move `entry`'s entity to where [`finalize_postings`] would put it in
-/// `column`: degree descending by `total_cmp`, ties in evidence-slot
+/// `column`: degree descending by `total_cmp`, ties in entity-slot
 /// order (the stable sort's), so entities with bitwise-equal degrees,
 /// and only those, are ordered through `entity_slot`. `column` is
 /// finalized and holds at most one entry for the entity (none on its
@@ -352,59 +424,27 @@ fn splice(
     }
 }
 
-/// Compute one tag's posting list from its accumulator column —
-/// entities in first-seen order, shared [`degree_value`] /
-/// [`finalize_postings`] math, hence bitwise equal to
-/// `SubjectiveIndex::build_postings` over the same evidence. Used where
-/// a whole list is new: [`LiveIndex::add_tags`] and recovery.
-fn postings_from_accums(
-    accs: &[TagAccum],
-    evidence: &[EntityEvidence],
-    config: &IndexConfig,
-) -> Vec<IndexEntry> {
-    let mut postings: Vec<IndexEntry> = accs
-        .iter()
-        .zip(evidence)
-        .filter(|(acc, _)| acc.n > 0)
-        .map(|(acc, ev)| IndexEntry {
-            entity_id: ev.entity_id,
-            degree_of_truth: degree_value(
-                config.degree_formula,
-                acc.sum,
-                acc.n as usize,
-                ev.review_count,
-                ev.review_tags.len(),
-            ),
-            normalized: 0.0,
-        })
-        .collect();
-    finalize_postings(&mut postings);
-    postings
-}
-
-/// Build a fresh accumulator column for a newly added index tag by
-/// folding every entity's review tags in order.
+/// Fold every live record, in seq order, into a fresh accumulator
+/// column for `tag`: per entity the same left fold over its reviews'
+/// tags as a splice performs review by review. `slots` holds each
+/// record's entity slot.
 fn accum_column(
-    evidence: &[EntityEvidence],
+    w: &Writer,
+    slots: &[usize],
     tag: &SubjectiveTag,
-    similarity: &ConceptualSimilarity,
-    config: &IndexConfig,
+    scoring: &Scoring,
 ) -> Vec<TagAccum> {
-    evidence
-        .iter()
-        .map(|ev| {
-            let mut acc = TagAccum::default();
-            acc.fold(tag, &ev.review_tags, similarity, config);
-            acc
-        })
-        .collect()
+    let mut accs = vec![TagAccum::default(); w.entities.len()];
+    for (record, &slot) in w.records().zip(slots) {
+        accs[slot].fold(tag, &record.tags, scoring, w.config.theta_index);
+    }
+    accs
 }
 
 /// The live, ingesting index handle. See the module docs for the
 /// isolation / equivalence / durability contract.
 pub struct LiveIndex {
-    similarity: ConceptualSimilarity,
-    config: IndexConfig,
+    scoring: Scoring,
     live: LiveConfig,
     store: Option<SegmentStore>,
     writer: Mutex<Writer>,
@@ -418,16 +458,33 @@ pub struct LiveIndex {
 
 impl LiveIndex {
     /// A memory-only live index (no persistence): segments seal and
-    /// merge in memory, recovery is not available.
+    /// merge in memory, recovery is not available. With
+    /// `LiveConfig { seal_every: 0, max_segments: 0 }` every record
+    /// stays in the one mem-segment: the form a batch build takes.
     pub fn new(similarity: ConceptualSimilarity, config: IndexConfig, live: LiveConfig) -> Self {
         Self::build(
-            similarity,
-            config,
+            Scoring::new(similarity),
             live,
             None,
-            Writer::default(),
+            Writer {
+                config,
+                ..Writer::default()
+            },
             UserTagHistory::new(),
         )
+    }
+
+    /// Score degrees and probes with `similarity` instead of the
+    /// lexicon's (the footnote-2 ablation; fed a
+    /// [`ConceptualSimilarity`], the scan reference the cell index is
+    /// tested against). Snapshots then answer fallback probes by scan.
+    /// Set it on a fresh index: folds already taken keep the old
+    /// measure.
+    pub fn with_custom_similarity(mut self, similarity: impl TagSimilarity + 'static) -> Self {
+        self.scoring.custom = Some(Arc::new(similarity));
+        let first = LiveSnapshot::of(&self.writer.lock(), &self.scoring, &self.pending);
+        *self.published.write() = Arc::new(first);
+        self
     }
 
     /// Open a persistent live index at `dir`, recovering the last
@@ -444,7 +501,11 @@ impl LiveIndex {
         live: LiveConfig,
     ) -> Result<Self, StoreError> {
         let store = SegmentStore::open(dir)?;
-        let mut w = Writer::default();
+        let scoring = Scoring::new(similarity);
+        let mut w = Writer {
+            config,
+            ..Writer::default()
+        };
         let mut pending = UserTagHistory::new();
         if let Some(loaded) = store.load()? {
             for tag in &loaded.manifest.tags {
@@ -452,18 +513,11 @@ impl LiveIndex {
             }
             for segment in &loaded.segments {
                 for record in segment.records() {
-                    apply_review(&mut w, record.entity_id, &record.tags, &similarity, &config);
+                    apply_review(&mut w, record.entity_id, &record.tags, &scoring);
                     w.ingested += 1;
                 }
             }
-            w.entries = w
-                .accums
-                .iter()
-                .map(|(tag, accs)| {
-                    let postings = postings_from_accums(accs, &w.evidence, &config);
-                    (tag.clone(), postings.into())
-                })
-                .collect();
+            w.refinalize();
             if let Some(checkpointed) = &loaded.postings {
                 if *checkpointed != w.entries {
                     return Err(StoreError::Corrupt(
@@ -486,29 +540,20 @@ impl LiveIndex {
                 pending.set_count(tag, count);
             }
         }
-        Ok(Self::build(
-            similarity,
-            config,
-            live,
-            Some(store),
-            w,
-            pending,
-        ))
+        Ok(Self::build(scoring, live, Some(store), w, pending))
     }
 
     fn build(
-        similarity: ConceptualSimilarity,
-        config: IndexConfig,
+        scoring: Scoring,
         live: LiveConfig,
         store: Option<SegmentStore>,
         writer: Writer,
         pending: UserTagHistory,
     ) -> Self {
         let pending = Arc::new(Mutex::new(pending));
-        let first = LiveSnapshot::of(&writer, &similarity, &config, &pending);
+        let first = LiveSnapshot::of(&writer, &scoring, &pending);
         LiveIndex {
-            similarity,
-            config,
+            scoring,
             live,
             store,
             writer: Mutex::new(writer),
@@ -520,14 +565,13 @@ impl LiveIndex {
     /// Publish the writer's current state as a fresh immutable snapshot.
     fn publish_locked(&self, w: &Writer) {
         let _span = saccs_obs::span!("index.ingest.publish");
-        let snapshot = LiveSnapshot::of(w, &self.similarity, &self.config, &self.pending);
+        let snapshot = LiveSnapshot::of(w, &self.scoring, &self.pending);
         // Swap under the lock, drop after it: when no reader still pins
         // the old snapshot, its teardown would otherwise run while every
         // `pin()` waits on this lock.
         let old = std::mem::replace(&mut *self.published.write(), Arc::new(snapshot));
         drop(old);
     }
-
     /// Seal the mem-segment (behind the `index.seal` failpoint — an
     /// injected fault defers the seal and the mem-segment keeps
     /// growing) and, with a store, persist + commit the durable prefix.
@@ -649,23 +693,20 @@ impl LiveIndex {
         committed.map(|_| true)
     }
 
-    /// The similarity measure scoring ingested reviews and probes.
+    /// The lexicon-backed similarity: probes and degrees score with it
+    /// unless a custom similarity is set, and profiles weight with it.
     pub fn similarity(&self) -> &ConceptualSimilarity {
-        &self.similarity
+        &self.scoring.conceptual
     }
 
-    /// The index configuration snapshots are built with.
-    pub fn config(&self) -> &IndexConfig {
-        &self.config
-    }
-
-    /// Ingest one review: assign it the next global seq, extend the
-    /// entity's evidence and every index tag's partial fold, splice the
-    /// entity's recomputed entry into each posting list where it has
-    /// evidence (a fresh column per changed list, copied from the old one
-    /// with that one entry moved), and publish a fresh snapshot. Seals
-    /// (and persists) the mem-segment when it reaches `seal_every`, and
-    /// triggers compaction when the sealed count reaches `max_segments`.
+    /// Ingest one review: assign it the next global seq, append it to the
+    /// record log, extend the entity's totals and every index tag's
+    /// partial fold, splice the entity's recomputed entry into each
+    /// posting list where it has evidence (a fresh column per changed
+    /// list, copied from the old one with that one entry moved), and
+    /// publish a fresh snapshot. Seals (and persists) the mem-segment
+    /// when it reaches `seal_every`, and triggers compaction when the
+    /// sealed count reaches `max_segments`.
     ///
     /// The parts are timed as spans: `index.ingest` around the call,
     /// `index.ingest.apply` (fold and splice), `index.ingest.seal`,
@@ -690,7 +731,7 @@ impl LiveIndex {
         });
         let spliced = {
             let _apply = saccs_obs::span!("index.ingest.apply");
-            splice_review(&mut w, entity_id, tags, &self.similarity, &self.config)
+            splice_review(&mut w, entity_id, tags, &self.scoring)
         };
         saccs_obs::counter!("index.ingest.reviews").inc();
         saccs_obs::counter!("index.ingest.spliced").add(spliced as u64);
@@ -713,26 +754,58 @@ impl LiveIndex {
 
     /// Add index tags (initial vocabulary or a re-indexing round).
     /// Already-indexed tags are skipped; returns how many were new.
+    /// Each new tag's column folds the whole record log and is a pure
+    /// function of the tag and the log, so the columns fan out one task
+    /// per tag across the `saccs-rt` pool and come back positionally:
+    /// the index is bitwise independent of the pool width.
     pub fn add_tags(&self, tags: &[SubjectiveTag]) -> usize {
+        let _build = saccs_obs::span!("index.build");
         let mut w = self.writer.lock();
-        let mut added = 0usize;
-        for tag in tags {
-            if w.entries.contains_key(tag) {
-                continue;
-            }
-            let accs = accum_column(&w.evidence, tag, &self.similarity, &self.config);
-            let postings = postings_from_accums(&accs, &w.evidence, &self.config);
-            w.accums.insert(tag.clone(), accs);
-            w.entries.insert(tag.clone(), postings.into());
-            added += 1;
+        let mut seen = BTreeSet::new();
+        let fresh: Vec<&SubjectiveTag> = tags
+            .iter()
+            .filter(|t| !w.entries.contains_key(*t) && seen.insert(*t))
+            .collect();
+        if fresh.is_empty() {
+            return 0;
         }
-        if added > 0 {
-            self.publish_locked(&w);
-            let _ = self.commit_locked(&mut w, false);
+        saccs_obs::counter!("index.build.tags").add(fresh.len() as u64);
+        let slots: Vec<usize> = w.records().map(|r| w.entity_slot[&r.entity_id]).collect();
+        let writer = &*w;
+        let columns = saccs_rt::parallel_map(fresh.len(), 4, |i| {
+            let accs = accum_column(writer, &slots, fresh[i], &self.scoring);
+            let postings = writer.postings(&accs);
+            (accs, postings)
+        });
+        for (tag, (accs, postings)) in fresh.iter().zip(columns) {
+            w.accums.insert((*tag).clone(), accs);
+            w.entries.insert((*tag).clone(), postings.into());
         }
-        added
+        self.publish_locked(&w);
+        let _ = self.commit_locked(&mut w, false);
+        fresh.len()
     }
 
+    /// Drop every index tag (the record log is kept, so a later
+    /// [`LiveIndex::add_tags`] rebuilds from the same reviews). Table 2
+    /// evaluates its 6/12/18-tag index states on one trained pipeline
+    /// this way.
+    pub fn clear_tags(&self) {
+        let mut w = self.writer.lock();
+        w.accums.clear();
+        w.entries.clear();
+        self.publish_locked(&w);
+        let _ = self.commit_locked(&mut w, false);
+    }
+
+    /// Switch the degree formula and re-finalize every posting list from
+    /// the accumulators already held (the folds do not depend on it).
+    pub fn set_degree_formula(&self, formula: DegreeFormula) {
+        let mut w = self.writer.lock();
+        w.config.degree_formula = formula;
+        w.refinalize();
+        self.publish_locked(&w);
+    }
     /// Pin the currently published snapshot. The pin is just an `Arc`
     /// clone under a read lock — cheap, non-blocking for writers — and
     /// the returned view stays frozen however much is ingested after.
@@ -786,13 +859,7 @@ impl LiveIndex {
     /// mem-segment) — the replay input a from-scratch equivalence
     /// rebuild starts from.
     pub fn review_log(&self) -> Vec<ReviewRecord> {
-        let w = self.writer.lock();
-        let mut log: Vec<ReviewRecord> = Vec::with_capacity(w.ingested as usize);
-        for (segment, _) in &w.sealed {
-            log.extend(segment.records().iter().cloned());
-        }
-        log.extend(w.mem.records().iter().cloned());
-        log
+        self.writer.lock().records().cloned().collect()
     }
 
     /// Total reviews ingested (including ones still in the mem-segment).
@@ -836,35 +903,26 @@ mod tests {
         dir
     }
 
-    /// From-scratch comparator: replay the log into a frozen index the
-    /// way a batch pipeline would (entities in first-seen order). It
-    /// scores through the custom-similarity hook, so its fallback probes
-    /// scan while the live snapshots answer through their cell index.
-    fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
-        let mut idx =
-            SubjectiveIndex::new(sim(), IndexConfig::default()).with_custom_similarity(sim());
-        let mut evidence: Vec<EntityEvidence> = Vec::new();
+    /// From-scratch comparator: replay the log into a fresh memory-only
+    /// index, reviews first, then the tags, so every column is folded
+    /// from the whole log at once instead of spliced. It scores through
+    /// the custom-similarity hook, so its fallback probes scan while the
+    /// live snapshots answer through their cell index.
+    fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> Arc<LiveSnapshot> {
+        let replay = LiveIndex::new(
+            sim(),
+            IndexConfig::default(),
+            LiveConfig {
+                seal_every: 0,
+                max_segments: 0,
+            },
+        )
+        .with_custom_similarity(sim());
         for record in log {
-            match evidence
-                .iter_mut()
-                .find(|e| e.entity_id == record.entity_id)
-            {
-                Some(ev) => {
-                    ev.review_count += 1;
-                    ev.review_tags.extend(record.tags.iter().cloned());
-                }
-                None => evidence.push(EntityEvidence {
-                    entity_id: record.entity_id,
-                    review_count: 1,
-                    review_tags: record.tags.clone(),
-                }),
-            }
+            replay.add_review(record.entity_id, &record.tags);
         }
-        for ev in evidence {
-            idx.register_entity(ev);
-        }
-        idx.index_tags(tags);
-        idx
+        replay.add_tags(tags);
+        replay.pin()
     }
 
     fn bits(ranking: &[(usize, f32)]) -> Vec<(usize, u32)> {
@@ -893,7 +951,7 @@ mod tests {
         (0, &[("delicious", "food")]),
     ];
 
-    fn index_tags() -> Vec<SubjectiveTag> {
+    fn vocabulary() -> Vec<SubjectiveTag> {
         TAGS.iter().map(|(o, a)| tag(o, a)).collect()
     }
 
@@ -912,12 +970,12 @@ mod tests {
     }
 
     /// Every writer column is bitwise the list a from-scratch finalize
-    /// computes over the writer's own accumulators and evidence.
+    /// computes over the writer's own accumulators and entity totals.
     fn assert_columns_match_finalize(live: &LiveIndex) {
         let w = live.writer.lock();
         assert_eq!(w.accums.len(), w.entries.len());
         for (tag, accs) in &w.accums {
-            let want = postings_from_accums(accs, &w.evidence, &live.config);
+            let want = w.postings(accs);
             assert_eq!(
                 column_bits(&w.entries[tag]),
                 column_bits(&want),
@@ -968,6 +1026,48 @@ mod tests {
                 assert_columns_match_finalize(&live);
             }
         }
+
+        /// A column `add_tags` folds from the record log equals the one
+        /// spliced review by review, bit for bit, with records spread
+        /// over sealed, merged and open segments: the log is folded in
+        /// seq order. Few entities with many tags each make
+        /// order-sensitive f32 sums common.
+        #[test]
+        fn log_folded_columns_equal_spliced_columns(
+            tags in proptest::collection::vec((0..4usize, 0..3usize), 1..4),
+            stream in proptest::collection::vec(
+                (0..3usize, proptest::collection::vec((0..4usize, 0..3usize), 1..6)),
+                1..40,
+            ),
+            seal_every in 0..5usize,
+        ) {
+            let live = || {
+                LiveIndex::new(
+                    sim(),
+                    IndexConfig::default(),
+                    LiveConfig {
+                        seal_every,
+                        max_segments: 2,
+                    },
+                )
+            };
+            let (spliced, folded) = (live(), live());
+            spliced.add_tags(&palette(&tags));
+            for (entity, review) in &stream {
+                spliced.add_review(*entity, &palette(review));
+                folded.add_review(*entity, &palette(review));
+            }
+            folded.add_tags(&palette(&tags));
+            let (a, b) = (spliced.pin(), folded.pin());
+            for t in palette(&tags) {
+                proptest::prop_assert_eq!(
+                    column_bits(a.lookup(&t).unwrap_or_default()),
+                    column_bits(b.lookup(&t).unwrap_or_default()),
+                    "column {:?}",
+                    t
+                );
+            }
+        }
     }
 
     #[test]
@@ -991,7 +1091,7 @@ mod tests {
             },
         )
         .unwrap();
-        live.add_tags(&index_tags());
+        live.add_tags(&vocabulary());
         // Span timing is process-wide: other tests may add samples while
         // it is on, so only the rise is asserted.
         let before: Vec<u64> = parts.iter().map(|p| samples(p)).collect();
@@ -1015,18 +1115,56 @@ mod tests {
                 max_segments: 0,
             },
         );
-        live.add_tags(&index_tags());
+        live.add_tags(&vocabulary());
         for (entity, tags) in STREAM {
             let review: Vec<SubjectiveTag> = tags.iter().map(|(o, a)| tag(o, a)).collect();
             live.add_review(entity, &review);
-            let frozen = rebuild(&live.review_log(), &index_tags());
+            let replay = rebuild(&live.review_log(), &vocabulary());
             let snapshot = live.pin();
             for (o, a) in PROBES {
                 let live_ranked = live.probe_pinned(&snapshot, &tag(o, a));
-                let frozen_ranked = frozen.probe_readonly(&tag(o, a));
-                assert_eq!(bits(&live_ranked), bits(&frozen_ranked), "probe {o} {a}");
+                let replay_ranked = replay.probe_readonly(&tag(o, a));
+                assert_eq!(bits(&live_ranked), bits(&replay_ranked), "probe {o} {a}");
             }
         }
+    }
+
+    #[test]
+    fn formula_switch_and_tag_clearing_equal_fresh_builds() {
+        let build = |formula: DegreeFormula| {
+            let live = LiveIndex::new(
+                sim(),
+                IndexConfig {
+                    degree_formula: formula,
+                    ..IndexConfig::default()
+                },
+                LiveConfig::default(),
+            );
+            for (entity, tags) in STREAM {
+                let review: Vec<SubjectiveTag> = tags.iter().map(|(o, a)| tag(o, a)).collect();
+                live.add_review(entity, &review);
+            }
+            live.add_tags(&vocabulary());
+            live
+        };
+        let columns = |live: &LiveIndex| -> Vec<Vec<(usize, u32, u32)>> {
+            let snapshot = live.pin();
+            vocabulary()
+                .iter()
+                .map(|t| column_bits(snapshot.lookup(t).unwrap_or_default()))
+                .collect()
+        };
+        let switched = build(DegreeFormula::Equation1);
+        let equation1 = columns(&switched);
+        switched.set_degree_formula(DegreeFormula::PureRate);
+        assert_eq!(columns(&switched), columns(&build(DegreeFormula::PureRate)));
+        assert_ne!(columns(&switched), equation1);
+        switched.set_degree_formula(DegreeFormula::Equation1);
+        switched.clear_tags();
+        assert_eq!(switched.tag_count(), 0);
+        assert!(switched.pin().is_empty());
+        assert_eq!(switched.add_tags(&vocabulary()), vocabulary().len());
+        assert_eq!(columns(&switched), equation1);
     }
 
     #[test]
@@ -1039,7 +1177,7 @@ mod tests {
                 max_segments: 0,
             },
         );
-        live.add_tags(&index_tags());
+        live.add_tags(&vocabulary());
         for (entity, tags) in STREAM {
             let review: Vec<SubjectiveTag> = tags.iter().map(|(o, a)| tag(o, a)).collect();
             live.add_review(entity, &review);
@@ -1072,7 +1210,7 @@ mod tests {
     #[test]
     fn pinned_snapshot_is_isolated_from_later_ingest() {
         let live = LiveIndex::new(sim(), IndexConfig::default(), LiveConfig::default());
-        live.add_tags(&index_tags());
+        live.add_tags(&vocabulary());
         live.add_review(0, &[tag("good", "food")]);
         let pinned = live.pin();
         let before = bits(&live.probe_pinned(&pinned, &tag("good", "food")));
@@ -1093,7 +1231,7 @@ mod tests {
     #[test]
     fn publish_shares_untouched_columns_with_earlier_snapshots() {
         let live = LiveIndex::new(sim(), IndexConfig::default(), LiveConfig::default());
-        live.add_tags(&index_tags());
+        live.add_tags(&vocabulary());
         live.add_review(0, &[tag("romantic", "ambiance")]);
         let before = live.pin();
         // Entity 1 says nothing near "romantic ambiance": that column is
@@ -1127,7 +1265,7 @@ mod tests {
                 },
             )
             .unwrap();
-            live.add_tags(&index_tags());
+            live.add_tags(&vocabulary());
             for (entity, tags) in STREAM {
                 let review: Vec<SubjectiveTag> = tags.iter().map(|(o, a)| tag(o, a)).collect();
                 live.add_review(entity, &review);
@@ -1143,12 +1281,12 @@ mod tests {
         assert_eq!(recovered.review_log(), log);
         // The pending probe survived the checkpoint.
         assert_eq!(recovered.pending_count(), 1);
-        let frozen = rebuild(&log, &index_tags());
+        let replay = rebuild(&log, &vocabulary());
         let snapshot = recovered.pin();
         for (o, a) in PROBES {
             assert_eq!(
                 bits(&recovered.probe_pinned(&snapshot, &tag(o, a))),
-                bits(&frozen.probe_readonly(&tag(o, a)))
+                bits(&replay.probe_readonly(&tag(o, a)))
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1168,7 +1306,7 @@ mod tests {
                 },
             )
             .unwrap();
-            live.add_tags(&index_tags());
+            live.add_tags(&vocabulary());
             live.add_review(0, &[tag("good", "food")]);
             live.add_review(1, &[tag("romantic", "ambiance")]);
             assert_eq!(live.segment_count(), 0, "writes are unsealed");
@@ -1190,7 +1328,7 @@ mod tests {
     #[test]
     fn reindex_pending_promotes_probed_tags() {
         let live = LiveIndex::new(sim(), IndexConfig::default(), LiveConfig::default());
-        live.add_tags(&index_tags());
+        live.add_tags(&vocabulary());
         live.add_review(0, &[tag("quiet", "place")]);
         let snapshot = live.pin();
         let _ = live.probe_pinned(&snapshot, &tag("quiet", "place"));
@@ -1200,13 +1338,13 @@ mod tests {
         assert_eq!(live.pending_count(), 0);
         let after = live.pin();
         assert!(after.index().lookup(&tag("quiet", "place")).is_some());
-        let frozen = rebuild(
+        let replay = rebuild(
             &live.review_log(),
-            &[index_tags(), vec![tag("quiet", "place")]].concat(),
+            &[vocabulary(), vec![tag("quiet", "place")]].concat(),
         );
         assert_eq!(
             bits(&live.probe_pinned(&after, &tag("quiet", "place"))),
-            bits(&frozen.probe_readonly(&tag("quiet", "place")))
+            bits(&replay.probe_readonly(&tag("quiet", "place")))
         );
     }
 }

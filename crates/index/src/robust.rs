@@ -3,11 +3,11 @@
 //! The paper's conclusion: "We also plan to extend the robustness of the
 //! proposed techniques to cater for biased or fraudulent online reviews
 //! … We have to differentiate between truthful and fake reviews." This
-//! module implements that extension at the evidence layer: instead of a
-//! flat bag of extracted tags, the indexer receives *per-review* tag
-//! profiles, and a [`FraudFilter`] suppresses the statistical fingerprint
-//! of astroturf campaigns — a burst of reviews with identical tag
-//! profiles far beyond an entity's natural duplication rate.
+//! module implements that extension at the evidence layer: a
+//! [`FraudFilter`] looks at an entity's *per-review* tag profiles and
+//! suppresses the statistical fingerprint of astroturf campaigns — a
+//! burst of reviews with identical tag profiles far beyond an entity's
+//! natural duplication rate. Callers ingest only the reviews it keeps.
 //!
 //! The filter is unsupervised (it never sees fake/real labels):
 //!
@@ -15,10 +15,9 @@
 //! 2. allow each profile up to `cap(n) = ceil(α·√n) + base` occurrences
 //!    among the entity's `n` reviews (organic one-liner reviews repeat,
 //!    but sub-linearly);
-//! 3. reviews beyond the cap are dropped from the evidence, and the
-//!    effective review count shrinks accordingly.
+//! 3. reviews beyond the cap are dropped, so they count neither toward
+//!    the entity's tags nor toward its review count.
 
-use crate::index::EntityEvidence;
 use saccs_text::lexicon::Lexicon;
 use saccs_text::SubjectiveTag;
 use std::collections::HashMap;
@@ -116,38 +115,6 @@ impl FraudFilter {
             })
             .collect()
     }
-
-    /// Build filtered [`EntityEvidence`]: suppressed reviews contribute
-    /// neither tags nor review count.
-    pub fn evidence(&self, entity_id: usize, reviews: &[ReviewProfile]) -> EntityEvidence {
-        let keep = self.keep_flags(reviews);
-        let mut review_tags = Vec::new();
-        let mut kept = 0usize;
-        for (r, &k) in reviews.iter().zip(&keep) {
-            if k {
-                kept += 1;
-                review_tags.extend(r.tags.iter().cloned());
-            }
-        }
-        EntityEvidence {
-            entity_id,
-            review_count: kept,
-            review_tags,
-        }
-    }
-}
-
-/// Unfiltered evidence from per-review profiles (the naive baseline the
-/// robustness experiment compares against).
-pub fn naive_evidence(entity_id: usize, reviews: &[ReviewProfile]) -> EntityEvidence {
-    EntityEvidence {
-        entity_id,
-        review_count: reviews.len(),
-        review_tags: reviews
-            .iter()
-            .flat_map(|r| r.tags.iter().cloned())
-            .collect(),
-    }
 }
 
 #[cfg(test)]
@@ -207,20 +174,14 @@ mod tests {
     }
 
     #[test]
-    fn filtered_evidence_shrinks_counts_and_tags() {
+    fn cap_of_one_keeps_the_first_review_per_profile() {
         let f = FraudFilter::new(0.0, 1, Lexicon::new(saccs_text::Domain::Restaurants)); // cap = 1
         let reviews = vec![
             profile(&[("good", "food")]),
             profile(&[("good", "food")]),
             profile(&[("nice", "staff")]),
         ];
-        let ev = f.evidence(7, &reviews);
-        assert_eq!(ev.entity_id, 7);
-        assert_eq!(ev.review_count, 2);
-        assert_eq!(ev.review_tags.len(), 2);
-        let naive = naive_evidence(7, &reviews);
-        assert_eq!(naive.review_count, 3);
-        assert_eq!(naive.review_tags.len(), 3);
+        assert_eq!(f.keep_flags(&reviews), vec![true, false, true]);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! a custom one, which scans by construction.
 
 use proptest::prelude::*;
-use saccs_index::index::{EntityEvidence, IndexConfig, SubjectiveIndex};
+use saccs_index::index::{IndexConfig, SubjectiveIndex};
+use saccs_index::{LiveConfig, LiveIndex, LiveSnapshot};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
+use std::sync::Arc;
 
 /// Mix of in-lexicon opinions, fuzzy-resolvable typos, and garbage.
 const OPINIONS: &[&str] = &[
@@ -44,28 +46,34 @@ fn mk_tag(&(o, a): &(usize, usize)) -> SubjectiveTag {
     SubjectiveTag::new(OPINIONS[o % OPINIONS.len()], ASPECTS[a % ASPECTS.len()])
 }
 
-/// Build an index over `entities` and `tags`: the default one, whose
-/// fallback probes go through the cell index, or with `scan` the scan
-/// reference.
+/// Build an index over `entities` (`(review count, tags)`, the tags in
+/// the first review) and `tags`: the default one, whose fallback probes
+/// go through the cell index, or with `scan` the scan reference.
 fn build(
     config: IndexConfig,
     entities: &[(usize, Vec<SubjectiveTag>)],
     tags: &[SubjectiveTag],
     scan: bool,
-) -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(sim(), config);
+) -> Arc<LiveSnapshot> {
+    let mut live = LiveIndex::new(
+        sim(),
+        config,
+        LiveConfig {
+            seal_every: 0,
+            max_segments: 0,
+        },
+    );
     if scan {
-        idx = idx.with_custom_similarity(sim());
+        live = live.with_custom_similarity(sim());
     }
     for (e, (reviews, review_tags)) in entities.iter().enumerate() {
-        idx.register_entity(EntityEvidence {
-            entity_id: e,
-            review_count: *reviews,
-            review_tags: review_tags.clone(),
-        });
+        live.add_review(e, review_tags);
+        for _ in 1..*reviews {
+            live.add_review(e, &[]);
+        }
     }
-    idx.index_tags(tags);
-    idx
+    live.add_tags(tags);
+    live.pin()
 }
 
 fn assert_ranked_bitwise_eq(cells: &[(usize, f32)], scan: &[(usize, f32)], ctx: &str) {
@@ -184,17 +192,26 @@ fn cell_probes_bitwise_identical_across_widths() {
 }
 
 /// The scan reference scans whatever order it was built in: a custom
-/// similarity set after `index_tags` drops the cell index that call
-/// built. A cell-index probe records a `probe_ann` trace event; a scan
-/// records none.
+/// similarity set after `install_postings` drops the cell index that
+/// call built. A cell-index probe records a `probe_ann` trace event; a
+/// scan records none.
 #[test]
 fn custom_similarity_drops_cells_built_before_it() {
     let entities = vec![(3, vec![SubjectiveTag::new("delicious", "food")])];
     let tags = [SubjectiveTag::new("delicious", "food")];
     let probe = SubjectiveTag::new("tasty", "meal");
     let cell_idx = build(IndexConfig::default(), &entities, &tags, false);
-    let scan_idx =
-        build(IndexConfig::default(), &entities, &tags, false).with_custom_similarity(sim());
+    let mut installed = SubjectiveIndex::new(sim(), IndexConfig::default());
+    installed.install_postings(tags.iter().map(|t| {
+        let pairs = cell_idx
+            .lookup(t)
+            .unwrap_or_default()
+            .iter()
+            .map(|e| (e.entity_id, e.degree_of_truth))
+            .collect();
+        (t.clone(), pairs)
+    }));
+    let scan_idx = installed.with_custom_similarity(sim());
     let probe_ann_events = |idx: &SubjectiveIndex| {
         let ctx = saccs_obs::TraceContext::new(1);
         let ranked = {

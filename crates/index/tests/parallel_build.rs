@@ -1,22 +1,30 @@
-//! Bitwise thread-count invariance of parallel index construction and
-//! the probes answered from it. Posting lists are pure functions of `(tag, evidence)`
-//! and come back positionally from the `saccs-rt` fan-out, so the index
-//! an 8-wide pool builds must equal the serial one bit for bit.
+//! Bitwise thread-count invariance of `LiveIndex::add_tags` and the
+//! probes answered from it. Each new tag's posting list is a pure
+//! function of the tag and the record log and comes back positionally
+//! from the `saccs-rt` fan-out, so the columns an 8-wide pool builds
+//! must equal the serial ones bit for bit.
 //!
 //! One test function on purpose: `saccs_rt::set_threads` is grow-only
 //! and process-global, so the width-1 build must run before widening.
 
-use saccs_index::index::{EntityEvidence, IndexConfig, SubjectiveIndex};
+use saccs_index::index::{IndexConfig, IndexEntry};
+use saccs_index::{LiveConfig, LiveIndex};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 
 fn tag(op: &str, asp: &str) -> SubjectiveTag {
     SubjectiveTag::new(op, asp)
 }
 
-fn evidence_index() -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(
+/// A memory-only index over 24 entities' reviews, 2–5 reviews each,
+/// the first carrying three tags.
+fn reviewed_index() -> LiveIndex {
+    let live = LiveIndex::new(
         ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
         IndexConfig::default(),
+        LiveConfig {
+            seal_every: 0,
+            max_segments: 0,
+        },
     );
     let pool = [
         tag("delicious", "food"),
@@ -30,16 +38,15 @@ fn evidence_index() -> SubjectiveIndex {
         let review_tags: Vec<SubjectiveTag> = (0..3)
             .map(|k| pool[(e * 5 + k * 7) % pool.len()].clone())
             .collect();
-        idx.register_entity(EntityEvidence {
-            entity_id: e,
-            review_count: 2 + e % 4,
-            review_tags,
-        });
+        live.add_review(e, &review_tags);
+        for _ in 1..2 + e % 4 {
+            live.add_review(e, &[]);
+        }
     }
-    idx
+    live
 }
 
-fn index_tags() -> Vec<SubjectiveTag> {
+fn vocabulary() -> Vec<SubjectiveTag> {
     [
         ("delicious", "food"),
         ("tasty", "meal"),
@@ -56,9 +63,27 @@ fn index_tags() -> Vec<SubjectiveTag> {
     .collect()
 }
 
+/// A column as `(entity, degree bits, normalized bits)` in order.
+fn column_bits(column: &[IndexEntry]) -> Vec<(usize, u32, u32)> {
+    column
+        .iter()
+        .map(|e| {
+            (
+                e.entity_id,
+                e.degree_of_truth.to_bits(),
+                e.normalized.to_bits(),
+            )
+        })
+        .collect()
+}
+
+fn probe_bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
+    ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+}
+
 #[test]
 fn parallel_build_and_probes_bitwise_identical_across_widths() {
-    let tags = index_tags();
+    let tags = vocabulary();
     let probes = [
         tag("delicious", "food"),
         tag("scrumptious", "pasta"),
@@ -66,28 +91,30 @@ fn parallel_build_and_probes_bitwise_identical_across_widths() {
         tag("romantic", "ambiance"),
     ];
 
-    // Width-1 baseline: the pool has never been widened.
-    let mut base = evidence_index();
-    base.index_tags(&tags);
-    let base_posts: Vec<_> = tags
-        .iter()
-        .map(|t| base.lookup(t).map(<[_]>::to_vec))
-        .collect();
-    let base_probes: Vec<_> = probes.iter().map(|t| base.probe_readonly(t)).collect();
-
-    for width in [2, 8] {
+    let mut baseline = None;
+    // Width 1 first: the pool has never been widened.
+    for width in [1, 2, 8] {
         saccs_rt::set_threads(width);
-        let mut idx = evidence_index();
-        idx.index_tags(&tags);
-        for (t, expect) in tags.iter().zip(&base_posts) {
-            assert_eq!(
-                idx.lookup(t).map(<[_]>::to_vec).as_ref(),
-                expect.as_ref(),
-                "postings for {t:?} diverged at width {width}"
-            );
+        let live = reviewed_index();
+        assert_eq!(live.add_tags(&tags), tags.len());
+        let snapshot = live.pin();
+        let columns: Vec<_> = tags
+            .iter()
+            .map(|t| snapshot.lookup(t).map(column_bits))
+            .collect();
+        assert!(columns.iter().all(Option::is_some));
+        let probed: Vec<_> = probes
+            .iter()
+            .map(|t| probe_bits(&snapshot.probe_readonly(t)))
+            .collect();
+        match &baseline {
+            None => baseline = Some((columns, probed)),
+            Some((base_columns, base_probes)) => {
+                for ((t, got), expect) in tags.iter().zip(&columns).zip(base_columns) {
+                    assert_eq!(got, expect, "postings for {t:?} diverged at width {width}");
+                }
+                assert_eq!(&probed, base_probes, "probes diverged at width {width}");
+            }
         }
-
-        let probed: Vec<_> = probes.iter().map(|t| idx.probe_readonly(t)).collect();
-        assert_eq!(probed, base_probes, "probes diverged at width {width}");
     }
 }

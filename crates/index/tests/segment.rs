@@ -10,18 +10,22 @@
 //!   compactor groups or orders segments, the merged record stream is
 //!   the seq-sorted set, nothing more and nothing less.
 //! * **Incremental = from-scratch** — a [`LiveIndex`] fed an arbitrary
-//!   review stream answers every probe with exactly the bits a frozen
-//!   [`SubjectiveIndex`] built from the same evidence answers, at every
-//!   prefix of the stream. The frozen side scans; the live side answers
-//!   fallback probes through its cell index.
+//!   review stream answers every probe with exactly the bits a fresh
+//!   replay of the same log answers (reviews first, then the tags, so
+//!   its columns are folded whole rather than spliced), at every prefix
+//!   of the stream. The replay scans; the live side answers fallback
+//!   probes through its cell index.
 
 use proptest::prelude::*;
 use saccs_index::codec::{
     get_postings, get_varint, put_postings, put_varint, zigzag_decode, zigzag_encode,
 };
-use saccs_index::index::{EntityEvidence, IndexConfig, IndexEntry, SubjectiveIndex};
-use saccs_index::{merge_segments, LiveConfig, LiveIndex, ReviewRecord, SealedSegment};
+use saccs_index::index::{IndexConfig, IndexEntry};
+use saccs_index::{
+    merge_segments, LiveConfig, LiveIndex, LiveSnapshot, ReviewRecord, SealedSegment,
+};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
+use std::sync::Arc;
 
 const OPINIONS: &[&str] = &[
     "delicious",
@@ -48,34 +52,25 @@ fn bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
     ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
 }
 
-/// The from-scratch comparator: replay `log` the way a batch pipeline
-/// would (entities registered in first-seen order, review tags
-/// concatenated in arrival order) and index the same tag set. Built
-/// with the similarity as a custom one, its fallback probes scan.
-fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(sim(), IndexConfig::default()).with_custom_similarity(sim());
-    let mut evidence: Vec<EntityEvidence> = Vec::new();
+/// The from-scratch comparator: replay `log` into a fresh memory-only
+/// index, reviews first, then the tag set, so each column folds the
+/// whole log at once. Built with the similarity as a custom one, its
+/// fallback probes scan.
+fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> Arc<LiveSnapshot> {
+    let replay = LiveIndex::new(
+        sim(),
+        IndexConfig::default(),
+        LiveConfig {
+            seal_every: 0,
+            max_segments: 0,
+        },
+    )
+    .with_custom_similarity(sim());
     for record in log {
-        match evidence
-            .iter_mut()
-            .find(|e| e.entity_id == record.entity_id)
-        {
-            Some(ev) => {
-                ev.review_count += 1;
-                ev.review_tags.extend(record.tags.iter().cloned());
-            }
-            None => evidence.push(EntityEvidence {
-                entity_id: record.entity_id,
-                review_count: 1,
-                review_tags: record.tags.clone(),
-            }),
-        }
+        replay.add_review(record.entity_id, &record.tags);
     }
-    for ev in evidence {
-        idx.register_entity(ev);
-    }
-    idx.index_tags(tags);
-    idx
+    replay.add_tags(tags);
+    replay.pin()
 }
 
 /// Chunk `records` (already seq-sorted) into non-empty sealed segments
@@ -237,12 +232,12 @@ proptest! {
             let review_tags: Vec<SubjectiveTag> = review.iter().map(mk_tag).collect();
             let receipt = live.add_review(*entity_id, &review_tags);
             log.push(ReviewRecord { seq: receipt.seq, entity_id: *entity_id, tags: review_tags });
-            let frozen = rebuild(&log, &tags);
+            let replay = rebuild(&log, &tags);
             let snapshot = live.pin();
             for probe in &probes {
                 prop_assert_eq!(
                     bits(&live.probe_pinned(&snapshot, probe)),
-                    bits(&frozen.probe_readonly(probe)),
+                    bits(&replay.probe_readonly(probe)),
                     "prefix {} probe {:?} (seal_every {})",
                     i, probe, seal_every
                 );

@@ -13,8 +13,9 @@
 //!   `SaccsError::Unavailable { stage: Admission }` immediately instead
 //!   of letting the queue (and every queued request's latency) grow
 //!   without bound. Sheds are counted on `serve.shed`.
-//! * **Micro-batched claims.** Each worker tick claims up to
-//!   [`ServeConfig::batch`] queued requests and serves them one by one.
+//! * **One claim per tick.** Each worker tick claims the queue's oldest
+//!   job and serves it, so an idle worker never waits behind jobs
+//!   another worker claimed.
 //! * **Admission-time deadlines.** The per-request
 //!   [`DeadlineClock`] starts
 //!   when the request is *admitted*, not when a worker picks it up —
@@ -28,8 +29,8 @@
 //! themselves fan out on.
 //!
 //! Determinism: replies are bitwise identical to calling
-//! [`SaccsService::rank_request`] serially, at every worker count and
-//! batch size — the concurrency tests in `tests/serve.rs` pin this.
+//! [`SaccsService::rank_request`] serially, at every worker count — the
+//! concurrency tests in `tests/serve.rs` pin this.
 
 /// Flight recorder: completed-trace ring + slow-exemplar reservoir.
 pub mod recorder;
@@ -64,7 +65,8 @@ pub struct ServeConfig {
     /// Maximum queued (admitted but not yet claimed) requests; further
     /// submissions are shed.
     pub queue_depth: usize,
-    /// Maximum requests one worker tick claims.
+    /// Inert: a worker tick claims one job whatever this says. Kept so
+    /// existing configurations compile.
     pub batch: usize,
     /// Install a flight recorder: every admitted request runs under a
     /// [`TraceContext`] and its completed trace lands in the recorder's
@@ -95,7 +97,7 @@ impl ServeConfig {
         ServeConfig {
             workers: self.workers.max(1),
             queue_depth: self.queue_depth.max(1),
-            batch: self.batch.max(1),
+            batch: self.batch,
             recorder: self.recorder.map(RecorderConfig::sanitized),
         }
     }
@@ -121,7 +123,7 @@ pub struct ServeStats {
 /// an ingest receipt, matching the submitted [`JobInput`] kind.
 enum Reply {
     Rank(RankResponse),
-    Ingest(Result<IngestReceipt, SaccsError>),
+    Ingest(IngestReceipt),
 }
 
 /// One caller's rendezvous with the worker that serves its request.
@@ -181,7 +183,7 @@ struct Job {
 struct State {
     queue: VecDeque<Job>,
     /// Test hook: a paused server admits (and sheds) but does not serve,
-    /// making queue-depth and batching behavior deterministic.
+    /// making queue-depth behavior deterministic.
     paused: bool,
     shutdown: bool,
 }
@@ -272,7 +274,7 @@ impl Shared {
             entity_id,
             review_tags,
         })? {
-            Reply::Ingest(result) => result,
+            Reply::Ingest(receipt) => Ok(receipt),
             Reply::Rank(_) => Err(SaccsError::Unavailable {
                 stage: Stage::Admission,
             }),
@@ -282,67 +284,65 @@ impl Shared {
     fn worker_loop(&self) {
         let api = SearchApi::new(&self.entities);
         loop {
-            let batch: Vec<Job> = {
+            let job = {
                 let mut st = relock(self.state.lock());
                 loop {
                     if st.shutdown && st.queue.is_empty() {
                         return;
                     }
-                    if !st.paused && !st.queue.is_empty() {
-                        break;
+                    if !st.paused {
+                        if let Some(job) = st.queue.pop_front() {
+                            break job;
+                        }
                     }
                     st = relock(self.work.wait(st));
                 }
-                let n = self.config.batch.min(st.queue.len());
-                st.queue.drain(..n).collect()
             };
-            saccs_obs::gauge!("serve.queue.depth").sub(batch.len() as f64);
-            for job in batch {
-                let Job {
-                    input,
-                    clock,
-                    reply,
-                    trace: job_trace,
-                } = job;
-                // Queue wait is time on the admission clock before this
-                // worker adopted the job — attributed separately from
-                // service time in the trace. (DeadlineClock, not a fresh
-                // Instant: queue time already spends the budget.)
-                let queue_ns = job_trace.as_ref().map(|ctx| {
-                    let nanos = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    ctx.record(TraceEvent::QueueWait { nanos });
-                    nanos
-                });
-                match input {
-                    JobInput::Rank(request) => {
-                        let response = {
-                            // Adopt the request's trace for the duration of
-                            // the rank call so every stage span and fault
-                            // event lands in the owning request's buffer.
-                            let _scope = job_trace
-                                .as_ref()
-                                .map(|ctx| trace::install(Arc::clone(ctx)));
-                            self.service.rank_request_at(&request, &api, clock)
-                        };
-                        if let (Some(rec), Some(ctx)) = (&self.recorder, &job_trace) {
-                            rec.complete(ctx, &response, queue_ns.unwrap_or(0));
-                        }
-                        self.served.fetch_add(1, Ordering::Relaxed);
-                        saccs_obs::counter!("serve.served").inc();
-                        reply.complete(Reply::Rank(response));
+            saccs_obs::gauge!("serve.queue.depth").sub(1.0);
+            let Job {
+                input,
+                clock,
+                reply,
+                trace: job_trace,
+            } = job;
+            // Queue wait is time on the admission clock before this
+            // worker adopted the job — attributed separately from
+            // service time in the trace. (DeadlineClock, not a fresh
+            // Instant: queue time already spends the budget.)
+            let queue_ns = job_trace.as_ref().map(|ctx| {
+                let nanos = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                ctx.record(TraceEvent::QueueWait { nanos });
+                nanos
+            });
+            match input {
+                JobInput::Rank(request) => {
+                    let response = {
+                        // Adopt the request's trace for the duration of
+                        // the rank call so every stage span and fault
+                        // event lands in the owning request's buffer.
+                        let _scope = job_trace
+                            .as_ref()
+                            .map(|ctx| trace::install(Arc::clone(ctx)));
+                        self.service.rank_request_at(&request, &api, clock)
+                    };
+                    if let (Some(rec), Some(ctx)) = (&self.recorder, &job_trace) {
+                        rec.complete(ctx, &response, queue_ns.unwrap_or(0));
                     }
-                    JobInput::Ingest {
-                        entity_id,
-                        review_tags,
-                    } => {
-                        let result = self.service.ingest(entity_id, &review_tags);
-                        self.ingested.fetch_add(1, Ordering::Relaxed);
-                        saccs_obs::counter!("serve.ingest.served").inc();
-                        reply.complete(Reply::Ingest(result));
-                    }
+                    self.served.fetch_add(1, Ordering::Relaxed);
+                    saccs_obs::counter!("serve.served").inc();
+                    reply.complete(Reply::Rank(response));
                 }
-                saccs_obs::gauge!("serve.inflight").sub(1.0);
+                JobInput::Ingest {
+                    entity_id,
+                    review_tags,
+                } => {
+                    let receipt = self.service.ingest(entity_id, &review_tags);
+                    self.ingested.fetch_add(1, Ordering::Relaxed);
+                    saccs_obs::counter!("serve.ingest.served").inc();
+                    reply.complete(Reply::Ingest(receipt));
+                }
             }
+            saccs_obs::gauge!("serve.inflight").sub(1.0);
         }
     }
 }
@@ -413,9 +413,7 @@ impl SaccsServer {
     /// Submit one review for ingestion into the service's live index and
     /// block until a worker applied it. Goes through the same bounded
     /// admission queue as rank traffic — overload sheds both alike with
-    /// `SaccsError::Unavailable { stage: Admission }`. On a service
-    /// without a live backend the job is admitted and then fails with
-    /// `Unavailable { stage: Ingest }`.
+    /// `SaccsError::Unavailable { stage: Admission }`.
     ///
     /// An `entity_id` that is not in the server's entity table is
     /// rejected before admission as `SaccsError::InvalidRequest { field:
@@ -519,34 +517,61 @@ impl Drop for SaccsServer {
 mod tests {
     use super::*;
     use saccs_core::{RankRequest, SaccsConfig};
-    use saccs_index::index::{EntityEvidence, IndexConfig};
-    use saccs_index::SubjectiveIndex;
+    use saccs_index::index::IndexConfig;
+    use saccs_index::{LiveConfig, LiveIndex};
     use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 
     fn tag(op: &str, asp: &str) -> SubjectiveTag {
         SubjectiveTag::new(op, asp)
     }
 
-    /// Index-only service (no extractor): tags-input requests exercise
-    /// the whole queue/shed/serve machinery without model training.
-    fn service() -> Arc<SaccsService> {
-        let mut idx = SubjectiveIndex::new(
-            ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
+    /// A service over a memory-only index of `reviews` (each entity's
+    /// tags in its first of `per_entity` reviews) with `tags` indexed,
+    /// optionally scanning its fallback probes.
+    fn build(
+        reviews: &[(usize, Vec<SubjectiveTag>)],
+        per_entity: usize,
+        tags: &[SubjectiveTag],
+        scan: bool,
+    ) -> Arc<SaccsService> {
+        let sim = ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants));
+        let mut live = LiveIndex::new(
+            sim.clone(),
             IndexConfig::default(),
+            LiveConfig {
+                seal_every: 0,
+                max_segments: 0,
+            },
         );
-        for (entity_id, tags) in [
-            (0, vec![tag("delicious", "food"), tag("friendly", "staff")]),
-            (1, vec![tag("delicious", "food")]),
-            (2, vec![tag("friendly", "staff")]),
-        ] {
-            idx.register_entity(EntityEvidence {
-                entity_id,
-                review_count: 5,
-                review_tags: tags,
-            });
+        if scan {
+            live = live.with_custom_similarity(sim);
         }
-        idx.index_tags(&[tag("delicious", "food"), tag("nice", "staff")]);
-        Arc::new(SaccsService::index_only(idx, SaccsConfig::default()))
+        for (entity_id, review_tags) in reviews {
+            live.add_review(*entity_id, review_tags);
+            for _ in 1..per_entity {
+                live.add_review(*entity_id, &[]);
+            }
+        }
+        live.add_tags(tags);
+        Arc::new(SaccsService::with_live_index(
+            Arc::new(live),
+            SaccsConfig::default(),
+        ))
+    }
+
+    /// A service with no extractor: tags-input requests exercise the
+    /// whole queue/shed/serve machinery without model training.
+    fn service() -> Arc<SaccsService> {
+        build(
+            &[
+                (0, vec![tag("delicious", "food"), tag("friendly", "staff")]),
+                (1, vec![tag("delicious", "food")]),
+                (2, vec![tag("friendly", "staff")]),
+            ],
+            5,
+            &[tag("delicious", "food"), tag("nice", "staff")],
+            false,
+        )
     }
 
     fn entities(n: usize) -> Vec<Entity> {
@@ -583,7 +608,6 @@ mod tests {
             ServeConfig {
                 workers: 1,
                 queue_depth: 2,
-                batch: 4,
                 ..ServeConfig::default()
             },
         );
@@ -668,7 +692,6 @@ mod tests {
             ServeConfig {
                 workers: 4,
                 queue_depth: 64,
-                batch: 4,
                 ..ServeConfig::default()
             },
         ));
@@ -701,31 +724,23 @@ mod tests {
         // and must serve bit-for-bit what the scan reference (the same
         // similarity as a custom one) serves, at every worker count.
         let build = |scan: bool| {
-            let sim = ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants));
-            let mut idx = SubjectiveIndex::new(sim.clone(), IndexConfig::default());
-            if scan {
-                idx = idx.with_custom_similarity(sim);
-            }
-            for (entity_id, tags) in [
-                (0, vec![tag("delicious", "food"), tag("friendly", "staff")]),
-                (1, vec![tag("delicious", "food"), tag("cozy", "ambiance")]),
-                (2, vec![tag("friendly", "staff"), tag("bland", "food")]),
-                (3, vec![tag("tasty", "pasta"), tag("great", "menu")]),
-            ] {
-                idx.register_entity(EntityEvidence {
-                    entity_id,
-                    review_count: 4,
-                    review_tags: tags,
-                });
-            }
-            idx.index_tags(&[
-                tag("delicious", "food"),
-                tag("friendly", "staff"),
-                tag("cozy", "ambiance"),
-                tag("tasty", "pasta"),
-                tag("great", "menu"),
-            ]);
-            Arc::new(SaccsService::index_only(idx, SaccsConfig::default()))
+            build(
+                &[
+                    (0, vec![tag("delicious", "food"), tag("friendly", "staff")]),
+                    (1, vec![tag("delicious", "food"), tag("cozy", "ambiance")]),
+                    (2, vec![tag("friendly", "staff"), tag("bland", "food")]),
+                    (3, vec![tag("tasty", "pasta"), tag("great", "menu")]),
+                ],
+                4,
+                &[
+                    tag("delicious", "food"),
+                    tag("friendly", "staff"),
+                    tag("cozy", "ambiance"),
+                    tag("tasty", "pasta"),
+                    tag("great", "menu"),
+                ],
+                scan,
+            )
         };
         // "amazing meal" is not indexed → fallback probe on both sides.
         let probe_request = || RankRequest::tags(vec![tag("amazing", "meal")]);
@@ -742,7 +757,6 @@ mod tests {
                 ServeConfig {
                     workers,
                     queue_depth: 64,
-                    batch: 4,
                     ..ServeConfig::default()
                 },
             ));

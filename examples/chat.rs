@@ -30,7 +30,7 @@ fn main() {
             ..Default::default()
         },
     );
-    let mut saccs = SaccsBuilder::quick().build(&corpus);
+    let saccs = SaccsBuilder::quick().build(&corpus);
     let nlu = RuleNlu::new();
     let api = SearchApi::new(&corpus.entities);
     let mut profile = UserProfile::new();
@@ -120,7 +120,7 @@ fn main() {
             }
             ":reindex" => {
                 let pending = saccs.service.index().history().len();
-                let added = saccs.service.index_mut().reindex_from_history();
+                let added = saccs.service.live_index().reindex_pending();
                 println!(
                     "bot> adaptation round: {added} of {pending} pending tags indexed; \
                      {} tags total.",

@@ -21,7 +21,7 @@ fn main() {
         },
     );
     println!("Training SACCS (quick profile)...");
-    let mut saccs = SaccsBuilder::quick().build(&corpus);
+    let saccs = SaccsBuilder::quick().build(&corpus);
     let nlu = RuleNlu::new();
     let api = SearchApi::new(&corpus.entities);
 
@@ -72,7 +72,7 @@ fn main() {
     // become first-class index tags at the next indexing round.
     let pending = saccs.service.index().history().len();
     println!("\nUnknown tags collected in the user tag history: {pending}");
-    let added = saccs.service.index_mut().reindex_from_history();
+    let added = saccs.service.live_index().reindex_pending();
     println!(
         "Re-indexing round added {added} new tags; index now has {} tags.",
         saccs.service.index().len()

@@ -6,8 +6,8 @@
 //! Run with: `cargo run --example indexing_walkthrough`
 //! (uses gold extraction, so it is instant — the point is the index logic).
 
-use saccs::index::index::{EntityEvidence, IndexConfig};
-use saccs::index::SubjectiveIndex;
+use saccs::index::index::IndexConfig;
+use saccs::index::{LiveConfig, LiveIndex};
 use saccs::text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 
 fn tag(op: &str, asp: &str) -> SubjectiveTag {
@@ -17,46 +17,42 @@ fn tag(op: &str, asp: &str) -> SubjectiveTag {
 fn main() {
     println!("== Figure 1: subjective tag indexing ==\n");
     let lexicon = Lexicon::new(Domain::Restaurants);
-    let mut index =
-        SubjectiveIndex::new(ConceptualSimilarity::new(lexicon), IndexConfig::default());
+    // Memory-only: every review stays in the one mem-segment.
+    let index = LiveIndex::new(
+        ConceptualSimilarity::new(lexicon),
+        IndexConfig::default(),
+        LiveConfig {
+            seal_every: 0,
+            max_segments: 0,
+        },
+    );
 
     // The figure's three reviews and their extracted tags.
     println!("E1 review: \"This restaurant serves good food\"   -> {{good food}}");
     println!("E3 review: \"Superb atmosphere in this place\"    -> {{superb atmosphere}}");
     println!("E5 review: \"Amazing pizza!\"                     -> {{amazing pizza}}");
-    index.register_entity(EntityEvidence {
-        entity_id: 1,
-        review_count: 1,
-        review_tags: vec![tag("good", "food")],
-    });
-    index.register_entity(EntityEvidence {
-        entity_id: 3,
-        review_count: 1,
-        review_tags: vec![tag("superb", "atmosphere")],
-    });
-    index.register_entity(EntityEvidence {
-        entity_id: 5,
-        review_count: 1,
-        review_tags: vec![tag("amazing", "pizza")],
-    });
+    index.add_review(1, &[tag("good", "food")]);
+    index.add_review(3, &[tag("superb", "atmosphere")]);
+    index.add_review(5, &[tag("amazing", "pizza")]);
 
     println!("\nIndex tags: {{good food, great atmosphere}}");
-    index.index_tags(&[tag("good", "food"), tag("great", "atmosphere")]);
-    println!("\n{}", index.render_table(5, |id| format!("E{id}")));
+    index.add_tags(&[tag("good", "food"), tag("great", "atmosphere")]);
+    let view = index.pin();
+    println!("\n{}", view.render_table(5, |id| format!("E{id}")));
     println!("E1 and E5 both map to 'good food' (pizza is-a food, amazing ~ good);");
     println!("E3 maps only to 'great atmosphere', exactly as in the figure.\n");
 
     // The adaptation mechanism.
     let query = tag("romantic", "ambiance");
     println!("User asks for \"romantic ambiance\" — unknown to the index.");
-    let results = index.probe(&query);
+    let results = index.probe_pinned(&view, &query);
     println!("Real-time answer from similar tags: {results:?}");
     println!(
         "User tag history now holds {} pending tag(s).",
-        index.history().len()
+        index.pending_count()
     );
 
-    let added = index.reindex_from_history();
+    let added = index.reindex_pending();
     println!("\nNext indexing round: {added} tag(s) added.");
-    println!("{}", index.render_table(5, |id| format!("E{id}")));
+    println!("{}", index.pin().render_table(5, |id| format!("E{id}")));
 }

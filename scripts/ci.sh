@@ -3,6 +3,8 @@
 #
 #   scripts/ci.sh            # run everything
 #   CI_OFFLINE=1 scripts/ci.sh   # pass --offline to every cargo call
+#   CI_PARENT=<rev> scripts/ci.sh   # also run every bench bin built from
+#                                   # <rev> and byte-diff its exports
 #
 # Stages:
 #   1. fmt       cargo fmt --check        (skipped if rustfmt is absent)
@@ -26,7 +28,10 @@
 #  15. query     the query bin twice
 #
 # Every bench bin runs through `bench`: each run in its own directory
-# under target/ci/<bin>/, so no stage touches the working tree. Each
+# under target/ci/<bin>/, so no stage touches the working tree. With
+# CI_PARENT set, `bench` also runs the bin built from that revision
+# (a `git archive` under target/ci/parent/, its own target directory)
+# and its exports must be byte-identical to this tree's first run. Each
 # test suite runs once per feature set: `test` runs every suite with
 # default features, `chaos` and `trace` the `fault` ones.
 
@@ -36,6 +41,13 @@ cd "$(dirname "$0")/.."
 OFFLINE=()
 if [[ "${CI_OFFLINE:-0}" == "1" ]]; then
     OFFLINE=(--offline)
+fi
+
+PARENT=$PWD/target/ci/parent
+if [[ -n "${CI_PARENT:-}" ]]; then
+    rm -rf "$PARENT/src"
+    mkdir -p "$PARENT/src"
+    git archive "$CI_PARENT" | tar -x -C "$PARENT/src"
 fi
 
 stage() {
@@ -58,7 +70,10 @@ xtask() {
 # SACCS_OBS=json. Every export of the first run (`<BIN>_*.json[l]`, a
 # pure function of the build) must be byte-identical in the second, a
 # flight-recorder report (`*_obsreport.json`) must pass check-report,
-# and the first run's BENCH_<bin>.json must pass check-bench.
+# and the first run's BENCH_<bin>.json must pass check-bench. With
+# CI_PARENT set, the bin built from that revision runs once more, in
+# <dir>/parent, and every export must match the first run's byte for
+# byte.
 bench() {
     local stage=$1 bin=$2 runs=$3 dir=target/ci/$2 obs=json run export
     shift 3
@@ -70,6 +85,13 @@ bench() {
             || { cat "$dir/$run.log"; fail "$stage"; }
         obs=''
     done
+    if [[ -n "${CI_PARENT:-}" ]]; then
+        mkdir -p "$dir/parent"
+        (cd "$dir/parent" && SACCS_OBS=json cargo run "${OFFLINE[@]}" -q --release \
+            --manifest-path "$PARENT/src/Cargo.toml" --target-dir "$PARENT/target" \
+            -p saccs-bench --bin "$bin" "$@") >"$dir/parent.log" \
+            || { cat "$dir/parent.log"; fail "$stage"; }
+    fi
     cat "$dir/1.log"
     for export in "$dir"/1/*.json*; do
         case "${export##*/}" in
@@ -77,6 +99,8 @@ bench() {
             *_obsreport.json) xtask check-report "$export" || fail "$stage" ;;
         esac
         ((runs == 1)) || diff "$export" "$dir/2/${export##*/}" || fail "$stage"
+        [[ -z "${CI_PARENT:-}" ]] || diff "$export" "$dir/parent/${export##*/}" \
+            || fail "$stage"
     done
     xtask check-bench "$dir/1/BENCH_$bin.json" || fail "$stage"
 }

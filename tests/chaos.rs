@@ -410,8 +410,8 @@ mod armed {
 mod ingest_recovery {
     use super::{bits, counter, global_lock};
     use saccs::fault::{arm_guard, Scenario};
-    use saccs::index::index::{EntityEvidence, IndexConfig};
-    use saccs::index::{LiveConfig, LiveIndex, ReviewRecord, SubjectiveIndex};
+    use saccs::index::index::IndexConfig;
+    use saccs::index::{LiveConfig, LiveIndex, ReviewRecord};
     use saccs::text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -424,7 +424,7 @@ mod ingest_recovery {
         SubjectiveTag::new(op, asp)
     }
 
-    fn index_tags() -> Vec<SubjectiveTag> {
+    fn vocabulary() -> Vec<SubjectiveTag> {
         vec![tag("delicious", "food"), tag("cozy", "ambiance")]
     }
 
@@ -468,32 +468,22 @@ mod ingest_recovery {
         dir
     }
 
-    /// From-scratch comparator over a review log, identical to the one
-    /// the ingest equivalence suite uses.
-    fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
-        let mut idx = SubjectiveIndex::new(sim(), IndexConfig::default());
-        let mut evidence: Vec<EntityEvidence> = Vec::new();
+    /// From-scratch comparator over a review log: a fresh memory-only
+    /// replay, reviews first, then the tags.
+    fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> LiveIndex {
+        let replay = LiveIndex::new(
+            sim(),
+            IndexConfig::default(),
+            LiveConfig {
+                seal_every: 0,
+                max_segments: 0,
+            },
+        );
         for record in log {
-            match evidence
-                .iter_mut()
-                .find(|e| e.entity_id == record.entity_id)
-            {
-                Some(ev) => {
-                    ev.review_count += 1;
-                    ev.review_tags.extend(record.tags.iter().cloned());
-                }
-                None => evidence.push(EntityEvidence {
-                    entity_id: record.entity_id,
-                    review_count: 1,
-                    review_tags: record.tags.clone(),
-                }),
-            }
+            replay.add_review(record.entity_id, &record.tags);
         }
-        for ev in evidence {
-            idx.register_entity(ev);
-        }
-        idx.index_tags(tags);
-        idx
+        replay.add_tags(tags);
+        replay
     }
 
     fn probe_bits(live: &LiveIndex) -> Vec<Vec<(usize, u32)>> {
@@ -505,10 +495,10 @@ mod ingest_recovery {
     }
 
     fn rebuild_bits(log: &[ReviewRecord]) -> Vec<Vec<(usize, u32)>> {
-        let frozen = rebuild(log, &index_tags());
+        let snapshot = rebuild(log, &vocabulary()).pin();
         probes()
             .iter()
-            .map(|p| bits(&frozen.probe_readonly(p)))
+            .map(|p| bits(&snapshot.probe_readonly(p)))
             .collect()
     }
 
@@ -531,7 +521,7 @@ mod ingest_recovery {
             let _faults = arm_guard(&scenario, SEED);
             let live = LiveIndex::open(&dir, sim(), IndexConfig::default(), live_config())
                 .expect("open fresh store");
-            live.add_tags(&index_tags());
+            live.add_tags(&vocabulary());
             for (entity_id, review_tags) in reviews().into_iter().take(2) {
                 live.add_review(entity_id, &review_tags);
             }
@@ -598,7 +588,7 @@ mod ingest_recovery {
         {
             let live = LiveIndex::open(&dir, sim(), IndexConfig::default(), live_config())
                 .expect("open fresh store");
-            live.add_tags(&index_tags());
+            live.add_tags(&vocabulary());
             for (entity_id, review_tags) in reviews() {
                 let receipt = live.add_review(entity_id, &review_tags);
                 log.push(ReviewRecord {

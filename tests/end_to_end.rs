@@ -3,10 +3,11 @@
 //! These tests span every crate (data → embed → tagger → pairing → index →
 //! core) with the quick build profile, checking *system-level* invariants:
 //! the extractor populates the index, known-tag queries return entities
-//! ordered consistently with the latent ground truth, and the dynamic
-//! adaptation loop works.
+//! ordered consistently with the latent ground truth, the dynamic
+//! adaptation loop works, and a review ingested into the trained
+//! service reaches the index the next request ranks from.
 
-use saccs::core::{RankRequest, SaccsBuilder, SearchApi, TrainedSaccs};
+use saccs::core::{RankRequest, SaccsBuilder, SaccsConfig, SearchApi, TrainedSaccs};
 use saccs::data::yelp::{YelpConfig, YelpCorpus};
 use saccs::data::{canonical_tags, CrowdSimulator};
 use saccs::eval::ndcg::ndcg;
@@ -149,7 +150,7 @@ fn utterance_flow_extracts_and_ranks() {
 
 #[test]
 fn dynamic_adaptation_round_trips() {
-    let mut trained = saccs();
+    let trained = saccs();
     let api = SearchApi::new(&corpus().entities);
     let unknown = SubjectiveTag::new("scrumptious", "lasagna");
     assert!(trained.service.index().lookup(&unknown).is_none());
@@ -159,7 +160,7 @@ fn dynamic_adaptation_round_trips() {
         .results;
     assert!(!before.is_empty(), "similarity fallback returned nothing");
     assert_eq!(trained.service.index().history().len(), 1);
-    let added = trained.service.index_mut().reindex_from_history();
+    let added = trained.service.live_index().reindex_pending();
     assert_eq!(added, 1);
     assert!(trained.service.index().lookup(&unknown).is_some());
     // After indexing, the tag answers directly (no new history entry).
@@ -171,9 +172,55 @@ fn dynamic_adaptation_round_trips() {
 
 #[test]
 fn reindexing_with_fewer_tags_shrinks_the_index() {
-    let mut trained = saccs();
+    let trained = saccs();
     trained.reindex_canonical(6);
     assert_eq!(trained.service.index().len(), 6);
     trained.reindex_canonical(18);
     assert_eq!(trained.service.index().len(), 18);
+}
+
+#[test]
+fn ingested_review_changes_the_index_and_the_next_ranking() {
+    let trained = saccs();
+    let service = &trained.service;
+    let api = SearchApi::new(&corpus().entities);
+    let tag = SubjectiveTag::new("delicious", "food");
+    let request = RankRequest::tags(vec![tag.clone()]).with_config(SaccsConfig {
+        top_k: corpus().entities.len(),
+        ..SaccsConfig::default()
+    });
+    let before = service.index();
+    // The weakest entity under the tag: a glowing review must move it.
+    let entity = before
+        .lookup(&tag)
+        .and_then(|postings| postings.last())
+        .expect("delicious food has postings")
+        .entity_id;
+    let degree_bits = |index: &saccs::index::SubjectiveIndex| {
+        index
+            .lookup(&tag)
+            .and_then(|postings| postings.iter().find(|e| e.entity_id == entity))
+            .map(|e| e.degree_of_truth.to_bits())
+    };
+    let old = degree_bits(&before).expect("entity indexed");
+    let score_bits = |results: &[(usize, f32)]| {
+        results
+            .iter()
+            .find(|&&(e, _)| e == entity)
+            .map(|&(_, s)| s.to_bits())
+    };
+    assert_eq!(
+        score_bits(&service.rank_request(&request, &api).results),
+        Some(old)
+    );
+
+    service.ingest(entity, &[tag.clone(), tag.clone()]);
+    let new = degree_bits(&service.index()).expect("entity still indexed");
+    assert_ne!(new, old, "the review did not change the entity's entry");
+    assert_eq!(degree_bits(&before), Some(old), "an old pin moved");
+    assert_eq!(
+        score_bits(&service.rank_request(&request, &api).results),
+        Some(new),
+        "the next request ranked from a stale snapshot"
+    );
 }

@@ -6,36 +6,39 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saccs::data::generator::{GeneratorConfig, SentenceGenerator};
 use saccs::data::{from_conll, to_conll};
-use saccs::index::index::{EntityEvidence, IndexConfig};
-use saccs::index::{LiveConfig, LiveIndex, SubjectiveIndex};
+use saccs::index::index::IndexConfig;
+use saccs::index::{LiveConfig, LiveIndex, LiveSnapshot};
 use saccs::text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
+use std::sync::Arc;
 
 fn tag(op: &str, asp: &str) -> SubjectiveTag {
     SubjectiveTag::new(op, asp)
 }
 
-fn populated_index() -> SubjectiveIndex {
-    let mut idx = SubjectiveIndex::new(
+/// Ten entities of four reviews each, the first naming three tags, all
+/// three indexed.
+fn populated_index() -> Arc<LiveSnapshot> {
+    let live = LiveIndex::new(
         ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
         IndexConfig::default(),
+        LiveConfig {
+            seal_every: 0,
+            max_segments: 0,
+        },
     );
-    for e in 0..10 {
-        idx.register_entity(EntityEvidence {
-            entity_id: e,
-            review_count: 4,
-            review_tags: vec![
-                tag("delicious", "food"),
-                tag("nice", "staff"),
-                tag("quick", "service"),
-            ],
-        });
-    }
-    idx.index_tags(&[
+    let tags = [
         tag("delicious", "food"),
         tag("nice", "staff"),
         tag("quick", "service"),
-    ]);
-    idx
+    ];
+    for e in 0..10 {
+        live.add_review(e, &tags);
+        for _ in 1..4 {
+            live.add_review(e, &[]);
+        }
+    }
+    live.add_tags(&tags);
+    live.pin()
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! front end, compiles against the same pinned snapshot the probes
 //! read, and yields **bitwise identical** filtered rankings at serve
 //! widths 1, 2 and 8, at every intermediate state of an interleaved
-//! ingest stream — always equal to a frozen index rebuilt from scratch
-//! over the same review log, which scans where the live index answers
+//! ingest stream — always equal to a service over a from-scratch replay
+//! of the same review log, which scans where the live index answers
 //! fallback probes through its cell index.
 //!
 //! Also covered: planner join-order invariance (rarest-first ==
@@ -18,7 +18,7 @@
 mod common;
 
 use common::{
-    bits, entities, global_lock, index_tags, live_index, live_server, rebuild, stream, tag,
+    bits, entities, global_lock, live_index, live_server, rebuild, stream, tag, vocabulary,
 };
 use saccs::core::{DegradeAction, RankRequest, SaccsConfig, SaccsError, SaccsService, SearchApi};
 use saccs::index::ReviewRecord;
@@ -52,10 +52,10 @@ fn filtered_requests() -> Vec<RankRequest> {
         .collect()
 }
 
-/// The tentpole: filtered requests through the served admission queue,
-/// interleaved with ingest traffic, must answer bitwise identically to
-/// a frozen rebuild at every ingestion state, at serve widths 1, 2 and
-/// 8: the live side through its cell index, the rebuild by scan.
+/// Filtered requests through the served admission queue, interleaved
+/// with ingest traffic, must answer bitwise identically to a replay at
+/// every ingestion state, at serve widths 1, 2 and 8: the live side
+/// through its cell index, the replay by scan.
 #[test]
 fn filtered_rankings_are_bitwise_stable_across_widths_ann_and_ingest_states() {
     let _serial = global_lock();
@@ -73,12 +73,12 @@ fn filtered_rankings_are_bitwise_stable_across_widths_ann_and_ingest_states() {
                 entity_id,
                 tags: review_tags,
             });
-            let frozen =
-                SaccsService::index_only(rebuild(&log, &index_tags()), SaccsConfig::default());
+            let replay =
+                SaccsService::with_live_index(rebuild(&log, &vocabulary()), SaccsConfig::default());
             for (served, reference) in filtered_requests().into_iter().zip(
                 filtered_requests()
                     .iter()
-                    .map(|r| frozen.rank_request(r, &api)),
+                    .map(|r| replay.rank_request(r, &api)),
             ) {
                 let dsl = served
                     .filter
@@ -94,7 +94,7 @@ fn filtered_rankings_are_bitwise_stable_across_widths_ann_and_ingest_states() {
                 assert_eq!(
                     bits(&response.results),
                     bits(&reference.results),
-                    "served filtered ranking diverged from rebuild for `{dsl}` \
+                    "served filtered ranking diverged from the replay for `{dsl}` \
                      after {} reviews (workers={workers}, segments={})",
                     log.len(),
                     live.segment_count(),
@@ -120,7 +120,7 @@ fn planner_join_order_never_changes_the_match_set() {
             tags,
         })
         .collect();
-    let idx = rebuild(&log, &index_tags());
+    let idx = rebuild(&log, &vocabulary()).pin();
     let ents = entities(5);
     let api = SearchApi::new(&ents);
     for dsl in filter_dsls() {
@@ -206,7 +206,7 @@ fn filter_stage_emits_a_plan_trace_event() {
             tags,
         })
         .collect();
-    let svc = SaccsService::index_only(rebuild(&log, &index_tags()), SaccsConfig::default());
+    let svc = SaccsService::with_live_index(rebuild(&log, &vocabulary()), SaccsConfig::default());
     let ents = entities(5);
     let api = SearchApi::new(&ents);
     let ctx = TraceContext::new(7);
@@ -225,7 +225,7 @@ fn filter_stage_emits_a_plan_trace_event() {
     // the reference evaluator over the same index and catalog.
     let expected = naive_matches(
         request.filter.as_ref().expect("filter attached"),
-        svc.index(),
+        &svc.index(),
         &api,
     )
     .expect("reference evaluates")

@@ -5,9 +5,10 @@ use saccs::core::{RankRequest, SaccsConfig, SaccsService, SearchApi, UserProfile
 use saccs::data::fraud::{inject_fraud, FraudCampaign};
 use saccs::data::yelp::{YelpConfig, YelpCorpus};
 use saccs::index::index::IndexConfig;
-use saccs::index::{naive_evidence, DegreeFormula, FraudFilter, ReviewProfile, SubjectiveIndex};
+use saccs::index::{DegreeFormula, FraudFilter, LiveConfig, LiveIndex, ReviewProfile};
 use saccs::text::lexicon::Polarity;
 use saccs::text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
+use std::sync::Arc;
 
 fn corpus() -> YelpCorpus {
     YelpCorpus::generate(
@@ -36,23 +37,34 @@ fn profiles_of(c: &YelpCorpus, e: usize) -> Vec<ReviewProfile> {
         .collect()
 }
 
-fn build_index(c: &YelpCorpus, filter: Option<&FraudFilter>) -> SubjectiveIndex {
-    let mut index = SubjectiveIndex::new(
+/// A memory-only index over every review's gold tags, or with `filter`
+/// over the reviews it keeps, with "delicious food" indexed.
+fn build_index(c: &YelpCorpus, filter: Option<&FraudFilter>) -> Arc<LiveIndex> {
+    let live = LiveIndex::new(
         ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
         IndexConfig {
             degree_formula: DegreeFormula::PureRate,
             ..Default::default()
         },
+        LiveConfig {
+            seal_every: 0,
+            max_segments: 0,
+        },
     );
     for e in 0..c.entities.len() {
         let profiles = profiles_of(c, e);
-        index.register_entity(match filter {
-            Some(f) => f.evidence(e, &profiles),
-            None => naive_evidence(e, &profiles),
-        });
+        let keep = match filter {
+            Some(f) => f.keep_flags(&profiles),
+            None => vec![true; profiles.len()],
+        };
+        for (review, kept) in profiles.iter().zip(keep) {
+            if kept {
+                live.add_review(e, &review.tags);
+            }
+        }
     }
-    index.index_tags(&[SubjectiveTag::new("delicious", "food")]);
-    index
+    live.add_tags(&[SubjectiveTag::new("delicious", "food")]);
+    Arc::new(live)
 }
 
 #[test]
@@ -80,15 +92,9 @@ fn fraud_filter_limits_ranking_damage() {
         5,
     );
     let tag = SubjectiveTag::new("delicious", "food");
-    let rank_of = |index: &mut SubjectiveIndex| {
-        let service = SaccsService::index_only(
-            std::mem::replace(
-                index,
-                SubjectiveIndex::new(
-                    ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-                    IndexConfig::default(),
-                ),
-            ),
+    let rank_of = |live: Arc<LiveIndex>| {
+        let service = SaccsService::with_live_index(
+            live,
             SaccsConfig {
                 top_k: clean.entities.len(),
                 ..Default::default()
@@ -100,8 +106,8 @@ fn fraud_filter_limits_ranking_damage() {
             .results;
         ranked.iter().position(|&(e, _)| e == target)
     };
-    let naive_rank = rank_of(&mut build_index(&corrupted, None));
-    let filtered_rank = rank_of(&mut build_index(&corrupted, Some(&FraudFilter::default())));
+    let naive_rank = rank_of(build_index(&corrupted, None));
+    let filtered_rank = rank_of(build_index(&corrupted, Some(&FraudFilter::default())));
     // Under the naive index the bought entity surges toward the top; the
     // filter must push it strictly further down.
     let naive_rank = naive_rank.expect("target must appear under naive indexing");
@@ -136,7 +142,7 @@ fn fraud_filter_barely_touches_clean_corpora() {
 #[test]
 fn profiled_ranking_reduces_to_plain_ranking_at_zero_boost() {
     let c = corpus();
-    let service = SaccsService::index_only(build_index(&c, None), SaccsConfig::default());
+    let service = SaccsService::with_live_index(build_index(&c, None), SaccsConfig::default());
     let api = SearchApi::new(&c.entities);
     let tags = vec![SubjectiveTag::new("delicious", "food")];
     let mut profile = UserProfile::new();

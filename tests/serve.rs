@@ -1,10 +1,9 @@
 //! Concurrent-serving suite: the `saccs-serve` front end over a fully
 //! trained service.
 //!
-//! The contract under test is the PR's headline claim: replies produced
-//! through `SaccsServer` — any worker count, any micro-batch size — are
-//! **bitwise identical** to calling `SaccsService::rank_request`
-//! serially. Every worker extracts through the one shared extractor's
+//! The contract under test: replies produced through `SaccsServer` —
+//! at any worker count — are **bitwise identical** to calling
+//! `SaccsService::rank_request` serially. Every worker extracts through the one shared extractor's
 //! frozen models, the same arithmetic as the serial path, so scores must
 //! match to the last bit, not just approximately.
 //!
@@ -131,42 +130,39 @@ fn submit_all(server: &Arc<SaccsServer>) -> Vec<Vec<(usize, u32)>> {
 }
 
 #[test]
-fn every_width_and_batch_size_is_bitwise_identical_to_serial() {
+fn every_width_is_bitwise_identical_to_serial() {
     let _serial = global_lock();
     let svc = service();
     heal(&svc);
     let reference = serial_reference(&svc);
     for workers in [1usize, 2, 8] {
-        for batch in [1usize, 4, 16] {
-            let server = Arc::new(SaccsServer::start(
-                Arc::clone(&svc),
-                entities(),
-                ServeConfig {
-                    workers,
-                    queue_depth: 64,
-                    batch,
-                    ..ServeConfig::default()
-                },
-            ));
-            let replies = submit_all(&server);
-            for (i, reply) in replies.iter().enumerate() {
-                assert_eq!(
-                    reply, &reference[i],
-                    "request {i} diverged at workers={workers} batch={batch}"
-                );
-            }
-            let stats = server.stats();
-            assert_eq!(stats.served, REQUESTS as u64);
-            assert_eq!(stats.shed, 0);
+        let server = Arc::new(SaccsServer::start(
+            Arc::clone(&svc),
+            entities(),
+            ServeConfig {
+                workers,
+                queue_depth: 64,
+                ..ServeConfig::default()
+            },
+        ));
+        let replies = submit_all(&server);
+        for (i, reply) in replies.iter().enumerate() {
+            assert_eq!(
+                reply, &reference[i],
+                "request {i} diverged at workers={workers}"
+            );
         }
+        let stats = server.stats();
+        assert_eq!(stats.served, REQUESTS as u64);
+        assert_eq!(stats.shed, 0);
     }
 }
 
-/// Force one worker tick to claim the whole queue: pause, enqueue the
-/// full batch, resume. The replies must still be bit-for-bit the serial
-/// ones.
+/// Queue the whole request set behind a paused server, then release it
+/// to one worker, which drains the queue one job per tick. The replies
+/// must still be bit-for-bit the serial ones.
 #[test]
-fn forced_micro_batch_stays_bitwise_identical() {
+fn queued_burst_drained_by_one_worker_stays_bitwise_identical() {
     let _serial = global_lock();
     let svc = service();
     heal(&svc);
@@ -177,7 +173,6 @@ fn forced_micro_batch_stays_bitwise_identical() {
         ServeConfig {
             workers: 1,
             queue_depth: 64,
-            batch: REQUESTS,
             ..ServeConfig::default()
         },
     ));
@@ -187,7 +182,7 @@ fn forced_micro_batch_stays_bitwise_identical() {
         .map(|i| {
             let server = Arc::clone(&server);
             let tx = tx.clone();
-            saccs::rt::spawn_worker(&format!("test-batch-{i}"), move || {
+            saccs::rt::spawn_worker(&format!("test-burst-{i}"), move || {
                 let response = server.submit(request(i)).expect("request admitted");
                 tx.send((i, bits(&response.results))).expect("send reply");
             })
@@ -202,7 +197,7 @@ fn forced_micro_batch_stays_bitwise_identical() {
     }
     drop(tx);
     for (i, reply) in rx {
-        assert_eq!(reply, reference[i], "batched request {i} diverged");
+        assert_eq!(reply, reference[i], "queued request {i} diverged");
     }
 }
 
@@ -217,7 +212,6 @@ fn over_depth_burst_sheds_exactly_the_excess() {
         ServeConfig {
             workers: 2,
             queue_depth: DEPTH,
-            batch: 4,
             ..ServeConfig::default()
         },
     ));
@@ -295,7 +289,6 @@ mod armed {
             ServeConfig {
                 workers: 2,
                 queue_depth: 64,
-                batch: 4,
                 ..ServeConfig::default()
             },
         ));

@@ -100,8 +100,8 @@ fn recorder_server(svc: &Arc<SaccsService>, workers: usize) -> Arc<SaccsServer> 
         ServeConfig {
             workers,
             queue_depth: 64,
-            batch: 4,
             recorder: Some(RecorderConfig::default()),
+            ..ServeConfig::default()
         },
     ))
 }
