@@ -10,11 +10,10 @@ use saccs_embed::{build_vocab, MiniBert, MiniBertConfig};
 use saccs_nn::{zero_grads, Matrix, Var};
 use saccs_tagger::{Architecture, Crf, TaggerModel};
 use saccs_text::{Domain, IobTag};
-use std::rc::Rc;
 
 fn bench_models(c: &mut Criterion) {
     let vocab = build_vocab(&[Domain::Restaurants, Domain::Electronics, Domain::Hotels]);
-    let bert = Rc::new(MiniBert::new(
+    let bert = MiniBert::new(
         vocab,
         MiniBertConfig {
             dim: 48,
@@ -23,7 +22,7 @@ fn bench_models(c: &mut Criterion) {
             max_len: 48,
             seed: 1,
         },
-    ));
+    );
     let data = Dataset::generate_scaled(DatasetId::S1, 0.01);
     let sentence = &data.train[0];
 
@@ -34,10 +33,11 @@ fn bench_models(c: &mut Criterion) {
 
     let mut rng = StdRng::seed_from_u64(2);
     let model = TaggerModel::new(Architecture::BiLstmCrf, bert.dim(), 24, 0.0, &mut rng);
-    let features = bert.features(&sentence.tokens);
+    let features = bert.freeze().features(&sentence.tokens);
+    let frozen = model.freeze();
 
     c.bench_function("tagger/predict_viterbi", |b| {
-        b.iter(|| model.predict(&features))
+        b.iter(|| frozen.predict(&features))
     });
 
     c.bench_function("tagger/train_step_clean", |b| {

@@ -38,9 +38,7 @@ fn main() {
         .into_iter()
         .map(|t| t.text)
         .collect();
-    let ids = bert.ids(&tokens);
-    let _ = bert.encode(&ids);
-    let att = bert.attention(layer, head);
+    let att = bert.attention(&tokens, layer).swap_remove(head);
 
     // Rows/cols 1.. are the tokens ([CLS] at 0).
     let max = (1..att.rows())
@@ -81,7 +79,7 @@ fn main() {
     // §5.1's headline: best-head accuracy on the pairing benchmark.
     let n = ((397.0 * scale) as usize).max(60);
     let test = build_test_set(n, Domain::Hotels, 0x397);
-    let heuristic = AttentionHeuristic::new(bert.clone(), layer, head);
+    let heuristic = AttentionHeuristic::new(bert, layer, head);
     let pairs_of = |e: &saccs_pairing::testset::PairingExample| {
         let ctx = SentenceContext {
             tokens: &e.tokens,

@@ -49,7 +49,7 @@ fn main() {
                 .flat_map(|(_, profiles)| profiles.iter().flat_map(|r| &r.tags)),
         )
         .collect();
-    let embedding = EmbeddingSimilarity::precompute(&bert, universe);
+    let embedding = EmbeddingSimilarity::precompute(&bert.freeze(), universe);
     eprintln!("  {} phrases embedded", embedding.len());
 
     let config = IndexConfig {

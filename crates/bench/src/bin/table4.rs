@@ -12,7 +12,7 @@
 use saccs_bench::{epochs, row_pct, scale, BenchBert};
 use saccs_data::{Dataset, DatasetId};
 use saccs_tagger::{Adversarial, Architecture, Tagger, TrainConfig};
-use std::rc::Rc;
+use std::sync::Arc;
 
 fn main() {
     saccs_bench::obs_init();
@@ -33,7 +33,7 @@ fn main() {
     let mut rows: Vec<(String, Vec<f32>)> = Vec::new();
 
     // OpineDB: general-pretrained encoder, per-token classifier.
-    let general = Rc::new(BenchBert::general((4000.0 * scale) as usize + 400));
+    let general = Arc::new(BenchBert::general((4000.0 * scale) as usize + 400).freeze());
     let opine_cfg = TrainConfig {
         architecture: Architecture::TokenSoftmax,
         epochs,
@@ -43,7 +43,8 @@ fn main() {
     let f1s: Vec<f32> = datasets
         .iter()
         .map(|d| {
-            Tagger::train(general.clone(), &d.train, &opine_cfg)
+            Tagger::train(Arc::clone(&general), &d.train, &opine_cfg)
+                .freeze()
                 .evaluate(&d.test)
                 .f1()
         })
@@ -51,12 +52,12 @@ fn main() {
     rows.push(("OpineDB".to_string(), f1s));
 
     // Domain-adapted encoders: one per dataset domain (the [58] recipe).
-    let dk_berts: Vec<Rc<saccs_embed::MiniBert>> = datasets
+    let dk_berts: Vec<Arc<saccs_embed::FrozenMiniBert>> = datasets
         .iter()
         .map(|d| {
             let bert = BenchBert::general((4000.0 * scale) as usize + 400);
             BenchBert::add_domain_knowledge(&bert, d.id.domain(), (2000.0 * scale) as usize + 200);
-            Rc::new(bert)
+            Arc::new(bert.freeze())
         })
         .collect();
 
@@ -64,7 +65,8 @@ fn main() {
         .iter()
         .zip(&dk_berts)
         .map(|(d, b)| {
-            Tagger::train(b.clone(), &d.train, &opine_cfg)
+            Tagger::train(Arc::clone(b), &d.train, &opine_cfg)
+                .freeze()
                 .evaluate(&d.test)
                 .f1()
         })
@@ -86,7 +88,8 @@ fn main() {
             .iter()
             .zip(&dk_berts)
             .map(|(d, b)| {
-                Tagger::train(b.clone(), &d.train, &cfg)
+                Tagger::train(Arc::clone(b), &d.train, &cfg)
+                    .freeze()
                     .evaluate(&d.test)
                     .f1()
             })

@@ -6,18 +6,25 @@
 //! `cargo run --release -p saccs-bench --bin table5`
 //! Environment: `SACCS_SCALE` (default 1.0 — the full S4/benchmark sizes;
 //! this table is cheap enough to always run at paper scale).
+//!
+//! It writes `TABLE5_report.jsonl`, a pure function of the build: one
+//! line per row with its confusion counts, then one per EM label model
+//! with its learned LF accuracies as `f64` bits.
 
-use saccs_bench::{pairing_bert, scale};
+use saccs_bench::{pairing_bert, scale, write_export};
 use saccs_data::{Dataset, DatasetId};
 use saccs_eval::BinaryConfusion;
+use saccs_obs::json::escape;
 use saccs_pairing::generative::{majority_vote, ProbabilisticModel};
 use saccs_pairing::heuristics::SentenceContext;
 use saccs_pairing::pipeline::LabelModel;
 use saccs_pairing::testset::{build_test_set, evaluate_voter};
 use saccs_pairing::{PairingPipeline, PipelineConfig};
 use saccs_text::Domain;
+use std::fmt::Write as _;
 
-fn print_row(label: &str, c: &BinaryConfusion) {
+/// Print a table row and record its confusion counts in `report`.
+fn print_row(report: &mut String, label: &str, c: &BinaryConfusion) {
     println!(
         "{:<16} {:>8.2} {:>9.2} {:>7.2} {:>7.2}",
         label,
@@ -25,6 +32,15 @@ fn print_row(label: &str, c: &BinaryConfusion) {
         100.0 * c.precision(),
         100.0 * c.recall(),
         100.0 * c.f1()
+    );
+    let _ = writeln!(
+        report,
+        "{{\"row\":\"{}\",\"tp\":{},\"fp\":{},\"tn\":{},\"fn\":{}}}",
+        escape(label),
+        c.tp,
+        c.fp,
+        c.tn,
+        c.fn_
     );
 }
 
@@ -65,6 +81,7 @@ fn main() {
     for (i, e) in test.iter().enumerate() {
         by_sentence.entry(e.tokens.clone()).or_default().push(i);
     }
+    let mut report = String::new();
     let mut votes: Vec<Vec<bool>> = vec![Vec::new(); test.len()];
     for lf in pipeline.labeling_functions() {
         let mut conf = BinaryConfusion::new();
@@ -81,7 +98,7 @@ fn main() {
                 conf.observe(vote, test[i].label);
             }
         }
-        print_row(&lf.name(), &conf);
+        print_row(&mut report, &lf.name(), &conf);
     }
 
     // Generative rows.
@@ -89,24 +106,25 @@ fn main() {
     for (v, e) in votes.iter().zip(&test) {
         mv.observe(majority_vote(v), e.label);
     }
-    print_row("Majority Vote", &mv);
+    print_row(&mut report, "Majority Vote", &mv);
 
-    let pm_model = ProbabilisticModel::fit(&votes, 25);
+    let pm_model = ProbabilisticModel::fit(&votes);
     let mut pm = BinaryConfusion::new();
     for (v, e) in votes.iter().zip(&test) {
         pm.observe(pm_model.predict(v), e.label);
     }
-    print_row("Probabilistic", &pm);
+    print_row(&mut report, "Probabilistic", &pm);
 
     // Discriminative rows: trained on majority-vote weak labels (the
     // paper's choice) and on probabilistic-model weak labels (better in
     // our regime, where LF accuracies are unequal — see EXPERIMENTS.md).
+    let pairer = pipeline.pairer();
     let disc = evaluate_voter(
-        |e| pipeline.classify(&e.tokens, &e.candidate.0, &e.candidate.1),
+        |e| pairer.classify(&e.tokens, &e.candidate.0, &e.candidate.1),
         &test,
     );
-    print_row("Discrim. (MV)", &disc);
-    let pm_pipeline = PairingPipeline::fit(
+    print_row(&mut report, "Discrim. (MV)", &disc);
+    let pm_pairer = PairingPipeline::fit(
         bert,
         &hotels.train,
         &dev.train,
@@ -114,12 +132,29 @@ fn main() {
             label_model: LabelModel::Probabilistic,
             ..Default::default()
         },
-    );
+    )
+    .into_pairer();
     let disc_pm = evaluate_voter(
-        |e| pm_pipeline.classify(&e.tokens, &e.candidate.0, &e.candidate.1),
+        |e| pm_pairer.classify(&e.tokens, &e.candidate.0, &e.candidate.1),
         &test,
     );
-    print_row("Discrim. (PM)", &disc_pm);
+    print_row(&mut report, "Discrim. (PM)", &disc_pm);
+    for (name, em) in [
+        ("pipeline", pipeline.probabilistic_model()),
+        ("benchmark", &pm_model),
+    ] {
+        let bits: Vec<String> = em
+            .accuracies
+            .iter()
+            .map(|a| a.to_bits().to_string())
+            .collect();
+        let _ = writeln!(
+            report,
+            "{{\"em\":\"{name}\",\"prior\":{},\"accuracies\":[{}]}}",
+            em.prior.to_bits(),
+            bits.join(",")
+        );
+    }
 
     saccs_bench::obs_finish(
         "table5",
@@ -145,4 +180,5 @@ fn main() {
             .map(|a| (a * 1000.0).round() / 1000.0)
             .collect::<Vec<_>>()
     );
+    write_export("TABLE5_report.jsonl", &report);
 }

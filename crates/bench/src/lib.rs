@@ -12,21 +12,21 @@
 //!
 //! All runs are seeded; identical settings regenerate identical tables.
 //! Bins with a deterministic export (`chaos`, `probe`, `ingest`,
-//! `query`) write it as `<BIN>_*.json[l]` into the current directory,
-//! beside `BENCH_<bin>.json`.
+//! `query`, `table5`, `figure4_ablation`) write it as `<BIN>_*.json[l]`
+//! into the current directory, beside `BENCH_<bin>.json`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saccs_data::yelp::{YelpConfig, YelpCorpus};
 use saccs_data::{canonical_tags, CrowdSimulator, Query};
 use saccs_embed::{
-    build_vocab, finetune_tagging, general_corpus, train_mlm, MiniBert, MiniBertConfig, MlmConfig,
+    build_vocab, finetune_tagging, general_corpus, train_mlm, FrozenMiniBert, MiniBert,
+    MiniBertConfig, MlmConfig,
 };
 use saccs_eval::ndcg::ndcg;
 use saccs_index::index::IndexConfig;
 use saccs_index::{LiveConfig, LiveIndex};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Under `SACCS_OBS=json`, turn span timing (and with it the
@@ -161,9 +161,9 @@ impl BenchBert {
     }
 }
 
-/// Fully trained pairing-grade encoder: general MLM + in-domain post-train
-/// + tagging fine-tune (what §5.1's attention heuristic reads).
-pub fn pairing_bert(scale: f64) -> Rc<MiniBert> {
+/// Fully trained pairing-grade encoder, frozen: general MLM + in-domain
+/// post-train + tagging fine-tune (what §5.1's attention heuristic reads).
+pub fn pairing_bert(scale: f64) -> Arc<FrozenMiniBert> {
     use saccs_data::{Dataset, DatasetId};
     let bert = BenchBert::general((6000.0 * scale) as usize + 200);
     BenchBert::add_domain_knowledge(&bert, Domain::Hotels, (2000.0 * scale) as usize + 100);
@@ -175,7 +175,7 @@ pub fn pairing_bert(scale: f64) -> Rc<MiniBert> {
         1e-3,
         0xF7,
     );
-    Rc::new(bert)
+    Arc::new(bert.freeze())
 }
 
 /// Per-review gold tag profiles for one entity (the fraud-robustness

@@ -26,7 +26,6 @@ use saccs_index::{LiveConfig, LiveIndex};
 use saccs_pairing::{PairingPipeline, PipelineConfig};
 use saccs_tagger::{Tagger, TrainConfig};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// End-to-end build configuration.
@@ -171,17 +170,22 @@ impl SaccsBuilder {
             );
         }
         drop(_pretrain);
-        let bert = Rc::new(bert);
+        // The encoder's training ends here: one frozen copy serves every
+        // later step, and the taped one goes.
+        let frozen = Arc::new(bert.freeze());
+        drop(bert);
 
         // 4: the tagger (spans itself as `tagger.train`).
-        let tagger = Tagger::train(bert.clone(), &tagger_train, &self.tagger);
+        let tagger = Tagger::train(Arc::clone(&frozen), &tagger_train, &self.tagger).freeze();
 
         // 5: the pairing pipeline (dev = a slice of the tagging data;
         // spans itself as `pairing.fit`).
         let dev: Vec<_> = tagging_data.test.iter().take(60).cloned().collect();
-        let pairing = PairingPipeline::fit(bert, &tagging_data.train, &dev, self.pipeline.clone());
+        let pairing =
+            PairingPipeline::fit(frozen, &tagging_data.train, &dev, self.pipeline.clone());
 
-        let extractor = TagExtractor::new(tagger, pairing, Lexicon::new(Domain::Restaurants));
+        let lexicon = Lexicon::new(Domain::Restaurants);
+        let extractor = TagExtractor::new(tagger, pairing.into_pairer(), lexicon);
 
         // 6: extract each review's tags into a memory-only live index,
         // entities in catalog order, then index the initial tags. Every

@@ -5,11 +5,11 @@
 //! test that claim: tags are embedded with MiniBert (mean-pooled phrase
 //! embeddings), compared by cosine, and rescaled to `[0, 1]`.
 //!
-//! Embeddings are precomputed into a lookup table at construction (the
-//! encoder's interior mutability is not `Sync`, but the finished table
-//! is), so the resulting measure can drive the index's parallel builder.
+//! Embeddings are precomputed into a shared lookup table at
+//! construction, so the measure knows exactly the phrases of its
+//! universe, and clones of it can drive the index's parallel builder.
 
-use saccs_embed::MiniBert;
+use saccs_embed::FrozenMiniBert;
 use saccs_text::metrics::cosine;
 use saccs_text::{SubjectiveTag, TagSimilarity};
 use std::collections::HashMap;
@@ -26,7 +26,7 @@ impl EmbeddingSimilarity {
     /// Embed every tag in `universe` (index tags, review tags, and any
     /// query tags the caller will probe with).
     pub fn precompute<'a>(
-        bert: &MiniBert,
+        bert: &FrozenMiniBert,
         universe: impl IntoIterator<Item = &'a SubjectiveTag>,
     ) -> Self {
         let mut table = HashMap::new();
@@ -67,7 +67,9 @@ impl TagSimilarity for EmbeddingSimilarity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saccs_embed::{build_vocab, general_corpus, train_mlm, MiniBertConfig, MlmConfig};
+    use saccs_embed::{
+        build_vocab, general_corpus, train_mlm, MiniBert, MiniBertConfig, MlmConfig,
+    };
     use saccs_text::Domain;
 
     fn sim() -> EmbeddingSimilarity {
@@ -90,6 +92,7 @@ mod tests {
                 ..Default::default()
             },
         );
+        let bert = bert.freeze();
         let universe = vec![
             SubjectiveTag::new("delicious", "food"),
             SubjectiveTag::new("tasty", "food"),
@@ -138,7 +141,8 @@ mod tests {
                 max_len: 16,
                 seed: 4,
             },
-        );
+        )
+        .freeze();
         let t = SubjectiveTag::new("delicious", "food");
         let s = EmbeddingSimilarity::precompute(&bert, vec![&t, &t, &t]);
         assert_eq!(s.len(), 1);

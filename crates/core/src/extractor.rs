@@ -1,11 +1,10 @@
 //! The subjective-tag extraction pipeline (Figure 2: tagging → pairing).
 
-use saccs_pairing::{FrozenPairer, PairingPipeline};
-use saccs_tagger::{FrozenTagger, Tagger};
+use saccs_pairing::FrozenPairer;
+use saccs_tagger::FrozenTagger;
 use saccs_text::iob::spans_from_tags;
 use saccs_text::sentence::split_sentences;
 use saccs_text::{tokenize_lower, Lexicon, Span, SpanKind, SubjectiveTag};
-use std::sync::Arc;
 
 /// Extracts subjective tags from free text by tagging aspect/opinion spans
 /// (§4) and pairing them (§5). This is the `extract_tags` function of
@@ -20,28 +19,22 @@ pub struct TagExtractor {
 }
 
 impl TagExtractor {
-    /// An extractor over a trained tagger and pairing pipeline, with
-    /// `lexicon` as its gazetteer. Lexicon-guided span repair splits a
+    /// An extractor over a frozen tagger and pairer, with `lexicon` as
+    /// its gazetteer. Lexicon-guided span repair splits a
     /// decoded multiword span whose prefix is a known opinion phrase and
     /// whose suffix is a known aspect term into the two spans. This is
     /// standard gazetteer-constrained decoding; it fixes the frequent
     /// neural-tagger failure of fusing an adjacent opinion+aspect bigram
     /// ("delicious food") into one span. A sentence the neural pipeline
     /// extracts nothing from falls back to dictionary matching over the
-    /// same lexicon. The taped models are frozen and dropped; the tagger
-    /// and the pairer share one frozen encoder when they were trained over
-    /// the same one.
-    pub fn new(tagger: Tagger, pairing: PairingPipeline, lexicon: Lexicon) -> Self {
-        let bert = Arc::new(tagger.bert().freeze());
-        let pairer = pairing.discriminative_model();
-        let pair_bert = if std::ptr::eq(pairer.bert(), tagger.bert()) {
-            Arc::clone(&bert)
-        } else {
-            Arc::new(pairer.bert().freeze())
-        };
+    /// same lexicon. Each sentence is encoded once, by the tagger's
+    /// encoder, and the pairer reads those features: the two must share
+    /// the encoder they were trained over, as
+    /// [`SaccsBuilder`](crate::SaccsBuilder)'s do.
+    pub fn new(tagger: FrozenTagger, pairing: FrozenPairer, lexicon: Lexicon) -> Self {
         TagExtractor {
-            tagger: FrozenTagger::new(bert, tagger.model().freeze()),
-            pairing: pairer.freeze(pair_bert),
+            tagger,
+            pairing,
             lexicon,
         }
     }
@@ -277,17 +270,17 @@ pub fn sentence_tokens(text: &str) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
     use saccs_data::{Dataset, DatasetId};
-    use saccs_embed::{build_vocab, MiniBert, MiniBertConfig};
+    use saccs_embed::{build_vocab, FrozenMiniBert, MiniBert, MiniBertConfig};
     use saccs_pairing::{PairingPipeline, PipelineConfig};
     use saccs_tagger::{Tagger, TrainConfig};
     use saccs_text::Domain;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
-    /// Minimal (barely trained) extractor — these tests exercise the
-    /// deterministic fallback paths, not model quality.
-    fn tiny_extractor() -> TagExtractor {
+    /// A (barely trained) tagger and pairing pipeline over one frozen
+    /// encoder, and that encoder.
+    fn tiny_models() -> (Arc<FrozenMiniBert>, Tagger, PairingPipeline) {
         let vocab = build_vocab(&[Domain::Restaurants, Domain::Electronics, Domain::Hotels]);
-        let bert = Rc::new(MiniBert::new(
+        let bert = MiniBert::new(
             vocab,
             MiniBertConfig {
                 dim: 16,
@@ -296,10 +289,11 @@ mod tests {
                 max_len: 48,
                 seed: 21,
             },
-        ));
+        );
+        let bert = Arc::new(bert.freeze());
         let data = Dataset::generate_scaled(DatasetId::S4, 0.03);
         let tagger = Tagger::train(
-            bert.clone(),
+            Arc::clone(&bert),
             &data.train,
             &TrainConfig {
                 epochs: 1,
@@ -308,7 +302,7 @@ mod tests {
         );
         let dev: Vec<_> = data.test.iter().take(5).cloned().collect();
         let pairing = PairingPipeline::fit(
-            bert,
+            Arc::clone(&bert),
             &data.train,
             &dev,
             PipelineConfig {
@@ -319,7 +313,22 @@ mod tests {
                 ..Default::default()
             },
         );
-        TagExtractor::new(tagger, pairing, Lexicon::new(Domain::Restaurants))
+        (bert, tagger, pairing)
+    }
+
+    /// Minimal (barely trained) extractor — these tests exercise the
+    /// deterministic fallback paths, not model quality.
+    fn tiny_extractor() -> TagExtractor {
+        let (_, tagger, pairing) = tiny_models();
+        let lexicon = Lexicon::new(Domain::Restaurants);
+        TagExtractor::new(tagger.freeze(), pairing.into_pairer(), lexicon)
+    }
+
+    #[test]
+    fn models_trained_over_one_encoder_share_it() {
+        let (bert, tagger, pairing) = tiny_models();
+        assert!(Arc::ptr_eq(tagger.bert(), &bert));
+        assert!(Arc::ptr_eq(pairing.pairer().bert(), &bert));
     }
 
     fn toks(s: &str) -> Vec<String> {

@@ -6,17 +6,17 @@
 //! The paper uses BERT for three things, all of which MiniBert provides:
 //!
 //! 1. **Contextual embeddings** feeding the BiLSTM-CRF tagger (§4.1,
-//!    Figure 3) — [`MiniBert::encode`] / [`MiniBert::features`] on the
-//!    training tape, [`FrozenMiniBert::features`] (from
-//!    [`MiniBert::freeze`]) for inference;
+//!    Figure 3) — [`FrozenMiniBert::features`] (from [`MiniBert::freeze`],
+//!    once training ends), which every tagger, pairer and evaluation
+//!    reads; [`MiniBert::encode`] is the training forward;
 //! 2. **Domain adaptation** (§4.2): BERT post-trained on restaurant
 //!    reviews understands "la carte" and "a killer" — reproduced by
 //!    [`pretrain::train_mlm`] on a general mixed-domain corpus followed by
 //!    a second `train_mlm` pass on in-domain text (masked-LM objective in
 //!    both phases);
 //! 3. **Attention heads as pairing classifiers** (§5.1, Figure 5) —
-//!    [`MiniBert::attention`] exposes every layer:head attention matrix
-//!    after a forward pass.
+//!    [`FrozenMiniBert::attention`] computes every head's attention
+//!    matrix at one layer, with the code its forward attends with.
 //!
 //! Scale substitution (documented in `DESIGN.md`): BERT-base is 12 layers
 //! × 12 heads × 768 dims trained on Wikipedia; MiniBert defaults to

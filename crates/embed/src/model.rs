@@ -8,22 +8,6 @@ use saccs_nn::layers::{
 };
 use saccs_nn::{Matrix, Var};
 use saccs_text::vocab::{Vocab, CLS};
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-
-/// Cap on memoized frozen-feature matrices. The SACCS pipeline re-embeds
-/// the same tag phrases and review sentences thousands of times (degree
-/// computation, probes, the adaptation loop); a bounded FIFO memo turns
-/// the repeats into clones. At dim 32 and typical sentence lengths this
-/// is a few MiB at the cap.
-const FEATURE_CACHE_CAP: usize = 4096;
-
-/// Bounded FIFO memo of frozen features keyed by the encoded id sequence.
-#[derive(Default)]
-struct FeatureCache {
-    map: HashMap<Vec<usize>, Matrix>,
-    order: VecDeque<Vec<usize>>,
-}
 
 /// Encoder hyperparameters.
 #[derive(Debug, Clone)]
@@ -128,10 +112,6 @@ pub struct MiniBert {
     pos_emb: Embedding,
     blocks: Vec<Block>,
     mlm_head: Linear,
-    /// Ids of the sequence whose attention matrices are currently stored
-    /// in the blocks (see [`MiniBert::ensure_attentions`]).
-    attention_key: std::cell::RefCell<Option<Vec<usize>>>,
-    feature_cache: RefCell<FeatureCache>,
 }
 
 /// `[CLS]` followed by each token's id, truncated to `max_len`.
@@ -162,13 +142,7 @@ impl MiniBert {
             pos_emb,
             blocks,
             mlm_head,
-            attention_key: std::cell::RefCell::new(None),
-            feature_cache: RefCell::new(FeatureCache::default()),
         }
-    }
-
-    pub fn config(&self) -> &MiniBertConfig {
-        &self.config
     }
 
     pub fn vocab(&self) -> &Vocab {
@@ -188,7 +162,7 @@ impl MiniBert {
     /// The current weights frozen for inference (see [`FrozenMiniBert`]).
     pub fn freeze(&self) -> FrozenMiniBert {
         FrozenMiniBert {
-            max_len: self.config.max_len,
+            config: self.config.clone(),
             vocab: self.vocab.clone(),
             tok_emb: self.tok_emb.table.value_clone(),
             pos_emb: self.pos_emb.table.value_clone(),
@@ -196,123 +170,20 @@ impl MiniBert {
         }
     }
 
-    /// Full differentiable encode: ids → `T×dim` contextual embeddings.
-    /// Per-head attentions are recorded for [`MiniBert::attention`].
+    /// Full differentiable encode: ids → `T×dim` contextual embeddings,
+    /// the training forward (masked-LM and tagging fine-tuning).
     pub fn encode(&self, ids: &[usize]) -> Var {
         assert!(
             !ids.is_empty() && ids.len() <= self.config.max_len,
             "bad sequence length"
         );
         saccs_obs::counter!("embed.forward").inc();
-        // Any fresh forward overwrites the recorded attentions.
-        *self.attention_key.borrow_mut() = None;
         let pos: Vec<usize> = (0..ids.len()).collect();
         let mut x = self.tok_emb.forward(ids).add(&self.pos_emb.forward(&pos));
         for b in &self.blocks {
             x = b.forward(&x);
         }
         x
-    }
-
-    /// Tokens (without `[CLS]`) → frozen features *without* the `[CLS]`
-    /// row, aligned 1:1 with the input tokens: no graph behind them. This
-    /// is how the tagger consumes MiniBert (frozen feature extractor; the
-    /// paper fine-tunes full BERT, we freeze for tractability — the FGSM
-    /// perturbation applies to these features either way, exactly as in
-    /// Miyato et al. \[38\]).
-    ///
-    /// Results are memoized in a bounded FIFO cache keyed by the encoded
-    /// id sequence; the cache is cleared whenever the weights change
-    /// (training, [`MiniBert::load_bytes`]). Serving encodes through
-    /// [`MiniBert::freeze`] instead, with no memo.
-    ///
-    /// Each cache miss crosses the `embed.features` failpoint, modeling
-    /// one round trip to a remote encoder; [`MiniBert::features_batch`]
-    /// crosses its own seam once per *batch*. The function cannot fail,
-    /// so an injected error here is counted and ignored — only delays are
-    /// observable.
-    pub fn features(&self, tokens: &[String]) -> Matrix {
-        let ids = self.ids(tokens);
-        if let Some(hit) = self.feature_cache.borrow().map.get(&ids) {
-            saccs_obs::counter!("embed.cache.hit").inc();
-            return hit.clone();
-        }
-        if saccs_fault::failpoint!("embed.features").is_err() {
-            saccs_obs::counter!("fault.ignored.features").inc();
-        }
-        saccs_obs::counter!("embed.cache.miss").inc();
-        let full = self.encode(&ids).value_clone();
-        let feats = full.slice_rows(1, full.rows());
-        self.cache_insert(ids, feats.clone());
-        feats
-    }
-
-    /// [`MiniBert::features`] of each sequence, in input order, fanned out
-    /// across the `saccs-rt` pool over one [`FrozenMiniBert`] shared by
-    /// reference; bitwise independent of `SACCS_THREADS`.
-    pub fn features_batch(&self, token_seqs: &[Vec<String>]) -> Vec<Matrix> {
-        let _span = saccs_obs::span!("embed.features_batch");
-        if saccs_fault::failpoint!("embed.features_batch").is_err() {
-            // Degrade instead of failing: the batch fan-out is an
-            // optimization, so an injected batch failure falls back to
-            // the serial per-sequence path, which produces bitwise
-            // identical features.
-            saccs_obs::counter!("fault.degraded.features_batch").inc();
-            return token_seqs.iter().map(|t| self.features(t)).collect();
-        }
-        let frozen = self.freeze();
-        saccs_rt::parallel_map(token_seqs.len(), 4, |i| {
-            frozen.encode_features(&frozen.ids(&token_seqs[i]))
-        })
-    }
-
-    /// Record that the weights changed: clears the feature memo. Call it
-    /// after any out-of-band parameter mutation through [`Layer::params`].
-    pub fn weights_changed(&self) {
-        let mut cache = self.feature_cache.borrow_mut();
-        cache.map.clear();
-        cache.order.clear();
-    }
-
-    fn cache_insert(&self, key: Vec<usize>, value: Matrix) {
-        let mut cache = self.feature_cache.borrow_mut();
-        if cache.map.len() >= FEATURE_CACHE_CAP {
-            if let Some(old) = cache.order.pop_front() {
-                cache.map.remove(&old);
-            }
-        }
-        if cache.map.insert(key.clone(), value).is_none() {
-            cache.order.push_back(key);
-        }
-    }
-
-    /// Make sure the blocks' recorded attention matrices correspond to
-    /// `ids`, re-encoding only when the last recorded sequence differs.
-    /// The pairing heuristics probe many (layer, head) combinations per
-    /// sentence; this turns O(heads) encodes into one.
-    pub fn ensure_attentions(&self, ids: &[usize]) {
-        if self.attention_key.borrow().as_deref() == Some(ids) {
-            return;
-        }
-        let _ = self.encode(ids);
-        *self.attention_key.borrow_mut() = Some(ids.to_vec());
-    }
-
-    /// Attention matrix of `layer:head` from the most recent
-    /// [`MiniBert::encode`] call (1-based layer index to match the paper's
-    /// `lf_bert_l:h` naming). Rows/cols include the `[CLS]` position when
-    /// the encoded ids did.
-    pub fn attention(&self, layer: usize, head: usize) -> Matrix {
-        assert!(
-            layer >= 1 && layer <= self.blocks.len(),
-            "layer out of range"
-        );
-        self.blocks[layer - 1].attn.last_attention(head)
-    }
-
-    /// `(layers, heads)` available for attention probing.
-    pub fn attention_grid(&self) -> (usize, usize) {
-        (self.blocks.len(), self.config.heads)
     }
 
     /// Masked-LM logits for a (possibly masked) id sequence: `T×vocab`.
@@ -328,19 +199,6 @@ impl MiniBert {
     pub fn mlm_logits_rows(&self, ids: &[usize], rows: &[usize]) -> Var {
         self.mlm_head.forward(&self.encode(ids).gather_rows(rows))
     }
-
-    /// Mean-pooled phrase embedding (frozen), e.g. for similarity probes.
-    pub fn phrase_embedding(&self, tokens: &[String]) -> Vec<f32> {
-        let feats = self.features(tokens);
-        if feats.rows() == 0 {
-            return vec![0.0; self.config.dim];
-        }
-        feats
-            .sum_rows()
-            .scale(1.0 / feats.rows() as f32)
-            .data()
-            .to_vec()
-    }
 }
 
 impl MiniBert {
@@ -355,16 +213,17 @@ impl MiniBert {
     pub fn load_bytes(&self, bytes: &[u8]) -> Result<(), saccs_nn::CodecError> {
         let state = saccs_nn::decode_state(bytes)?;
         self.load_state(&state);
-        self.weights_changed();
         Ok(())
     }
 }
 
-/// A trained [`MiniBert`] frozen for inference: no MLM head, no attention
-/// recording, no memo, so one `Send + Sync` instance serves every thread.
-/// Its features equal [`MiniBert::features`] bit for bit.
+/// A trained [`MiniBert`] frozen for inference: no MLM head and no
+/// tape, so one `Send + Sync` instance, shared by `Arc`, serves every
+/// model that reads the encoder (tagging, pairing, evaluation, serving)
+/// on every thread. Its features equal [`MiniBert::encode`]'s rows bit
+/// for bit.
 pub struct FrozenMiniBert {
-    max_len: usize,
+    config: MiniBertConfig,
     vocab: Vocab,
     tok_emb: Matrix,
     pos_emb: Matrix,
@@ -372,14 +231,25 @@ pub struct FrozenMiniBert {
 }
 
 impl FrozenMiniBert {
-    /// Encode token strings to ids, as [`MiniBert::ids`].
-    pub fn ids(&self, tokens: &[String]) -> Vec<usize> {
-        encode_ids(&self.vocab, self.max_len, tokens)
+    pub fn dim(&self) -> usize {
+        self.config.dim
     }
 
-    /// [`MiniBert::features`] off the tape. Each call crosses the
-    /// `embed.features` failpoint (a remote encoder's round trip): an
-    /// injected error is counted and ignored; only delays are observable.
+    /// Encode token strings to ids, as [`MiniBert::ids`].
+    pub fn ids(&self, tokens: &[String]) -> Vec<usize> {
+        encode_ids(&self.vocab, self.config.max_len, tokens)
+    }
+
+    /// Tokens (without `[CLS]`) → contextual features *without* the
+    /// `[CLS]` row, aligned 1:1 with the input tokens. This is how the
+    /// tagger and the pairer consume MiniBert (a frozen feature
+    /// extractor; the paper fine-tunes full BERT, we freeze for
+    /// tractability — the FGSM perturbation applies to these features
+    /// either way, exactly as in Miyato et al. \[38\]).
+    ///
+    /// Each call crosses the `embed.features` failpoint (a remote
+    /// encoder's round trip): an injected error is counted and ignored;
+    /// only delays are observable.
     pub fn features(&self, tokens: &[String]) -> Matrix {
         let _span = saccs_obs::span!("extract.encode");
         if saccs_fault::failpoint!("embed.features").is_err() {
@@ -388,14 +258,72 @@ impl FrozenMiniBert {
         self.encode_features(&self.ids(tokens))
     }
 
+    /// [`FrozenMiniBert::features`] of each sequence, in input order,
+    /// fanned out across the `saccs-rt` pool; bitwise independent of
+    /// `SACCS_THREADS`. The batch crosses its own `embed.features_batch`
+    /// failpoint once.
+    pub fn features_batch(&self, token_seqs: &[Vec<String>]) -> Vec<Matrix> {
+        let _span = saccs_obs::span!("embed.features_batch");
+        if saccs_fault::failpoint!("embed.features_batch").is_err() {
+            // Degrade instead of failing: the batch fan-out is an
+            // optimization, so an injected batch failure falls back to
+            // the serial per-sequence path, which produces bitwise
+            // identical features.
+            saccs_obs::counter!("fault.degraded.features_batch").inc();
+            return token_seqs.iter().map(|t| self.features(t)).collect();
+        }
+        saccs_rt::parallel_map(token_seqs.len(), 4, |i| {
+            self.encode_features(&self.ids(&token_seqs[i]))
+        })
+    }
+
+    /// Mean-pooled phrase embedding, e.g. for similarity probes.
+    pub fn phrase_embedding(&self, tokens: &[String]) -> Vec<f32> {
+        let feats = self.features(tokens);
+        if feats.rows() == 0 {
+            return vec![0.0; self.config.dim];
+        }
+        feats
+            .sum_rows()
+            .scale(1.0 / feats.rows() as f32)
+            .data()
+            .to_vec()
+    }
+
+    /// `(layers, heads)` available for attention probing.
+    pub fn attention_grid(&self) -> (usize, usize) {
+        (self.blocks.len(), self.config.heads)
+    }
+
+    /// Each head's attention matrix at `layer` (1-based, to match the
+    /// paper's `lf_bert_l:h` naming) for the encoded `tokens`, in head
+    /// order; only the blocks below `layer` run. Rows and columns include
+    /// the `[CLS]` position at 0, so token `i` lives at `i + 1`.
+    pub fn attention(&self, tokens: &[String], layer: usize) -> Vec<Matrix> {
+        assert!(
+            layer >= 1 && layer <= self.blocks.len(),
+            "layer out of range"
+        );
+        let mut x = self.embed(&self.ids(tokens));
+        for b in &self.blocks[..layer - 1] {
+            x = b.forward(&x);
+        }
+        let block = &self.blocks[layer - 1];
+        block.attn.attentions(&block.ln1.forward(&x))
+    }
+
+    /// Token plus position embeddings of `ids`: the first block's input.
+    fn embed(&self, ids: &[usize]) -> Matrix {
+        let pos: Vec<usize> = (0..ids.len()).collect();
+        self.tok_emb
+            .gather_rows(ids)
+            .add(&self.pos_emb.gather_rows(&pos))
+    }
+
     /// Ids (with `[CLS]`) → features without the `[CLS]` row.
     fn encode_features(&self, ids: &[usize]) -> Matrix {
         saccs_obs::counter!("embed.forward").inc();
-        let pos: Vec<usize> = (0..ids.len()).collect();
-        let mut x = self
-            .tok_emb
-            .gather_rows(ids)
-            .add(&self.pos_emb.gather_rows(&pos));
+        let mut x = self.embed(ids);
         for b in &self.blocks {
             x = b.forward(&x);
         }
@@ -452,7 +380,7 @@ mod tests {
 
     #[test]
     fn features_align_with_tokens() {
-        let b = tiny_bert();
+        let b = tiny_bert().freeze();
         let f = b.features(&toks(&["food", "is", "nice"]));
         assert_eq!(f.shape(), (3, 16));
     }
@@ -466,21 +394,23 @@ mod tests {
     }
 
     #[test]
-    fn attention_is_recorded_per_layer_head() {
+    fn frozen_attention_matches_the_taped_blocks_bitwise() {
         let b = tiny_bert();
-        let ids = b.ids(&toks(&["the", "food", "is", "delicious"]));
-        let _ = b.encode(&ids);
-        let (layers, heads) = b.attention_grid();
-        assert_eq!((layers, heads), (2, 2));
-        for l in 1..=layers {
-            for h in 0..heads {
-                let a = b.attention(l, h);
-                assert_eq!(a.shape(), (5, 5));
-                for r in 0..5 {
-                    let s: f32 = a.row(r).iter().sum();
-                    assert!((s - 1.0).abs() < 1e-4);
-                }
-            }
+        let frozen = b.freeze();
+        assert_eq!(frozen.attention_grid(), (2, 2));
+        let tokens = toks(&["the", "food", "is", "delicious"]);
+        let ids = b.ids(&tokens);
+        let pos: Vec<usize> = (0..ids.len()).collect();
+        // The taped forward's residual stream, block by block; each
+        // block's heads attend over its normalized input.
+        let mut x = b.tok_emb.forward(&ids).add(&b.pos_emb.forward(&pos));
+        for (l, block) in b.blocks.iter().enumerate() {
+            let input = block.ln1.forward(&x).value_clone();
+            let heads = block.attn.freeze().attentions(&input);
+            let want: Vec<_> = heads.iter().map(bits).collect();
+            let got: Vec<_> = frozen.attention(&tokens, l + 1).iter().map(bits).collect();
+            assert_eq!(got, want, "layer {}", l + 1);
+            x = block.forward(&x);
         }
     }
 
@@ -488,7 +418,7 @@ mod tests {
     fn context_changes_embeddings() {
         // The same token in different contexts must embed differently —
         // the whole point of contextual embeddings.
-        let b = tiny_bert();
+        let b = tiny_bert().freeze();
         let f1 = b.features(&toks(&["delicious", "food"]));
         let f2 = b.features(&toks(&["the", "staff", "is", "delicious"]));
         // "delicious" rows:
@@ -508,7 +438,7 @@ mod tests {
 
     #[test]
     fn phrase_embedding_has_model_dim() {
-        let b = tiny_bert();
+        let b = tiny_bert().freeze();
         let e = b.phrase_embedding(&toks(&["nice", "staff"]));
         assert_eq!(e.len(), 16);
     }
@@ -532,23 +462,8 @@ mod tests {
     }
 
     #[test]
-    fn feature_cache_serves_identical_values_and_invalidates() {
-        let b = tiny_bert();
-        let t = toks(&["food", "is", "nice"]);
-        let first = b.features(&t);
-        // Second call is a cache hit and must be bit-identical.
-        assert_eq!(b.features(&t), first);
-        // Out-of-band weight mutation + bump: no stale features.
-        for p in b.params() {
-            p.update_value(|v| *v = v.scale(0.0));
-        }
-        b.weights_changed();
-        assert_ne!(b.features(&t), first);
-    }
-
-    #[test]
     fn features_batch_matches_sequential_features() {
-        let b = tiny_bert();
+        let b = tiny_bert().freeze();
         let seqs = vec![
             toks(&["food", "is", "nice"]),
             toks(&["the", "staff"]),
@@ -598,10 +513,10 @@ mod tests {
                 let (r, c) = p.shape();
                 p.set_value(Matrix::uniform(r, c, 0.5, &mut rng));
             }
-            bert.weights_changed();
             let frozen = bert.freeze();
             for s in &sentences {
-                let want = bert.features(s);
+                let taped = bert.encode(&bert.ids(s)).value_clone();
+                let want = taped.slice_rows(1, taped.rows());
                 assert_eq!(want.rows(), s.len().min(47));
                 assert_eq!(
                     bits(&frozen.features(s)),

@@ -18,11 +18,12 @@ use saccs_nn::optim::{zero_grads, Adam};
 use saccs_text::lexicon::{Domain, Lexicon};
 use saccs_text::vocab::{Vocab, MASK};
 
+/// Fraction of (non-CLS) tokens masked per sentence, BERT's 15%.
+const MASK_PROB: f64 = 0.15;
+
 /// Masked-LM training knobs.
 #[derive(Debug, Clone)]
 pub struct MlmConfig {
-    /// Fraction of (non-CLS) tokens masked per sentence.
-    pub mask_prob: f64,
     pub epochs: usize,
     pub lr: f32,
     pub seed: u64,
@@ -31,7 +32,6 @@ pub struct MlmConfig {
 impl Default for MlmConfig {
     fn default() -> Self {
         MlmConfig {
-            mask_prob: 0.15,
             epochs: 2,
             lr: 5e-3,
             seed: 0x31A5,
@@ -161,7 +161,7 @@ pub fn train_mlm(bert: &MiniBert, sentences: &[Vec<String>], config: &MlmConfig)
             }
             // Choose masked positions (never position 0, the [CLS]).
             let mut masked: Vec<usize> = (1..original.len())
-                .filter(|_| rng.gen_bool(config.mask_prob))
+                .filter(|_| rng.gen_bool(MASK_PROB))
                 .collect();
             if masked.is_empty() {
                 masked.push(rng.gen_range(1..original.len()));
@@ -192,7 +192,6 @@ pub fn train_mlm(bert: &MiniBert, sentences: &[Vec<String>], config: &MlmConfig)
                 .set(f64::from(last_epoch_loss));
         }
     }
-    bert.weights_changed();
     last_epoch_loss
 }
 
@@ -237,16 +236,16 @@ pub fn finetune_tagging(
         }
         last = total / count.max(1) as f32;
     }
-    bert.weights_changed();
     last
 }
 
 /// Mean masked-prediction loss on a held-out corpus without updating
-/// weights (for measuring domain-adaptation gains).
+/// weights (for measuring domain-adaptation gains). It reads the MLM
+/// head, which only the taped encoder has.
 ///
 /// Each sentence's mask positions derive from `(seed, sentence index)`
 /// and the per-sentence losses are summed in index order.
-pub fn eval_mlm(bert: &MiniBert, sentences: &[Vec<String>], mask_prob: f64, seed: u64) -> f32 {
+pub fn eval_mlm(bert: &MiniBert, sentences: &[Vec<String>], seed: u64) -> f32 {
     let mut total = 0.0;
     let mut count = 0usize;
     for (i, tokens) in sentences.iter().enumerate() {
@@ -256,7 +255,7 @@ pub fn eval_mlm(bert: &MiniBert, sentences: &[Vec<String>], mask_prob: f64, seed
         }
         let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut masked: Vec<usize> = (1..original.len())
-            .filter(|_| rng.gen_bool(mask_prob))
+            .filter(|_| rng.gen_bool(MASK_PROB))
             .collect();
         if masked.is_empty() {
             masked.push(rng.gen_range(1..original.len()));
@@ -326,7 +325,7 @@ mod tests {
         let vocab = build_vocab(&[Domain::Restaurants]);
         let bert = MiniBert::new(vocab, small_config());
         let corpus = general_corpus(60, 7);
-        let before = eval_mlm(&bert, &corpus, 0.15, 1);
+        let before = eval_mlm(&bert, &corpus, 1);
         train_mlm(
             &bert,
             &corpus,
@@ -335,7 +334,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let after = eval_mlm(&bert, &corpus, 0.15, 1);
+        let after = eval_mlm(&bert, &corpus, 1);
         assert!(after < before, "MLM did not learn: {before} → {after}");
     }
 
@@ -373,7 +372,7 @@ mod tests {
             .map(|_| gen.random_sentence(&mut rng).tokens)
             .collect();
 
-        let before = eval_mlm(&bert, &domain_heldout, 0.15, 2);
+        let before = eval_mlm(&bert, &domain_heldout, 2);
         train_mlm(
             &bert,
             &domain_train,
@@ -383,7 +382,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let after = eval_mlm(&bert, &domain_heldout, 0.15, 2);
+        let after = eval_mlm(&bert, &domain_heldout, 2);
         assert!(
             after < before,
             "domain post-training did not help: {before} → {after}"

@@ -31,14 +31,14 @@ fn embed_paths_bitwise_identical_across_widths() {
     // Width-1 baselines: the pool has never been widened, so every path
     // below runs inline on this thread.
     let base_feats: Vec<_> = {
-        let b = bert();
+        let b = bert().freeze();
         corpus.iter().map(|s| b.features(s)).collect()
     };
-    let base_eval = eval_mlm(&bert(), &corpus, 0.15, 3);
+    let base_eval = eval_mlm(&bert(), &corpus, 3);
 
     for width in [2, 8] {
         saccs_rt::set_threads(width);
-        let wide_feats = bert().features_batch(&corpus);
+        let wide_feats = bert().freeze().features_batch(&corpus);
         assert_eq!(base_feats.len(), wide_feats.len());
         for (i, (a, b)) in base_feats.iter().zip(&wide_feats).enumerate() {
             assert!(
@@ -46,7 +46,7 @@ fn embed_paths_bitwise_identical_across_widths() {
                 "sentence {i} features diverged at width {width}"
             );
         }
-        let wide_eval = eval_mlm(&bert(), &corpus, 0.15, 3);
+        let wide_eval = eval_mlm(&bert(), &corpus, 3);
         assert!(
             base_eval.to_bits() == wide_eval.to_bits(),
             "eval_mlm diverged at width {width}: {base_eval} vs {wide_eval}"

@@ -57,6 +57,12 @@ impl SpanF1 {
     pub fn f1_percent(&self) -> f32 {
         100.0 * self.f1()
     }
+
+    /// `(matched, predicted, gold)` span counts, the inputs of every
+    /// ratio above.
+    pub fn counts(&self) -> (usize, usize, usize) {
+        (self.matched, self.predicted, self.gold)
+    }
 }
 
 #[cfg(test)]

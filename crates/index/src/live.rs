@@ -243,9 +243,9 @@ struct Writer {
 }
 
 impl Writer {
-    /// Count one review of `tags` for `entity_id`, registering the
-    /// entity in the next slot if it is new. Returns its slot.
-    fn observe(&mut self, entity_id: usize, tags: &[SubjectiveTag]) -> usize {
+    /// Count one review of `tag_count` tags for `entity_id`, registering
+    /// the entity in the next slot if it is new. Returns its slot.
+    fn observe(&mut self, entity_id: usize, tag_count: usize) -> usize {
         let slot = match self.entity_slot.get(&entity_id) {
             Some(&slot) => slot,
             None => {
@@ -260,7 +260,7 @@ impl Writer {
             }
         };
         self.entities[slot].review_count += 1;
-        self.entities[slot].total_tags += tags.len();
+        self.entities[slot].total_tags += tag_count;
         slot
     }
 
@@ -275,8 +275,8 @@ impl Writer {
 
     /// Compute one tag's posting list from its accumulator column —
     /// entities in first-seen order, then [`finalize_postings`]. Used
-    /// where a whole list is new or re-finalized: [`LiveIndex::add_tags`],
-    /// [`LiveIndex::set_degree_formula`] and recovery.
+    /// where a whole list is new or re-finalized: [`Writer::fold_columns`]
+    /// and [`LiveIndex::set_degree_formula`].
     fn postings(&self, accs: &[TagAccum]) -> Vec<IndexEntry> {
         let mut postings: Vec<IndexEntry> = accs
             .iter()
@@ -306,20 +306,25 @@ impl Writer {
             .map(|(tag, accs)| (tag.clone(), self.postings(accs).into()))
             .collect();
     }
-}
 
-/// Fold one review into the accumulator columns and the entity's
-/// totals, leaving the posting lists alone: the recovery replay, which
-/// finalizes every list once at the end.
-fn apply_review(w: &mut Writer, entity_id: usize, tags: &[SubjectiveTag], scoring: &Scoring) {
-    let slot = w.observe(entity_id, tags);
-    let slots = w.entities.len();
-    let theta = w.config.theta_index;
-    for (tag, accs) in w.accums.iter_mut() {
-        if accs.len() < slots {
-            accs.resize(slots, TagAccum::default());
+    /// Fold each of `tags`' accumulator columns over the whole record
+    /// log, one `saccs-rt` pool task per tag, and install each with its
+    /// posting list: [`LiveIndex::add_tags`] and recovery.
+    fn fold_columns(&mut self, tags: &[&SubjectiveTag], scoring: &Scoring) {
+        let slots: Vec<usize> = self
+            .records()
+            .map(|r| self.entity_slot[&r.entity_id])
+            .collect();
+        let writer = &*self;
+        let columns = saccs_rt::parallel_map(tags.len(), 4, |i| {
+            let accs = accum_column(writer, &slots, tags[i], scoring);
+            let postings = writer.postings(&accs);
+            (accs, postings)
+        });
+        for (tag, (accs, postings)) in tags.iter().zip(columns) {
+            self.accums.insert((*tag).clone(), accs);
+            self.entries.insert((*tag).clone(), postings.into());
         }
-        accs[slot].fold(tag, tags, scoring, theta);
     }
 }
 
@@ -334,7 +339,7 @@ fn splice_review(
     tags: &[SubjectiveTag],
     scoring: &Scoring,
 ) -> usize {
-    let slot = w.observe(entity_id, tags);
+    let slot = w.observe(entity_id, tags.len());
     let slots = w.entities.len();
     let totals = w.entities[slot];
     let (theta, formula) = (w.config.theta_index, w.config.degree_formula);
@@ -488,12 +493,14 @@ impl LiveIndex {
     }
 
     /// Open a persistent live index at `dir`, recovering the last
-    /// committed manifest if one exists: committed segments are
-    /// replayed in seq order through the same accumulator folds ingest
-    /// uses, so the recovered index is bitwise identical to one that
-    /// ingested exactly the durable prefix. A checkpointed posting
-    /// image, when present, is cross-checked against the replay and a
-    /// disagreement is reported as corruption.
+    /// committed manifest if one exists: the committed segments become
+    /// the sealed segments, each record counts into its entity's totals
+    /// in seq order, and each manifest tag's column folds the log as
+    /// [`LiveIndex::add_tags`] folds it. That is the fold a splice makes
+    /// review by review, so the recovered index is bitwise identical to
+    /// one that ingested exactly the durable prefix. A checkpointed
+    /// posting image, when present, is cross-checked against the replay
+    /// and a disagreement is reported as corruption.
     pub fn open(
         dir: impl Into<PathBuf>,
         similarity: ConceptualSimilarity,
@@ -508,16 +515,19 @@ impl LiveIndex {
         };
         let mut pending = UserTagHistory::new();
         if let Some(loaded) = store.load()? {
-            for tag in &loaded.manifest.tags {
-                w.accums.insert(tag.clone(), Vec::new());
+            w.sealed = loaded
+                .segments
+                .into_iter()
+                .map(|segment| (segment, true))
+                .collect();
+            let reviews: Vec<(usize, usize)> =
+                w.records().map(|r| (r.entity_id, r.tags.len())).collect();
+            for (entity_id, tag_count) in reviews {
+                w.observe(entity_id, tag_count);
+                w.ingested += 1;
             }
-            for segment in &loaded.segments {
-                for record in segment.records() {
-                    apply_review(&mut w, record.entity_id, &record.tags, &scoring);
-                    w.ingested += 1;
-                }
-            }
-            w.refinalize();
+            let tags: Vec<&SubjectiveTag> = loaded.manifest.tags.iter().collect();
+            w.fold_columns(&tags, &scoring);
             if let Some(checkpointed) = &loaded.postings {
                 if *checkpointed != w.entries {
                     return Err(StoreError::Corrupt(
@@ -525,17 +535,8 @@ impl LiveIndex {
                     ));
                 }
             }
-            let last_seq = loaded
-                .segments
-                .last()
-                .map(|s| s.last_seq() + 1)
-                .unwrap_or(0);
+            let last_seq = w.sealed.last().map(|(s, _)| s.last_seq() + 1).unwrap_or(0);
             w.next_seq = loaded.manifest.next_seq.max(last_seq);
-            w.sealed = loaded
-                .segments
-                .into_iter()
-                .map(|segment| (segment, true))
-                .collect();
             for (tag, count) in loaded.manifest.pending {
                 pending.set_count(tag, count);
             }
@@ -770,17 +771,7 @@ impl LiveIndex {
             return 0;
         }
         saccs_obs::counter!("index.build.tags").add(fresh.len() as u64);
-        let slots: Vec<usize> = w.records().map(|r| w.entity_slot[&r.entity_id]).collect();
-        let writer = &*w;
-        let columns = saccs_rt::parallel_map(fresh.len(), 4, |i| {
-            let accs = accum_column(writer, &slots, fresh[i], &self.scoring);
-            let postings = writer.postings(&accs);
-            (accs, postings)
-        });
-        for (tag, (accs, postings)) in fresh.iter().zip(columns) {
-            w.accums.insert((*tag).clone(), accs);
-            w.entries.insert((*tag).clone(), postings.into());
-        }
+        w.fold_columns(&fresh, &self.scoring);
         self.publish_locked(&w);
         let _ = self.commit_locked(&mut w, false);
         fresh.len()
@@ -940,7 +931,9 @@ mod tests {
         ("friendly", "waiters"),
         ("quiet", "place"),
     ];
-    const STREAM: [(usize, &[(&str, &str)]); 8] = [
+    /// Entities 5 and 4 tie bit for bit, so their order in a column is
+    /// first-seen order.
+    const STREAM: [(usize, &[(&str, &str)]); 10] = [
         (0, &[("good", "food"), ("nice", "staff")]),
         (1, &[("amazing", "pizza")]),
         (0, &[("romantic", "ambiance")]),
@@ -949,6 +942,8 @@ mod tests {
         (3, &[]),
         (2, &[("good", "food")]),
         (0, &[("delicious", "food")]),
+        (5, &[("good", "food")]),
+        (4, &[("good", "food")]),
     ];
 
     fn vocabulary() -> Vec<SubjectiveTag> {

@@ -302,9 +302,9 @@ impl Layer for BiLstm {
 
 /// Multi-head scaled-dot-product self-attention over a `T×dim` sequence.
 ///
-/// Heads are materialized individually so callers (the pairing heuristic of
-/// §5.1, Figure 5) can read per-head attention distributions after a
-/// forward pass via [`MultiHeadSelfAttention::last_attention`].
+/// Heads are materialized individually; the per-head attention
+/// distributions the pairing heuristic of §5.1 (Figure 5) reads come
+/// from the frozen form, [`FrozenAttention::attentions`].
 pub struct MultiHeadSelfAttention {
     pub wq: Var,
     pub wk: Var,
@@ -312,8 +312,6 @@ pub struct MultiHeadSelfAttention {
     pub wo: Var,
     heads: usize,
     dim: usize,
-    /// Per-head `T×T` attention matrices from the most recent forward.
-    last_attention: std::cell::RefCell<Vec<Matrix>>,
 }
 
 impl MultiHeadSelfAttention {
@@ -326,11 +324,10 @@ impl MultiHeadSelfAttention {
             wo: Var::leaf(Matrix::xavier(dim, dim, rng)),
             heads,
             dim,
-            last_attention: std::cell::RefCell::new(Vec::new()),
         }
     }
 
-    /// `T×dim` → `T×dim`; records per-head attention matrices.
+    /// `T×dim` → `T×dim`.
     pub fn forward(&self, xs: &Var) -> Var {
         let hd = self.dim / self.heads;
         let scale = 1.0 / (hd as f32).sqrt();
@@ -338,17 +335,14 @@ impl MultiHeadSelfAttention {
         let k = xs.matmul(&self.wk);
         let v = xs.matmul(&self.wv);
         let mut head_outs: Vec<Var> = Vec::with_capacity(self.heads);
-        let mut atts: Vec<Matrix> = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
             let (s, e) = (h * hd, (h + 1) * hd);
             let qh = q.slice_cols(s, e);
             let kh = k.slice_cols(s, e);
             let vh = v.slice_cols(s, e);
             let att = qh.matmul(&kh.transpose()).scale(scale).softmax_rows();
-            atts.push(att.value_clone());
             head_outs.push(att.matmul(&vh));
         }
-        *self.last_attention.borrow_mut() = atts;
         let mut cat = head_outs[0].clone();
         for h in &head_outs[1..] {
             cat = cat.hstack(h);
@@ -356,12 +350,7 @@ impl MultiHeadSelfAttention {
         cat.matmul(&self.wo)
     }
 
-    /// The `T×T` attention matrix of head `h` from the last forward pass.
-    pub fn last_attention(&self, h: usize) -> Matrix {
-        self.last_attention.borrow()[h].clone()
-    }
-
-    /// The current weights, off the tape (no attention recording).
+    /// The current weights, off the tape.
     pub fn freeze(&self) -> FrozenAttention {
         FrozenAttention {
             wq: self.wq.value_clone(),
@@ -386,24 +375,40 @@ impl FrozenAttention {
     /// `T×dim` → `T×dim`, as [`MultiHeadSelfAttention::forward`].
     pub fn forward(&self, xs: &Matrix) -> Matrix {
         let hd = self.wq.cols() / self.heads;
-        let scale = 1.0 / (hd as f32).sqrt();
         let q = xs.matmul(&self.wq);
         let k = xs.matmul(&self.wk);
         let v = xs.matmul(&self.wv);
         let mut cat = Matrix::zeros(xs.rows(), self.wq.cols());
         for h in 0..self.heads {
             let (s, e) = (h * hd, (h + 1) * hd);
-            let att = q
-                .slice_cols(s, e)
-                .matmul(&k.slice_cols(s, e).transpose())
-                .scale(scale)
-                .softmax_rows();
-            let head = att.matmul(&v.slice_cols(s, e));
+            let head = self.head_attention(&q, &k, h).matmul(&v.slice_cols(s, e));
             for r in 0..head.rows() {
                 cat.row_mut(r)[s..e].copy_from_slice(head.row(r));
             }
         }
         cat.matmul(&self.wo)
+    }
+
+    /// Every head's `T×T` attention distribution over `xs`, in head
+    /// order: the matrices [`FrozenAttention::forward`] weights the
+    /// values with.
+    pub fn attentions(&self, xs: &Matrix) -> Vec<Matrix> {
+        let q = xs.matmul(&self.wq);
+        let k = xs.matmul(&self.wk);
+        (0..self.heads)
+            .map(|h| self.head_attention(&q, &k, h))
+            .collect()
+    }
+
+    /// Head `h`'s scaled-dot-product softmax over the projected queries
+    /// `q` and keys `k`.
+    fn head_attention(&self, q: &Matrix, k: &Matrix, h: usize) -> Matrix {
+        let hd = self.wq.cols() / self.heads;
+        let (s, e) = (h * hd, (h + 1) * hd);
+        q.slice_cols(s, e)
+            .matmul(&k.slice_cols(s, e).transpose())
+            .scale(1.0 / (hd as f32).sqrt())
+            .softmax_rows()
     }
 }
 
@@ -596,23 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn attention_rows_are_distributions() {
-        let mut r = rng();
-        let att = MultiHeadSelfAttention::new(8, 2, &mut r);
-        let xs = Var::leaf(Matrix::uniform(5, 8, 1.0, &mut r));
-        let out = att.forward(&xs);
-        assert_eq!(out.shape(), (5, 8));
-        for h in 0..2 {
-            let a = att.last_attention(h);
-            assert_eq!(a.shape(), (5, 5));
-            for t in 0..5 {
-                let s: f32 = a.row(t).iter().sum();
-                assert!((s - 1.0).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
     fn attention_gradients_flow() {
         let mut r = rng();
         let att = MultiHeadSelfAttention::new(4, 2, &mut r);
@@ -710,6 +698,34 @@ mod tests {
         for xs in [x, Matrix::uniform(1, 8, 1.0, &mut r)] {
             let taped = bi.forward(&Var::leaf(xs.clone()));
             assert_eq!(bits(&bi.freeze().forward(&xs)), bits(&taped.value()));
+        }
+    }
+
+    #[test]
+    fn frozen_attention_heads_match_taped_ops_bitwise() {
+        let mut r = rng();
+        // The quick() and paper() encoder shapes; 1 token, a typical
+        // sentence and a max_len one.
+        for (dim, heads) in [(24, 4), (48, 6)] {
+            let att = MultiHeadSelfAttention::new(dim, heads, &mut r);
+            let hd = dim / heads;
+            for t_len in [1, 13, 48] {
+                let x = Matrix::uniform(t_len, dim, 1.0, &mut r);
+                // The taped forward's ops, up to each head's softmax.
+                let q = Var::leaf(x.clone()).matmul(&att.wq);
+                let k = Var::leaf(x.clone()).matmul(&att.wk);
+                let got = att.freeze().attentions(&x);
+                assert_eq!(got.len(), heads);
+                for (h, a) in got.iter().enumerate() {
+                    let (s, e) = (h * hd, (h + 1) * hd);
+                    let want = q.slice_cols(s, e).matmul(&k.slice_cols(s, e).transpose());
+                    let want = want.scale(1.0 / (hd as f32).sqrt()).softmax_rows();
+                    assert_eq!(bits(a), bits(&want.value()), "dim {dim}, head {h}");
+                    for row in 0..t_len {
+                        assert!((a.row(row).iter().sum::<f32>() - 1.0).abs() < 1e-4);
+                    }
+                }
+            }
         }
     }
 

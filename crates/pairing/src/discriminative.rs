@@ -15,23 +15,24 @@ use crate::testset::PairingExample;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use saccs_embed::{FrozenMiniBert, MiniBert};
+use saccs_embed::FrozenMiniBert;
 use saccs_nn::layers::{FrozenLinear, Layer, Linear};
 use saccs_nn::optim::{zero_grads, Adam};
 use saccs_nn::{Matrix, Var};
 use saccs_parse::ParseTree;
 use saccs_text::Span;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Number of hand-rolled structural features appended to the embedding
 /// features (see [`DiscriminativePairer`] docs).
 const STRUCT_FEATURES: usize = 6;
 
+/// Width of the classifier's hidden layer.
+const HIDDEN: usize = 64;
+
 /// Training knobs for the discriminative model.
 #[derive(Debug, Clone)]
 pub struct DiscriminativeConfig {
-    pub hidden: usize,
     pub epochs: usize,
     pub lr: f32,
     pub seed: u64,
@@ -40,7 +41,6 @@ pub struct DiscriminativeConfig {
 impl Default for DiscriminativeConfig {
     fn default() -> Self {
         DiscriminativeConfig {
-            hidden: 64,
             epochs: 25,
             lr: 5e-4,
             seed: 0xD15C,
@@ -48,9 +48,11 @@ impl Default for DiscriminativeConfig {
     }
 }
 
-/// The trained two-layer sigmoid classifier.
+/// The two-layer sigmoid classifier on the tape, over the frozen encoder
+/// whose features it reads: it only trains. Inference runs on its
+/// [`DiscriminativePairer::freeze`]d form, [`FrozenPairer`].
 pub struct DiscriminativePairer {
-    bert: Rc<MiniBert>,
+    bert: Arc<FrozenMiniBert>,
     l1: Linear,
     l2: Linear,
 }
@@ -110,7 +112,7 @@ impl DiscriminativePairer {
     /// Train on weakly-labeled examples `(example, label)` — labels come
     /// from the generative stage, not ground truth (Figure 6).
     pub fn train(
-        bert: Rc<MiniBert>,
+        bert: Arc<FrozenMiniBert>,
         examples: &[(PairingExample, bool)],
         config: &DiscriminativeConfig,
     ) -> Self {
@@ -118,9 +120,9 @@ impl DiscriminativePairer {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let dim = 3 * bert.dim() + STRUCT_FEATURES;
         let model = DiscriminativePairer {
-            bert: bert.clone(),
-            l1: Linear::new(dim, config.hidden, &mut rng),
-            l2: Linear::new(config.hidden, 1, &mut rng),
+            bert,
+            l1: Linear::new(dim, HIDDEN, &mut rng),
+            l2: Linear::new(HIDDEN, 1, &mut rng),
         };
         // Precompute features once; the encoder is frozen. Candidates of
         // one sentence share its (expensive) contextual encoding and parse
@@ -134,7 +136,7 @@ impl DiscriminativePairer {
                 let key = ex.tokens.join("\u{1}");
                 let (ctx, tree) = ctx_cache.entry(key).or_insert_with(|| {
                     (
-                        bert.features(&ex.tokens),
+                        model.bert.features(&ex.tokens),
                         ParseTree::from_tokens(&ex.tokens),
                     )
                 });
@@ -158,31 +160,11 @@ impl DiscriminativePairer {
         model
     }
 
-    /// P(correct extraction) for a candidate pair.
-    pub fn probability(&self, tokens: &[String], aspect: &Span, opinion: &Span) -> f32 {
-        let ctx = self.bert.features(tokens);
-        let tree = ParseTree::from_tokens(tokens);
-        let feat = Self::features_with(&ctx, &tree, tokens, aspect, opinion);
-        self.forward(&feat).scalar()
-    }
-
-    /// Hard decision at the 0.5 threshold (the classifier interface of
-    /// §5.2: "consider it as a correct extraction if the classifier
-    /// returns a positive label").
-    pub fn classify(&self, tokens: &[String], aspect: &Span, opinion: &Span) -> bool {
-        self.probability(tokens, aspect, opinion) > 0.5
-    }
-
-    /// The encoder whose features this classifier reads.
-    pub fn bert(&self) -> &MiniBert {
-        &self.bert
-    }
-
-    /// The trained classifier frozen for inference over `bert`, which
-    /// must be the frozen form of [`DiscriminativePairer::bert`].
-    pub fn freeze(&self, bert: Arc<FrozenMiniBert>) -> FrozenPairer {
+    /// The trained classifier frozen for inference, over the same shared
+    /// encoder.
+    pub fn freeze(&self) -> FrozenPairer {
         FrozenPairer {
-            bert,
+            bert: Arc::clone(&self.bert),
             l1: self.l1.freeze(),
             l2: self.l2.freeze(),
         }
@@ -198,6 +180,25 @@ pub struct FrozenPairer {
 }
 
 impl FrozenPairer {
+    /// The frozen encoder this classifier reads.
+    pub fn bert(&self) -> &Arc<FrozenMiniBert> {
+        &self.bert
+    }
+
+    /// P(correct extraction) for a candidate pair.
+    pub fn probability(&self, tokens: &[String], aspect: &Span, opinion: &Span) -> f32 {
+        let ctx = self.bert.features(tokens);
+        let tree = ParseTree::from_tokens(tokens);
+        self.probability_with(&ctx, &tree, tokens, aspect, opinion)
+    }
+
+    /// Hard decision at the 0.5 threshold (the classifier interface of
+    /// §5.2: "consider it as a correct extraction if the classifier
+    /// returns a positive label").
+    pub fn classify(&self, tokens: &[String], aspect: &Span, opinion: &Span) -> bool {
+        self.probability(tokens, aspect, opinion) > 0.5
+    }
+
     /// P(correct extraction) for a candidate pair, from the sentence's
     /// encoder features and parse tree.
     pub fn probability_with(
@@ -213,7 +214,11 @@ impl FrozenPairer {
         self.l2.forward(&hidden).sigmoid().get(0, 0)
     }
 
-    /// [`crate::PairingPipeline::pair_spans`], encoding the sentence once.
+    /// Pair an extracted span set, encoding the sentence once: run the
+    /// classifier over the full candidate grid and keep the positives
+    /// (the SACCS usage of §5.2). Falls back to the best-probability
+    /// opinion per aspect when the classifier rejects everything, so
+    /// tagged aspects are never dropped.
     pub fn pair_spans(
         &self,
         tokens: &[String],
@@ -244,21 +249,24 @@ impl FrozenPairer {
 mod tests {
     use super::*;
     use crate::testset::build_test_set;
-    use saccs_embed::{build_vocab, MiniBertConfig};
+    use saccs_embed::{build_vocab, MiniBert, MiniBertConfig};
     use saccs_text::Domain;
 
-    fn bert() -> Rc<MiniBert> {
+    /// An untrained encoder of the given shape.
+    fn taped_bert(dim: usize, heads: usize, layers: usize, seed: u64) -> MiniBert {
         let vocab = build_vocab(&[Domain::Restaurants, Domain::Electronics, Domain::Hotels]);
-        Rc::new(MiniBert::new(
-            vocab,
-            MiniBertConfig {
-                dim: 16,
-                heads: 2,
-                layers: 2,
-                max_len: 48,
-                seed: 6,
-            },
-        ))
+        let config = MiniBertConfig {
+            dim,
+            heads,
+            layers,
+            max_len: 48,
+            seed,
+        };
+        MiniBert::new(vocab, config)
+    }
+
+    fn bert() -> Arc<FrozenMiniBert> {
+        Arc::new(taped_bert(16, 2, 2, 6).freeze())
     }
 
     #[test]
@@ -277,7 +285,8 @@ mod tests {
                 epochs: 10,
                 ..Default::default()
             },
-        );
+        )
+        .freeze();
         let correct = test
             .iter()
             .filter(|e| model.classify(&e.tokens, &e.candidate.0, &e.candidate.1) == e.label)
@@ -299,7 +308,8 @@ mod tests {
                 epochs: 1,
                 ..Default::default()
             },
-        );
+        )
+        .freeze();
         for e in set.iter().take(10) {
             let p = model.probability(&e.tokens, &e.candidate.0, &e.candidate.1);
             assert!((0.0..=1.0).contains(&p));
@@ -323,23 +333,13 @@ mod tests {
             set.iter().map(|e| (e.clone(), e.label)).collect();
         // The quick() and paper() encoder shapes.
         for (dim, heads, layers) in [(24, 4, 2), (48, 6, 4)] {
-            let b = Rc::new(MiniBert::new(
-                bert().vocab().clone(),
-                MiniBertConfig {
-                    dim,
-                    heads,
-                    layers,
-                    max_len: 48,
-                    seed: 7,
-                },
-            ));
+            let b = taped_bert(dim, heads, layers, 7);
             for p in b.params() {
                 let (r, c) = p.shape();
                 p.set_value(Matrix::uniform(r, c, 0.5, &mut rng));
             }
-            b.weights_changed();
             let model = DiscriminativePairer::train(
-                b.clone(),
+                Arc::new(b.freeze()),
                 &labeled,
                 &DiscriminativeConfig {
                     epochs: 0,
@@ -350,24 +350,31 @@ mod tests {
                 let (r, c) = p.shape();
                 p.set_value(Matrix::uniform(r, c, 0.5, &mut rng));
             }
-            let frozen_bert = Arc::new(b.freeze());
-            let frozen = model.freeze(Arc::clone(&frozen_bert));
+            let frozen = model.freeze();
             for e in &set {
-                let ctx = frozen_bert.features(&e.tokens);
+                let ctx = frozen.bert().features(&e.tokens);
                 let tree = ParseTree::from_tokens(&e.tokens);
+                // The taped classifier's training forward.
+                let taped = |a: &Span, o: &Span| {
+                    let feat = DiscriminativePairer::features_with(&ctx, &tree, &e.tokens, a, o);
+                    model.forward(&feat).scalar()
+                };
                 let (a, o) = e.candidate;
                 assert_eq!(
                     frozen
                         .probability_with(&ctx, &tree, &e.tokens, &a, &o)
                         .to_bits(),
-                    model.probability(&e.tokens, &a, &o).to_bits(),
+                    taped(&a, &o).to_bits(),
                     "dim {dim}: {:?}",
                     e.tokens
                 );
                 assert_eq!(
+                    frozen.probability(&e.tokens, &a, &o).to_bits(),
+                    taped(&a, &o).to_bits()
+                );
+                assert_eq!(
                     frozen.pair_spans(&e.tokens, &e.aspects, &e.opinions),
-                    pair_grid(&e.aspects, &e.opinions, |a, o| model
-                        .probability(&e.tokens, a, o))
+                    pair_grid(&e.aspects, &e.opinions, taped)
                 );
             }
         }
@@ -383,8 +390,8 @@ mod tests {
             epochs: 2,
             ..Default::default()
         };
-        let m1 = DiscriminativePairer::train(b.clone(), &labeled, &cfg);
-        let m2 = DiscriminativePairer::train(b, &labeled, &cfg);
+        let m1 = DiscriminativePairer::train(b.clone(), &labeled, &cfg).freeze();
+        let m2 = DiscriminativePairer::train(b, &labeled, &cfg).freeze();
         let e = &set[0];
         assert_eq!(
             m1.probability(&e.tokens, &e.candidate.0, &e.candidate.1),

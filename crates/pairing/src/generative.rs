@@ -11,6 +11,9 @@
 //! a per-LF accuracy `θ_j`, alternating posterior inference (E) with
 //! parameter re-estimation (M).
 
+/// EM iterations of [`ProbabilisticModel::fit`].
+const EM_ITERATIONS: usize = 25;
+
 /// Majority vote over binary votes (ties break negative, the conservative
 /// choice for a high-precision pipeline).
 pub fn majority_vote(votes: &[bool]) -> bool {
@@ -25,13 +28,12 @@ pub struct ProbabilisticModel {
     pub prior: f64,
     /// Per-LF accuracy P(vote = y).
     pub accuracies: Vec<f64>,
-    iterations: usize,
 }
 
 impl ProbabilisticModel {
     /// Fit on a vote matrix (`rows = datapoints`, `cols = LFs`) without any
-    /// ground-truth labels.
-    pub fn fit(votes: &[Vec<bool>], iterations: usize) -> Self {
+    /// ground-truth labels, in a fixed number of EM rounds (`EM_ITERATIONS`).
+    pub fn fit(votes: &[Vec<bool>]) -> Self {
         assert!(!votes.is_empty(), "no datapoints");
         let n_lfs = votes[0].len();
         assert!(votes.iter().all(|v| v.len() == n_lfs), "ragged vote matrix");
@@ -44,7 +46,7 @@ impl ProbabilisticModel {
         let mut prior = 0.5;
         let mut accuracies = vec![0.7; n_lfs];
 
-        for _ in 0..iterations {
+        for _ in 0..EM_ITERATIONS {
             // M-step: re-estimate prior and accuracies from the posterior.
             prior = posterior.iter().sum::<f64>() / posterior.len() as f64;
             prior = prior.clamp(0.05, 0.95);
@@ -75,11 +77,7 @@ impl ProbabilisticModel {
                 *p = (log_pos - m).exp() / z;
             }
         }
-        ProbabilisticModel {
-            prior,
-            accuracies,
-            iterations,
-        }
+        ProbabilisticModel { prior, accuracies }
     }
 
     /// Posterior P(y = 1 | votes) for a new datapoint.
@@ -105,10 +103,6 @@ impl ProbabilisticModel {
     /// Hard label at the 0.5 threshold.
     pub fn predict(&self, votes: &[bool]) -> bool {
         self.posterior(votes) > 0.5
-    }
-
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 }
 
@@ -147,7 +141,7 @@ mod tests {
     fn em_recovers_lf_accuracies() {
         let accs = [0.9, 0.8, 0.65, 0.55];
         let (votes, _) = synth(2000, &accs, 0.5, 1);
-        let model = ProbabilisticModel::fit(&votes, 30);
+        let model = ProbabilisticModel::fit(&votes);
         for (est, &true_a) in model.accuracies.iter().zip(&accs) {
             assert!(
                 (est - true_a).abs() < 0.07,
@@ -163,7 +157,7 @@ mod tests {
         // recover labels better than one-LF-one-vote.
         let accs = [0.95, 0.6, 0.6, 0.55, 0.55];
         let (votes, truth) = synth(3000, &accs, 0.5, 2);
-        let model = ProbabilisticModel::fit(&votes, 30);
+        let model = ProbabilisticModel::fit(&votes);
         let mv_correct = votes
             .iter()
             .zip(&truth)
@@ -183,7 +177,7 @@ mod tests {
     #[test]
     fn posterior_is_probability() {
         let (votes, _) = synth(200, &[0.8, 0.7, 0.6], 0.4, 3);
-        let model = ProbabilisticModel::fit(&votes, 10);
+        let model = ProbabilisticModel::fit(&votes);
         for v in &votes {
             let p = model.posterior(v);
             assert!((0.0..=1.0).contains(&p));
@@ -193,7 +187,7 @@ mod tests {
     #[test]
     fn unanimous_votes_dominate_posterior() {
         let (votes, _) = synth(500, &[0.8, 0.8, 0.8], 0.5, 4);
-        let model = ProbabilisticModel::fit(&votes, 20);
+        let model = ProbabilisticModel::fit(&votes);
         assert!(model.posterior(&[true, true, true]) > 0.8);
         assert!(model.posterior(&[false, false, false]) < 0.2);
     }
@@ -218,7 +212,7 @@ mod tests {
                         accs.iter().map(|&a| if rng.gen_bool(a) { y } else { !y }).collect()
                     })
                     .collect();
-                let model = ProbabilisticModel::fit(&votes, 15);
+                let model = ProbabilisticModel::fit(&votes);
                 // Learned accuracies should stay above chance for this data.
                 prop_assume!(model.accuracies.iter().all(|&a| a > 0.5));
                 let low = vec![false; 4];
@@ -240,6 +234,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_matrix_rejected() {
-        ProbabilisticModel::fit(&[vec![true, false], vec![true]], 5);
+        ProbabilisticModel::fit(&[vec![true, false], vec![true]]);
     }
 }

@@ -1,11 +1,11 @@
 //! The two unsupervised pairing heuristics of §5.1.
 
-use saccs_embed::MiniBert;
+use saccs_embed::FrozenMiniBert;
 use saccs_nn::Matrix;
 use saccs_parse::ParseTree;
 use saccs_text::Span;
 use std::collections::BTreeSet;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Everything a heuristic may look at for one sentence.
 pub struct SentenceContext<'a> {
@@ -94,15 +94,15 @@ impl PairingHeuristic for TreeHeuristic {
 /// attended-to opinion" (§5.1, Figure 5). Attention between spans is the
 /// mean of the token-to-token attention weights of head `layer:head`,
 /// symmetrized (aspect→opinion plus opinion→aspect mass) for stability on
-/// short sentences.
+/// short sentences. Each sentence runs the frozen encoder up to `layer`.
 pub struct AttentionHeuristic {
-    bert: Rc<MiniBert>,
+    bert: Arc<FrozenMiniBert>,
     pub layer: usize,
     pub head: usize,
 }
 
 impl AttentionHeuristic {
-    pub fn new(bert: Rc<MiniBert>, layer: usize, head: usize) -> Self {
+    pub fn new(bert: Arc<FrozenMiniBert>, layer: usize, head: usize) -> Self {
         let (layers, heads) = bert.attention_grid();
         assert!(
             layer >= 1 && layer <= layers,
@@ -164,10 +164,10 @@ impl PairingHeuristic for AttentionHeuristic {
         if ctx.aspects.is_empty() || ctx.opinions.is_empty() {
             return BTreeSet::new();
         }
-        let ids = self.bert.ids(ctx.tokens);
-        // One encode serves every (layer, head) probe of this sentence.
-        self.bert.ensure_attentions(&ids);
-        let att = self.bert.attention(self.layer, self.head);
+        let att = self
+            .bert
+            .attention(ctx.tokens, self.layer)
+            .swap_remove(self.head);
         pairs_from_attention(&att, ctx)
     }
 }
@@ -251,11 +251,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn attention_heuristic_emits_one_pair_per_aspect() {
-        use saccs_embed::{build_vocab, MiniBertConfig};
+    fn untrained_bert() -> Arc<FrozenMiniBert> {
+        use saccs_embed::{build_vocab, MiniBert, MiniBertConfig};
         let vocab = build_vocab(&[saccs_text::Domain::Restaurants]);
-        let bert = Rc::new(MiniBert::new(
+        let bert = MiniBert::new(
             vocab,
             MiniBertConfig {
                 dim: 16,
@@ -264,8 +263,13 @@ mod tests {
                 max_len: 32,
                 seed: 3,
             },
-        ));
-        let h = AttentionHeuristic::new(bert, 2, 1);
+        );
+        Arc::new(bert.freeze())
+    }
+
+    #[test]
+    fn attention_heuristic_emits_one_pair_per_aspect() {
+        let h = AttentionHeuristic::new(untrained_bert(), 2, 1);
         assert_eq!(h.name(), "lf_bert_2:1");
         let tokens = toks("the food is delicious and the staff is friendly");
         let food = Span::aspect(1, 2);
@@ -289,18 +293,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "layer")]
     fn attention_heuristic_validates_layer() {
-        use saccs_embed::{build_vocab, MiniBertConfig};
-        let vocab = build_vocab(&[saccs_text::Domain::Restaurants]);
-        let bert = Rc::new(MiniBert::new(
-            vocab,
-            MiniBertConfig {
-                dim: 16,
-                heads: 2,
-                layers: 2,
-                max_len: 32,
-                seed: 3,
-            },
-        ));
-        let _ = AttentionHeuristic::new(bert, 9, 0);
+        let _ = AttentionHeuristic::new(untrained_bert(), 9, 0);
     }
 }

@@ -13,9 +13,9 @@ use crate::heuristics::{
     AttentionHeuristic, PairingHeuristic, SentenceContext, TreeDirection, TreeHeuristic,
 };
 use saccs_data::LabeledSentence;
-use saccs_embed::MiniBert;
+use saccs_embed::FrozenMiniBert;
 use saccs_text::Span;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A labeling function: a named binary voter over candidate pairs.
 pub struct LabelingFunction {
@@ -82,13 +82,13 @@ pub fn heuristic_accuracy(h: &dyn PairingHeuristic, sentences: &[LabeledSentence
 /// return the best `k` as `(layer, head, accuracy)`, best first. This is
 /// the "qualitative analysis" that picked the paper's five `lf_bert_l:h`.
 pub fn select_attention_heads(
-    bert: &Rc<MiniBert>,
+    bert: &FrozenMiniBert,
     dev: &[LabeledSentence],
     k: usize,
 ) -> Vec<(usize, usize, f32)> {
     use crate::heuristics::pairs_from_attention;
     let (layers, heads) = bert.attention_grid();
-    // One encode per sentence serves every (layer, head) probe.
+    // One attention pass per sentence and layer serves all its heads.
     let mut correct = vec![0usize; layers * heads];
     let mut total = vec![0usize; layers * heads];
     for s in dev {
@@ -102,13 +102,10 @@ pub fn select_attention_heads(
             aspects: &aspects,
             opinions: &opinions,
         };
-        let ids = bert.ids(&s.tokens);
-        bert.ensure_attentions(&ids);
         let gold: std::collections::BTreeSet<(Span, Span)> = s.pairs.iter().copied().collect();
         for l in 1..=layers {
-            for h in 0..heads {
-                let att = bert.attention(l, h);
-                let proposed = pairs_from_attention(&att, &ctx);
+            for (h, att) in bert.attention(&s.tokens, l).iter().enumerate() {
+                let proposed = pairs_from_attention(att, &ctx);
                 let idx = (l - 1) * heads + h;
                 for &a in &aspects {
                     for &o in &opinions {
@@ -141,7 +138,7 @@ pub fn select_attention_heads(
 /// Build the paper's seven labeling functions: the best five attention
 /// heads (per `dev`) plus the two tree directions.
 pub fn build_labeling_functions(
-    bert: &Rc<MiniBert>,
+    bert: &Arc<FrozenMiniBert>,
     dev: &[LabeledSentence],
 ) -> Vec<LabelingFunction> {
     let mut lfs: Vec<LabelingFunction> = select_attention_heads(bert, dev, 5)
@@ -163,12 +160,12 @@ pub fn build_labeling_functions(
 mod tests {
     use super::*;
     use saccs_data::{Dataset, DatasetId};
-    use saccs_embed::{build_vocab, MiniBertConfig};
+    use saccs_embed::{build_vocab, MiniBert, MiniBertConfig};
     use saccs_text::Domain;
 
-    fn bert() -> Rc<MiniBert> {
+    fn bert() -> Arc<FrozenMiniBert> {
         let vocab = build_vocab(&[Domain::Restaurants, Domain::Electronics, Domain::Hotels]);
-        Rc::new(MiniBert::new(
+        let bert = MiniBert::new(
             vocab,
             MiniBertConfig {
                 dim: 16,
@@ -177,7 +174,8 @@ mod tests {
                 max_len: 48,
                 seed: 4,
             },
-        ))
+        );
+        Arc::new(bert.freeze())
     }
 
     #[test]

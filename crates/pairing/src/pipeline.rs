@@ -15,15 +15,15 @@
 //! Table 5); the pipeline trains them in sequence and exposes the final
 //! discriminative model plus the intermediate stages for ablation.
 
-use crate::discriminative::{DiscriminativeConfig, DiscriminativePairer};
+use crate::discriminative::{DiscriminativeConfig, DiscriminativePairer, FrozenPairer};
 use crate::generative::{majority_vote, ProbabilisticModel};
 use crate::heuristics::SentenceContext;
 use crate::labeling::{build_labeling_functions, LabelingFunction};
 use crate::testset::PairingExample;
 use saccs_data::LabeledSentence;
-use saccs_embed::MiniBert;
+use saccs_embed::FrozenMiniBert;
 use saccs_text::Span;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Which generative stage produces the weak labels for the discriminative
 /// model. The paper: "although the authors of Snorkel state that the
@@ -40,7 +40,6 @@ pub enum LabelModel {
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     pub label_model: LabelModel,
-    pub em_iterations: usize,
     pub discriminative: DiscriminativeConfig,
 }
 
@@ -48,17 +47,17 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             label_model: LabelModel::MajorityVote,
-            em_iterations: 25,
             discriminative: DiscriminativeConfig::default(),
         }
     }
 }
 
-/// The fitted pipeline.
+/// The fitted pipeline: its labeling functions, the probabilistic label
+/// model, and the trained discriminative classifier, frozen.
 pub struct PairingPipeline {
     lfs: Vec<LabelingFunction>,
     probabilistic: ProbabilisticModel,
-    discriminative: DiscriminativePairer,
+    pairer: FrozenPairer,
 }
 
 /// The full aspect × opinion candidate grid.
@@ -76,7 +75,7 @@ impl PairingPipeline {
     /// Fit the full pipeline: select heads on `dev`, vote over `train`,
     /// aggregate, and train the discriminative model on the weak labels.
     pub fn fit(
-        bert: Rc<MiniBert>,
+        bert: Arc<FrozenMiniBert>,
         train: &[LabeledSentence],
         dev: &[LabeledSentence],
         config: PipelineConfig,
@@ -139,7 +138,7 @@ impl PairingPipeline {
             }
         }
 
-        let probabilistic = ProbabilisticModel::fit(&vote_rows, config.em_iterations);
+        let probabilistic = ProbabilisticModel::fit(&vote_rows);
         let weak: Vec<bool> = vote_rows
             .iter()
             .map(|v| match config.label_model {
@@ -148,12 +147,12 @@ impl PairingPipeline {
             })
             .collect();
         let labeled: Vec<(PairingExample, bool)> = examples.into_iter().zip(weak).collect();
-        let discriminative = DiscriminativePairer::train(bert, &labeled, &config.discriminative);
+        let pairer = DiscriminativePairer::train(bert, &labeled, &config.discriminative).freeze();
 
         PairingPipeline {
             lfs,
             probabilistic,
-            discriminative,
+            pairer,
         }
     }
 
@@ -165,33 +164,20 @@ impl PairingPipeline {
         &self.probabilistic
     }
 
-    pub fn discriminative_model(&self) -> &DiscriminativePairer {
-        &self.discriminative
+    /// The discriminative classifier, frozen: the pipeline's final
+    /// decision for a candidate pair.
+    pub fn pairer(&self) -> &FrozenPairer {
+        &self.pairer
+    }
+
+    /// [`PairingPipeline::pairer`], by value.
+    pub fn into_pairer(self) -> FrozenPairer {
+        self.pairer
     }
 
     /// Votes of all LFs on one candidate.
     pub fn votes(&self, ctx: &SentenceContext<'_>, candidate: (Span, Span)) -> Vec<bool> {
         self.lfs.iter().map(|lf| lf.label(ctx, candidate)).collect()
-    }
-
-    /// Final (discriminative) decision for a candidate pair.
-    pub fn classify(&self, tokens: &[String], aspect: &Span, opinion: &Span) -> bool {
-        self.discriminative.classify(tokens, aspect, opinion)
-    }
-
-    /// Pair an extracted span set: run the classifier over the full
-    /// candidate grid and keep the positives (the SACCS usage of §5.2).
-    /// Falls back to the best-probability opinion per aspect when the
-    /// classifier rejects everything, so tagged aspects are never dropped.
-    pub fn pair_spans(
-        &self,
-        tokens: &[String],
-        aspects: &[Span],
-        opinions: &[Span],
-    ) -> Vec<(Span, Span)> {
-        pair_grid(aspects, opinions, |a, o| {
-            self.discriminative.probability(tokens, a, o)
-        })
     }
 }
 
@@ -229,10 +215,12 @@ mod tests {
     use super::*;
     use crate::testset::{build_test_set, evaluate_voter};
     use saccs_data::{Dataset, DatasetId};
-    use saccs_embed::{build_vocab, general_corpus, train_mlm, MiniBertConfig, MlmConfig};
+    use saccs_embed::{
+        build_vocab, general_corpus, train_mlm, MiniBert, MiniBertConfig, MlmConfig,
+    };
     use saccs_text::Domain;
 
-    fn bert() -> Rc<MiniBert> {
+    fn bert() -> Arc<FrozenMiniBert> {
         let vocab = build_vocab(&[Domain::Restaurants, Domain::Electronics, Domain::Hotels]);
         let b = MiniBert::new(
             vocab,
@@ -252,7 +240,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        Rc::new(b)
+        Arc::new(b.freeze())
     }
 
     fn fitted() -> PairingPipeline {
@@ -280,7 +268,10 @@ mod tests {
         assert_eq!(p.labeling_functions().len(), 6); // 4 heads + 2 tree at test scale
         let test = build_test_set(80, Domain::Restaurants, 31);
         let conf = evaluate_voter(
-            |e| p.classify(&e.tokens, &e.candidate.0, &e.candidate.1),
+            |e| {
+                p.pairer()
+                    .classify(&e.tokens, &e.candidate.0, &e.candidate.1)
+            },
             &test,
         );
         assert!(
@@ -300,7 +291,10 @@ mod tests {
         let p = fitted();
         let test = build_test_set(120, Domain::Restaurants, 32);
         let disc = evaluate_voter(
-            |e| p.classify(&e.tokens, &e.candidate.0, &e.candidate.1),
+            |e| {
+                p.pairer()
+                    .classify(&e.tokens, &e.candidate.0, &e.candidate.1)
+            },
             &test,
         );
         assert!(disc.tp + disc.fp > 0, "never predicts positive");
@@ -318,7 +312,7 @@ mod tests {
         let p = fitted();
         let test = build_test_set(30, Domain::Restaurants, 33);
         for e in test.iter().take(10) {
-            let pairs = p.pair_spans(&e.tokens, &e.aspects, &e.opinions);
+            let pairs = p.pairer().pair_spans(&e.tokens, &e.aspects, &e.opinions);
             for a in &e.aspects {
                 assert!(pairs.iter().any(|(pa, _)| pa == a), "aspect left unpaired");
             }

@@ -92,21 +92,6 @@ impl TaggerModel {
         }
     }
 
-    /// Decode a tag sequence for a frozen feature matrix.
-    pub fn predict(&self, features: &Matrix) -> Vec<IobTag> {
-        if features.rows() == 0 {
-            return Vec::new();
-        }
-        let mut rng = StdRng::seed_from_u64(0);
-        let em = self
-            .emissions(&Var::leaf(features.clone()), false, &mut rng)
-            .value_clone();
-        match &self.head {
-            Head::BiLstmCrf(_, crf) => crf.viterbi(&em),
-            Head::TokenSoftmax(_) => argmax_tags(&em),
-        }
-    }
-
     /// The trained head frozen for inference (see [`FrozenTaggerModel`]).
     pub fn freeze(&self) -> FrozenTaggerModel {
         let head = match &self.head {
@@ -143,8 +128,8 @@ fn argmax_tags(em: &Matrix) -> Vec<IobTag> {
         .collect()
 }
 
-/// A [`TaggerModel`] frozen for inference: its emissions and tags equal
-/// the eval-mode taped ones bit for bit.
+/// A [`TaggerModel`] frozen for inference: its emissions equal the
+/// eval-mode taped ones bit for bit.
 pub struct FrozenTaggerModel {
     head: Head<FrozenLinear, FrozenBiLstm, FrozenCrf>,
     proj: FrozenLinear,
@@ -166,22 +151,26 @@ impl FrozenTaggerModel {
         if features.rows() == 0 {
             return Vec::new();
         }
-        let em = self.emissions(features);
+        self.decode(&self.emissions(features))
+    }
+
+    /// Decode a tag sequence from emission scores: CRF Viterbi for the
+    /// full model, per-token argmax for the OpineDB baseline.
+    pub fn decode(&self, emissions: &Matrix) -> Vec<IobTag> {
         match &self.head {
             Head::BiLstmCrf(_, crf) => {
                 let _span = saccs_obs::span!("extract.viterbi");
-                crf.viterbi(&em)
+                crf.viterbi(emissions)
             }
-            Head::TokenSoftmax(_) => argmax_tags(&em),
+            Head::TokenSoftmax(_) => argmax_tags(emissions),
         }
     }
 }
 
-use rand::SeedableRng;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use saccs_text::iob::is_valid_sequence;
 
     fn rng() -> StdRng {
@@ -194,7 +183,7 @@ mod tests {
         for arch in [Architecture::TokenSoftmax, Architecture::BiLstmCrf] {
             let m = TaggerModel::new(arch, 8, 6, 0.1, &mut r);
             let f = Matrix::uniform(7, 8, 1.0, &mut r);
-            let tags = m.predict(&f);
+            let tags = m.freeze().predict(&f);
             assert_eq!(tags.len(), 7);
             if arch == Architecture::BiLstmCrf {
                 assert!(is_valid_sequence(&tags), "CRF must emit valid IOB");
@@ -236,7 +225,7 @@ mod tests {
                 .backward();
             opt.step(&params);
         }
-        assert_eq!(m.predict(&f), targets);
+        assert_eq!(m.freeze().predict(&f), targets);
     }
 
     fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
@@ -266,7 +255,7 @@ mod tests {
                         bits(&taped.value()),
                         "{arch:?}, dim {input_dim}, {t_len} tokens"
                     );
-                    assert_eq!(frozen.predict(&f), m.predict(&f));
+                    assert_eq!(frozen.predict(&f), frozen.decode(&taped.value()));
                 }
             }
         }
@@ -276,7 +265,6 @@ mod tests {
     fn empty_input_predicts_empty() {
         let mut r = rng();
         let m = TaggerModel::new(Architecture::BiLstmCrf, 4, 3, 0.0, &mut r);
-        assert!(m.predict(&Matrix::zeros(0, 4)).is_empty());
         assert!(m.freeze().predict(&Matrix::zeros(0, 4)).is_empty());
     }
 }

@@ -19,14 +19,18 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use saccs_data::LabeledSentence;
-use saccs_embed::{FrozenMiniBert, MiniBert};
+use saccs_embed::FrozenMiniBert;
 use saccs_eval::SpanF1;
 use saccs_nn::optim::{zero_grads, Adam};
 use saccs_nn::{Matrix, Var};
 use saccs_text::iob::spans_from_tags;
 use saccs_text::{IobTag, Span};
-use std::rc::Rc;
 use std::sync::Arc;
+
+/// Hidden width of the head: each BiLSTM direction's, half the MLP's.
+const HIDDEN: usize = 24;
+/// Dropout on the encoder features while training.
+const DROPOUT: f32 = 0.1;
 
 /// FGSM settings; the paper fixes `α = 0.5` and sweeps
 /// `ε ∈ {0.1, 0.2, 0.5, 1.0, 2.0}` (§6.1).
@@ -43,8 +47,6 @@ pub struct TrainConfig {
     pub adversarial: Option<Adversarial>,
     pub epochs: usize,
     pub lr: f32,
-    pub hidden: usize,
-    pub dropout: f32,
     pub seed: u64,
 }
 
@@ -55,37 +57,35 @@ impl Default for TrainConfig {
             adversarial: None,
             epochs: 15,
             lr: 4e-3,
-            hidden: 24,
-            dropout: 0.1,
             seed: 0x7A66,
         }
     }
 }
 
-/// A trained tagger: frozen MiniBert features + trained head.
+/// A trained tagger: the frozen encoder it trained over and its taped
+/// head. Inference runs on [`Tagger::freeze`]'s [`FrozenTagger`]; the
+/// taped head serves training and [`Tagger::mean_loss`], whose FGSM
+/// perturbation needs input gradients.
 pub struct Tagger {
-    bert: Rc<MiniBert>,
+    bert: Arc<FrozenMiniBert>,
     model: TaggerModel,
 }
 
 impl Tagger {
-    /// Train on labeled sentences. MiniBert features are precomputed once
+    /// Train on labeled sentences. MiniBert features are computed once
     /// per sentence (the encoder is frozen), then the head trains for
     /// `config.epochs` passes in shuffled order, one optimizer step per
     /// example (the paper's per-example SGD).
-    pub fn train(bert: Rc<MiniBert>, train_set: &[LabeledSentence], config: &TrainConfig) -> Self {
+    pub fn train(
+        bert: Arc<FrozenMiniBert>,
+        train_set: &[LabeledSentence],
+        config: &TrainConfig,
+    ) -> Self {
         assert!(!train_set.is_empty(), "empty training set");
         let _train = saccs_obs::span!("tagger.train");
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let model = TaggerModel::new(
-            config.architecture,
-            bert.dim(),
-            config.hidden,
-            config.dropout,
-            &mut rng,
-        );
-        // Batch the (frozen) feature extraction: deduped, memoized and
-        // fanned out across the saccs-rt pool by the encoder itself.
+        let model = TaggerModel::new(config.architecture, bert.dim(), HIDDEN, DROPOUT, &mut rng);
+        // The feature extraction fans out across the saccs-rt pool.
         let token_seqs: Vec<Vec<String>> = train_set.iter().map(|s| s.tokens.clone()).collect();
         let features: Vec<Matrix> = bert.features_batch(&token_seqs);
         let params = model.params();
@@ -176,7 +176,8 @@ impl Tagger {
         Tagger { bert, model }
     }
 
-    pub fn bert(&self) -> &MiniBert {
+    /// The frozen encoder this tagger reads.
+    pub fn bert(&self) -> &Arc<FrozenMiniBert> {
         &self.bert
     }
 
@@ -184,28 +185,13 @@ impl Tagger {
         &self.model
     }
 
-    /// Tag a token sequence.
-    pub fn tag(&self, tokens: &[String]) -> Vec<IobTag> {
-        if tokens.is_empty() {
-            return Vec::new();
+    /// The trained tagger frozen for inference, over the same shared
+    /// encoder.
+    pub fn freeze(&self) -> FrozenTagger {
+        FrozenTagger {
+            bert: Arc::clone(&self.bert),
+            model: self.model.freeze(),
         }
-        self.model.predict(&self.bert.features(tokens))
-    }
-
-    /// Extract aspect/opinion spans from a token sequence.
-    pub fn extract_spans(&self, tokens: &[String]) -> Vec<Span> {
-        spans_from_tags(&self.tag(tokens))
-    }
-
-    /// Exact-match span F1 on a labeled test set (Table 4's metric).
-    pub fn evaluate(&self, test_set: &[LabeledSentence]) -> SpanF1 {
-        let mut f1 = SpanF1::new();
-        for s in test_set {
-            let predicted = self.extract_spans(&s.tokens);
-            let gold = spans_from_tags(&s.tags);
-            f1.observe(&predicted, &gold);
-        }
-        f1
     }
 
     /// Mean loss on a set without updating weights; used by the
@@ -236,20 +222,16 @@ impl Tagger {
     }
 }
 
-/// A trained tagger frozen for inference: the encoder (shared by `Arc`
-/// with other models that read its features) and the head.
+/// A trained tagger frozen for inference ([`Tagger::freeze`]): the
+/// encoder (shared by `Arc` with other models that read its features)
+/// and the head. Its tags equal the taped head's, decoded the same way,
+/// bit for bit.
 pub struct FrozenTagger {
     bert: Arc<FrozenMiniBert>,
     model: FrozenTaggerModel,
 }
 
 impl FrozenTagger {
-    /// `bert` must be the frozen form of the encoder `model` was trained
-    /// over.
-    pub fn new(bert: Arc<FrozenMiniBert>, model: FrozenTaggerModel) -> Self {
-        FrozenTagger { bert, model }
-    }
-
     pub fn bert(&self) -> &FrozenMiniBert {
         &self.bert
     }
@@ -257,16 +239,42 @@ impl FrozenTagger {
     pub fn model(&self) -> &FrozenTaggerModel {
         &self.model
     }
+
+    /// Tag a token sequence.
+    pub fn tag(&self, tokens: &[String]) -> Vec<IobTag> {
+        if tokens.is_empty() {
+            return Vec::new();
+        }
+        self.model.predict(&self.bert.features(tokens))
+    }
+
+    /// Extract aspect/opinion spans from a token sequence.
+    pub fn extract_spans(&self, tokens: &[String]) -> Vec<Span> {
+        spans_from_tags(&self.tag(tokens))
+    }
+
+    /// Exact-match span F1 on a labeled test set (Table 4's metric).
+    pub fn evaluate(&self, test_set: &[LabeledSentence]) -> SpanF1 {
+        let mut f1 = SpanF1::new();
+        for s in test_set {
+            let predicted = self.extract_spans(&s.tokens);
+            let gold = spans_from_tags(&s.tags);
+            f1.observe(&predicted, &gold);
+        }
+        f1
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use saccs_data::{Dataset, DatasetId};
-    use saccs_embed::{build_vocab, general_corpus, train_mlm, MiniBertConfig, MlmConfig};
+    use saccs_embed::{
+        build_vocab, general_corpus, train_mlm, MiniBert, MiniBertConfig, MlmConfig,
+    };
     use saccs_text::Domain;
 
-    fn small_bert() -> Rc<MiniBert> {
+    fn small_bert() -> Arc<FrozenMiniBert> {
         let vocab = build_vocab(&[Domain::Restaurants, Domain::Electronics, Domain::Hotels]);
         let bert = MiniBert::new(
             vocab,
@@ -286,7 +294,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        Rc::new(bert)
+        Arc::new(bert.freeze())
     }
 
     fn tiny_dataset() -> Dataset {
@@ -301,7 +309,7 @@ mod tests {
             epochs: 6,
             ..Default::default()
         };
-        let tagger = Tagger::train(bert, &data.train, &cfg);
+        let tagger = Tagger::train(bert, &data.train, &cfg).freeze();
         let train_f1 = tagger.evaluate(&data.train);
         assert!(
             train_f1.f1() > 0.6,
@@ -328,13 +336,11 @@ mod tests {
             }),
             ..Default::default()
         };
-        let tagger = Tagger::train(bert, &data.train, &cfg);
+        let tagger = Tagger::train(bert, &data.train, &cfg).freeze();
         for s in data.test.iter().take(5) {
             let tags = tagger.tag(&s.tokens);
-            assert_eq!(
-                tags.len(),
-                s.tokens.len().min(tagger.bert().config().max_len - 1)
-            );
+            // One tag per token the encoder kept ([CLS] takes an id).
+            assert_eq!(tags.len(), tagger.bert().ids(&s.tokens).len() - 1);
             assert!(saccs_text::iob::is_valid_sequence(&tags));
         }
     }
@@ -386,8 +392,8 @@ mod tests {
             epochs: 2,
             ..Default::default()
         };
-        let a = Tagger::train(bert.clone(), &data.train, &cfg);
-        let b = Tagger::train(bert, &data.train, &cfg);
+        let a = Tagger::train(bert.clone(), &data.train, &cfg).freeze();
+        let b = Tagger::train(bert, &data.train, &cfg).freeze();
         let s = &data.test[0];
         assert_eq!(a.tag(&s.tokens), b.tag(&s.tokens));
     }
@@ -402,7 +408,7 @@ mod tests {
             lr: 2e-3,
             ..Default::default()
         };
-        let tagger = Tagger::train(bert, &data.train, &cfg);
+        let tagger = Tagger::train(bert, &data.train, &cfg).freeze();
         let f1 = tagger.evaluate(&data.train).f1();
         // The per-token baseline is architecture-limited (no sequence
         // structure) and this test's MiniBert is deliberately tiny; the

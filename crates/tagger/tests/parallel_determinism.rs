@@ -9,22 +9,20 @@
 //! before any widening.
 
 use saccs_data::{Dataset, DatasetId};
-use saccs_embed::{build_vocab, MiniBert, MiniBertConfig};
+use saccs_embed::{build_vocab, FrozenMiniBert, MiniBert, MiniBertConfig};
 use saccs_tagger::{Tagger, TrainConfig};
 use saccs_text::Domain;
-use std::rc::Rc;
+use std::sync::Arc;
 
-fn bert() -> Rc<MiniBert> {
-    Rc::new(MiniBert::new(
-        build_vocab(&[Domain::Restaurants]),
-        MiniBertConfig {
-            dim: 16,
-            heads: 2,
-            layers: 2,
-            max_len: 48,
-            seed: 2,
-        },
-    ))
+fn bert() -> Arc<FrozenMiniBert> {
+    let config = MiniBertConfig {
+        dim: 16,
+        heads: 2,
+        layers: 2,
+        max_len: 48,
+        seed: 2,
+    };
+    Arc::new(MiniBert::new(build_vocab(&[Domain::Restaurants]), config).freeze())
 }
 
 fn train_states(data: &Dataset) -> Vec<saccs_nn::Matrix> {

@@ -8,7 +8,7 @@ use saccs::embed::{build_vocab, general_corpus, train_mlm, MiniBert, MiniBertCon
 use saccs::pairing::{PairingPipeline, PipelineConfig};
 use saccs::tagger::{Adversarial, Architecture, Tagger, TrainConfig};
 use saccs::text::{tokenize_lower, Domain, SpanKind};
-use std::rc::Rc;
+use std::sync::Arc;
 
 fn main() {
     println!("== Figure 2: tagging + pairing ==\n");
@@ -32,11 +32,11 @@ fn main() {
             ..Default::default()
         },
     );
-    let bert = Rc::new(bert);
+    let bert = Arc::new(bert.freeze());
 
     let data = Dataset::generate_scaled(DatasetId::S1, 0.2);
     let tagger = Tagger::train(
-        bert.clone(),
+        Arc::clone(&bert),
         &data.train,
         &TrainConfig {
             architecture: Architecture::BiLstmCrf,
@@ -48,9 +48,10 @@ fn main() {
             ..Default::default()
         },
     );
+    let frozen = tagger.freeze();
     println!(
         "  tagger test F1: {:.1}%",
-        tagger.evaluate(&data.test).f1_percent()
+        frozen.evaluate(&data.test).f1_percent()
     );
 
     let dev: Vec<_> = data.test.iter().take(50).cloned().collect();
@@ -63,13 +64,13 @@ fn main() {
         .map(|t| t.text)
         .collect();
     println!("\nSentence: \"{sentence}\"");
-    let tags = tagger.tag(&tokens);
+    let tags = frozen.tag(&tokens);
     println!("\n  {:<10} IOB tag", "token");
     for (tok, tag) in tokens.iter().zip(&tags) {
         println!("  {tok:<10} {tag}");
     }
 
-    let spans = tagger.extract_spans(&tokens);
+    let spans = frozen.extract_spans(&tokens);
     let aspects: Vec<_> = spans
         .iter()
         .filter(|s| s.kind == SpanKind::Aspect)
@@ -80,7 +81,7 @@ fn main() {
         .filter(|s| s.kind == SpanKind::Opinion)
         .copied()
         .collect();
-    let pairs = pairing.pair_spans(&tokens, &aspects, &opinions);
+    let pairs = pairing.pairer().pair_spans(&tokens, &aspects, &opinions);
     println!("\nSubjective tags (paired):");
     for (a, o) in &pairs {
         println!("  {{{} {}}}", o.text(&tokens), a.text(&tokens));

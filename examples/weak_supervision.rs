@@ -13,7 +13,7 @@ use saccs::pairing::heuristics::SentenceContext;
 use saccs::pairing::testset::{build_test_set, evaluate_voter};
 use saccs::pairing::{PairingPipeline, PipelineConfig};
 use saccs::text::Domain;
-use std::rc::Rc;
+use std::sync::Arc;
 
 fn main() {
     println!("== Figure 6: data programming for pairing ==\n");
@@ -37,7 +37,7 @@ fn main() {
             ..Default::default()
         },
     );
-    let bert = Rc::new(bert);
+    let bert = Arc::new(bert.freeze());
 
     // §6.4: "We train the model with Booking.com dataset for hotels."
     let hotels = Dataset::generate_scaled(DatasetId::S4, 0.6);
@@ -98,7 +98,7 @@ fn main() {
         100.0 * mv.recall(),
         100.0 * mv.f1()
     );
-    let pm_model = ProbabilisticModel::fit(&votes_per_example, 25);
+    let pm_model = ProbabilisticModel::fit(&votes_per_example);
     println!(
         "  learned LF accuracies: {:?}",
         pm_model
@@ -124,8 +124,9 @@ fn main() {
     );
 
     // Stage 3: the discriminative model trained on weak labels.
+    let pairer = pipeline.pairer();
     let disc = evaluate_voter(
-        |e| pipeline.classify(&e.tokens, &e.candidate.0, &e.candidate.1),
+        |e| pairer.classify(&e.tokens, &e.candidate.0, &e.candidate.1),
         &test,
     );
     println!(

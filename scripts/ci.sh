@@ -26,12 +26,15 @@
 #  13. probe     the probe bin twice
 #  14. ingest    the ingest bin twice
 #  15. query     the query bin twice
+#  16. models    the table5 and figure4_ablation bins twice each, at a
+#                small scale
 #
 # Every bench bin runs through `bench`: each run in its own directory
 # under target/ci/<bin>/, so no stage touches the working tree. With
 # CI_PARENT set, `bench` also runs the bin built from that revision
 # (a `git archive` under target/ci/parent/, its own target directory)
-# and its exports must be byte-identical to this tree's first run. Each
+# and its exports must be byte-identical to this tree's first run (an
+# export the parent does not write yet is reported and skipped). Each
 # test suite runs once per feature set: `test` runs every suite with
 # default features, `chaos` and `trace` the `fault` ones.
 
@@ -61,6 +64,20 @@ fail() {
 
 xtask() {
     cargo run "${OFFLINE[@]}" -q -p xtask -- "$@"
+}
+
+# parent_diff <stage> <export> <parent dir>
+#
+# The parent build's copy of <export> must match byte for byte. An
+# export the parent build does not write is new in this tree and has
+# nothing to match.
+parent_diff() {
+    local parent=$3/${2##*/}
+    if [[ -e "$parent" ]]; then
+        diff "$2" "$parent" || fail "$1"
+    else
+        echo "${2##*/}: new in this tree, no parent export to diff"
+    fi
 }
 
 # bench <stage> <bin> <runs> [cargo args...]
@@ -99,8 +116,7 @@ bench() {
             *_obsreport.json) xtask check-report "$export" || fail "$stage" ;;
         esac
         ((runs == 1)) || diff "$export" "$dir/2/${export##*/}" || fail "$stage"
-        [[ -z "${CI_PARENT:-}" ]] || diff "$export" "$dir/parent/${export##*/}" \
-            || fail "$stage"
+        [[ -z "${CI_PARENT:-}" ]] || parent_diff "$stage" "$export" "$dir/parent"
     done
     xtask check-bench "$dir/1/BENCH_$bin.json" || fail "$stage"
 }
@@ -188,5 +204,12 @@ bench ingest ingest 2
 # Query gate: the query bin twice.
 stage query "query bin x2"
 bench query query 2
+
+# Models gate: the tagger's evaluation and FGSM losses (figure4_ablation)
+# and the pairing fit's labeling functions, label models and classifier
+# (table5), twice each at 1% of the paper's data and 2 epochs.
+stage models "table5 + figure4_ablation bins x2"
+SACCS_SCALE=0.01 SACCS_EPOCHS=2 bench models table5 2
+SACCS_SCALE=0.01 SACCS_EPOCHS=2 bench models figure4_ablation 2
 
 printf '\n=== CI green: all stages passed ===\n'

@@ -6,13 +6,12 @@ use rand::SeedableRng;
 use saccs::data::generator::{FacetSpec, GeneratorConfig, SentenceGenerator};
 use saccs::data::{Dataset, DatasetId};
 use saccs::embed::{build_vocab, general_corpus, train_mlm, MiniBert, MiniBertConfig, MlmConfig};
+use saccs::nn::{Matrix, Var};
 use saccs::pairing::{PairingPipeline, PipelineConfig};
-use saccs::parse::ParseTree;
-use saccs::tagger::{FrozenTagger, Tagger, TrainConfig};
+use saccs::tagger::{Tagger, TrainConfig};
 use saccs::text::iob::spans_from_tags;
 use saccs::text::lexicon::Polarity;
-use saccs::text::{Domain, Lexicon, SpanKind, SubjectiveTag};
-use std::rc::Rc;
+use saccs::text::{Domain, Lexicon, SubjectiveTag};
 use std::sync::Arc;
 
 struct Fixture {
@@ -41,10 +40,10 @@ fn fixture() -> Fixture {
             ..Default::default()
         },
     );
-    let bert = Rc::new(bert);
+    let bert = Arc::new(bert.freeze());
     let data = Dataset::generate_scaled(DatasetId::S1, 0.08);
     let tagger = Tagger::train(
-        bert.clone(),
+        Arc::clone(&bert),
         &data.train,
         &TrainConfig {
             epochs: 6,
@@ -60,32 +59,37 @@ fn fixture() -> Fixture {
     }
 }
 
-/// The served path runs the trained models frozen; on every test
-/// sentence its spans and its pairing probabilities must equal the taped
-/// models' bit for bit.
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Inference runs on the trained tagger's frozen form; on every test
+/// sentence its emissions must equal the taped head's eval-mode ones bit
+/// for bit, and its tags the taped emissions decoded by the same CRF.
 #[test]
 fn frozen_extraction_matches_the_taped_models_bitwise() {
     let fx = fixture();
-    let bert = Arc::new(fx.tagger.bert().freeze());
-    let tagger = FrozenTagger::new(Arc::clone(&bert), fx.tagger.model().freeze());
-    let pairer = fx.pairing.discriminative_model();
-    let frozen_pairer = pairer.freeze(Arc::clone(&bert));
-    let mut candidates = 0;
+    let tagger = fx.tagger.freeze();
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut spans = 0;
     for s in &fx.data.test {
         let features = tagger.bert().features(&s.tokens);
-        let spans = spans_from_tags(&tagger.model().predict(&features));
-        assert_eq!(spans, fx.tagger.extract_spans(&s.tokens), "{:?}", s.tokens);
-        let tree = ParseTree::from_tokens(&s.tokens);
-        for a in spans.iter().filter(|sp| sp.kind == SpanKind::Aspect) {
-            for o in spans.iter().filter(|sp| sp.kind == SpanKind::Opinion) {
-                let frozen = frozen_pairer.probability_with(&features, &tree, &s.tokens, a, o);
-                let taped = pairer.probability(&s.tokens, a, o);
-                assert_eq!(frozen.to_bits(), taped.to_bits(), "{:?}", s.tokens);
-                candidates += 1;
-            }
-        }
+        let taped = fx
+            .tagger
+            .model()
+            .emissions(&Var::leaf(features.clone()), false, &mut rng)
+            .value_clone();
+        assert_eq!(
+            bits(&tagger.model().emissions(&features)),
+            bits(&taped),
+            "{:?}",
+            s.tokens
+        );
+        let tags = tagger.tag(&s.tokens);
+        assert_eq!(tags, tagger.model().decode(&taped), "{:?}", s.tokens);
+        spans += spans_from_tags(&tags).len();
     }
-    assert!(candidates > 0, "no test sentence reached pairing");
+    assert!(spans > 0, "the tagger found no span in the test set");
 }
 
 #[test]
@@ -100,6 +104,7 @@ fn extractor_recovers_known_dimensions() {
         },
     );
     let mut rng = StdRng::seed_from_u64(77);
+    let tagger = fx.tagger.freeze();
     let mut recovered = 0;
     let total = 40;
     for _ in 0..total {
@@ -109,7 +114,7 @@ fn extractor_recovers_known_dimensions() {
             polarity: Polarity::Positive,
         };
         let s = gen.sentence(&[facet], &mut rng);
-        let spans = fx.tagger.extract_spans(&s.tokens);
+        let spans = tagger.extract_spans(&s.tokens);
         let aspects: Vec<_> = spans
             .iter()
             .filter(|sp| sp.kind == saccs::text::SpanKind::Aspect)
@@ -123,7 +128,10 @@ fn extractor_recovers_known_dimensions() {
         if aspects.is_empty() || opinions.is_empty() {
             continue;
         }
-        let pairs = fx.pairing.pair_spans(&s.tokens, &aspects, &opinions);
+        let pairs = fx
+            .pairing
+            .pairer()
+            .pair_spans(&s.tokens, &aspects, &opinions);
         let tags: Vec<SubjectiveTag> = pairs
             .iter()
             .map(|(a, o)| SubjectiveTag::new(&o.text(&s.tokens), &a.text(&s.tokens)))
@@ -148,24 +156,24 @@ fn extractor_recovers_known_dimensions() {
 
 #[test]
 fn extraction_degrades_gracefully_on_empty_and_junk_input() {
-    let fx = fixture();
-    assert!(fx.tagger.tag(&[]).is_empty());
+    let tagger = fixture().tagger.freeze();
+    assert!(tagger.tag(&[]).is_empty());
     let junk: Vec<String> = ["xqzt", "blorp", "wibble"]
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let tags = fx.tagger.tag(&junk);
+    let tags = tagger.tag(&junk);
     assert_eq!(tags.len(), 3);
     // No panic is the contract; spans may or may not be empty.
-    let _ = fx.tagger.extract_spans(&junk);
+    let _ = tagger.extract_spans(&junk);
 }
 
 #[test]
 fn tagger_output_always_aligns_with_input_length() {
-    let fx = fixture();
+    let tagger = fixture().tagger.freeze();
     let data = Dataset::generate_scaled(DatasetId::S3, 0.02);
     for s in &data.test {
-        let tags = fx.tagger.tag(&s.tokens);
+        let tags = tagger.tag(&s.tokens);
         // max_len-1 cap (CLS occupies one slot).
         assert_eq!(tags.len(), s.tokens.len().min(47));
     }

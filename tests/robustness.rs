@@ -177,7 +177,7 @@ fn minibert_persistence_roundtrips_through_disk() {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let before = bert.features(&tokens);
+    let before = bert.freeze().features(&tokens);
 
     let dir = std::env::temp_dir().join("saccs-persist-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -186,11 +186,11 @@ fn minibert_persistence_roundtrips_through_disk() {
 
     let restored = MiniBert::new(vocab, MiniBertConfig { seed: 999, ..cfg });
     assert_ne!(
-        restored.features(&tokens),
+        restored.freeze().features(&tokens),
         before,
         "different seed must differ"
     );
     restored.load_bytes(&std::fs::read(&path).unwrap()).unwrap();
-    assert_eq!(restored.features(&tokens), before);
+    assert_eq!(restored.freeze().features(&tokens), before);
     let _ = std::fs::remove_file(&path);
 }
