@@ -63,18 +63,9 @@ fn bench_retrieval(c: &mut Criterion) {
 
     let live = gold_index(&corpus, IndexConfig::default(), 18);
     let index = live.pin();
-    // §7 search automaton vs the BTreeMap-backed inverted index.
-    let automaton = index.to_automaton();
     let known = SubjectiveTag::new("delicious", "food");
     c.bench_function("index/exact_lookup_btreemap", |b| {
         b.iter(|| index.lookup(&known))
-    });
-    c.bench_function("index/exact_lookup_automaton", |b| {
-        b.iter(|| automaton.get(&known))
-    });
-    let typo = SubjectiveTag::new("delicous", "food");
-    c.bench_function("index/fuzzy_lookup_automaton", |b| {
-        b.iter(|| automaton.fuzzy_get(&typo))
     });
     let service = SaccsService::with_live_index(live, SaccsConfig::default());
     let api = SearchApi::new(&corpus.entities);

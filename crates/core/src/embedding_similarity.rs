@@ -11,7 +11,7 @@
 
 use saccs_embed::FrozenMiniBert;
 use saccs_text::metrics::cosine;
-use saccs_text::{SubjectiveTag, TagSimilarity};
+use saccs_text::{ResolvedTag, SubjectiveTag, TagSimilarity};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -54,8 +54,11 @@ impl EmbeddingSimilarity {
 }
 
 impl TagSimilarity for EmbeddingSimilarity {
-    fn similarity(&self, a: &SubjectiveTag, b: &SubjectiveTag) -> f32 {
-        match (self.table.get(&a.phrase()), self.table.get(&b.phrase())) {
+    fn similarity(&self, a: &ResolvedTag<'_>, b: &ResolvedTag<'_>) -> f32 {
+        match (
+            self.table.get(&a.tag.phrase()),
+            self.table.get(&b.tag.phrase()),
+        ) {
             (Some(ea), Some(eb)) => ((cosine(ea, eb) + 1.0) / 2.0).clamp(0.0, 1.0),
             // Out-of-universe phrases are unknowable to a pure-embedding
             // measure with a frozen cache.
@@ -70,7 +73,13 @@ mod tests {
     use saccs_embed::{
         build_vocab, general_corpus, train_mlm, MiniBert, MiniBertConfig, MlmConfig,
     };
-    use saccs_text::Domain;
+    use saccs_text::{ConceptualSimilarity, Domain, Lexicon};
+
+    /// `s` on two tags, resolved as an index resolves them.
+    fn score(s: &EmbeddingSimilarity, a: &SubjectiveTag, b: &SubjectiveTag) -> f32 {
+        let resolver = ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants));
+        s.similarity(&resolver.resolve(a), &resolver.resolve(b))
+    }
 
     fn sim() -> EmbeddingSimilarity {
         let vocab = build_vocab(&[Domain::Restaurants]);
@@ -105,8 +114,8 @@ mod tests {
     fn identity_is_maximal() {
         let s = sim();
         let t = SubjectiveTag::new("delicious", "food");
-        let self_sim = s.similarity(&t, &t);
-        let cross = s.similarity(&t, &SubjectiveTag::new("nice", "staff"));
+        let self_sim = score(&s, &t, &t);
+        let cross = score(&s, &t, &SubjectiveTag::new("nice", "staff"));
         assert!((self_sim - 1.0).abs() < 1e-5);
         assert!(cross < self_sim);
     }
@@ -116,8 +125,8 @@ mod tests {
         let s = sim();
         let a = SubjectiveTag::new("delicious", "food");
         let b = SubjectiveTag::new("tasty", "food");
-        let ab = s.similarity(&a, &b);
-        assert_eq!(ab, s.similarity(&b, &a));
+        let ab = score(&s, &a, &b);
+        assert_eq!(ab, score(&s, &b, &a));
         assert!((0.0..=1.0).contains(&ab));
     }
 
@@ -126,7 +135,7 @@ mod tests {
         let s = sim();
         let known = SubjectiveTag::new("delicious", "food");
         let unknown = SubjectiveTag::new("zorgle", "blarf");
-        assert_eq!(s.similarity(&known, &unknown), 0.0);
+        assert_eq!(score(&s, &known, &unknown), 0.0);
     }
 
     #[test]

@@ -24,21 +24,11 @@
 //! can tell a clean answer from a degraded one without log archaeology.
 
 use crate::error::{SaccsError, Stage};
-use saccs_fault::{
-    Backoff, BreakerConfig, BreakerState, BreakerTransition, FaultError, SharedBreaker,
-};
+use saccs_fault::{BreakerConfig, BreakerState, BreakerTransition, FaultError, SharedBreaker};
 use std::time::{Duration, Instant};
 
 /// Attempts per logical stage call, the first included.
 const MAX_ATTEMPTS: u32 = 3;
-
-/// The delay before retry `attempt` (0-based): 1 ms doubling up to a
-/// 50 ms cap, each stretched by up to 50% of deterministic jitter.
-fn backoff_delay(attempt: u32) -> Duration {
-    Backoff::new(Duration::from_millis(1), Duration::from_millis(50))
-        .jitter(0.5)
-        .delay(attempt)
-}
 
 /// Tuning for [`crate::service::SaccsService::rank_request`]. Retries
 /// (three attempts) and the stage breakers ([`StageBreakers`]) are
@@ -267,7 +257,7 @@ pub fn call_with_retry<T>(
                     stage: stage.label(),
                     attempt: attempt + 1,
                 });
-                std::thread::sleep(backoff_delay(attempt));
+                std::thread::sleep(saccs_fault::backoff::delay(attempt));
                 attempt += 1;
             }
         }

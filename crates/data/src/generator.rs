@@ -781,13 +781,14 @@ mod tests {
         let sim =
             saccs_text::ConceptualSimilarity::new(Lexicon::new(saccs_text::Domain::Restaurants));
         for tag in tags.iter().step_by(251) {
+            let resolution = sim.resolve(tag).resolution;
             assert!(
-                sim.resolve_opinion(&tag.opinion).is_some(),
+                resolution.opinion.is_some(),
                 "opinion {:?} fell out of the lexicon",
                 tag.opinion
             );
             assert!(
-                sim.resolve_aspect(&tag.aspect).is_some(),
+                resolution.aspect.is_some(),
                 "aspect {:?} fell out of the lexicon",
                 tag.aspect
             );

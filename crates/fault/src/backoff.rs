@@ -2,84 +2,48 @@
 //!
 //! The usual backoff-with-jitter draws a fresh random factor per retry,
 //! which makes failure traces unreplayable. Here the jitter for attempt
-//! `n` is a pure function of `(seed, n)`, so a logged `(seed, attempt)`
-//! pair reproduces the exact delay sequence.
+//! `n` is a pure function of `n`, so a logged attempt number reproduces
+//! the exact delay.
 //!
 //! Two properties hold by construction (and are proptested in
 //! `tests/state_machines.rs`):
 //!
-//! - **Monotone:** `delay(n) <= delay(n + 1)`. The jitter fraction is
-//!   clamped to `[0, factor - 1]`, so even a maximally jittered attempt
-//!   `n` stays below the un-jittered attempt `n + 1`:
-//!   `base·factorⁿ·(1 + jitter·u) <= base·factorⁿ·factor`.
-//! - **Capped:** `delay(n) <= max`, always.
+//! - **Monotone:** `delay(n) <= delay(n + 1)`. The jitter fraction is at
+//!   most `FACTOR - 1`, so even a maximally jittered attempt `n` stays
+//!   below the un-jittered attempt `n + 1`:
+//!   `BASE·FACTORⁿ·(1 + JITTER·u) <= BASE·FACTORⁿ·FACTOR`.
+//! - **Capped:** `delay(n) <= CAP`, always.
 
 use std::time::Duration;
 
 use crate::rng::{splitmix, Xoshiro};
 
-/// Retry-delay policy: exponential growth, deterministic jitter, hard
-/// cap. Construct with [`Backoff::new`] and tune with the builder
-/// methods; `delay(attempt)` is a pure function of the policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Backoff {
-    base: Duration,
-    factor: f64,
-    max: Duration,
-    jitter: f64,
-    seed: u64,
-}
+/// The wait after the first failure, before jitter.
+const BASE: Duration = Duration::from_millis(1);
+/// Per-attempt growth.
+const FACTOR: f64 = 2.0;
+/// No delay exceeds this.
+const CAP: Duration = Duration::from_millis(50);
+/// Each delay is stretched by up to this fraction; at most `FACTOR - 1`,
+/// the widest band that keeps delays monotone.
+const JITTER: f64 = 0.5;
+/// The seed the deterministic jitter stream derives from.
+const SEED: u64 = 0;
 
-impl Backoff {
-    /// A policy starting at `base`, doubling per attempt, capped at
-    /// `max`, with no jitter. Jitter is opt-in via [`Backoff::jitter`].
-    pub fn new(base: Duration, max: Duration) -> Backoff {
-        Backoff {
-            base,
-            factor: 2.0,
-            max,
-            jitter: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// Set the per-attempt growth factor (clamped to at least 1).
-    pub fn factor(mut self, factor: f64) -> Backoff {
-        self.factor = factor.max(1.0);
-        self
-    }
-
-    /// Set the jitter fraction. Clamped to `[0, factor - 1]` — the
-    /// widest band that keeps delays monotone non-decreasing.
-    pub fn jitter(mut self, jitter: f64) -> Backoff {
-        self.jitter = jitter.clamp(0.0, self.factor - 1.0);
-        self
-    }
-
-    /// Set the seed the deterministic jitter stream derives from.
-    pub fn seed(mut self, seed: u64) -> Backoff {
-        self.seed = seed;
-        self
-    }
-
-    /// Delay before retry number `attempt` (0-based: `delay(0)` is the
-    /// wait after the first failure). Pure — no internal state.
-    pub fn delay(&self, attempt: u32) -> Duration {
-        let max = self.max.as_secs_f64();
-        // Exponent capped so factor^attempt cannot overflow to inf
-        // before the min() with max takes effect.
-        let exponent = attempt.min(64);
-        let raw = (self.base.as_secs_f64() * self.factor.powi(exponent as i32)).min(max);
-        let jittered = if self.jitter > 0.0 {
-            let mut rng = Xoshiro::seed_from_u64(splitmix(
-                self.seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ));
-            raw * (1.0 + self.jitter * rng.next_f64())
-        } else {
-            raw
-        };
-        Duration::from_secs_f64(jittered.min(max))
-    }
+/// Delay before retry number `attempt` (0-based: `delay(0)` is the wait
+/// after the first failure): 1 ms doubling up to a 50 ms cap, each
+/// stretched by up to 50% of deterministic jitter. Pure.
+pub fn delay(attempt: u32) -> Duration {
+    let cap = CAP.as_secs_f64();
+    // Exponent capped so FACTOR^attempt cannot overflow to inf before
+    // the min() with the cap takes effect.
+    let exponent = attempt.min(64);
+    let raw = (BASE.as_secs_f64() * FACTOR.powi(exponent as i32)).min(cap);
+    let mut rng = Xoshiro::seed_from_u64(splitmix(
+        SEED ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    ));
+    let jittered = raw * (1.0 + JITTER * rng.next_f64());
+    Duration::from_secs_f64(jittered.min(cap))
 }
 
 #[cfg(test)]
@@ -87,51 +51,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delays_grow_exponentially_without_jitter() {
-        let b = Backoff::new(Duration::from_millis(10), Duration::from_secs(1));
-        assert_eq!(b.delay(0), Duration::from_millis(10));
-        assert_eq!(b.delay(1), Duration::from_millis(20));
-        assert_eq!(b.delay(2), Duration::from_millis(40));
-        assert_eq!(b.delay(10), Duration::from_secs(1), "capped at max");
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed_and_attempt() {
-        let a = Backoff::new(Duration::from_millis(10), Duration::from_secs(1))
-            .jitter(0.5)
-            .seed(7);
-        let b = a;
-        let c = a.seed(8);
-        for attempt in 0..6 {
-            assert_eq!(a.delay(attempt), b.delay(attempt));
-        }
-        assert!(
-            (0..6).any(|n| a.delay(n) != c.delay(n)),
-            "seed changes delays"
-        );
-    }
-
-    #[test]
-    fn jitter_clamps_to_preserve_monotonicity() {
-        // Requested jitter 5.0 with factor 2.0 must clamp to 1.0.
-        let b = Backoff::new(Duration::from_millis(10), Duration::from_secs(60))
-            .jitter(5.0)
-            .seed(3);
-        for attempt in 0..20 {
+    fn delays_grow_exponentially_within_the_jitter_band() {
+        for attempt in 0..5 {
+            let raw = BASE * 2u32.pow(attempt);
+            let d = delay(attempt);
             assert!(
-                b.delay(attempt) <= b.delay(attempt + 1),
-                "attempt {attempt}: {:?} > {:?}",
-                b.delay(attempt),
-                b.delay(attempt + 1)
+                d >= raw && d.as_secs_f64() <= raw.as_secs_f64() * 1.5,
+                "{d:?}"
             );
         }
+        assert_eq!(delay(10), CAP, "capped");
     }
 
     #[test]
     fn huge_attempt_numbers_do_not_overflow() {
-        let b = Backoff::new(Duration::from_millis(10), Duration::from_secs(5))
-            .jitter(0.3)
-            .seed(1);
-        assert_eq!(b.delay(u32::MAX), Duration::from_secs(5));
+        assert_eq!(delay(u32::MAX), CAP);
     }
 }

@@ -12,18 +12,17 @@
 //! ```
 //!
 //! In `HalfOpen` at most `half_open_permits` probe calls may be in
-//! flight; [`CircuitBreaker::allow`] hands out permits and every permit
+//! flight; [`SharedBreaker::allow`] hands out permits and every permit
 //! is returned by exactly one later `on_success`/`on_failure` (the
 //! permit-conservation invariant, proptested in
 //! `tests/state_machines.rs`).
 //!
-//! Two implementations share the state machine: [`CircuitBreaker`] is
-//! the original `&mut self` version (single caller, zero
-//! synchronization), and [`SharedBreaker`] packs the same counters into
-//! one `AtomicU64` so many serving threads can drive one breaker
-//! through `&self` — every transition is a single CAS, and the permit
-//! invariant holds under arbitrary interleavings because the permit
-//! count changes in the same CAS that consults it.
+//! [`SharedBreaker`] packs the counters into one `AtomicU64` so many
+//! serving threads can drive one breaker through `&self` — every
+//! transition is a single CAS, and the permit invariant holds under
+//! arbitrary interleavings because the permit count changes in the same
+//! CAS that consults it. Its serial transcript is checked against a
+//! plain `&mut self` model of the state machine kept in the tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -73,123 +72,6 @@ impl BreakerConfig {
             half_open_permits: self.half_open_permits.max(1),
             success_to_close: self.success_to_close.max(1),
         }
-    }
-}
-
-/// The closed/open/half-open breaker state machine. One instance per
-/// protected stage; see the module docs for the transition diagram.
-#[derive(Debug, Clone)]
-pub struct CircuitBreaker {
-    config: BreakerConfig,
-    state: BreakerState,
-    /// Consecutive failures observed in `Closed`.
-    consecutive_failures: u32,
-    /// Calls rejected so far in the current `Open` window.
-    rejected: u32,
-    /// Probe permits currently handed out in `HalfOpen`.
-    permits_out: u32,
-    /// Probe successes accumulated in the current `HalfOpen` episode.
-    half_open_successes: u32,
-    /// Lifetime count of `Closed → Open` and `HalfOpen → Open` trips.
-    times_opened: u64,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker with the given config (zeros normalized to 1).
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker {
-            config: config.sanitized(),
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            rejected: 0,
-            permits_out: 0,
-            half_open_successes: 0,
-            times_opened: 0,
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// Lifetime number of transitions into `Open`.
-    pub fn times_opened(&self) -> u64 {
-        self.times_opened
-    }
-
-    /// Ask to make a call. `true` hands out a permit that MUST be
-    /// returned by exactly one later [`on_success`](Self::on_success)
-    /// or [`on_failure`](Self::on_failure); `false` means the call is
-    /// rejected (fail fast) and nothing may be reported back.
-    pub fn allow(&mut self) -> bool {
-        match self.state {
-            BreakerState::Closed => true,
-            BreakerState::Open => {
-                self.rejected += 1;
-                if self.rejected >= self.config.open_calls {
-                    self.state = BreakerState::HalfOpen;
-                    self.permits_out = 0;
-                    self.half_open_successes = 0;
-                }
-                false
-            }
-            BreakerState::HalfOpen => {
-                if self.permits_out < self.config.half_open_permits {
-                    self.permits_out += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Report that a permitted call succeeded.
-    pub fn on_success(&mut self) {
-        match self.state {
-            BreakerState::Closed => {
-                self.consecutive_failures = 0;
-            }
-            BreakerState::HalfOpen => {
-                self.permits_out = self.permits_out.saturating_sub(1);
-                self.half_open_successes += 1;
-                if self.half_open_successes >= self.config.success_to_close {
-                    self.state = BreakerState::Closed;
-                    self.consecutive_failures = 0;
-                    self.permits_out = 0;
-                }
-            }
-            // A success racing a trip (permit issued in Closed, breaker
-            // opened meanwhile) is stale news: ignore it.
-            BreakerState::Open => {}
-        }
-    }
-
-    /// Report that a permitted call failed.
-    pub fn on_failure(&mut self) {
-        match self.state {
-            BreakerState::Closed => {
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.failure_threshold {
-                    self.trip();
-                }
-            }
-            BreakerState::HalfOpen => {
-                self.permits_out = self.permits_out.saturating_sub(1);
-                self.trip();
-            }
-            BreakerState::Open => {}
-        }
-    }
-
-    fn trip(&mut self) {
-        self.state = BreakerState::Open;
-        self.rejected = 0;
-        self.permits_out = 0;
-        self.half_open_successes = 0;
-        self.consecutive_failures = 0;
-        self.times_opened += 1;
     }
 }
 
@@ -259,8 +141,9 @@ fn with_state(bits: u64, state: BreakerState) -> u64 {
     (bits & !(0b11 << STATE_SHIFT)) | (tag << STATE_SHIFT)
 }
 
-/// The same closed/open/half-open state machine as [`CircuitBreaker`],
-/// internally synchronized for concurrent callers.
+/// The closed/open/half-open state machine of the module docs,
+/// internally synchronized for concurrent callers. One instance per
+/// protected stage.
 ///
 /// All mutable state (state tag + the four counters) lives in one packed
 /// `AtomicU64`; every operation is a compare-and-swap loop over that
@@ -306,9 +189,10 @@ impl SharedBreaker {
         self.times_opened.load(Ordering::Acquire)
     }
 
-    /// Ask to make a call; same contract as [`CircuitBreaker::allow`]:
-    /// `true` hands out a permit that MUST be settled by exactly one
-    /// later `on_success`/`on_failure`.
+    /// Ask to make a call. `true` hands out a permit that MUST be
+    /// settled by exactly one later [`on_success`](Self::on_success) or
+    /// [`on_failure`](Self::on_failure); `false` means the call is
+    /// rejected (fail fast) and nothing may be reported back.
     pub fn allow(&self) -> (bool, BreakerTransition) {
         self.update(|bits| match state_of(bits) {
             BreakerState::Closed => (bits, true),
@@ -375,8 +259,8 @@ impl SharedBreaker {
         .1
     }
 
-    /// The fully-reset `Open` word (the atomic analogue of
-    /// [`CircuitBreaker::trip`]).
+    /// The fully-reset `Open` word: no rejections, permits or successes
+    /// carried over.
     fn tripped(bits: u64) -> u64 {
         let open = with_state(bits, BreakerState::Open);
         let open = set_field(open, REJECTED_SHIFT, 0);
@@ -424,89 +308,122 @@ mod tests {
         }
     }
 
-    #[test]
-    fn trips_after_consecutive_failures_only() {
-        let mut b = CircuitBreaker::new(config());
-        assert!(b.allow());
-        b.on_failure();
-        assert!(b.allow());
-        b.on_success(); // success resets the streak
-        assert!(b.allow());
-        b.on_failure();
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.allow());
-        b.on_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.times_opened(), 1);
+    /// The reference model: the state machine of the module docs as plain
+    /// `&mut self` code, whose transcript [`SharedBreaker`]'s must replay.
+    #[derive(Debug, Clone)]
+    struct CircuitBreaker {
+        config: BreakerConfig,
+        state: BreakerState,
+        /// Consecutive failures observed in `Closed`.
+        consecutive_failures: u32,
+        /// Calls rejected so far in the current `Open` window.
+        rejected: u32,
+        /// Probe permits currently handed out in `HalfOpen`.
+        permits_out: u32,
+        /// Probe successes accumulated in the current `HalfOpen` episode.
+        half_open_successes: u32,
+        /// Lifetime count of `Closed → Open` and `HalfOpen → Open` trips.
+        times_opened: u64,
     }
 
-    #[test]
-    fn open_rejects_then_half_opens_after_open_calls() {
-        let mut b = CircuitBreaker::new(config());
-        b.on_failure();
-        b.on_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow());
-        assert!(!b.allow());
-        assert!(!b.allow()); // third rejection lapses the window
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-    }
-
-    #[test]
-    fn half_open_bounds_permits_and_closes_on_successes() {
-        let mut b = CircuitBreaker::new(config());
-        b.on_failure();
-        b.on_failure();
-        for _ in 0..3 {
-            b.allow();
+    impl CircuitBreaker {
+        /// A closed breaker with the given config (zeros normalized to 1).
+        fn new(config: BreakerConfig) -> CircuitBreaker {
+            CircuitBreaker {
+                config: config.sanitized(),
+                state: BreakerState::Closed,
+                consecutive_failures: 0,
+                rejected: 0,
+                permits_out: 0,
+                half_open_successes: 0,
+                times_opened: 0,
+            }
         }
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(b.allow(), "first probe permitted");
-        assert!(!b.allow(), "second concurrent probe rejected");
-        b.on_success();
-        assert_eq!(b.state(), BreakerState::HalfOpen, "needs 2 successes");
-        assert!(b.allow());
-        b.on_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
 
-    #[test]
-    fn half_open_failure_reopens() {
-        let mut b = CircuitBreaker::new(config());
-        b.on_failure();
-        b.on_failure();
-        for _ in 0..3 {
-            b.allow();
+        /// Current state.
+        fn state(&self) -> BreakerState {
+            self.state
         }
-        assert!(b.allow());
-        b.on_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.times_opened(), 2);
-    }
 
-    #[test]
-    fn zero_config_is_normalized_not_divergent() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 0,
-            open_calls: 0,
-            half_open_permits: 0,
-            success_to_close: 0,
-        });
-        assert!(b.allow());
-        b.on_failure();
-        assert_eq!(b.state(), BreakerState::Open, "threshold 0 acts as 1");
-        assert!(!b.allow());
-        assert_eq!(b.state(), BreakerState::HalfOpen, "open_calls 0 acts as 1");
-        assert!(b.allow(), "permit budget 0 acts as 1");
-        b.on_success();
-        assert_eq!(
-            b.state(),
-            BreakerState::Closed,
-            "success_to_close 0 acts as 1"
-        );
-    }
+        /// Lifetime number of transitions into `Open`.
+        fn times_opened(&self) -> u64 {
+            self.times_opened
+        }
 
-    // ---- SharedBreaker: the same state machine through `&self` ----
+        /// Ask to make a call. `true` hands out a permit that MUST be
+        /// returned by exactly one later [`on_success`](Self::on_success)
+        /// or [`on_failure`](Self::on_failure); `false` means the call is
+        /// rejected (fail fast) and nothing may be reported back.
+        fn allow(&mut self) -> bool {
+            match self.state {
+                BreakerState::Closed => true,
+                BreakerState::Open => {
+                    self.rejected += 1;
+                    if self.rejected >= self.config.open_calls {
+                        self.state = BreakerState::HalfOpen;
+                        self.permits_out = 0;
+                        self.half_open_successes = 0;
+                    }
+                    false
+                }
+                BreakerState::HalfOpen => {
+                    if self.permits_out < self.config.half_open_permits {
+                        self.permits_out += 1;
+                        true
+                    } else {
+                        false
+                    }
+                }
+            }
+        }
+
+        /// Report that a permitted call succeeded.
+        fn on_success(&mut self) {
+            match self.state {
+                BreakerState::Closed => {
+                    self.consecutive_failures = 0;
+                }
+                BreakerState::HalfOpen => {
+                    self.permits_out = self.permits_out.saturating_sub(1);
+                    self.half_open_successes += 1;
+                    if self.half_open_successes >= self.config.success_to_close {
+                        self.state = BreakerState::Closed;
+                        self.consecutive_failures = 0;
+                        self.permits_out = 0;
+                    }
+                }
+                // A success racing a trip (permit issued in Closed, breaker
+                // opened meanwhile) is stale news: ignore it.
+                BreakerState::Open => {}
+            }
+        }
+
+        /// Report that a permitted call failed.
+        fn on_failure(&mut self) {
+            match self.state {
+                BreakerState::Closed => {
+                    self.consecutive_failures += 1;
+                    if self.consecutive_failures >= self.config.failure_threshold {
+                        self.trip();
+                    }
+                }
+                BreakerState::HalfOpen => {
+                    self.permits_out = self.permits_out.saturating_sub(1);
+                    self.trip();
+                }
+                BreakerState::Open => {}
+            }
+        }
+
+        fn trip(&mut self) {
+            self.state = BreakerState::Open;
+            self.rejected = 0;
+            self.permits_out = 0;
+            self.half_open_successes = 0;
+            self.consecutive_failures = 0;
+            self.times_opened += 1;
+        }
+    }
 
     #[test]
     fn shared_trips_after_consecutive_failures_only() {

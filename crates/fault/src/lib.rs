@@ -22,11 +22,10 @@
 //!    stream that is a pure function of `(seed, rule, call index)`, so
 //!    identical seeds fire on identical call indices no matter how many
 //!    threads race through the site.
-//! 3. **Backoff** ([`Backoff`]): deterministic exponential retry delays
-//!    with bounded jitter — monotone non-decreasing in the attempt
-//!    number and capped at the configured maximum (both properties are
-//!    proptested).
-//! 4. **Circuit breaker** ([`CircuitBreaker`]): a call-count-driven
+//! 3. **Backoff** ([`backoff::delay`]): deterministic exponential retry
+//!    delays with bounded jitter — monotone non-decreasing in the
+//!    attempt number and capped (both properties are proptested).
+//! 4. **Circuit breaker** ([`SharedBreaker`]): a call-count-driven
 //!    closed → open → half-open state machine (no wall clocks, so state
 //!    transitions replay identically under a fixed request sequence).
 //!
@@ -49,17 +48,13 @@ pub(crate) mod rng;
 /// The scenario DSL: rules, triggers, effects, parser and printer.
 pub mod scenario;
 
-/// Retry-delay policy: exponential growth, jitter, hard cap.
-pub use backoff::Backoff;
 /// Breaker tuning knobs (thresholds and permit counts).
 pub use breaker::BreakerConfig;
 /// Which of the three breaker states a breaker is in.
 pub use breaker::BreakerState;
 /// The before/after state pair one breaker operation observed.
 pub use breaker::BreakerTransition;
-/// The closed/open/half-open breaker state machine.
-pub use breaker::CircuitBreaker;
-/// The same state machine behind `&self`: one packed atomic word.
+/// The closed/open/half-open breaker, driven through `&self`.
 pub use breaker::SharedBreaker;
 /// One injected fault: site, kind and the call index that fired.
 pub use error::FaultError;

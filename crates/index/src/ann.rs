@@ -1,24 +1,30 @@
-//! Deterministic candidate index for the θ_filter fallback probe.
+//! The index's resolved tag set and its deterministic candidate cells
+//! for the θ_filter fallback probe.
 //!
-//! The §3.2 fallback answers an unknown tag by scanning **every** index
-//! tag; [`SemanticCandidateIndex`] makes that probe sublinear while
-//! keeping the ranking contract intact. Tags are bucketed into cells
-//! keyed by their *resolution* (aspect concept × opinion group) under the
-//! lexicon-backed
-//! [`ConceptualSimilarity`](saccs_text::ConceptualSimilarity); a probe
-//! prunes whole cells whose similarity **upper bound** cannot clear
-//! θ_filter and exactly rescores the rest. Because the bound is sound (see
-//! `ConceptualSimilarity::aspect_upper_bound`), the candidate set is a
-//! strict superset of the scan's matching tags.
+//! [`SemanticCandidateIndex`] holds what depends only on the index's tag
+//! set: the ascending tag list, each tag resolved once where it enters
+//! the index, and the tags bucketed into cells keyed by their
+//! *resolution* (aspect concept × opinion group) under the lexicon-backed
+//! [`ConceptualSimilarity`](saccs_text::ConceptualSimilarity). The
+//! writer builds it where the tag set changes and every snapshot over
+//! that set shares it by `Arc`.
+//!
+//! The §3.2 fallback answers an unknown tag by scoring **every** index
+//! tag; the cells make that probe sublinear while keeping the ranking
+//! contract intact. A probe prunes whole cells whose similarity **upper
+//! bound** cannot clear θ_filter and scores the rest with
+//! [`score`](saccs_text::ConceptualSimilarity::score), the scorer the
+//! scan uses. Because the bound is sound (see
+//! [`upper_bound`](saccs_text::ConceptualSimilarity::upper_bound)), the
+//! candidate set is a strict superset of the scan's matching tags.
 //!
 //! Candidate tag ids come back in **ascending order**, which equals the
-//! `BTreeMap` iteration order of the index — the probe rescore therefore
-//! visits surviving tags in exactly the order the exhaustive scan would
-//! have, replays its float-addition sequence, and returns results
-//! **bitwise identical** to the scan.
+//! `BTreeMap` iteration order of the index — the probe therefore visits
+//! surviving tags in exactly the order the exhaustive scan would have,
+//! replays its float-addition sequence, and returns results **bitwise
+//! identical** to the scan.
 
-use saccs_text::lexicon::OpinionGroup;
-use saccs_text::{ConceptualSimilarity, SubjectiveTag};
+use saccs_text::{ConceptualSimilarity, Resolution, ResolvedTag, SubjectiveTag};
 use std::collections::BTreeMap;
 
 /// Safety margin for cell pruning: a cell is pruned only when its upper
@@ -26,126 +32,100 @@ use std::collections::BTreeMap;
 /// `powf` combine on either side of the comparison.
 const PRUNE_MARGIN: f32 = 1e-5;
 
-/// Exactly-scored candidates plus the work accounting a probe reports.
+/// Scored candidates plus the work accounting a probe reports.
 #[derive(Debug, Clone, Default)]
 pub struct ScoredCandidates {
     /// `(tag id, similarity)` for every candidate, ascending by id (= the
-    /// index's scan iteration order). Scores are bitwise identical to
-    /// `ConceptualSimilarity::tag_similarity` on the same pair.
+    /// index's scan iteration order).
     pub scored: Vec<(u32, f32)>,
     /// Cells examined while searching.
     pub visited: u32,
 }
 
-/// Cell key: the resolution of a tag — `(aspect concept, opinion group
-/// canonical)`, `None` on either side meaning "stays out of lexicon even
-/// after fuzzy canonicalization". Identical strings always share a
-/// resolution, so every tag lands in exactly one cell.
-type CellKey = (Option<&'static str>, Option<&'static str>);
-
-struct Cell {
-    /// The opinion group shared by every tag in the cell (`None` for the
-    /// unresolved-opinion band), used for the opinion-side upper bound.
-    opinion: Option<&'static OpinionGroup>,
-    /// Member tag ids, ascending (tags are inserted in index order).
-    tag_ids: Vec<u32>,
-}
-
-/// Exact candidate index for the default conceptual similarity: cells of
-/// identically-resolved tags with per-cell similarity upper bounds.
+/// An index's tag set, resolved once: tags ascending, each beside its
+/// resolution, and the ids of the tags sharing each resolution. Every
+/// tag lands in exactly one cell, as identical strings always share a
+/// resolution.
+#[derive(Default)]
 pub struct SemanticCandidateIndex {
-    cells: BTreeMap<CellKey, Cell>,
+    tags: Vec<(SubjectiveTag, Resolution)>,
+    cells: BTreeMap<Resolution, Vec<u32>>,
 }
 
 impl SemanticCandidateIndex {
-    /// Bucket `tags` (the index's lexicographically sorted tag list) by
-    /// resolution. Pure function of the tag set and the lexicon.
-    pub fn build(sim: &ConceptualSimilarity, tags: &[SubjectiveTag]) -> Self {
-        // `opinion_groups()` hands back the lexicon's `'static` table, so
-        // re-finding the resolved group there frees the cell from the
-        // borrow on `sim`.
-        let groups: &'static [OpinionGroup] = sim.lexicon().opinion_groups();
-        let mut cells: BTreeMap<CellKey, Cell> = BTreeMap::new();
-        for (i, tag) in tags.iter().enumerate() {
-            let aspect = sim.resolve_aspect(&tag.aspect);
-            let opinion: Option<&'static OpinionGroup> = sim
-                .resolve_opinion(&tag.opinion)
-                .and_then(|g| groups.iter().find(|x| x.canonical == g.canonical));
-            let key = (aspect, opinion.map(|g| g.canonical));
-            cells
-                .entry(key)
-                .or_insert_with(|| Cell {
-                    opinion,
-                    tag_ids: Vec::new(),
-                })
-                .tag_ids
-                .push(i as u32);
+    /// Resolve `tags` (ascending) once each and bucket them. A pure
+    /// function of the tag set and the lexicon.
+    pub fn build(sim: &ConceptualSimilarity, tags: Vec<SubjectiveTag>) -> Self {
+        let resolved = tags
+            .into_iter()
+            .map(|tag| {
+                let resolution = sim.resolve(&tag).resolution;
+                (tag, resolution)
+            })
+            .collect();
+        Self::from_resolved(resolved)
+    }
+
+    fn from_resolved(tags: Vec<(SubjectiveTag, Resolution)>) -> Self {
+        let mut cells: BTreeMap<Resolution, Vec<u32>> = BTreeMap::new();
+        for (id, &(_, resolution)) in tags.iter().enumerate() {
+            cells.entry(resolution).or_default().push(id as u32);
         }
-        SemanticCandidateIndex { cells }
+        SemanticCandidateIndex { tags, cells }
+    }
+
+    /// This tag set plus `fresh` (tags it does not hold, already
+    /// resolved): the tags keep their resolutions and only the cells are
+    /// rebuilt.
+    pub(crate) fn with(&self, fresh: &[ResolvedTag<'_>]) -> Self {
+        let mut merged: Vec<(SubjectiveTag, Resolution)> = self
+            .tags
+            .iter()
+            .cloned()
+            .chain(fresh.iter().map(|r| (r.tag.clone(), r.resolution)))
+            .collect();
+        merged.sort_by(|a, b| a.0.cmp(&b.0));
+        Self::from_resolved(merged)
+    }
+
+    /// Tag `id` (its position in ascending order), resolved.
+    #[inline]
+    pub(crate) fn resolved(&self, id: usize) -> ResolvedTag<'_> {
+        let (tag, resolution) = &self.tags[id];
+        ResolvedTag {
+            tag,
+            resolution: *resolution,
+        }
     }
 
     /// Every tag whose similarity to `probe` *could* exceed `theta`,
-    /// exactly scored: all members of cells whose upper bound clears
-    /// `theta` (within `PRUNE_MARGIN`). A superset of the scan's matches
-    /// by bound soundness; pruned tags satisfy `sim ≤ θ` and would
-    /// contribute nothing to the scan either. Within a cell every tag
-    /// shares its resolution, so for fully-resolved pairs
-    /// `tag_similarity(probe, t)` can take at most four values — one per
-    /// combination of the two surface-identity shortcuts (`t.aspect ==
-    /// probe.aspect`, `t.opinion == probe.opinion`). Each combination is
-    /// computed once through the same resolved scores and the same
-    /// `combine` as `tag_similarity` (bit-identical inputs → bit-
-    /// identical f32s), and every member tag then costs two string
-    /// compares instead of two lexicon resolutions behind a mutex. Cells
-    /// with an unresolved side lean on the surface-string edit fallback,
-    /// whose score varies per tag: those pay the full `tag_similarity`.
+    /// scored: all members of cells whose upper bound clears `theta`
+    /// (within `PRUNE_MARGIN`). A superset of the scan's matches by bound
+    /// soundness; pruned tags satisfy `sim ≤ θ` and would contribute
+    /// nothing to the scan either.
     pub fn rescore(
         &self,
         sim: &ConceptualSimilarity,
-        probe: &SubjectiveTag,
+        probe: &ResolvedTag<'_>,
         theta: f32,
-        tags: &[SubjectiveTag],
     ) -> ScoredCandidates {
-        let probe_aspect = sim.resolve_aspect(&probe.aspect);
-        let probe_opinion = sim.resolve_opinion(&probe.opinion);
-        let mut scored: Vec<(u32, f32)> = Vec::new();
-        let mut visited = 0u32;
-        for ((cell_aspect, _), cell) in &self.cells {
-            visited += 1;
-            let a_ub = sim.aspect_upper_bound(probe_aspect, *cell_aspect);
-            let o_ub = sim.opinion_upper_bound(probe_opinion, cell.opinion);
-            if sim.combine(a_ub, o_ub) + PRUNE_MARGIN <= theta {
-                continue;
-            }
-            match (probe_aspect, *cell_aspect, probe_opinion, cell.opinion) {
-                (Some(pa), Some(ca), Some(pg), Some(cg)) => {
-                    // The aspect/opinion scores when the surface strings
-                    // differ.
-                    let a_far = sim.resolved_aspect_score(pa, ca);
-                    let o_far = sim.resolved_opinion_score(pg, cg);
-                    let mut combo = [[f32::NAN; 2]; 2];
-                    for &id in &cell.tag_ids {
-                        let t = &tags[id as usize];
-                        let ae = usize::from(t.aspect == probe.aspect);
-                        let oe = usize::from(t.opinion == probe.opinion);
-                        if combo[ae][oe].is_nan() {
-                            let a = if ae == 1 { 1.0 } else { a_far };
-                            let o = if oe == 1 { 1.0 } else { o_far };
-                            combo[ae][oe] = sim.combine(a, o);
-                        }
-                        scored.push((id, combo[ae][oe]));
-                    }
-                }
-                _ => {
-                    for &id in &cell.tag_ids {
-                        scored.push((id, sim.tag_similarity(probe, &tags[id as usize])));
-                    }
-                }
+        let surviving: Vec<&Vec<u32>> = self
+            .cells
+            .iter()
+            .filter(|(&cell, _)| sim.upper_bound(probe.resolution, cell) + PRUNE_MARGIN > theta)
+            .map(|(_, ids)| ids)
+            .collect();
+        let mut scored = Vec::with_capacity(surviving.iter().map(|ids| ids.len()).sum());
+        for ids in surviving {
+            for &id in ids {
+                scored.push((id, sim.score(probe, &self.resolved(id as usize))));
             }
         }
+        let visited = self.cells.len() as u32;
         // Cells come out in key order, not id order; the probe wants
-        // ascending ids (= scan order).
-        scored.sort_unstable_by_key(|&(id, _)| id);
+        // ascending ids (= scan order). Each cell is one ascending run,
+        // which the stable sort merges instead of re-sorting.
+        scored.sort_by_key(|&(id, _)| id);
         ScoredCandidates { scored, visited }
     }
 }
@@ -180,7 +160,7 @@ mod tests {
     fn rescore_candidates_are_a_superset_of_scan_matches() {
         let s = sim();
         let tags = tags();
-        let idx = SemanticCandidateIndex::build(&s, &tags);
+        let idx = SemanticCandidateIndex::build(&s, tags.clone());
         for probe in [
             SubjectiveTag::new("tasty", "pizza"),
             SubjectiveTag::new("amazing", "food"),
@@ -188,7 +168,7 @@ mod tests {
             SubjectiveTag::new("weird", "blarg"),
         ] {
             for theta in [0.2f32, 0.45, 0.7, 0.9] {
-                let ids = ids(&idx.rescore(&s, &probe, theta, &tags));
+                let ids = ids(&idx.rescore(&s, &s.resolve(&probe), theta));
                 // Ascending ids.
                 assert!(ids.windows(2).all(|w| w[0] < w[1]));
                 let matched = tags
@@ -206,17 +186,25 @@ mod tests {
         }
     }
 
+    /// Each candidate id names the tag it was scored against: the score
+    /// equals resolving that tag afresh and scoring the pair, bit for
+    /// bit, for typo'd members (resolved fuzzily), garbage (unresolved
+    /// cells) and a set grown by [`SemanticCandidateIndex::with`].
     #[test]
-    fn rescore_is_bitwise_identical_to_tag_similarity() {
+    fn rescore_scores_each_candidate_as_the_scorer_does() {
         let s = sim();
+        let (mut early, mut late) = (tags(), vec![]);
+        late.push(SubjectiveTag::new("deliciouz", "foood"));
+        late.push(SubjectiveTag::new("blandd", "food"));
+        late.push(early.remove(1));
+        let grown = SemanticCandidateIndex::build(&s, early)
+            .with(&late.iter().map(|t| s.resolve(t)).collect::<Vec<_>>());
         let mut tags = tags();
-        // Typos (resolve fuzzily, exercising the per-cell fast path with
-        // distinct surface strings) and garbage (unresolved cells taking
-        // the per-tag fallback).
-        tags.push(SubjectiveTag::new("deliciouz", "foood"));
-        tags.push(SubjectiveTag::new("blandd", "food"));
+        tags.extend(late.into_iter().take(2));
         tags.sort();
-        let idx = SemanticCandidateIndex::build(&s, &tags);
+        let built = SemanticCandidateIndex::build(&s, tags.clone());
+        assert_eq!(grown.tags, built.tags);
+        assert_eq!(grown.cells, built.cells);
         for probe in [
             SubjectiveTag::new("tasty", "pizza"),
             SubjectiveTag::new("delicious", "food"), // identical to a member
@@ -225,14 +213,14 @@ mod tests {
             SubjectiveTag::new("deliciouz", "food"), // typo probe
         ] {
             for theta in [0.2f32, 0.45, 0.55, 0.7] {
-                let sc = idx.rescore(&s, &probe, theta, &tags);
+                let sc = grown.rescore(&s, &s.resolve(&probe), theta);
                 assert!(!sc.scored.is_empty(), "probe {probe} theta {theta}");
                 for &(id, score) in &sc.scored {
                     let exact = s.tag_similarity(&probe, &tags[id as usize]);
                     assert_eq!(
                         score.to_bits(),
                         exact.to_bits(),
-                        "probe {probe} vs {}: fused {score} != exact {exact}",
+                        "probe {probe} vs {}: {score} != {exact}",
                         tags[id as usize]
                     );
                 }
@@ -242,10 +230,9 @@ mod tests {
 
     /// Every lexicon tag (each aspect member × each opinion variant)
     /// against one probe per (concept, group) pair, at θ = 0 so no cell
-    /// is pruned: each fused score equals `tag_similarity` bit for bit,
-    /// and the tag bound never falls below the exact score.
+    /// is pruned: the cell bound never falls below the exact score.
     #[test]
-    fn rescore_and_bounds_match_tag_similarity_over_the_lexicon() {
+    fn bounds_hold_over_the_lexicon() {
         let s = sim();
         let lex = s.lexicon();
         let mut tags: Vec<SubjectiveTag> = lex
@@ -262,38 +249,21 @@ mod tests {
         tags.sort();
         tags.dedup();
         assert_eq!(tags.len(), 82 * 142);
-        let resolved: Vec<_> = tags
-            .iter()
-            .map(|t| (s.resolve_aspect(&t.aspect), s.resolve_opinion(&t.opinion)))
-            .collect();
-        let idx = SemanticCandidateIndex::build(&s, &tags);
+        let idx = SemanticCandidateIndex::build(&s, tags.clone());
         for concept in lex.aspects() {
             for group in lex.opinion_groups() {
                 let probe = SubjectiveTag::new(group.variants[0], concept.members[0]);
-                let probe_aspect = s.resolve_aspect(&probe.aspect);
-                let probe_opinion = s.resolve_opinion(&probe.opinion);
-                let sc = idx.rescore(&s, &probe, 0.0, &tags);
-                assert_eq!(
-                    sc.scored.len(),
-                    tags.len(),
-                    "probe {probe}: a cell was pruned"
-                );
+                let probe = s.resolve(&probe);
+                let sc = idx.rescore(&s, &probe, 0.0);
+                assert_eq!(sc.scored.len(), tags.len(), "a cell was pruned");
                 for &(id, score) in &sc.scored {
-                    let t = &tags[id as usize];
-                    let exact = s.tag_similarity(&probe, t);
-                    assert_eq!(
-                        score.to_bits(),
-                        exact.to_bits(),
-                        "probe {probe} vs {t}: fused {score} != exact {exact}"
-                    );
-                    let (aspect, opinion) = resolved[id as usize];
-                    let bound = s.combine(
-                        s.aspect_upper_bound(probe_aspect, aspect),
-                        s.opinion_upper_bound(probe_opinion, opinion),
-                    );
+                    let t = idx.resolved(id as usize);
+                    let bound = s.upper_bound(probe.resolution, t.resolution);
                     assert!(
-                        bound >= exact,
-                        "probe {probe} vs {t}: bound {bound} < {exact}"
+                        bound >= score,
+                        "{} vs {}: bound {bound} < {score}",
+                        probe.tag,
+                        t.tag
                     );
                 }
             }
@@ -304,10 +274,11 @@ mod tests {
     fn semantic_pruning_actually_prunes() {
         let s = sim();
         let tags = tags();
-        let idx = SemanticCandidateIndex::build(&s, &tags);
+        let idx = SemanticCandidateIndex::build(&s, tags.clone());
         // At the default θ a same-polarity-only cell ("fast delivery" vs
         // a food-opinion probe) must be pruned.
-        let ids = ids(&idx.rescore(&s, &SubjectiveTag::new("delicious", "food"), 0.45, &tags));
+        let probe = SubjectiveTag::new("delicious", "food");
+        let ids = ids(&idx.rescore(&s, &s.resolve(&probe), 0.45));
         let delivery = tags
             .iter()
             .position(|t| t.aspect == "delivery")

@@ -1,9 +1,14 @@
 //! The inverted index and Equation 1.
+//!
+//! [`SubjectiveIndex`] is the read-only view a live index publishes. Its
+//! fallback probe resolves the probe tag once and scores it against the
+//! index tags resolved where they entered (the shared cell index), by
+//! scan or through the resolution cells.
 
 use crate::ann::SemanticCandidateIndex;
 use crate::history::UserTagHistory;
 use parking_lot::Mutex;
-use saccs_text::{ConceptualSimilarity, SubjectiveTag, TagSimilarity};
+use saccs_text::{ConceptualSimilarity, ResolvedTag, SubjectiveTag, TagSimilarity};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, MutexGuard};
@@ -75,11 +80,11 @@ impl Default for IndexConfig {
 }
 
 /// The similarity an index scores with: the lexicon-backed
-/// [`ConceptualSimilarity`], which also weights profiles and prunes the
-/// cell index, and an optional override for degrees and probes (e.g.
-/// embedding cosine for the footnote-2 ablation). Both sit behind an
-/// `Arc`, so a live index hands every snapshot it publishes the same
-/// measure, fuzzy memo included.
+/// [`ConceptualSimilarity`], which resolves every tag, weights profiles
+/// and prunes the cell index, and an optional override for degrees and
+/// probes (e.g. embedding cosine for the footnote-2 ablation). Both sit
+/// behind an `Arc`, so a live index hands every snapshot it publishes the
+/// same measure, fuzzy memo included.
 #[derive(Clone)]
 pub(crate) struct Scoring {
     pub(crate) conceptual: Arc<ConceptualSimilarity>,
@@ -95,10 +100,10 @@ impl Scoring {
     }
 
     /// The similarity score used for degrees and probes.
-    pub(crate) fn sim(&self, a: &SubjectiveTag, b: &SubjectiveTag) -> f32 {
+    pub(crate) fn sim(&self, a: &ResolvedTag<'_>, b: &ResolvedTag<'_>) -> f32 {
         match &self.custom {
             Some(s) => s.similarity(a, b),
-            None => self.conceptual.tag_similarity(a, b),
+            None => self.conceptual.score(a, b),
         }
     }
 }
@@ -121,20 +126,14 @@ pub struct SubjectiveIndex {
     /// Every snapshot a `crate::LiveIndex` publishes shares that live
     /// index's one pending history through this `Arc`.
     history: Arc<Mutex<UserTagHistory>>,
-    /// The cell index answering θ_filter fallback probes, rebuilt eagerly
-    /// by every `&mut` entry mutation so probes stay `&self`. `None` for
-    /// an empty index and for one with a custom similarity, which scans.
-    cells: Option<CellIndex>,
-}
-
-/// The fallback probe's cell index: the ascending tag list candidate ids
-/// index into, each tag's posting column (an `Arc` clone of the index's
-/// own, so a rescore is one indexed read instead of a string-keyed tree
-/// lookup per candidate), and the resolution cells.
-struct CellIndex {
-    tags: Vec<SubjectiveTag>,
+    /// The tag set, each tag resolved once where it entered, and the
+    /// resolution cells answering θ_filter fallback probes. Built where
+    /// the tag set changes; every snapshot over one tag set shares it.
+    cells: Arc<SemanticCandidateIndex>,
+    /// `entries`' columns in tag order (`Arc` clones, not copies), so a
+    /// fallback probe reads tag `id`'s column by position instead of a
+    /// string-keyed tree lookup per candidate.
     columns: Vec<Arc<[IndexEntry]>>,
-    cells: SemanticCandidateIndex,
 }
 
 impl SubjectiveIndex {
@@ -144,28 +143,31 @@ impl SubjectiveIndex {
             config,
             Arc::default(),
             PostingColumns::new(),
+            Arc::default(),
         )
     }
 
-    /// An index over `entries` whose probes record unknown tags into
-    /// `history`, shared with whoever else holds it (the live-ingest
-    /// publish path hands every snapshot its writer's columns, its
-    /// similarity and its live index's pending history).
+    /// An index over `entries`, whose tag set `cells` resolves, that
+    /// records unknown tags into `history`, shared with whoever else
+    /// holds it (the live-ingest publish path hands every snapshot its
+    /// writer's columns and cell index, its similarity and its live
+    /// index's pending history).
     pub(crate) fn with_columns(
         scoring: Scoring,
         config: IndexConfig,
         history: Arc<Mutex<UserTagHistory>>,
         entries: PostingColumns,
+        cells: Arc<SemanticCandidateIndex>,
     ) -> Self {
-        let mut index = SubjectiveIndex {
+        let columns = entries.values().cloned().collect();
+        SubjectiveIndex {
             config,
             scoring,
             entries,
             history,
-            cells: None,
-        };
-        index.rebuild_cells();
-        index
+            cells,
+            columns,
+        }
     }
 
     /// Replace the similarity measure used for probes (the
@@ -175,7 +177,6 @@ impl SubjectiveIndex {
     /// it scores bit for bit alike.
     pub fn with_custom_similarity(mut self, similarity: impl TagSimilarity + 'static) -> Self {
         self.scoring.custom = Some(Arc::new(similarity));
-        self.rebuild_cells();
         self
     }
 
@@ -188,25 +189,11 @@ impl SubjectiveIndex {
         &self.scoring.conceptual
     }
 
-    /// Rebuild the cell index from the current entries. Always runs over
-    /// the lexicographically sorted tag list, so the structure is a pure
-    /// function of the tag set — independent of insertion order and of
-    /// the thread count.
-    fn rebuild_cells(&mut self) {
-        self.cells = None;
-        // A custom similarity has no upper bounds to prune cells by:
-        // fallback probes scan.
-        if self.entries.is_empty() || self.scoring.custom.is_some() {
-            return;
-        }
-        let tags: Vec<SubjectiveTag> = self.entries.keys().cloned().collect();
-        let columns: Vec<Arc<[IndexEntry]>> = self.entries.values().cloned().collect();
-        let cells = SemanticCandidateIndex::build(self.similarity(), &tags);
-        self.cells = Some(CellIndex {
-            tags,
-            columns,
-            cells,
-        });
+    /// The resolved tag set this view shares with every snapshot over
+    /// the same tags.
+    #[cfg(test)]
+    pub(crate) fn cells(&self) -> &Arc<SemanticCandidateIndex> {
+        &self.cells
     }
 
     /// Number of index tags.
@@ -221,13 +208,6 @@ impl SubjectiveIndex {
     /// Iterate over the index tags.
     pub fn tags(&self) -> impl Iterator<Item = &SubjectiveTag> {
         self.entries.keys()
-    }
-
-    /// Export the current posting lists into a [`crate::TagAutomaton`]
-    /// (the §7 search-automaton alternative: exact/prefix/fuzzy surface
-    /// lookups in O(|phrase|)).
-    pub fn to_automaton(&self) -> crate::TagAutomaton {
-        crate::TagAutomaton::build(self.entries.iter().map(|(t, p)| (t.clone(), p.to_vec())))
     }
 
     /// Exact posting-list lookup.
@@ -250,10 +230,11 @@ impl SubjectiveIndex {
 
     /// Install precomputed posting lists from raw `(entity_id, degree)`
     /// pairs per tag, each ordered and normalized exactly like an
-    /// indexing round (shared `finalize_postings`), then build the cell
-    /// index once. A tag installed twice keeps its last list. Benches
-    /// and property tests use this to assemble synthetic corpora of
-    /// known posting shapes without fabricating review evidence.
+    /// indexing round (shared `finalize_postings`), then resolve the tag
+    /// set and build the cell index once. A tag installed twice keeps its
+    /// last list. Benches and property tests use this to assemble
+    /// synthetic corpora of known posting shapes without fabricating
+    /// review evidence.
     pub fn install_postings(
         &mut self,
         columns: impl IntoIterator<Item = (SubjectiveTag, Vec<(usize, f32)>)>,
@@ -270,7 +251,9 @@ impl SubjectiveIndex {
             finalize_postings(&mut postings);
             self.entries.insert(tag, postings.into());
         }
-        self.rebuild_cells();
+        let tags = self.entries.keys().cloned().collect();
+        self.cells = Arc::new(SemanticCandidateIndex::build(self.similarity(), tags));
+        self.columns = self.entries.values().cloned().collect();
     }
 
     /// Probe the index for a (possibly unknown) tag, per §3.2:
@@ -327,18 +310,21 @@ impl SubjectiveIndex {
         saccs_obs::counter!("index.probe.fallback").inc();
         saccs_obs::trace::record(saccs_obs::trace::TraceEvent::Probe { exact: false });
         let theta = self.config.theta_filter;
-        match &self.cells {
-            Some(index) => self.probe_cells(index, tag, theta),
-            None => self.probe_scan(tag, theta),
+        let probe = self.scoring.conceptual.resolve(tag);
+        // A custom similarity has no upper bounds to prune cells by.
+        if self.scoring.custom.is_some() || self.entries.is_empty() {
+            self.probe_scan(&probe, theta)
+        } else {
+            self.probe_cells(&probe, theta)
         }
     }
 
     /// The exhaustive θ_filter fallback: score every index tag. The only
     /// path a custom similarity allows.
-    fn probe_scan(&self, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
+    fn probe_scan(&self, probe: &ResolvedTag<'_>, theta: f32) -> Vec<(usize, f32)> {
         let mut matches = Matches::default();
-        for (index_tag, postings) in &self.entries {
-            let sim = self.scoring.sim(tag, index_tag);
+        for (id, postings) in self.columns.iter().enumerate() {
+            let sim = self.scoring.sim(probe, &self.cells.resolved(id));
             if sim > theta {
                 matches.push(sim, postings);
             }
@@ -346,25 +332,19 @@ impl SubjectiveIndex {
         matches.rank()
     }
 
-    /// The cell-index fallback: fetch candidates, exactly rescore them in
-    /// ascending tag order (= the scan's iteration order), and rank. The
-    /// candidate set is a superset of the scan's matches, so the
-    /// surviving `(tag, posting)` sequence — and with it every f32
-    /// addition — is identical to the scan's and the ranking is bitwise
-    /// equal.
-    fn probe_cells(&self, index: &CellIndex, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
+    /// The cell-index fallback: fetch candidates scored in ascending tag
+    /// order (= the scan's iteration order), and rank. The candidate set
+    /// is a superset of the scan's matches, so the surviving `(tag,
+    /// posting)` sequence — and with it every f32 addition — is identical
+    /// to the scan's and the ranking is bitwise equal.
+    fn probe_cells(&self, probe: &ResolvedTag<'_>, theta: f32) -> Vec<(usize, f32)> {
         let mut matches = Matches::default();
         let mut rescored = 0u32;
-        // Fused candidate + per-cell exact rescore: scores come back
-        // bitwise equal to `sim()` without paying a lexicon resolution
-        // per candidate.
-        let sc = index
-            .cells
-            .rescore(self.similarity(), tag, theta, &index.tags);
+        let sc = self.cells.rescore(self.similarity(), probe, theta);
         for &(id, sim) in &sc.scored {
             if sim > theta {
                 rescored += 1;
-                matches.push(sim, &index.columns[id as usize]);
+                matches.push(sim, &self.columns[id as usize]);
             }
         }
         let (candidates, visited) = (sc.scored.len() as u32, sc.visited);
@@ -576,7 +556,7 @@ mod tests {
 
     proptest! {
         /// A fallback probe through `install_postings` equals the fold
-        /// computed here from `lookup` and `tag_similarity`, through the
+        /// computed here from `lookup` and the scorer, through the
         /// cell index and the scan alike. Entity ids are sparse
         /// (multiples of 15625 up to 984375) and repeat across tags.
         #[test]
@@ -598,9 +578,11 @@ mod tests {
             for probe in [tag("scrumptious", "pizza"), tag("delicious", "meal"), tag("friendly", "waiters")] {
                 prop_assert!(idx.lookup(&probe).is_none());
                 let theta = idx.config().theta_filter;
+                let scorer = idx.similarity();
+                let resolved = scorer.resolve(&probe);
                 let mut hits: Vec<(usize, f32)> = Vec::new();
                 for t in idx.tags() {
-                    let sim = idx.similarity().tag_similarity(&probe, t);
+                    let sim = scorer.score(&resolved, &scorer.resolve(t));
                     if sim > theta {
                         let postings = idx.lookup(t).unwrap_or_default();
                         hits.extend(postings.iter().map(|e| (e.entity_id, sim * e.degree_of_truth)));
@@ -885,23 +867,5 @@ mod tests {
         assert!(table.contains("good food"));
         assert!(table.contains("Entity-0"));
         assert!(table.contains("(1.00)"));
-    }
-
-    #[test]
-    fn automaton_export_matches_lookup() {
-        let idx = built_default(
-            &[(0, 2, &[("good", "food"), ("nice", "staff")])],
-            &[tag("good", "food"), tag("nice", "staff")],
-        );
-        let automaton = idx.to_automaton();
-        assert_eq!(automaton.len(), 2);
-        for t in [tag("good", "food"), tag("nice", "staff")] {
-            let via_index = idx.lookup(&t).unwrap();
-            let via_automaton = automaton.get(&t).unwrap();
-            assert_eq!(via_index.len(), via_automaton.len());
-        }
-        // Fuzzy absorbs a one-letter typo the BTreeMap cannot.
-        assert!(idx.lookup(&tag("goud", "food")).is_none());
-        assert!(!automaton.fuzzy_get(&tag("goud", "food")).is_empty());
     }
 }

@@ -20,10 +20,8 @@
 //! extractor lives in `saccs-core`), so this crate stays a pure data
 //! structure with no model dependencies.
 
-/// Deterministic candidate index for the fallback probe.
+/// The resolved tag set and its candidate cells for the fallback probe.
 pub mod ann;
-/// Byte-trie tag automaton: exact, prefix and distance-1 lookups.
-pub mod automaton;
 /// Zigzag/varint byte codec for segment persistence.
 pub mod codec;
 /// The user tag history feeding re-indexing rounds.
@@ -39,8 +37,6 @@ pub mod segment;
 
 /// The resolution-cell candidate index and its probe results.
 pub use ann::{ScoredCandidates, SemanticCandidateIndex};
-/// Exact, prefix and fuzzy tag lookup.
-pub use automaton::TagAutomaton;
 /// Unknown tags users asked about.
 pub use history::UserTagHistory;
 /// The index and its tuning knobs.

@@ -48,9 +48,15 @@
 //! The index scores with the lexicon-backed
 //! [`ConceptualSimilarity`](saccs_text::ConceptualSimilarity), or with a
 //! custom measure set by [`LiveIndex::with_custom_similarity`] (whose
-//! snapshots answer fallback probes by scan). Every published snapshot
-//! shares the live index's one similarity by `Arc`.
+//! snapshots answer fallback probes by scan). Every tag is resolved once
+//! where it enters, and pairs are scored from resolutions: an index tag
+//! when `add_tags` or recovery adds it, a review's tags once in
+//! `add_review`, each distinct review tag once per log pass of the
+//! column fold. The resolved tag set and its cell index change only with
+//! the tag set, so every snapshot published over one tag set shares
+//! them by `Arc`, as it shares the live index's one similarity.
 
+use crate::ann::SemanticCandidateIndex;
 use crate::history::UserTagHistory;
 use crate::index::{
     finalize_postings, DegreeFormula, IndexConfig, IndexEntry, PostingColumns, Scoring,
@@ -60,7 +66,7 @@ use crate::segment::{
     merge_segments, Manifest, MemSegment, ReviewRecord, SealedSegment, SegmentStore, StoreError,
 };
 use parking_lot::{Mutex, RwLock};
-use saccs_text::{ConceptualSimilarity, SubjectiveTag, TagSimilarity};
+use saccs_text::{ConceptualSimilarity, ResolvedTag, SubjectiveTag, TagSimilarity};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
@@ -108,8 +114,9 @@ pub struct IngestReceipt {
 /// guarantees wholesale. Every snapshot's index shares its live index's
 /// pending history, so [`SubjectiveIndex::probe`] on a pinned view
 /// records unknown tags for the next [`LiveIndex::reindex_pending`]
-/// round, its similarity, and the writer's posting columns, so a
-/// publish copies no posting list.
+/// round, its similarity, the writer's posting columns, so a publish
+/// copies no posting list, and the writer's cell index, so a publish
+/// resolves no tag.
 pub struct LiveSnapshot {
     index: SubjectiveIndex,
     ingested: u64,
@@ -118,8 +125,8 @@ pub struct LiveSnapshot {
 
 impl LiveSnapshot {
     /// The writer's current state as a snapshot: its columns shared by
-    /// reference count, its similarity and pending history shared
-    /// outright.
+    /// reference count, its cell index, similarity and pending history
+    /// shared outright.
     fn of(w: &Writer, scoring: &Scoring, pending: &Arc<Mutex<UserTagHistory>>) -> Self {
         LiveSnapshot {
             index: SubjectiveIndex::with_columns(
@@ -127,6 +134,7 @@ impl LiveSnapshot {
                 w.config.clone(),
                 Arc::clone(pending),
                 w.entries.clone(),
+                Arc::clone(&w.cells),
             ),
             ingested: w.ingested,
             segments: w.sealed.len(),
@@ -194,15 +202,11 @@ struct TagAccum {
 }
 
 impl TagAccum {
-    /// Extend the fold for index tag `tag` with review tags `tags`, in
-    /// order.
-    fn fold(&mut self, tag: &SubjectiveTag, tags: &[SubjectiveTag], scoring: &Scoring, theta: f32) {
-        for t in tags {
-            let sim = scoring.sim(tag, t);
-            if sim > theta {
-                self.sum += sim;
-                self.n += 1;
-            }
+    /// Extend the fold with one review tag's similarity to the index tag.
+    fn add(&mut self, sim: f32, theta: f32) {
+        if sim > theta {
+            self.sum += sim;
+            self.n += 1;
         }
     }
 }
@@ -234,12 +238,16 @@ struct Writer {
     entity_slot: BTreeMap<usize, usize>,
     /// Per index tag, the partial fold per entity slot (aligned with
     /// `entities`; missing trailing slots mean `n == 0`). Holds the same
-    /// tag set as `entries`, so the two iterate in lockstep.
+    /// tag set as `entries` and `cells`, so the three iterate in
+    /// lockstep.
     accums: BTreeMap<SubjectiveTag, Vec<TagAccum>>,
     /// The canonical posting lists. A review gives each list it changes
     /// a fresh column: a copy of the old one with the reviewed entity's
     /// entry spliced to its new position. Publishes share the rest.
     entries: PostingColumns,
+    /// The index tags, resolved, and their cells: replaced where the tag
+    /// set changes, shared by every snapshot in between.
+    cells: Arc<SemanticCandidateIndex>,
 }
 
 impl Writer {
@@ -309,18 +317,21 @@ impl Writer {
 
     /// Fold each of `tags`' accumulator columns over the whole record
     /// log, one `saccs-rt` pool task per tag, and install each with its
-    /// posting list: [`LiveIndex::add_tags`] and recovery.
+    /// posting list and its resolution: [`LiveIndex::add_tags`] and
+    /// recovery.
     fn fold_columns(&mut self, tags: &[&SubjectiveTag], scoring: &Scoring) {
-        let slots: Vec<usize> = self
-            .records()
-            .map(|r| self.entity_slot[&r.entity_id])
-            .collect();
-        let writer = &*self;
-        let columns = saccs_rt::parallel_map(tags.len(), 4, |i| {
-            let accs = accum_column(writer, &slots, tags[i], scoring);
-            let postings = writer.postings(&accs);
-            (accs, postings)
-        });
+        let fresh: Vec<ResolvedTag<'_>> =
+            tags.iter().map(|t| scoring.conceptual.resolve(t)).collect();
+        let columns = {
+            let log = LogPass::of(self, scoring);
+            let writer = &*self;
+            saccs_rt::parallel_map(fresh.len(), 4, |i| {
+                let accs = log.fold(&fresh[i], writer, scoring);
+                let postings = writer.postings(&accs);
+                (accs, postings)
+            })
+        };
+        self.cells = Arc::new(self.cells.with(&fresh));
         for (tag, (accs, postings)) in tags.iter().zip(columns) {
             self.accums.insert((*tag).clone(), accs);
             self.entries.insert((*tag).clone(), postings.into());
@@ -339,18 +350,26 @@ fn splice_review(
     tags: &[SubjectiveTag],
     scoring: &Scoring,
 ) -> usize {
+    let review: Vec<ResolvedTag<'_>> = tags.iter().map(|t| scoring.conceptual.resolve(t)).collect();
     let slot = w.observe(entity_id, tags.len());
     let slots = w.entities.len();
     let totals = w.entities[slot];
     let (theta, formula) = (w.config.theta_index, w.config.degree_formula);
     let mut spliced = 0;
-    for ((tag, accs), (column_tag, column)) in w.accums.iter_mut().zip(w.entries.iter_mut()) {
-        debug_assert_eq!(tag, column_tag, "accumulator and posting maps diverged");
+    let lockstep = w.accums.iter_mut().zip(w.entries.iter_mut()).enumerate();
+    for (id, ((tag, accs), (column_tag, column))) in lockstep {
+        let index_tag = w.cells.resolved(id);
+        debug_assert!(
+            tag == column_tag && tag == index_tag.tag,
+            "accumulator, posting and cell tag sets diverged"
+        );
         if accs.len() < slots {
             accs.resize(slots, TagAccum::default());
         }
         let acc = &mut accs[slot];
-        acc.fold(tag, tags, scoring, theta);
+        for t in &review {
+            acc.add(scoring.sim(&index_tag, t), theta);
+        }
         if acc.n == 0 {
             continue;
         }
@@ -429,21 +448,47 @@ fn splice(
     }
 }
 
-/// Fold every live record, in seq order, into a fresh accumulator
-/// column for `tag`: per entity the same left fold over its reviews'
-/// tags as a splice performs review by review. `slots` holds each
-/// record's entity slot.
-fn accum_column(
-    w: &Writer,
-    slots: &[usize],
-    tag: &SubjectiveTag,
-    scoring: &Scoring,
-) -> Vec<TagAccum> {
-    let mut accs = vec![TagAccum::default(); w.entities.len()];
-    for (record, &slot) in w.records().zip(slots) {
-        accs[slot].fold(tag, &record.tags, scoring, w.config.theta_index);
+/// The record log as one resolution pass for the column fold: each
+/// distinct review tag resolved once, and every tag occurrence in seq
+/// order as `(entity slot, distinct tag id)`.
+struct LogPass<'a> {
+    distinct: Vec<ResolvedTag<'a>>,
+    occurrences: Vec<(u32, u32)>,
+}
+
+impl<'a> LogPass<'a> {
+    fn of(w: &'a Writer, scoring: &Scoring) -> Self {
+        let mut ids: BTreeMap<&SubjectiveTag, u32> = BTreeMap::new();
+        let mut distinct = Vec::new();
+        let mut occurrences = Vec::new();
+        for record in w.records() {
+            let slot = w.entity_slot[&record.entity_id] as u32;
+            for tag in &record.tags {
+                let id = *ids.entry(tag).or_insert_with(|| {
+                    distinct.push(scoring.conceptual.resolve(tag));
+                    (distinct.len() - 1) as u32
+                });
+                occurrences.push((slot, id));
+            }
+        }
+        LogPass {
+            distinct,
+            occurrences,
+        }
     }
-    accs
+
+    /// A fresh accumulator column for index tag `tag`: its score against
+    /// each distinct review tag, folded per entity in seq order, the same
+    /// left fold over the entity's reviews' tags a splice performs review
+    /// by review.
+    fn fold(&self, tag: &ResolvedTag<'_>, w: &Writer, scoring: &Scoring) -> Vec<TagAccum> {
+        let scores: Vec<f32> = self.distinct.iter().map(|t| scoring.sim(tag, t)).collect();
+        let mut accs = vec![TagAccum::default(); w.entities.len()];
+        for &(slot, id) in &self.occurrences {
+            accs[slot as usize].add(scores[id as usize], w.config.theta_index);
+        }
+        accs
+    }
 }
 
 /// The live, ingesting index handle. See the module docs for the
@@ -785,6 +830,7 @@ impl LiveIndex {
         let mut w = self.writer.lock();
         w.accums.clear();
         w.entries.clear();
+        w.cells = Arc::default();
         self.publish_locked(&w);
         let _ = self.commit_locked(&mut w, false);
     }
@@ -980,9 +1026,18 @@ mod tests {
     }
 
     /// A small palette with near-synonyms and exact repeats, so reviews
-    /// of different entities often fold to bitwise-equal degrees.
-    const OPINIONS: [&str; 4] = ["good", "delicious", "nice", "friendly"];
-    const ASPECTS: [&str; 3] = ["food", "staff", "waiters"];
+    /// of different entities often fold to bitwise-equal degrees, plus a
+    /// typo'd opinion and aspect (resolved fuzzily) and an unresolvable
+    /// pair (scored by edit distance).
+    const OPINIONS: [&str; 6] = [
+        "good",
+        "delicious",
+        "nice",
+        "friendly",
+        "deliciouz",
+        "zorgle",
+    ];
+    const ASPECTS: [&str; 5] = ["food", "staff", "waiters", "foood", "zzplace"];
 
     fn palette(picks: &[(usize, usize)]) -> Vec<SubjectiveTag> {
         picks
@@ -996,10 +1051,10 @@ mod tests {
 
         #[test]
         fn spliced_columns_equal_a_from_scratch_finalize(
-            early_tags in proptest::collection::vec((0..4usize, 0..3usize), 1..5),
-            late_tags in proptest::collection::vec((0..4usize, 0..3usize), 0..3),
+            early_tags in proptest::collection::vec((0..6usize, 0..5usize), 1..5),
+            late_tags in proptest::collection::vec((0..6usize, 0..5usize), 0..3),
             stream in proptest::collection::vec(
-                (0..12usize, proptest::collection::vec((0..4usize, 0..3usize), 0..5)),
+                (0..12usize, proptest::collection::vec((0..6usize, 0..5usize), 0..5)),
                 1..41,
             ),
             seal_every in 1..5usize,
@@ -1029,9 +1084,9 @@ mod tests {
         /// order-sensitive f32 sums common.
         #[test]
         fn log_folded_columns_equal_spliced_columns(
-            tags in proptest::collection::vec((0..4usize, 0..3usize), 1..4),
+            tags in proptest::collection::vec((0..6usize, 0..5usize), 1..4),
             stream in proptest::collection::vec(
-                (0..3usize, proptest::collection::vec((0..4usize, 0..3usize), 1..6)),
+                (0..3usize, proptest::collection::vec((0..6usize, 0..5usize), 1..6)),
                 1..40,
             ),
             seal_every in 0..5usize,
@@ -1243,6 +1298,26 @@ mod tests {
         let touched = tag("good", "food");
         assert_eq!(before.index().lookup(&touched).unwrap().len(), 0);
         assert_eq!(after.index().lookup(&touched).unwrap().len(), 1);
+    }
+
+    /// A review's publish hands the next snapshot the cell index the
+    /// last one had; only a change of the tag set replaces it.
+    #[test]
+    fn snapshots_share_the_cell_index_until_the_tag_set_changes() {
+        let live = LiveIndex::new(sim(), IndexConfig::default(), LiveConfig::default());
+        live.add_tags(&vocabulary());
+        let before = live.pin();
+        live.add_review(0, &[tag("good", "food")]);
+        let after = live.pin();
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert!(Arc::ptr_eq(before.cells(), after.cells()));
+        assert_eq!(live.add_tags(&vocabulary()), 0);
+        assert!(Arc::ptr_eq(after.cells(), live.pin().cells()));
+        live.add_tags(&[tag("quiet", "place")]);
+        let grown = live.pin();
+        assert!(!Arc::ptr_eq(after.cells(), grown.cells()));
+        live.clear_tags();
+        assert!(!Arc::ptr_eq(grown.cells(), live.pin().cells()));
     }
 
     #[test]

@@ -16,7 +16,8 @@ fn tag(op: &str, asp: &str) -> SubjectiveTag {
 }
 
 /// A memory-only index over 24 entities' reviews, 2–5 reviews each,
-/// the first carrying three tags.
+/// the first carrying three tags from a pool with a typo'd opinion and
+/// aspect (resolved fuzzily) and an unresolvable pair.
 fn reviewed_index() -> LiveIndex {
     let live = LiveIndex::new(
         ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
@@ -33,6 +34,9 @@ fn reviewed_index() -> LiveIndex {
         tag("friendly", "service"),
         tag("cozy", "ambiance"),
         tag("cheap", "price"),
+        tag("deliciouz", "food"),
+        tag("friendly", "servise"),
+        tag("zorgle", "zzplace"),
     ];
     for e in 0..24usize {
         let review_tags: Vec<SubjectiveTag> = (0..3)
@@ -57,6 +61,9 @@ fn vocabulary() -> Vec<SubjectiveTag> {
         ("great", "food"),
         ("good", "service"),
         ("quiet", "ambiance"),
+        ("deliciouz", "meal"),
+        ("nice", "staf"),
+        ("zorgle", "zzplace"),
     ]
     .iter()
     .map(|(o, a)| tag(o, a))

@@ -896,12 +896,23 @@ impl Lexicon {
 
     /// The concept a surface term denotes (`pizza` → `food`), if known.
     pub fn aspect_concept(&self, term: &str) -> Option<&AspectConcept> {
-        self.aspect_of_term.get(term).map(|&i| &self.aspects[i])
+        self.aspect_index(term).map(|i| &self.aspects[i])
     }
 
     /// The opinion group a surface phrase belongs to (`tasty` → `delicious`).
     pub fn opinion_group(&self, phrase: &str) -> Option<&OpinionGroup> {
-        self.opinion_of_term.get(phrase).map(|&i| &self.opinions[i])
+        self.opinion_index(phrase).map(|i| &self.opinions[i])
+    }
+
+    /// Position in [`Lexicon::aspects`] of the concept `term` denotes.
+    pub fn aspect_index(&self, term: &str) -> Option<usize> {
+        self.aspect_of_term.get(term).copied()
+    }
+
+    /// Position in [`Lexicon::opinion_groups`] of the group `phrase`
+    /// belongs to.
+    pub fn opinion_index(&self, phrase: &str) -> Option<usize> {
+        self.opinion_of_term.get(phrase).copied()
     }
 
     /// Look up an aspect concept by its canonical name.

@@ -40,7 +40,7 @@ pub use iob::{IobTag, Span, SpanKind};
 /// Domain vocabulary access.
 pub use lexicon::{Domain, Lexicon};
 /// Tags and their similarity measures.
-pub use similarity::{ConceptualSimilarity, SubjectiveTag, TagSimilarity};
+pub use similarity::{ConceptualSimilarity, Resolution, ResolvedTag, SubjectiveTag, TagSimilarity};
 /// Text to tokens.
 pub use token::{tokenize, tokenize_lower, Token};
 /// Token-to-id mapping.

@@ -10,10 +10,17 @@
 //! [`Lexicon`]: identity > synonymy (shared opinion group / aspect concept)
 //! > concept relatedness > polarity-gated co-applicability, with a fuzzy
 //! > edit-distance fallback for out-of-lexicon terms (typos).
+//!
+//! A tag is resolved once ([`ConceptualSimilarity::resolve`]: its aspect
+//! concept and opinion group, typos absorbed through a memo), and
+//! [`ConceptualSimilarity::score`] compares two resolved tags without
+//! consulting the lexicon again.
 
-use crate::lexicon::{Lexicon, OpinionGroup};
+use crate::lexicon::Lexicon;
 use crate::metrics::edit_similarity;
 use crate::token::words_lower;
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// A subjective tag: "concatenation of an aspect term and an opinion term"
 /// (Section 1). `delicious food` has opinion `delicious`, aspect `food`.
@@ -73,14 +80,35 @@ impl std::fmt::Display for SubjectiveTag {
     }
 }
 
+/// Where a tag lands in the lexicon: the position of its aspect concept
+/// in [`Lexicon::aspects`] and of its opinion group in
+/// [`Lexicon::opinion_groups`], after fuzzy canonicalization (`None` =
+/// stays out of lexicon). Identical strings always share a resolution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Resolution {
+    pub aspect: Option<u16>,
+    pub opinion: Option<u16>,
+}
+
+/// A subjective tag resolved once by [`ConceptualSimilarity::resolve`]:
+/// the surface tag, which the identity shortcuts and the edit-distance
+/// fallback read, plus its resolution.
+#[derive(Debug, Clone, Copy)]
+pub struct ResolvedTag<'a> {
+    pub tag: &'a SubjectiveTag,
+    pub resolution: Resolution,
+}
+
 /// Anything that can score the similarity of two subjective tags.
 ///
 /// [`ConceptualSimilarity`] is the paper's measure; the embedding-cosine
 /// alternative its footnote 2 compares against lives in `saccs-core`
-/// (`EmbeddingSimilarity`), and the index accepts either.
+/// (`EmbeddingSimilarity`), and the index accepts either. Both sides
+/// arrive resolved by the conceptual similarity; a measure that has no
+/// use for the resolution reads the surface tag.
 pub trait TagSimilarity: Send + Sync {
     /// Similarity in `[0, 1]`.
-    fn similarity(&self, a: &SubjectiveTag, b: &SubjectiveTag) -> f32;
+    fn similarity(&self, a: &ResolvedTag<'_>, b: &ResolvedTag<'_>) -> f32;
 }
 
 /// Score for two distinct surface terms of the same aspect concept.
@@ -99,7 +127,75 @@ const SAME_POLARITY: f32 = 0.20;
 /// fuzzily identified with an in-lexicon one (typo absorption).
 const TYPO_THRESHOLD: f32 = 0.75;
 
-/// The similarity checker of Figure 1.
+/// The aspect-side ladder between identical or resolved terms: a pair's
+/// level is its score's position here (identical terms on top).
+const ASPECT_LEVELS: [f32; 4] = [0.0, RELATED_CONCEPT, SAME_CONCEPT, 1.0];
+/// The opinion-side ladder, likewise.
+const OPINION_LEVELS: [f32; 6] = [
+    0.0,
+    SAME_POLARITY,
+    SHARED_APPLICABILITY,
+    GENERIC_BRIDGE,
+    SAME_GROUP,
+    1.0,
+];
+
+/// One side's ladder level for two distinct terms, by the positions of
+/// their concepts (or groups), row-major.
+#[derive(Debug, Clone)]
+struct Levels {
+    width: usize,
+    levels: Vec<u8>,
+}
+
+impl Levels {
+    fn new<T>(items: &[T], level: impl Fn(&T, &T) -> u8) -> Levels {
+        let levels = items
+            .iter()
+            .flat_map(|a| items.iter().map(|b| level(a, b)).collect::<Vec<_>>())
+            .collect();
+        Levels {
+            width: items.len(),
+            levels,
+        }
+    }
+
+    #[inline]
+    fn get(&self, x: u16, y: u16) -> usize {
+        usize::from(self.levels[usize::from(x) * self.width + usize::from(y)])
+    }
+}
+
+/// One side's ladder level: identical terms take the `top` level and
+/// distinct terms that both resolve read theirs from `levels`. `None`
+/// for any other pair, which takes the edit-distance fallback.
+/// Identical strings always share a resolution, so terms of two
+/// different concepts (or groups) skip the string compare.
+#[inline]
+fn side_level(
+    a: &str,
+    b: &str,
+    ra: Option<u16>,
+    rb: Option<u16>,
+    levels: &Levels,
+    top: usize,
+) -> Option<usize> {
+    match (ra, rb) {
+        (Some(x), Some(y)) if x != y => Some(levels.get(x, y)),
+        _ if a == b => Some(top),
+        (Some(x), Some(y)) => Some(levels.get(x, y)),
+        _ => None,
+    }
+}
+
+/// One side's score: its ladder rung, or a weak lexical fallback, so
+/// novel-but-identical user vocabulary still clusters.
+fn side_score(level: Option<usize>, ladder: &[f32], a: &str, b: &str) -> f32 {
+    level.map_or_else(|| (edit_similarity(a, b) - 0.5).max(0.0), |i| ladder[i])
+}
+
+/// The similarity checker of Figure 1: the resolver and the one scorer
+/// over resolved tags.
 #[derive(Debug)]
 pub struct ConceptualSimilarity {
     lexicon: Lexicon,
@@ -111,10 +207,20 @@ pub struct ConceptualSimilarity {
     /// about 0.06% of `f32` inputs, and every exported score is pinned
     /// bit for bit.
     aspect_weight: f32,
-    /// Memo for fuzzy canonicalization: OOV terms recur constantly in the
-    /// index hot loops (every typo'd review tag is compared against every
-    /// index tag), and each miss otherwise costs a full lexicon scan.
-    fuzzy_cache: std::sync::Mutex<std::collections::HashMap<(String, bool), Option<&'static str>>>,
+    /// [`ASPECT_LEVELS`] position of two distinct terms, by their
+    /// concepts' positions.
+    aspect_levels: Levels,
+    /// [`OPINION_LEVELS`] position of two distinct phrases, by their
+    /// groups' positions.
+    opinion_levels: Levels,
+    /// [`Self::combine`] of every aspect level with every opinion level,
+    /// filled by `combine` itself, so a lookup returns its bits.
+    level_scores: [[f32; OPINION_LEVELS.len()]; ASPECT_LEVELS.len()],
+    /// Fuzzy canonicalization memo, aspect side then opinion side:
+    /// out-of-lexicon terms recur (a typo'd tag arrives with many reviews
+    /// and probes), and each miss otherwise costs a full lexicon scan.
+    /// Only [`Self::resolve`] reaches it.
+    fuzzy_memo: Mutex<[HashMap<String, Option<u16>>; 2]>,
 }
 
 impl Clone for ConceptualSimilarity {
@@ -122,77 +228,108 @@ impl Clone for ConceptualSimilarity {
         ConceptualSimilarity {
             lexicon: self.lexicon.clone(),
             aspect_weight: self.aspect_weight,
-            fuzzy_cache: std::sync::Mutex::new(std::collections::HashMap::new()),
+            aspect_levels: self.aspect_levels.clone(),
+            opinion_levels: self.opinion_levels.clone(),
+            level_scores: self.level_scores,
+            fuzzy_memo: Mutex::default(),
         }
     }
 }
 
 impl ConceptualSimilarity {
     pub fn new(lexicon: Lexicon) -> Self {
-        ConceptualSimilarity {
+        let aspect_levels = Levels::new(lexicon.aspects(), |c1, c2| {
+            if c1.canonical == c2.canonical {
+                2
+            } else if lexicon.aspects_related(c1.canonical, c2.canonical) {
+                1
+            } else {
+                0
+            }
+        });
+        // Opposite polarity is a hard zero: `delicious food` never
+        // matches `bland food`.
+        let opinion_levels = Levels::new(lexicon.opinion_groups(), |g1, g2| {
+            if g1.canonical == g2.canonical {
+                4
+            } else if g1.polarity != g2.polarity {
+                0
+            } else if g1.generic || g2.generic {
+                3
+            } else if g1.aspects.iter().any(|a| g2.aspects.contains(a)) {
+                2
+            } else {
+                1
+            }
+        });
+        let mut similarity = ConceptualSimilarity {
             lexicon,
             aspect_weight: 0.5,
-            fuzzy_cache: std::sync::Mutex::new(std::collections::HashMap::new()),
+            aspect_levels,
+            opinion_levels,
+            level_scores: [[0.0; OPINION_LEVELS.len()]; ASPECT_LEVELS.len()],
+            fuzzy_memo: Mutex::default(),
+        };
+        for (i, &aspect) in ASPECT_LEVELS.iter().enumerate() {
+            for (j, &opinion) in OPINION_LEVELS.iter().enumerate() {
+                similarity.level_scores[i][j] = similarity.combine(aspect, opinion);
+            }
         }
+        similarity
     }
 
     pub fn lexicon(&self) -> &Lexicon {
         &self.lexicon
     }
 
-    /// Resolve an aspect term to its canonical concept name, absorbing
-    /// typos exactly as [`Self::aspect_similarity`] does. `None` means the
-    /// term stays out of lexicon even after fuzzy canonicalization.
-    pub fn resolve_aspect(&self, term: &str) -> Option<&'static str> {
-        if let Some(c) = self.lexicon.aspect_concept(term) {
-            return Some(c.canonical);
-        }
-        self.fuzzy_canonicalize(term, true)
-            .and_then(|m| self.lexicon.aspect_concept(m))
-            .map(|c| c.canonical)
-    }
-
-    /// Resolve an opinion phrase to its group, absorbing typos exactly as
-    /// [`Self::opinion_similarity`] does.
-    pub fn resolve_opinion(&self, phrase: &str) -> Option<&OpinionGroup> {
-        self.lexicon.opinion_group(phrase).or_else(|| {
-            self.fuzzy_canonicalize(phrase, false)
-                .and_then(|v| self.lexicon.opinion_group(v))
-        })
-    }
-
-    /// Similarity of two *distinct* aspect terms resolved to concepts
-    /// `c1` and `c2`: the same concept, related concepts, or 0.
-    pub fn resolved_aspect_score(&self, c1: &str, c2: &str) -> f32 {
-        if c1 == c2 {
-            SAME_CONCEPT
-        } else if self.lexicon.aspects_related(c1, c2) {
-            RELATED_CONCEPT
-        } else {
-            0.0
+    /// Resolve `tag` once: the aspect concept and opinion group it
+    /// denotes, absorbing typos through the fuzzy memo. A loop resolves
+    /// each tag once and compares resolutions with [`Self::score`].
+    pub fn resolve<'a>(&self, tag: &'a SubjectiveTag) -> ResolvedTag<'a> {
+        let aspect = self
+            .lexicon
+            .aspect_index(&tag.aspect)
+            .or_else(|| self.fuzzy(&tag.aspect, true));
+        let opinion = self
+            .lexicon
+            .opinion_index(&tag.opinion)
+            .or_else(|| self.fuzzy(&tag.opinion, false));
+        ResolvedTag {
+            tag,
+            resolution: Resolution {
+                aspect: aspect.map(|i| i as u16),
+                opinion: opinion.map(|i| i as u16),
+            },
         }
     }
 
-    /// Similarity of two *distinct* opinion phrases resolved to groups
-    /// `g1` and `g2`. Opposite polarity is a hard zero.
-    pub fn resolved_opinion_score(&self, g1: &OpinionGroup, g2: &OpinionGroup) -> f32 {
-        if g1.canonical == g2.canonical {
-            SAME_GROUP
-        } else if g1.polarity != g2.polarity {
-            0.0
-        } else if g1.generic || g2.generic {
-            GENERIC_BRIDGE
-        } else if g1.aspects.iter().any(|a| g2.aspects.contains(a)) {
-            SHARED_APPLICABILITY
-        } else {
-            SAME_POLARITY
+    /// The lexicon position an out-of-lexicon term fuzzily resolves to,
+    /// through the memo.
+    fn fuzzy(&self, term: &str, aspect_side: bool) -> Option<usize> {
+        let side = usize::from(aspect_side);
+        let memo = || {
+            self.fuzzy_memo
+                .lock()
+                .expect("a thread panicked holding the fuzzy memo")
+        };
+        if let Some(&hit) = memo()[side].get(term) {
+            return hit.map(usize::from);
         }
+        let hit = fuzzy_match(&self.lexicon, term, aspect_side).and_then(|m| {
+            if aspect_side {
+                self.lexicon.aspect_index(m)
+            } else {
+                self.lexicon.opinion_index(m)
+            }
+        });
+        memo()[side].insert(term.to_string(), hit.map(|i| i as u16));
+        hit
     }
 
     /// Combine an aspect-side and an opinion-side score (or upper bound)
     /// into a tag score: the weighted geometric mean, so a hard zero on
     /// either side zeroes the whole score.
-    pub fn combine(&self, aspect: f32, opinion: f32) -> f32 {
+    fn combine(&self, aspect: f32, opinion: f32) -> f32 {
         if aspect <= 0.0 || opinion <= 0.0 {
             return 0.0;
         }
@@ -200,120 +337,63 @@ impl ConceptualSimilarity {
         (aspect.powf(w) * opinion.powf(1.0 - w)).clamp(0.0, 1.0)
     }
 
-    /// Upper bound on `aspect_similarity(p, t)` over *every* pair of terms
-    /// whose resolutions are `probe_concept` and `cand_concept` (`None` =
-    /// unresolved after fuzzy canonicalization).
+    /// Similarity of two resolved tags in `[0, 1]`: the aspect and
+    /// opinion sides through a weighted geometric mean (`combine`), so a
+    /// hard zero on either side (e.g. opposite polarity) zeroes the whole
+    /// score. A pair whose sides are both on the ladder reads its score
+    /// from the table `combine` filled; one with an edit-distance side
+    /// calls `combine`.
+    // Forced inline: as an out-of-line call the cell index's rescore
+    // loop ran measurably slower than the fused per-cell path it replaced.
+    #[inline(always)]
+    pub fn score(&self, a: &ResolvedTag<'_>, b: &ResolvedTag<'_>) -> f32 {
+        let (ta, tb, ra, rb) = (a.tag, b.tag, a.resolution, b.resolution);
+        let aspect = side_level(
+            &ta.aspect,
+            &tb.aspect,
+            ra.aspect,
+            rb.aspect,
+            &self.aspect_levels,
+            ASPECT_LEVELS.len() - 1,
+        );
+        let opinion = side_level(
+            &ta.opinion,
+            &tb.opinion,
+            ra.opinion,
+            rb.opinion,
+            &self.opinion_levels,
+            OPINION_LEVELS.len() - 1,
+        );
+        match (aspect, opinion) {
+            (Some(i), Some(j)) => self.level_scores[i][j],
+            _ => self.combine(
+                side_score(aspect, &ASPECT_LEVELS, &ta.aspect, &tb.aspect),
+                side_score(opinion, &OPINION_LEVELS, &ta.opinion, &tb.opinion),
+            ),
+        }
+    }
+
+    /// Upper bound on [`Self::score`] over *every* pair of tags resolved
+    /// to `a` and `b`, side by side through the same geometric mean.
     ///
-    /// Soundness: identical strings always share a resolution state, so
-    /// across a resolved/unresolved split the surface forms must differ and
-    /// the score comes from the edit fallback `(edit_sim - 0.5).max(0) <=
-    /// 0.5`. Two terms resolved to the same concept may still be the
-    /// identical string, hence 1.0 there; two terms resolved to *different*
-    /// concepts score exactly their [`Self::resolved_aspect_score`].
-    pub fn aspect_upper_bound(
-        &self,
-        probe_concept: Option<&str>,
-        cand_concept: Option<&str>,
-    ) -> f32 {
-        match (probe_concept, cand_concept) {
-            (Some(p), Some(c)) if p == c => 1.0,
-            (Some(p), Some(c)) => self.resolved_aspect_score(p, c),
-            (None, None) => 1.0,
-            _ => 0.5,
-        }
-    }
-
-    /// Upper bound on `opinion_similarity(p, t)` over every pair of phrases
-    /// whose resolutions are `probe_group` and `cand_group` (`None` =
-    /// unresolved). Same identity argument as [`Self::aspect_upper_bound`];
-    /// distinct groups can never hold the identical string, so the
-    /// cross-group branches are exact, including the hard polarity zero.
-    pub fn opinion_upper_bound(
-        &self,
-        probe_group: Option<&OpinionGroup>,
-        cand_group: Option<&OpinionGroup>,
-    ) -> f32 {
-        match (probe_group, cand_group) {
-            (Some(g1), Some(g2)) if g1.canonical == g2.canonical => 1.0,
-            (Some(g1), Some(g2)) => self.resolved_opinion_score(g1, g2),
-            (None, None) => 1.0,
-            _ => 0.5,
-        }
-    }
-
-    /// Absorb small typos: map an out-of-lexicon word to the best known
-    /// aspect member / opinion variant when the edit similarity clears
-    /// [`TYPO_THRESHOLD`].
-    fn fuzzy_canonicalize(&self, term: &str, aspect_side: bool) -> Option<&'static str> {
-        if let Some(&hit) = self
-            .fuzzy_cache
-            .lock()
-            .unwrap()
-            .get(&(term.to_string(), aspect_side))
-        {
-            return hit;
-        }
-        let mut best: Option<(&'static str, f32)> = None;
-        let mut consider = |cand: &'static str| {
-            let s = edit_similarity(term, cand);
-            if s >= TYPO_THRESHOLD && best.is_none_or(|(_, b)| s > b) {
-                best = Some((cand, s));
-            }
-        };
-        if aspect_side {
-            for a in self.lexicon.aspects() {
-                for &m in a.members {
-                    consider(m);
-                }
-            }
-        } else {
-            for g in self.lexicon.opinion_groups() {
-                for &v in g.variants {
-                    consider(v);
-                }
-            }
-        }
-        let result = best.map(|(c, _)| c);
-        self.fuzzy_cache
-            .lock()
-            .unwrap()
-            .insert((term.to_string(), aspect_side), result);
-        result
-    }
-
-    /// Similarity of two aspect terms in `[0, 1]`.
-    pub fn aspect_similarity(&self, a1: &str, a2: &str) -> f32 {
-        if a1 == a2 {
-            return 1.0;
-        }
-        match (self.resolve_aspect(a1), self.resolve_aspect(a2)) {
-            (Some(c1), Some(c2)) => self.resolved_aspect_score(c1, c2),
-            // Out-of-lexicon on at least one side: weak lexical fallback so
-            // novel-but-identical user vocabulary still clusters.
-            _ => (edit_similarity(a1, a2) - 0.5).max(0.0),
-        }
-    }
-
-    /// Similarity of two opinion phrases in `[0, 1]`. Opposite polarity is a
-    /// hard zero: `delicious food` never matches `bland food`.
-    pub fn opinion_similarity(&self, o1: &str, o2: &str) -> f32 {
-        if o1 == o2 {
-            return 1.0;
-        }
-        match (self.resolve_opinion(o1), self.resolve_opinion(o2)) {
-            (Some(g1), Some(g2)) => self.resolved_opinion_score(g1, g2),
-            _ => (edit_similarity(o1, o2) - 0.5).max(0.0),
-        }
-    }
-
-    /// Similarity of two subjective tags: the aspect- and opinion-side
-    /// similarities through [`Self::combine`], so a hard zero on either
-    /// side (e.g. opposite polarity) zeroes the whole score.
-    pub fn tag_similarity(&self, t1: &SubjectiveTag, t2: &SubjectiveTag) -> f32 {
+    /// Soundness: identical strings always share a resolution, so across
+    /// a resolved/unresolved split the surface forms must differ and the
+    /// side scores from the edit fallback `(edit_sim - 0.5).max(0) <=
+    /// 0.5`. Two terms resolved to the same concept or group may still be
+    /// the identical string, hence 1.0 there (and between two unresolved
+    /// terms); distinct concepts or groups can never hold the identical
+    /// string, so those sides score exactly their ladder level, including
+    /// the hard polarity zero.
+    pub fn upper_bound(&self, a: Resolution, b: Resolution) -> f32 {
         self.combine(
-            self.aspect_similarity(&t1.aspect, &t2.aspect),
-            self.opinion_similarity(&t1.opinion, &t2.opinion),
+            side_bound(a.aspect, b.aspect, &self.aspect_levels, &ASPECT_LEVELS),
+            side_bound(a.opinion, b.opinion, &self.opinion_levels, &OPINION_LEVELS),
         )
+    }
+
+    /// Similarity of two tags, each resolved for this one call.
+    pub fn tag_similarity(&self, t1: &SubjectiveTag, t2: &SubjectiveTag) -> f32 {
+        self.score(&self.resolve(t1), &self.resolve(t2))
     }
 
     /// Convenience over surface phrases; returns 0 for unparseable phrases.
@@ -328,9 +408,46 @@ impl ConceptualSimilarity {
     }
 }
 
+/// One side of [`ConceptualSimilarity::upper_bound`].
+fn side_bound(a: Option<u16>, b: Option<u16>, levels: &Levels, ladder: &[f32]) -> f32 {
+    match (a, b) {
+        (Some(x), Some(y)) if x == y => 1.0,
+        (Some(x), Some(y)) => ladder[levels.get(x, y)],
+        (None, None) => 1.0,
+        _ => 0.5,
+    }
+}
+
+/// Absorb small typos: the known aspect member / opinion variant closest
+/// to an out-of-lexicon term by edit similarity, when it clears
+/// [`TYPO_THRESHOLD`] (the first best one in lexicon order).
+fn fuzzy_match(lexicon: &Lexicon, term: &str, aspect_side: bool) -> Option<&'static str> {
+    let mut best: Option<(&'static str, f32)> = None;
+    let mut consider = |cand: &'static str| {
+        let s = edit_similarity(term, cand);
+        if s >= TYPO_THRESHOLD && best.is_none_or(|(_, b)| s > b) {
+            best = Some((cand, s));
+        }
+    };
+    if aspect_side {
+        for a in lexicon.aspects() {
+            for &m in a.members {
+                consider(m);
+            }
+        }
+    } else {
+        for g in lexicon.opinion_groups() {
+            for &v in g.variants {
+                consider(v);
+            }
+        }
+    }
+    best.map(|(c, _)| c)
+}
+
 impl TagSimilarity for ConceptualSimilarity {
-    fn similarity(&self, a: &SubjectiveTag, b: &SubjectiveTag) -> f32 {
-        self.tag_similarity(a, b)
+    fn similarity(&self, a: &ResolvedTag<'_>, b: &ResolvedTag<'_>) -> f32 {
+        self.score(a, b)
     }
 }
 
@@ -344,6 +461,107 @@ mod tests {
         ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants))
     }
 
+    /// The per-call composition [`ConceptualSimilarity::score`] replaced,
+    /// kept as its reference: each side resolves both terms through the
+    /// lexicon (and the fuzzy memo) to canonical names on every call, then
+    /// walks the ladder.
+    fn aspect_similarity(s: &ConceptualSimilarity, a1: &str, a2: &str) -> f32 {
+        if a1 == a2 {
+            return 1.0;
+        }
+        let lex = s.lexicon();
+        let resolve = |t: &str| {
+            lex.aspect_concept(t)
+                .or_else(|| s.fuzzy(t, true).map(|i| &lex.aspects()[i]))
+                .map(|c| c.canonical)
+        };
+        match (resolve(a1), resolve(a2)) {
+            (Some(c1), Some(c2)) if c1 == c2 => SAME_CONCEPT,
+            (Some(c1), Some(c2)) if lex.aspects_related(c1, c2) => RELATED_CONCEPT,
+            (Some(_), Some(_)) => 0.0,
+            _ => (edit_similarity(a1, a2) - 0.5).max(0.0),
+        }
+    }
+
+    fn opinion_similarity(s: &ConceptualSimilarity, o1: &str, o2: &str) -> f32 {
+        if o1 == o2 {
+            return 1.0;
+        }
+        let lex = s.lexicon();
+        let resolve = |t: &str| {
+            lex.opinion_group(t)
+                .or_else(|| s.fuzzy(t, false).map(|i| &lex.opinion_groups()[i]))
+        };
+        match (resolve(o1), resolve(o2)) {
+            (Some(g1), Some(g2)) => {
+                if g1.canonical == g2.canonical {
+                    SAME_GROUP
+                } else if g1.polarity != g2.polarity {
+                    0.0
+                } else if g1.generic || g2.generic {
+                    GENERIC_BRIDGE
+                } else if g1.aspects.iter().any(|a| g2.aspects.contains(a)) {
+                    SHARED_APPLICABILITY
+                } else {
+                    SAME_POLARITY
+                }
+            }
+            _ => (edit_similarity(o1, o2) - 0.5).max(0.0),
+        }
+    }
+
+    fn reference(s: &ConceptualSimilarity, t1: &SubjectiveTag, t2: &SubjectiveTag) -> f32 {
+        s.combine(
+            aspect_similarity(s, &t1.aspect, &t2.aspect),
+            opinion_similarity(s, &t1.opinion, &t2.opinion),
+        )
+    }
+
+    /// `score(resolve(a), resolve(b))` and the reference, bit for bit.
+    fn assert_scores_match(s: &ConceptualSimilarity, a: &SubjectiveTag, b: &SubjectiveTag) {
+        let (want, got) = (reference(s, a, b), s.score(&s.resolve(a), &s.resolve(b)));
+        assert_eq!(got.to_bits(), want.to_bits(), "{a} vs {b}: {got} != {want}");
+    }
+
+    /// Every aspect member and every opinion variant of the lexicon.
+    fn members_and_variants(lex: &Lexicon) -> (Vec<&'static str>, Vec<&'static str>) {
+        let members = lex.aspects().iter().flat_map(|c| c.members).copied();
+        let variants = lex
+            .opinion_groups()
+            .iter()
+            .flat_map(|g| g.variants)
+            .copied();
+        (members.collect(), variants.collect())
+    }
+
+    /// A seeded typo of the kinds `synthetic_tags` makes: duplicate or
+    /// drop an interior char, or swap two adjacent ones.
+    fn typo(word: &str, kind: usize, at: usize) -> String {
+        let mut chars: Vec<char> = word.chars().collect();
+        if chars.len() < 3 {
+            return format!("{word}{word}");
+        }
+        let pos = 1 + at % (chars.len() - 1);
+        match kind % 3 {
+            0 => chars.insert(pos, chars[pos]),
+            1 => {
+                chars.remove(pos);
+            }
+            _ => chars.swap(pos - 1, pos),
+        }
+        chars.into_iter().collect()
+    }
+
+    /// One side's term: a lexicon term, a typo of one, or garbage.
+    fn term(terms: &[&'static str], pick: usize, kind: usize, at: usize) -> String {
+        let word = terms[pick % terms.len()];
+        match kind % 5 {
+            0 | 1 => word.to_string(),
+            2 | 3 => typo(word, kind / 5, at),
+            _ => format!("zq{}x{}", pick % 7, "v".repeat(at % 3)),
+        }
+    }
+
     #[test]
     fn parse_splits_opinion_and_aspect() {
         let lex = Lexicon::new(Domain::Restaurants);
@@ -354,6 +572,24 @@ mod tests {
         assert_eq!(t.opinion, "really good");
         assert_eq!(t.aspect, "la carte");
         assert!(SubjectiveTag::parse("food", &lex).is_none());
+    }
+
+    /// Resolutions are positions, so two concepts (or groups) of one
+    /// domain must never share a canonical name: the level tables and
+    /// the reference then agree on what "the same" means.
+    #[test]
+    fn canonical_names_are_unique_per_domain() {
+        for domain in [Domain::Restaurants, Domain::Electronics, Domain::Hotels] {
+            let lex = Lexicon::new(domain);
+            let mut aspects: Vec<_> = lex.aspects().iter().map(|c| c.canonical).collect();
+            let mut groups: Vec<_> = lex.opinion_groups().iter().map(|g| g.canonical).collect();
+            let (na, ng) = (aspects.len(), groups.len());
+            aspects.sort_unstable();
+            aspects.dedup();
+            groups.sort_unstable();
+            groups.dedup();
+            assert_eq!((aspects.len(), groups.len()), (na, ng), "{domain:?}");
+        }
     }
 
     #[test]
@@ -376,7 +612,7 @@ mod tests {
             s.tag_similarity(&a, &c)
         );
         // plates-vs-food crosses concepts, so lower, but the opinions agree.
-        assert!(s.opinion_similarity(&b.opinion, &c.opinion) > 0.8);
+        assert!(opinion_similarity(&s, &b.opinion, &c.opinion) > 0.8);
     }
 
     #[test]
@@ -427,8 +663,12 @@ mod tests {
     #[test]
     fn unknown_terms_fall_back_lexically() {
         let s = sim();
-        assert!(s.aspect_similarity("zorgle", "zorgle") == 1.0);
-        assert!(s.aspect_similarity("zorgle", "blarg") < 0.2);
+        let tag = |aspect| SubjectiveTag::new("good", aspect);
+        let zorgle = tag("zorgle");
+        let resolved = s.resolve(&zorgle);
+        assert_eq!(resolved.resolution.aspect, None);
+        assert_eq!(s.score(&resolved, &resolved), 1.0);
+        assert!(s.tag_similarity(&zorgle, &tag("blarg")) < 0.2);
     }
 
     #[test]
@@ -438,7 +678,95 @@ mod tests {
         assert!(v > 0.8, "{v}");
     }
 
+    /// Terms exactly at the 0.75 edit-similarity threshold resolve; an
+    /// unresolvable pair takes the edit fallback. Both score as the
+    /// reference does, bit for bit.
+    #[test]
+    fn threshold_typos_and_garbage_score_like_the_reference() {
+        let s = sim();
+        assert_eq!(edit_similarity("fodd", "food"), TYPO_THRESHOLD);
+        assert_eq!(edit_similarity("goud", "good"), TYPO_THRESHOLD);
+        let at = SubjectiveTag::new("goud", "fodd");
+        let clean = SubjectiveTag::new("good", "food");
+        let resolution = s.resolve(&at).resolution;
+        assert!(resolution.aspect.is_some() && resolution.opinion.is_some());
+        let garbage = SubjectiveTag::new("zorgle", "zzplace");
+        assert_eq!(
+            s.resolve(&garbage).resolution,
+            Resolution {
+                aspect: None,
+                opinion: None
+            }
+        );
+        let tags = [
+            at,
+            clean,
+            garbage,
+            SubjectiveTag::new("zorgle", "food"),
+            SubjectiveTag::new("deliciouz", "zzplace"),
+            SubjectiveTag::new("deliciouz", "foood"),
+        ];
+        for a in &tags {
+            for b in &tags {
+                assert_scores_match(&s, a, b);
+            }
+        }
+    }
+
+    /// Every lexicon tag (each aspect member × each opinion variant)
+    /// against one probe per opinion group, its concepts cycling through
+    /// every aspect concept, clean and with a typo on either side:
+    /// resolved scoring equals the reference bit for bit.
+    #[test]
+    fn score_matches_the_reference_over_the_lexicon() {
+        let s = sim();
+        let lex = s.lexicon();
+        let (members, variants) = members_and_variants(lex);
+        let tags: Vec<SubjectiveTag> = members
+            .iter()
+            .flat_map(|&m| variants.iter().map(move |&v| SubjectiveTag::new(v, m)))
+            .collect();
+        assert_eq!(tags.len(), 82 * 142);
+        let resolved: Vec<ResolvedTag<'_>> = tags.iter().map(|t| s.resolve(t)).collect();
+        let concepts = lex.aspects();
+        for (j, group) in lex.opinion_groups().iter().enumerate() {
+            let (variant, member) = (group.variants[0], concepts[j % concepts.len()].members[0]);
+            for probe in [
+                SubjectiveTag::new(variant, member),
+                SubjectiveTag::new(&typo(variant, j, j / 3), member),
+                SubjectiveTag::new(variant, &typo(member, j + 1, j)),
+            ] {
+                let p = s.resolve(&probe);
+                for (t, r) in tags.iter().zip(&resolved) {
+                    let want = reference(&s, &probe, t);
+                    for got in [s.score(&p, r), s.score(r, &p)] {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{probe} vs {t}");
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
+        /// Resolved scoring against the reference, bit for bit, over
+        /// lexicon terms, seeded typos on either side, and garbage.
+        #[test]
+        fn prop_score_matches_the_reference(
+            sides in prop::collection::vec((0usize..1000, 0usize..15, 0usize..16), 4..5),
+        ) {
+            let s = sim();
+            let (members, variants) = members_and_variants(s.lexicon());
+            let side = |i: usize, terms: &[&'static str]| {
+                let (pick, kind, at) = sides[i];
+                term(terms, pick, kind, at)
+            };
+            let a = SubjectiveTag::new(&side(0, &variants), &side(1, &members));
+            let b = SubjectiveTag::new(&side(2, &variants), &side(3, &members));
+            let want = reference(&s, &a, &b);
+            let got = s.score(&s.resolve(&a), &s.resolve(&b));
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", a, b);
+        }
+
         /// Tag similarity is symmetric and bounded for arbitrary in-lexicon pairs.
         #[test]
         fn prop_symmetric_bounded(i1 in 0usize..26, a1 in 0usize..16, i2 in 0usize..26, a2 in 0usize..16) {
@@ -473,8 +801,9 @@ mod tests {
         }
 
         /// The resolution-level upper bounds really bound the similarity,
-        /// across in-lexicon terms, absorbable typos, and garbage — the
-        /// soundness contract the ANN candidate pruning rests on.
+        /// side by side against the reference and whole against the
+        /// scorer, across in-lexicon terms, absorbable typos, and garbage
+        /// — the soundness contract the cell pruning rests on.
         #[test]
         fn prop_upper_bounds_are_sound(i1 in 0usize..64, i2 in 0usize..64, a1 in 0usize..64, a2 in 0usize..64) {
             let s = sim();
@@ -499,17 +828,16 @@ mod tests {
                     _ => format!("vb{}", i % 9),
                 }
             };
-            let (o1, o2) = (pick_opinion(i1), pick_opinion(i2));
-            let (p1, p2) = (pick_aspect(a1), pick_aspect(a2));
-            let a_ub = s.aspect_upper_bound(s.resolve_aspect(&p1), s.resolve_aspect(&p2));
-            prop_assert!(s.aspect_similarity(&p1, &p2) <= a_ub + 1e-6,
-                "aspect sim({p1},{p2}) exceeds ub {a_ub}");
-            let o_ub = s.opinion_upper_bound(s.resolve_opinion(&o1), s.resolve_opinion(&o2));
-            prop_assert!(s.opinion_similarity(&o1, &o2) <= o_ub + 1e-6,
-                "opinion sim({o1},{o2}) exceeds ub {o_ub}");
-            let t1 = SubjectiveTag::new(&o1, &p1);
-            let t2 = SubjectiveTag::new(&o2, &p2);
-            prop_assert!(s.tag_similarity(&t1, &t2) <= s.combine(a_ub, o_ub) + 1e-5);
+            let t1 = SubjectiveTag::new(&pick_opinion(i1), &pick_aspect(a1));
+            let t2 = SubjectiveTag::new(&pick_opinion(i2), &pick_aspect(a2));
+            let (r1, r2) = (s.resolve(&t1).resolution, s.resolve(&t2).resolution);
+            let a_ub = side_bound(r1.aspect, r2.aspect, &s.aspect_levels, &ASPECT_LEVELS);
+            prop_assert!(aspect_similarity(&s, &t1.aspect, &t2.aspect) <= a_ub + 1e-6,
+                "aspect sim({}, {}) exceeds ub {}", t1.aspect, t2.aspect, a_ub);
+            let o_ub = side_bound(r1.opinion, r2.opinion, &s.opinion_levels, &OPINION_LEVELS);
+            prop_assert!(opinion_similarity(&s, &t1.opinion, &t2.opinion) <= o_ub + 1e-6,
+                "opinion sim({}, {}) exceeds ub {}", t1.opinion, t2.opinion, o_ub);
+            prop_assert!(s.tag_similarity(&t1, &t2) <= s.upper_bound(r1, r2) + 1e-5);
         }
     }
 }

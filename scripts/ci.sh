@@ -26,8 +26,8 @@
 #  13. probe     the probe bin twice
 #  14. ingest    the ingest bin twice
 #  15. query     the query bin twice
-#  16. models    the table5 and figure4_ablation bins twice each, at a
-#                small scale
+#  16. models    the table5, figure4_ablation and similarity_ablation
+#                bins twice each, at a small scale
 #
 # Every bench bin runs through `bench`: each run in its own directory
 # under target/ci/<bin>/, so no stage touches the working tree. With
@@ -205,11 +205,14 @@ bench ingest ingest 2
 stage query "query bin x2"
 bench query query 2
 
-# Models gate: the tagger's evaluation and FGSM losses (figure4_ablation)
-# and the pairing fit's labeling functions, label models and classifier
-# (table5), twice each at 1% of the paper's data and 2 epochs.
-stage models "table5 + figure4_ablation bins x2"
+# Models gate: the tagger's evaluation and FGSM losses (figure4_ablation),
+# the pairing fit's labeling functions, label models and classifier
+# (table5), twice each at 1% of the paper's data and 2 epochs, and the
+# conceptual-vs-embedding rankings (similarity_ablation: the one index
+# that scores through a custom similarity) twice at 1%.
+stage models "table5 + figure4_ablation + similarity_ablation bins x2"
 SACCS_SCALE=0.01 SACCS_EPOCHS=2 bench models table5 2
 SACCS_SCALE=0.01 SACCS_EPOCHS=2 bench models figure4_ablation 2
+SACCS_SCALE=0.01 bench models similarity_ablation 2
 
 printf '\n=== CI green: all stages passed ===\n'

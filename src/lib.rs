@@ -53,7 +53,7 @@ pub use saccs_parse as parse;
 pub use saccs_query as query;
 /// Work-stealing pool and the sanctioned dedicated-thread escape hatch.
 pub use saccs_rt as rt;
-/// Multi-worker serving front end: bounded admission, shedding, micro-batching.
+/// Multi-worker serving front end: bounded admission, shedding, one job per worker tick.
 pub use saccs_serve as serve;
 /// Sequence tagger (BiLSTM/MiniBert + CRF) for subjective-tag extraction.
 pub use saccs_tagger as tagger;

@@ -1,44 +1,17 @@
 //! Integration tests for the infrastructure extensions: concurrent
-//! probing of the live index, the trie search automaton, CoNLL interop
-//! and the extractor persistence codec — all through the public facade.
+//! probing of the live index, CoNLL interop and the extractor
+//! persistence codec — all through the public facade.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saccs::data::generator::{GeneratorConfig, SentenceGenerator};
 use saccs::data::{from_conll, to_conll};
 use saccs::index::index::IndexConfig;
-use saccs::index::{LiveConfig, LiveIndex, LiveSnapshot};
+use saccs::index::{LiveConfig, LiveIndex};
 use saccs::text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
-use std::sync::Arc;
 
 fn tag(op: &str, asp: &str) -> SubjectiveTag {
     SubjectiveTag::new(op, asp)
-}
-
-/// Ten entities of four reviews each, the first naming three tags, all
-/// three indexed.
-fn populated_index() -> Arc<LiveSnapshot> {
-    let live = LiveIndex::new(
-        ConceptualSimilarity::new(Lexicon::new(Domain::Restaurants)),
-        IndexConfig::default(),
-        LiveConfig {
-            seal_every: 0,
-            max_segments: 0,
-        },
-    );
-    let tags = [
-        tag("delicious", "food"),
-        tag("nice", "staff"),
-        tag("quick", "service"),
-    ];
-    for e in 0..10 {
-        live.add_review(e, &tags);
-        for _ in 1..4 {
-            live.add_review(e, &[]);
-        }
-    }
-    live.add_tags(&tags);
-    live.pin()
 }
 
 #[test]
@@ -106,24 +79,6 @@ fn live_index_survives_a_probe_storm() {
         .index()
         .lookup(&tag("scrumptious", "pasta"))
         .is_some());
-}
-
-#[test]
-fn automaton_mirrors_the_index_and_adds_fuzzy() {
-    let idx = populated_index();
-    let automaton = idx.to_automaton();
-    assert_eq!(automaton.len(), idx.len());
-    for t in [tag("delicious", "food"), tag("nice", "staff")] {
-        assert_eq!(
-            automaton.get(&t).unwrap().len(),
-            idx.lookup(&t).unwrap().len()
-        );
-    }
-    // Autocomplete and typo tolerance the BTreeMap cannot provide.
-    let completions = automaton.with_prefix("delic");
-    assert_eq!(completions.len(), 1);
-    let fuzzy = automaton.fuzzy_get(&tag("delicous", "food"));
-    assert!(fuzzy.iter().any(|(p, _)| p == "delicious food"));
 }
 
 #[test]
