@@ -1,14 +1,14 @@
-//! Zigzag/varint byte codec for segment persistence.
+//! Varint byte codec for the segment store's file images.
 //!
-//! Sealed segments and checkpointed posting lists go to disk in a
-//! compact binary form: LEB128 varints for counts and deltas, zigzag
-//! mapping for signed deltas (posting lists are degree-sorted, so
-//! entity-id deltas can be negative), and raw IEEE-754 bit patterns for
-//! the f32 columns. Encoding by bits — not by decimal text — makes the
-//! round trip exact for every value including NaN payloads, which the
-//! persistence proptests exercise on arbitrary inputs.
+//! Every file the store writes, a sealed segment or the manifest, is one
+//! image framed in `segment.rs`: a magic, a body in this codec, and an
+//! FNV-1a checksum trailer. The body holds LEB128 varints for counts,
+//! seq deltas, entity ids and seq ranges, and length-prefixed UTF-8
+//! strings. A tag is stored as its two sides, each length-prefixed and
+//! byte for byte, never re-normalized, so any tag a caller can build
+//! comes back unchanged.
 
-use crate::index::IndexEntry;
+use saccs_text::SubjectiveTag;
 
 /// Decode failure: the byte stream was truncated, overflowed a varint,
 /// or carried invalid UTF-8 where a string was expected.
@@ -33,18 +33,6 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
-
-/// Map a signed value onto the unsigned line so small magnitudes of
-/// either sign stay small varints: `0, -1, 1, -2, 2, …` → `0, 1, 2, 3,
-/// 4, …`.
-pub fn zigzag_encode(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag_encode`].
-pub fn zigzag_decode(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
 
 /// Append `v` as an LEB128 varint (7 payload bits per byte, high bit =
 /// continuation).
@@ -89,58 +77,22 @@ pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, CodecError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
 }
 
-/// Append one posting list: varint count, then per entry a zigzag
-/// entity-id delta against the previous entry (the list is degree-sorted,
-/// so ids are not monotone and deltas carry sign) and the two f32
-/// columns as varint-packed bit patterns.
-pub fn put_postings(out: &mut Vec<u8>, postings: &[IndexEntry]) {
-    put_varint(out, postings.len() as u64);
-    let mut prev = 0i64;
-    for e in postings {
-        let id = e.entity_id as i64;
-        put_varint(out, zigzag_encode(id - prev));
-        prev = id;
-        put_varint(out, u64::from(e.degree_of_truth.to_bits()));
-        put_varint(out, u64::from(e.normalized.to_bits()));
-    }
+/// Append a tag: its opinion, then its aspect, each length-prefixed.
+pub fn put_tag(out: &mut Vec<u8>, tag: &SubjectiveTag) {
+    put_str(out, &tag.opinion);
+    put_str(out, &tag.aspect);
 }
 
-/// Read one posting list written by [`put_postings`]. Bit-exact: the
-/// f32 columns come back from their stored bit patterns, so NaNs and
-/// signed zeros survive.
-pub fn get_postings(buf: &[u8], pos: &mut usize) -> Result<Vec<IndexEntry>, CodecError> {
-    let count = get_varint(buf, pos)? as usize;
-    let mut postings = Vec::with_capacity(count.min(1 << 16));
-    let mut prev = 0i64;
-    for _ in 0..count {
-        let id = prev + zigzag_decode(get_varint(buf, pos)?);
-        prev = id;
-        let degree = f32::from_bits(get_varint(buf, pos)? as u32);
-        let normalized = f32::from_bits(get_varint(buf, pos)? as u32);
-        postings.push(IndexEntry {
-            entity_id: id as usize,
-            degree_of_truth: degree,
-            normalized,
-        });
-    }
-    Ok(postings)
+/// Read a tag written by [`put_tag`], exactly as it was written.
+pub fn get_tag(buf: &[u8], pos: &mut usize) -> Result<SubjectiveTag, CodecError> {
+    let opinion = get_str(buf, pos)?;
+    let aspect = get_str(buf, pos)?;
+    Ok(SubjectiveTag { opinion, aspect })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zigzag_round_trips_extremes() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN, 123_456, -654_321] {
-            assert_eq!(zigzag_decode(zigzag_encode(v)), v);
-        }
-        // Small magnitudes map to small codes (the point of zigzag).
-        assert_eq!(zigzag_encode(0), 0);
-        assert_eq!(zigzag_encode(-1), 1);
-        assert_eq!(zigzag_encode(1), 2);
-        assert_eq!(zigzag_encode(-2), 3);
-    }
 
     #[test]
     fn varint_round_trips_and_is_compact() {
@@ -182,45 +134,5 @@ mod tests {
         assert_eq!(get_str(&out, &mut pos).unwrap(), "");
         assert_eq!(get_str(&out, &mut pos).unwrap(), "crème brûlée");
         assert_eq!(pos, out.len());
-    }
-
-    #[test]
-    fn postings_round_trip_bitwise_including_nan() {
-        let postings = vec![
-            IndexEntry {
-                entity_id: 17,
-                degree_of_truth: 3.912_023,
-                normalized: 1.0,
-            },
-            IndexEntry {
-                entity_id: 2,
-                degree_of_truth: f32::NAN,
-                normalized: -0.0,
-            },
-            IndexEntry {
-                entity_id: 40_000,
-                degree_of_truth: f32::MIN_POSITIVE,
-                normalized: 0.25,
-            },
-        ];
-        let mut out = Vec::new();
-        put_postings(&mut out, &postings);
-        let mut pos = 0;
-        let back = get_postings(&out, &mut pos).unwrap();
-        assert_eq!(pos, out.len());
-        assert_eq!(back.len(), postings.len());
-        for (a, b) in postings.iter().zip(&back) {
-            assert_eq!(a.entity_id, b.entity_id);
-            assert_eq!(a.degree_of_truth.to_bits(), b.degree_of_truth.to_bits());
-            assert_eq!(a.normalized.to_bits(), b.normalized.to_bits());
-        }
-    }
-
-    #[test]
-    fn empty_postings_round_trip() {
-        let mut out = Vec::new();
-        put_postings(&mut out, &[]);
-        let mut pos = 0;
-        assert!(get_postings(&out, &mut pos).unwrap().is_empty());
     }
 }

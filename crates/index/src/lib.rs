@@ -22,7 +22,7 @@
 
 /// The resolved tag set and its candidate cells for the fallback probe.
 pub mod ann;
-/// Zigzag/varint byte codec for segment persistence.
+/// Varint byte codec for the store's file images.
 pub mod codec;
 /// The user tag history feeding re-indexing rounds.
 pub mod history;
@@ -32,7 +32,7 @@ pub mod index;
 pub mod live;
 /// Fraud-aware review filtering.
 pub mod robust;
-/// Mem/sealed segments, merge, and the on-disk segment store.
+/// Segments, merge, and the on-disk segment store.
 pub mod segment;
 
 /// The resolution-cell candidate index and its probe results.
@@ -47,8 +47,6 @@ pub use live::{IngestReceipt, LiveConfig, LiveIndex, LiveSnapshot};
 pub use robust::{FraudFilter, ReviewProfile};
 /// Re-exported tag type used throughout the index API.
 pub use saccs_text::SubjectiveTag;
-/// Segment types, the seq-ordered merge, and the on-disk store.
-pub use segment::{
-    merge_segments, LoadedStore, Manifest, MemSegment, ReviewRecord, SealedSegment, SegmentStore,
-    StoreError,
-};
+/// Review records, sealed segments, the seq-ordered merge, and store
+/// errors.
+pub use segment::{merge_segments, ReviewRecord, SealedSegment, StoreError};

@@ -35,15 +35,16 @@
 //! mem-segment and the sealed segments); per entity the writer keeps
 //! only its review and tag counts.
 //!
-//! Durability goes through [`SegmentStore`]: sealed segments persist to
-//! checksummed files and become visible only at a manifest commit, so
-//! recovery ([`LiveIndex::open`]) always loads a consistent prefix of
-//! the ingest stream no matter where a crash (or an armed `index.seal` /
-//! `index.persist` / `index.merge` failpoint) cut the writer down.
-//! Persistence failures never fail ingestion — the write stays buffered
-//! and is retried at the next seal or [`LiveIndex::checkpoint`]; they
-//! only widen the durability gap, which the `index.ingest.*` counters
-//! account for.
+//! Durability goes through the segment store (`crate::segment`): sealed
+//! segments persist to checksummed files and become visible only at a
+//! manifest commit, so recovery ([`LiveIndex::open`]) always loads a
+//! consistent prefix of the ingest stream no matter where a crash (or an
+//! armed `index.seal` / `index.persist` / `index.merge` failpoint) cut
+//! the writer down, and rebuilds every column by replaying it. What a
+//! crash can lose is on [`IngestReceipt`]. Persistence failures never
+//! fail ingestion — the write stays buffered and is retried at the next
+//! seal or [`LiveIndex::checkpoint`]; they only widen the durability
+//! gap, which the `index.ingest.*` counters account for.
 //!
 //! The index scores with the lexicon-backed
 //! [`ConceptualSimilarity`](saccs_text::ConceptualSimilarity), or with a
@@ -96,6 +97,13 @@ impl Default for LiveConfig {
 }
 
 /// What one `add_review` call did.
+///
+/// A receipt acknowledges that the review is visible to the next pin,
+/// not that it is durable. With a store, a review becomes durable when
+/// its mem-segment is sealed and committed (every `seal_every` reviews,
+/// or at [`LiveIndex::checkpoint`]), so a crash loses up to
+/// `seal_every − 1` acknowledged reviews, and a committed file survives
+/// a killed process but not a host crash (nothing is fsynced).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReceipt {
     /// The globally unique ingest seq assigned to the review.
@@ -543,9 +551,10 @@ impl LiveIndex {
     /// in seq order, and each manifest tag's column folds the log as
     /// [`LiveIndex::add_tags`] folds it. That is the fold a splice makes
     /// review by review, so the recovered index is bitwise identical to
-    /// one that ingested exactly the durable prefix. A checkpointed
-    /// posting image, when present, is cross-checked against the replay
-    /// and a disagreement is reported as corruption.
+    /// one that ingested exactly the durable prefix. The next seq follows
+    /// the last durable one, and the pending history comes back with its
+    /// counts. Files that fail to decode are reported as
+    /// [`StoreError`]s.
     pub fn open(
         dir: impl Into<PathBuf>,
         similarity: ConceptualSimilarity,
@@ -559,9 +568,14 @@ impl LiveIndex {
             ..Writer::default()
         };
         let mut pending = UserTagHistory::new();
-        if let Some(loaded) = store.load()? {
-            w.sealed = loaded
-                .segments
+        if let Some((manifest, segments)) = store.load()? {
+            if let Some(last) = segments.last() {
+                w.next_seq = last
+                    .last_seq()
+                    .checked_add(1)
+                    .ok_or_else(|| StoreError::Corrupt("seqs exhaust u64".into()))?;
+            }
+            w.sealed = segments
                 .into_iter()
                 .map(|segment| (segment, true))
                 .collect();
@@ -571,18 +585,9 @@ impl LiveIndex {
                 w.observe(entity_id, tag_count);
                 w.ingested += 1;
             }
-            let tags: Vec<&SubjectiveTag> = loaded.manifest.tags.iter().collect();
+            let tags: Vec<&SubjectiveTag> = manifest.tags.iter().collect();
             w.fold_columns(&tags, &scoring);
-            if let Some(checkpointed) = &loaded.postings {
-                if *checkpointed != w.entries {
-                    return Err(StoreError::Corrupt(
-                        "checkpointed postings disagree with segment replay".into(),
-                    ));
-                }
-            }
-            let last_seq = w.sealed.last().map(|(s, _)| s.last_seq() + 1).unwrap_or(0);
-            w.next_seq = loaded.manifest.next_seq.max(last_seq);
-            for (tag, count) in loaded.manifest.pending {
+            for (tag, count) in manifest.pending {
                 pending.set_count(tag, count);
             }
         }
@@ -636,18 +641,17 @@ impl LiveIndex {
         if self.store.is_some() {
             // Persistence failures are a durability gap, not an ingest
             // failure: counted, retried at the next seal/checkpoint.
-            let _ = self.commit_locked(w, false);
+            let _ = self.commit_locked(w);
         }
         true
     }
 
     /// Persist every not-yet-persisted sealed segment in seq order,
     /// then commit a manifest referencing the contiguous durable
-    /// prefix (plus the tag set and pending history). Optionally
-    /// checkpoints the posting lists alongside. Returns the first
+    /// prefix (plus the tag set and pending history). Returns the first
     /// persist error, if any — the manifest still commits whatever
     /// prefix did persist.
-    fn commit_locked(&self, w: &mut Writer, with_postings: bool) -> Result<(), StoreError> {
+    fn commit_locked(&self, w: &mut Writer) -> Result<(), StoreError> {
         let Some(store) = &self.store else {
             return Ok(());
         };
@@ -666,27 +670,13 @@ impl LiveIndex {
                 }
             }
         }
-        let durable: Vec<(u64, u64)> = w
-            .sealed
-            .iter()
-            .take_while(|(_, persisted)| *persisted)
-            .map(|(s, _)| (s.first_seq(), s.last_seq()))
-            .collect();
-        let postings_file = if with_postings && first_err.is_none() {
-            match store.write_postings(&w.entries) {
-                Ok(name) => Some(name),
-                Err(e) => {
-                    first_err = Some(e);
-                    None
-                }
-            }
-        } else {
-            None
-        };
         let manifest = Manifest {
-            next_seq: durable.last().map(|&(_, last)| last + 1).unwrap_or(0),
-            segments: durable,
-            postings_file,
+            segments: w
+                .sealed
+                .iter()
+                .take_while(|(_, persisted)| *persisted)
+                .map(|(s, _)| (s.first_seq(), s.last_seq()))
+                .collect(),
             tags: w.entries.keys().cloned().collect(),
             pending: self
                 .pending
@@ -733,7 +723,7 @@ impl LiveIndex {
         w.sealed = vec![(merged, persisted)];
         saccs_obs::counter!("index.ingest.merges").inc();
         saccs_obs::gauge!("index.segments").set(1.0);
-        let committed = self.commit_locked(&mut w, false);
+        let committed = self.commit_locked(&mut w);
         self.publish_locked(&w);
         drop(w);
         committed.map(|_| true)
@@ -818,7 +808,7 @@ impl LiveIndex {
         saccs_obs::counter!("index.build.tags").add(fresh.len() as u64);
         w.fold_columns(&fresh, &self.scoring);
         self.publish_locked(&w);
-        let _ = self.commit_locked(&mut w, false);
+        let _ = self.commit_locked(&mut w);
         fresh.len()
     }
 
@@ -832,7 +822,7 @@ impl LiveIndex {
         w.entries.clear();
         w.cells = Arc::default();
         self.publish_locked(&w);
-        let _ = self.commit_locked(&mut w, false);
+        let _ = self.commit_locked(&mut w);
     }
 
     /// Switch the degree formula and re-finalize every posting list from
@@ -877,9 +867,10 @@ impl LiveIndex {
 
     /// Seal-aware checkpoint: seals the in-flight mem-segment (so
     /// unsealed writes are covered — the gap the snapshot regression
-    /// test pins), persists every outstanding segment, writes the
-    /// posting-list image, and commits the manifest. No-op persistence
-    /// without a store.
+    /// test pins), persists every outstanding segment, and commits the
+    /// manifest. After it returns `Ok`, every review acknowledged so far
+    /// is durable against a killed process. No-op persistence without a
+    /// store.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
         let mut w = self.writer.lock();
         if let Some(segment) = w.mem.seal() {
@@ -887,7 +878,7 @@ impl LiveIndex {
             saccs_obs::counter!("index.ingest.seals").inc();
             saccs_obs::gauge!("index.segments").set(w.sealed.len() as f64);
         }
-        let committed = self.commit_locked(&mut w, true);
+        let committed = self.commit_locked(&mut w);
         self.publish_locked(&w);
         committed
     }
@@ -1392,6 +1383,26 @@ mod tests {
                 .len(),
             1
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The documented loss window: a review is durable once its
+    /// mem-segment is sealed and committed, so a drop without a
+    /// checkpoint loses the open mem-segment's acknowledged reviews.
+    #[test]
+    fn a_crash_loses_only_the_open_mem_segment() {
+        let dir = temp_dir("loss");
+        {
+            let live = LiveIndex::open(&dir, sim(), IndexConfig::default(), LiveConfig::default())
+                .unwrap();
+            for i in 0..100 {
+                live.add_review(i % 7, &[tag("good", "food")]);
+            }
+        }
+        let recovered =
+            LiveIndex::open(&dir, sim(), IndexConfig::default(), LiveConfig::default()).unwrap();
+        assert_eq!(recovered.ingested(), 64);
+        assert_eq!(recovered.add_review(0, &[]).seq, 64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

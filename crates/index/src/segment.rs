@@ -1,16 +1,27 @@
-//! Segments: the persistence layer under the live index.
+//! Segments and the segment store: the persistence layer under the live
+//! index.
 //!
-//! Reviews ingested at serving time land in an append-only
-//! [`MemSegment`]; once it reaches the configured size it is sealed
-//! into an immutable [`SealedSegment`] and persisted as one
-//! checksummed file of zigzag/varint-encoded records. A [`SegmentStore`]
-//! owns the on-disk layout: segment files are written first and become
-//! visible only when the `MANIFEST` (committed by atomic tmp-rename)
-//! references them, so a crash mid-write leaves a torn file that
-//! recovery never reads. Merging sealed segments sorts the union of
-//! their records by the globally unique ingest sequence number, which
-//! makes the merge operator associative and permutation-invariant — the
-//! properties the persistence proptests pin down.
+//! Reviews ingested at serving time land in an append-only mem-segment;
+//! once it reaches the configured size it is sealed into an immutable
+//! [`SealedSegment`]. With a store, each sealed segment persists as one
+//! file, and the store's `MANIFEST` names the segments that are live.
+//! Every file the store writes is one framed image, written and checked
+//! by one pair of functions here (`frame`, `unframe`): a magic, a body in
+//! the [`crate::codec`] varint codec, and an 8-byte FNV-1a checksum
+//! trailer. A segment image holds its records. The manifest image holds
+//! the committed `(first_seq, last_seq)` ranges, the index tags and the
+//! pending `(tag, count)` history, and nothing recovery can derive from
+//! the records: no posting lists, no next seq. Tags are stored byte for
+//! byte, so any tag a caller can build comes back unchanged.
+//!
+//! Segment files are written first and become visible only when a
+//! manifest (committed by atomic tmp-rename) references them, so a crash
+//! mid-write leaves a torn file that recovery never reads. Nothing is
+//! fsynced: a committed file survives a killed process, not a host
+//! crash. Merging sealed segments sorts the union of their records by
+//! the globally unique ingest sequence number, which makes the merge
+//! operator associative and permutation-invariant — the properties the
+//! persistence proptests pin down.
 //!
 //! Failpoints at the two disk seams (`index.persist` tears a segment
 //! write in half, `index.merge` kills a compaction between the merged
@@ -18,18 +29,59 @@
 //! crashes the recovery invariants are supposed to survive.
 
 use crate::codec::{self, CodecError};
-use crate::index::PostingColumns;
 use saccs_text::SubjectiveTag;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// File magic for a sealed segment image.
+/// File magic of a sealed segment image.
 const SEGMENT_MAGIC: &[u8; 5] = b"SSEG1";
-/// File magic for a checkpointed posting-list image.
-const POSTINGS_MAGIC: &[u8; 5] = b"SPST1";
+/// File magic of a manifest image.
+const MANIFEST_MAGIC: &[u8; 5] = b"SMAN1";
 /// The committed manifest file name.
 const MANIFEST: &str = "MANIFEST";
-/// Manifest header line (format version gate).
-const MANIFEST_HEADER: &str = "saccs-segments v1";
+
+/// One file image: `magic`, the body `write` appends, and an 8-byte
+/// little-endian FNV-1a checksum over both. The caller sizes the
+/// buffer: a merged segment's image grown from empty raises the catalog
+/// set-up's peak RSS by 1.3 MB.
+fn frame(magic: &[u8; 5], capacity: usize, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(magic);
+    write(&mut out);
+    let checksum = saccs_obs::trace::hash_bytes(0, &out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// Check that `bytes` is one image framed under `magic` (`what` names
+/// it in errors) and decode its body with `read`, which must consume it
+/// exactly. A torn (truncated or half-written) file fails the checksum
+/// and is reported as corrupt rather than surfacing a partial body.
+fn unframe<T>(
+    bytes: &[u8],
+    magic: &[u8; 5],
+    what: &str,
+    read: impl FnOnce(&[u8], &mut usize) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    let corrupt = |why: &str| StoreError::Corrupt(format!("{what}: {why}"));
+    if bytes.len() < magic.len() + 8 {
+        return Err(corrupt("file too short"));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    if !body.starts_with(magic) {
+        return Err(corrupt("bad magic"));
+    }
+    let mut stored = [0u8; 8];
+    stored.copy_from_slice(trailer);
+    if saccs_obs::trace::hash_bytes(0, body) != u64::from_le_bytes(stored) {
+        return Err(corrupt("checksum mismatch"));
+    }
+    let mut pos = magic.len();
+    let value = read(body, &mut pos)?;
+    if pos != body.len() {
+        return Err(corrupt("trailing bytes"));
+    }
+    Ok(value)
+}
 
 /// One ingested review: the globally unique ingest sequence number, the
 /// entity it reviews, and the subjective tags extracted from its text.
@@ -46,18 +98,14 @@ pub struct ReviewRecord {
 
 /// The append-only mutable segment receiving `add_review` writes.
 #[derive(Debug, Default)]
-pub struct MemSegment {
+pub(crate) struct MemSegment {
     records: Vec<ReviewRecord>,
 }
 
 impl MemSegment {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append one record. Callers assign strictly increasing `seq`s
     /// (the live writer does so under its lock).
-    pub fn push(&mut self, record: ReviewRecord) {
+    pub(crate) fn push(&mut self, record: ReviewRecord) {
         debug_assert!(self
             .records
             .last()
@@ -66,23 +114,19 @@ impl MemSegment {
         self.records.push(record);
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Records buffered so far, in ingest order.
-    pub fn records(&self) -> &[ReviewRecord] {
+    pub(crate) fn records(&self) -> &[ReviewRecord] {
         &self.records
     }
 
     /// Seal: move the buffered records into an immutable segment,
     /// leaving this mem-segment empty. Returns `None` when there is
     /// nothing to seal.
-    pub fn seal(&mut self) -> Option<SealedSegment> {
+    pub(crate) fn seal(&mut self) -> Option<SealedSegment> {
         if self.records.is_empty() {
             return None;
         }
@@ -128,79 +172,59 @@ impl SealedSegment {
         self.records.last().map(|r| r.seq).unwrap_or(0)
     }
 
-    /// Encode to the on-disk image: magic, varint record count, per
-    /// record the seq delta / entity id / tag strings as varints, and an
-    /// 8-byte little-endian FNV-1a checksum trailer over everything
-    /// before it.
+    /// Encode to the on-disk image: the varint record count, then per
+    /// record the seq delta, entity id, tag count and tags, framed.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.records.len() * 16);
-        out.extend_from_slice(SEGMENT_MAGIC);
-        codec::put_varint(&mut out, self.records.len() as u64);
-        let mut prev_seq = 0u64;
-        for r in &self.records {
-            codec::put_varint(&mut out, r.seq - prev_seq);
-            prev_seq = r.seq;
-            codec::put_varint(&mut out, r.entity_id as u64);
-            codec::put_varint(&mut out, r.tags.len() as u64);
-            for t in &r.tags {
-                codec::put_str(&mut out, &t.opinion);
-                codec::put_str(&mut out, &t.aspect);
+        frame(SEGMENT_MAGIC, 64 + self.records.len() * 16, |out| {
+            codec::put_varint(out, self.records.len() as u64);
+            let mut prev_seq = 0u64;
+            for r in &self.records {
+                codec::put_varint(out, r.seq - prev_seq);
+                prev_seq = r.seq;
+                codec::put_varint(out, r.entity_id as u64);
+                codec::put_varint(out, r.tags.len() as u64);
+                for t in &r.tags {
+                    codec::put_tag(out, t);
+                }
             }
-        }
-        let checksum = saccs_obs::trace::hash_bytes(0, &out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        })
     }
 
-    /// Decode an on-disk image, validating magic, checksum and the
-    /// strictly-increasing seq invariant. A torn (truncated or
-    /// half-written) file fails the checksum and is reported as corrupt
-    /// rather than surfacing partial records.
+    /// Decode an on-disk image, validating the frame, the codec and the
+    /// strictly increasing seqs of a non-empty record run. Any byte
+    /// string decodes to a segment or a typed error.
     pub fn decode(bytes: &[u8]) -> Result<SealedSegment, StoreError> {
-        if bytes.len() < SEGMENT_MAGIC.len() + 8 {
-            return Err(StoreError::Corrupt("segment file too short".into()));
-        }
-        if &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-            return Err(StoreError::Corrupt("bad segment magic".into()));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let mut stored = [0u8; 8];
-        stored.copy_from_slice(trailer);
-        if saccs_obs::trace::hash_bytes(0, body) != u64::from_le_bytes(stored) {
-            return Err(StoreError::Corrupt("segment checksum mismatch".into()));
-        }
-        let mut pos = SEGMENT_MAGIC.len();
-        let count = codec::get_varint(body, &mut pos)? as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 16));
-        let mut prev_seq = 0u64;
-        for i in 0..count {
-            let delta = codec::get_varint(body, &mut pos)?;
-            if i > 0 && delta == 0 {
-                return Err(StoreError::Corrupt("segment seqs not increasing".into()));
+        unframe(bytes, SEGMENT_MAGIC, "segment", |body, pos| {
+            let corrupt = |why: &str| StoreError::Corrupt(format!("segment: {why}"));
+            let count = codec::get_varint(body, pos)?;
+            let mut records = Vec::with_capacity(count.min(1 << 16) as usize);
+            let mut prev_seq = 0u64;
+            for i in 0..count {
+                let delta = codec::get_varint(body, pos)?;
+                if i > 0 && delta == 0 {
+                    return Err(corrupt("seqs not increasing"));
+                }
+                let seq = prev_seq
+                    .checked_add(delta)
+                    .ok_or_else(|| corrupt("seq overflows u64"))?;
+                prev_seq = seq;
+                let entity_id = codec::get_varint(body, pos)? as usize;
+                let tag_count = codec::get_varint(body, pos)?;
+                let mut tags = Vec::with_capacity(tag_count.min(1 << 12) as usize);
+                for _ in 0..tag_count {
+                    tags.push(codec::get_tag(body, pos)?);
+                }
+                records.push(ReviewRecord {
+                    seq,
+                    entity_id,
+                    tags,
+                });
             }
-            let seq = prev_seq + delta;
-            prev_seq = seq;
-            let entity_id = codec::get_varint(body, &mut pos)? as usize;
-            let tag_count = codec::get_varint(body, &mut pos)? as usize;
-            let mut tags = Vec::with_capacity(tag_count.min(1 << 12));
-            for _ in 0..tag_count {
-                let opinion = codec::get_str(body, &mut pos)?;
-                let aspect = codec::get_str(body, &mut pos)?;
-                tags.push(SubjectiveTag { opinion, aspect });
+            if records.is_empty() {
+                return Err(corrupt("no records"));
             }
-            records.push(ReviewRecord {
-                seq,
-                entity_id,
-                tags,
-            });
-        }
-        if pos != body.len() {
-            return Err(StoreError::Corrupt("trailing bytes after records".into()));
-        }
-        if records.is_empty() {
-            return Err(StoreError::Corrupt("empty segment".into()));
-        }
-        Ok(SealedSegment { records })
+            Ok(SealedSegment { records })
+        })
     }
 }
 
@@ -222,93 +246,71 @@ pub fn merge_segments(segments: &[SealedSegment]) -> Option<SealedSegment> {
     Some(SealedSegment { records })
 }
 
-/// Everything the committed manifest pins: the durable ingest frontier,
-/// the segment set, the optional checkpointed posting image, the index
-/// tag set, and the pending user-tag history.
+/// What a manifest commit makes visible: the committed segments, the
+/// index tag set and the pending user-tag history. The next ingest seq
+/// is not stored; recovery derives it from the last segment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Manifest {
-    /// Next ingest seq to assign after recovery.
-    pub next_seq: u64,
-    /// `(first_seq, last_seq)` per committed segment, in seq order.
-    pub segments: Vec<(u64, u64)>,
-    /// File name of the checkpointed posting lists, when one was
-    /// committed alongside the segment set.
-    pub postings_file: Option<String>,
-    /// The index tag set at commit time.
-    pub tags: Vec<SubjectiveTag>,
+pub(crate) struct Manifest {
+    /// `(first_seq, last_seq)` per committed segment, ascending and
+    /// disjoint.
+    pub(crate) segments: Vec<(u64, u64)>,
+    /// The index tag set at commit time, strictly ascending.
+    pub(crate) tags: Vec<SubjectiveTag>,
     /// Pending unknown-tag requests `(tag, count)` at commit time.
-    pub pending: Vec<(SubjectiveTag, usize)>,
+    pub(crate) pending: Vec<(SubjectiveTag, usize)>,
 }
 
 impl Manifest {
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(MANIFEST_HEADER);
-        out.push('\n');
-        out.push_str(&format!("next_seq\t{}\n", self.next_seq));
-        for (first, last) in &self.segments {
-            out.push_str(&format!("segment\t{first}\t{last}\n"));
-        }
-        if let Some(name) = &self.postings_file {
-            out.push_str(&format!("postings\t{name}\n"));
-        }
-        for t in &self.tags {
-            out.push_str(&format!("tag\t{}|{}\n", t.opinion, t.aspect));
-        }
-        for (t, count) in &self.pending {
-            out.push_str(&format!("pending\t{}|{}\t{count}\n", t.opinion, t.aspect));
-        }
-        out
+    fn encode(&self) -> Vec<u8> {
+        frame(MANIFEST_MAGIC, 64, |out| {
+            codec::put_varint(out, self.segments.len() as u64);
+            for &(first, last) in &self.segments {
+                codec::put_varint(out, first);
+                codec::put_varint(out, last);
+            }
+            codec::put_varint(out, self.tags.len() as u64);
+            for t in &self.tags {
+                codec::put_tag(out, t);
+            }
+            codec::put_varint(out, self.pending.len() as u64);
+            for (t, count) in &self.pending {
+                codec::put_tag(out, t);
+                codec::put_varint(out, *count as u64);
+            }
+        })
     }
 
-    fn parse(text: &str) -> Result<Manifest, StoreError> {
-        let corrupt = |what: &str| StoreError::Corrupt(format!("manifest: {what}"));
-        let mut lines = text.lines();
-        if lines.next() != Some(MANIFEST_HEADER) {
-            return Err(corrupt("bad header"));
-        }
-        let mut m = Manifest::default();
-        let parse_tag = |key: &str| -> Result<SubjectiveTag, StoreError> {
-            let (opinion, aspect) = key
-                .split_once('|')
-                .ok_or_else(|| corrupt("tag key missing |"))?;
-            Ok(SubjectiveTag::new(opinion, aspect))
-        };
-        for line in lines {
-            if line.is_empty() {
-                continue;
+    /// Decode a manifest image. Besides the frame and the codec, it
+    /// rejects segment ranges that do not ascend or that overlap, and
+    /// index tags that are not strictly ascending: the writer keeps one
+    /// column per tag, in tag order.
+    fn decode(bytes: &[u8]) -> Result<Manifest, StoreError> {
+        unframe(bytes, MANIFEST_MAGIC, "manifest", |body, pos| {
+            let corrupt = |why: &str| StoreError::Corrupt(format!("manifest: {why}"));
+            let mut m = Manifest::default();
+            for _ in 0..codec::get_varint(body, pos)? {
+                let first = codec::get_varint(body, pos)?;
+                let last = codec::get_varint(body, pos)?;
+                let after = m.segments.last().is_none_or(|&(_, prev)| prev < first);
+                if first > last || !after {
+                    return Err(corrupt("segment ranges do not ascend"));
+                }
+                m.segments.push((first, last));
             }
-            let (kind, rest) = line
-                .split_once('\t')
-                .ok_or_else(|| corrupt("missing tab"))?;
-            match kind {
-                "next_seq" => {
-                    m.next_seq = rest.parse().map_err(|_| corrupt("bad next_seq"))?;
+            for _ in 0..codec::get_varint(body, pos)? {
+                let tag = codec::get_tag(body, pos)?;
+                if m.tags.last().is_some_and(|prev| *prev >= tag) {
+                    return Err(corrupt("index tags not strictly ascending"));
                 }
-                "segment" => {
-                    let (first, last) = rest
-                        .split_once('\t')
-                        .ok_or_else(|| corrupt("segment needs first\\tlast"))?;
-                    m.segments.push((
-                        first.parse().map_err(|_| corrupt("bad first seq"))?,
-                        last.parse().map_err(|_| corrupt("bad last seq"))?,
-                    ));
-                }
-                "postings" => m.postings_file = Some(rest.to_string()),
-                "tag" => m.tags.push(parse_tag(rest)?),
-                "pending" => {
-                    let (key, count) = rest
-                        .split_once('\t')
-                        .ok_or_else(|| corrupt("pending needs tag\\tcount"))?;
-                    m.pending.push((
-                        parse_tag(key)?,
-                        count.parse().map_err(|_| corrupt("bad pending count"))?,
-                    ));
-                }
-                _ => return Err(corrupt("unknown line kind")),
+                m.tags.push(tag);
             }
-        }
-        Ok(m)
+            for _ in 0..codec::get_varint(body, pos)? {
+                let tag = codec::get_tag(body, pos)?;
+                let count = codec::get_varint(body, pos)? as usize;
+                m.pending.push((tag, count));
+            }
+            Ok(m)
+        })
     }
 }
 
@@ -356,35 +358,19 @@ impl From<saccs_fault::FaultError> for StoreError {
     }
 }
 
-/// A committed store image loaded back from disk.
+/// The on-disk segment directory: segment files and the `MANIFEST` that
+/// makes a set of them visible.
 #[derive(Debug)]
-pub struct LoadedStore {
-    /// The committed manifest.
-    pub manifest: Manifest,
-    /// The committed segments, in manifest order (seq order).
-    pub segments: Vec<SealedSegment>,
-    /// The checkpointed posting lists, when the manifest references one.
-    pub postings: Option<PostingColumns>,
-}
-
-/// The on-disk segment directory: segment files, optional posting
-/// checkpoints, and the `MANIFEST` that makes a set of them visible.
-#[derive(Debug)]
-pub struct SegmentStore {
+pub(crate) struct SegmentStore {
     dir: PathBuf,
 }
 
 impl SegmentStore {
     /// Open (creating if needed) the store directory.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<SegmentStore, StoreError> {
+    pub(crate) fn open(dir: impl Into<PathBuf>) -> Result<SegmentStore, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(SegmentStore { dir })
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn segment_path(&self, first: u64, last: u64) -> PathBuf {
@@ -396,7 +382,7 @@ impl SegmentStore {
     /// it. Under the `index.persist` failpoint the write is torn in
     /// half — exactly the on-disk state a crash mid-write leaves — and
     /// the injected error is returned so the caller re-persists later.
-    pub fn persist_segment(&self, segment: &SealedSegment) -> Result<(), StoreError> {
+    pub(crate) fn persist_segment(&self, segment: &SealedSegment) -> Result<(), StoreError> {
         let bytes = segment.encode();
         let path = self.segment_path(segment.first_seq(), segment.last_seq());
         if let Err(fault) = saccs_fault::failpoint!("index.persist") {
@@ -407,112 +393,53 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Write the posting lists as a checkpoint image named by content
-    /// hash (`postings-<hash>.bin`), returning the file name for the
-    /// manifest. Content addressing makes the write idempotent and
-    /// guarantees an already-committed manifest never sees its
-    /// referenced image change underneath it.
-    pub fn write_postings(&self, entries: &PostingColumns) -> Result<String, StoreError> {
-        let mut out = Vec::new();
-        out.extend_from_slice(POSTINGS_MAGIC);
-        codec::put_varint(&mut out, entries.len() as u64);
-        for (tag, postings) in entries {
-            codec::put_str(&mut out, &tag.opinion);
-            codec::put_str(&mut out, &tag.aspect);
-            codec::put_postings(&mut out, postings);
-        }
-        let checksum = saccs_obs::trace::hash_bytes(0, &out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        let name = format!("postings-{checksum:016x}.bin");
-        std::fs::write(self.dir.join(&name), &out)?;
-        Ok(name)
-    }
-
-    fn read_postings(&self, name: &str) -> Result<PostingColumns, StoreError> {
-        let bytes = std::fs::read(self.dir.join(name))?;
-        if bytes.len() < POSTINGS_MAGIC.len() + 8 {
-            return Err(StoreError::Corrupt("postings file too short".into()));
-        }
-        if &bytes[..POSTINGS_MAGIC.len()] != POSTINGS_MAGIC {
-            return Err(StoreError::Corrupt("bad postings magic".into()));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let mut stored = [0u8; 8];
-        stored.copy_from_slice(trailer);
-        if saccs_obs::trace::hash_bytes(0, body) != u64::from_le_bytes(stored) {
-            return Err(StoreError::Corrupt("postings checksum mismatch".into()));
-        }
-        let mut pos = POSTINGS_MAGIC.len();
-        let count = codec::get_varint(body, &mut pos)? as usize;
-        let mut entries = PostingColumns::new();
-        for _ in 0..count {
-            let opinion = codec::get_str(body, &mut pos)?;
-            let aspect = codec::get_str(body, &mut pos)?;
-            let postings = codec::get_postings(body, &mut pos)?;
-            entries.insert(SubjectiveTag { opinion, aspect }, postings.into());
-        }
-        if pos != body.len() {
-            return Err(StoreError::Corrupt("trailing bytes after postings".into()));
-        }
-        Ok(entries)
-    }
-
-    /// Commit `manifest`: render to `MANIFEST.tmp`, atomically rename
-    /// over `MANIFEST`, then best-effort-remove segment/posting files
-    /// the new manifest no longer references (merged-away inputs, torn
-    /// half-writes, orphans of aborted merges).
-    pub fn commit(&self, manifest: &Manifest) -> Result<(), StoreError> {
+    /// Commit `manifest`: write its image to `MANIFEST.tmp`, atomically
+    /// rename it over `MANIFEST`, then best-effort-remove the segment
+    /// files the new manifest no longer references (merged-away inputs,
+    /// torn half-writes, orphans of aborted merges).
+    pub(crate) fn commit(&self, manifest: &Manifest) -> Result<(), StoreError> {
         let tmp = self.dir.join("MANIFEST.tmp");
-        std::fs::write(&tmp, manifest.render().as_bytes())?;
+        std::fs::write(&tmp, manifest.encode())?;
         std::fs::rename(&tmp, self.dir.join(MANIFEST))?;
         self.sweep_unreferenced(manifest);
         Ok(())
     }
 
-    /// Remove `.seg`/`.bin` files the manifest does not reference.
-    /// Failures are ignored: stray files are invisible to recovery
-    /// anyway, so cleanup is an optimization, never a correctness step.
+    /// Remove `.seg` files the manifest does not reference. Failures
+    /// are ignored: stray files are invisible to recovery anyway, so
+    /// cleanup is an optimization, never a correctness step.
     fn sweep_unreferenced(&self, manifest: &Manifest) {
-        let mut referenced: Vec<PathBuf> = manifest
+        let referenced: Vec<PathBuf> = manifest
             .segments
             .iter()
             .map(|&(first, last)| self.segment_path(first, last))
             .collect();
-        if let Some(name) = &manifest.postings_file {
-            referenced.push(self.dir.join(name));
-        }
         let Ok(dir) = std::fs::read_dir(&self.dir) else {
             return;
         };
         for entry in dir.flatten() {
             let path = entry.path();
-            let ext = path.extension().and_then(|e| e.to_str());
-            if !matches!(ext, Some("seg") | Some("bin")) {
-                continue;
-            }
-            if !referenced.contains(&path) {
+            if path.extension().is_some_and(|e| e == "seg") && !referenced.contains(&path) {
                 let _ = std::fs::remove_file(&path);
             }
         }
     }
 
-    /// Load the last committed image, or `None` when no manifest was
-    /// ever committed. Only manifest-referenced files are read (torn
-    /// writes and aborted-merge orphans are invisible), and every file
-    /// is checksum-validated, so the result is always a consistent
-    /// prefix of the ingest stream.
-    pub fn load(&self) -> Result<Option<LoadedStore>, StoreError> {
-        let manifest_path = self.dir.join(MANIFEST);
-        let text = match std::fs::read_to_string(&manifest_path) {
-            Ok(text) => text,
+    /// Load the last committed manifest and its segments in seq order,
+    /// or `None` when no manifest was ever committed. Only
+    /// manifest-referenced files are read (torn writes and aborted-merge
+    /// orphans are invisible), and every file is checksum-validated, so
+    /// the result is always a consistent prefix of the ingest stream.
+    pub(crate) fn load(&self) -> Result<Option<(Manifest, Vec<SealedSegment>)>, StoreError> {
+        let bytes = match std::fs::read(self.dir.join(MANIFEST)) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let manifest = Manifest::parse(&text)?;
+        let manifest = Manifest::decode(&bytes)?;
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for &(first, last) in &manifest.segments {
-            let bytes = std::fs::read(self.segment_path(first, last))?;
-            let segment = SealedSegment::decode(&bytes)?;
+            let segment = SealedSegment::decode(&std::fs::read(self.segment_path(first, last))?)?;
             if segment.first_seq() != first || segment.last_seq() != last {
                 return Err(StoreError::Corrupt(
                     "segment seq range disagrees with manifest".into(),
@@ -520,26 +447,25 @@ impl SegmentStore {
             }
             segments.push(segment);
         }
-        let postings = match &manifest.postings_file {
-            Some(name) => Some(self.read_postings(name)?),
-            None => None,
-        };
-        Ok(Some(LoadedStore {
-            manifest,
-            segments,
-            postings,
-        }))
+        Ok(Some((manifest, segments)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexEntry;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tag(op: &str, asp: &str) -> SubjectiveTag {
         SubjectiveTag::new(op, asp)
+    }
+
+    /// A tag built through the public fields, kept exactly as given.
+    fn raw_tag(opinion: &str, aspect: &str) -> SubjectiveTag {
+        SubjectiveTag {
+            opinion: opinion.into(),
+            aspect: aspect.into(),
+        }
     }
 
     fn record(seq: u64, entity: usize, tags: &[(&str, &str)]) -> ReviewRecord {
@@ -550,7 +476,7 @@ mod tests {
         }
     }
 
-    fn temp_store(label: &str) -> SegmentStore {
+    fn temp_store(label: &str) -> (PathBuf, SegmentStore) {
         static NONCE: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "saccs-segment-{label}-{}-{}",
@@ -558,7 +484,8 @@ mod tests {
             NONCE.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        SegmentStore::open(dir).unwrap()
+        let store = SegmentStore::open(&dir).unwrap();
+        (dir, store)
     }
 
     fn sample_segment() -> SealedSegment {
@@ -598,6 +525,24 @@ mod tests {
         ));
     }
 
+    /// A crafted image with a valid trailer whose second seq delta is
+    /// `u64::MAX` overflows the seq: a typed error, not a panic.
+    #[test]
+    fn overflowing_seq_delta_is_corrupt() {
+        let bytes = frame(SEGMENT_MAGIC, 64, |out| {
+            codec::put_varint(out, 2);
+            for delta in [1, u64::MAX] {
+                codec::put_varint(out, delta);
+                codec::put_varint(out, 0);
+                codec::put_varint(out, 0);
+            }
+        });
+        assert!(matches!(
+            SealedSegment::decode(&bytes),
+            Err(StoreError::Corrupt(why)) if why.contains("overflows")
+        ));
+    }
+
     #[test]
     fn merge_is_permutation_invariant_and_associative() {
         let a = SealedSegment::new(vec![record(1, 0, &[("good", "food")])]);
@@ -618,74 +563,86 @@ mod tests {
         assert_eq!(abc.last_seq(), 7);
     }
 
+    /// Tags the old text manifest rewrote or could not parse come back
+    /// byte for byte.
     #[test]
-    fn store_round_trips_segments_manifest_and_postings() {
-        let store = temp_store("roundtrip");
+    fn store_round_trips_segments_and_manifest() {
+        let (dir, store) = temp_store("roundtrip");
         let seg = sample_segment();
         store.persist_segment(&seg).unwrap();
-        let mut entries = PostingColumns::new();
-        entries.insert(
-            tag("good", "food"),
-            vec![IndexEntry {
-                entity_id: 0,
-                degree_of_truth: 1.5,
-                normalized: 1.0,
-            }]
-            .into(),
-        );
-        let postings_file = store.write_postings(&entries).unwrap();
         let manifest = Manifest {
-            next_seq: 10,
             segments: vec![(seg.first_seq(), seg.last_seq())],
-            postings_file: Some(postings_file),
-            tags: vec![tag("good", "food")],
-            pending: vec![(tag("quiet", "place"), 2)],
+            tags: vec![raw_tag("Delicious", "food"), raw_tag("a|b", "food")],
+            pending: vec![(raw_tag("quiet\n", "\tplace"), 2), (raw_tag("", ""), 1)],
         };
         store.commit(&manifest).unwrap();
 
-        let loaded = store.load().unwrap().unwrap();
-        assert_eq!(loaded.manifest, manifest);
-        assert_eq!(loaded.segments, vec![seg]);
-        assert_eq!(loaded.postings.unwrap(), entries);
-        let _ = std::fs::remove_dir_all(store.dir());
+        let (loaded, segments) = store.load().unwrap().unwrap();
+        assert_eq!(loaded, manifest);
+        assert_eq!(segments, vec![seg]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_rejects_unordered_ranges_and_tags() {
+        let decode = |m: &Manifest| Manifest::decode(&m.encode());
+        let ok = Manifest {
+            segments: vec![(0, 3), (4, 4), (9, 12)],
+            tags: vec![tag("good", "food"), tag("nice", "staff")],
+            pending: Vec::new(),
+        };
+        assert_eq!(decode(&ok).unwrap(), ok);
+        for segments in [vec![(0, 3), (3, 5)], vec![(4, 5), (0, 3)], vec![(5, 4)]] {
+            let bad = Manifest {
+                segments,
+                ..ok.clone()
+            };
+            assert!(matches!(decode(&bad), Err(StoreError::Corrupt(_))));
+        }
+        for tags in [
+            vec![tag("good", "food"), tag("good", "food")],
+            vec![tag("nice", "staff"), tag("good", "food")],
+        ] {
+            let bad = Manifest { tags, ..ok.clone() };
+            assert!(matches!(decode(&bad), Err(StoreError::Corrupt(_))));
+        }
     }
 
     #[test]
     fn load_ignores_unmanifested_files_and_sweep_removes_them() {
-        let store = temp_store("stray");
+        let (dir, store) = temp_store("stray");
         let seg = sample_segment();
         store.persist_segment(&seg).unwrap();
         // A stray torn file never referenced by any manifest.
-        let stray = store.dir().join("seg-99999990-99999999.seg");
+        let stray = dir.join("seg-99999990-99999999.seg");
         std::fs::write(&stray, b"torn garbage").unwrap();
         let manifest = Manifest {
-            next_seq: 10,
             segments: vec![(seg.first_seq(), seg.last_seq())],
             ..Default::default()
         };
         store.commit(&manifest).unwrap();
         // The stray file was swept and recovery only sees the committed set.
         assert!(!stray.exists());
-        let loaded = store.load().unwrap().unwrap();
-        assert_eq!(loaded.segments.len(), 1);
-        let _ = std::fs::remove_dir_all(store.dir());
+        let (_, segments) = store.load().unwrap().unwrap();
+        assert_eq!(segments.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn empty_dir_loads_as_none() {
-        let store = temp_store("empty");
+        let (dir, store) = temp_store("empty");
         assert!(store.load().unwrap().is_none());
-        let _ = std::fs::remove_dir_all(store.dir());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mem_segment_seals_into_sorted_runs() {
-        let mut mem = MemSegment::new();
+        let mut mem = MemSegment::default();
         assert!(mem.seal().is_none());
         mem.push(record(0, 4, &[("good", "food")]));
         mem.push(record(1, 5, &[]));
         let sealed = mem.seal().unwrap();
-        assert!(mem.is_empty());
+        assert_eq!(mem.len(), 0);
         assert_eq!(sealed.len(), 2);
         assert_eq!(sealed.first_seq(), 0);
         assert_eq!(sealed.last_seq(), 1);

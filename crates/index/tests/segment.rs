@@ -1,10 +1,19 @@
 //! Property suite for the segmented-ingestion layer.
 //!
-//! Three families of invariants, fuzzed over arbitrary inputs:
+//! Four families of invariants, fuzzed over arbitrary inputs:
 //!
-//! * **Codec round trips** — zigzag/varint and the posting-list codec
-//!   are exact inverses, bit-for-bit, for every value including
-//!   arbitrary f32 bit patterns (NaNs, signed zeros, subnormals).
+//! * **The store gives back what it was given** — a sealed segment's
+//!   image decodes to the same records for seqs up to `u64::MAX` and
+//!   arbitrary Unicode tag sides, and a persistent [`LiveIndex`] whose
+//!   index tags and probed unknown tags hold `|`, tabs, newlines,
+//!   capitals and empty sides reopens with the same tag set, the same
+//!   pending counts and bitwise the same rankings.
+//! * **Disk bytes never panic the store** — arbitrary bytes, and
+//!   truncations and single-byte flips of valid images, each with and
+//!   without a recomputed FNV-1a trailer, come back from
+//!   [`SealedSegment::decode`] and from [`LiveIndex::open`] (as a
+//!   damaged `MANIFEST` or segment file) as `Ok` or a typed
+//!   [`StoreError`].
 //! * **Merge-operator algebra** — merging sealed segments is
 //!   associative, permutation-invariant and idempotent: however the
 //!   compactor groups or orders segments, the merged record stream is
@@ -17,14 +26,14 @@
 //!   probes through its cell index.
 
 use proptest::prelude::*;
-use saccs_index::codec::{
-    get_postings, get_varint, put_postings, put_varint, zigzag_decode, zigzag_encode,
-};
-use saccs_index::index::{IndexConfig, IndexEntry};
+use saccs_index::index::IndexConfig;
 use saccs_index::{
-    merge_segments, LiveConfig, LiveIndex, LiveSnapshot, ReviewRecord, SealedSegment,
+    merge_segments, LiveConfig, LiveIndex, LiveSnapshot, ReviewRecord, SealedSegment, StoreError,
 };
+use saccs_obs::trace::hash_bytes;
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const OPINIONS: &[&str] = &[
@@ -91,57 +100,273 @@ fn chunk_into_segments(records: &[ReviewRecord], cuts: &[usize]) -> Vec<SealedSe
     segments
 }
 
+/// Characters the old text manifest split on or rewrote, and a
+/// non-ASCII letter and NUL.
+const SPECIAL: [char; 8] = ['|', '\t', '\n', '\r', 'A', 'Z', 'é', '\0'];
+
+/// One tag side from generated `(kind, value)` codes: a special
+/// character, a lowercase ASCII letter, or any Unicode scalar value
+/// (U+FFFD in place of a surrogate). No codes make an empty side.
+fn side(codes: &[(u8, u32)]) -> String {
+    codes
+        .iter()
+        .map(|&(kind, v)| match kind {
+            0 => SPECIAL[v as usize % SPECIAL.len()],
+            1 => char::from(b'a' + (v % 26) as u8),
+            _ => char::from_u32(v).unwrap_or('\u{fffd}'),
+        })
+        .collect()
+}
+
+/// The codes strategy for one tag side.
+fn side_codes() -> impl Strategy<Value = SideCodes> {
+    prop::collection::vec((0u8..3, 0u32..0x11_0000), 0..5)
+}
+
+type SideCodes = Vec<(u8, u32)>;
+
+/// A tag built through the public fields, kept exactly as generated.
+fn raw_tag((opinion, aspect): &(SideCodes, SideCodes)) -> SubjectiveTag {
+    SubjectiveTag {
+        opinion: side(opinion),
+        aspect: side(aspect),
+    }
+}
+
+/// Records with strictly increasing seqs drawn from `seqs` (the last
+/// one moved to `u64::MAX` when `top`).
+fn records_from(
+    seqs: &[u64],
+    top: bool,
+    bodies: &[(usize, Vec<(SideCodes, SideCodes)>)],
+) -> Vec<ReviewRecord> {
+    let mut seqs = seqs.to_vec();
+    seqs.sort_unstable();
+    seqs.dedup();
+    if let (true, Some(last)) = (top, seqs.last_mut()) {
+        *last = u64::MAX;
+    }
+    seqs.iter()
+        .zip(bodies.iter().cycle())
+        .map(|(&seq, (entity_id, tags))| ReviewRecord {
+            seq,
+            entity_id: *entity_id,
+            tags: tags.iter().map(raw_tag).collect(),
+        })
+        .collect()
+}
+
+/// `body` framed with a freshly computed FNV-1a trailer, so that only
+/// the decoder past the checksum can reject it.
+fn reseal(body: &[u8]) -> Vec<u8> {
+    let mut out = body.to_vec();
+    out.extend_from_slice(&hash_bytes(0, body).to_le_bytes());
+    out
+}
+
+/// Damaged variants of a valid image: `garbage` itself and behind the
+/// image's magic, a truncation at `cut` and a flip of byte `at` by
+/// `mask`, each as is and resealed. The flag marks variants the
+/// checksum must reject on its own.
+fn damaged(
+    image: &[u8],
+    garbage: &[u8],
+    cut: usize,
+    (at, mask): (usize, u8),
+) -> Vec<(Vec<u8>, bool)> {
+    let body = &image[..image.len() - 8];
+    let behind_magic = [&image[..5], garbage].concat();
+    let truncated = &image[..cut % image.len()];
+    let mut flipped = image.to_vec();
+    flipped[at % image.len()] ^= mask;
+    let mut flipped_body = body.to_vec();
+    flipped_body[at % body.len()] ^= mask;
+    vec![
+        (garbage.to_vec(), false),
+        (reseal(garbage), false),
+        (reseal(&behind_magic), false),
+        (truncated.to_vec(), true),
+        (reseal(&body[..cut % body.len()]), false),
+        (flipped, true),
+        (reseal(&flipped_body), false),
+    ]
+}
+
+fn temp_dir(label: &str) -> PathBuf {
+    static NONCE: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "saccs-segment-suite-{label}-{}-{}",
+        std::process::id(),
+        NONCE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn open(dir: &Path, seal_every: usize) -> Result<LiveIndex, StoreError> {
+    LiveIndex::open(
+        dir,
+        sim(),
+        IndexConfig::default(),
+        LiveConfig {
+            seal_every,
+            max_segments: 2,
+        },
+    )
+}
+
+/// What a reopen must give back: the index tags, the pending history
+/// and the rankings of `probes`, as bits.
+type Recovered = (
+    Vec<SubjectiveTag>,
+    Vec<(SubjectiveTag, usize)>,
+    Vec<Vec<(usize, u32)>>,
+);
+
+fn recovered(live: &LiveIndex, probes: &[SubjectiveTag]) -> Recovered {
+    let snapshot = live.pin();
+    let tags = snapshot.tags().cloned().collect();
+    let pending = snapshot
+        .history()
+        .entries()
+        .map(|(t, c)| (t.clone(), c))
+        .collect();
+    let rankings = probes
+        .iter()
+        .map(|p| bits(&snapshot.probe_readonly(p)))
+        .collect();
+    (tags, pending, rankings)
+}
+
 proptest! {
     #![proptest_config(prop::test_runner::Config::with_cases(64))]
 
+    /// Sealed segment images round-trip arbitrary records: seqs up to
+    /// `u64::MAX`, entity ids of any size, and tag sides of any Unicode.
     #[test]
-    fn zigzag_and_varint_round_trip_arbitrary_values(
-        signed in prop::collection::vec(i64::MIN..i64::MAX, 0..32),
-        unsigned in prop::collection::vec(0u64..u64::MAX, 0..32),
-    ) {
-        for &v in &signed {
-            prop_assert_eq!(zigzag_decode(zigzag_encode(v)), v);
-        }
-        let mut out = Vec::new();
-        for &v in &unsigned {
-            put_varint(&mut out, v);
-        }
-        let mut pos = 0;
-        for &v in &unsigned {
-            prop_assert_eq!(get_varint(&out, &mut pos).expect("varint decodes"), v);
-        }
-        prop_assert_eq!(pos, out.len());
-    }
-
-    /// Posting lists survive the codec bit-for-bit for arbitrary entity
-    /// ids and arbitrary f32 *bit patterns* — NaN payloads, signed
-    /// zeros and subnormals included.
-    #[test]
-    fn postings_codec_round_trips_bitwise_on_arbitrary_postings(
-        raw in prop::collection::vec(
-            (0usize..1_000_000, 0u32..=u32::MAX, 0u32..=u32::MAX),
-            0..40,
+    fn segment_images_round_trip_arbitrary_records(
+        seqs in prop::collection::vec(0u64..u64::MAX, 1..12),
+        top in prop::bool::ANY,
+        bodies in prop::collection::vec(
+            (0usize..usize::MAX, prop::collection::vec((side_codes(), side_codes()), 0..3)),
+            1..6,
         ),
     ) {
-        let postings: Vec<IndexEntry> = raw
-            .iter()
-            .map(|&(entity_id, d, n)| IndexEntry {
-                entity_id,
-                degree_of_truth: f32::from_bits(d),
-                normalized: f32::from_bits(n),
-            })
-            .collect();
-        let mut out = Vec::new();
-        put_postings(&mut out, &postings);
-        let mut pos = 0;
-        let back = get_postings(&out, &mut pos).expect("postings decode");
-        prop_assert_eq!(pos, out.len());
-        prop_assert_eq!(back.len(), postings.len());
-        for (a, b) in postings.iter().zip(&back) {
-            prop_assert_eq!(a.entity_id, b.entity_id);
-            prop_assert_eq!(a.degree_of_truth.to_bits(), b.degree_of_truth.to_bits());
-            prop_assert_eq!(a.normalized.to_bits(), b.normalized.to_bits());
+        let segment = SealedSegment::new(records_from(&seqs, top, &bodies));
+        let back = SealedSegment::decode(&segment.encode()).expect("a fresh image decodes");
+        prop_assert_eq!(back, segment);
+    }
+
+    /// Arbitrary, truncated and flipped bytes decode to a segment or a
+    /// typed error, never a panic; without a recomputed trailer the
+    /// checksum alone rejects every truncation and flip.
+    #[test]
+    fn segment_decode_survives_damaged_and_arbitrary_bytes(
+        seqs in prop::collection::vec(0u64..u64::MAX, 1..6),
+        top in prop::bool::ANY,
+        bodies in prop::collection::vec(
+            (0usize..usize::MAX, prop::collection::vec((side_codes(), side_codes()), 0..3)),
+            1..4,
+        ),
+        garbage in prop::collection::vec(0u8..=255, 0..48),
+        cut in 0usize..4096,
+        flip in (0usize..4096, 1u8..=255),
+    ) {
+        let image = SealedSegment::new(records_from(&seqs, top, &bodies)).encode();
+        for (bytes, checksum_rejects) in damaged(&image, &garbage, cut, flip) {
+            let decoded = SealedSegment::decode(&bytes);
+            if checksum_rejects {
+                prop_assert!(matches!(decoded, Err(StoreError::Corrupt(_))), "{:?}", bytes);
+            }
         }
+    }
+
+    /// A store whose `MANIFEST` or first segment file holds damaged or
+    /// arbitrary bytes opens to `Ok` or a typed error, never a panic.
+    #[test]
+    fn open_survives_a_damaged_manifest_or_segment(
+        manifest in prop::bool::ANY,
+        garbage in prop::collection::vec(0u8..=255, 0..48),
+        cut in 0usize..4096,
+        flip in (0usize..4096, 1u8..=255),
+    ) {
+        let dir = temp_dir("damaged");
+        {
+            let live = open(&dir, 2).expect("a fresh store opens");
+            live.add_tags(&[mk_tag(&(0, 0)), mk_tag(&(4, 4))]);
+            for (entity_id, review) in [(0, (0, 1)), (1, (4, 4)), (0, (6, 5)), (2, (1, 0)), (3, (2, 2))] {
+                live.add_review(entity_id, &[mk_tag(&review)]);
+            }
+            let _ = live.pin().probe(&mk_tag(&(5, 3)));
+            live.checkpoint().expect("a clean checkpoint");
+        }
+        let target = if manifest {
+            dir.join("MANIFEST")
+        } else {
+            let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+                .expect("store dir")
+                .map(|e| e.expect("dir entry").path())
+                .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+                .collect();
+            segments.sort();
+            segments.remove(0)
+        };
+        let image = std::fs::read(&target).expect("committed file");
+        for (bytes, checksum_rejects) in damaged(&image, &garbage, cut, flip) {
+            std::fs::write(&target, &bytes).expect("overwrite");
+            let opened = open(&dir, 2);
+            if checksum_rejects {
+                prop_assert!(opened.is_err(), "{:?} opened", bytes);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Any tag a caller can build survives a reopen: index tags and
+    /// probed unknown tags with `|`, tabs, newlines, capitals and empty
+    /// sides come back byte for byte, with their pending counts, and a
+    /// fixed probe set ranks bit for bit as before the drop.
+    #[test]
+    fn any_tag_survives_a_reopen(
+        index_tags in prop::collection::vec((side_codes(), side_codes()), 1..5),
+        probed in prop::collection::vec(((side_codes(), side_codes()), 1usize..4), 0..4),
+        stream in prop::collection::vec(
+            (0usize..5, prop::collection::vec((0usize..8, 0usize..6), 0..4)),
+            1..12,
+        ),
+        odd_reviews in prop::collection::vec(
+            (0usize..5, prop::collection::vec((side_codes(), side_codes()), 1..3)),
+            0..3,
+        ),
+        seal_every in 1usize..5,
+    ) {
+        let dir = temp_dir("reopen");
+        let index_tags: Vec<SubjectiveTag> = index_tags.iter().map(raw_tag).collect();
+        let probes: Vec<SubjectiveTag> = (0..8)
+            .map(|i| mk_tag(&(i, i)))
+            .chain(index_tags.iter().cloned())
+            .collect();
+        let before = {
+            let live = open(&dir, seal_every).expect("a fresh store opens");
+            live.add_tags(&index_tags);
+            for (entity_id, review) in &stream {
+                live.add_review(*entity_id, &review.iter().map(mk_tag).collect::<Vec<_>>());
+            }
+            for (entity_id, review) in &odd_reviews {
+                live.add_review(*entity_id, &review.iter().map(raw_tag).collect::<Vec<_>>());
+            }
+            let snapshot = live.pin();
+            for (codes, times) in &probed {
+                for _ in 0..*times {
+                    let _ = snapshot.probe(&raw_tag(codes));
+                }
+            }
+            live.checkpoint().expect("a clean checkpoint");
+            recovered(&live, &probes)
+        };
+        let reopened = open(&dir, seal_every).expect("the store reopens");
+        prop_assert_eq!(recovered(&reopened, &probes), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// However the compactor groups segments (any cut points) and in

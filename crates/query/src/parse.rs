@@ -22,9 +22,19 @@
 //! two-word term (`delicious food`) names the full tag. `@0.3` sets the
 //! degree-of-truth threshold θ (default 0, i.e. any positive degree).
 //! All parse errors carry byte-offset spans into the source string.
+//!
+//! The parser recurses once per `(` and once per `NOT`, so it stops at
+//! [`MAX_NESTING`](crate::parse::MAX_NESTING) levels: no text can
+//! overflow its stack. What parses is then held to the tighter
+//! [`MAX_DEPTH`](crate::ast::MAX_DEPTH) by
+//! [`Filter::validate`](crate::Filter::validate).
 
-use crate::ast::{CmpOp, FilterExpr, ObjectivePred, QueryError};
+use crate::ast::{CmpOp, FilterExpr, ObjectivePred, QueryError, MAX_DEPTH};
 use saccs_text::SubjectiveTag;
+
+/// Deepest `(` / `NOT` nesting the parser follows before it rejects the
+/// text.
+pub const MAX_NESTING: usize = 4 * MAX_DEPTH;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
@@ -116,6 +126,8 @@ struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
     src_len: usize,
+    /// Open `(` and `NOT` levels on the recursion stack.
+    depth: usize,
 }
 
 impl Parser {
@@ -136,6 +148,17 @@ impl Parser {
             Some(t) => (t.start, t.end),
             None => (self.src_len, self.src_len),
         }
+    }
+
+    /// Enter one more `(` or `NOT` level, the token at `start..end`, or
+    /// reject the text past [`MAX_NESTING`].
+    fn nest(&mut self, start: usize, end: usize) -> Result<(), QueryError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            let reason = format!("filter nests deeper than {MAX_NESTING}");
+            return Err(QueryError::at(reason, start, end));
+        }
+        Ok(())
     }
 
     /// Is the token at `pos` a reserved keyword (case-insensitive)?
@@ -186,8 +209,11 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<FilterExpr, QueryError> {
         if self.keyword("not") {
+            let (start, end) = self.here();
+            self.nest(start, end)?;
             self.bump();
             let inner = self.parse_unary()?;
+            self.depth -= 1;
             return Ok(FilterExpr::Not(Box::new(inner)));
         }
         self.parse_primary()
@@ -201,8 +227,10 @@ impl Parser {
                 ..
             }) => {
                 let open = *start;
+                self.nest(open, open + 1)?;
                 self.bump();
                 let inner = self.parse_or()?;
+                self.depth -= 1;
                 match self.bump() {
                     Some(Spanned {
                         tok: Tok::RParen, ..
@@ -422,6 +450,7 @@ pub fn parse_expr(src: &str) -> Result<FilterExpr, QueryError> {
         toks,
         pos: 0,
         src_len: src.len(),
+        depth: 0,
     };
     let expr = p.parse_filter()?;
     if let Some(t) = p.peek() {
@@ -437,6 +466,7 @@ pub fn parse_expr(src: &str) -> Result<FilterExpr, QueryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Filter;
 
     fn tag(op: &str, asp: &str) -> SubjectiveTag {
         SubjectiveTag::new(op, asp)
@@ -555,5 +585,60 @@ mod tests {
             &arms[1],
             FilterExpr::Objective(ObjectivePred::Attribute { .. })
         ));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_rejected_with_a_span() {
+        let src = format!("{}quiet", "(".repeat(200_000));
+        let err = parse_expr(&src).expect_err("too deep");
+        assert_eq!(err.span, Some((MAX_NESTING, MAX_NESTING + 1)));
+        let src = "NOT ".repeat(200_000) + "quiet";
+        let err = parse_expr(&src).expect_err("too deep");
+        let at = 4 * MAX_NESTING;
+        assert_eq!(err.span, Some((at, at + 3)));
+        let src = format!(
+            "{}quiet{}",
+            "(".repeat(MAX_NESTING),
+            ")".repeat(MAX_NESTING)
+        );
+        assert!(parse_expr(&src).is_ok());
+    }
+
+    proptest::proptest! {
+        /// Any text, keywords, brackets and non-ASCII included, parses
+        /// to a filter or an error.
+        #[test]
+        fn parse_returns_on_arbitrary_text(
+            src in "(AND |OR |NOT |not |\\(|\\)|,|@|<=|!=|>|=|quiet |food |price|0\\.5| |\t|\n|[a-z]{1,3}|[A-Z]|[\u{80}-\u{D7FF}]){0,40}",
+        ) {
+            let _ = Filter::parse(&src);
+        }
+
+        /// Nesting of any depth, closed or not, parses as before up to
+        /// the bound and is rejected with a span past it.
+        #[test]
+        fn parse_returns_on_any_nesting(
+            mantissa in 0usize..3,
+            exponent in 0u32..6,
+            opener in 0usize..3,
+            closed in proptest::bool::ANY,
+        ) {
+            let depth = mantissa * 10usize.pow(exponent);
+            let mut src = ["(", "NOT ", "NOT ("][opener].repeat(depth) + "quiet";
+            if closed && opener != 1 {
+                src.push_str(&")".repeat(depth));
+            }
+            let levels = if opener == 2 { 2 * depth } else { depth };
+            let nots = if opener == 0 { 0 } else { depth };
+            let closes = closed || opener == 1 || depth == 0;
+            let parsed = Filter::parse(&src);
+            proptest::prop_assert_eq!(
+                parsed.is_ok(),
+                closes && nots < MAX_DEPTH && levels <= MAX_NESTING
+            );
+            if let (Err(e), true) = (parsed, levels > MAX_NESTING) {
+                proptest::prop_assert!(e.reason.contains("nests deeper") && e.span.is_some());
+            }
+        }
     }
 }

@@ -30,7 +30,7 @@ impl Lint for AssertInHotPath {
             // The ANN candidate search runs per-cell/per-candidate inner
             // loops on the probe path.
             || path == "crates/index/src/ann.rs"
-            // The live-ingestion fold, the posting-list codec and the
+            // The live-ingestion fold, the record codec and the
             // segment merge run per-record/per-posting inner loops on
             // the ingest and recovery paths.
             || path == "crates/index/src/live.rs"
