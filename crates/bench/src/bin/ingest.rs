@@ -21,12 +21,14 @@
 //! catalog shape): a memory-only [`LiveIndex`] with
 //! `LiveConfig::default()` ingests 20,000 reviews of 1–4 tags over 2,000
 //! entities from `synthetic_tags(lex, 4000, 0x5ACC)`, indexes the first
-//! 200 tags, then times 1,000 more `add_review` calls one by one. Every
+//! 200 tags, then times 1,000 more `add_review` calls one by one, and
+//! with `SACCS_OBS=json` prints each ingest span per timed review. Every
 //! posting column is then compared with a from-scratch rebuild of the
-//! same log (entity ids, degree bits, normalized bits; `DIVERGENCE` and
+//! same log (entity ids and degree bits in slot order; `DIVERGENCE` and
 //! a non-zero exit on any difference). The export gains one line: the
 //! posting count, the mean number of posting lists a timed review
-//! changed, and an FNV-1a digest over every column.
+//! changed, and an FNV-1a digest over every column's Table-1 rows
+//! (ranked, with normalized degrees).
 //!
 //! Environment: `SACCS_INGEST_REVIEWS` (phase-2 stream length, default
 //! 3000), `SACCS_INGEST_DIR` (default `target/ingest-bench`, wiped at
@@ -34,10 +36,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saccs_bench::{bits, ranking_json, write_export};
+use saccs_bench::{bits, ranked, ranking_json, write_export};
 use saccs_data::synthetic_tags;
-use saccs_index::index::{IndexConfig, IndexEntry};
-use saccs_index::{LiveConfig, LiveIndex, LiveSnapshot, ReviewRecord};
+use saccs_index::index::IndexConfig;
+use saccs_index::{LiveConfig, LiveIndex, LiveSnapshot, Postings, ReviewRecord};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -58,10 +60,12 @@ const CATALOG_INDEXED: usize = 200;
 const CATALOG_TIMED: usize = 1000;
 /// The spans a memory-only review's time breaks into (`index.ingest.persist`
 /// needs a store).
-const INGEST_PARTS: [&str; 4] = [
-    "index.ingest.apply",
+const INGEST_PARTS: [&str; 6] = [
+    "index.ingest.fold",
+    "index.ingest.splice",
     "index.ingest.seal",
     "index.ingest.publish",
+    "index.ingest.reclaim",
     "index.ingest.compact",
 ];
 
@@ -121,9 +125,8 @@ fn check_equivalence(
     let replay = rebuild(log, index_tags);
     let snapshot = live.pin();
     for probe in probes {
-        let got = bits(&live.probe_pinned(&snapshot, probe));
-        let want = bits(&replay.probe_readonly(probe));
-        if got != want {
+        let answer = live.probe_pinned(&snapshot, probe);
+        if bits(&answer) != bits(&replay.probe_readonly(probe)) {
             println!(
                 "DIVERGENCE: live probe for {probe:?} differs from rebuild at {label} \
                  ({} reviews, {} segments)",
@@ -132,6 +135,7 @@ fn check_equivalence(
             );
             std::process::exit(1);
         }
+        let got = bits(&ranked(&snapshot, probe, answer));
         let _ = writeln!(
             report,
             "{{\"checkpoint\":\"{label}\",\"reviews\":{},\"segments\":{},\"probe\":\"{}\",\"ranking\":{}}}",
@@ -338,19 +342,20 @@ fn catalog(lexicon: &Lexicon, report: &mut String, headline: &mut Vec<(String, f
     let mut postings = 0usize;
     let mut digest = 0u64;
     for tag in index_tags {
-        let column = column_bits(snapshot.index().lookup(tag).unwrap_or(&[]));
-        if column != column_bits(replay.lookup(tag).unwrap_or(&[])) {
+        let (live_column, replayed) = (snapshot.lookup(tag), replay.lookup(tag));
+        if live_column.map(slot_bits) != replayed.map(slot_bits) {
             println!(
                 "DIVERGENCE: live posting list for {tag:?} differs from rebuild \
                  after the catalog stream"
             );
             std::process::exit(1);
         }
-        postings += column.len();
-        for (entity_id, degree, normalized) in column {
+        let rows = live_column.map(|p| p.table()).unwrap_or_default();
+        postings += rows.len();
+        for (entity_id, degree, normalized) in rows {
             digest = saccs_obs::trace::hash_bytes(digest, &(entity_id as u64).to_le_bytes());
-            digest = saccs_obs::trace::hash_bytes(digest, &degree.to_le_bytes());
-            digest = saccs_obs::trace::hash_bytes(digest, &normalized.to_le_bytes());
+            digest = saccs_obs::trace::hash_bytes(digest, &degree.to_bits().to_le_bytes());
+            digest = saccs_obs::trace::hash_bytes(digest, &normalized.to_bits().to_le_bytes());
         }
     }
     println!("Catalog: every posting list bitwise identical to a from-scratch rebuild");
@@ -374,16 +379,7 @@ fn catalog(lexicon: &Lexicon, report: &mut String, headline: &mut Vec<(String, f
     }
 }
 
-/// A posting column as `(entity, degree bits, normalized bits)` in order.
-fn column_bits(column: &[IndexEntry]) -> Vec<(usize, u32, u32)> {
-    column
-        .iter()
-        .map(|e| {
-            (
-                e.entity_id,
-                e.degree_of_truth.to_bits(),
-                e.normalized.to_bits(),
-            )
-        })
-        .collect()
+/// A posting column as `(entity, degree bits)` in slot order.
+fn slot_bits(postings: Postings<'_>) -> Vec<(usize, u32)> {
+    postings.iter().map(|(e, d)| (e, d.to_bits())).collect()
 }

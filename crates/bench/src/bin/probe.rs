@@ -30,7 +30,7 @@
 //! Environment: `SACCS_PROBE_TAGS` (corpus size, default 100000),
 //! `SACCS_OBS=json` to emit `BENCH_probe.json`.
 
-use saccs_bench::{bits, ranking_json, write_export};
+use saccs_bench::{bits, ranked, ranking_json, write_export};
 use saccs_data::synthetic_tags;
 use saccs_index::index::{IndexConfig, SubjectiveIndex};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
@@ -180,11 +180,15 @@ fn main() {
         for probe in &probes {
             let scan = scan_idx.probe_readonly(probe);
             let cells = cell_idx.probe_readonly(probe);
-            let cell_bits = bits(&cells);
-            if cell_bits != bits(&scan) {
+            if bits(&cells) != bits(&scan) {
                 println!("DIVERGENCE: cell probe for {probe:?} differs from scan at θ={theta}");
                 std::process::exit(1);
             }
+            let (cells, scan) = (
+                ranked(&cell_idx, probe, cells),
+                ranked(&scan_idx, probe, scan),
+            );
+            let cell_bits = bits(&cells);
             recall += recall_at_10(&cells, &scan);
             let _ = writeln!(
                 report,

@@ -25,7 +25,7 @@ use saccs_embed::{
 };
 use saccs_eval::ndcg::ndcg;
 use saccs_index::index::IndexConfig;
-use saccs_index::{LiveConfig, LiveIndex};
+use saccs_index::{LiveConfig, LiveIndex, SubjectiveIndex};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 use std::sync::Arc;
 
@@ -64,6 +64,22 @@ pub fn obs_finish(bin: &str, headline: &[(&str, f64)]) -> Option<String> {
 /// bins compare, so equality means bitwise equality.
 pub fn bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
     ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+}
+
+/// A probe's answer (slot order) ranked for export: an exact answer as
+/// its column ranks (stable by descending degree, ties in slot order),
+/// a fallback one by descending score, ties by ascending id.
+pub fn ranked(
+    index: &SubjectiveIndex,
+    tag: &SubjectiveTag,
+    mut answer: Vec<(usize, f32)>,
+) -> Vec<(usize, f32)> {
+    if index.lookup(tag).is_some_and(|p| !p.is_empty()) {
+        answer.sort_by(|a, b| b.1.total_cmp(&a.1));
+    } else {
+        answer.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    }
+    answer
 }
 
 /// Render a [`bits`] ranking as a JSON array of `[entity, score bits]`

@@ -88,6 +88,22 @@ impl SemanticCandidateIndex {
         Self::from_resolved(merged)
     }
 
+    /// Number of tags.
+    pub(crate) fn len(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// The tags, ascending: tag `id` is the `id`-th.
+    pub(crate) fn tags(&self) -> impl Iterator<Item = &SubjectiveTag> {
+        self.tags.iter().map(|(tag, _)| tag)
+    }
+
+    /// `tag`'s id, if the set holds it: a binary search, as the tags are
+    /// ascending.
+    pub(crate) fn id_of(&self, tag: &SubjectiveTag) -> Option<usize> {
+        self.tags.binary_search_by(|(t, _)| t.cmp(tag)).ok()
+    }
+
     /// Tag `id` (its position in ascending order), resolved.
     #[inline]
     pub(crate) fn resolved(&self, id: usize) -> ResolvedTag<'_> {

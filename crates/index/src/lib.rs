@@ -24,6 +24,8 @@
 pub mod ann;
 /// Varint byte codec for the store's file images.
 pub mod codec;
+/// Posting columns by entity slot, and the fallback probe's dense fold.
+mod column;
 /// The user tag history feeding re-indexing rounds.
 pub mod history;
 /// The subjective index: Equation 1 degrees of truth.
@@ -37,10 +39,12 @@ pub mod segment;
 
 /// The resolution-cell candidate index and its probe results.
 pub use ann::{ScoredCandidates, SemanticCandidateIndex};
+/// One index tag's postings, read in place.
+pub use column::Postings;
 /// Unknown tags users asked about.
 pub use history::UserTagHistory;
 /// The index and its tuning knobs.
-pub use index::{DegreeFormula, IndexConfig, IndexEntry, PostingColumns, SubjectiveIndex};
+pub use index::{DegreeFormula, IndexConfig, SubjectiveIndex};
 /// Live-ingestion handle, its tuning knobs, pinned snapshots, receipts.
 pub use live::{IngestReceipt, LiveConfig, LiveIndex, LiveSnapshot};
 /// Fraud filtering of per-review tag profiles.

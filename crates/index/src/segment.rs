@@ -232,10 +232,14 @@ impl SealedSegment {
 /// the globally unique ingest seq (duplicates collapse, making the
 /// operator idempotent too). Because the result is a pure function of
 /// the record *set*, merging is associative and permutation-invariant —
-/// compaction order and timing cannot change what readers see.
-pub fn merge_segments(segments: &[SealedSegment]) -> Option<SealedSegment> {
+/// compaction order and timing cannot change what readers see. The
+/// segments are borrowed, so each record is copied once, into the
+/// output.
+pub fn merge_segments<'a>(
+    segments: impl IntoIterator<Item = &'a SealedSegment>,
+) -> Option<SealedSegment> {
     let mut records: Vec<ReviewRecord> = segments
-        .iter()
+        .into_iter()
         .flat_map(|s| s.records().iter().cloned())
         .collect();
     if records.is_empty() {

@@ -203,12 +203,7 @@ fn custom_similarity_drops_cells_built_before_it() {
     let cell_idx = build(IndexConfig::default(), &entities, &tags, false);
     let mut installed = SubjectiveIndex::new(sim(), IndexConfig::default());
     installed.install_postings(tags.iter().map(|t| {
-        let pairs = cell_idx
-            .lookup(t)
-            .unwrap_or_default()
-            .iter()
-            .map(|e| (e.entity_id, e.degree_of_truth))
-            .collect();
+        let pairs = cell_idx.lookup(t).map_or(vec![], |p| p.iter().collect());
         (t.clone(), pairs)
     }));
     let scan_idx = installed.with_custom_similarity(sim());

@@ -7,7 +7,8 @@
 //! One test function on purpose: `saccs_rt::set_threads` is grow-only
 //! and process-global, so the width-1 build must run before widening.
 
-use saccs_index::index::{IndexConfig, IndexEntry};
+use saccs_index::index::IndexConfig;
+use saccs_index::Postings;
 use saccs_index::{LiveConfig, LiveIndex};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 
@@ -70,18 +71,9 @@ fn vocabulary() -> Vec<SubjectiveTag> {
     .collect()
 }
 
-/// A column as `(entity, degree bits, normalized bits)` in order.
-fn column_bits(column: &[IndexEntry]) -> Vec<(usize, u32, u32)> {
-    column
-        .iter()
-        .map(|e| {
-            (
-                e.entity_id,
-                e.degree_of_truth.to_bits(),
-                e.normalized.to_bits(),
-            )
-        })
-        .collect()
+/// A column as `(entity, degree bits)` in slot order.
+fn column_bits(postings: Postings<'_>) -> Vec<(usize, u32)> {
+    postings.iter().map(|(e, d)| (e, d.to_bits())).collect()
 }
 
 fn probe_bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {

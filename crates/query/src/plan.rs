@@ -249,9 +249,9 @@ fn eval(expr: &FilterExpr, ctx: &Ctx<'_>, restrict: Option<&EntityBitmap>) -> En
                 // A known, non-empty tag answers from its postings —
                 // the θ threshold folds into the posting iteration.
                 Some(postings) if !postings.is_empty() => {
-                    for e in postings {
-                        if e.degree_of_truth > *theta {
-                            b.insert(e.entity_id);
+                    for (id, degree) in postings.iter() {
+                        if degree > *theta {
+                            b.insert(id);
                         }
                     }
                 }
@@ -270,8 +270,8 @@ fn eval(expr: &FilterExpr, ctx: &Ctx<'_>, restrict: Option<&EntityBitmap>) -> En
         }
         FilterExpr::Opinion { word, theta } => {
             // Union of exact postings over every index tag carrying this
-            // opinion, whatever the aspect. BTreeMap iteration order
-            // keeps this deterministic.
+            // opinion, whatever the aspect. Ascending tag order keeps
+            // this deterministic.
             let mut b = EntityBitmap::empty(ctx.universe);
             let matching: Vec<_> = ctx
                 .index
@@ -281,9 +281,9 @@ fn eval(expr: &FilterExpr, ctx: &Ctx<'_>, restrict: Option<&EntityBitmap>) -> En
                 .collect();
             for tag in &matching {
                 if let Some(postings) = ctx.index.lookup(tag) {
-                    for e in postings {
-                        if e.degree_of_truth > *theta {
-                            b.insert(e.entity_id);
+                    for (id, degree) in postings.iter() {
+                        if degree > *theta {
+                            b.insert(id);
                         }
                     }
                 }
@@ -445,8 +445,8 @@ fn build_naive(expr: &FilterExpr, index: &SubjectiveIndex, universe: usize) -> N
             let mut ids: Vec<usize> = match index.lookup(tag) {
                 Some(postings) if !postings.is_empty() => postings
                     .iter()
-                    .filter(|e| e.degree_of_truth > *theta)
-                    .map(|e| e.entity_id)
+                    .filter(|&(_, degree)| degree > *theta)
+                    .map(|(id, _)| id)
                     .collect(),
                 _ => index
                     .probe_readonly(tag)
@@ -472,8 +472,8 @@ fn build_naive(expr: &FilterExpr, index: &SubjectiveIndex, universe: usize) -> N
                     ids.extend(
                         postings
                             .iter()
-                            .filter(|e| e.degree_of_truth > *theta)
-                            .map(|e| e.entity_id),
+                            .filter(|&(_, degree)| degree > *theta)
+                            .map(|(id, _)| id),
                     );
                 }
             }

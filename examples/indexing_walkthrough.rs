@@ -45,7 +45,9 @@ fn main() {
     // The adaptation mechanism.
     let query = tag("romantic", "ambiance");
     println!("User asks for \"romantic ambiance\" — unknown to the index.");
-    let results = index.probe_pinned(&view, &query);
+    let mut results = index.probe_pinned(&view, &query);
+    // A probe answers in slot order; rank by score to show it.
+    results.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     println!("Real-time answer from similar tags: {results:?}");
     println!(
         "User tag history now holds {} pending tag(s).",

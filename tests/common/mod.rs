@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saccs::core::{SaccsConfig, SaccsService};
 use saccs::data::Entity;
-use saccs::index::index::{IndexConfig, IndexEntry};
+use saccs::index::index::IndexConfig;
 use saccs::index::{LiveConfig, LiveIndex, ReviewRecord};
 use saccs::serve::{SaccsServer, ServeConfig};
 use saccs::text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
@@ -92,27 +92,23 @@ pub(crate) fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> Arc<LiveI
     for tag in tags {
         let column: Vec<(usize, u32, u32)> = snapshot
             .lookup(tag)
+            .map(|postings| postings.table())
             .unwrap_or_default()
             .iter()
-            .map(|e: &IndexEntry| {
-                (
-                    e.entity_id,
-                    e.degree_of_truth.to_bits(),
-                    e.normalized.to_bits(),
-                )
-            })
+            .map(|&(e, degree, normalized)| (e, degree.to_bits(), normalized.to_bits()))
             .collect();
         assert_eq!(column, naive_column(log, tag), "replayed column {tag:?}");
     }
     Arc::new(replay)
 }
 
-/// Equation 1 evaluated naively from the log, as `(entity, degree
-/// bits, normalized bits)`: per entity (in first-seen order) the
-/// review count and the left fold, in log order, of every review tag's
-/// similarity to `tag` above θ_index; degree `ln(reviews + 1) × sum /
-/// n`; a stable sort by descending degree; normalized against the
-/// largest degree.
+/// Equation 1 evaluated naively from the log, as Table 1's rows
+/// `(entity, degree bits, normalized bits)`: per entity (in first-seen
+/// order) the review count and the left fold, in log order, of every
+/// review tag's similarity to `tag` above θ_index; degree
+/// `ln(reviews + 1) × sum / n`; a stable sort by descending degree;
+/// normalized against the largest degree. The index stores the column
+/// by entity slot (first-seen order) and ranks it this way on demand.
 fn naive_column(log: &[ReviewRecord], tag: &SubjectiveTag) -> Vec<(usize, u32, u32)> {
     let (sim, theta) = (sim(), IndexConfig::default().theta_index);
     // (entity, reviews, sum, n)

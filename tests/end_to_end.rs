@@ -193,14 +193,14 @@ fn ingested_review_changes_the_index_and_the_next_ranking() {
     // The weakest entity under the tag: a glowing review must move it.
     let entity = before
         .lookup(&tag)
-        .and_then(|postings| postings.last())
+        .and_then(|postings| postings.table().last().copied())
         .expect("delicious food has postings")
-        .entity_id;
+        .0;
     let degree_bits = |index: &saccs::index::SubjectiveIndex| {
         index
             .lookup(&tag)
-            .and_then(|postings| postings.iter().find(|e| e.entity_id == entity))
-            .map(|e| e.degree_of_truth.to_bits())
+            .and_then(|postings| postings.iter().find(|&(e, _)| e == entity))
+            .map(|(_, degree)| degree.to_bits())
     };
     let old = degree_bits(&before).expect("entity indexed");
     let score_bits = |results: &[(usize, f32)]| {

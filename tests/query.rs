@@ -13,18 +13,21 @@
 //! left-to-right == the naive per-entity evaluator), the unfiltered
 //! degradation rung for filters that cannot compile, admission-time
 //! rejection of malformed filter DSL at the `sanitized()` seam, and
-//! the `algo1.filter` stage span + `filter:` plan event in traces.
+//! the `algo1.filter` stage span + `filter:` plan event in traces, and
+//! entity ids of any size through probes, filters and a reopen.
 
 mod common;
 
 use common::{
-    bits, entities, global_lock, live_index, live_server, rebuild, stream, tag, vocabulary,
+    bits, entities, global_lock, live_index, live_server, rebuild, sim, stream, tag, vocabulary,
 };
 use saccs::core::{DegradeAction, RankRequest, SaccsConfig, SaccsError, SaccsService, SearchApi};
-use saccs::index::ReviewRecord;
+use saccs::index::index::IndexConfig;
+use saccs::index::{LiveConfig, LiveIndex, ReviewRecord};
 use saccs::obs::trace::install;
 use saccs::obs::TraceContext;
 use saccs::query::{compile, naive_matches, Filter, JoinOrder};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Filter DSL shapes spanning the grammar: bare opinion, thresholded
@@ -231,4 +234,56 @@ fn filter_stage_emits_a_plan_trace_event() {
     .expect("reference evaluates")
     .len();
     assert_eq!(plan, &format!("filter:1:5:{expected}"));
+}
+
+/// Entity ids size nothing: reviews for `usize::MAX` and `1 << 40`
+/// beside small ids go through an exact probe, a fallback probe, filter
+/// compiles over either, a checkpoint and a reopen. Nothing panics and
+/// every id comes back unchanged; ids past the catalog cannot pass a
+/// filter.
+#[test]
+fn huge_entity_ids_survive_probes_filters_and_a_reopen() {
+    let _serial = global_lock();
+    let reviewed = [0, usize::MAX, 3, 1 << 40, usize::MAX];
+    let dir = std::env::temp_dir().join(format!("saccs-huge-ids-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let config = LiveConfig {
+            seal_every: 2,
+            max_segments: 0,
+        };
+        LiveIndex::open(&dir, sim(), IndexConfig::default(), config).expect("opens")
+    };
+    let check = |live: &LiveIndex| {
+        let snapshot = live.pin();
+        let ids = |answer: Vec<(usize, f32)>| -> BTreeSet<usize> {
+            answer.into_iter().map(|(e, _)| e).collect()
+        };
+        let all: BTreeSet<usize> = reviewed.into_iter().collect();
+        let (exact, fallback) = (tag("delicious", "food"), tag("tasty", "meal"));
+        assert!(snapshot.lookup(&exact).is_some() && snapshot.lookup(&fallback).is_none());
+        assert_eq!(ids(snapshot.probe_readonly(&exact)), all);
+        assert_eq!(ids(snapshot.probe_readonly(&fallback)), all);
+        let ents = entities(5);
+        let api = SearchApi::new(&ents);
+        for dsl in ["delicious food@0.01", "tasty meal@0.01"] {
+            let filter = Filter::parse(dsl).expect("parses");
+            let compiled =
+                compile(&filter, &snapshot, &api, JoinOrder::RarestFirst).expect("compiles");
+            assert_eq!(compiled.bitmap().to_vec(), vec![0, 3], "{dsl}");
+        }
+    };
+    let live = open();
+    live.add_tags(&vocabulary());
+    for &id in &reviewed {
+        live.add_review(id, &[tag("delicious", "food"), tag("friendly", "staff")]);
+    }
+    check(&live);
+    live.checkpoint().expect("checkpoints");
+    drop(live);
+    let reopened = open();
+    let log: Vec<usize> = reopened.review_log().iter().map(|r| r.entity_id).collect();
+    assert_eq!(log, reviewed);
+    check(&reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
