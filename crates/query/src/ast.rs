@@ -4,10 +4,11 @@
 //! A filter composes *subjective* predicates (degree-of-truth
 //! thresholds over index tags) and *objective* predicates (price,
 //! rating, categorical attributes) under `AND`/`OR`/`NOT`. Subjective
-//! Databases (Trummer et al.) motivates exactly this shape: "clean
-//! rooms AND quiet, NOT expensive, rating > 4". The AST is pure data —
-//! compilation against a pinned index snapshot lives in
-//! [`crate::plan`], parsing from the text DSL in [`crate::parse`].
+//! Databases (Li et al., Megagon Labs, arXiv 1902.09661) motivates
+//! exactly this shape: "clean rooms AND quiet, NOT expensive,
+//! rating > 4". The AST is pure data — compilation against a pinned
+//! index snapshot lives in [`crate::plan`], parsing from the text DSL
+//! in [`crate::parse`].
 
 use saccs_text::SubjectiveTag;
 use std::fmt;

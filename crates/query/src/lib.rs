@@ -6,8 +6,8 @@
 //! snapshot into an entity bitmap a ranking pass can intersect with.
 //!
 //! The paper ranks the tags of a single utterance; Subjective Databases
-//! (Trummer et al., PAPERS.md) motivates the compositional form this
-//! crate adds — "clean rooms AND quiet, NOT expensive, rating > 4".
+//! (Li et al., Megagon Labs; PAPERS.md) motivates the compositional form
+//! this crate adds — "clean rooms AND quiet, NOT expensive, rating > 4".
 //! Three layers:
 //!
 //! * [`ast`] — the typed [`Filter`] / [`FilterExpr`] tree and its

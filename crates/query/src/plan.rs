@@ -3,10 +3,12 @@
 //! Each subjective leaf materializes an entity bitmap from the
 //! snapshot's posting lists (degree-of-truth thresholding folded into
 //! the posting iteration; unindexed tags go through the same θ_filter
-//! similarity fallback a probe uses). Objective leaves test the catalog
-//! directly and are folded into the same plan — under an `AND` they only
-//! ever iterate the ids the subjective leaves already admitted, never
-//! the whole universe, which is what "not post-filtered" buys.
+//! similarity fallback a probe uses). Objective leaves are one
+//! [`ObjectiveCatalog::matching`] call each, folded into the same plan
+//! with the ids earlier conjuncts already admitted: a catalog that keeps
+//! bitmaps per attribute value (`saccs-core`'s `SearchApi`) answers by
+//! combining them, and the per-id default tests only the admitted ids,
+//! never the whole universe, which is what "not post-filtered" buys.
 //!
 //! The cost model is deliberately small: per-tag posting lengths from
 //! [`SubjectiveIndex::posting_stats`](saccs_index::SubjectiveIndex::posting_stats)-style
@@ -35,6 +37,37 @@ pub trait ObjectiveCatalog {
     /// a compile error (→ the service's unfiltered degradation rung),
     /// not a silently-empty predicate.
     fn has_attribute(&self, name: &str) -> bool;
+
+    /// The ids in `0..universe` for which `pred` holds, only among the
+    /// ids in `within` when it is given. The default tests `pred` id by
+    /// id through [`attribute`](Self::attribute) and
+    /// [`stars`](Self::stars), visiting only the ids in `within`; a
+    /// catalog with precomputed columns overrides it and must return the
+    /// same set.
+    fn matching(&self, pred: &ObjectivePred, within: Option<&EntityBitmap>) -> EntityBitmap {
+        let universe = self.universe();
+        let mut b = EntityBitmap::empty(universe);
+        match within {
+            // The payoff of folding objective predicates into the
+            // plan: under an AND they only test the already-admitted
+            // candidate ids, not the whole universe.
+            Some(r) => {
+                for id in r.iter() {
+                    if objective_holds(pred, self, id) {
+                        b.insert(id);
+                    }
+                }
+            }
+            None => {
+                for id in 0..universe {
+                    if objective_holds(pred, self, id) {
+                        b.insert(id);
+                    }
+                }
+            }
+        }
+        b
+    }
 }
 
 /// Join-order policy for `AND` nodes.
@@ -220,8 +253,8 @@ fn estimate(expr: &FilterExpr, ctx: &Ctx<'_>) -> usize {
 }
 
 /// Evaluate a node into an entity bitmap. `restrict` is the candidate
-/// set already admitted by earlier conjuncts: objective leaves only
-/// test those ids, and complements stay within it. Posting-backed
+/// set already admitted by earlier conjuncts: objective leaves answer
+/// only among those ids, and complements stay within it. Posting-backed
 /// leaves may return ids outside `restrict` — the caller intersects.
 fn eval(expr: &FilterExpr, ctx: &Ctx<'_>, restrict: Option<&EntityBitmap>) -> EntityBitmap {
     match expr {
@@ -290,29 +323,7 @@ fn eval(expr: &FilterExpr, ctx: &Ctx<'_>, restrict: Option<&EntityBitmap>) -> En
             }
             b
         }
-        FilterExpr::Objective(pred) => {
-            let mut b = EntityBitmap::empty(ctx.universe);
-            match restrict {
-                // The payoff of folding objective predicates into the
-                // plan: under an AND they only test the already-admitted
-                // candidate ids, not the whole universe.
-                Some(r) => {
-                    for id in r.iter() {
-                        if objective_holds(pred, ctx.catalog, id) {
-                            b.insert(id);
-                        }
-                    }
-                }
-                None => {
-                    for id in 0..ctx.universe {
-                        if objective_holds(pred, ctx.catalog, id) {
-                            b.insert(id);
-                        }
-                    }
-                }
-            }
-            b
-        }
+        FilterExpr::Objective(pred) => ctx.catalog.matching(pred, restrict),
     }
 }
 
@@ -379,7 +390,14 @@ fn eval_and(
     acc
 }
 
-fn objective_holds(pred: &ObjectivePred, catalog: &dyn ObjectiveCatalog, id: usize) -> bool {
+/// Does `pred` hold for entity `id`? The per-id meaning of an objective
+/// leaf: [`ObjectiveCatalog::matching`]'s default and [`naive_matches`]
+/// both test it.
+fn objective_holds<C: ObjectiveCatalog + ?Sized>(
+    pred: &ObjectivePred,
+    catalog: &C,
+    id: usize,
+) -> bool {
     match pred {
         ObjectivePred::Price { op, value } => catalog
             .attribute(id, "PriceRange")
